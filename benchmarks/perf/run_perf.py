@@ -1,10 +1,9 @@
 """Perf-regression harness for the simulation core.
 
-Runs the paper-shaped hot scenarios in BOTH scheduling modes
-(generator and timeline), checks they agree byte-for-byte on simulated
-results, and reports wall-clock, processed events, events/sec and
-simulated throughput.  Results land in ``BENCH_perf.json`` for the CI
-perf-smoke job (see ``check_regression.py``).
+Runs the paper-shaped hot scenarios and reports wall-clock, processed
+events, events/sec and simulated throughput.  Results land in
+``BENCH_perf.json`` for the CI perf-smoke job (see
+``check_regression.py``).
 
 Usage::
 
@@ -17,9 +16,8 @@ Scenarios:
 * ``kv_write_compaction`` -- LSM put stream with flushes + compactions
   over a 4-channel SDF server (Figures 12-14 regime, scaled down)
 * ``fleet_day_qos`` -- a fleet-day scenario with observability, fault
-  bursts, channel QoS admission and an active policy rule, comparing
-  the forced-generator and timeline fast paths (the whole production
-  stack must ride the fast path now)
+  bursts, channel QoS admission and an active policy rule (the whole
+  production stack on the extended analytic path)
 * ``fleet_day_sharded`` -- the static-control-plane fleet day run
   in-process versus sharded across worker processes (byte-identical
   reports; wall-clock ratio is hardware-dependent so only event counts
@@ -30,38 +28,20 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-MODES = ("generator", "timeline")
 
-
-@contextmanager
-def _engine_mode(mode: str):
-    """Scoped REPRO_SIM_MODE override (cluster builders read the env)."""
-    previous = os.environ.get("REPRO_SIM_MODE")
-    os.environ["REPRO_SIM_MODE"] = mode
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_SIM_MODE", None)
-        else:
-            os.environ["REPRO_SIM_MODE"] = previous
-
-
-def _fig7_point(mode: str, direction: str):
+def _fig7_point(direction: str):
     from repro.devices import build_device
     from repro.sim import MIB, MS, Simulator
     from repro.workloads import drive_sdf_reads, drive_sdf_writes
 
     sim = Simulator()
-    sdf = build_device("sdf", sim, capacity_scale=0.004, mode=mode)
+    sdf = build_device("sdf", sim, capacity_scale=0.004)
     if direction == "read":
         sdf.prefill(1.0)
         wall0 = time.perf_counter()
@@ -96,46 +76,45 @@ def _fig7_point(mode: str, direction: str):
     }
 
 
-def fig7_read_44(mode: str):
-    return _fig7_point(mode, "read")
+def fig7_read_44():
+    return _fig7_point("read")
 
 
-def fig7_write_44(mode: str):
-    return _fig7_point(mode, "write")
+def fig7_write_44():
+    return _fig7_point("write")
 
 
-def kv_write_compaction(mode: str):
-    with _engine_mode(mode):
-        from repro.cluster import build_sdf_server
-        from repro.kv.lsm import LSMTree
-        from repro.kv.slice import KeyRange, Slice
-        from repro.sim import MS, Simulator
+def kv_write_compaction():
+    from repro.cluster import build_sdf_server
+    from repro.kv.lsm import LSMTree
+    from repro.kv.slice import KeyRange, Slice
+    from repro.sim import MS, Simulator
 
-        sim = Simulator()
-        lsm = LSMTree(memtable_bytes=256 * 1024)
-        server = build_sdf_server(
-            sim,
-            [Slice(0, KeyRange(0, 1_000_000), lsm=lsm)],
-            capacity_scale=0.01,
-            n_channels=4,
-        )
-        value = b"v" * 4096
-        wall0 = time.perf_counter()
+    sim = Simulator()
+    lsm = LSMTree(memtable_bytes=256 * 1024)
+    server = build_sdf_server(
+        sim,
+        [Slice(0, KeyRange(0, 1_000_000), lsm=lsm)],
+        capacity_scale=0.01,
+        n_channels=4,
+    )
+    value = b"v" * 4096
+    wall0 = time.perf_counter()
 
-        def put_stream():
-            for key in range(1500):
-                yield from server.handle_put(key % 500, value)
+    def put_stream():
+        for key in range(1500):
+            yield from server.handle_put(key % 500, value)
 
-        sim.run(until=sim.process(put_stream()))
-        sim.run(until=sim.now + 200 * MS)  # drain flushes + compactions
-        wall = time.perf_counter() - wall0
-        device = server.system.device
-        return {
-            "wall_s": wall,
-            "events": sim._seq,
-            "sim_end_ns": sim.now,
-            "mb_per_s": device.stats.write_meter.mb_per_s(0, sim.now),
-        }
+    sim.run(until=sim.process(put_stream()))
+    sim.run(until=sim.now + 200 * MS)  # drain flushes + compactions
+    wall = time.perf_counter() - wall0
+    device = server.system.device
+    return {
+        "wall_s": wall,
+        "events": sim._seq,
+        "sim_end_ns": sim.now,
+        "mb_per_s": device.stats.write_meter.mb_per_s(0, sim.now),
+    }
 
 
 def _fleet_scenario(static_control_plane: bool):
@@ -251,38 +230,25 @@ def _fleet_policy():
     )
 
 
-def fleet_day_qos(mode: str):
-    """Fleet day with every plane attached (obs, faults, QoS, policy):
-    the full production stack must ride the timeline fast path."""
-    with _engine_mode(mode):
-        import gc
+def fleet_day_qos():
+    """Fleet day with every plane attached (obs, faults, QoS, policy)."""
+    from repro.obs import Observability
+    from repro.workloads.scenarios import ScenarioRunner
 
-        from repro.obs import Observability
-        from repro.workloads.scenarios import ScenarioRunner
-
-        best = None
-        # Best-of-two: the speedup on this scenario is the gated
-        # acceptance number, so damp scheduler/allocator noise the way
-        # benchmark suites usually do -- repeat and keep the fastest.
-        for _ in range(2):
-            gc.collect()
-            runner = ScenarioRunner(
-                _fleet_scenario(static_control_plane=False),
-                qos=_fleet_qos(),
-                obs=Observability(),
-                policy=_fleet_policy(),
-            )
-            wall0 = time.perf_counter()
-            result = runner.run()
-            wall = time.perf_counter() - wall0
-            if best is None or wall < best["wall_s"]:
-                best = {
-                    "wall_s": wall,
-                    "events": int(runner.sim._seq),
-                    "sim_end_ns": int(runner.sim.now),
-                    "digest": result.to_json(),
-                }
-        return best
+    runner = ScenarioRunner(
+        _fleet_scenario(static_control_plane=False),
+        qos=_fleet_qos(),
+        obs=Observability(),
+        policy=_fleet_policy(),
+    )
+    wall0 = time.perf_counter()
+    runner.run()
+    wall = time.perf_counter() - wall0
+    return {
+        "wall_s": wall,
+        "events": int(runner.sim._seq),
+        "sim_end_ns": int(runner.sim.now),
+    }
 
 
 def fleet_day_sharded(mode: str):
@@ -315,42 +281,50 @@ def fleet_day_sharded(mode: str):
     }
 
 
-#: name -> (scenario callable, (slow mode, fast mode)).  The fleet
-#: scenarios run first: their speedup gate is the tightest and the big
-#: fig7 sweeps leave tens of millions of live objects behind, which
-#: taxes every allocation made after them.
+#: name -> (scenario callable, mode pair or None).  A scenario with a
+#: ``(slow mode, fast mode)`` pair runs once per mode and the two must
+#: agree byte-for-byte on the simulated outcome.  The fleet scenarios
+#: run first: the big fig7 sweeps leave tens of millions of live
+#: objects behind, which taxes every allocation made after them.
 SCENARIOS = {
-    "fleet_day_qos": (fleet_day_qos, MODES),
+    "fleet_day_qos": (fleet_day_qos, None),
     "fleet_day_sharded": (fleet_day_sharded, ("inprocess", "sharded")),
-    "fig7_read_44": (fig7_read_44, MODES),
-    "fig7_write_44": (fig7_write_44, MODES),
-    "kv_write_compaction": (kv_write_compaction, MODES),
+    "fig7_read_44": (fig7_read_44, None),
+    "fig7_write_44": (fig7_write_44, None),
+    "kv_write_compaction": (kv_write_compaction, None),
 }
 
 
-def run_all():
+def _measure(label: str, scenario, *args) -> dict:
     import gc
 
+    gc.collect()
+    result = scenario(*args)
+    result["events_per_s"] = (
+        result["events"] / result["wall_s"] if result["wall_s"] else 0.0
+    )
+    throughput = (
+        f"sim={result['mb_per_s'] / 1000:5.2f} GB/s"
+        if "mb_per_s" in result
+        else ""
+    )
+    print(
+        f"{label:>32}: wall={result['wall_s']:6.2f}s "
+        f"events={result['events']:>8} "
+        f"({result['events_per_s'] / 1e3:7.1f}k ev/s) {throughput}"
+    )
+    return result
+
+
+def run_all():
     report = {}
     for name, (scenario, modes) in SCENARIOS.items():
+        if modes is None:
+            report[name] = _measure(name, scenario)
+            continue
         entry = {"modes": list(modes)}
         for mode in modes:
-            gc.collect()
-            result = scenario(mode)
-            result["events_per_s"] = (
-                result["events"] / result["wall_s"] if result["wall_s"] else 0.0
-            )
-            entry[mode] = result
-            throughput = (
-                f"sim={result['mb_per_s'] / 1000:5.2f} GB/s"
-                if "mb_per_s" in result
-                else ""
-            )
-            print(
-                f"{name:>22} {mode:>9}: wall={result['wall_s']:6.2f}s "
-                f"events={result['events']:>8} "
-                f"({result['events_per_s'] / 1e3:7.1f}k ev/s) {throughput}"
-            )
+            entry[mode] = _measure(f"{name} {mode}", scenario, mode)
         slow, fast = entry[modes[0]], entry[modes[1]]
         # The modes must agree on the *simulated* outcome exactly.
         if slow["sim_end_ns"] != fast["sim_end_ns"]:

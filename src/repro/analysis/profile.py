@@ -1,11 +1,11 @@
 """cProfile entry point for the perf-harness scenarios.
 
-Profile one scenario from :mod:`benchmarks.perf.run_perf` in either
-scheduling mode and print the hottest functions::
+Profile one scenario from :mod:`benchmarks.perf.run_perf` and print the
+hottest functions::
 
     PYTHONPATH=src python -m repro.analysis.profile fig7_read_44
     PYTHONPATH=src python -m repro.analysis.profile kv_write_compaction \
-        --mode generator --sort cumulative --limit 40
+        --sort cumulative --limit 40
     PYTHONPATH=src python -m repro.analysis.profile fig7_write_44 \
         --out write44.pstats        # load later with pstats.Stats
 
@@ -35,21 +35,21 @@ def _load_scenarios():
     return SCENARIOS
 
 
-def profile_scenario(name: str, mode: str, sort: str, limit: int,
+def profile_scenario(name: str, sort: str, limit: int,
                      out: str | None = None) -> None:
-    """Run one scenario under cProfile and print/save the stats."""
+    """Run one scenario under cProfile and print/save the stats.
+
+    A scenario the harness runs as a mode pair is profiled in its
+    first (in-process) mode, the only one this process can see."""
     scenarios = _load_scenarios()
     if name not in scenarios:
         known = ", ".join(sorted(scenarios))
         raise SystemExit(f"unknown benchmark {name!r}; choose from: {known}")
     scenario, modes = scenarios[name]
-    if mode not in modes:
-        raise SystemExit(
-            f"{name!r} runs in modes {'/'.join(modes)}, not {mode!r}"
-        )
+    args = () if modes is None else modes[:1]
     profiler = cProfile.Profile()
     profiler.enable()
-    result = scenario(mode)
+    result = scenario(*args)
     profiler.disable()
     throughput = (
         f" sim={result['mb_per_s'] / 1000:.2f} GB/s"
@@ -57,7 +57,7 @@ def profile_scenario(name: str, mode: str, sort: str, limit: int,
         else ""
     )
     print(
-        f"{name} [{mode}]: wall={result['wall_s']:.2f}s "
+        f"{name}: wall={result['wall_s']:.2f}s "
         f"events={result['events']}{throughput}"
     )
     stats = pstats.Stats(profiler)
@@ -74,12 +74,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("benchmark", help="scenario name from the perf harness")
     parser.add_argument(
-        "--mode", default="timeline",
-        help="scenario mode to profile (default: timeline; the sharded "
-        "scenario takes inprocess/sharded) -- validated against the "
-        "scenario's registered mode pair",
-    )
-    parser.add_argument(
         "--sort", default="tottime",
         help="pstats sort key (tottime, cumulative, ncalls, ...)",
     )
@@ -88,8 +82,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None,
                         help="also dump raw pstats to this path")
     args = parser.parse_args(argv)
-    profile_scenario(args.benchmark, args.mode, args.sort, args.limit,
-                     args.out)
+    profile_scenario(args.benchmark, args.sort, args.limit, args.out)
     return 0
 
 

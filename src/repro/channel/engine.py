@@ -1,35 +1,23 @@
 """Per-channel timed execution of flash operations.
 
-Two scheduling modes produce byte-identical results (see
-DESIGN.md "Scheduling modes"):
-
-* the **generator** path models the bus and every (chip, plane) as a
-  :class:`~repro.sim.resources.PriorityResource` and runs one process
-  per op;
-* the **timeline** fast path computes the same grant/end instants
-  analytically against per-resource
-  :class:`~repro.sim.timeline.ResourceTimeline` objects and schedules
-  only a phase-boundary callback per phase plus one completion event
-  per op (or per batch).
-
-``mode`` is ``"auto"`` (fast when equivalence is provable, generator
-otherwise), ``"generator"`` or ``"timeline"``; the ``REPRO_SIM_MODE``
-environment variable overrides the default for a whole run.
+The bus and every (chip, plane) are capacity-1 FIFO (or priority)
+resources whose grant/end instants are computed analytically against
+per-resource :class:`~repro.sim.timeline.ResourceTimeline` objects;
+each op schedules one phase-boundary callback per phase plus one
+completion event per op (or per batch).  See DESIGN.md "Scheduling".
 """
 
 from __future__ import annotations
 
-import os
 from heapq import heappush
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.channel import vector
-from repro.errors import ConfigError
 from repro.faults.injector import NULL_INJECTOR, STALL
 from repro.ftl.ops import FlashOp, OpKind
 from repro.nand.geometry import FlashGeometry
 from repro.nand.timing import NandTiming
-from repro.sim import AllOf, Event, PriorityResource, Simulator
+from repro.sim import AllOf, Event, Simulator
 from repro.sim.engine import _PhaseEnd
 from repro.sim.stats import Counter
 from repro.sim.timeline import BusyUnion, PriorityTimeline, ResourceTimeline
@@ -44,20 +32,12 @@ OP_PRIORITIES: Dict[OpKind, int] = {
     OpKind.ERASE: 0,
 }
 
-_MODES = ("auto", "generator", "timeline")
-
-#: Cached fast-path eligibility decisions (see ``ChannelEngine.fast_ok``).
-_PLAN_SLOW = 0  #: generator path (forced mode)
-_PLAN_PLAIN = 1  #: bare analytic path: FIFO timelines, no spans, no QoS
-_PLAN_EXT = 2  #: extended analytic path: QoS slots / trace spans / priorities
-
 
 class _BusyCounterView:
     """Counter-compatible read view over an engine's busy time.
 
-    The generator path accrues into a plain counter while the timeline
-    path records reservation intervals; this view sums both so existing
-    ``engine.busy_ns.value`` consumers work unchanged in either mode.
+    Busy time lives in the reservation interval union; this view lets
+    ``engine.busy_ns.value`` consumers read it like a counter.
     """
 
     __slots__ = ("_engine",)
@@ -67,7 +47,7 @@ class _BusyCounterView:
 
     @property
     def name(self) -> str:
-        return self._engine._busy_counter.name
+        return f"channel{self._engine.channel}.busy"
 
     @property
     def value(self) -> int:
@@ -75,20 +55,6 @@ class _BusyCounterView:
 
     def __repr__(self):
         return f"Counter({self.name!r}, value={self.value})"
-
-
-def default_engine_mode() -> str:
-    """The scheduling mode new engines start in.
-
-    ``REPRO_SIM_MODE`` (``auto``/``generator``/``timeline``) is the
-    run-wide escape hatch; unset means ``auto``.
-    """
-    mode = os.environ.get("REPRO_SIM_MODE", "auto")
-    if mode not in _MODES:
-        raise ConfigError(
-            f"REPRO_SIM_MODE must be one of {_MODES}, got {mode!r}"
-        )
-    return mode
 
 
 class ChannelEngine:
@@ -107,57 +73,48 @@ class ChannelEngine:
         timing: NandTiming,
         chips_per_channel: int = 2,
         priorities: Optional[Dict[OpKind, int]] = None,
-        mode: Optional[str] = None,
     ):
         self.sim = sim
         self.channel = channel
         self.geometry = geometry
         self.timing = timing
         self.priorities = dict(OP_PRIORITIES if priorities is None else priorities)
-        #: Cached eligibility plan; None means "recompute on next
-        #: submission".  Invalidated by the mode/obs/qos setters.
-        self._fast_plan = None
+        #: Cached choice of analytic variant (True = plain, False =
+        #: extended); None means "recompute on next submission".
+        #: Invalidated by the obs/qos setters.
+        self._plain = None
         self._obs = None
         self._qos = None
-        self._mode = "auto"
-        self.mode = default_engine_mode() if mode is None else mode
-        self.bus = PriorityResource(sim, capacity=1, name=f"ch{channel}/bus")
-        self._planes: Dict[Tuple[int, int], PriorityResource] = {
-            (chip, plane): PriorityResource(
-                sim, capacity=1, name=f"ch{channel}/chip{chip}.plane{plane}"
-            )
+        keys = [
+            (chip, plane)
             for chip in range(chips_per_channel)
             for plane in range(geometry.planes_per_chip)
-        }
-        #: Timeline mirrors of the resources above, used by the fast path.
+        ]
+        #: The shared bus and one contention resource per (chip, plane).
         self._tl_bus = ResourceTimeline()
         self._tl_planes: Dict[Tuple[int, int], ResourceTimeline] = {
-            key: ResourceTimeline() for key in self._planes
+            key: ResourceTimeline() for key in keys
         }
-        #: Priority-aware mirrors, used by the extended fast path when
+        #: Priority-aware twins, used by the extended path when
         #: priorities are non-uniform (the FIFO timelines above would
         #: compute wrong grant order).
         self._ptl_bus = PriorityTimeline()
         self._ptl_planes: Dict[Tuple[int, int], PriorityTimeline] = {
-            key: PriorityTimeline() for key in self._planes
+            key: PriorityTimeline() for key in keys
         }
-        #: Precomputed trace track names (match the resource names the
-        #: generator path emits hold spans under).
+        #: Precomputed trace track names for the hold spans.
         self._track_bus = f"ch{channel}/bus"
         self._track_planes: Dict[Tuple[int, int], str] = {
-            key: res.name for key, res in self._planes.items()
+            (chip, plane): f"ch{channel}/chip{chip}.plane{plane}"
+            for chip, plane in keys
         }
         self._ops_track = f"ch{channel}/ops"
         self._busy_union = BusyUnion()
-        #: With equal priorities a PriorityResource degenerates to FIFO,
+        #: With equal priorities a priority queue degenerates to FIFO,
         #: so the plain FIFO timelines apply; non-uniform priorities
-        #: route to the PriorityTimeline mirrors instead.
+        #: route to the PriorityTimeline twins instead.
         self._uniform_priorities = len(set(self.priorities.values())) == 1
         self.ops_executed = Counter(f"channel{channel}.ops")
-        #: Generator-path accrual of channel busy time; the public view
-        #: combining it with the fast path's interval union is
-        #: :attr:`busy_ns` / :meth:`busy_value`.
-        self._busy_counter = Counter(f"channel{channel}.busy")
         #: Total queue wait summed over ops; can exceed wall-clock time
         #: when many ops wait concurrently.
         self.wait_ns = Counter(f"channel{channel}.wait")
@@ -167,35 +124,14 @@ class ChannelEngine:
         # self._qos (property ``qos``): optional
         # :class:`repro.qos.limits.ChannelQosState`, set by
         # ``repro.qos.attach_device_qos``; None keeps admission free.
-        # Both initialized above, before the mode property ran.
         #: Fault-injection handle (channel ``stall`` latency spikes);
         #: :data:`~repro.faults.injector.NULL_INJECTOR` unless wired.
         self.faults = NULL_INJECTOR
-        self._in_service = 0
-        self._busy_since = 0
         self._depth_metric = None
         #: Memoized bus_transfer_ns per payload size (hot path).
         self._bus_ns_cache: Dict[int, int] = {}
 
-    def plane_resource(self, chip: int, plane: int) -> PriorityResource:
-        """The contention resource for one (chip, plane)."""
-        return self._planes[(chip, plane)]
-
-    # -- attachment points (each invalidates the cached fast plan) ----------------
-    @property
-    def mode(self) -> str:
-        """Scheduling mode: ``auto`` / ``generator`` / ``timeline``."""
-        return self._mode
-
-    @mode.setter
-    def mode(self, value: str) -> None:
-        if value not in _MODES:
-            raise ConfigError(
-                f"mode must be one of {_MODES}, got {value!r}"
-            )
-        self._mode = value
-        self._fast_plan = None
-
+    # -- attachment points (each invalidates the cached variant choice) ----------
     @property
     def obs(self):
         """Optional :class:`repro.obs.Observability`; set by
@@ -206,7 +142,7 @@ class ChannelEngine:
     def obs(self, value) -> None:
         self._obs = value
         self._depth_metric = None
-        self._fast_plan = None
+        self._plain = None
 
     @property
     def qos(self):
@@ -218,135 +154,78 @@ class ChannelEngine:
     @qos.setter
     def qos(self, value) -> None:
         self._qos = value
-        self._fast_plan = None
+        self._plain = None
 
     def refresh_fast_plan(self) -> None:
-        """Drop the cached fast-path eligibility decision.
+        """Drop the cached plain/extended choice.
 
-        Eligibility is invalidated automatically when ``mode``, ``obs``
-        or ``qos`` are assigned (every attach helper's path); call this
-        after out-of-band changes -- toggling ``obs.trace.enabled`` or
+        The choice is invalidated automatically when ``obs`` or ``qos``
+        are assigned (every attach helper's path); call this after
+        out-of-band changes -- toggling ``obs.trace.enabled`` or
         assigning ``sim.obs`` directly -- so the next submission
         re-reads them.
         """
-        self._fast_plan = None
+        self._plain = None
 
-    # -- fast-path eligibility ---------------------------------------------------
-    def _compute_plan(self) -> int:
-        if self._mode == "generator":
-            return _PLAN_SLOW
+    def _choose_plain(self) -> bool:
+        """True when ops may take the bare analytic path: FIFO
+        timelines, no spans, no QoS.  Anything attached that the bare
+        path cannot serve -- admission slots, trace spans, non-uniform
+        priorities -- selects the extended one.  Cached (see
+        :meth:`refresh_fast_plan`) so the hot path pays one attribute
+        read instead of re-reading ``sim.obs`` per submission."""
         sim_obs = self.sim.obs
         eng_obs = self._obs
         traced = (sim_obs is not None and sim_obs.trace.enabled) or (
             eng_obs is not None and eng_obs.trace.enabled
         )
-        if self._uniform_priorities and self._qos is None and not traced:
-            return _PLAN_PLAIN
-        return _PLAN_EXT
-
-    def fast_ok(self) -> bool:
-        """True when ops may take the timeline fast path right now.
-
-        Every configuration is analytically schedulable except forced
-        generator mode: QoS admission slots are modeled as fast-path
-        slot counts with generator-identical grant hops, non-uniform
-        priorities use the priority-aware
-        :class:`~repro.sim.timeline.PriorityTimeline`, and trace spans
-        are emitted directly from reservation intervals.  The decision
-        is cached (attachment invalidates it; see
-        :meth:`refresh_fast_plan`) so the hot path pays one attribute
-        read instead of re-reading ``sim.obs`` per submission.
-        """
-        plan = self._fast_plan
-        if plan is None:
-            plan = self._fast_plan = self._compute_plan()
-        return plan != _PLAN_SLOW
+        plain = self._plain = (
+            self._uniform_priorities and self._qos is None and not traced
+        )
+        return plain
 
     # -- accounting --------------------------------------------------------------
     def utilization(self, now_ns: Optional[int] = None) -> float:
         """Fraction of elapsed time with at least one op in service.
 
         Always in [0, 1]: queue wait is excluded and overlapping service
-        intervals are merged before integrating.  Both scheduling modes
-        feed this: the generator path through the live in-service
-        counter, the timeline path through the reservation interval
-        union.
+        intervals are merged before integrating.
         """
         now = self.sim.now if now_ns is None else now_ns
         if now <= 0:
             return 0.0
-        busy = self._busy_counter.value + self._busy_union.busy_through(now)
-        if self._in_service:
-            busy += now - self._busy_since
-        return busy / now
+        return self._busy_union.busy_through(now) / now
 
     @property
     def busy_ns(self) -> "_BusyCounterView":
         """Time the channel had at least one op *in service* (holding a
         plane or the bus) -- queue wait excluded, concurrent service on
         several planes counted once, so ``busy_ns.value / elapsed <= 1``.
-        A live view valid in both scheduling modes."""
+        A live view."""
         return _BusyCounterView(self)
 
     def busy_value(self, now_ns: Optional[int] = None) -> int:
-        """Closed busy time (ns) through ``now``, mode-independent.
+        """Closed busy time (ns) through ``now``.
 
-        Equals the generator path's ``busy_ns`` counter: service
-        intervals count once they have fully ended; the currently open
-        interval (if any) is excluded, exactly as the counter excludes
-        in-flight service.
+        Service intervals count once they have fully ended; the
+        currently open interval (if any) is excluded, the way an
+        in-service counter excludes in-flight service.
         """
         now = self.sim.now if now_ns is None else now_ns
-        return self._busy_counter.value + self._busy_union.closed_through(now)
+        return self._busy_union.closed_through(now)
 
-    def _service_begin(self, now: int) -> None:
-        if self._in_service == 0:
-            self._busy_since = now
-        self._in_service += 1
-
-    def _service_end(self, now: int) -> None:
-        self._in_service -= 1
-        if self._in_service == 0:
-            self._busy_counter.add(now - self._busy_since)
-
-    def _phase(self, resource: PriorityResource, priority: int, duration_ns: int):
-        """Generator: acquire a resource, hold it for the service time.
-
-        Returns the queue wait (grant time minus request time), which is
-        accounted separately from service so utilisation stays honest.
-        """
-        queued = self.sim.now
-        obs = self.obs
-        depth = None
-        if obs is not None:
-            depth = obs.metrics.time_weighted(
-                f"channel{self.channel}.queue_depth"
-            )
-            depth.shift(queued, 1)
-        with resource.request(priority) as hold:
-            yield hold
-            granted = self.sim.now
-            if depth is not None:
-                depth.shift(granted, -1)
-            self._service_begin(granted)
-            try:
-                yield self.sim.hold(duration_ns)
-            finally:
-                self._service_end(self.sim.now)
-        return granted - queued
-
-    # -- timeline fast path --------------------------------------------------------
+    # -- plain analytic path -------------------------------------------------------
     def _phase_fast(self, timeline: ResourceTimeline, duration_ns: int, fn):
         """Reserve one phase at sim-now, running ``fn`` at its end.
 
-        Mirrors one generator-path ``_phase``: the queue-depth metric
-        sees the request at now and the grant at its (possibly future)
-        instant, the busy union records the service interval, and ``fn``
-        fires at the end instant with slow-path tie ordering.  Returns
+        The queue-depth metric sees the request at now and the grant at
+        its (possibly future) instant, the busy union records the
+        service interval, and ``fn`` fires at the end instant with the
+        tie ordering of ``repro.sim.timeline``.  Returns
         ``(grant, end)``.
         """
         # ResourceTimeline.reserve_and_call inlined: this is the hottest
-        # call site in timeline mode and the extra frames are measurable.
+        # call site and the extra frames are measurable.
         sim = self.sim
         now = sim._now
         free = timeline.free_at
@@ -383,13 +262,13 @@ class ChannelEngine:
         return grant, end
 
     def _depth_track(self, request_ns: int, grant_ns: int) -> None:
-        """Queue-depth accounting for one fast-path phase, event-free.
+        """Queue-depth accounting for one phase, event-free.
 
         The grant instant is already known at reservation time, so the
         depth decrement is *deferred* into the metric (folded in, in
         timestamp order, by its next update or read) rather than
-        scheduled -- the integrated area is byte-identical to the
-        generator path's grant-instant update, at zero event cost.
+        scheduled -- the integrated area is byte-identical to a
+        grant-instant update, at zero event cost.
         """
         depth = self._depth_metric
         if depth is None:
@@ -403,19 +282,17 @@ class ChannelEngine:
             depth.shift_at(grant_ns, -1)
 
     def execute_fast(self, op: FlashOp, then=None) -> None:
-        """Timeline-schedule one op; only call when :meth:`fast_ok`.
+        """Schedule one op on the reservation timelines.
 
         ``then()`` (if given) runs at the op's completion instant --
         after the engine's counters update (and, with QoS attached,
-        after the admission slot's release) -- with generator-equivalent
-        tie ordering, so callers can chain further reservations (link
-        DMA, batch completions) exactly where the slow path would.
+        after the admission slot's release) -- so callers can chain
+        further reservations (link DMA, batch completions) from it.
         """
-        plan = self._fast_plan
-        if plan is None:
-            self.fast_ok()
-            plan = self._fast_plan
-        if plan == _PLAN_PLAIN:
+        plain = self._plain
+        if plain is None:
+            plain = self._choose_plain()
+        if plain:
             faults = self.faults
             if faults is NULL_INJECTOR:
                 self._fast_phases(op, then)
@@ -424,8 +301,8 @@ class ChannelEngine:
                 STALL, op=op.kind.name.lower(), chip=op.address.chip
             )
             if stall_ns > 0:
-                # The generator path sleeps the stall before contending;
-                # defer the reservations to the same instant.
+                # A controller hiccup: the op sits on the channel doing
+                # nothing before contending for resources.
                 self.sim._schedule_call(
                     lambda: self._fast_phases(op, then), stall_ns
                 )
@@ -439,14 +316,14 @@ class ChannelEngine:
             qos.admit_fast(lambda: self._ext_submit(op, then))
 
     def _ext_submit(self, op: FlashOp, then) -> None:
-        """Extended-path submission at ``_execute``'s start instant.
+        """Extended-path submission at the op's start instant.
 
         Runs post-admission (the QoS grant hop already happened) and
         pre-stall: the ops span's start and the stall RNG draw both
-        anchor here, exactly where the generator's ``_execute`` body
-        begins.  The draw instant matters -- ``FaultEvent.signature()``
-        includes ``at_ns`` -- so a queued admission must shift the draw
-        to the grant instant, never make it early at submission.
+        anchor here.  The draw instant matters --
+        ``FaultEvent.signature()`` includes ``at_ns`` -- so a queued
+        admission must shift the draw to the grant instant, never make
+        it early at submission.
         """
         sim = self.sim
         start = sim._now
@@ -522,16 +399,15 @@ class ChannelEngine:
         else:  # pragma: no cover - enum is closed
             raise ValueError(f"unknown op kind {kind}")
 
-    # -- extended fast path (QoS / tracing / priorities) ---------------------------
+    # -- extended analytic path (QoS / tracing / priorities) -----------------------
     def _ext_phase(self, key, duration_ns: int, priority: int, done) -> None:
         """One analytic phase on plane ``key`` (None = the bus);
         ``done(wait_ns)`` runs at the end instant.
 
         The traced twin of ``_phase_fast``: the hold span is emitted at
-        the end instant -- where the generator's resource release emits
-        it -- with the grant captured by closure, and ``wait_ns`` is
-        attached iff ``sim.obs`` was attached at request time (the
-        condition under which the generator records ``queued_at``).
+        the end instant -- where the resource is released -- with the
+        grant captured by closure, and ``wait_ns`` is attached iff
+        ``sim.obs`` was attached at request time.
         Non-uniform priorities swap the FIFO timeline for the
         priority-aware one; grant instants are then only known at the
         grant callback.
@@ -600,10 +476,9 @@ class ChannelEngine:
     def _fast_phases_ext(self, op: FlashOp, start: int, then) -> None:
         """Extended-path phase chain + completion for one op.
 
-        Completion order mirrors the generator exactly: engine counters,
-        then the ops span, then the QoS slot release (which grants the
-        next admission waiter), then the caller's continuation -- the
-        generator's inner-finish / with-exit / caller-resume sequence.
+        Completion order: engine counters, then the ops span, then the
+        QoS slot release (which grants the next admission waiter), then
+        the caller's continuation.
         """
         sim = self.sim
         timing = self.timing
@@ -674,60 +549,9 @@ class ChannelEngine:
                 f"op for channel {op.address.channel} sent to engine "
                 f"{self.channel}"
             )
-        if self.fast_ok():
-            done = Event(self.sim)
-            self.execute_fast(op, done.succeed)
-            yield done
-        elif self._qos is None:
-            yield from self._execute(op)
-        else:
-            yield from self._qos.admitted(self._execute(op))
-
-    def _execute(self, op: FlashOp):
-        start = self.sim.now
-        stall_ns = self.faults.delay_ns(
-            STALL, op=op.kind.name.lower(), chip=op.address.chip
-        )
-        if stall_ns > 0:
-            # A controller hiccup: the op sits on the channel doing
-            # nothing before contending for resources.
-            yield self.sim.timeout(stall_ns)
-        priority = self.priorities[op.kind]
-        plane = self._planes[(op.address.chip, op.address.plane)]
-        timing = self.timing
-
-        if op.kind is OpKind.READ:
-            # Sense into the plane register, then stream over the bus.
-            wait = yield from self._phase(plane, priority, timing.t_read_ns)
-            wait += yield from self._phase(
-                self.bus, priority, timing.bus_transfer_ns(op.nbytes)
-            )
-        elif op.kind is OpKind.PROGRAM:
-            # Stream into the chip register, then program the cells.
-            wait = yield from self._phase(
-                self.bus, priority, timing.bus_transfer_ns(op.nbytes)
-            )
-            wait += yield from self._phase(plane, priority, timing.t_prog_ns)
-        elif op.kind is OpKind.ERASE:
-            wait = yield from self._phase(plane, priority, timing.t_erase_ns)
-        else:  # pragma: no cover - enum is closed
-            raise ValueError(f"unknown op kind {op.kind}")
-
-        self.ops_executed.add()
-        self.wait_ns.add(wait)
-        obs = self.obs
-        if obs is not None and obs.trace.enabled:
-            obs.trace.span(
-                f"ch{self.channel}/ops",
-                op.kind.name.lower(),
-                start,
-                self.sim.now,
-                chip=op.address.chip,
-                plane=op.address.plane,
-                block=op.address.block,
-                nbytes=op.nbytes,
-                wait_ns=wait,
-            )
+        done = Event(self.sim)
+        self.execute_fast(op, done.succeed)
+        yield done
 
     # -- batch helpers ----------------------------------------------------------------
     def execute_all(self, ops: Iterable[FlashOp]):
@@ -749,22 +573,21 @@ class ChannelEngine:
         The batch is coalesced per (chip, plane) on the reservation
         timelines: each op costs a phase-boundary callback per phase
         instead of a full process, and the whole batch completes through
-        a single shared event.  Falls back to :meth:`execute_all`
-        (identical semantics, one process per op) whenever the fast
-        path is ineligible.
+        a single shared event.  Same completion instant and counters as
+        :meth:`execute_all`.
         """
         ops = list(ops)
         if not ops:
             return
-        if not self.fast_ok():
-            yield from self.execute_all(ops)
-            return
+        plain = self._plain
+        if plain is None:
+            plain = self._choose_plain()
         if len(ops) >= 8:
             # Batch-warm the memoized bus-cost table with one numpy
             # pass (observationally neutral cache fill).
             vector.prefill_bus_costs(self.timing, self._bus_ns_cache, ops)
         if (
-            self._fast_plan == _PLAN_PLAIN
+            plain
             and self._obs is None
             and self.faults is NULL_INJECTOR
             and vector.erase_batch_ready(ops)
@@ -807,13 +630,11 @@ def build_engines(
     timing: NandTiming,
     chips_per_channel: int = 2,
     priorities: Optional[Dict[OpKind, int]] = None,
-    mode: Optional[str] = None,
 ) -> List[ChannelEngine]:
     """One engine per channel, sharing nothing."""
     return [
         ChannelEngine(
-            sim, channel, geometry, timing, chips_per_channel, priorities,
-            mode=mode,
+            sim, channel, geometry, timing, chips_per_channel, priorities
         )
         for channel in range(n_channels)
     ]

@@ -28,9 +28,7 @@ from repro.devices.catalog import (
     INTEL_320_SPEC,
     MEMBLAZE_Q520_SPEC,
     DeviceSpec,
-    build_conventional,
     build_device,
-    build_sdf,
     device_kinds,
     register_device,
     sdf_spec,
@@ -61,8 +59,6 @@ __all__ = [
     "build_device",
     "device_kinds",
     "register_device",
-    "build_sdf",
-    "build_conventional",
     "sdf_spec",
     "HUAWEI_GEN3_SPEC",
     "INTEL_320_SPEC",

@@ -18,18 +18,23 @@ cleanly for scenario configs::
 
     spec = DeviceSpec("sdf", {"n_channels": 8})
     device = spec.build(sim)
-
-The legacy ``build_sdf`` / ``build_conventional`` entry points survive
-as :class:`DeprecationWarning` shims over ``build_device`` so old
-call sites keep working while CI's ``-W error::DeprecationWarning``
-leg keeps new code off them.
 """
 
 from __future__ import annotations
 
-import warnings
+import functools
+import inspect
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Mapping,
+    Optional,
+    Tuple,
+    get_type_hints,
+)
 
 import numpy as np
 
@@ -151,14 +156,41 @@ def device_kinds() -> Tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def build_device(kind: str, sim: Optional[Simulator] = None, **spec) -> Any:
-    """Build any registered device behind the one-door factory.
+def _named_keywords(fn) -> Tuple[list, bool]:
+    """``(keyword names after the leading sim, takes **kwargs)``."""
+    parameters = list(inspect.signature(fn).parameters.values())[1:]
+    names = [
+        p.name
+        for p in parameters
+        if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
+    ]
+    return names, any(p.kind is p.VAR_KEYWORD for p in parameters)
 
-    ``sim=None`` creates a fresh :class:`Simulator` (handy in tests);
-    unknown kinds raise :class:`~repro.errors.ConfigError` naming the
-    known ones.  Keyword arguments are backend-specific -- see each
-    builder's docstring and DESIGN.md section 11.
-    """
+
+@functools.lru_cache(maxsize=None)
+def _accepted_keys(builder: Callable) -> Optional[Tuple[str, ...]]:
+    """The spec keys ``builder(sim, **spec)`` accepts, read from its
+    signature; a ``**overrides`` catch-all is followed into the
+    constructor of the builder's annotated return type (how the
+    SDF-hardware kinds forward them).  None when that trail ends in a
+    catch-all with nowhere known to go: anything is accepted."""
+    accepted, open_ended = _named_keywords(builder)
+    if open_ended:
+        target = get_type_hints(builder).get("return")
+        if not inspect.isclass(target):
+            return None
+        forwarded, open_ended = _named_keywords(target)
+        if open_ended:
+            return None
+        accepted += [name for name in forwarded if name not in accepted]
+    return tuple(accepted)
+
+
+def _check_spec(kind: str, keys: Iterable[str]) -> Callable:
+    """The builder registered for ``kind``, after rejecting an unknown
+    kind or a spec key its builder does not accept -- so a stale key in
+    a sweep config fails at parse time, with the kind's vocabulary in
+    the message."""
     try:
         builder = _REGISTRY[kind]
     except KeyError:
@@ -166,6 +198,27 @@ def build_device(kind: str, sim: Optional[Simulator] = None, **spec) -> Any:
             f"unknown device kind {kind!r}; known kinds: "
             f"{', '.join(device_kinds())}"
         ) from None
+    accepted = _accepted_keys(builder)
+    if accepted is not None:
+        for key in keys:
+            if key not in accepted:
+                raise ConfigError(
+                    f"device kind {kind!r} does not accept {key!r}; "
+                    f"accepted keys: {', '.join(accepted)}"
+                )
+    return builder
+
+
+def build_device(kind: str, sim: Optional[Simulator] = None, **spec) -> Any:
+    """Build any registered device behind the one-door factory.
+
+    ``sim=None`` creates a fresh :class:`Simulator` (handy in tests);
+    unknown kinds, and keys the kind does not accept, raise
+    :class:`~repro.errors.ConfigError` naming the known ones.  Keyword
+    arguments are backend-specific -- see each builder's docstring and
+    DESIGN.md section 11.
+    """
+    builder = _check_spec(kind, spec)
     if sim is None:
         sim = Simulator()
     return builder(sim, **spec)
@@ -183,11 +236,7 @@ class DeviceSpec:
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _REGISTRY:
-            raise ConfigError(
-                f"unknown device kind {self.kind!r}; known kinds: "
-                f"{', '.join(device_kinds())}"
-            )
+        _check_spec(self.kind, self.params)
 
     def build(self, sim: Optional[Simulator] = None) -> Any:
         """Instantiate the device this spec describes."""
@@ -258,12 +307,11 @@ def _build_conventional(
     spec: ConventionalSSDSpec = HUAWEI_GEN3_SPEC,
     capacity_scale: float = 1.0,
     store_data: bool = False,
-    mode: Optional[str] = None,
 ) -> ConventionalSSD:
     """A commodity baseline, optionally with scaled-down capacity."""
     if capacity_scale != 1.0:
         spec = spec.scaled(capacity_scale)
-    return ConventionalSSD(sim, spec, store_data=store_data, mode=mode)
+    return ConventionalSSD(sim, spec, store_data=store_data)
 
 
 @register_device("dftl")
@@ -272,7 +320,6 @@ def _build_dftl(
     spec: Optional[ConventionalSSDSpec] = None,
     capacity_scale: float = 1.0,
     store_data: bool = False,
-    mode: Optional[str] = None,
     cmt_pages: Optional[int] = None,
 ) -> DFTLDevice:
     """A DFTL drive: page-mapped with a bounded cached mapping table.
@@ -282,7 +329,7 @@ def _build_dftl(
     """
     extra = {} if cmt_pages is None else {"cmt_pages": cmt_pages}
     dspec = _conventional_family_spec(DFTLSpec, spec, capacity_scale, extra)
-    return DFTLDevice(sim, dspec, store_data=store_data, mode=mode)
+    return DFTLDevice(sim, dspec, store_data=store_data)
 
 
 @register_device("hybrid")
@@ -291,7 +338,6 @@ def _build_hybrid(
     spec: Optional[ConventionalSSDSpec] = None,
     capacity_scale: float = 1.0,
     store_data: bool = False,
-    mode: Optional[str] = None,
     log_blocks_per_channel: Optional[int] = None,
 ) -> HybridDevice:
     """A hybrid log-block (BAST-style) drive with merge costs."""
@@ -301,7 +347,7 @@ def _build_hybrid(
         else {"log_blocks_per_channel": log_blocks_per_channel}
     )
     hspec = _conventional_family_spec(HybridSpec, spec, capacity_scale, extra)
-    return HybridDevice(sim, hspec, store_data=store_data, mode=mode)
+    return HybridDevice(sim, hspec, store_data=store_data)
 
 
 @register_device("mqftl")
@@ -310,13 +356,12 @@ def _build_mqftl(
     spec: Optional[ConventionalSSDSpec] = None,
     capacity_scale: float = 1.0,
     store_data: bool = False,
-    mode: Optional[str] = None,
 ) -> MQFTLDevice:
     """An LFTL-style multi-queue drive: queue-per-channel controller."""
     mspec = _conventional_family_spec(
         ConventionalSSDSpec, spec, capacity_scale, {}
     )
-    return MQFTLDevice(sim, mspec, store_data=store_data, mode=mode)
+    return MQFTLDevice(sim, mspec, store_data=store_data)
 
 
 @register_device("zoned")
@@ -333,53 +378,3 @@ def _build_zoned(
     kwargs["n_channels"] = n_channels
     kwargs.update(overrides)
     return ZonedDevice(sim, rng=rng, **kwargs)
-
-
-# ---------------------------------------------------------------------------
-# Deprecated entry points (kept as shims; CI's -W error leg bans new uses).
-# ---------------------------------------------------------------------------
-
-
-def build_sdf(
-    sim: Simulator,
-    capacity_scale: float = 1.0,
-    n_channels: int = 44,
-    rng: Optional[np.random.Generator] = None,
-    **overrides,
-) -> SDFDevice:
-    """Deprecated: use ``build_device("sdf", sim, ...)``."""
-    warnings.warn(
-        "build_sdf is deprecated; use build_device('sdf', sim, ...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _build_sdf(
-        sim,
-        capacity_scale=capacity_scale,
-        n_channels=n_channels,
-        rng=rng,
-        **overrides,
-    )
-
-
-def build_conventional(
-    sim: Simulator,
-    spec: ConventionalSSDSpec = HUAWEI_GEN3_SPEC,
-    capacity_scale: float = 1.0,
-    store_data: bool = False,
-    mode: Optional[str] = None,
-) -> ConventionalSSD:
-    """Deprecated: use ``build_device("conventional", sim, spec=...)``."""
-    warnings.warn(
-        "build_conventional is deprecated; "
-        "use build_device('conventional', sim, spec=...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _build_conventional(
-        sim,
-        spec=spec,
-        capacity_scale=capacity_scale,
-        store_data=store_data,
-        mode=mode,
-    )

@@ -82,7 +82,6 @@ class ConventionalSSD:
         sim: Simulator,
         spec: ConventionalSSDSpec,
         store_data: bool = False,
-        mode: Optional[str] = None,
     ):
         self.sim = sim
         self.spec = spec
@@ -99,7 +98,6 @@ class ConventionalSSD:
             spec.geometry,
             spec.timing,
             spec.chips_per_channel,
-            mode=mode,
         )
         self.link = HostLink(sim, spec.link)
         self.controller = Resource(sim, capacity=1)
@@ -277,8 +275,7 @@ class ConventionalSSD:
         """Run a batch of physical ops, grouped per channel, in parallel.
 
         Each per-channel group goes through ``execute_batch``: one
-        completion event per channel on the timeline fast path, the
-        process-per-op generator path otherwise.
+        completion event per channel.
         """
         if not ops:
             return

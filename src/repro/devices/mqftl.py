@@ -27,8 +27,8 @@ class MQFTLDevice(ConventionalSSD):
 
     kind = "mqftl"
 
-    def __init__(self, sim, spec: ConventionalSSDSpec, store_data=False, mode=None):
-        super().__init__(sim, spec, store_data=store_data, mode=mode)
+    def __init__(self, sim, spec: ConventionalSSDSpec, store_data=False):
+        super().__init__(sim, spec, store_data=store_data)
         #: One admission/processing queue per channel (the LFTL split);
         #: replaces the single shared ``self.controller`` on every path.
         self._queues: List[Resource] = [

@@ -31,12 +31,17 @@ from repro.ftl.block_ftl import ChannelBlockFTL
 from repro.ftl.ops import OpKind
 from repro.interfaces.interrupts import InterruptCoalescer
 from repro.interfaces.iostack import IOStackModel, SDF_USER_SPACE_STACK
-from repro.interfaces.link import HostLink, LinkSpec, PCIE_1_1_X8
+from repro.interfaces.link import (
+    HostLink,
+    LinkDropError,
+    LinkSpec,
+    PCIE_1_1_X8,
+)
 from repro.nand.array import FlashArray
 from repro.nand.catalog import MICRON_25NM_MLC, SDF_CHIP_GEOMETRY
 from repro.nand.geometry import FlashGeometry, scaled_count
 from repro.nand.timing import NandTiming
-from repro.sim import AllOf, Container, Event, Simulator
+from repro.sim import Event, Simulator
 
 
 class SDFChannelDevice:
@@ -80,34 +85,6 @@ class SDFChannelDevice:
         (the board's DDR3 staging buffers decouple the two), so the DMA
         overlaps the flash reads instead of trailing them.
         """
-        if self.device.fast_path_ok():
-            return self._read_fast(logical_block, page_offset, n_pages)
-        return self._read_gen(logical_block, page_offset, n_pages)
-
-    def _read_gen(self, logical_block: int, page_offset: int, n_pages: int):
-        device = self.device
-        sim = device.sim
-        start = sim.now
-        yield sim.timeout(device.iostack.submit_ns)
-        payloads, ops = self.ftl.read(logical_block, page_offset, n_pages)
-        if ops:
-            page_size = self.page_size
-
-            def page_read(op):
-                yield from self.engine.execute(op)
-                yield from device.link.transfer("read", page_size)
-
-            workers = [sim.process(page_read(op)) for op in ops]
-            yield AllOf(sim, workers)
-        nbytes = n_pages * self.page_size
-        yield sim.timeout(device.interrupts.on_completion())
-        yield sim.timeout(device.iostack.complete_ns)
-        device.stats.note_read(sim.now, nbytes, sim.now - start)
-        return payloads
-
-    def _read_fast(self, logical_block: int, page_offset: int, n_pages: int):
-        """Timeline-scheduled read: per page, one engine chain plus one
-        link-DMA completion callback instead of a process."""
         device = self.device
         sim = device.sim
         engine = self.engine
@@ -122,16 +99,21 @@ class SDFChannelDevice:
             remaining = [len(ops)]
 
             def landed():
-                # One page's DMA finished (the slow path's meter.record
-                # at transfer end, then worker completion).
+                # One page's DMA finished.
                 meter.record(sim.now, page_size)
                 remaining[0] -= 1
                 if not remaining[0]:
                     done.succeed()
 
             def stream():
-                # Runs at one op's bus-phase end: start its DMA.
-                link.reserve_call("read", page_size, landed)
+                # Runs at one op's bus-phase end: start its DMA.  A
+                # dropped page fails the request (once); its other
+                # pages keep their reservations.
+                try:
+                    link.reserve_call("read", page_size, landed)
+                except LinkDropError as exc:
+                    if not done.triggered:
+                        done.fail(exc)
 
             for op in ops:
                 engine.execute_fast(op, stream)
@@ -148,42 +130,6 @@ class SDFChannelDevice:
         ``pages`` must supply every page payload (or None for a sized
         placeholder write, the common case in performance runs).
         """
-        if self.device.fast_path_ok():
-            return self._write_fast(logical_block, pages)
-        return self._write_gen(logical_block, pages)
-
-    def _write_gen(self, logical_block: int, pages: Optional[Sequence]):
-        device = self.device
-        sim = device.sim
-        start = sim.now
-        if pages is None:
-            pages = [None] * self.pages_per_logical_block
-        yield sim.timeout(device.iostack.submit_ns)
-        nbytes = len(pages) * self.page_size
-        ops = self.ftl.write(logical_block, pages)
-        page_size = self.page_size
-        # Bounded streaming window: the DDR3 staging buffer holds a few
-        # pages ahead of the flash programs, so one request cannot hog
-        # the PCIe link far in advance of what its planes can absorb.
-        window = Container(sim, capacity=self.WRITE_WINDOW_PAGES,
-                           init=self.WRITE_WINDOW_PAGES)
-
-        def page_write(op):
-            yield window.get(1)
-            yield from device.link.transfer("write", page_size)
-            yield from self.engine.execute(op)
-            yield window.put(1)
-
-        workers = [sim.process(page_write(op)) for op in ops]
-        yield AllOf(sim, workers)
-        yield sim.timeout(device.interrupts.on_completion())
-        yield sim.timeout(device.iostack.complete_ns)
-        device.stats.note_write(sim.now, nbytes, sim.now - start)
-
-    def _write_fast(self, logical_block: int, pages: Optional[Sequence]):
-        """Timeline-scheduled write with the same bounded streaming
-        window: page ``i`` starts its host DMA when the ``i - 16``-th
-        program completes, exactly like the Container-gated slow path."""
         device = self.device
         sim = device.sim
         engine = self.engine
@@ -195,6 +141,11 @@ class SDFChannelDevice:
         nbytes = len(pages) * self.page_size
         ops = self.ftl.write(logical_block, pages)
         page_size = self.page_size
+        # Bounded streaming window: the DDR3 staging buffer holds a few
+        # pages ahead of the flash programs, so one request cannot hog
+        # the PCIe link far in advance of what its planes can absorb.
+        # Page ``i`` starts its host DMA when the ``i - 16``-th program
+        # completes.
         meter = link.write_meter
         done = Event(sim)
         n_ops = len(ops)
@@ -207,7 +158,13 @@ class SDFChannelDevice:
                 meter.record(sim.now, page_size)
                 engine.execute_fast(op, programmed)
 
-            link.reserve_call("write", page_size, to_flash)
+            try:
+                link.reserve_call("write", page_size, to_flash)
+            except LinkDropError as exc:
+                # The dropped page never programs, so its window slot
+                # stays taken; the request fails once.
+                if not done.triggered:
+                    done.fail(exc)
 
         def programmed():
             # One program finished: free a window slot (admitting the
@@ -272,7 +229,6 @@ class SDFDevice:
         factory_bad_rate: float = 0.0,
         endurance: Optional[int] = None,
         name: str = "sdf",
-        mode: Optional[str] = None,
     ):
         self.sim = sim
         self.array = FlashArray(
@@ -289,8 +245,7 @@ class SDFDevice:
             for channel in range(n_channels)
         ]
         self.engines = build_engines(
-            sim, n_channels, geometry, timing, chips_per_channel, priorities,
-            mode=mode,
+            sim, n_channels, geometry, timing, chips_per_channel, priorities
         )
         self.link = HostLink(sim, link_spec)
         self.iostack = iostack
@@ -299,17 +254,6 @@ class SDFDevice:
         self.channels: List[SDFChannelDevice] = [
             SDFChannelDevice(self, channel) for channel in range(n_channels)
         ]
-
-    def fast_path_ok(self) -> bool:
-        """True when requests may use the timeline-scheduled fast path.
-
-        Checked per request so tests may flip tracing/faults/QoS on at
-        any point; all gating state is attach-time configuration, so in
-        practice a run is entirely fast or entirely generator-driven.
-        """
-        if not self.link.fast_ok(self.array.geometry.page_size):
-            return False
-        return all(engine.fast_ok() for engine in self.engines)
 
     @property
     def n_channels(self) -> int:

@@ -52,7 +52,6 @@ class ZonedDevice:
         reserve_fraction: float = 0.01,
         max_open_zones: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
-        mode: Optional[str] = None,
         name: str = "zoned",
     ):
         self._sdf = SDFDevice(
@@ -66,7 +65,6 @@ class ZonedDevice:
             reserve_fraction=reserve_fraction,
             rng=rng,
             name=name,
-            mode=mode,
         )
         self.sim = sim
         self.stats = self._sdf.stats
@@ -134,10 +132,6 @@ class ZonedDevice:
         """True when the zone holds data (state FULL)."""
         channel, block = self._locate(zone)
         return channel.ftl.is_mapped(block)
-
-    def fast_path_ok(self) -> bool:
-        """Timeline eligibility is the underlying SDF's."""
-        return self._sdf.fast_path_ok()
 
     # -- timed operations (generators) ----------------------------------------------
     def write_zone(self, zone: int, pages: Optional[Sequence] = None):

@@ -38,13 +38,13 @@ class ClusterError(ReproError):
 
 
 class ConfigError(ReproError, ValueError):
-    """Invalid static configuration (modes, env vars, plan parameters).
+    """Invalid static configuration (spec keys, env vars, plan parameters).
 
     Subclasses :class:`ValueError` so call sites that historically
     raised ``ValueError`` for bad configuration keep their contract
     while joining the :class:`ReproError` hierarchy.  Raised *eagerly*
-    at parse/validation time -- an unknown ``REPRO_SIM_MODE`` must fail
-    loudly, never silently behave like ``auto``.
+    at parse/validation time -- a device spec key the kind does not
+    accept must fail loudly, never be silently dropped.
     """
 
 

@@ -44,7 +44,6 @@ from repro.faults.wire import (
     attach_device_faults,
     attach_network_faults,
     attach_server_faults,
-    attach_system_faults,
 )
 
 __all__ = [
@@ -71,7 +70,6 @@ __all__ = [
     "attach_device_faults",
     "attach_network_faults",
     "attach_server_faults",
-    "attach_system_faults",
     "defuse_on_failure",
     "race_with_timeout",
 ]

@@ -179,18 +179,6 @@ class FaultInjector:
             return None
         return self._evaluate(states, kind, ctx)
 
-    def quiet(self, *kinds: str) -> bool:
-        """True when no rule is configured at this site for any ``kinds``.
-
-        Fast paths use this to stay eligible under a wired-but-quiet
-        injector: with no rule at (site, kind) the generator path makes
-        no RNG draw and injects nothing, so eliding the check entirely
-        is drift-free.  Evaluated per call because rules may be added to
-        the plan mid-run.
-        """
-        states = self.plan._states
-        return all(not states.get((self.site, kind)) for kind in kinds)
-
     def delay_ns(self, kind: str, **ctx) -> int:
         """Injected extra latency for this operation (0 when quiet)."""
         states = self.plan._states.get((self.site, kind))

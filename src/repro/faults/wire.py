@@ -38,20 +38,6 @@ def _wire_system_faults(plan: FaultPlan, system, prefix: str = "") -> None:
     attach_device_faults(plan, system.device, prefix=prefix)
 
 
-def attach_system_faults(plan: FaultPlan, system, prefix: str = "") -> None:
-    """Deprecated: use ``system.attach(plan, prefix=...)`` or
-    ``build_sdf_system(faults=...)`` instead."""
-    import warnings
-
-    warnings.warn(
-        "attach_system_faults() is deprecated; use SDFSystem.attach(plan) "
-        "or build_sdf_system(faults=...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    _wire_system_faults(plan, system, prefix=prefix)
-
-
 def attach_network_faults(plan: FaultPlan, network, site: str = "net") -> None:
     """Wire a :class:`~repro.cluster.network.Network`."""
     plan.bind_clock(network.sim)

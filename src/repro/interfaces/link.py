@@ -3,9 +3,10 @@
 The paper treats the host links as throughput caps and reports the
 *measured effective* limits it observed: PCIe 1.1 x8 moves 1.61 GB/s of
 read data and 1.40 GB/s of write data; SATA 2.0 is a 300 MB/s line (S3.2,
-Table 1).  We model each direction as a capacity-1 resource whose
-transfers are chunked so concurrent DMAs interleave fairly, the way PCIe
-TLPs / SATA frames do.
+Table 1).  We model each direction as a capacity-1 FIFO lane (a
+:class:`~repro.sim.timeline.ResourceTimeline`) whose transfers are
+chunked so concurrent DMAs interleave fairly, the way PCIe TLPs / SATA
+frames do.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 from repro.faults.errors import TransientFault
 from repro.faults.injector import DELAY, DROP, NULL_INJECTOR
-from repro.sim import Resource, Simulator
+from repro.sim import Event, Simulator
 from repro.sim.stats import ThroughputMeter
 from repro.sim.timeline import ResourceTimeline
 from repro.sim.units import KIB, transfer_ns
@@ -61,31 +62,19 @@ class HostLink:
     def __init__(self, sim: Simulator, spec: LinkSpec):
         self.sim = sim
         self.spec = spec
-        self._read_lane = Resource(sim, capacity=1)
-        self._write_lane = (
-            Resource(sim, capacity=1) if spec.full_duplex else self._read_lane
-        )
-        #: Timeline mirrors of the lanes, used by device fast paths.
-        #: A device must use either the resources or the timelines for a
-        #: whole run, never both (they would double-book the lane).
+        #: One lane per direction (shared when half duplex).
         self._tl_read = ResourceTimeline()
         self._tl_write = (
             ResourceTimeline() if spec.full_duplex else self._tl_read
         )
         self.read_meter = ThroughputMeter(f"{spec.name}.read")
         self.write_meter = ThroughputMeter(f"{spec.name}.write")
-        #: Memoized single-chunk transfer cost per (direction, nbytes).
+        #: Memoized first-chunk cost (setup overhead included) per
+        #: (direction, chunk size).
         self._cost_cache: dict = {}
         #: Fault-injection handle (``drop``/``delay``);
         #: :data:`~repro.faults.injector.NULL_INJECTOR` unless wired.
         self.faults = NULL_INJECTOR
-
-    def _lane_and_rate(self, direction: str):
-        if direction == "read":
-            return self._read_lane, self.spec.read_mb_per_s, self.read_meter
-        if direction == "write":
-            return self._write_lane, self.spec.write_mb_per_s, self.write_meter
-        raise ValueError(f"direction must be 'read' or 'write', not {direction!r}")
 
     def transfer(self, direction: str, nbytes: int):
         """Generator: move ``nbytes`` in ``direction`` over the link.
@@ -93,97 +82,70 @@ class HostLink:
         'read' is device-to-host, 'write' is host-to-device.  Transfers
         are split into chunks so concurrent requests share the lane.
         """
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size {nbytes}")
-        if self.faults.fires(DROP, direction=direction, nbytes=nbytes) is not None:
-            raise LinkDropError(
-                f"{self.spec.name}: {direction} transfer of {nbytes} B dropped"
-            )
-        extra_ns = self.faults.delay_ns(DELAY, direction=direction, nbytes=nbytes)
-        if extra_ns > 0:
-            yield self.sim.timeout(extra_ns)
-        lane, rate, meter = self._lane_and_rate(direction)
-        remaining = nbytes
-        first = True
-        while remaining > 0 or first:
-            chunk = min(remaining, self.spec.chunk_bytes)
-            with lane.request() as hold:
-                yield hold
-                cost = transfer_ns(chunk, rate)
-                if first:
-                    cost += self.spec.per_transfer_overhead_ns
-                yield self.sim.hold(cost)
-            remaining -= chunk
-            first = False
+        done = Event(self.sim)
+        self.reserve_call(direction, nbytes, done.succeed)
+        yield done
+        meter = self.read_meter if direction == "read" else self.write_meter
         meter.record(self.sim.now, nbytes)
 
-    def fast_ok(self, nbytes: int) -> bool:
-        """True when :meth:`reserve` is exact for an ``nbytes`` transfer.
+    def reserve_call(self, direction: str, nbytes: int, fn) -> None:
+        """Reserve the lane for an ``nbytes`` transfer submitted at
+        sim-now; ``fn`` runs at the DMA's end instant.
 
-        The timeline reservation models one uninterrupted lane hold, so
-        it is only equivalent to :meth:`transfer` for single-chunk
-        transfers (one 8 KB page easily fits the 128 KB chunk) with no
-        *active* link fault rules (drops/delays need the generator
-        path).  A wired-but-quiet injector -- the common case when a
-        fault plan targets other sites, e.g. node crashes -- keeps the
-        fast path: with no rule at (link, drop/delay) the generator
-        path makes no RNG draw, so eliding the checks is drift-free.
-        Re-checked per transfer because rules may be added mid-run.
+        A ``drop`` fault raises :class:`LinkDropError` here, at the
+        submission instant; a ``delay`` fault defers the reservation.
+        The caller records the direction's throughput meter inside
+        ``fn``.
         """
-        if nbytes > self.spec.chunk_bytes:
-            return False
+        if nbytes < 0:
+            raise ValueError(f"negative transfer size {nbytes}")
         faults = self.faults
-        return faults is NULL_INJECTOR or faults.quiet(DROP, DELAY)
+        if faults is not NULL_INJECTOR:
+            if faults.fires(DROP, direction=direction, nbytes=nbytes) is not None:
+                raise LinkDropError(
+                    f"{self.spec.name}: {direction} transfer of {nbytes} B dropped"
+                )
+            extra_ns = faults.delay_ns(DELAY, direction=direction, nbytes=nbytes)
+            if extra_ns > 0:
+                self.sim._schedule_call(
+                    lambda: self._reserve_chunks(direction, nbytes, fn), extra_ns
+                )
+                return
+        self._reserve_chunks(direction, nbytes, fn)
 
-    def prefill_costs(self, direction: str, sizes) -> None:
-        """Batch-warm the memoized single-chunk cost table.
-
-        Observationally neutral (pure cache fill with the values
-        :meth:`reserve_call` would compute lazily); vectorized with
-        numpy when several sizes are missing.
-        """
-        missing = [
-            int(n) for n in set(sizes) if (direction, int(n)) not in self._cost_cache
-        ]
-        if not missing:
-            return
+    def _reserve_chunks(self, direction: str, nbytes: int, fn) -> None:
+        """One lane reservation per ``chunk_bytes`` chunk, each made at
+        its predecessor's end instant so concurrent transfers interleave
+        FIFO chunk by chunk."""
+        sim = self.sim
+        spec = self.spec
         if direction == "read":
-            rate = self.spec.read_mb_per_s
+            rate, timeline = spec.read_mb_per_s, self._tl_read
         elif direction == "write":
-            rate = self.spec.write_mb_per_s
+            rate, timeline = spec.write_mb_per_s, self._tl_write
         else:
             raise ValueError(
                 f"direction must be 'read' or 'write', not {direction!r}"
             )
-        from repro.channel import vector
-
-        overhead = self.spec.per_transfer_overhead_ns
-        for nbytes, cost in vector.transfer_costs(missing, rate):
-            self._cost_cache[(direction, nbytes)] = cost + overhead
-
-    def reserve_call(self, direction: str, nbytes: int, fn):
-        """Timeline-reserve a single-chunk transfer at sim-now; ``fn``
-        runs at the DMA's end instant.
-
-        Returns ``(grant_ns, end_ns)``.  The caller is responsible for
-        recording the direction's throughput meter inside ``fn``
-        (mirroring :meth:`transfer`, which records at completion) and
-        must only use this while :meth:`fast_ok` holds.
-        """
-        key = (direction, nbytes)
-        cached = self._cost_cache.get(key)
-        if cached is None:
-            if direction == "read":
-                rate = self.spec.read_mb_per_s
-            elif direction == "write":
-                rate = self.spec.write_mb_per_s
-            else:
-                raise ValueError(
-                    f"direction must be 'read' or 'write', not {direction!r}"
-                )
-            cost = (
-                transfer_ns(nbytes, rate) + self.spec.per_transfer_overhead_ns
+        chunk_bytes = spec.chunk_bytes
+        first = nbytes if nbytes < chunk_bytes else chunk_bytes
+        key = (direction, first)
+        cost = self._cost_cache.get(key)
+        if cost is None:
+            cost = self._cost_cache[key] = (
+                transfer_ns(first, rate) + spec.per_transfer_overhead_ns
             )
-            cached = self._cost_cache[key] = cost
-        timeline = self._tl_read if direction == "read" else self._tl_write
-        return timeline.reserve_and_call(self.sim, cached, fn)
+        remaining = nbytes - first
+        if not remaining:
+            timeline.reserve_and_call(sim, cost, fn)
+            return
+
+        def next_chunk():
+            nonlocal remaining
+            chunk = remaining if remaining < chunk_bytes else chunk_bytes
+            remaining -= chunk
+            timeline.reserve_and_call(
+                sim, transfer_ns(chunk, rate), next_chunk if remaining else fn
+            )
+
+        timeline.reserve_and_call(sim, cost, next_chunk)

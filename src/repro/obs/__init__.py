@@ -35,7 +35,6 @@ from repro.obs.attach import (
     attach_device,
     attach_ecc,
     attach_server,
-    attach_system,
 )
 from repro.obs.metrics import Gauge, Histogram, MetricsRegistry
 from repro.obs.trace import NullTraceCollector, Span, TraceCollector
@@ -46,7 +45,6 @@ __all__ = [
     "attach_device",
     "attach_ecc",
     "attach_server",
-    "attach_system",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

@@ -10,8 +10,6 @@ connect an already-built system to it:
   queue depth) and per-channel FTLs (host op counts, wear);
 * :func:`attach_block_layer` -- block-layer counters, erase backlog
   timelines and op spans;
-* :func:`attach_system` -- both of the above plus the simulator hook
-  that makes named resources (channel buses, planes) emit hold spans;
 * :func:`attach_server` -- a CCDB storage server's request metrics and
   per-slice counters.
 
@@ -105,20 +103,6 @@ def _wire_system(obs: Observability, system) -> None:
     """Instrument an :class:`~repro.core.api.SDFSystem` end to end."""
     attach_device(obs, system.device)
     attach_block_layer(obs, system.block_layer)
-
-
-def attach_system(obs: Observability, system) -> None:
-    """Deprecated: use ``system.attach(obs)`` or
-    ``build_sdf_system(obs=...)`` instead."""
-    import warnings
-
-    warnings.warn(
-        "attach_system() is deprecated; use SDFSystem.attach(obs) or "
-        "build_sdf_system(obs=...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    _wire_system(obs, system)
 
 
 def attach_server(obs: Observability, server) -> None:

@@ -41,7 +41,6 @@ from repro.qos.wire import (
     attach_block_layer_qos,
     attach_device_qos,
     attach_server_qos,
-    attach_system_qos,
 )
 
 __all__ = [
@@ -63,5 +62,4 @@ __all__ = [
     "attach_block_layer_qos",
     "attach_device_qos",
     "attach_server_qos",
-    "attach_system_qos",
 ]

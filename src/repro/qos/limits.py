@@ -8,8 +8,9 @@ whoever issued the op (the block layer, and transitively the LSM flush
 path).  :class:`BlockWriteLimiter` does the same one level up for whole
 8 MB block writes.
 
-Both are plain resource wrappers: deterministic, FIFO, and invisible
-(no extra events) until an op actually has to wait.
+Both are deterministic and FIFO; the block-write limiter is invisible
+(no extra events) until a write actually has to wait, and a channel
+admission costs exactly one grant hop.
 """
 
 from __future__ import annotations
@@ -28,18 +29,14 @@ class ChannelQosState:
         self.sim = sim
         self.channel = channel
         self.max_inflight = max_inflight
-        self.slots = Resource(sim, capacity=max_inflight)
         self.throttled = Counter(f"{prefix}.throttled")
         self.throttle_wait_ns = Counter(f"{prefix}.throttle_wait_ns")
         self._prefix = prefix
         self._depth = 0
         self.obs = None
         self._depth_metric = None
-        #: Fast-path mirror of ``slots``: an available-slot count plus a
-        #: FIFO of deferred grant callbacks.  A run uses either
-        #: :meth:`admitted` (generator) or :meth:`admit_fast` /
-        #: :meth:`release_fast` (timeline) exclusively -- the engine's
-        #: mode is fixed per run -- so the two never double-book.
+        #: The slots: an available count plus a FIFO of deferred grant
+        #: callbacks.
         self._fast_avail = max_inflight
         self._fast_waiting: deque = deque()
 
@@ -62,37 +59,14 @@ class ChannelQosState:
         if metric is not None:
             metric.update(self.sim._now, self._depth)
 
-    def admitted(self, inner):
-        """Generator: run ``inner`` (an op-execution generator) holding
-        one admission slot; waits for a slot first when the channel is
-        at its bound."""
-        queued = self.sim.now
-        self._depth += 1
-        self._note_depth()
-        try:
-            with self.slots.request() as slot:
-                yield slot
-                waited = self.sim.now - queued
-                if waited > 0:
-                    self.throttled.add()
-                    self.throttle_wait_ns.add(waited)
-                yield from inner
-        finally:
-            self._depth -= 1
-            self._note_depth()
-
-    # -- timeline fast path --------------------------------------------------------
     def admit_fast(self, fn) -> None:
-        """Admission for the timeline fast path: ``fn()`` runs at the
-        grant instant and the caller must call :meth:`release_fast` at
-        the op's end.
+        """Take one admission slot, waiting FIFO for one when the
+        channel is at its bound: ``fn()`` runs at the grant instant and
+        the caller must call :meth:`release_fast` at the op's end.
 
-        Event-shape equivalence with :meth:`admitted`: the generator's
-        slot grant is one scheduled event even when a slot is free
-        (``Request.succeed``), so the grant always costs exactly one
-        hop; the throttle counters update at the grant instant, inside
-        that hop, exactly where the generator resumes past its
-        ``yield slot``.
+        The grant always costs exactly one scheduled hop, even when a
+        slot is free; the throttle counters update at the grant
+        instant, inside that hop.
         """
         sim = self.sim
         queued = sim.now
@@ -113,11 +87,10 @@ class ChannelQosState:
             self._fast_waiting.append(hop)
 
     def release_fast(self) -> None:
-        """Return a fast-path admission slot at the op's end instant.
+        """Return an admission slot at the op's end instant.
 
-        Grants the next waiter (one scheduled hop, matching the
-        generator's release-inside-with-exit) *before* the depth
-        decrement, mirroring :meth:`admitted`'s ``finally`` ordering.
+        Grants the next waiter (one scheduled hop) *before* the depth
+        decrement.
         """
         waiting = self._fast_waiting
         if waiting:

@@ -53,20 +53,6 @@ def _wire_system_qos(plan: QosPlan, system, prefix: str = "") -> None:
     attach_block_layer_qos(plan, system.block_layer, prefix=prefix)
 
 
-def attach_system_qos(plan: QosPlan, system, prefix: str = "") -> None:
-    """Deprecated: use ``system.attach(plan, prefix=...)`` or
-    ``build_sdf_system(qos=...)`` instead."""
-    import warnings
-
-    warnings.warn(
-        "attach_system_qos() is deprecated; use SDFSystem.attach(plan) "
-        "or build_sdf_system(qos=...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    _wire_system_qos(plan, system, prefix=prefix)
-
-
 def attach_server_qos(plan: QosPlan, server, name: str = "server") -> None:
     """Wire a :class:`~repro.cluster.node.StorageServer` and the device
     underneath it (device metrics prefixed ``{name}.``).

@@ -1,6 +1,9 @@
-"""Analytic reservation timelines for the fast scheduling path.
+"""Analytic reservation timelines: the scheduler of flash ops and
+link DMAs.
 
-The generator scheduling path models every contended resource as a
+A process-per-op scheduler (``tests/channel/reference_engine.py``, the
+test oracle; "the generator path" or "the slow path" below) models
+every contended resource as a
 :class:`~repro.sim.resources.Resource` and spends one process
 suspension per acquire/hold/release.  For capacity-1 FIFO resources with
 uniform priorities the same schedule can be computed *analytically*: a

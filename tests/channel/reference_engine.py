@@ -1,0 +1,127 @@
+"""Process-per-op reference model of one flash channel.
+
+This is the scheduler ``repro.channel.engine`` used to carry as its
+"generator" twin, kept outside the product as the oracle the
+differential test compares :class:`~repro.channel.engine.ChannelEngine`
+against: the bus and every (chip, plane) are capacity-1
+:class:`~repro.sim.PriorityResource` objects, an op is a process that
+acquires and holds them phase by phase, admission is a plain
+:class:`~repro.sim.Resource` of ``max_inflight`` slots, and busy time is
+an in-service counter.  Slow and obviously right; never optimise it.
+"""
+
+from typing import Dict, Optional
+
+from repro.faults.injector import NULL_INJECTOR, STALL
+from repro.ftl.ops import FlashOp, OpKind
+from repro.sim import PriorityResource, Resource
+
+
+class ReferenceEngine:
+    """Charges simulated time for FlashOps on one channel, one process
+    per op."""
+
+    def __init__(
+        self,
+        sim,
+        geometry,
+        timing,
+        chips_per_channel: int = 2,
+        priorities: Optional[Dict[OpKind, int]] = None,
+        max_inflight: Optional[int] = None,
+    ):
+        self.sim = sim
+        self.timing = timing
+        self.priorities = priorities or dict.fromkeys(OpKind, 0)
+        self.bus = PriorityResource(sim, capacity=1)
+        self.planes = {
+            (chip, plane): PriorityResource(sim, capacity=1)
+            for chip in range(chips_per_channel)
+            for plane in range(geometry.planes_per_chip)
+        }
+        self.slots = (
+            None if max_inflight is None else Resource(sim, capacity=max_inflight)
+        )
+        self.faults = NULL_INJECTOR
+        self.ops_executed = 0
+        self.wait_ns = 0
+        self.throttled = 0
+        self.throttle_wait_ns = 0
+        self._busy_ns = 0
+        self._in_service = 0
+        self._busy_since = 0
+
+    # -- accounting ----------------------------------------------------------------
+    def busy_value(self) -> int:
+        """Busy time of service intervals that have fully ended."""
+        return self._busy_ns
+
+    def utilization(self) -> float:
+        """Fraction of elapsed time with at least one op in service."""
+        now = self.sim.now
+        if now <= 0:
+            return 0.0
+        busy = self._busy_ns
+        if self._in_service:
+            busy += now - self._busy_since
+        return busy / now
+
+    # -- execution -----------------------------------------------------------------
+    def _phase(self, resource, priority: int, duration_ns: int):
+        """Acquire ``resource``, hold it for the service time; returns
+        the queue wait (grant minus request)."""
+        sim = self.sim
+        queued = sim.now
+        with resource.request(priority) as hold:
+            yield hold
+            granted = sim.now
+            if self._in_service == 0:
+                self._busy_since = granted
+            self._in_service += 1
+            try:
+                yield sim.timeout(duration_ns)
+            finally:
+                self._in_service -= 1
+                if self._in_service == 0:
+                    self._busy_ns += sim.now - self._busy_since
+        return granted - queued
+
+    def _execute(self, op: FlashOp):
+        stall_ns = self.faults.delay_ns(
+            STALL, op=op.kind.name.lower(), chip=op.address.chip
+        )
+        if stall_ns > 0:
+            # A controller hiccup: the op sits on the channel doing
+            # nothing before contending for resources.
+            yield self.sim.timeout(stall_ns)
+        priority = self.priorities[op.kind]
+        plane = self.planes[(op.address.chip, op.address.plane)]
+        timing = self.timing
+        bus_ns = timing.bus_transfer_ns(op.nbytes)
+        if op.kind is OpKind.READ:
+            # Sense into the plane register, then stream over the bus.
+            wait = yield from self._phase(plane, priority, timing.t_read_ns)
+            wait += yield from self._phase(self.bus, priority, bus_ns)
+        elif op.kind is OpKind.PROGRAM:
+            # Stream into the chip register, then program the cells.
+            wait = yield from self._phase(self.bus, priority, bus_ns)
+            wait += yield from self._phase(plane, priority, timing.t_prog_ns)
+        else:
+            wait = yield from self._phase(plane, priority, timing.t_erase_ns)
+        self.ops_executed += 1
+        self.wait_ns += wait
+
+    def execute(self, op: FlashOp):
+        """Generator: run one op to completion, holding an admission
+        slot throughout when the channel has a bound."""
+        if self.slots is None:
+            yield from self._execute(op)
+            return
+        queued = self.sim.now
+        with self.slots.request() as slot:
+            yield slot
+            waited = self.sim.now - queued
+            if waited > 0:
+                self.throttled += 1
+                self.throttle_wait_ns += waited
+            yield from self._execute(op)

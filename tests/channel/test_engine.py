@@ -177,8 +177,10 @@ def test_build_engines_creates_independent_channels():
     sim = Simulator()
     engines = build_engines(sim, 4, SDF_CHIP_GEOMETRY, TIMING)
     assert len(engines) == 4
-    assert engines[0].bus is not engines[1].bus
     assert [e.channel for e in engines] == [0, 1, 2, 3]
+    sim.run(until=sim.process(engines[0].execute(read_op(addr(), PAGE))))
+    assert engines[0].busy_ns.value > 0
+    assert engines[1].busy_ns.value == 0
 
 
 def test_busy_excludes_queue_wait():

@@ -1,21 +1,25 @@
-"""No-drift suite for the timeline-reservation fast path.
+"""No-drift suite for the timeline scheduler.
 
-The fast scheduling path (``mode="timeline"``) must produce *byte
-identical* results to the generator path: same end-of-run clock, same
-throughput-meter samples at the same instants, same latency samples,
-same per-engine op/wait/busy accounting, same NAND wear -- across
-seeds, workloads, device families, and with fault/QoS planes active.
-Whenever equivalence cannot be guaranteed the device must *fall back*
-to the generator path rather than drift.
+Every scenario here was run at the last commit that still had the
+process-per-op generator scheduler, in both scheduling modes; the two
+agreed byte for byte -- same end-of-run clock, same throughput-meter
+samples at the same instants, same latency samples, same per-engine
+op/wait/busy accounting, same NAND wear -- and the SHA-256 of each
+signature was recorded in ``golden_schedule.json``.  The timeline
+reservations are now the only scheduler; these tests replay the same
+scenarios and compare with ``==`` (see ``tests/channel/golden.py``).
 """
 
 import numpy as np
 import pytest
 
+from repro.channel.engine import build_engines
 from repro.devices import build_device
 from repro.faults import FaultPlan, attach_device_faults
 from repro.ftl.ops import FlashOp, OpKind
+from repro.interfaces.link import LinkDropError
 from repro.nand.array import PhysicalAddress
+from repro.nand.catalog import MICRON_25NM_MLC, SDF_CHIP_GEOMETRY
 from repro.obs import Observability, attach_device
 from repro.qos import ChannelQosConfig, QosPlan, attach_device_qos
 from repro.sim import MIB, MS, Simulator
@@ -25,6 +29,7 @@ from repro.workloads import (
     drive_sdf_reads,
     drive_sdf_writes,
 )
+from tests.channel.golden import check_golden
 
 N_CHANNELS = 4
 SCALE = 0.004
@@ -56,10 +61,28 @@ def sdf_signature(sim, sdf):
     }
 
 
-def run_sdf_reads(mode, seed, sequential):
+def small_sdf(sim, n_channels=N_CHANNELS):
+    return build_device("sdf", sim, capacity_scale=SCALE, n_channels=n_channels)
+
+
+def sequential_reads(sim, sdf, duration_ns=15 * MS, seed=0):
+    sdf.prefill(1.0)
+    drive_sdf_reads(
+        sim,
+        sdf,
+        request_bytes=2 * MIB,
+        duration_ns=duration_ns,
+        channels=range(N_CHANNELS),
+        sequential=True,
+        rng=np.random.default_rng(seed),
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("sequential", [True, False])
+def test_sdf_reads_byte_identical(seed, sequential):
     sim = Simulator()
-    sdf = build_device("sdf", sim, capacity_scale=SCALE, n_channels=N_CHANNELS,
-                    mode=mode)
+    sdf = small_sdf(sim)
     sdf.prefill(1.0)
     drive_sdf_reads(
         sim,
@@ -71,171 +94,166 @@ def run_sdf_reads(mode, seed, sequential):
         rng=np.random.default_rng(seed),
         warmup_ns=0,
     )
-    return sim, sdf
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("sequential", [True, False])
-def test_sdf_reads_byte_identical(seed, sequential):
-    sim_g, sdf_g = run_sdf_reads("generator", seed, sequential)
-    sim_t, sdf_t = run_sdf_reads("timeline", seed, sequential)
-    assert sdf_t.fast_path_ok()
-    assert sdf_signature(sim_g, sdf_g) == sdf_signature(sim_t, sdf_t)
+    check_golden(f"sdf_reads[{sequential}-{seed}]", sdf_signature(sim, sdf))
 
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_sdf_writes_byte_identical(seed):
-    def run(mode):
-        sim = Simulator()
-        sdf = build_device("sdf", sim, capacity_scale=SCALE, n_channels=N_CHANNELS,
-                        mode=mode)
-        drive_sdf_writes(
-            sim,
-            sdf,
-            duration_ns=40 * MS,
-            channels=range(N_CHANNELS),
-            warmup_ns=0,
-        )
-        return sdf_signature(sim, sdf)
-
-    assert run("generator") == run("timeline")
+    sim = Simulator()
+    sdf = small_sdf(sim)
+    drive_sdf_writes(
+        sim,
+        sdf,
+        duration_ns=40 * MS,
+        channels=range(N_CHANNELS),
+        warmup_ns=0,
+    )
+    check_golden(f"sdf_writes[{seed}]", sdf_signature(sim, sdf))
 
 
 def test_sdf_mixed_ops_byte_identical():
     """Reads, writes and erases interleaved on overlapping channels."""
+    sim = Simulator()
+    sdf = small_sdf(sim, n_channels=2)
+    sdf.prefill(0.5)
 
-    def run(mode):
-        sim = Simulator()
-        sdf = build_device("sdf", sim, capacity_scale=SCALE, n_channels=2, mode=mode)
-        sdf.prefill(0.5)
+    def reader(dev):
+        for _ in range(8):
+            yield from dev.read(0, 0, n_pages=32)
 
-        def reader(dev):
-            for _ in range(8):
-                yield from dev.read(0, 0, n_pages=32)
+    def writer(dev, block):
+        for _ in range(2):
+            yield from dev.write_fresh(block)
 
-        def writer(dev, block):
-            for _ in range(2):
-                yield from dev.write_fresh(block)
-
-        procs = [
-            sim.process(reader(sdf.channels[0])),
-            sim.process(writer(sdf.channels[0],
-                               sdf.channels[0].n_logical_blocks - 1)),
-            sim.process(reader(sdf.channels[1])),
-            sim.process(writer(sdf.channels[1], 0)),
-        ]
-        sim.run(until=sim.all_of(procs))
-        return sdf_signature(sim, sdf)
-
-    assert run("generator") == run("timeline")
+    procs = [
+        sim.process(reader(sdf.channels[0])),
+        sim.process(writer(sdf.channels[0],
+                           sdf.channels[0].n_logical_blocks - 1)),
+        sim.process(reader(sdf.channels[1])),
+        sim.process(writer(sdf.channels[1], 0)),
+    ]
+    sim.run(until=sim.all_of(procs))
+    check_golden("sdf_mixed_ops", sdf_signature(sim, sdf))
 
 
 @pytest.mark.parametrize("seed", [3, 4])
 def test_stall_faults_stay_fast_and_match(seed):
-    """Channel STALL faults are handled natively by the fast path: the
-    device must NOT fall back, and the schedule (plus the fault log)
-    must stay byte-identical."""
-
-    def run(mode):
-        sim = Simulator()
-        sdf = build_device("sdf", sim, capacity_scale=SCALE, n_channels=N_CHANNELS,
-                        mode=mode)
-        plan = FaultPlan(seed=seed)
-        for channel in range(N_CHANNELS):
-            plan.add(f"ch{channel}", "stall", rate=0.05,
-                     delay_ns=1_000_000)
-        plan.bind_clock(sim)
-        for engine in sdf.engines:
-            engine.faults = plan.injector(f"ch{engine.channel}")
-        if mode == "timeline":
-            assert sdf.fast_path_ok()
-        sdf.prefill(1.0)
-        drive_sdf_reads(
-            sim,
-            sdf,
-            request_bytes=2 * MIB,
-            duration_ns=20 * MS,
-            channels=range(N_CHANNELS),
-            sequential=True,
-            rng=np.random.default_rng(0),
-        )
-        return sdf_signature(sim, sdf), tuple(plan.signatures())
-
-    sig_g, faults_g = run("generator")
-    sig_t, faults_t = run("timeline")
-    assert faults_g  # the plan actually fired
-    assert faults_g == faults_t
-    assert sig_g == sig_t
+    """Channel STALL faults defer an op's reservations by the stall; the
+    schedule and the fault log must match the recorded ones."""
+    sim = Simulator()
+    sdf = small_sdf(sim)
+    plan = FaultPlan(seed=seed)
+    for channel in range(N_CHANNELS):
+        plan.add(f"ch{channel}", "stall", rate=0.05, delay_ns=1_000_000)
+    plan.bind_clock(sim)
+    for engine in sdf.engines:
+        engine.faults = plan.injector(f"ch{engine.channel}")
+    sequential_reads(sim, sdf, duration_ns=20 * MS)
+    faults = tuple(plan.signatures())
+    assert faults  # the plan actually fired
+    check_golden(f"stall_faults[{seed}]", (sdf_signature(sim, sdf), faults))
 
 
 def test_full_fault_plan_forces_link_fallback_and_matches():
-    """``attach_device_faults`` wires the link injector, which the fast
-    path cannot model -- the device must fall back to the generator
-    path in timeline mode and still produce identical results."""
+    """Link DELAY faults (which used to force the process-per-transfer
+    link path) defer the lane reservation by the delay; schedule and
+    fault log must match the recorded ones."""
+    sim = Simulator()
+    sdf = small_sdf(sim)
+    plan = FaultPlan(seed=5)
+    plan.add("link", "delay", rate=0.1, delay_ns=50_000)
+    attach_device_faults(plan, sdf)
+    sequential_reads(sim, sdf)
+    faults = tuple(plan.signatures())
+    assert faults
+    check_golden("link_delay_plan", (sdf_signature(sim, sdf), faults))
 
-    def run(mode):
-        sim = Simulator()
-        sdf = build_device("sdf", sim, capacity_scale=SCALE, n_channels=N_CHANNELS,
-                        mode=mode)
-        plan = FaultPlan(seed=5)
-        plan.add("link", "delay", rate=0.1, delay_ns=50_000)
-        attach_device_faults(plan, sdf)
-        assert not sdf.fast_path_ok()
+
+@pytest.mark.parametrize("direction", ["read", "write"])
+def test_link_drop_fails_the_request_once_and_matches(direction):
+    """A dropped page DMA fails its request at the submission instant of
+    that DMA; the issuer sees one ``LinkDropError`` and carries on while
+    the request's other pages keep their reservations."""
+    sim = Simulator()
+    sdf = small_sdf(sim)
+    plan = FaultPlan(seed=9)
+    # Spaced so that no request loses two pages (the old AllOf-based
+    # request path crashed the simulation on the second failed worker).
+    for at_op in (5, 150, 700) if direction == "read" else (5, 5000, 11000):
+        plan.add("link", "drop", at_op=at_op)
+    attach_device_faults(plan, sdf)
+    if direction == "read":
         sdf.prefill(1.0)
-        drive_sdf_reads(
-            sim,
-            sdf,
-            request_bytes=2 * MIB,
-            duration_ns=15 * MS,
-            channels=range(N_CHANNELS),
-            sequential=True,
-            rng=np.random.default_rng(0),
-        )
-        return sdf_signature(sim, sdf), tuple(plan.signatures())
+    dropped = []
 
-    assert run("generator") == run("timeline")
+    def issuer(dev):
+        for block in range(6):
+            try:
+                if direction == "read":
+                    yield from dev.read(block, 0, n_pages=32)
+                else:
+                    yield from dev.write_fresh(block)
+            except LinkDropError:
+                dropped.append((dev.channel, block, sim.now))
+
+    procs = [sim.process(issuer(dev)) for dev in sdf.channels]
+    sim.run(until=sim.all_of(procs))
+    sim.run()  # the failed requests' surviving pages drain
+    assert len(dropped) == 3
+    check_golden(
+        f"link_drop[{direction}]",
+        (sdf_signature(sim, sdf), tuple(dropped), tuple(plan.signatures())),
+    )
+
+
+def test_multi_chunk_transfer_races_page_dmas():
+    """A host transfer larger than one link chunk re-queues for the lane
+    per chunk, interleaving FIFO with the page DMAs of running reads."""
+    sim = Simulator()
+    sdf = small_sdf(sim)
+    plan = FaultPlan(seed=2)
+    # Never fires; at the recording commit an active link rule kept the
+    # timeline mode's page DMAs on the same lane model as ``transfer``.
+    plan.add("link", "delay", rate=1e-12, delay_ns=1)
+    attach_device_faults(plan, sdf)
+    finished = []
+
+    def bulk(direction, nbytes, start_ns):
+        yield sim.timeout(start_ns)
+        for _ in range(3):
+            yield from sdf.link.transfer(direction, nbytes)
+            finished.append((direction, nbytes, sim.now))
+
+    sim.process(bulk("read", 1 * MIB + 4096, 137_000))
+    sim.process(bulk("read", 300 * 1024, 1_000_001))
+    sim.process(bulk("write", 2 * MIB, 0))
+    sequential_reads(sim, sdf, duration_ns=10 * MS)
+    sim.run()
+    assert len(finished) == 9
+    check_golden(
+        "multi_chunk_race", (sdf_signature(sim, sdf), tuple(finished))
+    )
 
 
 @pytest.mark.parametrize("max_inflight", [1, 2, 8])
 def test_qos_plan_stays_fast_and_matches(max_inflight):
-    """QoS admission slots are modeled natively by the fast path: the
-    device must NOT fall back, and the schedule plus every throttle
-    counter must stay byte-identical."""
-
-    def run(mode):
-        sim = Simulator()
-        sdf = build_device("sdf", sim, capacity_scale=SCALE, n_channels=N_CHANNELS,
-                        mode=mode)
-        plan = QosPlan(channel=ChannelQosConfig(max_inflight_ops=max_inflight))
-        attach_device_qos(plan, sdf)
-        if mode == "timeline":
-            assert sdf.fast_path_ok()
-        sdf.prefill(1.0)
-        drive_sdf_reads(
-            sim,
-            sdf,
-            request_bytes=2 * MIB,
-            duration_ns=15 * MS,
-            channels=range(N_CHANNELS),
-            sequential=True,
-            rng=np.random.default_rng(0),
-        )
-        qos_counters = tuple(
-            (
-                engine.qos.throttled.value,
-                engine.qos.throttle_wait_ns.value,
-            )
-            for engine in sdf.engines
-        )
-        return sdf_signature(sim, sdf), qos_counters
-
-    sig_g, qos_g = run("generator")
-    sig_t, qos_t = run("timeline")
-    assert sig_g == sig_t
-    assert qos_g == qos_t
+    """QoS admission slots are reservation-path slot counts; the
+    schedule plus every throttle counter must match the recorded ones."""
+    sim = Simulator()
+    sdf = small_sdf(sim)
+    plan = QosPlan(channel=ChannelQosConfig(max_inflight_ops=max_inflight))
+    attach_device_qos(plan, sdf)
+    sequential_reads(sim, sdf)
+    qos_counters = tuple(
+        (engine.qos.throttled.value, engine.qos.throttle_wait_ns.value)
+        for engine in sdf.engines
+    )
     if max_inflight == 1:
         # The bound actually bit, or the counters prove nothing.
-        assert any(throttled for throttled, _ in qos_g)
+        assert any(throttled for throttled, _ in qos_counters)
+    check_golden(
+        f"qos_plan[{max_inflight}]", (sdf_signature(sim, sdf), qos_counters)
+    )
 
 
 def span_signature(obs):
@@ -246,77 +264,56 @@ def span_signature(obs):
 
 
 def test_tracing_stays_fast_and_matches():
-    """Tracing no longer forces the generator path: spans are emitted
-    from reservation intervals and must be identical -- same tracks,
-    same instants, same wait args, same order."""
+    """Spans are emitted from reservation intervals and must match the
+    recorded ones -- same tracks, same instants, same wait args, same
+    order."""
+    sim = Simulator()
+    sdf = small_sdf(sim)
+    obs = Observability(trace=True)
+    attach_device(obs, sdf)
+    sequential_reads(sim, sdf)
+    spans = span_signature(obs)
+    assert spans  # tracing actually recorded something
+    check_golden(
+        "tracing",
+        (sdf_signature(sim, sdf), spans, obs.metrics.snapshot()),
+    )
 
-    def run(mode):
-        sim = Simulator()
-        sdf = build_device("sdf", sim, capacity_scale=SCALE, n_channels=N_CHANNELS,
-                        mode=mode)
-        obs = Observability(trace=True)
-        attach_device(obs, sdf)
-        if mode == "timeline":
-            assert sdf.fast_path_ok()
-        sdf.prefill(1.0)
-        drive_sdf_reads(
-            sim,
-            sdf,
-            request_bytes=2 * MIB,
-            duration_ns=15 * MS,
-            channels=range(N_CHANNELS),
-            sequential=True,
-            rng=np.random.default_rng(0),
-        )
-        return sdf_signature(sim, sdf), span_signature(obs), \
-            obs.metrics.snapshot()
 
-    sig_g, spans_g, snap_g = run("generator")
-    sig_t, spans_t, snap_t = run("timeline")
-    assert spans_g  # tracing actually recorded something
-    assert sig_g == sig_t
-    assert spans_g == spans_t
-    assert snap_g == snap_t
+def ops_soup(geometry, n, kinds):
+    planes = geometry.planes_per_chip
+    ops = []
+    for index in range(n):
+        address = PhysicalAddress(0, index % 2, index % planes, 0, index % 8)
+        kind = kinds[index % 3]
+        nbytes = geometry.page_size if kind is not OpKind.ERASE else 0
+        ops.append(FlashOp(kind, address, nbytes))
+    return ops
 
 
 def test_nonuniform_priorities_stay_fast_and_match():
     """Non-uniform op priorities route to the priority-aware analytic
-    queue instead of falling back; the reordered schedule must match
-    the generator's PriorityResource byte for byte."""
-    from repro.channel.engine import build_engines
-    from repro.nand.catalog import MICRON_25NM_MLC, SDF_CHIP_GEOMETRY
-
+    queue; the reordered schedule must match the one the generator's
+    PriorityResource produced, byte for byte."""
     geometry = SDF_CHIP_GEOMETRY.scaled(0.01)
     priorities = {OpKind.READ: 0, OpKind.PROGRAM: 1, OpKind.ERASE: 2}
+    kinds = (OpKind.ERASE, OpKind.PROGRAM, OpKind.READ)
 
-    def ops_soup(n):
-        planes = geometry.planes_per_chip
-        ops = []
-        for index in range(n):
-            address = PhysicalAddress(0, index % 2, index % planes, 0,
-                                      index % 8)
-            kind = (OpKind.ERASE, OpKind.PROGRAM, OpKind.READ)[index % 3]
-            nbytes = geometry.page_size if kind is not OpKind.ERASE else 0
-            ops.append(FlashOp(kind, address, nbytes))
-        return ops
-
-    def run(mode, trace):
+    def run(trace):
         sim = Simulator()
         engine = build_engines(sim, 1, geometry, MICRON_25NM_MLC, 2,
-                               priorities=priorities, mode=mode)[0]
+                               priorities=priorities)[0]
         obs = Observability(trace=trace) if trace else None
         if obs is not None:
             sim.obs = obs
             engine.obs = obs
-        if mode == "timeline":
-            assert engine.fast_ok()
         done = {}
 
         def scenario():
             # Two waves so later requests queue behind reordered
             # earlier ones.
-            yield from engine.execute_batch(ops_soup(18))
-            yield from engine.execute_batch(ops_soup(12))
+            yield from engine.execute_batch(ops_soup(geometry, 18, kinds))
+            yield from engine.execute_batch(ops_soup(geometry, 12, kinds))
             done["at"] = sim.now
 
         sim.run(until=sim.process(scenario()))
@@ -330,111 +327,61 @@ def test_nonuniform_priorities_stay_fast_and_match():
         )
 
     for trace in (False, True):
-        result_g = run("generator", trace)
-        result_t = run("timeline", trace)
-        assert result_g == result_t
-        if trace:
-            assert result_g[4]  # spans were actually recorded
+        result = run(trace)
+        assert bool(result[4]) == trace  # spans recorded iff tracing
+        check_golden(f"nonuniform_priorities[{trace}]", result)
 
 
 def test_quiet_link_fault_plan_stays_fast():
     """A fault plan with no link rules (the fleet-day shape: node
-    crashes only) must not kick the device off the fast path just
-    because ``attach_device_faults`` wired the link injector."""
-
-    def run(mode):
-        sim = Simulator()
-        sdf = build_device("sdf", sim, capacity_scale=SCALE, n_channels=N_CHANNELS,
-                        mode=mode)
-        plan = FaultPlan(seed=11)
-        plan.add("nand", "read_uncorrectable", rate=1e-9)
-        attach_device_faults(plan, sdf)
-        if mode == "timeline":
-            assert sdf.fast_path_ok()
-        sdf.prefill(1.0)
-        drive_sdf_reads(
-            sim,
-            sdf,
-            request_bytes=2 * MIB,
-            duration_ns=15 * MS,
-            channels=range(N_CHANNELS),
-            sequential=True,
-            rng=np.random.default_rng(0),
-        )
-        return sdf_signature(sim, sdf)
-
-    assert run("generator") == run("timeline")
+    crashes only) makes no link RNG draw and injects nothing."""
+    sim = Simulator()
+    sdf = small_sdf(sim)
+    plan = FaultPlan(seed=11)
+    plan.add("nand", "read_uncorrectable", rate=1e-9)
+    attach_device_faults(plan, sdf)
+    sequential_reads(sim, sdf)
+    check_golden("quiet_link_plan", sdf_signature(sim, sdf))
 
 
 def test_qos_tracing_and_faults_combined_match():
     """The fleet-day configuration in miniature: QoS + tracing + a
-    quiet-link fault plan with channel stalls, all on the fast path."""
-
-    def run(mode):
-        sim = Simulator()
-        sdf = build_device("sdf", sim, capacity_scale=SCALE, n_channels=N_CHANNELS,
-                        mode=mode)
-        obs = Observability(trace=True)
-        attach_device(obs, sdf)
-        qos = QosPlan(channel=ChannelQosConfig(max_inflight_ops=4))
-        attach_device_qos(qos, sdf)
-        plan = FaultPlan(seed=13)
-        for channel in range(N_CHANNELS):
-            plan.add(f"ch{channel}", "stall", rate=0.05, delay_ns=500_000)
-        attach_device_faults(plan, sdf)
-        if mode == "timeline":
-            assert sdf.fast_path_ok()
-        sdf.prefill(1.0)
-        drive_sdf_reads(
-            sim,
-            sdf,
-            request_bytes=2 * MIB,
-            duration_ns=15 * MS,
-            channels=range(N_CHANNELS),
-            sequential=True,
-            rng=np.random.default_rng(0),
-        )
-        return (
+    quiet-link fault plan with channel stalls."""
+    sim = Simulator()
+    sdf = small_sdf(sim)
+    obs = Observability(trace=True)
+    attach_device(obs, sdf)
+    qos = QosPlan(channel=ChannelQosConfig(max_inflight_ops=4))
+    attach_device_qos(qos, sdf)
+    plan = FaultPlan(seed=13)
+    for channel in range(N_CHANNELS):
+        plan.add(f"ch{channel}", "stall", rate=0.05, delay_ns=500_000)
+    attach_device_faults(plan, sdf)
+    sequential_reads(sim, sdf)
+    faults = tuple(plan.signatures())
+    assert faults  # stalls actually fired
+    check_golden(
+        "qos_tracing_faults",
+        (
             sdf_signature(sim, sdf),
             span_signature(obs),
-            tuple(plan.signatures()),
+            faults,
             obs.metrics.snapshot(),
-        )
-
-    result_g = run("generator")
-    result_t = run("timeline")
-    assert result_g[2]  # stalls actually fired
-    assert result_g == result_t
+        ),
+    )
 
 
 def test_metrics_only_observability_matches():
-    """Metrics-only observability (no tracing) keeps the fast path on;
-    queue-depth/utilization series must match the generator path."""
-
-    def run(mode):
-        sim = Simulator()
-        sdf = build_device("sdf", sim, capacity_scale=SCALE, n_channels=N_CHANNELS,
-                        mode=mode)
-        obs = Observability()
-        attach_device(obs, sdf)
-        if mode == "timeline":
-            assert sdf.fast_path_ok()
-        sdf.prefill(1.0)
-        drive_sdf_reads(
-            sim,
-            sdf,
-            request_bytes=2 * MIB,
-            duration_ns=15 * MS,
-            channels=range(N_CHANNELS),
-            sequential=True,
-            rng=np.random.default_rng(0),
-        )
-        return sdf_signature(sim, sdf), obs.metrics.snapshot()
-
-    sig_g, snap_g = run("generator")
-    sig_t, snap_t = run("timeline")
-    assert sig_g == sig_t
-    assert snap_g == snap_t
+    """Metrics-only observability (no tracing): queue-depth/utilization
+    series must match the recorded ones."""
+    sim = Simulator()
+    sdf = small_sdf(sim)
+    obs = Observability()
+    attach_device(obs, sdf)
+    sequential_reads(sim, sdf)
+    check_golden(
+        "metrics_only", (sdf_signature(sim, sdf), obs.metrics.snapshot())
+    )
 
 
 def conventional_signature(sim, device):
@@ -459,68 +406,50 @@ def conventional_signature(sim, device):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_conventional_reads_byte_identical(seed):
-    def run(mode):
-        sim = Simulator()
-        device = build_device("conventional", sim, capacity_scale=0.01, mode=mode)
-        device.prefill(0.2)
-        drive_conventional_reads(
-            sim,
-            device,
-            request_bytes=64 * 1024,
-            duration_ns=10 * MS,
-            queue_depth=8,
-            rng=np.random.default_rng(seed),
-        )
-        return conventional_signature(sim, device)
-
-    assert run("generator") == run("timeline")
+    sim = Simulator()
+    device = build_device("conventional", sim, capacity_scale=0.01)
+    device.prefill(0.2)
+    drive_conventional_reads(
+        sim,
+        device,
+        request_bytes=64 * 1024,
+        duration_ns=10 * MS,
+        queue_depth=8,
+        rng=np.random.default_rng(seed),
+    )
+    check_golden(
+        f"conventional_reads[{seed}]", conventional_signature(sim, device)
+    )
 
 
 def test_conventional_writes_byte_identical():
-    def run(mode):
-        sim = Simulator()
-        device = build_device("conventional", sim, capacity_scale=0.01, mode=mode)
-        drive_conventional_writes(
-            sim,
-            device,
-            request_bytes=128 * 1024,
-            duration_ns=10 * MS,
-            queue_depth=8,
-        )
-        return conventional_signature(sim, device)
-
-    assert run("generator") == run("timeline")
+    sim = Simulator()
+    device = build_device("conventional", sim, capacity_scale=0.01)
+    drive_conventional_writes(
+        sim,
+        device,
+        request_bytes=128 * 1024,
+        duration_ns=10 * MS,
+        queue_depth=8,
+    )
+    check_golden("conventional_writes", conventional_signature(sim, device))
 
 
 def test_execute_batch_matches_execute_all():
-    """The batched fast-path completion event must finish at the same
-    instant, with the same counters, as the process-per-op slow path."""
-    from repro.channel.engine import build_engines
-    from repro.nand.catalog import MICRON_25NM_MLC, SDF_CHIP_GEOMETRY
-
+    """The batched completion event must finish at the same instant,
+    with the same counters, as one process per op (``execute_all``) --
+    and both at the recorded schedule."""
     geometry = SDF_CHIP_GEOMETRY.scaled(0.01)
+    kinds = (OpKind.READ, OpKind.PROGRAM, OpKind.ERASE)
 
-    def ops_soup(n):
-        planes = geometry.planes_per_chip
-        ops = []
-        for index in range(n):
-            address = PhysicalAddress(0, index % 2, index % planes, 0,
-                                      index % 8)
-            kind = (OpKind.READ, OpKind.PROGRAM, OpKind.ERASE)[index % 3]
-            nbytes = geometry.page_size if kind is not OpKind.ERASE else 0
-            ops.append(FlashOp(kind, address, nbytes))
-        return ops
-
-    def run(mode):
+    def run(method):
         sim = Simulator()
-        engine = build_engines(sim, 1, geometry, MICRON_25NM_MLC, 2,
-                               mode=mode)[0]
+        engine = build_engines(sim, 1, geometry, MICRON_25NM_MLC, 2)[0]
         done = {}
 
         def scenario():
-            result = yield from engine.execute_batch(ops_soup(24))
+            yield from getattr(engine, method)(ops_soup(geometry, 24, kinds))
             done["at"] = sim.now
-            return result
 
         sim.run(until=sim.process(scenario()))
         return (
@@ -530,28 +459,6 @@ def test_execute_batch_matches_execute_all():
             engine.busy_value(sim.now),
         )
 
-    assert run("generator") == run("timeline")
-
-
-def test_mode_validation():
-    from repro.channel.engine import build_engines
-    from repro.nand.catalog import MICRON_25NM_MLC, SDF_CHIP_GEOMETRY
-
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        build_engines(sim, 1, SDF_CHIP_GEOMETRY.scaled(0.01),
-                      MICRON_25NM_MLC, 2, mode="warp")
-
-
-def test_env_var_selects_mode(monkeypatch):
-    from repro.channel.engine import default_engine_mode
-
-    monkeypatch.delenv("REPRO_SIM_MODE", raising=False)
-    assert default_engine_mode() == "auto"
-    monkeypatch.setenv("REPRO_SIM_MODE", "generator")
-    assert default_engine_mode() == "generator"
-    monkeypatch.setenv("REPRO_SIM_MODE", "timeline")
-    assert default_engine_mode() == "timeline"
-    monkeypatch.setenv("REPRO_SIM_MODE", "bogus")
-    with pytest.raises(ValueError):
-        default_engine_mode()
+    batched = run("execute_batch")
+    assert batched == run("execute_all")
+    check_golden("execute_batch", batched)

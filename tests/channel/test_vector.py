@@ -9,9 +9,10 @@ from repro.ftl.ops import FlashOp, OpKind
 from repro.nand.array import PhysicalAddress
 from repro.nand.catalog import MICRON_25NM_MLC, SDF_CHIP_GEOMETRY
 from repro.nand.timing import NandTiming
-from repro.sim import Simulator
+from repro.sim import Event, Simulator
 from repro.sim.timeline import ResourceTimeline
 from repro.sim.units import transfer_ns
+from tests.channel.golden import check_golden
 
 
 @pytest.mark.parametrize("mb_per_s", [40.0, 270.0, 1610.0, 33.3])
@@ -61,21 +62,36 @@ def _erase_ops(geometry, n):
 @pytest.mark.parametrize("n_ops", [4, 9, 24])
 def test_erase_batch_matches_generator_and_per_op(n_ops):
     """The closed-form all-ERASE scheduler must finish at the same
-    instant with the same counters as both the generator path and a
-    per-op fast-path submission."""
+    instant with the same counters as a per-op ``execute_fast``
+    submission -- and both at the schedule the generator path recorded."""
     geometry = SDF_CHIP_GEOMETRY.scaled(0.01)
 
-    def run(mode, stagger):
+    def run(batched, stagger):
         sim = Simulator()
-        engine = build_engines(sim, 1, geometry, MICRON_25NM_MLC, 2,
-                               mode=mode)[0]
+        engine = build_engines(sim, 1, geometry, MICRON_25NM_MLC, 2)[0]
         done = {}
 
+        def submit(ops):
+            if batched:
+                yield from engine.execute_batch(ops)
+                return
+            finished = Event(sim)
+            remaining = [len(ops)]
+
+            def one_done():
+                remaining[0] -= 1
+                if not remaining[0]:
+                    finished.succeed()
+
+            for op in ops:
+                engine.execute_fast(op, one_done)
+            yield finished
+
         def scenario():
-            yield from engine.execute_batch(_erase_ops(geometry, n_ops))
+            yield from submit(_erase_ops(geometry, n_ops))
             if stagger:
                 yield sim.timeout(1_000)
-                yield from engine.execute_batch(_erase_ops(geometry, 5))
+                yield from submit(_erase_ops(geometry, 5))
             done["at"] = sim.now
 
         sim.run(until=sim.process(scenario()))
@@ -87,4 +103,6 @@ def test_erase_batch_matches_generator_and_per_op(n_ops):
         )
 
     for stagger in (False, True):
-        assert run("generator", stagger) == run("timeline", stagger)
+        batched = run(True, stagger)
+        assert batched == run(False, stagger)
+        check_golden(f"erase_batch[{n_ops}-{stagger}]", batched)

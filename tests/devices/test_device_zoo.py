@@ -4,15 +4,12 @@ Locks the API-redesign contract:
 
 * every registered kind satisfies :class:`~repro.devices.DeviceModel`
   and reports the full ``DEVICE_METRIC_KEYS`` family;
-* ``build_device("sdf", ...)`` is *identical* to what the legacy
-  ``build_sdf`` builds (same construction path, same behaviour);
 * same seed -> byte-identical DeviceStats and obs counters, per kind;
 * backend-specific semantics: DFTL's bounded map cache, the hybrid
   FTL's merges, the zoned state machine, MQ parallelism.
 """
 
 import random
-import warnings
 
 import pytest
 
@@ -29,6 +26,7 @@ from repro.errors import ConfigError
 from repro.obs import Observability
 from repro.obs.attach import attach_device
 from repro.sim import Simulator
+from tests.channel.golden import check_golden
 
 ALL_KINDS = ("conventional", "dftl", "hybrid", "mqftl", "sdf", "zoned")
 SCALE = 0.01
@@ -117,34 +115,21 @@ def test_device_spec_is_declarative_and_buildable():
         DeviceSpec("no-such-kind")
 
 
-def test_build_device_sdf_matches_legacy_build_sdf():
-    """The redesign is a pure re-plumbing: the factory's "sdf" path and
-    the deprecated shim construct equal devices and replay identically."""
-    from repro.devices import build_sdf
-
-    def run(builder_is_legacy):
-        sim = Simulator()
-        if builder_is_legacy:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                device = build_sdf(sim, capacity_scale=SCALE, n_channels=4)
-        else:
-            device = build_device(
-                "sdf", sim, capacity_scale=SCALE, n_channels=4
-            )
-
-        def drive():
-            for block in range(6):
-                channel = device.channels[block % 4]
-                yield from channel.write(block // 4)
-                yield from channel.read(block // 4, 0, 2)
-
-        sim.run(until=sim.process(drive()))
-        return (sim.now, device.raw_bytes, device.user_bytes) + _stats_tuple(
-            device.stats
-        )
-
-    assert run(True) == run(False)
+@pytest.mark.parametrize("kind", device_kinds())
+def test_stale_spec_key_is_a_config_error_naming_the_vocabulary(kind):
+    """A leftover key (here the retired scheduling ``mode``) fails at
+    parse time with the offending key and the kind's accepted keys --
+    not as a bare TypeError from deep inside a constructor."""
+    with pytest.raises(ConfigError, match="does not accept 'mode'") as err:
+        build_device(kind, mode="generator")
+    assert "accepted keys: " in str(err.value)
+    assert "capacity_scale" in str(err.value)
+    with pytest.raises(ConfigError, match="does not accept 'mode'"):
+        DeviceSpec(kind, {"capacity_scale": SCALE, "mode": "generator"})
+    # Keys forwarded through ``**overrides`` to the device constructor
+    # stay accepted.
+    if kind in ("sdf", "zoned"):
+        assert small_device(kind, reserve_fraction=0.02).kind == kind
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +137,9 @@ def test_build_device_sdf_matches_legacy_build_sdf():
 # ---------------------------------------------------------------------------
 
 
-def _exercise(kind, seed, mode=None):
+def _exercise(kind, seed):
     sim = Simulator()
-    params = {}
-    if mode is not None:
-        params["mode"] = mode
-    device = small_device(kind, sim, **params)
+    device = small_device(kind, sim)
     obs = Observability()
     attach_device(obs, device)
     rng = random.Random(seed)
@@ -209,11 +191,10 @@ def test_same_seed_runs_are_byte_identical(kind):
 
 @pytest.mark.parametrize("kind", ("sdf", "zoned"))
 def test_generator_and_timeline_modes_agree(kind):
-    """The two execution engines must tell the same story for the
-    timeline-eligible kinds (DESIGN.md section 11 eligibility table)."""
-    gen = _exercise(kind, seed=5, mode="generator")
-    fast = _exercise(kind, seed=5, mode="timeline")
-    assert gen == fast
+    """The kinds that ran whole requests on either scheduler must still
+    tell the story both told at the recording commit (see
+    ``tests/channel/golden.py``)."""
+    check_golden(f"device_zoo[{kind}]", _exercise(kind, seed=5))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -72,6 +72,58 @@ def test_concurrent_reads_share_fairly_via_chunking():
     assert finish["a"] == pytest.approx(finish["b"], rel=0.05)
 
 
+def test_link_rule_added_mid_run_never_exceeds_the_link_cap():
+    """Regression: the link used to keep two lane models and re-choose
+    between them per transfer, so a (never-firing) fault rule added
+    mid-run booked both at once and the PCIe link carried up to
+    2228 MB/s.  One lane model: the rule changes nothing."""
+    from repro.devices import build_device
+    from repro.faults import FaultPlan, attach_device_faults
+    from repro.sim import MS
+
+    window_ns = 250 * US
+
+    def run(add_rule):
+        sim = Simulator()
+        sdf = build_device("sdf", sim, capacity_scale=0.004)
+        plan = FaultPlan(seed=1)
+        attach_device_faults(plan, sdf)
+        sdf.prefill(1.0)
+
+        def reader(dev, n_pages):
+            while sim.now < 20 * MS:
+                yield from dev.read(0, 0, n_pages=n_pages)
+
+        def late_rule():
+            yield sim.timeout(10_137 * US)
+            plan.add("link", "delay", rate=1e-9, delay_ns=1)
+
+        procs = [
+            sim.process(reader(dev, (dev.channel % 7 + 1) * 16))
+            for dev in sdf.channels
+        ]
+        if add_rule:
+            sim.process(late_rule())
+        sim.run(until=sim.all_of(procs))
+        return sdf.link, (
+            sim.now,
+            tuple(sdf.link.read_meter.samples),
+            tuple(sdf.stats.read_latency.samples),
+        )
+
+    link, with_rule = run(add_rule=True)
+    _, without_rule = run(add_rule=False)
+    assert with_rule == without_rule
+    # A window's completions occupied the lane inside it, bar the head
+    # of the first page: at most the cap plus one page.
+    page = 8192
+    cap_bytes = link.spec.read_mb_per_s * 1e6 * window_ns / 1e9 + page
+    end = with_rule[0]
+    assert end > 20 * MS
+    for t0 in range(0, end, window_ns):
+        assert link.read_meter.bytes_in(t0, t0 + window_ns) <= cap_bytes
+
+
 def test_transfer_validation():
     sim = Simulator()
     link = HostLink(sim, PCIE_1_1_X8)

@@ -207,17 +207,22 @@ def test_breaker_half_open_failure_retrips_for_full_cooldown():
 def test_channel_qos_bounds_concurrent_inner_execution():
     sim = Simulator()
     state = ChannelQosState(sim, channel=0, max_inflight=2)
-    live = {"now": 0, "max": 0}
+    live = {"now": 0, "max": 0, "done": 0}
 
-    def inner():
+    def leave(_event):
+        live["now"] -= 1
+        live["done"] += 1
+        state.release_fast()
+
+    def enter():
         live["now"] += 1
         live["max"] = max(live["max"], live["now"])
-        yield sim.timeout(1 * MS)
-        live["now"] -= 1
+        sim.timeout(1 * MS).add_callback(leave)
 
-    procs = [sim.process(state.admitted(inner())) for _ in range(6)]
+    for _ in range(6):
+        state.admit_fast(enter)
     sim.run()
-    assert all(p.triggered for p in procs)
+    assert live["done"] == 6
     assert live["max"] == 2  # never more than the bound inside
     assert live["now"] == 0
     # 6 ops over 2 slots of 1 ms each -> 3 serial waves.
