@@ -15,6 +15,9 @@ Scenarios:
 * ``fig7_write_44`` -- 44-channel sequential-write sweep point (Figure 7)
 * ``kv_write_compaction`` -- LSM put stream with flushes + compactions
   over a 4-channel SDF server (Figures 12-14 regime, scaled down)
+* ``conv_gc_write`` -- 1 MiB random writes, then drain, on a full,
+  GC-primed 8-channel conventional SSD (the Figure 8 baseline's regime):
+  the conventional family's request path, page-mapped FTL and GC
 * ``fleet_day_qos`` -- a fleet-day scenario with observability, fault
   bursts, channel QoS admission and an active policy rule (the whole
   production stack on the extended analytic path)
@@ -114,6 +117,48 @@ def kv_write_compaction():
         "events": sim._seq,
         "sim_end_ns": sim.now,
         "mb_per_s": device.stats.write_meter.mb_per_s(0, sim.now),
+    }
+
+
+def conv_gc_write():
+    from dataclasses import replace
+
+    from repro.devices import HUAWEI_GEN3_SPEC, build_device
+    from repro.sim import MIB, Simulator
+
+    sim = Simulator()
+    spec = replace(
+        HUAWEI_GEN3_SPEC,
+        n_channels=8,
+        dram_buffer_bytes=16 * MIB,
+        parity_group_size=None,
+    )
+    device = build_device("conventional", sim, spec=spec, capacity_scale=0.006)
+    device.prefill(1.0)
+    rng = np.random.default_rng(0)
+    ftl = device.ftl
+    # Prime every channel to its GC threshold so the timed writes contend.
+    while max(
+        ftl.free_blocks(channel) for channel in range(spec.n_channels)
+    ) > ftl.gc_free_blocks:
+        ftl.write(int(rng.integers(device.user_pages)), None)
+    pages = MIB // device.page_size
+    starts = [int(rng.integers(device.user_pages - pages)) for _ in range(64)]
+
+    def submitter():
+        for start in starts:
+            yield from device.write(start, pages)
+        yield from device.drain()
+
+    wall0 = time.perf_counter()
+    sim.run(until=sim.process(submitter()))
+    wall = time.perf_counter() - wall0
+    nbytes = len(starts) * pages * device.page_size
+    return {
+        "wall_s": wall,
+        "events": sim._seq,
+        "sim_end_ns": sim.now,
+        "mb_per_s": nbytes / 1e6 / (sim.now / 1e9),
     }
 
 
@@ -292,6 +337,7 @@ SCENARIOS = {
     "fig7_read_44": (fig7_read_44, None),
     "fig7_write_44": (fig7_write_44, None),
     "kv_write_compaction": (kv_write_compaction, None),
+    "conv_gc_write": (conv_gc_write, None),
 }
 
 

@@ -568,17 +568,20 @@ class ChannelEngine:
             yield AllOf(self.sim, processes)
 
     def execute_batch(self, ops: Iterable[FlashOp]):
-        """Generator: run ops concurrently behind ONE completion event.
-
-        The batch is coalesced per (chip, plane) on the reservation
-        timelines: each op costs a phase-boundary callback per phase
-        instead of a full process, and the whole batch completes through
-        a single shared event.  Same completion instant and counters as
-        :meth:`execute_all`.
-        """
+        """Generator form of :meth:`execute_batch_call`: ONE completion
+        event, same instant and counters as :meth:`execute_all`."""
         ops = list(ops)
         if not ops:
             return
+        done = Event(self.sim)
+        self.execute_batch_call(ops, done.succeed)
+        yield done
+
+    def execute_batch_call(self, ops: List[FlashOp], then) -> None:
+        """Run a non-empty list of ops concurrently; ``then()`` runs at
+        the last op's completion instant.  Each op costs a
+        phase-boundary callback per phase on the reservation timelines
+        and the whole batch completes through one shared countdown."""
         plain = self._plain
         if plain is None:
             plain = self._choose_plain()
@@ -596,17 +599,14 @@ class ChannelEngine:
             # every grant/end in closed form (numpy cumsum per plane)
             # and schedule one shared countdown instead of per-op
             # closures.  Event-for-event identical to the loop below.
-            done = Event(self.sim)
-            vector.schedule_erase_batch(self, ops, done.succeed)
-            yield done
+            vector.schedule_erase_batch(self, ops, then)
             return
-        done = Event(self.sim)
         remaining = [len(ops)]
 
         def one_done():
             remaining[0] -= 1
             if not remaining[0]:
-                done.succeed()
+                then()
 
         for op in ops:
             if op.address.channel != self.channel:
@@ -615,7 +615,6 @@ class ChannelEngine:
                     f"{self.channel}"
                 )
             self.execute_fast(op, one_done)
-        yield done
 
     def execute_sequential(self, ops: Iterable[FlashOp]):
         """Generator: run ops strictly one after another."""

@@ -14,6 +14,7 @@ overheads -- emerge from the flash engines and FTL underneath.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
@@ -22,13 +23,14 @@ from repro.devices.base import DeviceStats, base_device_metrics, register_device
 from repro.ftl.ops import FlashOp
 from repro.ftl.page_ftl import PageFTL
 from repro.interfaces.iostack import IOStackModel, KERNEL_IO_STACK
-from repro.interfaces.link import HostLink, LinkSpec, PCIE_1_1_X8
+from repro.interfaces.link import HostLink, LinkDropError, LinkSpec, PCIE_1_1_X8
 from repro.nand.array import FlashArray
 from repro.nand.catalog import MICRON_25NM_MLC, SDF_CHIP_GEOMETRY
 from repro.nand.geometry import FlashGeometry, scaled_count
 from repro.nand.timing import NandTiming
-from repro.sim import AllOf, Container, Resource, Simulator, Store
+from repro.sim import Event, Simulator
 from repro.sim.stats import ThroughputMeter
+from repro.sim.timeline import ResourceTimeline
 
 
 @dataclass(frozen=True)
@@ -100,28 +102,35 @@ class ConventionalSSD:
             spec.chips_per_channel,
         )
         self.link = HostLink(sim, spec.link)
-        self.controller = Resource(sim, capacity=1)
+        self.controller = ResourceTimeline()
         self.stats = DeviceStats(spec.name)
         #: Flash-side write progress: one sample per page as it is
         #: programmed (smooth, unlike request-completion accounting).
         self.flush_meter = ThroughputMeter(f"{spec.name}.flush")
+        #: Requests between submission and completion (reads feed the
+        #: congestion model).
         self._open_reads = 0
-        self._buffer: Optional[Container] = None
-        self._flush_queue: Optional[Store] = None
+        self._open_requests = 0
+        #: DRAM write buffer: bytes held, and the continuations of
+        #: writers parked (FIFO) until a flusher frees a page.
+        self._buffer_level = 0
+        self._buffer_waiters: deque = deque()
+        #: Buffered ``(lpn, data)`` pages no flusher has picked up yet,
+        #: and the number of flushers with nothing to pick up.
+        self._flush_queue: deque = deque()
+        self._idle_flushers = 0
         #: lpn -> buffered payloads not yet programmed (newest last).
         #: Reads must serve these: a write acks from DRAM, so the FTL
         #: alone can be stale (or unmapped) until the flusher lands it.
         self._pending_pages: Dict[int, List] = {}
+        if 0 < spec.dram_buffer_bytes < spec.geometry.page_size:
+            raise ValueError("dram_buffer_bytes cannot hold one flash page")
         if spec.dram_buffer_bytes > 0:
-            self._buffer = Container(sim, capacity=spec.dram_buffer_bytes)
-            self._flush_queue = Store(sim)
-            workers = spec.flush_workers
-            if workers <= 0:
-                workers = 2 * spec.n_channels * (
+            self._idle_flushers = spec.flush_workers
+            if self._idle_flushers <= 0:
+                self._idle_flushers = 2 * spec.n_channels * (
                     spec.chips_per_channel * spec.geometry.planes_per_chip
                 )
-            for _ in range(workers):
-                sim.process(self._flusher())
 
     def _make_ftl(self, spec: ConventionalSSDSpec, store_data: bool):
         """FTL factory hook; zoo backends override to swap the design."""
@@ -133,11 +142,11 @@ class ConventionalSSD:
             store_data=store_data,
         )
 
-    def _request_controller(self, lpn: int) -> Resource:
+    def _request_controller(self, lpn: int) -> ResourceTimeline:
         """Controller serving request-level admission for ``lpn``."""
         return self.controller
 
-    def _page_controller(self, lpn: int) -> Resource:
+    def _page_controller(self, lpn: int) -> ResourceTimeline:
         """Controller charging the per-page processing cost for ``lpn``."""
         return self.controller
 
@@ -168,56 +177,98 @@ class ConventionalSSD:
         return self.user_bytes / self.raw_bytes
 
     @property
-    def buffer_level(self) -> float:
+    def buffer_level(self) -> int:
         """Bytes currently held in the DRAM write buffer."""
-        return self._buffer.level if self._buffer is not None else 0.0
+        return self._buffer_level
 
-    # -- timed operations (generators) --------------------------------------------------
+    # -- timed operations ---------------------------------------------------------------
+    def _request(self, lpn: int, start):
+        """Generator under ``read``/``write``: I/O-stack submit, then
+        controller admission, then ``start(done)`` launches the page
+        callbacks and the caller sleeps on the one completion event --
+        no simulator process below this frame (DESIGN.md "Scheduling")."""
+        sim = self.sim
+        self._open_requests += 1
+        try:
+            yield sim.timeout(self.spec.iostack.submit_ns)
+            done = Event(sim)
+            self._request_controller(lpn).reserve_and_call(
+                sim, self.spec.controller_request_ns, lambda: start(done)
+            )
+            yield done
+        finally:
+            self._open_requests -= 1
+
     def read(self, lpn: int, n_pages: int = 1):
         """Read ``n_pages`` starting at ``lpn``; returns payload list."""
         if n_pages < 1:
             raise ValueError("n_pages must be >= 1")
-        sim = self.sim
-        start = sim.now
-        self._open_reads += 1
-        yield sim.timeout(self.spec.iostack.submit_ns)
-        with self._request_controller(lpn).request() as hold:
-            yield hold
-            yield sim.timeout(self.spec.controller_request_ns)
+        start = self.sim.now
         payloads: List = [None] * n_pages
-        workers = [
-            sim.process(self._read_one_page(lpn + index, payloads, index))
-            for index in range(n_pages)
-        ]
-        yield AllOf(sim, workers)
-        nbytes = n_pages * self.page_size
-        yield sim.timeout(self.spec.iostack.complete_ns)
-        self._open_reads -= 1
-        self.stats.note_read(sim.now, nbytes, sim.now - start)
+        self._open_reads += 1
+        try:
+            yield from self._request(
+                lpn, lambda done: self._read_pages(lpn, payloads, done)
+            )
+        finally:
+            self._open_reads -= 1
+        now = self.sim.now
+        self.stats.note_read(now, n_pages * self.page_size, now - start)
         return payloads
 
-    def _read_one_page(self, lpn: int, out: List, index: int):
+    def _read_pages(self, lpn: int, payloads: List, done: Event) -> None:
+        """Admitted read: charge every page's controller cost now (FIFO,
+        in page order); each page then reads flash and streams up the
+        link on its own.  ``done`` fires ``complete_ns`` after the last
+        DMA, or fails on the first dropped one."""
+        sim = self.sim
+        link = self.link
+        page_size = self.page_size
+        remaining = [len(payloads)]
         excess = max(0, self._open_reads - self.spec.congestion_free_requests)
         congestion = min(
             self.spec.congestion_max_factor,
             1.0 + excess / self.spec.congestion_knee_requests,
         )
-        with self._page_controller(lpn).request() as hold:
-            yield hold
-            yield self.sim.timeout(
-                int(self.spec.controller_read_ns_per_page * congestion)
+        page_ns = int(self.spec.controller_read_ns_per_page * congestion)
+
+        def landed():
+            link.read_meter.record(sim.now, page_size)
+            remaining[0] -= 1
+            if not remaining[0]:
+                done.succeed(delay=self.spec.iostack.complete_ns)
+
+        def stream():
+            # Pages stream up to the host as they arrive (DMA overlaps
+            # flash).  A dropped page fails the request (once); its
+            # other pages keep their reservations.
+            try:
+                link.reserve_call("read", page_size, landed)
+            except LinkDropError as exc:
+                if not done.triggered:
+                    done.fail(exc)
+
+        def lookup(index):
+            data, ops = self.ftl.read(lpn + index)
+            pending = self._pending_pages.get(lpn + index)
+            if pending:
+                # The freshest copy is still in the DRAM write buffer;
+                # timing is unchanged (the controller/flash work is
+                # what the request costs), only the payload is corrected.
+                data = pending[-1]
+            payloads[index] = data
+            if ops:
+                # One hop behind the flash completion: an unmapped page
+                # whose controller cost ends at this same instant has
+                # no flash work and takes the link lane first.
+                self._execute_ops(ops, lambda: sim._schedule_call(stream))
+            else:
+                stream()
+
+        for index in range(len(payloads)):
+            self._page_controller(lpn + index).reserve_and_call(
+                sim, page_ns, lambda index=index: lookup(index)
             )
-        data, ops = self.ftl.read(lpn)
-        pending = self._pending_pages.get(lpn)
-        if pending:
-            # The freshest copy is still in the DRAM write buffer;
-            # timing is unchanged (the controller/flash work above is
-            # what the request costs), only the payload is corrected.
-            data = pending[-1]
-        out[index] = data
-        yield from self._execute_ops(ops)
-        # Pages stream up to the host as they arrive (DMA overlaps flash).
-        yield from self.link.transfer("read", self.page_size)
 
     def write(self, lpn: int, n_pages: int = 1, data=None):
         """Write ``n_pages`` starting at ``lpn``.
@@ -228,40 +279,84 @@ class ConventionalSSD:
         """
         if n_pages < 1:
             raise ValueError("n_pages must be >= 1")
+        start = self.sim.now
+        yield from self._request(
+            lpn, lambda done: self._write_pages(lpn, n_pages, data, done)
+        )
+        now = self.sim.now
+        self.stats.note_write(now, n_pages * self.page_size, now - start)
+
+    def _write_pages(self, lpn: int, n_pages: int, data, done: Event) -> None:
+        """Admitted write: data streams over the wire page by page and
+        lands in the DRAM buffer (or goes straight to flash) as it
+        arrives, so long requests do not stall the whole drain pipeline
+        behind one DMA.  ``done`` fires ``complete_ns`` after the last
+        page is taken, or fails on a dropped DMA."""
         sim = self.sim
-        start = sim.now
-        yield sim.timeout(self.spec.iostack.submit_ns)
-        nbytes = n_pages * self.page_size
-        with self._request_controller(lpn).request() as hold:
-            yield hold
-            yield sim.timeout(self.spec.controller_request_ns)
-        # Data streams over the wire page by page and lands in the DRAM
-        # buffer (or goes straight to flash) as it arrives, so long
-        # requests do not stall the whole drain pipeline behind one DMA.
-        for index in range(n_pages):
-            yield from self.link.transfer("write", self.page_size)
-            if self._buffer is not None:
-                yield self._buffer.put(self.page_size)
-                self._pending_pages.setdefault(lpn + index, []).append(data)
-                yield self._flush_queue.put((lpn + index, data))
+        link = self.link
+        page_size = self.page_size
+        capacity = self.spec.dram_buffer_bytes  # 0: straight to flash
+        index = 0
+
+        def send():
+            try:
+                link.reserve_call("write", page_size, landed)
+            except LinkDropError as exc:
+                done.fail(exc)
+
+        def landed():
+            link.write_meter.record(sim.now, page_size)
+            if not capacity:
+                self._write_one_page(lpn + index, data, taken)
+            elif self._buffer_waiters or self._buffer_level + page_size > capacity:
+                self._buffer_waiters.append(admitted)
             else:
-                yield from self._write_one_page(lpn + index, data)
-        yield sim.timeout(self.spec.iostack.complete_ns)
-        self.stats.note_write(sim.now, nbytes, sim.now - start)
+                self._buffer_level += page_size
+                admitted()
 
-    def _write_one_page(self, lpn: int, data):
-        with self._page_controller(lpn).request() as hold:
-            yield hold
-            yield self.sim.timeout(self.spec.controller_write_ns_per_page)
-        ops = self.ftl.write(lpn, data)
-        yield from self._execute_ops(ops)
-        self.flush_meter.record(self.sim.now, self.page_size)
+        def admitted():
+            self._pending_pages.setdefault(lpn + index, []).append(data)
+            if self._idle_flushers:
+                self._idle_flushers -= 1
+                self._flush(lpn + index, data)
+            else:
+                self._flush_queue.append((lpn + index, data))
+            taken()
 
-    def _flusher(self):
-        """Background worker draining the DRAM buffer into flash."""
-        while True:
-            lpn, data = yield self._flush_queue.get()
-            yield from self._write_one_page(lpn, data)
+        def taken():
+            nonlocal index
+            index += 1
+            if index >= n_pages:
+                done.succeed(delay=self.spec.iostack.complete_ns)
+            elif self._open_requests > 1:
+                # Another open request may claim the link lane at this
+                # very instant straight from a controller grant (its
+                # first page); it goes first, so hop behind it.
+                sim._schedule_call(send)
+            else:
+                send()
+
+        send()
+
+    def _write_one_page(self, lpn: int, data, then) -> None:
+        """Controller cost, FTL write, flash programs; then ``then()``."""
+
+        def program():
+            self._execute_ops(self.ftl.write(lpn, data), programmed)
+
+        def programmed():
+            self.flush_meter.record(self.sim.now, self.page_size)
+            then()
+
+        self._page_controller(lpn).reserve_and_call(
+            self.sim, self.spec.controller_write_ns_per_page, program
+        )
+
+    def _flush(self, lpn: int, data) -> None:
+        """One flusher moving one buffered page into flash, then taking
+        the next queued page or going idle."""
+
+        def flushed():
             # The FTL now maps this copy; drop the oldest buffered one
             # (newer buffered writes of the lpn keep shadowing the FTL).
             pending = self._pending_pages.get(lpn)
@@ -269,30 +364,37 @@ class ConventionalSSD:
                 pending.pop(0)
                 if not pending:
                     del self._pending_pages[lpn]
-            yield self._buffer.get(self.page_size)
+            if self._buffer_waiters:
+                # The freed page goes straight to the longest-parked writer.
+                self._buffer_waiters.popleft()()
+            else:
+                self._buffer_level -= self.page_size
+            if self._flush_queue:
+                self._flush(*self._flush_queue.popleft())
+            else:
+                self._idle_flushers += 1
 
-    def _execute_ops(self, ops: List[FlashOp]):
-        """Run a batch of physical ops, grouped per channel, in parallel.
+        self._write_one_page(lpn, data, flushed)
 
-        Each per-channel group goes through ``execute_batch``: one
-        completion event per channel.
-        """
-        if not ops:
-            return
+    def _execute_ops(self, ops: List[FlashOp], then) -> None:
+        """Run a batch of physical ops, grouped per channel, in
+        parallel; ``then()`` runs when the last channel's batch ends."""
         by_channel: dict = {}
         for op in ops:
             by_channel.setdefault(op.channel, []).append(op)
-        processes = [
-            self.sim.process(self.engines[channel].execute_batch(channel_ops))
-            for channel, channel_ops in by_channel.items()
-        ]
-        yield AllOf(self.sim, processes)
+        remaining = [len(by_channel)]
+
+        def channel_done():
+            remaining[0] -= 1
+            if not remaining[0]:
+                then()
+
+        for channel, channel_ops in by_channel.items():
+            self.engines[channel].execute_batch_call(channel_ops, channel_done)
 
     def drain(self):
         """Generator: wait until the write buffer is fully flushed."""
-        if self._buffer is None:
-            return
-        while self._buffer.level > 0 or len(self._flush_queue) > 0:
+        while self._buffer_level > 0:
             yield self.sim.timeout(1_000_000)
 
     # -- observability --------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 The conventional baseline serializes every request behind one
 controller: per-request admission and per-page processing all contend
-for a single ``Resource``, which is exactly the "lock-coupled firmware"
+for a single timeline, which is exactly the "lock-coupled firmware"
 bottleneck LFTL attacks by partitioning the FTL into per-channel
 workers with their own queues.
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.devices.conventional import ConventionalSSD, ConventionalSSDSpec
-from repro.sim import Resource
+from repro.sim.timeline import ResourceTimeline
 
 
 class MQFTLDevice(ConventionalSSD):
@@ -31,12 +31,12 @@ class MQFTLDevice(ConventionalSSD):
         super().__init__(sim, spec, store_data=store_data)
         #: One admission/processing queue per channel (the LFTL split);
         #: replaces the single shared ``self.controller`` on every path.
-        self._queues: List[Resource] = [
-            Resource(sim, capacity=1) for _ in range(spec.n_channels)
+        self._queues: List[ResourceTimeline] = [
+            ResourceTimeline() for _ in range(spec.n_channels)
         ]
 
-    def _request_controller(self, lpn: int) -> Resource:
+    def _request_controller(self, lpn: int) -> ResourceTimeline:
         return self._queues[self.ftl.channel_of_lpn(lpn)]
 
-    def _page_controller(self, lpn: int) -> Resource:
-        return self._queues[self.ftl.channel_of_lpn(lpn)]
+    #: Per-page costs charge the queue owning that page's channel too.
+    _page_controller = _request_controller

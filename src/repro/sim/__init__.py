@@ -19,8 +19,7 @@ The core abstractions:
   ``yield``\\ s events.
 * :class:`~repro.sim.resources.Resource`,
   :class:`~repro.sim.resources.PriorityResource`,
-  :class:`~repro.sim.resources.Store`,
-  :class:`~repro.sim.resources.Container` -- contention primitives.
+  :class:`~repro.sim.resources.Store` -- contention primitives.
 * :mod:`~repro.sim.stats` -- throughput meters, latency recorders and
   time-weighted statistics used by the benchmark harness.
 """
@@ -28,7 +27,7 @@ The core abstractions:
 from repro.sim.engine import Simulator
 from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
 from repro.sim.process import Process
-from repro.sim.resources import Container, PriorityResource, Resource, Store
+from repro.sim.resources import PriorityResource, Resource, Store
 from repro.sim.stats import (
     Counter,
     LatencyRecorder,
@@ -48,7 +47,6 @@ __all__ = [
     "Resource",
     "PriorityResource",
     "Store",
-    "Container",
     "ThroughputMeter",
     "LatencyRecorder",
     "TimeWeighted",

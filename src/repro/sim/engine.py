@@ -107,10 +107,10 @@ class Simulator:
         self._now: int = 0
         self._heap: list = []
         self._seq: int = 0
-        #: Optional :class:`repro.obs.Observability` consulted by named
-        #: resources (and any other instrumented component holding a
-        #: reference to this simulator).  ``None`` -- the default --
-        #: keeps every instrumentation site a single attribute check.
+        #: Optional :class:`repro.obs.Observability` consulted by every
+        #: instrumented component holding a reference to this
+        #: simulator.  ``None`` -- the default -- keeps every
+        #: instrumentation site a single attribute check.
         self.obs = None
         #: Free lists recycling the internal fire-and-forget events.
         self._call_pool: list = []

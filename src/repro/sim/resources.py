@@ -1,9 +1,10 @@
-"""Contention primitives: Resource, PriorityResource, Store, Container.
+"""Contention primitives for simulator processes: Resource,
+PriorityResource, Store.
 
-These model the shared hardware in the system: a flash plane is a
-``Resource(capacity=1)``, a channel bus is a ``Resource(1)`` held for the
-transfer duration, a DRAM write buffer is a ``Container`` of bytes, and
-request queues are ``Store``\\ s.
+A ``Resource(capacity=1)`` is a lock a process holds for a duration, a
+``Store`` a queue between processes.  The timed device models do not
+use them for flash ops, link DMAs or controller queues -- those are
+reservation timelines (:mod:`repro.sim.timeline`).
 """
 
 from __future__ import annotations
@@ -30,15 +31,11 @@ class Request(Event):
         # released on exit
     """
 
-    __slots__ = ("resource", "queued_at", "granted_at")
+    __slots__ = ("resource",)
 
     def __init__(self, sim, resource: "Resource"):
         super().__init__(sim)
         self.resource = resource
-        #: Timestamps for tracing: when the request was queued (only
-        #: recorded while tracing is enabled) and when it was granted.
-        self.queued_at: Optional[int] = None
-        self.granted_at: Optional[int] = None
 
     def __enter__(self) -> "Request":
         return self
@@ -48,21 +45,13 @@ class Request(Event):
 
 
 class Resource:
-    """A FIFO resource with ``capacity`` identical slots.
+    """A FIFO resource with ``capacity`` identical slots."""
 
-    A non-empty ``name`` opts the resource into tracing: when the
-    simulator carries an attached :class:`repro.obs.Observability` with
-    tracing enabled, every completed hold emits a span on the track
-    named after the resource (acquire -> release, with the queue wait
-    recorded as a span argument).
-    """
-
-    def __init__(self, sim: "Simulator", capacity: int = 1, name: str = ""):
+    def __init__(self, sim: "Simulator", capacity: int = 1):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.sim = sim
         self.capacity = capacity
-        self.name = name
         self._users: set = set()
         self._waiting: deque = deque()
 
@@ -79,8 +68,6 @@ class Resource:
     def request(self) -> Request:
         """Ask for a slot; the returned event fires when it is granted."""
         req = Request(self.sim, self)
-        if self.name and self.sim.obs is not None:
-            req.queued_at = self.sim.now
         self._waiting.append(req)
         self._grant()
         return req
@@ -89,8 +76,6 @@ class Resource:
         """Return a slot (or cancel a not-yet-granted request)."""
         if request in self._users:
             self._users.discard(request)
-            if self.name:
-                self._trace_release(request)
             self._grant()
         else:
             try:
@@ -98,24 +83,10 @@ class Resource:
             except ValueError:
                 pass
 
-    def _trace_release(self, request: Request) -> None:
-        """Emit a hold span for a just-released granted request."""
-        obs = self.sim.obs
-        if obs is None or not obs.trace.enabled:
-            return
-        start = request.granted_at
-        if start is None:  # granted before tracing was attached
-            return
-        args = {}
-        if request.queued_at is not None:
-            args["wait_ns"] = start - request.queued_at
-        obs.trace.span(self.name, "hold", start, self.sim.now, **args)
-
     def _grant(self) -> None:
         while self._waiting and len(self._users) < self.capacity:
             req = self._waiting.popleft()
             self._users.add(req)
-            req.granted_at = self.sim.now
             req.succeed(req)
 
     def acquire(self, hold_ns: int):
@@ -145,8 +116,8 @@ class PriorityRequest(Request):
 class PriorityResource(Resource):
     """A resource whose wait queue is ordered by request priority."""
 
-    def __init__(self, sim: "Simulator", capacity: int = 1, name: str = ""):
-        super().__init__(sim, capacity, name)
+    def __init__(self, sim: "Simulator", capacity: int = 1):
+        super().__init__(sim, capacity)
         self._waiting: list = []
         self._order = 0
 
@@ -154,8 +125,6 @@ class PriorityResource(Resource):
         """Ask for a slot; the returned event fires when granted."""
         self._order += 1
         req = PriorityRequest(self.sim, self, priority, self._order)
-        if self.name and self.sim.obs is not None:
-            req.queued_at = self.sim.now
         heapq.heappush(self._waiting, (req._key(), req))
         self._grant()
         return req
@@ -164,8 +133,6 @@ class PriorityResource(Resource):
         """Return a held slot (or cancel a queued request)."""
         if request in self._users:
             self._users.discard(request)
-            if self.name:
-                self._trace_release(request)
             self._grant()
         else:
             self._waiting = [
@@ -177,7 +144,6 @@ class PriorityResource(Resource):
         while self._waiting and len(self._users) < self.capacity:
             _, req = heapq.heappop(self._waiting)
             self._users.add(req)
-            req.granted_at = self.sim.now
             req.succeed(req)
 
 
@@ -225,68 +191,3 @@ class Store:
                 event = self._getters.popleft()
                 event.succeed(self.items.popleft())
                 progress = True
-
-
-class Container:
-    """A continuous quantity (e.g. bytes in a DRAM buffer).
-
-    ``put`` blocks while the container would overflow; ``get`` blocks
-    until the requested amount is available.
-    """
-
-    def __init__(self, sim: "Simulator", capacity: float, init: float = 0):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be > 0, got {capacity}")
-        if not 0 <= init <= capacity:
-            raise ValueError(f"init {init} outside [0, {capacity}]")
-        self.sim = sim
-        self.capacity = capacity
-        self._level = init
-        self._putters: deque = deque()
-        self._getters: deque = deque()
-
-    @property
-    def level(self) -> float:
-        """Current contents."""
-        return self._level
-
-    def put(self, amount: float) -> Event:
-        """Insert; the returned event fires once accepted."""
-        if amount < 0:
-            raise ValueError(f"cannot put a negative amount {amount}")
-        if amount > self.capacity:
-            raise ValueError(f"put {amount} exceeds capacity {self.capacity}")
-        event = Event(self.sim)
-        self._putters.append((event, amount))
-        self._settle()
-        return event
-
-    def get(self, amount: float) -> Event:
-        """Remove/fetch; the returned event fires with the result."""
-        if amount < 0:
-            raise ValueError(f"cannot get a negative amount {amount}")
-        if amount > self.capacity:
-            raise ValueError(f"get {amount} exceeds capacity {self.capacity}")
-        event = Event(self.sim)
-        self._getters.append((event, amount))
-        self._settle()
-        return event
-
-    def _settle(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._putters:
-                event, amount = self._putters[0]
-                if self._level + amount <= self.capacity:
-                    self._putters.popleft()
-                    self._level += amount
-                    event.succeed()
-                    progress = True
-            if self._getters:
-                event, amount = self._getters[0]
-                if self._level >= amount:
-                    self._getters.popleft()
-                    self._level -= amount
-                    event.succeed()
-                    progress = True

@@ -10,11 +10,13 @@ reservations are now the only scheduler; these tests replay the same
 scenarios and compare with ``==`` (see ``tests/channel/golden.py``).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.channel.engine import build_engines
-from repro.devices import build_device
+from repro.devices import HUAWEI_GEN3_SPEC, INTEL_320_SPEC, build_device
 from repro.faults import FaultPlan, attach_device_faults
 from repro.ftl.ops import FlashOp, OpKind
 from repro.interfaces.link import LinkDropError
@@ -433,6 +435,176 @@ def test_conventional_writes_byte_identical():
         queue_depth=8,
     )
     check_golden("conventional_writes", conventional_signature(sim, device))
+
+
+def test_conventional_gc_writes_with_blocking_buffer_byte_identical():
+    """The ``conv_gc_write`` regime: a full, GC-primed 8-channel device
+    whose DRAM buffer is smaller than one request, so submitters park
+    on it and are released page by page as the flushers free space."""
+    sim = Simulator()
+    spec = replace(
+        HUAWEI_GEN3_SPEC,
+        n_channels=8,
+        dram_buffer_bytes=MIB // 2,
+        parity_group_size=None,
+    )
+    device = build_device("conventional", sim, spec=spec, capacity_scale=0.006)
+    device.prefill(1.0)
+    rng = np.random.default_rng(11)
+    ftl = device.ftl
+    while max(
+        ftl.free_blocks(channel) for channel in range(spec.n_channels)
+    ) > ftl.gc_free_blocks:
+        ftl.write(int(rng.integers(device.user_pages)), None)
+    gc_runs_before = ftl.gc_runs
+    pages = MIB // device.page_size
+    peak_level = [0]
+
+    def submitter(starts):
+        for start in starts:
+            yield from device.write(start, pages)
+            peak_level[0] = max(peak_level[0], device.buffer_level)
+
+    submitters = [
+        sim.process(
+            submitter(
+                [int(rng.integers(device.user_pages - pages)) for _ in range(6)]
+            )
+        )
+        for _ in range(2)
+    ]
+    sim.run(until=sim.all_of(submitters))
+    sim.run(until=sim.process(device.drain()))
+    assert peak_level[0] == spec.dram_buffer_bytes  # submitters did block
+    assert ftl.gc_runs > gc_runs_before
+    assert device.buffer_level == 0
+    check_golden(
+        "conventional_gc_writes_blocking_buffer",
+        conventional_signature(sim, device),
+    )
+
+
+def test_conventional_unbuffered_parity_writes_byte_identical():
+    """No DRAM buffer: each page's program (plus the parity program it
+    triggers on another channel) completes before the next page's DMA."""
+    sim = Simulator()
+    spec = replace(
+        HUAWEI_GEN3_SPEC,
+        n_channels=8,
+        dram_buffer_bytes=0,
+        parity_group_size=4,
+    )
+    device = build_device("conventional", sim, spec=spec, capacity_scale=0.006)
+    device.prefill(0.5)
+    drive_conventional_writes(
+        sim,
+        device,
+        request_bytes=64 * 1024,
+        duration_ns=10 * MS,
+        queue_depth=4,
+        sequential=False,
+    )
+    assert device.ftl.parity_programs > 0
+    check_golden(
+        "conventional_unbuffered_parity_writes",
+        conventional_signature(sim, device),
+    )
+
+
+def test_mqftl_concurrent_streams_byte_identical():
+    """Per-channel controller queues under concurrency: reads and
+    buffered writes at queue depth 8 on the ``mqftl`` backend."""
+    sim = Simulator()
+    device = build_device("mqftl", sim, capacity_scale=0.01)
+    device.prefill(0.2)
+    drive_conventional_reads(
+        sim,
+        device,
+        request_bytes=64 * 1024,
+        duration_ns=5 * MS,
+        queue_depth=8,
+        rng=np.random.default_rng(2),
+    )
+    drive_conventional_writes(
+        sim,
+        device,
+        request_bytes=128 * 1024,
+        duration_ns=5 * MS,
+        queue_depth=8,
+    )
+    check_golden("mqftl_concurrent_streams", conventional_signature(sim, device))
+
+
+#: Mixed read/write request streams whose recorded schedule hangs on a
+#: same-instant tie for the host-link lane (found by differential
+#: fuzzing against the process-per-page request path):
+#: kind, base spec, channels, parity group, buffer pages, prefill, workers.
+TIE_SCENARIOS = {
+    "sata_shared_lane": ("conventional", INTEL_320_SPEC, 10, None, 16, 0.8, 2),
+    "mqftl_two_writers": ("mqftl", HUAWEI_GEN3_SPEC, 2, 2, 64, 0.3, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIE_SCENARIOS))
+def test_conventional_family_link_lane_ties_byte_identical(name):
+    """A write's next-page DMA and another request's first-page DMA (or,
+    on a half-duplex link, a read page's) can ask for the lane at the
+    same nanosecond; the order the old request processes gave them is
+    part of the recorded schedule."""
+    kind, base, n_channels, parity, buffer_pages, fill, n_workers = (
+        TIE_SCENARIOS[name]
+    )
+    spec = replace(
+        base,
+        n_channels=n_channels,
+        parity_group_size=parity,
+        dram_buffer_bytes=buffer_pages * base.geometry.page_size,
+    )
+    sim = Simulator()
+    device = build_device(kind, sim, spec=spec, capacity_scale=0.004)
+    device.prefill(fill)
+    span = device.user_pages - 64
+
+    def worker(seed):
+        rng = np.random.default_rng(seed)
+        n_pages = int(rng.choice([1, 2, 8, 16]))
+        for _ in range(12):
+            lpn = int(rng.integers(span))
+            if rng.random() < 0.5:
+                yield from device.read(lpn, n_pages)
+            else:
+                yield from device.write(lpn, n_pages)
+
+    # Seeds at which these streams do hit the tie (the digest changes
+    # if the next-page DMA is requested without its hop).
+    workers = [sim.process(worker(10 + index)) for index in range(n_workers)]
+    sim.run(until=sim.all_of(workers))
+    sim.run(until=sim.process(device.drain()))
+    check_golden(
+        f"conventional_link_lane_ties[{name}]",
+        conventional_signature(sim, device),
+    )
+
+
+def test_conventional_unmapped_and_mapped_pages_share_the_read_lane():
+    """Table 4's 8 KiB column: 32 outstanding single-page reads over a
+    device that is 20 % unmapped.  An unmapped page has no flash work,
+    so its DMA is requested the instant its controller cost ends --
+    ahead of a mapped page whose flash read completes at that instant."""
+    sim = Simulator()
+    device = build_device("conventional", sim, capacity_scale=0.002)
+    device.prefill(0.8)
+    drive_conventional_reads(
+        sim,
+        device,
+        request_bytes=8 * 1024,
+        duration_ns=10 * MS,
+        queue_depth=32,
+        rng=np.random.default_rng(2),
+    )
+    check_golden(
+        "conventional_reads_unmapped_ties", conventional_signature(sim, device)
+    )
 
 
 def test_execute_batch_matches_execute_all():

@@ -1,5 +1,7 @@
 """Unit tests for the node storage adapters in isolation."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster import ConventionalNodeStorage, SDFNodeStorage
@@ -16,8 +18,13 @@ def sdf_storage():
 
 
 def conventional_storage():
+    """An 8-channel Gen3 (6 data + 2 parity): the adapter's extent
+    bookkeeping is what these tests exercise, and filling every extent
+    of the 44-channel board costs ~490k simulated page writes."""
     sim = Simulator()
-    device = build_device("conventional", sim, spec=HUAWEI_GEN3_SPEC, capacity_scale=0.008, store_data=True
+    spec = replace(HUAWEI_GEN3_SPEC, n_channels=8, parity_group_size=4)
+    device = build_device(
+        "conventional", sim, spec=spec, capacity_scale=0.008, store_data=True
     )
     return ConventionalNodeStorage(device), sim
 

@@ -11,9 +11,11 @@ epsilon; these tests pin its behaviour and the prefill round-trips that
 exposed the bug.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.devices import build_device
+from repro.devices import HUAWEI_GEN3_SPEC, build_device
 from repro.nand.geometry import FlashGeometry, scaled_count
 from repro.sim import Simulator
 
@@ -98,14 +100,17 @@ class TestPrefillRoundTrip:
         """The original failure mode: a capacity factor whose float
         product truncates low made ``user_pages`` disagree with what
         prefill could actually write."""
+        # 8 of the Gen3's 44 channels (6 data + 2 parity): the extent
+        # math is per channel, the prefill cost is per page.
+        spec = replace(HUAWEI_GEN3_SPEC, n_channels=8, parity_group_size=4)
         for factor in (0.007, 0.009, 0.011, 0.013, 0.021):
             device = build_device(
-                "conventional", Simulator(), capacity_scale=factor
+                "conventional", Simulator(), spec=spec, capacity_scale=factor
             )
             assert device.prefill(1.0) == device.user_pages
             # And the half-fill is the floor of the same product.
             device2 = build_device(
-                "conventional", Simulator(), capacity_scale=factor
+                "conventional", Simulator(), spec=spec, capacity_scale=factor
             )
             assert device2.prefill(0.5) == scaled_count(
                 device2.user_pages * 0.5

@@ -1,5 +1,7 @@
 """Unit/integration tests for the conventional-SSD baseline."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.devices import (
@@ -8,6 +10,8 @@ from repro.devices import (
     HUAWEI_GEN3_SPEC,
     INTEL_320_SPEC,
 )
+from repro.faults import FaultPlan, attach_device_faults
+from repro.interfaces.link import LinkDropError
 from repro.sim import MS, Simulator, US
 from repro.sim.units import mb_per_s
 
@@ -64,8 +68,6 @@ def test_buffered_write_completes_fast_when_buffer_empty():
 def test_unbuffered_write_waits_for_flash():
     sim = Simulator()
     spec = HUAWEI_GEN3_SPEC.scaled(SCALE)
-    from dataclasses import replace
-
     device = ConventionalSSD(sim, replace(spec, dram_buffer_bytes=0))
 
     def scenario():
@@ -100,8 +102,6 @@ def test_read_envelope_matches_table4_calibration():
 def test_gc_interference_creates_write_latency_variance():
     """On a nearly-full device, sustained writes hit GC and the
     (unbuffered) write latency spread widens -- Figure 8's mechanism."""
-    from dataclasses import replace
-
     sim = Simulator()
     spec = replace(
         HUAWEI_GEN3_SPEC.scaled(0.004),
@@ -192,3 +192,116 @@ def test_validation():
         sim.run(until=sim.process(bad_read()))
     with pytest.raises(ValueError):
         device.prefill(-0.1)
+
+
+# -- dropped link transfers (the callback chain's fault contract) ---------------------
+
+
+def drop_link_transfer(device, at_op):
+    """Drop the ``at_op``-th page DMA submitted to ``device``'s link."""
+    plan = FaultPlan(seed=0)
+    plan.add("link", "drop", at_op=at_op)
+    attach_device_faults(plan, device)
+    return plan
+
+
+def run_dropped_request(sim, device, request, follow_up):
+    """Drive ``request()`` (expected to lose a DMA) then ``follow_up()``
+    from one caller; returns how often the caller saw the drop."""
+    seen = []
+
+    def caller():
+        try:
+            yield from request()
+        except LinkDropError as exc:
+            seen.append(exc)
+        yield from device.drain()
+        return (yield from follow_up())
+
+    result = sim.run(until=sim.process(caller()))
+    sim.run()  # the failed request's surviving pages finish; nothing escapes
+    assert len(seen) == 1
+    assert device.buffer_level == 0
+    assert not device._pending_pages
+    return result
+
+
+def test_failed_read_does_not_leak_open_reads():
+    """A read that loses a page DMA must leave the congestion counter
+    where it found it (it used to stay incremented forever)."""
+    sim = Simulator()
+    device = gen3(sim)
+    device.prefill(0.2)
+    drop_link_transfer(device, at_op=2)
+    run_dropped_request(
+        sim, device, lambda: device.read(0, 4), lambda: device.read(8, 4)
+    )
+    assert device._open_reads == 0
+    assert len(device.stats.read_latency) == 1  # only the follow-up completed
+
+
+def test_dropped_read_page_fails_only_its_request():
+    sim = Simulator()
+    device = gen3(sim, store_data=True)
+    drop_link_transfer(device, at_op=4)  # 2 write DMAs, then the read's 2nd
+
+    def request():
+        yield from device.write(0, 2, data="kept")
+        yield from device.drain()
+        yield from device.read(0, 4)
+
+    data = run_dropped_request(sim, device, request, lambda: device.read(0, 2))
+    assert data == ["kept", "kept"]
+    # The failed read's three surviving pages still crossed the link.
+    assert len(device.link.read_meter.samples) == 3 + 2
+
+
+def test_dropped_dma_fails_a_buffered_write_and_the_buffer_still_drains():
+    sim = Simulator()
+    device = gen3(sim, store_data=True)
+    drop_link_transfer(device, at_op=3)
+    data = run_dropped_request(
+        sim,
+        device,
+        lambda: device.write(0, 8, data="lost"),
+        lambda: device.read(0, 3),
+    )
+    # Pages 0-1 were buffered before the drop and reached flash.
+    assert data == ["lost", "lost", None]
+    assert device.ftl.user_programs == 2
+    assert len(device.stats.write_latency) == 0
+
+
+def test_dropped_dma_fails_a_parked_writer_without_breaking_the_flusher():
+    """The drop hits a writer whose continuation runs inside a flusher's
+    completion callback (one-page buffer: every page parks)."""
+    sim = Simulator()
+    spec = replace(
+        HUAWEI_GEN3_SPEC.scaled(SCALE),
+        dram_buffer_bytes=HUAWEI_GEN3_SPEC.geometry.page_size,
+    )
+    device = ConventionalSSD(sim, spec)
+    drop_link_transfer(device, at_op=4)
+    run_dropped_request(
+        sim, device, lambda: device.write(0, 8), lambda: device.write(64, 8)
+    )
+    assert device.ftl.user_programs == 3 + 8
+    assert len(device.stats.write_latency) == 1
+
+
+def test_dropped_dma_fails_an_unbuffered_write():
+    sim = Simulator()
+    spec = replace(HUAWEI_GEN3_SPEC.scaled(SCALE), dram_buffer_bytes=0)
+    device = ConventionalSSD(sim, spec)
+    drop_link_transfer(device, at_op=3)
+    run_dropped_request(
+        sim, device, lambda: device.write(0, 4), lambda: device.write(8, 4)
+    )
+    assert device.ftl.user_programs == 2 + 4
+    assert len(device.stats.write_latency) == 1
+
+
+def test_buffer_smaller_than_a_page_is_rejected():
+    spec = replace(HUAWEI_GEN3_SPEC.scaled(SCALE), dram_buffer_bytes=4096)
+    with pytest.raises(ValueError, match="cannot hold one flash page"):
+        ConventionalSSD(Simulator(), spec)

@@ -189,11 +189,12 @@ def test_same_seed_runs_are_byte_identical(kind):
     assert _exercise(kind, seed=3) == _exercise(kind, seed=3)
 
 
-@pytest.mark.parametrize("kind", ("sdf", "zoned"))
+@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_generator_and_timeline_modes_agree(kind):
-    """The kinds that ran whole requests on either scheduler must still
-    tell the story both told at the recording commit (see
-    ``tests/channel/golden.py``)."""
+    """Every kind must still tell the story recorded for it (see
+    ``tests/channel/golden.py``): ``sdf``/``zoned`` at the commit where
+    both schedulers agreed, the conventional family at the last commit
+    whose request level was simulator processes."""
     check_golden(f"device_zoo[{kind}]", _exercise(kind, seed=5))
 
 

@@ -1,8 +1,8 @@
-"""Unit tests for Resource / PriorityResource / Store / Container."""
+"""Unit tests for Resource / PriorityResource / Store."""
 
 import pytest
 
-from repro.sim import Container, PriorityResource, Resource, Simulator, Store
+from repro.sim import PriorityResource, Resource, Simulator, Store
 
 
 def test_resource_serializes_holders():
@@ -206,60 +206,3 @@ def test_store_invalid_capacity():
     sim = Simulator()
     with pytest.raises(ValueError):
         Store(sim, capacity=0)
-
-
-def test_container_levels_and_blocking():
-    sim = Simulator()
-    tank = Container(sim, capacity=100, init=0)
-    log = []
-
-    def filler():
-        yield tank.put(60)
-        log.append(("filled-60", sim.now, tank.level))
-        yield sim.timeout(10)
-        yield tank.put(60)  # would overflow: waits for the drain
-        log.append(("filled-120", sim.now, tank.level))
-
-    def drainer():
-        yield sim.timeout(25)
-        yield tank.get(40)
-        log.append(("drained-40", sim.now))
-
-    sim.process(filler())
-    sim.process(drainer())
-    sim.run()
-    assert log[0] == ("filled-60", 0, 60)
-    assert log[1] == ("drained-40", 25)
-    assert log[2] == ("filled-120", 25, 80)
-
-
-def test_container_get_blocks_until_available():
-    sim = Simulator()
-    tank = Container(sim, capacity=10, init=0)
-    done = []
-
-    def getter():
-        yield tank.get(5)
-        done.append(sim.now)
-
-    def putter():
-        yield sim.timeout(7)
-        yield tank.put(5)
-
-    sim.process(getter())
-    sim.process(putter())
-    sim.run()
-    assert done == [7]
-
-
-def test_container_validation():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Container(sim, capacity=0)
-    with pytest.raises(ValueError):
-        Container(sim, capacity=10, init=11)
-    tank = Container(sim, capacity=10)
-    with pytest.raises(ValueError):
-        tank.put(-1)
-    with pytest.raises(ValueError):
-        tank.get(11)
