@@ -3,21 +3,28 @@
 The bus and every (chip, plane) are capacity-1 FIFO (or priority)
 resources whose grant/end instants are computed analytically against
 per-resource :class:`~repro.sim.timeline.ResourceTimeline` objects;
-each op schedules one phase-boundary callback per phase plus one
-completion event per op (or per batch).  See DESIGN.md "Scheduling".
+an op reserves each phase at the instant it requests it -- one end
+event per phase, whose callback requests the next -- and completes in
+the last phase's callback (a batch through one shared countdown).  A
+streamed PROGRAM whose link DMA end is already known reserves both its
+phases *ahead* (:meth:`ChannelEngine.program_ahead`) and costs one
+event; such reservations are revoked and remade when anything else
+reaches the bus or the plane before their request instants.  See
+DESIGN.md "Scheduling".
 """
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappush
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.channel import vector
 from repro.faults.injector import NULL_INJECTOR, STALL
 from repro.ftl.ops import FlashOp, OpKind
 from repro.nand.geometry import FlashGeometry
 from repro.nand.timing import NandTiming
-from repro.sim import AllOf, Event, Simulator
+from repro.sim import Event, Simulator
 from repro.sim.engine import _PhaseEnd
 from repro.sim.stats import Counter
 from repro.sim.timeline import BusyUnion, PriorityTimeline, ResourceTimeline
@@ -55,6 +62,53 @@ class _BusyCounterView:
 
     def __repr__(self):
         return f"Counter({self.name!r}, value={self.value})"
+
+
+def _revoked():
+    """What a heap-resident end event runs once its reservation has
+    been revoked."""
+
+
+class _AheadProgram:
+    """One PROGRAM reserved by :meth:`ChannelEngine.program_ahead`.
+
+    ``bus_req`` (the page's link DMA end) and ``plane_req`` (its bus
+    end) are the instants the per-phase path would have reserved the
+    bus and the plane at; until they pass, the reservation can be
+    revoked (``ChannelEngine._revoke``) and everything below
+    ``bus_ns`` rewritten by ``ChannelEngine._reserve_ahead``.
+    """
+
+    __slots__ = (
+        "engine", "then", "plane", "bus_req", "bus_ns",
+        "bus_grant", "plane_req", "plane_grant",
+        "bus_undo", "plane_undo", "event", "bus_counted",
+    )
+
+    def __init__(self, engine, then, plane, bus_req, bus_ns):
+        self.engine = engine
+        self.then = then
+        self.plane = plane
+        self.bus_req = bus_req
+        self.bus_ns = bus_ns
+        #: True once the bus interval is in the engine's busy union
+        #: (a busy read between ``bus_req`` and ``plane_req``).
+        self.bus_counted = False
+
+    def done(self) -> None:
+        """The program's end instant: what ``program_done`` does on the
+        per-phase path."""
+        engine = self.engine
+        engine.ops_executed.value += 1
+        engine.wait_ns.value += (
+            (self.bus_grant - self.bus_req) + (self.plane_grant - self.plane_req)
+        )
+        then = self.then
+        if then is not None:
+            # This entry may sit in ``_ahead`` until the engine is next
+            # used; it must not keep the finished request alive.
+            self.then = None
+            then()
 
 
 class ChannelEngine:
@@ -110,6 +164,11 @@ class ChannelEngine:
         }
         self._ops_track = f"ch{channel}/ops"
         self._busy_union = BusyUnion()
+        #: PROGRAMs reserved ahead whose plane request instant may still
+        #: be in the future, oldest first.  Bus and plane request
+        #: instants both rise along it: the link lane that hands out the
+        #: first and the bus that hands out the second are FIFO.
+        self._ahead: Deque[_AheadProgram] = deque()
         #: With equal priorities a priority queue degenerates to FIFO,
         #: so the plain FIFO timelines apply; non-uniform priorities
         #: route to the PriorityTimeline twins instead.
@@ -194,6 +253,8 @@ class ChannelEngine:
         now = self.sim.now if now_ns is None else now_ns
         if now <= 0:
             return 0.0
+        if self._ahead:
+            self._count_ahead()
         return self._busy_union.busy_through(now) / now
 
     @property
@@ -212,6 +273,8 @@ class ChannelEngine:
         in-service counter excludes in-flight service.
         """
         now = self.sim.now if now_ns is None else now_ns
+        if self._ahead:
+            self._count_ahead()
         return self._busy_union.closed_through(now)
 
     # -- plain analytic path -------------------------------------------------------
@@ -228,6 +291,7 @@ class ChannelEngine:
         # call site and the extra frames are measurable.
         sim = self.sim
         now = sim._now
+        revoked = self._ahead and self._revoke(timeline)
         free = timeline.free_at
         grant = free if free > now else now
         end = grant + duration_ns
@@ -259,6 +323,8 @@ class ChannelEngine:
         self._busy_union._raw.append([grant, end])
         if self._obs is not None:
             self._depth_track(now, grant)
+        if revoked:
+            self._reserve_again(revoked, timeline)
         return grant, end
 
     def _depth_track(self, request_ns: int, grant_ns: int) -> None:
@@ -280,6 +346,171 @@ class ChannelEngine:
             depth.shift(request_ns, -1)
         else:
             depth.shift_at(grant_ns, -1)
+
+    # -- PROGRAMs reserved ahead of their request instants -------------------------
+    def can_reserve_ahead(self) -> bool:
+        """True when nothing attached needs an op's per-phase hops: the
+        plain variant, no engine observability (queue depth is tracked
+        per phase), no wired fault injector (a STALL is drawn at the
+        op's start instant).  The closed-form ERASE batch and
+        :meth:`program_ahead` both require it."""
+        plain = self._plain
+        if plain is None:
+            plain = self._choose_plain()
+        return plain and self._obs is None and self.faults is NULL_INJECTOR
+
+    def program_ahead(self, op: FlashOp, request_ns: int, then=None) -> None:
+        """Reserve now a PROGRAM that will reach the channel at
+        ``request_ns`` -- the already-known end of its link DMA --
+        with one event, the program's end; ``then()`` runs there.
+
+        Equivalent to ``execute_fast(op, then)`` called at
+        ``request_ns``: the bus is reserved with that request instant
+        and the plane with the bus end as its request instant, and any
+        reservation that reaches either before those instants revokes
+        this one, goes first, and has it made again (:meth:`_revoke`).
+        One made *at* such an instant goes after.  Callers check
+        :meth:`can_reserve_ahead` first and pass request instants that
+        never decrease (ends on one FIFO link lane do not).
+        """
+        now = self.sim._now
+        ahead = self._ahead
+        if ahead and ahead[0].plane_req <= now:
+            self._retire()
+        if op.kind is not OpKind.PROGRAM:
+            raise ValueError(f"only a PROGRAM is reserved ahead, not {op.kind}")
+        if request_ns <= now or (ahead and request_ns < ahead[-1].bus_req):
+            raise ValueError(
+                f"request instant {request_ns} is not ahead of now and of "
+                "every earlier reservation"
+            )
+        cache = self._bus_ns_cache
+        bus_ns = cache.get(op.nbytes)
+        if bus_ns is None:
+            bus_ns = cache[op.nbytes] = self.timing.bus_transfer_ns(op.nbytes)
+        entry = _AheadProgram(
+            self,
+            then,
+            self._tl_planes[(op.address.chip, op.address.plane)],
+            request_ns,
+            bus_ns,
+        )
+        self._reserve_ahead(entry, True)
+        ahead.append(entry)
+
+    def _reserve_ahead(self, entry: _AheadProgram, from_bus: bool) -> None:
+        """Reserve ``entry``'s bus phase (``from_bus``) and plane phase,
+        remembering what each timeline held before."""
+        if from_bus:
+            bus = self._tl_bus
+            free = bus.free_at
+            entry.bus_undo = (free, bus._tail_hooks)
+            request = entry.bus_req
+            grant = entry.bus_grant = free if free > request else request
+            request = entry.plane_req = bus.free_at = grant + entry.bus_ns
+            # No bus end event: a phase queuing behind this one relays
+            # at its grant.
+            bus._tail_hooks = None
+        else:
+            request = entry.plane_req
+        plane = entry.plane
+        free = plane.free_at
+        tail = plane._tail_hooks
+        entry.plane_undo = (free, tail)
+        hooks = []
+        duration = self.timing.t_prog_ns
+        if free > request and tail is not None:
+            # Queued behind a reservation with an end event: chain off
+            # it, as ``_phase_fast`` does at the request instant.
+            grant = free
+            tail.append((entry.done, hooks, duration))
+            entry.event = None
+        else:
+            grant = free if free > request else request
+            sim = self.sim
+            event = entry.event = sim._phase_event(entry.done, hooks)
+            sim._seq += 1
+            heappush(sim._heap, (grant + duration, sim._seq, event))
+        entry.plane_grant = grant
+        plane.free_at = grant + duration
+        plane._tail_hooks = hooks
+
+    def _retire(self) -> None:
+        """Drop the reservations nothing can precede any more (plane
+        request instant reached) into the busy union."""
+        now = self.sim._now
+        ahead = self._ahead
+        raw = self._busy_union._raw
+        duration = self.timing.t_prog_ns
+        while ahead and ahead[0].plane_req <= now:
+            entry = ahead.popleft()
+            # The saved plane tail holds this entry's own hook: a cycle.
+            entry.plane_undo = None
+            if not entry.bus_counted:
+                raw.append([entry.bus_grant, entry.plane_req])
+            grant = entry.plane_grant
+            raw.append([grant, grant + duration])
+
+    def _count_ahead(self) -> None:
+        """Before a busy-time read: every service interval whose request
+        instant has been reached -- what the per-phase path would have
+        recorded by now -- goes into the busy union."""
+        self._retire()
+        now = self.sim._now
+        raw = self._busy_union._raw
+        for entry in self._ahead:
+            if entry.bus_req > now:
+                break
+            if not entry.bus_counted:
+                entry.bus_counted = True
+                raw.append([entry.bus_grant, entry.plane_req])
+
+    def _revoke(self, timeline: ResourceTimeline) -> List[_AheadProgram]:
+        """Undo, newest first, the ahead reservations that a reservation
+        made now on ``timeline`` must precede; returns them oldest
+        first for :meth:`_reserve_again`.
+
+        On a plane those are its own programs still short of their
+        plane request instant.  On the bus they are the programs still
+        short of their bus request instant, with their plane phases:
+        the bus end they request the plane at is about to move.  (No
+        other program on those planes is newer and left standing --
+        request instants rise along ``_ahead``.)
+        """
+        self._retire()
+        now = self.sim._now
+        on_bus = timeline is self._tl_bus
+        revoked = []
+        for entry in reversed(self._ahead):
+            if on_bus:
+                if entry.bus_req <= now:
+                    break
+            elif entry.plane is not timeline:
+                continue
+            revoked.append(entry)
+            plane = entry.plane
+            plane.free_at, tail = entry.plane_undo
+            plane._tail_hooks = tail
+            event = entry.event
+            if event is None:
+                # Chained: the newest item of its predecessor's hooks.
+                tail.pop()
+            else:
+                event._fn = _revoked
+                event._hooks = None
+        if on_bus and revoked:
+            timeline.free_at, timeline._tail_hooks = revoked[-1].bus_undo
+        revoked.reverse()
+        return revoked
+
+    def _reserve_again(
+        self, revoked: List[_AheadProgram], timeline: ResourceTimeline
+    ) -> None:
+        """Remake what :meth:`_revoke` undid, behind the reservation
+        just made on ``timeline``."""
+        from_bus = timeline is self._tl_bus
+        for entry in revoked:
+            self._reserve_ahead(entry, from_bus)
 
     def execute_fast(self, op: FlashOp, then=None) -> None:
         """Schedule one op on the reservation timelines.
@@ -433,10 +664,13 @@ class ChannelEngine:
                         obs.trace.span(track, "hold", grant, sim._now)
                 done(grant - request)
 
+            revoked = self._ahead and self._revoke(timeline)
             grant, end = timeline.reserve_and_call(sim, duration_ns, ended)
             self._busy_union._raw.append([grant, end])
             if self._obs is not None:
                 self._depth_track(request, grant)
+            if revoked:
+                self._reserve_again(revoked, timeline)
             return
         track = self._track_bus if key is None else self._track_planes[key]
 
@@ -554,22 +788,9 @@ class ChannelEngine:
         yield done
 
     # -- batch helpers ----------------------------------------------------------------
-    def execute_all(self, ops: Iterable[FlashOp]):
-        """Generator: run ops concurrently, finish when all complete.
-
-        Plane and bus resources serialize exactly where the hardware
-        would; everything else overlaps.
-        """
-        # Pre-materialize: a generator argument would be consumed while
-        # scheduling, leaving a retry/re-submission silently empty.
-        ops = list(ops)
-        processes = [self.sim.process(self.execute(op)) for op in ops]
-        if processes:
-            yield AllOf(self.sim, processes)
-
     def execute_batch(self, ops: Iterable[FlashOp]):
         """Generator form of :meth:`execute_batch_call`: ONE completion
-        event, same instant and counters as :meth:`execute_all`."""
+        event, at the instant the last op completes."""
         ops = list(ops)
         if not ops:
             return
@@ -582,19 +803,11 @@ class ChannelEngine:
         the last op's completion instant.  Each op costs a
         phase-boundary callback per phase on the reservation timelines
         and the whole batch completes through one shared countdown."""
-        plain = self._plain
-        if plain is None:
-            plain = self._choose_plain()
         if len(ops) >= 8:
             # Batch-warm the memoized bus-cost table with one numpy
             # pass (observationally neutral cache fill).
             vector.prefill_bus_costs(self.timing, self._bus_ns_cache, ops)
-        if (
-            plain
-            and self._obs is None
-            and self.faults is NULL_INJECTOR
-            and vector.erase_batch_ready(ops)
-        ):
+        if self.can_reserve_ahead() and vector.erase_batch_ready(ops):
             # All-ERASE batch with nothing observing mid-batch: compute
             # every grant/end in closed form (numpy cumsum per plane)
             # and schedule one shared countdown instead of per-op
@@ -615,11 +828,6 @@ class ChannelEngine:
                     f"{self.channel}"
                 )
             self.execute_fast(op, one_done)
-
-    def execute_sequential(self, ops: Iterable[FlashOp]):
-        """Generator: run ops strictly one after another."""
-        for op in ops:
-            yield from self.execute(op)
 
 
 def build_engines(

@@ -131,6 +131,9 @@ def schedule_erase_batch(engine, ops, done) -> None:
     total_wait = 0
     for key, count in groups.items():
         timeline = engine._tl_planes[key]
+        # Programs reserved ahead on this plane and not yet requesting
+        # it go behind the erases.
+        revoked = engine._ahead and engine._revoke(timeline)
         tail = timeline._tail_hooks
         grants, ends = timeline.reserve_bulk(now, duration, count)
         total_wait += int(grants.sum()) - now * count
@@ -156,6 +159,8 @@ def schedule_erase_batch(engine, ops, done) -> None:
             hooks.append((tick, successor, duration))
             hooks = successor
         timeline._tail_hooks = hooks
+        if revoked:
+            engine._reserve_again(revoked, timeline)
 
     # Closed-form counters: identical totals to the per-op path's
     # end-instant updates (ERASE wait is grant - submission), summed.

@@ -152,6 +152,18 @@ class SDFChannelDevice:
         state = {"remaining": n_ops, "next": self.WRITE_WINDOW_PAGES}
 
         def start_page(op):
+            # Asking the shared link for the DMA is the one step that
+            # must happen at this instant.  When the DMA's end is known
+            # at once and nothing watches the channel phase by phase,
+            # the bus and the program are reserved from here too and the
+            # page costs one event (its program end), not three.
+            if engine.can_reserve_ahead():
+                dma_end = link.reserve_ahead("write", page_size)
+                if dma_end is not None:
+                    meter.record(dma_end, page_size)
+                    engine.program_ahead(op, dma_end, programmed)
+                    return
+
             def to_flash():
                 # DMA landed in the staging buffer; contend for the
                 # channel (bus then plane program).

@@ -127,17 +127,32 @@ class ChannelBlockFTL:
         physical = list(self._allocate_group())
         self.mapping.map(logical_block, tuple(physical))
         geo = self.array.geometry
+        page_size = geo.page_size
+        pages_per_block = geo.pages_per_block
+        channel = self.channel
+        # Per plane, what every one of its pages shares.
+        planes = []
+        for index in range(self.n_planes):
+            chip, plane = self._chip_plane(index)
+            planes.append(
+                (
+                    index * pages_per_block,
+                    chip,
+                    plane,
+                    self.array.chip_at(channel, chip),
+                )
+            )
         ops: List[FlashOp] = []
         # Program in plane-interleaved order (page 0 of every plane, then
         # page 1, ...) so the shared channel bus feeds all four planes
         # from the start -- the stripe layout itself is unchanged.
-        for page in range(geo.pages_per_block):
-            for plane_index in range(self.n_planes):
-                index = plane_index * geo.pages_per_block + page
-                payload = pages[index]
-                addr = self._address(plane_index, physical[plane_index], page)
+        for page in range(pages_per_block):
+            for plane_index, (base, chip, plane, flash) in enumerate(planes):
+                payload = pages[base + page]
                 try:
-                    self.array.program_page(addr, payload)
+                    flash.program_page(
+                        plane, physical[plane_index], page, payload
+                    )
                 except ProgramFailError:
                     ops.extend(
                         self._remap_program_failure(
@@ -147,10 +162,18 @@ class ChannelBlockFTL:
                     # Retry the failed page on the replacement block; a
                     # second verify failure on a fresh block is beyond the
                     # recovery model and propagates.
-                    addr = self._address(plane_index, physical[plane_index], page)
-                    self.array.program_page(addr, payload)
+                    flash.program_page(
+                        plane, physical[plane_index], page, payload
+                    )
                 self.host_programs += 1
-                ops.append(program_op(addr, geo.page_size))
+                ops.append(
+                    program_op(
+                        PhysicalAddress(
+                            channel, chip, plane, physical[plane_index], page
+                        ),
+                        page_size,
+                    )
+                )
         return ops
 
     def _remap_program_failure(
@@ -213,15 +236,30 @@ class ChannelBlockFTL:
         if physical is None:
             return [None] * n_pages, []
         geo = self.array.geometry
+        page_size = geo.page_size
+        pages_per_block = geo.pages_per_block
+        channel = self.channel
         payloads: List = []
         ops: List[FlashOp] = []
-        for index in range(page_offset, page_offset + n_pages):
-            plane_index = index // geo.pages_per_block
-            page = index % geo.pages_per_block
-            addr = self._address(plane_index, physical[plane_index], page)
-            payloads.append(self.array.read_page(addr))
-            self.host_reads += 1
-            ops.append(read_op(addr, geo.page_size))
+        index = page_offset
+        end = page_offset + n_pages
+        while index < end:
+            # One plane's share of the range at a time.
+            plane_index, first = divmod(index, pages_per_block)
+            count = min(pages_per_block - first, end - index)
+            index += count
+            chip, plane = self._chip_plane(plane_index)
+            flash = self.array.chip_at(channel, chip)
+            block = physical[plane_index]
+            for page in range(first, first + count):
+                payloads.append(flash.read_page(plane, block, page))
+                self.host_reads += 1
+                ops.append(
+                    read_op(
+                        PhysicalAddress(channel, chip, plane, block, page),
+                        page_size,
+                    )
+                )
         return payloads, ops
 
     def erase(self, logical_block: int) -> List[FlashOp]:

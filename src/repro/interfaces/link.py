@@ -12,6 +12,7 @@ frames do.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.faults.errors import TransientFault
 from repro.faults.injector import DELAY, DROP, NULL_INJECTOR
@@ -113,11 +114,37 @@ class HostLink:
                 return
         self._reserve_chunks(direction, nbytes, fn)
 
-    def _reserve_chunks(self, direction: str, nbytes: int, fn) -> None:
-        """One lane reservation per ``chunk_bytes`` chunk, each made at
-        its predecessor's end instant so concurrent transfers interleave
-        FIFO chunk by chunk."""
-        sim = self.sim
+    def reserve_ahead(self, direction: str, nbytes: int) -> Optional[int]:
+        """Reserve the lane for a transfer submitted at sim-now and
+        return its end instant, scheduling nothing -- for a caller that
+        can act on the end ahead of time (it records the throughput
+        meter with that timestamp).
+
+        Returns None, reserving nothing, when the end is not known at
+        submission: a wired fault injector may drop or delay the
+        transfer, and a transfer longer than one chunk re-queues for
+        the lane chunk by chunk.  Use :meth:`reserve_call` then.  A
+        later ``reserve_call`` that queues behind this reservation has
+        no end event to chain from and relays at its grant.
+        """
+        if self.faults is not NULL_INJECTOR or nbytes > self.spec.chunk_bytes:
+            return None
+        cost = self._cost_cache.get((direction, nbytes))
+        if cost is None:
+            if nbytes < 0:
+                raise ValueError(f"negative transfer size {nbytes}")
+            cost = self._first_chunk(direction, nbytes)[2]
+        timeline = self._tl_write if direction == "write" else self._tl_read
+        # ResourceTimeline.reserve inlined (one call per streamed page).
+        now = self.sim._now
+        free = timeline.free_at
+        end = timeline.free_at = (free if free > now else now) + cost
+        timeline._tail_hooks = None
+        return end
+
+    def _first_chunk(self, direction: str, first: int):
+        """``(lane, MB/s, cost)`` of a transfer's first chunk of
+        ``first`` bytes (the per-transfer setup is charged there)."""
         spec = self.spec
         if direction == "read":
             rate, timeline = spec.read_mb_per_s, self._tl_read
@@ -127,14 +154,22 @@ class HostLink:
             raise ValueError(
                 f"direction must be 'read' or 'write', not {direction!r}"
             )
-        chunk_bytes = spec.chunk_bytes
-        first = nbytes if nbytes < chunk_bytes else chunk_bytes
         key = (direction, first)
         cost = self._cost_cache.get(key)
         if cost is None:
             cost = self._cost_cache[key] = (
                 transfer_ns(first, rate) + spec.per_transfer_overhead_ns
             )
+        return timeline, rate, cost
+
+    def _reserve_chunks(self, direction: str, nbytes: int, fn) -> None:
+        """One lane reservation per ``chunk_bytes`` chunk, each made at
+        its predecessor's end instant so concurrent transfers interleave
+        FIFO chunk by chunk."""
+        sim = self.sim
+        chunk_bytes = self.spec.chunk_bytes
+        first = nbytes if nbytes < chunk_bytes else chunk_bytes
+        timeline, rate, cost = self._first_chunk(direction, first)
         remaining = nbytes - first
         if not remaining:
             timeline.reserve_and_call(sim, cost, fn)

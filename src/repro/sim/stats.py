@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
+from operator import itemgetter
 from typing import List, Optional, Sequence
 
 from repro.sim.units import MB_DEC, S
@@ -47,15 +48,25 @@ class ThroughputMeter:
         self._samples: List = []  # (time_ns, nbytes)
 
     def record(self, time_ns: int, nbytes: int) -> None:
-        """Record that ``nbytes`` finished transferring at ``time_ns``."""
+        """Record that ``nbytes`` finished transferring at ``time_ns``.
+
+        ``time_ns`` may be later than "now": a recorder that already
+        knows when a reserved transfer ends (an event-free link
+        reservation) records it at once.  ``total_bytes`` and
+        ``n_samples`` then run ahead of the clock by what is still in
+        flight; windows that close at or before now are exact.
+        """
         if nbytes < 0:
             raise ValueError(f"negative byte count {nbytes}")
         self._samples.append((time_ns, nbytes))
 
     @property
     def samples(self) -> List:
-        """Copy of the raw ``(time_ns, nbytes)`` samples."""
-        return list(self._samples)
+        """Copy of the ``(time_ns, nbytes)`` samples in timestamp order
+        (equal timestamps in recording order), so the list does not
+        depend on whether a sample was recorded at its instant or ahead
+        of it."""
+        return sorted(self._samples, key=itemgetter(0))
 
     @property
     def total_bytes(self) -> int:

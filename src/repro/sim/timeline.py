@@ -16,9 +16,14 @@ accounting.
 Equivalence rules (the contract the no-drift suite enforces):
 
 * requests must be reserved at the simulated instant they would have
-  been issued on the slow path -- so multi-phase ops schedule a
-  callback at each phase boundary instead of reserving the whole chain
-  up front;
+  been issued on the slow path -- so a multi-phase op reserves each
+  phase from the end callback of the one before instead of reserving
+  the whole chain up front -- or *ahead* of that instant when it is
+  already known and the reservation can still be revoked: whoever
+  reaches the resource first undoes the ahead reservations whose
+  request instant has not come (restoring ``free_at`` and
+  ``_tail_hooks``), reserves, and has them made again behind it
+  (``ChannelEngine.program_ahead``);
 * same-instant requests must be reserved in the same order the slow
   path's processes would issue them (creation order);
 * anything ordering-sensitive that happens at a phase's *end* must be

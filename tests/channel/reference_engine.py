@@ -8,13 +8,34 @@ against: the bus and every (chip, plane) are capacity-1
 acquires and holds them phase by phase, admission is a plain
 :class:`~repro.sim.Resource` of ``max_inflight`` slots, and busy time is
 an in-service counter.  Slow and obviously right; never optimise it.
+
+:func:`execute_all` and :func:`execute_sequential` are the old
+process-per-op batch drivers; they work on either engine.
 """
 
 from typing import Dict, Optional
 
 from repro.faults.injector import NULL_INJECTOR, STALL
 from repro.ftl.ops import FlashOp, OpKind
-from repro.sim import PriorityResource, Resource
+from repro.sim import AllOf, PriorityResource, Resource
+
+
+def execute_all(engine, ops):
+    """Generator: one process per op, finished when all complete.
+
+    Plane and bus resources serialize exactly where the hardware
+    would; everything else overlaps.
+    """
+    sim = engine.sim
+    processes = [sim.process(engine.execute(op)) for op in list(ops)]
+    if processes:
+        yield AllOf(sim, processes)
+
+
+def execute_sequential(engine, ops):
+    """Generator: run ops strictly one after another."""
+    for op in ops:
+        yield from engine.execute(op)
 
 
 class ReferenceEngine:

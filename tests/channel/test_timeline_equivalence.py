@@ -32,6 +32,7 @@ from repro.workloads import (
     drive_sdf_writes,
 )
 from tests.channel.golden import check_golden
+from tests.channel.reference_engine import execute_all
 
 N_CHANNELS = 4
 SCALE = 0.004
@@ -609,18 +610,18 @@ def test_conventional_unmapped_and_mapped_pages_share_the_read_lane():
 
 def test_execute_batch_matches_execute_all():
     """The batched completion event must finish at the same instant,
-    with the same counters, as one process per op (``execute_all``) --
-    and both at the recorded schedule."""
+    with the same counters, as one process per op (the reference
+    module's ``execute_all``) -- and both at the recorded schedule."""
     geometry = SDF_CHIP_GEOMETRY.scaled(0.01)
     kinds = (OpKind.READ, OpKind.PROGRAM, OpKind.ERASE)
 
-    def run(method):
+    def run(execute):
         sim = Simulator()
         engine = build_engines(sim, 1, geometry, MICRON_25NM_MLC, 2)[0]
         done = {}
 
         def scenario():
-            yield from getattr(engine, method)(ops_soup(geometry, 24, kinds))
+            yield from execute(engine, ops_soup(geometry, 24, kinds))
             done["at"] = sim.now
 
         sim.run(until=sim.process(scenario()))
@@ -631,6 +632,6 @@ def test_execute_batch_matches_execute_all():
             engine.busy_value(sim.now),
         )
 
-    batched = run("execute_batch")
-    assert batched == run("execute_all")
+    batched = run(lambda engine, ops: engine.execute_batch(ops))
+    assert batched == run(execute_all)
     check_golden("execute_batch", batched)

@@ -98,9 +98,19 @@ def test_ftl_remaps_program_failure_and_data_survives():
         chip.faults = plan.injector("nand")
     ftl.faults = plan.injector("ftl.ch0")
     pages = stripe(ftl)
-    ftl.write(0, pages)
+    ops = ftl.write(0, pages)
     assert ftl.program_remaps == 1
     assert ftl.grown_bad_blocks() == 1
+    # One op per host page plus one per replayed page, and from the
+    # failure on every op of that plane names the replacement block.
+    assert ftl.host_programs == len(pages)
+    assert len(ops) == len(pages) + 1
+    physical = ftl.mapping.lookup(0)
+    replayed = ops[5]
+    assert ops[6].address == replayed.address.with_page(1)
+    plane_index = replayed.address.chip * 2 + replayed.address.plane
+    assert replayed.address.block == physical[plane_index]
+    assert ops[plane_index].address.block != physical[plane_index]
     got, _ops = ftl.read(0, 0, ftl.pages_per_logical_block)
     assert got == pages
     assert plan.recovery_count("ftl.ch0", "program_remap") == 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ftl import ChannelBlockFTL, EraseBeforeWriteError, OpKind
+from repro.ftl.ops import program_op, read_op
 from repro.ftl.page_ftl import OutOfSpaceError
 from repro.nand import FlashArray, FlashGeometry, NandTiming
 
@@ -71,6 +72,30 @@ def test_striping_is_two_mb_per_plane():
     assert len({(op.address.chip, op.address.plane) for op in first_wave}) == 4
     data, _ = ftl.read(0, 0, ftl.pages_per_logical_block)
     assert data == payload
+
+
+def test_ops_name_the_addresses_the_stripe_layout_gives():
+    """``write`` and ``read`` work plane by plane with the chip and
+    address parts looked up once; the ops must still be, one for one,
+    what ``_address`` says for each page."""
+    ftl = make_channel()
+    payload = full_block_payload(ftl, "O")
+    ops = ftl.write(0, payload)
+    physical = ftl.mapping.lookup(0)
+    assert ops == [
+        program_op(ftl._address(plane, physical[plane], page), 512)
+        for page in range(4)
+        for plane in range(4)
+    ]
+    assert ftl.host_programs == 16
+    # Pages 3..9: the tail of plane 0, all of plane 1, the head of 2.
+    data, ops = ftl.read(0, 3, 7)
+    assert data == payload[3:10]
+    assert ops == [
+        read_op(ftl._address(index // 4, physical[index // 4], index % 4), 512)
+        for index in range(3, 10)
+    ]
+    assert ftl.host_reads == 7
 
 
 def test_partial_write_rejected():

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.faults import FaultPlan
+from repro.faults.injector import NULL_INJECTOR
 from repro.interfaces import (
     HostLink,
     InterruptCoalescer,
@@ -215,3 +217,42 @@ def test_interrupt_coalescer_validation_and_empty_ratio():
     with pytest.raises(ValueError):
         InterruptCoalescer(sim, window_ns=-1)
     assert InterruptCoalescer(sim).merge_ratio == 1.0
+
+
+def test_reserve_ahead_books_the_lane_without_an_event():
+    """A single-chunk transfer's end is known at submission: the lane
+    is held until then, nothing is scheduled, and a later ``transfer``
+    queues behind it (relaying at its grant: no end event to chain
+    from)."""
+    sim = Simulator()
+    link = HostLink(sim, PCIE_1_1_X8)
+    expected, _ = run_transfers(PCIE_1_1_X8, [("write", 8192)])
+    end = link.reserve_ahead("write", 8192)
+    assert end == expected
+    assert link.reserve_ahead("write", 8192) == 2 * expected
+    assert sim._seq == 0 and sim.peek() is None
+    assert link.reserve_ahead("read", 8192) < expected  # its own lane
+    sim.run(until=sim.process(link.transfer("write", 8192)))
+    assert sim.now == 3 * expected
+
+
+def test_reserve_ahead_declines_what_it_cannot_foresee():
+    sim = Simulator()
+    link = HostLink(sim, PCIE_1_1_X8)
+    chunk = PCIE_1_1_X8.chunk_bytes
+    assert link.reserve_ahead("write", chunk) is not None
+    # Multi-chunk transfers re-queue per chunk; a wired injector may
+    # drop or delay: neither end is known now, and nothing is reserved.
+    before = link.reserve_ahead("write", 0)
+    assert link.reserve_ahead("write", chunk + 1) is None
+    plan = FaultPlan(seed=1)
+    plan.add("link", "delay", rate=1e-12, delay_ns=1)
+    plan.bind_clock(sim)
+    link.faults = plan.injector("link")
+    assert link.reserve_ahead("write", 8192) is None
+    link.faults = NULL_INJECTOR
+    assert link.reserve_ahead("write", 0) == before + 100
+    with pytest.raises(ValueError):
+        link.reserve_ahead("sideways", 123)
+    with pytest.raises(ValueError):
+        link.reserve_ahead("read", -1)

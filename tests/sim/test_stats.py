@@ -161,3 +161,25 @@ def test_throughput_meter_explicit_window_stays_half_open():
     assert meter.bytes_in(0, 1 * S) == 10_000_000
     assert meter.bytes_in(1 * S, 2 * S, include_start=True) == 40_000_000
     assert meter.mb_per_s(1 * S, 2 * S) == pytest.approx(30.0)
+
+
+def test_throughput_meter_accepts_a_sample_ahead_of_its_instant():
+    """A recorder that knows a reserved transfer's end (an event-free
+    link reservation) records it early; another records at the instant.
+    ``samples`` is in timestamp order either way, equal timestamps in
+    recording order, and windows are exact."""
+    at_instant = ThroughputMeter()
+    ahead = ThroughputMeter()
+    transfers = [(1 * S, 100), (2 * S, 200), (2 * S, 250), (3 * S, 300)]
+    for when, nbytes in transfers:
+        at_instant.record(when, nbytes)
+    # "Now" is 1 s: the 3 s and the first 2 s transfers are already
+    # reserved, then the rest arrive at their instants.
+    for when, nbytes in (transfers[3], transfers[1], transfers[0], transfers[2]):
+        ahead.record(when, nbytes)
+    assert ahead.samples == at_instant.samples == transfers
+    assert ahead.n_samples == 4 and ahead.total_bytes == 850
+    for t0, t1 in ((0, 1 * S), (1 * S, 2 * S), (0, 3 * S), (2 * S, 3 * S)):
+        assert ahead.bytes_in(t0, t1) == at_instant.bytes_in(t0, t1)
+        assert ahead.mb_per_s(t0, t1) == at_instant.mb_per_s(t0, t1)
+    assert ahead.mb_per_s() == at_instant.mb_per_s()
