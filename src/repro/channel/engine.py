@@ -5,18 +5,26 @@ resources whose grant/end instants are computed analytically against
 per-resource :class:`~repro.sim.timeline.ResourceTimeline` objects;
 an op reserves each phase at the instant it requests it -- one end
 event per phase, whose callback requests the next -- and completes in
-the last phase's callback (a batch through one shared countdown).  A
-streamed PROGRAM whose link DMA end is already known reserves both its
-phases *ahead* (:meth:`ChannelEngine.program_ahead`) and costs one
-event; such reservations are revoked and remade when anything else
-reaches the bus or the plane before their request instants.  See
-DESIGN.md "Scheduling".
+the last phase's callback (a batch through one shared countdown).
+
+Where an op's bus request instant is known beforehand its bus phase is
+reserved *ahead* and the op costs one event: a streamed PROGRAM whose
+link DMA end is already known (:meth:`ChannelEngine.program_ahead`, the
+plane phase reserved behind the bus phase), and a request's READs,
+whose senses are reserved at submission with no end events
+(:meth:`ChannelEngine.read_ahead`; a plane is a FIFO, so a sense's end
+is settled then).  Such bus phases are tentative until their request
+instants come: the engine keeps them in the order they will request
+the bus, a newcomer takes its place in that order, and whatever
+reaches the bus or a plane first revokes those it must precede and has
+them made again behind it.  See DESIGN.md "Scheduling".
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
+from operator import attrgetter
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.channel import vector
@@ -69,40 +77,59 @@ def _revoked():
     been revoked."""
 
 
-class _AheadProgram:
-    """One PROGRAM reserved by :meth:`ChannelEngine.program_ahead`.
+_order = attrgetter("order")
 
-    ``bus_req`` (the page's link DMA end) and ``plane_req`` (its bus
-    end) are the instants the per-phase path would have reserved the
-    bus and the plane at; until they pass, the reservation can be
-    revoked (``ChannelEngine._revoke``) and everything below
-    ``bus_ns`` rewritten by ``ChannelEngine._reserve_ahead``.
+#: Orders an intruder -- a reservation made at its own instant -- behind
+#: every tentative entry that requests the bus at that nanosecond.
+_LAST = float("inf")
+
+
+class _Ahead:
+    """One op whose bus phase was reserved ahead of its request instant:
+    a streamed PROGRAM (:meth:`ChannelEngine.program_ahead`), with the
+    plane phase behind it, or a READ whose sense is already reserved
+    (:meth:`ChannelEngine.read_ahead`).
+
+    ``bus_req`` is the instant the per-phase path would have reserved
+    the bus at (the page's link DMA end, the sense end) and ``bus_end``
+    the instant a PROGRAM requests its plane at; until they pass, the
+    reservation can be revoked (``ChannelEngine._revoke``) and
+    everything below ``bus_ns`` rewritten by
+    ``ChannelEngine._reserve_ahead``.  ``plane`` is None for a READ.
     """
 
     __slots__ = (
-        "engine", "then", "plane", "bus_req", "bus_ns",
-        "bus_grant", "plane_req", "plane_grant",
+        "engine", "then", "plane", "order", "bus_req", "bus_ns", "wait",
+        "bus_grant", "bus_end", "plane_grant", "due",
         "bus_undo", "plane_undo", "event", "bus_counted",
     )
 
-    def __init__(self, engine, then, plane, bus_req, bus_ns):
+    def __init__(self, engine, then, plane, order, bus_ns, wait):
         self.engine = engine
         self.then = then
         self.plane = plane
-        self.bus_req = bus_req
+        #: Place in ``ChannelEngine._ahead``: the bus request instant,
+        #: then what orders equal ones (``ChannelEngine.read_ahead``).
+        self.order = order
+        #: The last instant the reservation can be revoked before: the
+        #: bus request (a PROGRAM moves it to each bus end it is given).
+        self.bus_req = self.due = order[0]
         self.bus_ns = bus_ns
+        #: Queue wait already behind the op (a READ's sense).
+        self.wait = wait
         #: True once the bus interval is in the engine's busy union
-        #: (a busy read between ``bus_req`` and ``plane_req``).
+        #: (a busy read between ``bus_req`` and ``due``).
         self.bus_counted = False
 
     def done(self) -> None:
-        """The program's end instant: what ``program_done`` does on the
-        per-phase path."""
+        """The op's end instant: what ``read_done``/``program_done`` do
+        on the per-phase path."""
         engine = self.engine
         engine.ops_executed.value += 1
-        engine.wait_ns.value += (
-            (self.bus_grant - self.bus_req) + (self.plane_grant - self.plane_req)
-        )
+        wait = self.wait + self.bus_grant - self.bus_req
+        if self.plane is not None:
+            wait += self.plane_grant - self.bus_end
+        engine.wait_ns.value += wait
         then = self.then
         if then is not None:
             # This entry may sit in ``_ahead`` until the engine is next
@@ -164,11 +191,15 @@ class ChannelEngine:
         }
         self._ops_track = f"ch{channel}/ops"
         self._busy_union = BusyUnion()
-        #: PROGRAMs reserved ahead whose plane request instant may still
-        #: be in the future, oldest first.  Bus and plane request
-        #: instants both rise along it: the link lane that hands out the
-        #: first and the bus that hands out the second are FIFO.
-        self._ahead: Deque[_AheadProgram] = deque()
+        #: Ops with a bus phase reserved ahead (and, for a PROGRAM, the
+        #: plane phase behind it) that may still be revoked, in the
+        #: order they will request the bus (``_Ahead.order``).  The bus
+        #: is FIFO, so the bus ends PROGRAMs request their planes at
+        #: rise along it too.
+        self._ahead: Deque[_Ahead] = deque()
+        #: Count of reservations that found their timeline idle, the
+        #: source of ``ResourceTimeline.rank``.
+        self._rank = 0
         #: With equal priorities a priority queue degenerates to FIFO,
         #: so the plain FIFO timelines apply; non-uniform priorities
         #: route to the PriorityTimeline twins instead.
@@ -308,6 +339,7 @@ class ChannelEngine:
                 event = _PhaseEnd(sim, fn, hooks)
             sim._seq += 1
             heappush(sim._heap, (end, sim._seq, event))
+            self._rank = timeline.rank = self._rank + 1
         else:
             tail = timeline._tail_hooks
             if tail is None:
@@ -347,17 +379,29 @@ class ChannelEngine:
         else:
             depth.shift_at(grant_ns, -1)
 
-    # -- PROGRAMs reserved ahead of their request instants -------------------------
+    # -- bus phases reserved ahead of their request instants -------------------------
+    #: READ bus phases one request keeps reserved ahead at a time: an
+    #: ordered insertion remakes everything behind it, so the tail is
+    #: kept short and refilled by one timer per this many pages.
+    READ_AHEAD_PAGES = 32
+
     def can_reserve_ahead(self) -> bool:
         """True when nothing attached needs an op's per-phase hops: the
         plain variant, no engine observability (queue depth is tracked
         per phase), no wired fault injector (a STALL is drawn at the
-        op's start instant).  The closed-form ERASE batch and
-        :meth:`program_ahead` both require it."""
+        op's start instant).  The closed-form ERASE batch,
+        :meth:`program_ahead` and :meth:`read_ahead` all require it."""
         plain = self._plain
         if plain is None:
             plain = self._choose_plain()
         return plain and self._obs is None and self.faults is NULL_INJECTOR
+
+    def _bus_ns(self, nbytes: int) -> int:
+        cache = self._bus_ns_cache
+        bus_ns = cache.get(nbytes)
+        if bus_ns is None:
+            bus_ns = cache[nbytes] = self.timing.bus_transfer_ns(nbytes)
+        return bus_ns
 
     def program_ahead(self, op: FlashOp, request_ns: int, then=None) -> None:
         """Reserve now a PROGRAM that will reach the channel at
@@ -370,55 +414,195 @@ class ChannelEngine:
         reservation that reaches either before those instants revokes
         this one, goes first, and has it made again (:meth:`_revoke`).
         One made *at* such an instant goes after.  Callers check
-        :meth:`can_reserve_ahead` first and pass request instants that
-        never decrease (ends on one FIFO link lane do not).
+        :meth:`can_reserve_ahead` first; the page takes its place among
+        the reservations already ahead by request instant
+        (:meth:`_enter`).
         """
         now = self.sim._now
         ahead = self._ahead
-        if ahead and ahead[0].plane_req <= now:
+        if ahead and ahead[0].due <= now:
             self._retire()
         if op.kind is not OpKind.PROGRAM:
             raise ValueError(f"only a PROGRAM is reserved ahead, not {op.kind}")
-        if request_ns <= now or (ahead and request_ns < ahead[-1].bus_req):
+        if request_ns <= now:
             raise ValueError(
-                f"request instant {request_ns} is not ahead of now and of "
-                "every earlier reservation"
+                f"request instant {request_ns} is not ahead of now ({now})"
             )
+        # ``_bus_ns`` inlined: once a streamed page.
         cache = self._bus_ns_cache
         bus_ns = cache.get(op.nbytes)
         if bus_ns is None:
             bus_ns = cache[op.nbytes] = self.timing.bus_transfer_ns(op.nbytes)
-        entry = _AheadProgram(
+        entry = _Ahead(
             self,
             then,
             self._tl_planes[(op.address.chip, op.address.plane)],
-            request_ns,
+            # Among equal request instants a page stands where the
+            # instant it asked the link for its DMA puts it.
+            (request_ns, now, 0, self._rank),
             bus_ns,
+            0,
         )
-        self._reserve_ahead(entry, True)
-        ahead.append(entry)
-
-    def _reserve_ahead(self, entry: _AheadProgram, from_bus: bool) -> None:
-        """Reserve ``entry``'s bus phase (``from_bus``) and plane phase,
-        remembering what each timeline held before."""
-        if from_bus:
-            bus = self._tl_bus
-            free = bus.free_at
-            entry.bus_undo = (free, bus._tail_hooks)
-            request = entry.bus_req
-            grant = entry.bus_grant = free if free > request else request
-            request = entry.plane_req = bus.free_at = grant + entry.bus_ns
-            # No bus end event: a phase queuing behind this one relays
-            # at its grant.
-            bus._tail_hooks = None
+        if ahead and ahead[-1].order > entry.order:
+            self._enter([entry])
         else:
-            request = entry.plane_req
+            self._reserve_ahead(entry, True)
+            ahead.append(entry)
+
+    def read_ahead(self, ops: List[FlashOp], then=None) -> None:
+        """Run one request's READs with one event a page, its bus end;
+        ``then()`` runs at each.
+
+        Equivalent to ``execute_fast(op, then)`` for each op in turn:
+        every sense is reserved now, plane run by plane run (a plane's
+        tentative programs are revoked once before the run and remade
+        once behind it), with no end event -- a plane is a FIFO, so the
+        sense's end, the instant the page requests the bus, is settled.
+        The bus phases are reserved ahead with those request instants,
+        :attr:`READ_AHEAD_PAGES` at a time.  Callers check
+        :meth:`can_reserve_ahead` first; a request in flight when
+        something is attached finishes the way it began.
+
+        Pages whose senses end on one nanosecond take the bus in the
+        order their sense-end events would have run in.  Events at one
+        instant run in the order they were scheduled, a queued sense's
+        from the end event before it on its plane, so the question
+        steps back down both planes' queues to where they differ.  In
+        turn: the earlier sense grant (all equal between READs; a
+        streamed page stands by the instant it asked the link); a run
+        of back-to-back senses that *queued* behind something before
+        one whose first sense found its plane idle (that one was
+        scheduled by a submission, itself scheduled a moment before;
+        the other by an end event scheduled a phase ago); of two
+        queued runs the one that started *later* (where it stops, the
+        longer run still has a sense and the shorter the longer phase
+        it queued behind, scheduled earlier), of two that found their
+        planes idle the earlier; then the plane whose queue started
+        earlier (``rank``, handed down a plane's queue from the
+        reservation that found it idle); then the earlier submission.
+        Queues that differ only further back are beyond it (DESIGN.md
+        section 7).
+        """
+        sim = self.sim
+        now = sim._now
+        ahead = self._ahead
+        if ahead and ahead[0].due <= now:
+            self._retire()
+        channel = self.channel
+        t_read = self.timing.t_read_ns
+        raw = self._busy_union._raw
+        entries: List[_Ahead] = []
+        nbytes = bus_ns = None
+        index = 0
+        n_ops = len(ops)
+        while index < n_ops:
+            address = ops[index].address
+            key = (address.chip, address.plane)
+            plane = self._tl_planes[key]
+            revoked = ahead and self._revoke(plane)
+            grant = plane.free_at
+            if grant <= now:
+                grant = start = now
+                self._rank = plane.rank = self._rank + 1
+            else:
+                # Behind senses reserved here the run goes on; behind
+                # anything else a new one starts, queued: negative, so
+                # the later start sorts first and all before idle ones.
+                run = plane.run
+                start = run[0] if run is not None and run[1] == grant else -grant
+            rank = plane.rank
+            while index < n_ops:
+                op = ops[index]
+                address = op.address
+                if (address.chip, address.plane) != key:
+                    break
+                if op.kind is not OpKind.READ or address.channel != channel:
+                    raise ValueError(
+                        f"not a READ on channel {channel}: {op}"
+                    )
+                if op.nbytes != nbytes:
+                    nbytes = op.nbytes
+                    bus_ns = self._bus_ns(nbytes)
+                end = grant + t_read
+                raw.append([grant, end])
+                entries.append(
+                    _Ahead(
+                        self, then, None, (end, grant, start, rank),
+                        bus_ns, grant - now,
+                    )
+                )
+                grant = end
+                index += 1
+            plane.free_at = grant
+            plane.run = (start, grant)
+            # No sense end event: a phase queuing behind the run relays
+            # at its grant.
+            plane._tail_hooks = None
+            if revoked:
+                self._reserve_again(revoked, plane)
+        # Planes sense in parallel: their runs' pages interleave.
+        entries.sort(key=_order)
+        self._enter_reads(entries, 0)
+
+    def _enter_reads(self, entries: List[_Ahead], start: int) -> None:
+        """Reserve the bus phases of ``entries[start:]``, the next
+        :attr:`READ_AHEAD_PAGES` now and the rest from a timer at the
+        instant the first of them begins its sense (any instant short
+        of its bus request would do)."""
+        stop = start + self.READ_AHEAD_PAGES
+        self._enter(entries[start:stop])
+        if stop < len(entries):
+            sim = self.sim
+            sim._schedule_call(
+                lambda: self._enter_reads(entries, stop),
+                entries[stop].order[1] - sim._now,
+            )
+
+    def _enter(self, entries: List[_Ahead]) -> None:
+        """Reserve ``entries`` (in order) ahead, each at its place in
+        ``_ahead``: whatever is already there and requests the bus
+        later is revoked and remade behind them -- what happens around
+        an intruder, with the first entry's request instant for now."""
+        ahead = self._ahead
+        first = entries[0].order
+        if ahead and ahead[-1].order > first:
+            revoked = self._revoke(self._tl_bus, first)
+            for _ in revoked:
+                ahead.pop()
+            # Stable: at equal places the earlier reservation stays first.
+            entries = sorted(revoked + entries, key=_order)
+        for entry in entries:
+            self._reserve_ahead(entry, True)
+        ahead.extend(entries)
+
+    def _reserve_ahead(self, entry: _Ahead, from_bus: bool) -> None:
+        """Reserve ``entry``'s bus phase (``from_bus``; a READ has no
+        other) and, for a PROGRAM, its plane phase, remembering what
+        each timeline held before."""
         plane = entry.plane
-        free = plane.free_at
-        tail = plane._tail_hooks
-        entry.plane_undo = (free, tail)
+        if from_bus:
+            timeline = self._tl_bus
+            free = timeline.free_at
+            tail = timeline._tail_hooks
+            entry.bus_undo = (free, tail)
+            request = entry.bus_req
+            duration = entry.bus_ns
+            if plane is not None:
+                grant = entry.bus_grant = free if free > request else request
+                entry.due = entry.bus_end = timeline.free_at = grant + duration
+                # No bus end event: a phase queuing behind this one
+                # relays at its grant.
+                timeline._tail_hooks = None
+        if plane is not None:
+            timeline = plane
+            free = plane.free_at
+            tail = plane._tail_hooks
+            entry.plane_undo = (free, tail, plane.rank)
+            request = entry.bus_end
+            duration = self.timing.t_prog_ns
+        # The phase the op ends with, on ``timeline``: the one that has
+        # an end event.
         hooks = []
-        duration = self.timing.t_prog_ns
         if free > request and tail is not None:
             # Queued behind a reservation with an end event: chain off
             # it, as ``_phase_fast`` does at the request instant.
@@ -426,30 +610,42 @@ class ChannelEngine:
             tail.append((entry.done, hooks, duration))
             entry.event = None
         else:
-            grant = free if free > request else request
             sim = self.sim
             event = entry.event = sim._phase_event(entry.done, hooks)
             sim._seq += 1
+            if free > request:
+                grant = free
+            else:
+                grant = request
+                self._rank = timeline.rank = self._rank + 1
             heappush(sim._heap, (grant + duration, sim._seq, event))
-        entry.plane_grant = grant
-        plane.free_at = grant + duration
-        plane._tail_hooks = hooks
+        timeline.free_at = grant + duration
+        timeline._tail_hooks = hooks
+        if plane is None:
+            entry.bus_grant = grant
+            entry.bus_end = grant + duration
+        else:
+            entry.plane_grant = grant
 
     def _retire(self) -> None:
-        """Drop the reservations nothing can precede any more (plane
+        """Drop the reservations nothing can precede any more (last
         request instant reached) into the busy union."""
         now = self.sim._now
         ahead = self._ahead
         raw = self._busy_union._raw
         duration = self.timing.t_prog_ns
-        while ahead and ahead[0].plane_req <= now:
+        while ahead and ahead[0].due <= now:
             entry = ahead.popleft()
-            # The saved plane tail holds this entry's own hook: a cycle.
-            entry.plane_undo = None
             if not entry.bus_counted:
-                raw.append([entry.bus_grant, entry.plane_req])
-            grant = entry.plane_grant
-            raw.append([grant, grant + duration])
+                raw.append([entry.bus_grant, entry.bus_end])
+            # The tail saved with the op's last phase holds the entry's
+            # own hook: a cycle.
+            if entry.plane is None:
+                entry.bus_undo = None
+            else:
+                entry.plane_undo = None
+                grant = entry.plane_grant
+                raw.append([grant, grant + duration])
 
     def _count_ahead(self) -> None:
         """Before a busy-time read: every service interval whose request
@@ -463,34 +659,40 @@ class ChannelEngine:
                 break
             if not entry.bus_counted:
                 entry.bus_counted = True
-                raw.append([entry.bus_grant, entry.plane_req])
+                raw.append([entry.bus_grant, entry.bus_end])
 
-    def _revoke(self, timeline: ResourceTimeline) -> List[_AheadProgram]:
+    def _revoke(self, timeline: ResourceTimeline, order=None) -> List[_Ahead]:
         """Undo, newest first, the ahead reservations that a reservation
-        made now on ``timeline`` must precede; returns them oldest
-        first for :meth:`_reserve_again`.
+        made on ``timeline`` must precede; returns them oldest first
+        for :meth:`_reserve_again`.
 
         On a plane those are its own programs still short of their
-        plane request instant.  On the bus they are the programs still
-        short of their bus request instant, with their plane phases:
-        the bus end they request the plane at is about to move.  (No
-        other program on those planes is newer and left standing --
-        request instants rise along ``_ahead``.)
+        plane request instant (a READ's sense is never tentative).  On
+        the bus they are the entries placed after ``order`` -- for an
+        intruder, which reserves at its own instant, those still short
+        of their bus request instant -- with the plane phases of the
+        programs among them: the bus end they request the plane at is
+        about to move.  (No other program on those planes is newer and
+        left standing -- bus ends rise along ``_ahead``.)
         """
         self._retire()
-        now = self.sim._now
         on_bus = timeline is self._tl_bus
+        if on_bus and order is None:
+            order = (self.sim._now, _LAST)
         revoked = []
         for entry in reversed(self._ahead):
             if on_bus:
-                if entry.bus_req <= now:
+                if entry.order <= order:
                     break
             elif entry.plane is not timeline:
                 continue
             revoked.append(entry)
             plane = entry.plane
-            plane.free_at, tail = entry.plane_undo
-            plane._tail_hooks = tail
+            if plane is None:
+                tail = entry.bus_undo[1]
+            else:
+                plane.free_at, tail, plane.rank = entry.plane_undo
+                plane._tail_hooks = tail
             event = entry.event
             if event is None:
                 # Chained: the newest item of its predecessor's hooks.
@@ -504,7 +706,7 @@ class ChannelEngine:
         return revoked
 
     def _reserve_again(
-        self, revoked: List[_AheadProgram], timeline: ResourceTimeline
+        self, revoked: List[_Ahead], timeline: ResourceTimeline
     ) -> None:
         """Remake what :meth:`_revoke` undid, behind the reservation
         just made on ``timeline``."""
@@ -666,6 +868,8 @@ class ChannelEngine:
 
             revoked = self._ahead and self._revoke(timeline)
             grant, end = timeline.reserve_and_call(sim, duration_ns, ended)
+            if grant <= request:
+                self._rank = timeline.rank = self._rank + 1
             self._busy_union._raw.append([grant, end])
             if self._obs is not None:
                 self._depth_track(request, grant)
@@ -719,11 +923,7 @@ class ChannelEngine:
         key = (op.address.chip, op.address.plane)
         kind = op.kind
         priority = self.priorities[kind]
-
-        cache = self._bus_ns_cache
-        bus_ns = cache.get(op.nbytes)
-        if bus_ns is None:
-            bus_ns = cache[op.nbytes] = timing.bus_transfer_ns(op.nbytes)
+        bus_ns = self._bus_ns(op.nbytes)
 
         def completion(wait):
             self.ops_executed.add()

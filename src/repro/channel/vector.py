@@ -144,6 +144,7 @@ def schedule_erase_batch(engine, ops, done) -> None:
         hooks: list = []
         if first_grant <= now:
             sim._schedule(sim._phase_event(tick, hooks), duration)
+            engine._rank = timeline.rank = engine._rank + 1
         elif tail is None:
             # Predecessor reserved without an end event: relay at grant.
             sim._schedule_call(

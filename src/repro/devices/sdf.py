@@ -17,6 +17,20 @@ All operation methods are *generators* meant to run inside simulation
 processes::
 
     payloads = yield from device.channels[3].read(block, 0, n_pages=2)
+
+A page costs one event in either direction when nothing watches the
+channel phase by phase (``ChannelEngine.can_reserve_ahead``).  The one
+step that must stay an event is the page asking the **shared** link
+for its DMA -- a written page at the program end that frees its window
+slot, a read page at its bus end: that instant decides its place on a
+lane every channel uses.  Everything else is reserved ahead of its
+instant: a read hands its ops to the engine as one request
+(``ChannelEngine.read_ahead``) and books each DMA without an end event
+(``HostLink.reserve_ahead``), finishing at the latest DMA end; a write
+reserves bus and program from the DMA end
+(``ChannelEngine.program_ahead``).  With observability, QoS, tracing or
+a fault rule attached, every phase is its own hop (DESIGN.md section
+7).
 """
 
 from __future__ import annotations
@@ -83,7 +97,9 @@ class SDFChannelDevice:
 
         Pages stream up the PCIe link as they come off the channel bus
         (the board's DDR3 staging buffers decouple the two), so the DMA
-        overlaps the flash reads instead of trailing them.
+        overlaps the flash reads instead of trailing them.  The request
+        completes at the latest DMA end among its pages, whichever way
+        each was booked.
         """
         device = self.device
         sim = device.sim
@@ -96,27 +112,44 @@ class SDFChannelDevice:
             page_size = self.page_size
             meter = link.read_meter
             done = Event(sim)
-            remaining = [len(ops)]
+            # When nothing watches the channel phase by phase the engine
+            # takes the request whole: one event a page, its bus end.
+            ahead = engine.can_reserve_ahead()
+            state = {"remaining": len(ops), "latest": 0}
 
-            def landed():
-                # One page's DMA finished.
-                meter.record(sim.now, page_size)
-                remaining[0] -= 1
-                if not remaining[0]:
-                    done.succeed()
+            def landed(dma_end=None):
+                # One page's DMA end is settled: ``dma_end``, known
+                # ahead, or now.  The request ends with the latest.
+                if dma_end is None:
+                    dma_end = sim.now
+                meter.record(dma_end, page_size)
+                if dma_end > state["latest"]:
+                    state["latest"] = dma_end
+                state["remaining"] -= 1
+                if not state["remaining"]:
+                    done.succeed(delay=state["latest"] - sim.now)
 
             def stream():
-                # Runs at one op's bus-phase end: start its DMA.  A
-                # dropped page fails the request (once); its other
-                # pages keep their reservations.
+                # Runs at one op's bus-phase end: asking the shared link
+                # for the page's DMA is the one step that must happen at
+                # this instant.  A dropped page fails the request
+                # (once); its other pages keep their reservations.
+                if ahead:
+                    dma_end = link.reserve_ahead("read", page_size)
+                    if dma_end is not None:
+                        landed(dma_end)
+                        return
                 try:
                     link.reserve_call("read", page_size, landed)
                 except LinkDropError as exc:
                     if not done.triggered:
                         done.fail(exc)
 
-            for op in ops:
-                engine.execute_fast(op, stream)
+            if ahead:
+                engine.read_ahead(ops, stream)
+            else:
+                for op in ops:
+                    engine.execute_fast(op, stream)
             yield done
         nbytes = n_pages * self.page_size
         yield sim.timeout(device.interrupts.on_completion())

@@ -26,7 +26,7 @@ from repro.ftl.ops import FlashOp, erase_op, program_op, read_op
 from repro.ftl.wear import FreeBlockPool
 from repro.nand.array import FlashArray, PhysicalAddress
 from repro.nand.geometry import scaled_count
-from repro.nand.chip import ProgramFailError
+from repro.nand.chip import ProgramFailError, UncorrectableReadError
 from repro.ftl.page_ftl import OutOfSpaceError
 
 
@@ -251,15 +251,22 @@ class ChannelBlockFTL:
             chip, plane = self._chip_plane(plane_index)
             flash = self.array.chip_at(channel, chip)
             block = physical[plane_index]
-            for page in range(first, first + count):
-                payloads.append(flash.read_page(plane, block, page))
-                self.host_reads += 1
-                ops.append(
-                    read_op(
-                        PhysicalAddress(channel, chip, plane, block, page),
-                        page_size,
-                    )
+            reads_before = flash.reads
+            try:
+                payloads += flash.read_pages(plane, block, first, count)
+            except UncorrectableReadError:
+                # The pages ahead of the failing one were read for the
+                # host (the chip counts that one too).
+                self.host_reads += flash.reads - reads_before - 1
+                raise
+            self.host_reads += count
+            ops += [
+                read_op(
+                    PhysicalAddress(channel, chip, plane, block, page),
+                    page_size,
                 )
+                for page in range(first, first + count)
+            ]
         return payloads, ops
 
     def erase(self, logical_block: int) -> List[FlashOp]:

@@ -149,6 +149,22 @@ class Block:
             return self._data.get(page_index)
         return None
 
+    def read_run(self, first: int, count: int) -> list:
+        """Payloads of ``count`` consecutive pages from ``first``: what
+        :meth:`read` returns for each, behind one bad-block check and
+        one range check (nothing is read when either fails)."""
+        if self._bad:
+            raise WearOutError(f"read from bad block {self.index}")
+        stop = first + count
+        if count > 0:
+            self._check_page_index(first)
+            self._check_page_index(stop - 1)
+        written = self._write_ptr
+        get = self._data.get
+        return [
+            get(page) if page < written else None for page in range(first, stop)
+        ]
+
     def program(self, page_index: int, data) -> None:
         """Program the block's next sequential page."""
         if self._bad:
@@ -295,6 +311,23 @@ class FlashChip:
                 f"chip {self.chip_id}: uncorrectable read at "
                 f"plane {plane_index} block {block_index} page {page_index}"
             )
+        return data
+
+    def read_pages(
+        self, plane_index: int, block_index: int, first: int, count: int
+    ) -> list:
+        """:meth:`read_page` for ``count`` consecutive pages of one
+        block, in order, with one block lookup.  A wired injector draws
+        per page, so a failing page raises with ``reads`` counting it
+        and the pages before it; a bad block or a range error raises
+        before any page is read or counted."""
+        if self.faults is not NULL_INJECTOR:
+            return [
+                self.read_page(plane_index, block_index, page)
+                for page in range(first, first + count)
+            ]
+        data = self.planes[plane_index].block(block_index).read_run(first, count)
+        self.reads += count
         return data
 
     def program_page(

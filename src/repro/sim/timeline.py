@@ -23,9 +23,13 @@ Equivalence rules (the contract the no-drift suite enforces):
   reaches the resource first undoes the ahead reservations whose
   request instant has not come (restoring ``free_at`` and
   ``_tail_hooks``), reserves, and has them made again behind it
-  (``ChannelEngine.program_ahead``);
+  (``ChannelEngine.program_ahead``, ``ChannelEngine.read_ahead``);
 * same-instant requests must be reserved in the same order the slow
-  path's processes would issue them (creation order);
+  path's processes would issue them (creation order) -- and where the
+  requests come from end events that a reservation made ahead no
+  longer schedules, in the order those events would have run in:
+  :attr:`ResourceTimeline.rank` and :attr:`ResourceTimeline.run` keep
+  what that takes;
 * anything ordering-sensitive that happens at a phase's *end* must be
   scheduled from its *grant* instant.  The slow path grants a queued
   waiter inside the previous holder's release (its service-timeout
@@ -43,7 +47,7 @@ from heapq import heappop, heappush
 class ResourceTimeline:
     """Next-free timestamp of one capacity-1 FIFO resource."""
 
-    __slots__ = ("free_at", "_tail_hooks")
+    __slots__ = ("free_at", "_tail_hooks", "rank", "run")
 
     def __init__(self, free_at: int = 0):
         self.free_at = free_at
@@ -52,6 +56,22 @@ class ResourceTimeline:
         #: by its ``_PhaseEnd`` at the end instant; ``None`` after a
         #: plain :meth:`reserve` (no end event exists to chain from).
         self._tail_hooks = None
+        #: Which of its owner's timelines last went from idle to busy
+        #: before which: a count the reservation that finds this one
+        #: idle takes, handed down the queue behind it.  Each queued
+        #: reservation's end event is scheduled from the end event
+        #: before it, so where two queues end a service on one
+        #: nanosecond and have looked alike since they started, their
+        #: end events run in the order of these ranks -- which orders
+        #: what follows a service reserved *without* an end event
+        #: (``ChannelEngine.read_ahead``).  Kept by the owner that needs
+        #: it, the channel engine, for its planes.
+        self.rank = 0
+        #: ``(start, end)`` of the latest run of back-to-back services
+        #: reserved without end events (same owner), or None: a
+        #: reservation that finds ``free_at`` at its end continues it.
+        #: ``start`` is negated when the run queued behind something.
+        self.run = None
 
     def reserve(self, request_ns: int, duration_ns: int):
         """Reserve ``duration_ns`` of service requested at ``request_ns``.

@@ -1,11 +1,13 @@
-"""PROGRAMs reserved ahead of their request instants.
+"""Bus phases reserved ahead of their request instants.
 
 ``ChannelEngine.program_ahead(op, request_ns)`` must be
 indistinguishable from ``execute_fast(op)`` called at ``request_ns``,
-whatever reaches the bus or the plane in between.  Every scenario here
-runs twice -- programs reserved ahead, and the same programs submitted
-by a timer at their request instant -- and compares completion
-instants, counters and busy time sampled along the way.
+and ``ChannelEngine.read_ahead(ops)`` from ``execute_fast`` for each op
+in turn, whatever reaches the bus or a plane in between.  Every
+scenario here runs twice -- pages reserved ahead, and the same ops
+submitted the per-phase way (programs by a timer at their request
+instant) -- and compares completion instants, counters and busy time
+sampled along the way.
 """
 
 import pytest
@@ -41,36 +43,55 @@ def submit(at, *ops):
     return ("submit", at, None, list(ops))
 
 
+def read(at, *pages, n=1):
+    """One request's READs submitted at ``at``: ``n`` pages on each of
+    the ``(chip, plane)`` pairs in ``pages``, plane run by plane run."""
+    ops = [
+        read_op(addr(chip, plane, page), PAGE)
+        for chip, plane in pages
+        for page in range(n)
+    ]
+    return ("read", at, None, ops)
+
+
 def run(script, ahead):
-    """Play ``script``; returns (completions, samples, events)."""
+    """Play ``script``; returns (completions, samples, events).  An
+    item completes at one instant, a ``read`` at the list of instants
+    its pages left the bus at."""
     sim = Simulator()
     engine = ChannelEngine(sim, 0, SDF_CHIP_GEOMETRY, TIMING, 2)
     finished = {}
 
-    def finish(tag):
+    def finish(tag, kind):
+        if kind == "read":
+            return lambda: finished.setdefault(tag, []).append(sim.now)
         return lambda: finished.setdefault(tag, sim.now)
 
-    for tag, (kind, at, request, what) in enumerate(script):
+    def play(kind, request, what, then):
         if kind == "submit":
-            sim._schedule_call(
-                lambda what=what, tag=tag: engine.execute_batch_call(
-                    what, finish(tag)
-                ),
-                at,
-            )
+            engine.execute_batch_call(what, then)
+        elif kind == "program":
+            engine.program_ahead(what, request, then)
         elif ahead:
+            engine.read_ahead(what, then)
+        else:
+            for op in what:
+                engine.execute_fast(op, then)
+
+    for tag, (kind, at, request, what) in enumerate(script):
+        if kind == "program" and not ahead:
             sim._schedule_call(
-                lambda what=what, request=request, tag=tag: (
-                    engine.program_ahead(what, request, finish(tag))
+                lambda what=what, then=finish(tag, kind): engine.execute_fast(
+                    what, then
                 ),
-                at,
+                request,
             )
         else:
             sim._schedule_call(
-                lambda what=what, tag=tag: engine.execute_fast(
-                    what, finish(tag)
+                lambda item=(kind, request, what, finish(tag, kind)): play(
+                    *item
                 ),
-                request,
+                at,
             )
     samples = []
     for checkpoint in CHECKPOINTS:
@@ -85,7 +106,7 @@ def run(script, ahead):
         )
     sim.run()
     assert len(finished) == len(script)
-    assert not engine._ahead or engine._ahead[0].plane_req <= sim.now
+    assert not engine._ahead or engine._ahead[0].due <= sim.now
     return finished, samples, sim._seq
 
 
@@ -219,6 +240,8 @@ def test_intruder_at_the_request_instant_goes_after_the_stream():
 
 
 def test_request_instants_must_lie_ahead_and_rise():
+    """A request instant must lie ahead of now; among themselves they
+    need not rise -- a page takes its place by request instant."""
     sim = Simulator()
     engine = ChannelEngine(sim, 0, SDF_CHIP_GEOMETRY, TIMING, 2)
     page = program_op(addr(), PAGE)
@@ -226,9 +249,187 @@ def test_request_instants_must_lie_ahead_and_rise():
         engine.program_ahead(read_op(addr(), PAGE), 10)
     with pytest.raises(ValueError, match="ahead"):
         engine.program_ahead(page, 0)
-    engine.program_ahead(page, 20)
-    with pytest.raises(ValueError, match="ahead"):
-        engine.program_ahead(page, 19)
+    finished = {}
+    engine.program_ahead(page, 20, lambda: finished.setdefault("first", sim.now))
+    engine.program_ahead(
+        program_op(addr(plane=1), PAGE),
+        19,
+        lambda: finished.setdefault("second", sim.now),
+    )
+    assert [entry.bus_req for entry in engine._ahead] == [19, 20]
+    sim.run()
+    assert finished == {
+        "second": 19 + BUS_NS + TIMING.t_prog_ns,
+        "first": 19 + 2 * BUS_NS + TIMING.t_prog_ns,
+    }
+
+
+# -- READs: senses reserved at submission, bus phases ahead ---------------------------
+
+ALL_PLANES = [(chip, plane) for chip in range(2) for plane in range(2)]
+SENSE_NS = TIMING.t_read_ns
+
+
+def test_undisturbed_read_costs_one_event_a_page():
+    finished, events, per_phase = both([read(0, (0, 0), n=5)])
+    # Senses every 75 us, bus transfers of 209.8 us back to back.
+    assert finished[0] == [SENSE_NS + (page + 1) * BUS_NS for page in range(5)]
+    # The script's own timer, then: bus ends against senses + bus ends.
+    assert (events, per_phase) == (1 + 5, 1 + 2 * 5)
+
+
+def test_read_spanning_planes_interleaves_its_pages_by_sense_end():
+    """Four pages on each of two planes: the senses run in parallel, and
+    each step's two pages tie for the bus in plane order."""
+    finished, _, _ = both([read(0, (0, 1), (1, 0), n=4)])
+    assert finished[0] == [SENSE_NS + (page + 1) * BUS_NS for page in range(8)]
+
+
+def test_later_read_on_an_idle_plane_overtakes_one_queued_behind_an_erase():
+    finished, _, _ = both(
+        [
+            submit(0, erase_op(addr())),
+            read(10 * US, (0, 0)),
+            read(20 * US, (0, 1)),
+        ]
+    )
+    assert finished[2] == [20 * US + SENSE_NS + BUS_NS]
+    assert finished[1] == [TIMING.t_erase_ns + SENSE_NS + BUS_NS]
+
+
+def test_reads_tied_behind_one_erase_batch_go_in_plane_order():
+    """Both senses start the nanosecond the four-plane batch ends.  Per
+    phase their sense-end events are scheduled from the erases' end
+    events, which run in the batch's plane order -- not in the order
+    the reads were submitted."""
+    erases = [erase_op(addr(chip, plane)) for chip, plane in ALL_PLANES]
+    finished, _, _ = both(
+        [
+            submit(0, *erases),
+            read(10 * US, (1, 0)),
+            read(20 * US, (0, 1)),
+        ]
+    )
+    sense_end = TIMING.t_erase_ns + SENSE_NS
+    assert finished[2] == [sense_end + BUS_NS]
+    assert finished[1] == [sense_end + 2 * BUS_NS]
+
+
+def test_read_queued_behind_another_requests_run_ties_with_that_requests_other_plane():
+    """A one-page read behind the first request's two pages on plane
+    (0, 0) ends its sense when that request's third page on (0, 1)
+    does; (0, 0) found idle first, so its queue goes first."""
+    finished, _, _ = both(
+        [
+            read(0, (0, 0), (0, 0), (0, 1), (0, 1), (0, 1), (0, 1)),
+            read(10 * US, (0, 0)),
+        ]
+    )
+    assert finished[1] == [SENSE_NS + 5 * BUS_NS]
+    assert finished[0][4:] == [SENSE_NS + 6 * BUS_NS, SENSE_NS + 7 * BUS_NS]
+
+
+def test_program_page_lands_ahead_of_tentative_reads():
+    """A streamed page whose DMA lands between two senses takes its
+    place between their bus phases; the reads behind it are remade."""
+    finished, _, _ = both(
+        [read(0, (0, 0), n=4), program(10 * US, 100 * US, chip=1)]
+    )
+    first_bus_end = SENSE_NS + BUS_NS
+    assert finished[1] == first_bus_end + BUS_NS + TIMING.t_prog_ns
+    assert finished[0] == [
+        first_bus_end,
+        first_bus_end + 2 * BUS_NS,
+        first_bus_end + 3 * BUS_NS,
+        first_bus_end + 4 * BUS_NS,
+    ]
+
+
+def test_read_sense_goes_ahead_of_programs_not_yet_at_the_plane():
+    """Two pages reserved ahead on the read's plane, neither at it yet:
+    the run revokes them once, senses, and they program behind it."""
+    finished, _, _ = both(
+        [
+            program(0, 100 * US),
+            program(0, 110 * US),
+            read(120 * US, (0, 0), n=3),
+        ]
+    )
+    senses_end = 120 * US + 3 * SENSE_NS
+    # The first page leaves the bus (309.8 us) before the senses end.
+    assert finished[0] == senses_end + TIMING.t_prog_ns
+    assert finished[1] == finished[0] + TIMING.t_prog_ns
+    assert finished[2][0] == 100 * US + 3 * BUS_NS
+
+
+def test_per_phase_bus_intruder_before_a_sense_end():
+    """A READ on the per-phase hops asks for the bus between the first
+    and the second sense end of a request reserved ahead."""
+    finished, _, _ = both(
+        [read(0, (0, 0), n=3), submit(5 * US, read_op(addr(plane=1), PAGE))]
+    )
+    assert finished[1] == SENSE_NS + 2 * BUS_NS
+    assert finished[0] == [
+        SENSE_NS + BUS_NS, SENSE_NS + 3 * BUS_NS, SENSE_NS + 4 * BUS_NS
+    ]
+
+
+def test_per_phase_bus_intruder_at_a_sense_end_goes_after_the_page():
+    """As for a streamed page: per phase the order at the tied
+    nanosecond hangs on sequence numbers; ahead, the page is first."""
+    script = [
+        read(0, (0, 0), n=2),
+        submit(SENSE_NS, read_op(addr(plane=1), PAGE)),
+    ]
+    finished, _, _ = run(script, ahead=True)
+    assert finished[0] == [SENSE_NS + BUS_NS, SENSE_NS + 2 * BUS_NS]
+    assert finished[1] == SENSE_NS + 3 * BUS_NS
+
+
+def test_erase_queued_behind_a_sense_run_relays_at_its_grant():
+    """No sense end event to chain from: same instants either way."""
+    finished, _, _ = both(
+        [read(0, (0, 1), n=3), submit(10 * US, erase_op(addr(plane=1)))]
+    )
+    assert finished[1] == 3 * SENSE_NS + TIMING.t_erase_ns
+
+
+def test_long_read_refills_its_tentative_tail_from_a_timer():
+    """Eighty pages over two planes hold at most READ_AHEAD_PAGES (and a
+    sense time's worth) of bus phases ahead; intruders of every kind
+    arrive while the tail is being refilled."""
+    held = []
+    script = [
+        read(0, (0, 0), (0, 1), n=40),
+        program(200 * US, 900 * US, chip=1),
+        submit(1_000 * US, read_op(addr(chip=1, plane=1), PAGE)),
+        program(1_500 * US, 2_000 * US, chip=1),
+        read(1_700 * US, (1, 1), n=2),
+        submit(2_500 * US, erase_op(addr(plane=1))),
+    ]
+    finished, events, per_phase = both(script)
+    assert len(finished[0]) == 80
+    # The long read alone: a sense end and a bus end a page per phase;
+    # ahead, a bus end a page and two refill timers.
+    assert per_phase >= 2 * 80
+    assert events <= per_phase - 80 + 2 + 6
+
+    sim = Simulator()
+    engine = ChannelEngine(sim, 0, SDF_CHIP_GEOMETRY, TIMING, 2)
+    engine.read_ahead(script[0][3])
+    while sim.peek() is not None:
+        held.append(sum(entry.bus_req > sim.now for entry in engine._ahead))
+        sim.step()
+    assert max(held) <= ChannelEngine.READ_AHEAD_PAGES + 2
+
+
+def test_read_ahead_takes_only_this_channels_reads():
+    sim = Simulator()
+    engine = ChannelEngine(sim, 0, SDF_CHIP_GEOMETRY, TIMING, 2)
+    with pytest.raises(ValueError, match="READ"):
+        engine.read_ahead([program_op(addr(), PAGE)])
+    with pytest.raises(ValueError, match="channel 0"):
+        engine.read_ahead([read_op(PhysicalAddress(1, 0, 0, 0, 0), PAGE)])
 
 
 # -- through the device ------------------------------------------------------------
@@ -249,6 +450,84 @@ def test_one_8mib_write_on_an_idle_channel_is_one_event_per_page():
     sim.run(until=sim.process(channel.write(0)))
     assert sdf.engines[0].ops_executed.value == 1024
     assert sim._seq <= 1040
+
+
+def test_reads_on_an_idle_channel_cost_one_event_a_page():
+    """2 MiB: a bus end a page, seven refill timers, and the request's
+    own six (process, submit, completion, interrupt, stack, exit).
+    Per phase it was three a page."""
+    for n_pages, budget in ((1, 8), (256, 270)):
+        sim = Simulator()
+        sdf = SDFDevice(
+            sim, n_channels=1, geometry=SDF_CHIP_GEOMETRY.scaled(0.004)
+        )
+        sdf.prefill(0.5)
+        sim.run(until=sim.process(sdf.channels[0].read(0, 0, n_pages)))
+        assert sdf.engines[0].ops_executed.value == n_pages
+        assert len(sdf.link.read_meter.samples) == n_pages
+        assert sim._seq <= budget
+
+
+def test_read_that_finds_its_plane_idle_goes_behind_the_queued_run_it_ties_with():
+    """A one-page read submitted the nanosecond another request's first
+    sense ends: its own sense ends with that request's second.  Per
+    phase the second sense's end event was scheduled from the first's,
+    itself a sense time old; the newcomer's by a submission scheduled
+    one stack crossing ago -- so the queued run's page goes first."""
+
+    def play(observed):
+        sim = Simulator()
+        sdf = small_sdf(sim)
+        sdf.prefill(0.5)
+        if observed:
+            attach_device(Observability(), sdf)
+        channel = sdf.channels[0]
+        finished = {}
+
+        def reader(name, delay, offset, n_pages):
+            yield sim.timeout(delay)
+            yield from channel.read(0, offset, n_pages)
+            finished[name] = sim.now
+
+        sim.process(reader("run", 0, 0, 3))
+        # Plane 1 starts 16 pages into the block.
+        sim.process(reader("idle", SENSE_NS, 16, 1))
+        sim.run()
+        return finished, tuple(sdf.link.read_meter.samples)
+
+    ahead, per_phase = play(False), play(True)
+    assert ahead == per_phase
+    # The newcomer's page is the third on the bus, not the second.
+    submit_ns = small_sdf(Simulator()).iostack.submit_ns
+    dma_asked_at = submit_ns + SENSE_NS + 3 * BUS_NS
+    assert ahead[0]["idle"] > dma_asked_at > ahead[0]["idle"] - 20 * US
+    assert ahead[0]["run"] > ahead[0]["idle"]
+
+
+@pytest.mark.parametrize("attach", ["obs", "qos"])
+def test_attachment_between_two_reads_puts_the_next_on_per_phase_hops(attach):
+    sim = Simulator()
+    sdf = small_sdf(sim)
+    sdf.prefill(0.5)
+    engine = sdf.engines[0]
+    channel = sdf.channels[0]
+    sim.run(until=sim.process(channel.read(0, 0, 8)))
+    ahead_events = sim._seq
+    assert engine.can_reserve_ahead() and ahead_events <= 8 + 8
+    if attach == "obs":
+        obs = Observability()
+        attach_device(obs, sdf)
+    else:
+        qos = engine.qos = ChannelQosState(sim, 0, max_inflight=1)
+    assert not engine.can_reserve_ahead()
+    sim.run(until=sim.process(channel.read(0, 8, 8)))
+    assert engine.ops_executed.value == 16 and not engine._ahead
+    # Sense end, bus end and DMA end for every page.
+    assert sim._seq - ahead_events >= 3 * 8
+    if attach == "obs":
+        assert obs.metrics.snapshot(sim.now)["channel0.queue_depth"] > 0
+    else:
+        assert qos.throttled.value > 0
 
 
 def test_observability_attached_mid_request_applies_from_the_next_page():

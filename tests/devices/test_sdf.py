@@ -3,7 +3,10 @@
 import pytest
 
 from repro.devices import build_device
+from repro.faults import DELAY, DROP, FaultPlan
+from repro.faults.injector import NULL_INJECTOR
 from repro.ftl import EraseBeforeWriteError
+from repro.interfaces.link import LinkDropError
 from repro.sim import MS, Simulator, US
 from repro.sim.units import mb_per_s
 
@@ -173,3 +176,106 @@ def test_prefill_validation():
     sdf = small_sdf(sim)
     with pytest.raises(ValueError):
         sdf.prefill(1.5)
+
+
+# -- read completion when only some pages' DMAs are reserved ahead -----------------------
+
+
+def _read_with_link_injector(wired_from, wired_until, plan=None, n_pages=12):
+    """One ``n_pages`` read on an idle channel whose link has an
+    injector wired during ``[wired_from, wired_until)``: the pages that
+    ask for their DMA then go through ``reserve_call`` and a ``landed``
+    event, the others are reserved ahead.  Returns (sim, sdf, process)."""
+    sim = Simulator()
+    sdf = small_sdf(sim, n_channels=1)
+    sdf.prefill(0.5)
+    injector = (plan or FaultPlan()).injector("link")
+    sim._schedule_call(lambda: setattr(sdf.link, "faults", injector), wired_from)
+    sim._schedule_call(
+        lambda: setattr(sdf.link, "faults", NULL_INJECTOR), wired_until
+    )
+    proc = sim.process(sdf.channels[0].read(0, 0, n_pages))
+    return sim, sdf, proc
+
+
+#: The instant page ``k`` (from 0) of a read submitted at 0 on an idle
+#: channel asks the link for its DMA: submit, first sense, k + 1 buses.
+def _bus_end(sdf, k):
+    timing = sdf.engines[0].timing
+    return (
+        sdf.iostack.submit_ns
+        + timing.t_read_ns
+        + (k + 1) * timing.bus_transfer_ns(sdf.page_size)
+    )
+
+
+@pytest.mark.parametrize(
+    "first_evented, last_evented",
+    [(4, 12), (0, 5), (3, 9)],
+    ids=["wired-mid-request", "unwired-mid-request", "wired-for-a-while"],
+)
+def test_read_ends_at_the_latest_dma_end_of_either_kind(first_evented, last_evented):
+    """With the last pages reserved ahead, counting a page down when
+    its DMA is *booked* would end the request at the last bus end."""
+    probe = small_sdf(Simulator(), n_channels=1)
+    sim, sdf, proc = _read_with_link_injector(
+        _bus_end(probe, first_evented) - 1, _bus_end(probe, last_evented) - 1
+    )
+    sim.run(until=proc)
+    finished = sim.now
+    sim.run()
+    evented = last_evented - first_evented
+    # Per evented page one ``landed`` event more than an ahead page
+    # (and the two timers that wire and unwire the injector).
+    ahead_only = Simulator()
+    ahead_sdf = small_sdf(ahead_only, n_channels=1)
+    ahead_sdf.prefill(0.5)
+    ahead_only.run(until=ahead_only.process(ahead_sdf.channels[0].read(0, 0, 12)))
+    assert sim._seq == ahead_only._seq + evented + 2
+    # Same instants as the all-ahead run: an empty injector changes how
+    # a DMA is booked, not when.
+    assert finished == ahead_only.now
+    assert sdf.link.read_meter.samples == ahead_sdf.link.read_meter.samples
+    last_dma_end = sdf.link.read_meter.samples[-1][0]
+    assert last_dma_end > _bus_end(sdf, 11)
+    completion = sdf.interrupts.handler_ns + sdf.iostack.complete_ns
+    assert finished == last_dma_end + completion
+
+
+def test_delayed_page_behind_pages_reserved_ahead_still_ends_the_request():
+    """Page 2's DMA is delayed past every later page's: the request
+    ends when it lands, long after the last countdown of the others."""
+    probe = small_sdf(Simulator(), n_channels=1)
+    plan = FaultPlan()
+    plan.add("link", DELAY, at_op=1, delay_ns=20 * MS)
+    sim, sdf, proc = _read_with_link_injector(
+        _bus_end(probe, 2) - 1, _bus_end(probe, 3) - 1, plan
+    )
+    sim.run(until=proc)
+    dma_ns = sdf.link.read_meter.samples[0][0] - _bus_end(sdf, 0)
+    completion = sdf.interrupts.handler_ns + sdf.iostack.complete_ns
+    assert sim.now == _bus_end(sdf, 2) + 20 * MS + dma_ns + completion
+    assert len(sdf.link.read_meter.samples) == 12
+
+
+def test_dropped_pages_fail_a_partly_ahead_read_exactly_once():
+    """Two drops among the evented pages: the first fails the request,
+    the second finds it failed; the other pages land, the countdown
+    never reaches zero, and the channel serves the next read."""
+    probe = small_sdf(Simulator(), n_channels=1)
+    plan = FaultPlan()
+    plan.add("link", DROP, at_op=2)
+    plan.add("link", DROP, at_op=4)
+    sim, sdf, proc = _read_with_link_injector(
+        _bus_end(probe, 3) - 1, _bus_end(probe, 9) - 1, plan
+    )
+    with pytest.raises(LinkDropError):
+        sim.run(until=proc)
+    assert sim.now == _bus_end(sdf, 4)
+    sim.run()  # the ten surviving pages land; nothing fires twice
+    assert plan.fault_count("link", DROP) == 2
+    assert len(sdf.link.read_meter.samples) == 10
+    assert sdf.stats.requests.value == 0
+    again = sim.process(sdf.channels[0].read(0, 0, 2))
+    sim.run(until=again)
+    assert sdf.stats.requests.value == 1

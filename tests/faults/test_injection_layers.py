@@ -75,6 +75,31 @@ def test_uncorrectable_read_raises_transient_error():
     assert array.read_page(addr) == b"x"  # data itself is intact
 
 
+def test_uncorrectable_read_mid_run_draws_and_counts_page_by_page():
+    """A multi-page FTL read with an injector wired draws once per page:
+    the fourth page fails, the three before it count as read for the
+    host, the chip counts the failing one too, and nothing after it is
+    drawn."""
+    array = small_array()
+    ftl = ChannelBlockFTL(array, channel=0, reserve_fraction=0.2)
+    payload = [("v", index) for index in range(ftl.pages_per_logical_block)]
+    ftl.write(0, payload)
+    plan = FaultPlan()
+    plan.add("nand", READ_UNCORRECTABLE, at_op=4)
+    injector = plan.injector("nand")
+    for chip in array.chips[0]:
+        chip.faults = injector
+    # Pages 2..7: two of plane 0, then the second page of plane 1 fails.
+    with pytest.raises(UncorrectableReadError, match="plane 1 block . page 1"):
+        ftl.read(0, 2, 6)
+    assert ftl.host_reads == 3
+    assert array.chips[0][0].reads == 4
+    assert plan.fault_count("nand", READ_UNCORRECTABLE) == 1
+    data, ops = ftl.read(0, 2, 6)
+    assert data == payload[2:8] and len(ops) == 6
+    assert ftl.host_reads == 9 and array.chips[0][0].reads == 10
+
+
 def test_program_fail_marks_block_bad_and_raises():
     array = small_array()
     plan = FaultPlan()

@@ -122,6 +122,31 @@ def test_operation_counters(chip):
     assert chip.erases == 1
 
 
+def test_read_pages_is_read_page_for_each_page_in_order(chip):
+    for page in range(3):
+        chip.program_page(1, 2, page, f"p{page}")
+    one_by_one = [chip.read_page(1, 2, page) for page in range(1, 4)]
+    assert chip.reads == 3
+    # Two programmed pages and the erased one behind the write frontier.
+    assert chip.read_pages(1, 2, 1, 3) == one_by_one == ["p1", "p2", None]
+    assert chip.reads == 6
+    assert chip.read_pages(1, 2, 0, 0) == [] and chip.reads == 6
+
+
+def test_read_pages_checks_the_run_before_reading_any_of_it(chip):
+    chip.program_page(0, 0, 0, "a")
+    with pytest.raises(IndexError):
+        chip.read_pages(0, 0, 2, 3)
+    with pytest.raises(IndexError):
+        chip.read_pages(0, 0, -1, 2)
+    with pytest.raises(IndexError):
+        chip.read_pages(0, SMALL.blocks_per_plane, 0, 1)
+    chip.block(0, 1).mark_bad()
+    with pytest.raises(WearOutError):
+        chip.read_pages(0, 1, 0, 2)
+    assert chip.reads == 0
+
+
 def test_planes_are_independent(chip):
     chip.program_page(0, 0, 0, "plane0")
     chip.program_page(1, 0, 0, "plane1")
