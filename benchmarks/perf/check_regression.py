@@ -1,9 +1,14 @@
 """Compare a ``BENCH_perf.json`` report against the checked-in baseline.
 
-Wall-clock seconds vary across machines, so the gate uses the one
-hardware-portable signal: **events** -- the number of simulated events
-per scenario (and per mode, for a scenario the harness runs as a mode
-pair) is deterministic; growth means the scheduler got chattier.
+Wall-clock seconds vary across machines, so the gate uses the two
+hardware-portable signals, both deterministic per scenario (and per
+mode, for a scenario the harness runs as a mode pair): **events** --
+the number of simulated events; growth means the scheduler got
+chattier -- and **gc_found** -- the objects a run left for the cyclic
+collector; the baseline is 0 and any at all means a request path grew a
+reference cycle, which the kernel's paced collection (DESIGN.md section
+7, "Memory and the collector") turns into resident memory.
+``tracked_growth`` is recorded beside them, not gated.
 
 Usage::
 
@@ -40,6 +45,13 @@ def check(report: dict, baseline: dict, tolerance: float) -> list:
                     f"{label}: events {events} exceeds baseline "
                     f"{base_events} by more than {tolerance:.0%}"
                 )
+            if run["gc_found"] > base_run["gc_found"]:
+                failures.append(
+                    f"{label}: the run left {run['gc_found']} objects to "
+                    f"the cyclic collector (baseline "
+                    f"{base_run['gc_found']}): a reference cycle on a "
+                    "request path"
+                )
     return failures
 
 
@@ -61,7 +73,8 @@ def main(argv=None):
         return 1
     print(
         f"perf check OK: {len(baseline)} scenarios within "
-        f"{args.tolerance:.0%} of baseline"
+        f"{args.tolerance:.0%} of baseline events, none leaving more "
+        "to the cyclic collector"
     )
     return 0
 

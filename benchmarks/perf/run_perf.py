@@ -1,9 +1,11 @@
 """Perf-regression harness for the simulation core.
 
 Runs the paper-shaped hot scenarios and reports wall-clock, processed
-events, events/sec and simulated throughput.  Results land in
-``BENCH_perf.json`` for the CI perf-smoke job (see
-``check_regression.py``).
+events, events/sec, simulated throughput, and what each run left the
+cyclic collector: ``gc_found`` (objects only it could free; the request
+paths are meant to leave none) and ``tracked_growth`` (tracked objects
+the finished system keeps).  Results land in ``BENCH_perf.json`` for
+the CI perf-smoke job (see ``check_regression.py``).
 
 Usage::
 
@@ -30,12 +32,22 @@ Scenarios:
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
+import pkgutil
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+
+import repro
+
+# Every module now, not lazily inside the first scenario that needs it:
+# importing leaves garbage of its own (the stdlib's enum conversions),
+# which is not a run's ``gc_found``.
+for _module in pkgutil.walk_packages(repro.__path__, "repro."):
+    importlib.import_module(_module.name)
 
 
 def _fig7_point(direction: str):
@@ -76,6 +88,7 @@ def _fig7_point(direction: str):
         "events": sim._seq,
         "sim_end_ns": sim.now,
         "mb_per_s": mbps,
+        "system": sdf,
     }
 
 
@@ -117,6 +130,7 @@ def kv_write_compaction():
         "events": sim._seq,
         "sim_end_ns": sim.now,
         "mb_per_s": device.stats.write_meter.mb_per_s(0, sim.now),
+        "system": server,
     }
 
 
@@ -159,6 +173,7 @@ def conv_gc_write():
         "events": sim._seq,
         "sim_end_ns": sim.now,
         "mb_per_s": nbytes / 1e6 / (sim.now / 1e9),
+        "system": device,
     }
 
 
@@ -293,6 +308,7 @@ def fleet_day_qos():
         "wall_s": wall,
         "events": int(runner.sim._seq),
         "sim_end_ns": int(runner.sim.now),
+        "system": runner,
     }
 
 
@@ -302,6 +318,7 @@ def fleet_day_sharded(mode: str):
     from repro.workloads.scenarios import ScenarioRunner, run_scenario_sharded
 
     scenario = _fleet_scenario(static_control_plane=True)
+    runner = None  # sharded: the systems live and die in the workers
     if mode == "inprocess":
         # Cluster build + preload count in both modes: the sharded run
         # necessarily rebuilds per shard, so the in-process side must
@@ -323,10 +340,14 @@ def fleet_day_sharded(mode: str):
         "events": events,
         "sim_end_ns": int(result.sim_end_ns),
         "digest": result.to_json(),
+        "system": runner,
     }
 
 
-#: name -> (scenario callable, mode pair or None).  A scenario with a
+#: name -> (scenario callable, mode pair or None).  A scenario returns
+#: its measurements and, under ``"system"``, what it built -- still
+#: whole, so the collector ledger counts the run and not the teardown.
+#: A scenario with a
 #: ``(slow mode, fast mode)`` pair runs once per mode and the two must
 #: agree byte-for-byte on the simulated outcome.  The fleet scenarios
 #: run first: the big fig7 sweeps leave tens of millions of live
@@ -342,10 +363,13 @@ SCENARIOS = {
 
 
 def _measure(label: str, scenario, *args) -> dict:
-    import gc
+    from repro.analysis.profile import CollectorLedger
 
-    gc.collect()
-    result = scenario(*args)
+    with CollectorLedger() as ledger:
+        result = scenario(*args)
+    del result["system"]
+    result["gc_found"] = ledger.found
+    result["tracked_growth"] = ledger.tracked_growth
     result["events_per_s"] = (
         result["events"] / result["wall_s"] if result["wall_s"] else 0.0
     )
@@ -357,7 +381,8 @@ def _measure(label: str, scenario, *args) -> dict:
     print(
         f"{label:>32}: wall={result['wall_s']:6.2f}s "
         f"events={result['events']:>8} "
-        f"({result['events_per_s'] / 1e3:7.1f}k ev/s) {throughput}"
+        f"({result['events_per_s'] / 1e3:7.1f}k ev/s) "
+        f"gc_found={result['gc_found']} {throughput}"
     )
     return result
 

@@ -191,6 +191,9 @@ class ChannelEngine:
         }
         self._ops_track = f"ch{channel}/ops"
         self._busy_union = BusyUnion()
+        #: The union's flat buffer: a phase's service interval is two
+        #: appends here (``BusyUnion.add`` inlined at every site).
+        self._busy_raw = self._busy_union.raw
         #: Ops with a bus phase reserved ahead (and, for a PROGRAM, the
         #: plane phase behind it) that may still be revoked, in the
         #: order they will request the bus (``_Ahead.order``).  The bus
@@ -275,6 +278,13 @@ class ChannelEngine:
         return plain
 
     # -- accounting --------------------------------------------------------------
+    #: Integers (two an interval) the busy union's flat buffer may hold
+    #: before the next submission closes the union through now -- by
+    #: :meth:`busy_value`, the read an observer makes, so the answers
+    #: are those of a run that never closed early, and busy accounting
+    #: stays the size of what is in service on a run of any length.
+    BUSY_RAW_LIMIT = 8192
+
     def utilization(self, now_ns: Optional[int] = None) -> float:
         """Fraction of elapsed time with at least one op in service.
 
@@ -351,8 +361,10 @@ class ChannelEngine:
             else:
                 tail.append((fn, hooks, end - grant))
         timeline._tail_hooks = hooks
-        # BusyUnion.add inlined; phase durations are always positive.
-        self._busy_union._raw.append([grant, end])
+        # Phase durations are always positive.
+        raw = self._busy_raw
+        raw.append(grant)
+        raw.append(end)
         if self._obs is not None:
             self._depth_track(now, grant)
         if revoked:
@@ -422,6 +434,8 @@ class ChannelEngine:
         ahead = self._ahead
         if ahead and ahead[0].due <= now:
             self._retire()
+        if len(self._busy_raw) > self.BUSY_RAW_LIMIT:
+            self.busy_value()
         if op.kind is not OpKind.PROGRAM:
             raise ValueError(f"only a PROGRAM is reserved ahead, not {op.kind}")
         if request_ns <= now:
@@ -488,9 +502,11 @@ class ChannelEngine:
         ahead = self._ahead
         if ahead and ahead[0].due <= now:
             self._retire()
+        if len(self._busy_raw) > self.BUSY_RAW_LIMIT:
+            self.busy_value()
         channel = self.channel
         t_read = self.timing.t_read_ns
-        raw = self._busy_union._raw
+        raw = self._busy_raw
         entries: List[_Ahead] = []
         nbytes = bus_ns = None
         index = 0
@@ -524,7 +540,8 @@ class ChannelEngine:
                     nbytes = op.nbytes
                     bus_ns = self._bus_ns(nbytes)
                 end = grant + t_read
-                raw.append([grant, end])
+                raw.append(grant)
+                raw.append(end)
                 entries.append(
                     _Ahead(
                         self, then, None, (end, grant, start, rank),
@@ -632,12 +649,13 @@ class ChannelEngine:
         request instant reached) into the busy union."""
         now = self.sim._now
         ahead = self._ahead
-        raw = self._busy_union._raw
+        raw = self._busy_raw
         duration = self.timing.t_prog_ns
         while ahead and ahead[0].due <= now:
             entry = ahead.popleft()
             if not entry.bus_counted:
-                raw.append([entry.bus_grant, entry.bus_end])
+                raw.append(entry.bus_grant)
+                raw.append(entry.bus_end)
             # The tail saved with the op's last phase holds the entry's
             # own hook: a cycle.
             if entry.plane is None:
@@ -645,7 +663,8 @@ class ChannelEngine:
             else:
                 entry.plane_undo = None
                 grant = entry.plane_grant
-                raw.append([grant, grant + duration])
+                raw.append(grant)
+                raw.append(grant + duration)
 
     def _count_ahead(self) -> None:
         """Before a busy-time read: every service interval whose request
@@ -653,13 +672,14 @@ class ChannelEngine:
         recorded by now -- goes into the busy union."""
         self._retire()
         now = self.sim._now
-        raw = self._busy_union._raw
+        raw = self._busy_raw
         for entry in self._ahead:
             if entry.bus_req > now:
                 break
             if not entry.bus_counted:
                 entry.bus_counted = True
-                raw.append([entry.bus_grant, entry.bus_end])
+                raw.append(entry.bus_grant)
+                raw.append(entry.bus_end)
 
     def _revoke(self, timeline: ResourceTimeline, order=None) -> List[_Ahead]:
         """Undo, newest first, the ahead reservations that a reservation
@@ -722,6 +742,8 @@ class ChannelEngine:
         after the admission slot's release) -- so callers can chain
         further reservations (link DMA, batch completions) from it.
         """
+        if len(self._busy_raw) > self.BUSY_RAW_LIMIT:
+            self.busy_value()
         plain = self._plain
         if plain is None:
             plain = self._choose_plain()
@@ -870,7 +892,7 @@ class ChannelEngine:
             grant, end = timeline.reserve_and_call(sim, duration_ns, ended)
             if grant <= request:
                 self._rank = timeline.rank = self._rank + 1
-            self._busy_union._raw.append([grant, end])
+            self._busy_union.add(grant, end)
             if self._obs is not None:
                 self._depth_track(request, grant)
             if revoked:
@@ -894,7 +916,7 @@ class ChannelEngine:
             grant_cell[0] = grant
             if depth is not None:
                 depth.shift(grant, -1)
-            self._busy_union._raw.append([grant, end])
+            self._busy_union.add(grant, end)
 
         def prio_ended():
             grant = grant_cell[0]
@@ -1013,6 +1035,8 @@ class ChannelEngine:
             # and schedule one shared countdown instead of per-op
             # closures.  Event-for-event identical to the loop below.
             vector.schedule_erase_batch(self, ops, then)
+            if len(self._busy_raw) > self.BUSY_RAW_LIMIT:
+                self.busy_value()
             return
         remaining = [len(ops)]
 

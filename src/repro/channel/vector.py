@@ -127,7 +127,7 @@ def schedule_erase_batch(engine, ops, done) -> None:
         if not remaining[0]:
             done()
 
-    raw = engine._busy_union._raw
+    raw = engine._busy_raw
     total_wait = 0
     for key, count in groups.items():
         timeline = engine._tl_planes[key]
@@ -137,9 +137,7 @@ def schedule_erase_batch(engine, ops, done) -> None:
         tail = timeline._tail_hooks
         grants, ends = timeline.reserve_bulk(now, duration, count)
         total_wait += int(grants.sum()) - now * count
-        raw.extend(
-            [int(g), int(e)] for g, e in zip(grants.tolist(), ends.tolist())
-        )
+        raw.extend(np.column_stack((grants, ends)).ravel().tolist())
         first_grant = int(grants[0])
         hooks: list = []
         if first_grant <= now:

@@ -23,7 +23,13 @@ from repro.devices.base import DeviceStats, base_device_metrics, register_device
 from repro.ftl.ops import FlashOp
 from repro.ftl.page_ftl import PageFTL
 from repro.interfaces.iostack import IOStackModel, KERNEL_IO_STACK
-from repro.interfaces.link import HostLink, LinkDropError, LinkSpec, PCIE_1_1_X8
+from repro.interfaces.link import (
+    HostLink,
+    LinkDropError,
+    LinkSpec,
+    PCIE_1_1_X8,
+    fail_dropped,
+)
 from repro.nand.array import FlashArray
 from repro.nand.catalog import MICRON_25NM_MLC, SDF_CHIP_GEOMETRY
 from repro.nand.geometry import FlashGeometry, scaled_count
@@ -71,6 +77,73 @@ class ConventionalSSDSpec:
         """Same device with ``blocks_per_plane`` scaled down -- used by
         tests/benches to shrink simulated capacity, not behaviour."""
         return replace(self, geometry=self.geometry.scaled(capacity_factor))
+
+
+class _PagedWrite:
+    """One admitted write, a page on the wire at a time.
+
+    Its four steps are bound methods made where they are handed on (to
+    the link, the buffer's waiter queue, a controller timeline), so
+    whoever a step is parked with holds the request and nothing holds
+    it once it has completed or failed: it dies there, not at the next
+    cyclic collection as four closures naming each other did.
+    """
+
+    __slots__ = ("ssd", "lpn", "n_pages", "data", "done", "index")
+
+    def __init__(self, ssd: "ConventionalSSD", lpn, n_pages, data, done):
+        self.ssd = ssd
+        self.lpn = lpn
+        self.n_pages = n_pages
+        self.data = data
+        self.done = done
+        #: The page on the wire (or parked for buffer space).
+        self.index = 0
+
+    def send(self) -> None:
+        ssd = self.ssd
+        try:
+            ssd.link.reserve_call("write", ssd.page_size, self.landed)
+        except LinkDropError as exc:
+            fail_dropped(self.done, exc)
+
+    def landed(self) -> None:
+        ssd = self.ssd
+        page_size = ssd.page_size
+        ssd.link.write_meter.record(ssd.sim.now, page_size)
+        capacity = ssd.spec.dram_buffer_bytes  # 0: straight to flash
+        if not capacity:
+            ssd._write_one_page(self.lpn + self.index, self.data, self.taken)
+        elif ssd._buffer_waiters or ssd._buffer_level + page_size > capacity:
+            ssd._buffer_waiters.append(self.admitted)
+        else:
+            ssd._buffer_level += page_size
+            self.admitted()
+
+    def admitted(self) -> None:
+        ssd = self.ssd
+        lpn = self.lpn + self.index
+        data = self.data
+        ssd._pending_pages.setdefault(lpn, []).append(data)
+        if ssd._idle_flushers:
+            ssd._idle_flushers -= 1
+            ssd._flush(lpn, data)
+        else:
+            ssd._flush_queue.append((lpn, data))
+        self.taken()
+
+    def taken(self) -> None:
+        ssd = self.ssd
+        self.index += 1
+        if self.index >= self.n_pages:
+            self.done.succeed(delay=ssd.spec.iostack.complete_ns)
+        elif ssd._open_requests > 1:
+            # Another open request may claim the link lane at this
+            # very instant straight from a controller grant (its
+            # first page); it goes first, so hop behind it.
+            ssd.sim._schedule_call(self.send)
+        else:
+            self.send()
 
 
 class ConventionalSSD:
@@ -245,8 +318,7 @@ class ConventionalSSD:
             try:
                 link.reserve_call("read", page_size, landed)
             except LinkDropError as exc:
-                if not done.triggered:
-                    done.fail(exc)
+                fail_dropped(done, exc)
 
         def lookup(index):
             data, ops = self.ftl.read(lpn + index)
@@ -292,51 +364,7 @@ class ConventionalSSD:
         arrives, so long requests do not stall the whole drain pipeline
         behind one DMA.  ``done`` fires ``complete_ns`` after the last
         page is taken, or fails on a dropped DMA."""
-        sim = self.sim
-        link = self.link
-        page_size = self.page_size
-        capacity = self.spec.dram_buffer_bytes  # 0: straight to flash
-        index = 0
-
-        def send():
-            try:
-                link.reserve_call("write", page_size, landed)
-            except LinkDropError as exc:
-                done.fail(exc)
-
-        def landed():
-            link.write_meter.record(sim.now, page_size)
-            if not capacity:
-                self._write_one_page(lpn + index, data, taken)
-            elif self._buffer_waiters or self._buffer_level + page_size > capacity:
-                self._buffer_waiters.append(admitted)
-            else:
-                self._buffer_level += page_size
-                admitted()
-
-        def admitted():
-            self._pending_pages.setdefault(lpn + index, []).append(data)
-            if self._idle_flushers:
-                self._idle_flushers -= 1
-                self._flush(lpn + index, data)
-            else:
-                self._flush_queue.append((lpn + index, data))
-            taken()
-
-        def taken():
-            nonlocal index
-            index += 1
-            if index >= n_pages:
-                done.succeed(delay=self.spec.iostack.complete_ns)
-            elif self._open_requests > 1:
-                # Another open request may claim the link lane at this
-                # very instant straight from a controller grant (its
-                # first page); it goes first, so hop behind it.
-                sim._schedule_call(send)
-            else:
-                send()
-
-        send()
+        _PagedWrite(self, lpn, n_pages, data, done).send()
 
     def _write_one_page(self, lpn: int, data, then) -> None:
         """Controller cost, FTL write, flash programs; then ``then()``."""

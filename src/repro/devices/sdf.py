@@ -31,6 +31,14 @@ reserves bus and program from the DMA end
 (``ChannelEngine.program_ahead``).  With observability, QoS, tracing or
 a fault rule attached, every phase is its own hop (DESIGN.md section
 7).
+
+A request's continuations die with it.  A write's window is one small
+object (:class:`_WriteWindow`) whose bound methods are the callbacks
+the link and the engine hold while a page is in flight; a read's are
+closures that name the request's state but not each other.  Nothing
+outlives the request's last page waiting for the cyclic collector --
+its 1,024 ops least of all -- whether it succeeded, lost a page DMA or
+was abandoned by a crashed issuer (``tests/sim/test_gc_hygiene.py``).
 """
 
 from __future__ import annotations
@@ -50,12 +58,96 @@ from repro.interfaces.link import (
     LinkDropError,
     LinkSpec,
     PCIE_1_1_X8,
+    fail_dropped,
 )
 from repro.nand.array import FlashArray
 from repro.nand.catalog import MICRON_25NM_MLC, SDF_CHIP_GEOMETRY
 from repro.nand.geometry import FlashGeometry, scaled_count
 from repro.nand.timing import NandTiming
 from repro.sim import Event, Simulator
+
+
+class _WriteWindow:
+    """One 8 MB write streaming through the bounded staging window.
+
+    The DDR3 staging buffer holds a few pages ahead of the flash
+    programs, so one request cannot hog the PCIe link far in advance of
+    what its planes can absorb: page ``i`` starts its host DMA when the
+    ``i - 16``-th program completes.
+
+    The request's continuations are this object's bound methods, made
+    where they are handed on: the link and the engine hold the window
+    while a page is in flight and nothing holds it afterwards, so it
+    and its ops die with the last page -- succeeded, failed or
+    abandoned -- without waiting for the cyclic collector (two closures
+    naming each other kept every finished request's ops until a
+    collection; DESIGN.md section 7, "Memory and the collector").
+    """
+
+    __slots__ = (
+        "sim", "engine", "link", "page_size", "ops", "done", "next",
+        "remaining",
+    )
+
+    def __init__(self, channel: "SDFChannelDevice", ops, done: Event):
+        device = channel.device
+        self.sim = device.sim
+        self.engine = channel.engine
+        self.link = device.link
+        self.page_size = channel.page_size
+        self.ops = ops
+        self.done = done
+        #: Index of the next page to admit, and pages not yet programmed.
+        self.next = channel.WRITE_WINDOW_PAGES
+        self.remaining = len(ops)
+
+    def open(self) -> None:
+        """Start the first window's worth of pages."""
+        for op in self.ops[: self.next]:
+            self.start_page(op)
+
+    def start_page(self, op) -> None:
+        # Asking the shared link for the DMA is the one step that must
+        # happen at this instant.  When the DMA's end is known at once
+        # and nothing watches the channel phase by phase, the bus and
+        # the program are reserved from here too and the page costs one
+        # event (its program end), not three.
+        engine = self.engine
+        link = self.link
+        page_size = self.page_size
+        if engine.can_reserve_ahead():
+            dma_end = link.reserve_ahead("write", page_size)
+            if dma_end is not None:
+                link.write_meter.record(dma_end, page_size)
+                engine.program_ahead(op, dma_end, self.programmed)
+                return
+        try:
+            link.reserve_call("write", page_size, lambda: self.to_flash(op))
+        except LinkDropError as exc:
+            # The dropped page never programs and its window slot is
+            # not handed on: the request fails once, the pages already
+            # admitted (and those their programs admit) still run, and
+            # the window dies with the last of them.
+            fail_dropped(self.done, exc)
+
+    def to_flash(self, op) -> None:
+        # DMA landed in the staging buffer; contend for the channel
+        # (bus then plane program).
+        self.link.write_meter.record(self.sim.now, self.page_size)
+        self.engine.execute_fast(op, self.programmed)
+
+    def programmed(self) -> None:
+        # One program finished: free a window slot (admitting the next
+        # waiting page at this exact instant, FIFO) and count down the
+        # batch.
+        index = self.next
+        ops = self.ops
+        if index < len(ops):
+            self.next = index + 1
+            self.start_page(ops[index])
+        self.remaining -= 1
+        if not self.remaining:
+            self.done.succeed()
 
 
 class SDFChannelDevice:
@@ -142,8 +234,7 @@ class SDFChannelDevice:
                 try:
                     link.reserve_call("read", page_size, landed)
                 except LinkDropError as exc:
-                    if not done.triggered:
-                        done.fail(exc)
+                    fail_dropped(done, exc)
 
             if ahead:
                 engine.read_ahead(ops, stream)
@@ -165,67 +256,15 @@ class SDFChannelDevice:
         """
         device = self.device
         sim = device.sim
-        engine = self.engine
-        link = device.link
         start = sim.now
         if pages is None:
             pages = [None] * self.pages_per_logical_block
         yield sim.timeout(device.iostack.submit_ns)
         nbytes = len(pages) * self.page_size
         ops = self.ftl.write(logical_block, pages)
-        page_size = self.page_size
-        # Bounded streaming window: the DDR3 staging buffer holds a few
-        # pages ahead of the flash programs, so one request cannot hog
-        # the PCIe link far in advance of what its planes can absorb.
-        # Page ``i`` starts its host DMA when the ``i - 16``-th program
-        # completes.
-        meter = link.write_meter
         done = Event(sim)
-        n_ops = len(ops)
-        state = {"remaining": n_ops, "next": self.WRITE_WINDOW_PAGES}
-
-        def start_page(op):
-            # Asking the shared link for the DMA is the one step that
-            # must happen at this instant.  When the DMA's end is known
-            # at once and nothing watches the channel phase by phase,
-            # the bus and the program are reserved from here too and the
-            # page costs one event (its program end), not three.
-            if engine.can_reserve_ahead():
-                dma_end = link.reserve_ahead("write", page_size)
-                if dma_end is not None:
-                    meter.record(dma_end, page_size)
-                    engine.program_ahead(op, dma_end, programmed)
-                    return
-
-            def to_flash():
-                # DMA landed in the staging buffer; contend for the
-                # channel (bus then plane program).
-                meter.record(sim.now, page_size)
-                engine.execute_fast(op, programmed)
-
-            try:
-                link.reserve_call("write", page_size, to_flash)
-            except LinkDropError as exc:
-                # The dropped page never programs, so its window slot
-                # stays taken; the request fails once.
-                if not done.triggered:
-                    done.fail(exc)
-
-        def programmed():
-            # One program finished: free a window slot (admitting the
-            # next waiting page at this exact instant, FIFO) and count
-            # down the batch.
-            index = state["next"]
-            if index < n_ops:
-                state["next"] = index + 1
-                start_page(ops[index])
-            state["remaining"] -= 1
-            if not state["remaining"]:
-                done.succeed()
-
-        for op in ops[: self.WRITE_WINDOW_PAGES]:
-            start_page(op)
-        if n_ops:
+        if ops:
+            _WriteWindow(self, ops, done).open()
             yield done
         yield sim.timeout(device.interrupts.on_completion())
         yield sim.timeout(device.iostack.complete_ns)

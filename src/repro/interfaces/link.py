@@ -26,6 +26,17 @@ class LinkDropError(TransientFault):
     """A host-link transfer was lost (aborted DMA, link reset)."""
 
 
+def fail_dropped(done: Event, exc: LinkDropError) -> None:
+    """Fail a request's completion event with a drop caught inside one
+    of the request's own callbacks -- once, however many of its pages
+    are dropped, and without the frames between the raise and the
+    catch: the catching frame holds the request, the request the event
+    and the event the exception, a reference cycle per failed request
+    (the message already says what was dropped, and where)."""
+    if not done.triggered:
+        done.fail(exc.with_traceback(None))
+
+
 @dataclass(frozen=True)
 class LinkSpec:
     """Static description of a host link."""
@@ -174,13 +185,20 @@ class HostLink:
         if not remaining:
             timeline.reserve_and_call(sim, cost, fn)
             return
+        timeline.reserve_and_call(
+            sim, cost, lambda: self._next_chunk(timeline, rate, remaining, fn)
+        )
 
-        def next_chunk():
-            nonlocal remaining
-            chunk = remaining if remaining < chunk_bytes else chunk_bytes
-            remaining -= chunk
-            timeline.reserve_and_call(
-                sim, transfer_ns(chunk, rate), next_chunk if remaining else fn
-            )
-
-        timeline.reserve_and_call(sim, cost, next_chunk)
+    def _next_chunk(self, timeline, rate, remaining: int, fn) -> None:
+        """Reserve the next chunk of a transfer with ``remaining`` bytes
+        to go, at the end instant of the chunk before."""
+        chunk_bytes = self.spec.chunk_bytes
+        chunk = remaining if remaining < chunk_bytes else chunk_bytes
+        remaining -= chunk
+        timeline.reserve_and_call(
+            self.sim,
+            transfer_ns(chunk, rate),
+            (lambda: self._next_chunk(timeline, rate, remaining, fn))
+            if remaining
+            else fn,
+        )

@@ -3,10 +3,16 @@
 :class:`Simulator` owns the clock (integer nanoseconds) and a binary heap
 of scheduled events.  Ties at the same instant are broken by schedule
 order, making every run deterministic.
+
+The loop also paces CPython's cyclic collector (:data:`GC_PACE`): the
+simulator's request paths are kept free of reference cycles, so what a
+collection does during a run is walk live requests and find nothing,
+and the default pace has it do so several hundred times a second.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 from typing import Generator, Iterable, Optional
 
@@ -89,6 +95,18 @@ class _PhaseEnd(Event):
                     event = _PhaseEnd(sim, h_fn, h_hooks)
                 sim._seq += 1
                 heapq.heappush(heap, (now + h_delay, sim._seq, event))
+
+
+#: Net container allocations between automatic collections of the
+#: youngest generation while :meth:`Simulator.run` is in its loop
+#: (CPython's default is 700).  The page path leaves the cyclic
+#: collector nothing to find (``tests/sim/test_gc_hygiene.py``), so a
+#: pass only re-walks the requests in flight, and each older-generation
+#: pass the whole device; pacing them by the ten thousands makes that a
+#: handful of passes a run.  The young generation is what grows
+#: meanwhile: DESIGN.md section 7 has wall time and peak memory at this
+#: value and either side of it.
+GC_PACE = 50_000
 
 
 class EmptySchedule(Exception):
@@ -218,6 +236,18 @@ class Simulator:
         * an :class:`Event` -- run until that event is processed, returning
           its value (or raising its failure exception).
         """
+        # The loop paces automatic collection (see GC_PACE) and hands
+        # back the thresholds it found, whichever way it leaves; a run
+        # nested in a callback finds, and restores, the paced ones.
+        thresholds = gc.get_threshold()
+        if 0 < thresholds[0] < GC_PACE:
+            gc.set_threshold(GC_PACE, *thresholds[1:])
+        try:
+            return self._run(until)
+        finally:
+            gc.set_threshold(*thresholds)
+
+    def _run(self, until):
         heap = self._heap
         pop = heapq.heappop
         if until is None:

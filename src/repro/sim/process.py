@@ -66,9 +66,18 @@ class Process(Event):
         self._target = None
         if event.ok:
             self._advance(self._gen.send, event.value)
-        else:
-            event.defused = True
-            self._advance(self._gen.throw, event.value)
+            return
+        event.defused = True
+        exc = event.value
+        raised_in = exc.__traceback__
+        self._advance(self._gen.throw, exc)
+        if self._ok:
+            # Handled here.  The frames the exception crossed on its way
+            # to the handler hold the failed event (``yield done``),
+            # which holds the exception: left on it, every failed
+            # request would be a reference cycle.  A process the
+            # exception kills keeps them, for whoever debugs it.
+            exc.__traceback__ = raised_in
 
     def _throw_in(self, exc: BaseException) -> None:
         if self.triggered:

@@ -87,7 +87,9 @@ class Resource:
         while self._waiting and len(self._users) < self.capacity:
             req = self._waiting.popleft()
             self._users.add(req)
-            req.succeed(req)
+            # No value: a request that held itself would be a reference
+            # cycle, kept until a collection (the holder has ``req``).
+            req.succeed()
 
     def acquire(self, hold_ns: int):
         """Convenience process body: acquire, hold ``hold_ns``, release.
@@ -144,7 +146,7 @@ class PriorityResource(Resource):
         while self._waiting and len(self._users) < self.capacity:
             _, req = heapq.heappop(self._waiting)
             self._users.add(req)
-            req.succeed(req)
+            req.succeed()
 
 
 class Store:

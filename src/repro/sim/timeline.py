@@ -40,8 +40,10 @@ Equivalence rules (the contract the no-drift suite enforces):
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from array import array
 from heapq import heappop, heappush
+
+import numpy as np
 
 
 class ResourceTimeline:
@@ -133,8 +135,6 @@ class ResourceTimeline:
         scheduling the end events (and may rebuild the hook chain
         itself, as the vectorized batch scheduler does).
         """
-        import numpy as np
-
         free = self.free_at
         first = free if free > request_ns else request_ns
         grants = first + duration_ns * np.arange(count, dtype=np.int64)
@@ -224,44 +224,62 @@ class BusyUnion:
     the same instant.  We replicate that exactly: intervals are merged
     only when they **overlap** (``begin < end``); merely touching
     intervals stay separate so the counter's closure instants match.
+
+    Nothing here is an object per interval: a run records one interval
+    per flash phase, and a container each would be re-walked by every
+    older-generation pass of the cyclic collector for the rest of the
+    run (DESIGN.md section 7, "Memory and the collector").  Intervals
+    arrive as two integers on a flat buffer, are merged in one
+    vectorised pass, and leave once closed -- an owner that reads (or
+    just calls :meth:`closed_through`) now and then keeps the union at
+    the size of what is still open.
     """
 
-    __slots__ = ("_closed", "_pending", "_head", "_raw")
+    __slots__ = ("_closed", "_open", "raw")
 
     def __init__(self):
         #: Total length of intervals whose end has passed the last query.
         self._closed = 0
-        #: Merged intervals as [begin, end) lists, sorted by begin;
-        #: entries before ``_head`` are already folded into ``_closed``.
-        self._pending: list = []
-        self._head = 0
-        #: Unmerged intervals appended since the last query; folding is
-        #: deferred so the reservation hot path is a single append.
-        self._raw: list = []
+        #: Merged intervals not yet closed, sorted: int64 rows of
+        #: ``(begin, end)``.
+        self._open = np.empty((0, 2), dtype=np.int64)
+        #: Unmerged intervals since the last query, flat: ``begin, end,
+        #: begin, end, ...``.  Folding is deferred so the reservation hot
+        #: path is two appends; callers on it append here themselves
+        #: (``begin < end``, both or neither).  Never rebound.
+        self.raw = array("q")
 
     def add(self, begin: int, end: int) -> None:
         """Record one service interval (begin < end, begin >= now)."""
         if end > begin:
-            self._raw.append([begin, end])
+            raw = self.raw
+            raw.append(begin)
+            raw.append(end)
 
     def _fold(self) -> None:
-        raw = self._raw
+        raw = self.raw
         if not raw:
             return
-        items = self._pending[self._head :]
-        items.extend(raw)
-        raw.clear()
-        items.sort()
-        merged: list = []
-        for interval in items:
-            if merged and interval[0] < merged[-1][1]:
-                # Strictly overlaps the growing interval: extend it.
-                if interval[1] > merged[-1][1]:
-                    merged[-1][1] = interval[1]
-            else:
-                merged.append(interval)
-        self._pending = merged
-        self._head = 0
+        # concatenate copies, so the buffer is exported only inside it
+        # and can be emptied in place.
+        items = np.concatenate(
+            (self._open, np.frombuffer(raw, dtype=np.int64).reshape(-1, 2))
+        )
+        del raw[:]
+        items = items[np.argsort(items[:, 0], kind="stable")]
+        begins = items[:, 0]
+        # How far the intervals up to and including each one reach.
+        reach = np.maximum.accumulate(items[:, 1])
+        # A merged interval starts at every begin that does not strictly
+        # overlap what came before it (touching stays separate), and
+        # ends where the last interval before the next start reaches.
+        starts = np.flatnonzero(begins[1:] >= reach[:-1]) + 1
+        merged = np.empty((len(starts) + 1, 2), dtype=np.int64)
+        merged[0, 0] = begins[0]
+        merged[1:, 0] = begins[starts]
+        merged[:-1, 1] = reach[starts - 1]
+        merged[-1, 1] = reach[-1]
+        self._open = merged
 
     def closed_through(self, now_ns: int) -> int:
         """Busy time of intervals fully finished by ``now_ns``.
@@ -271,17 +289,14 @@ class BusyUnion:
         live simulation observer.
         """
         self._fold()
-        pending = self._pending
-        head = self._head
-        while head < len(pending) and pending[head][1] <= now_ns:
-            begin, end = pending[head]
-            self._closed += end - begin
-            head += 1
-        if head != self._head:
-            if head > 64:
-                del pending[:head]
-                head = 0
-            self._head = head
+        open_ = self._open
+        # Merged intervals are disjoint, so their ends rise with their
+        # begins: the closed ones are a prefix.
+        n_closed = int(open_[:, 1].searchsorted(now_ns, side="right"))
+        if n_closed:
+            done = open_[:n_closed]
+            self._closed += int((done[:, 1] - done[:, 0]).sum())
+            self._open = open_[n_closed:]
         return self._closed
 
     def busy_through(self, now_ns: int) -> int:
@@ -290,14 +305,13 @@ class BusyUnion:
         Matches the slow path's ``utilization`` numerator at ``now_ns``.
         """
         total = self.closed_through(now_ns)
-        pending = self._pending
-        head = self._head
-        if head < len(pending) and pending[head][0] < now_ns:
-            total += now_ns - pending[head][0]
+        open_ = self._open
+        if len(open_) and open_[0, 0] < now_ns:
+            total += now_ns - int(open_[0, 0])
         return total
 
     def __repr__(self):
         return (
             f"BusyUnion(closed={self._closed}, "
-            f"pending={len(self._pending) - self._head + len(self._raw)})"
+            f"pending={len(self._open) + len(self.raw) // 2})"
         )

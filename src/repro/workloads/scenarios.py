@@ -269,6 +269,8 @@ class ScenarioRunner:
             self.policy.attach_obs(self.obs)
         self.runner = FaultRunner(self.sim, self.plan)
         self.breakers: Dict[str, object] = {}
+        #: Server -> enrolled name, for the per-attempt breaker lookup.
+        self._node_names: Dict[object, str] = {}
         for index in range(scenario.n_nodes):
             if only_node is not None and index != only_node:
                 continue
@@ -281,6 +283,7 @@ class ScenarioRunner:
                 n_channels=scenario.n_channels,
             )
             self.ctrl.add_node(name, server)
+            self._node_names[server] = name
             server.attach(self.obs)
             server.attach(self.plan, name=name)
             if qos is not None:
@@ -365,12 +368,14 @@ class ScenarioRunner:
         metrics = self.obs.metrics
         deadline = sim.now + tenant.slo.deadline_ns
         start = sim.now
-        rng = np.random.default_rng(rng_seed)
+        rng = None  # drawn from only to jitter a retry's backoff
         for attempt in range(MAX_ATTEMPTS):
             if attempt > 0:
                 outcomes["retries"] += 1
                 metrics.counter(f"tenant.{tenant.name}.retries").add(1)
                 backoff = RETRY_BACKOFF_NS << (attempt - 1)
+                if rng is None:
+                    rng = np.random.default_rng(rng_seed)
                 yield sim.timeout(int(backoff * (1.0 + rng.random())))
                 view.refresh()
             if sim.now > deadline:
@@ -379,7 +384,7 @@ class ScenarioRunner:
                 server, entry = view.lookup(key)
             except KeyError:
                 continue  # stale view names a since-split slice
-            breaker = self.breakers.get(self._node_name(server))
+            breaker = self.breakers.get(self._node_names.get(server))
             if breaker is not None and not breaker.allow():
                 continue  # fast local failure; retry elsewhere/later
             try:
@@ -441,12 +446,6 @@ class ScenarioRunner:
                 return
         # Entirely memory-resident: charge one dispatch quantum.
         yield self.sim.timeout(server.per_request_cpu_ns)
-
-    def _node_name(self, server) -> Optional[str]:
-        for name, node in self.ctrl.nodes.items():
-            if node is server:
-                return name
-        return None
 
     def _tenant_driver(self, tenant: TenantSpec, index: int):
         """Open-loop arrivals: spawn one request process per arrival.

@@ -584,3 +584,49 @@ def test_busy_time_read_mid_stream_matches_the_observed_run():
         return samples
 
     assert sample(False) == sample(True)
+
+
+def test_busy_union_stays_bounded_and_reads_as_if_never_closed_early():
+    """51 k phases of streamed writes, erases and reads on one channel:
+    the engine closes its busy union through now every
+    ``BUSY_RAW_LIMIT`` integers, so the union stays the size of what is
+    in service -- and a read made mid-stream, with reserved-ahead
+    programs on the bus, and the one at the end answer exactly as on an
+    engine that never closes on its own."""
+
+    def play(limit):
+        sim = Simulator()
+        sdf = SDFDevice(
+            sim, n_channels=1, geometry=SDF_CHIP_GEOMETRY.scaled(0.004)
+        )
+        channel, engine = sdf.channels[0], sdf.engines[0]
+        if limit is not None:
+            engine.BUSY_RAW_LIMIT = limit
+        union = engine._busy_union
+        held = []
+
+        def writer():
+            for cycle in range(24):
+                yield from channel.write_fresh(cycle % 3)
+                yield from channel.read(cycle % 3, 0, 64)
+                held.append(len(union.raw) + union._open.size)
+
+        done = sim.process(writer())
+        # Mid-stream, inside the twelfth write: pages on the bus whose
+        # reservations were made ahead and are not yet retired.
+        sim.run(until=4_000_000 * US + 7)
+        assert any(
+            entry.bus_req <= sim.now < entry.due for entry in engine._ahead
+        )
+        mid = (engine.busy_value(), engine.utilization())
+        sim.run(until=done)
+        assert engine.ops_executed.value * 2 > 50_000
+        return mid, engine.busy_value(), engine.utilization(), max(held)
+
+    *closing, held = play(None)
+    *never, held_never = play(10**12)
+    assert closing == never
+    # One write's own pages may pile up past the limit before the next
+    # submission looks; never a run's history.
+    assert held <= ChannelEngine.BUSY_RAW_LIMIT + 4 * 1024
+    assert held_never > 40_000

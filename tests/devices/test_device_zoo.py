@@ -137,11 +137,15 @@ def test_stale_spec_key_is_a_config_error_naming_the_vocabulary(kind):
 # ---------------------------------------------------------------------------
 
 
-def _exercise(kind, seed):
+def run_cast(kind, seed, observed=True):
+    """Drive the zoo's mixed cast on one small device of ``kind``;
+    returns ``(sim, device, obs)``, the finished system still whole
+    (``tests/sim/test_gc_hygiene.py`` collects over it)."""
     sim = Simulator()
     device = small_device(kind, sim)
     obs = Observability()
-    attach_device(obs, device)
+    if observed:
+        attach_device(obs, device)
     rng = random.Random(seed)
 
     if kind in ("sdf", "zoned"):
@@ -173,6 +177,11 @@ def _exercise(kind, seed):
             yield from device.drain()
 
     sim.run(until=sim.process(drive()))
+    return sim, device, obs
+
+
+def _exercise(kind, seed):
+    sim, device, obs = run_cast(kind, seed)
     snap = obs.snapshot(sim.now)
     scalar_counters = tuple(
         sorted((k, v) for k, v in snap.items() if not isinstance(v, dict))

@@ -1,6 +1,8 @@
 """Unit tests for the fast-path scheduling primitives."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Simulator
 from repro.sim.timeline import BusyUnion, ResourceTimeline
@@ -118,6 +120,81 @@ class TestBusyUnion:
         union = BusyUnion()
         union.add(5, 5)
         assert union.closed_through(10) == 0
+
+
+class _ListUnion:
+    """The reference: one ``[begin, end]`` list per interval, sorted and
+    merged by a loop with the strict-overlap rule -- the storage and
+    fold :class:`BusyUnion` had before it went flat."""
+
+    def __init__(self):
+        self.closed = 0
+        self.pending = []
+
+    def add(self, begin, end):
+        if end > begin:
+            self.pending.append([begin, end])
+
+    def closed_through(self, now):
+        merged = []
+        for interval in sorted(self.pending):
+            if merged and interval[0] < merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], interval[1])
+            else:
+                merged.append(list(interval))
+        self.closed += sum(end - begin for begin, end in merged if end <= now)
+        self.pending = [item for item in merged if item[1] > now]
+        return self.closed
+
+    def busy_through(self, now):
+        total = self.closed_through(now)
+        if self.pending and self.pending[0][0] < now:
+            total += now - self.pending[0][0]
+        return total
+
+
+#: A batch of intervals added out of order -- with touching, nested,
+#: duplicate and empty ones made likely by the small coordinate range --
+#: then how far the clock moves before both kinds of read.
+_batches = st.lists(
+    st.tuples(
+        st.lists(
+            st.tuples(st.integers(0, 60), st.integers(0, 12)), max_size=12
+        ),
+        st.integers(0, 25),
+    ),
+    max_size=12,
+)
+
+
+class TestBusyUnionAgainstReference:
+    @given(_batches, st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_reads_equal_the_list_reference(self, batches, through_first):
+        union, reference = BusyUnion(), _ListUnion()
+        now = 0
+        for intervals, advance in batches:
+            for offset, length in intervals:
+                # The owner's contract: nothing begins before the last read.
+                union.add(now + offset, now + offset + length)
+                reference.add(now + offset, now + offset + length)
+            now += advance
+            reads = ["busy_through", "closed_through"]
+            for read in reads if through_first else reversed(reads):
+                got = getattr(union, read)(now)
+                assert type(got) is int
+                assert got == getattr(reference, read)(now)
+        assert union.closed_through(10**6) == reference.closed_through(10**6)
+
+    def test_closed_intervals_leave_the_union(self):
+        union = BusyUnion()
+        for index in range(10_000):
+            union.add(3 * index, 3 * index + 2)
+            if index % 1000 == 999:
+                union.closed_through(3 * index)
+                # What is left: the interval still open at the read.
+                assert len(union.raw) == 0 and len(union._open) == 1
+        assert union.closed_through(10**9) == 20_000
 
 
 class TestPooledEvents:
