@@ -162,10 +162,14 @@ class ChannelEngine:
         self.priorities = dict(OP_PRIORITIES if priorities is None else priorities)
         #: Cached choice of analytic variant (True = plain, False =
         #: extended); None means "recompute on next submission".
-        #: Invalidated by the obs/qos setters.
+        #: Invalidated by the obs setter.
         self._plain = None
         self._obs = None
-        self._qos = None
+        #: Optional :class:`repro.qos.limits.ChannelQosState` bounding
+        #: the ops admitted to this channel; set by
+        #: ``repro.qos.attach_device_qos``.  None keeps admission free.
+        #: A gate in front of whichever path an op takes, not a path.
+        self.qos = None
         keys = [
             (chip, plane)
             for chip in range(chips_per_channel)
@@ -214,9 +218,6 @@ class ChannelEngine:
         # self._obs (property ``obs``): optional
         # :class:`repro.obs.Observability`, set by
         # ``repro.obs.attach_device``; None keeps all hooks no-ops.
-        # self._qos (property ``qos``): optional
-        # :class:`repro.qos.limits.ChannelQosState`, set by
-        # ``repro.qos.attach_device_qos``; None keeps admission free.
         #: Fault-injection handle (channel ``stall`` latency spikes);
         #: :data:`~repro.faults.injector.NULL_INJECTOR` unless wired.
         self.faults = NULL_INJECTOR
@@ -224,7 +225,7 @@ class ChannelEngine:
         #: Memoized bus_transfer_ns per payload size (hot path).
         self._bus_ns_cache: Dict[int, int] = {}
 
-    # -- attachment points (each invalidates the cached variant choice) ----------
+    # -- attachment points -----------------------------------------------------
     @property
     def obs(self):
         """Optional :class:`repro.obs.Observability`; set by
@@ -237,23 +238,11 @@ class ChannelEngine:
         self._depth_metric = None
         self._plain = None
 
-    @property
-    def qos(self):
-        """Optional :class:`repro.qos.limits.ChannelQosState` bounding
-        the ops admitted to this channel; set by
-        ``repro.qos.attach_device_qos``.  None keeps admission free."""
-        return self._qos
-
-    @qos.setter
-    def qos(self, value) -> None:
-        self._qos = value
-        self._plain = None
-
     def refresh_fast_plan(self) -> None:
         """Drop the cached plain/extended choice.
 
-        The choice is invalidated automatically when ``obs`` or ``qos``
-        are assigned (every attach helper's path); call this after
+        The choice is invalidated automatically when ``obs`` is
+        assigned (every attach helper's path); call this after
         out-of-band changes -- toggling ``obs.trace.enabled`` or
         assigning ``sim.obs`` directly -- so the next submission
         re-reads them.
@@ -262,9 +251,9 @@ class ChannelEngine:
 
     def _choose_plain(self) -> bool:
         """True when ops may take the bare analytic path: FIFO
-        timelines, no spans, no QoS.  Anything attached that the bare
-        path cannot serve -- admission slots, trace spans, non-uniform
-        priorities -- selects the extended one.  Cached (see
+        timelines, no spans.  What the bare path cannot serve -- trace
+        spans, non-uniform priorities -- selects the extended one;
+        admission slots are a gate in front of either.  Cached (see
         :meth:`refresh_fast_plan`) so the hot path pays one attribute
         read instead of re-reading ``sim.obs`` per submission."""
         sim_obs = self.sim.obs
@@ -272,9 +261,7 @@ class ChannelEngine:
         traced = (sim_obs is not None and sim_obs.trace.enabled) or (
             eng_obs is not None and eng_obs.trace.enabled
         )
-        plain = self._plain = (
-            self._uniform_priorities and self._qos is None and not traced
-        )
+        plain = self._plain = self._uniform_priorities and not traced
         return plain
 
     # -- accounting --------------------------------------------------------------
@@ -400,13 +387,22 @@ class ChannelEngine:
     def can_reserve_ahead(self) -> bool:
         """True when nothing attached needs an op's per-phase hops: the
         plain variant, no engine observability (queue depth is tracked
-        per phase), no wired fault injector (a STALL is drawn at the
-        op's start instant).  The closed-form ERASE batch,
-        :meth:`program_ahead` and :meth:`read_ahead` all require it."""
+        per phase), no STALL rule at this site (one is drawn at the
+        op's start instant; a wired injector holding none is, at that
+        instant, :data:`NULL_INJECTOR`).  The closed-form ERASE batch,
+        :meth:`program_ahead` and :meth:`read_ahead` all require it.
+        An admission gate (``qos``) does not decide it: the gate stands
+        in front, and what it admits is reserved ahead from its grant
+        hop."""
         plain = self._plain
         if plain is None:
             plain = self._choose_plain()
-        return plain and self._obs is None and self.faults is NULL_INJECTOR
+        faults = self.faults
+        return (
+            plain
+            and self._obs is None
+            and (faults is NULL_INJECTOR or faults.quiet(STALL))
+        )
 
     def _bus_ns(self, nbytes: int) -> int:
         cache = self._bus_ns_cache
@@ -416,9 +412,10 @@ class ChannelEngine:
         return bus_ns
 
     def program_ahead(self, op: FlashOp, request_ns: int, then=None) -> None:
-        """Reserve now a PROGRAM that will reach the channel at
-        ``request_ns`` -- the already-known end of its link DMA --
-        with one event, the program's end; ``then()`` runs there.
+        """Reserve now a PROGRAM that reaches the channel at
+        ``request_ns`` -- the already-known end of its link DMA, or now,
+        from an admission hop -- with one event, the program's end;
+        ``then()`` runs there.
 
         Equivalent to ``execute_fast(op, then)`` called at
         ``request_ns``: the bus is reserved with that request instant
@@ -426,9 +423,17 @@ class ChannelEngine:
         reservation that reaches either before those instants revokes
         this one, goes first, and has it made again (:meth:`_revoke`).
         One made *at* such an instant goes after.  Callers check
-        :meth:`can_reserve_ahead` first; the page takes its place among
-        the reservations already ahead by request instant
-        (:meth:`_enter`).
+        :meth:`can_reserve_ahead` first -- and, for a request instant
+        still to come, that no admission gate is attached: a slot is
+        taken at the instant the page reaches the channel, which then
+        has to be an event (:meth:`execute_fast` there).  The page takes
+        its place among the reservations already ahead by request
+        instant (:meth:`_enter`); at ``request_ns == now`` only the
+        plane phase is tentative, and the page stands behind everything
+        that asks for the bus this nanosecond -- right for a caller
+        that is an event scheduled at this very instant, as a grant hop
+        is: every sense end and DMA end it ties with was scheduled
+        earlier.
         """
         now = self.sim._now
         ahead = self._ahead
@@ -438,9 +443,9 @@ class ChannelEngine:
             self.busy_value()
         if op.kind is not OpKind.PROGRAM:
             raise ValueError(f"only a PROGRAM is reserved ahead, not {op.kind}")
-        if request_ns <= now:
+        if request_ns < now:
             raise ValueError(
-                f"request instant {request_ns} is not ahead of now ({now})"
+                f"request instant {request_ns} is behind now ({now})"
             )
         # ``_bus_ns`` inlined: once a streamed page.
         cache = self._bus_ns_cache
@@ -476,6 +481,33 @@ class ChannelEngine:
         :attr:`READ_AHEAD_PAGES` at a time.  Callers check
         :meth:`can_reserve_ahead` first; a request in flight when
         something is attached finishes the way it began.
+
+        Behind an admission gate the request takes its slots FIFO and
+        each grant hop reserves what it admitted: the prefix that finds
+        slots free at submission as one request from one hop, the rest
+        page by page from the hops the releases schedule -- a page not
+        yet admitted when a STALL rule appears takes the per-phase
+        path, where the rule is consulted.  ``then`` runs behind each
+        page's release.
+        """
+        qos = self.qos
+        if qos is None:
+            self._reserve_reads(ops, then)
+        else:
+            qos.admit_request(ops, self._admitted_reads, qos.releasing(then))
+
+    def _admitted_reads(self, ops, then) -> None:
+        """A grant hop, the start instant of the READs it admitted;
+        ``then`` already releases their slots."""
+        if self.can_reserve_ahead():
+            self._reserve_reads(ops, then)
+        else:
+            for op in ops:
+                self._submit(op, then)
+
+    def _reserve_reads(self, ops, then) -> None:
+        """:meth:`read_ahead` past the gate: senses now, bus phases
+        ahead.
 
         Pages whose senses end on one nanosecond take the bus in the
         order their sense-end events would have run in.  Events at one
@@ -741,37 +773,37 @@ class ChannelEngine:
         after the engine's counters update (and, with QoS attached,
         after the admission slot's release) -- so callers can chain
         further reservations (link DMA, batch completions) from it.
+
+        With QoS attached the op first takes an admission slot; its
+        grant hop is its start instant, and an event scheduled at that
+        very instant, so what it admits is reserved ahead from there
+        when nothing watches per phase (:meth:`can_reserve_ahead`): a
+        READ as a request of one, a PROGRAM with request instant now.
         """
         if len(self._busy_raw) > self.BUSY_RAW_LIMIT:
             self.busy_value()
-        plain = self._plain
-        if plain is None:
-            plain = self._choose_plain()
-        if plain:
-            faults = self.faults
-            if faults is NULL_INJECTOR:
-                self._fast_phases(op, then)
-                return
-            stall_ns = faults.delay_ns(
-                STALL, op=op.kind.name.lower(), chip=op.address.chip
-            )
-            if stall_ns > 0:
-                # A controller hiccup: the op sits on the channel doing
-                # nothing before contending for resources.
-                self.sim._schedule_call(
-                    lambda: self._fast_phases(op, then), stall_ns
-                )
-            else:
-                self._fast_phases(op, then)
-            return
-        qos = self._qos
-        if qos is None:
-            self._ext_submit(op, then)
+        qos = self.qos
+        if qos is not None:
+            qos.admit_fast(lambda: self._admitted(op, qos.releasing(then)))
+        elif self._plain and self.faults is NULL_INJECTOR:
+            # What :meth:`_submit` comes to on a bare engine.
+            self._fast_phases(op, then)
         else:
-            qos.admit_fast(lambda: self._ext_submit(op, then))
+            self._submit(op, then)
 
-    def _ext_submit(self, op: FlashOp, then) -> None:
-        """Extended-path submission at the op's start instant.
+    def _admitted(self, op: FlashOp, then) -> None:
+        """A grant hop, the start instant of the op it admitted;
+        ``then`` already releases its slot."""
+        kind = op.kind
+        if kind is OpKind.READ:
+            self._admitted_reads((op,), then)
+        elif kind is OpKind.PROGRAM and self.can_reserve_ahead():
+            self.program_ahead(op, self.sim._now, then)
+        else:
+            self._submit(op, then)
+
+    def _submit(self, op: FlashOp, then) -> None:
+        """Per-phase submission at the op's start instant.
 
         Runs post-admission (the QoS grant hop already happened) and
         pre-stall: the ops span's start and the stall RNG draw both
@@ -780,19 +812,25 @@ class ChannelEngine:
         admission must shift the draw to the grant instant, never make
         it early at submission.
         """
-        sim = self.sim
-        start = sim._now
+        plain = self._plain
+        if plain is None:
+            plain = self._choose_plain()
+        if plain:
+            phases = lambda: self._fast_phases(op, then)
+        else:
+            start = self.sim._now
+            phases = lambda: self._fast_phases_ext(op, start, then)
         faults = self.faults
-        if faults is not NULL_INJECTOR:
+        if faults is not NULL_INJECTOR and not faults.quiet(STALL):
             stall_ns = faults.delay_ns(
                 STALL, op=op.kind.name.lower(), chip=op.address.chip
             )
             if stall_ns > 0:
-                sim._schedule_call(
-                    lambda: self._fast_phases_ext(op, start, then), stall_ns
-                )
+                # A controller hiccup: the op sits on the channel doing
+                # nothing before contending for resources.
+                self.sim._schedule_call(phases, stall_ns)
                 return
-        self._fast_phases_ext(op, start, then)
+        phases()
 
     def _fast_phases(self, op: FlashOp, then) -> None:
         sim = self.sim
@@ -854,7 +892,7 @@ class ChannelEngine:
         else:  # pragma: no cover - enum is closed
             raise ValueError(f"unknown op kind {kind}")
 
-    # -- extended analytic path (QoS / tracing / priorities) -----------------------
+    # -- extended analytic path (tracing / priorities) -----------------------------
     def _ext_phase(self, key, duration_ns: int, priority: int, done) -> None:
         """One analytic phase on plane ``key`` (None = the bus);
         ``done(wait_ns)`` runs at the end instant.
@@ -937,8 +975,8 @@ class ChannelEngine:
         """Extended-path phase chain + completion for one op.
 
         Completion order: engine counters, then the ops span, then the
-        QoS slot release (which grants the next admission waiter), then
-        the caller's continuation.
+        caller's continuation (behind the QoS slot release, which
+        grants the next admission waiter, when the op was admitted).
         """
         sim = self.sim
         timing = self.timing
@@ -963,9 +1001,6 @@ class ChannelEngine:
                     nbytes=op.nbytes,
                     wait_ns=wait,
                 )
-            qos = self._qos
-            if qos is not None:
-                qos.release_fast()
             if then is not None:
                 then()
 
@@ -1029,7 +1064,11 @@ class ChannelEngine:
             # Batch-warm the memoized bus-cost table with one numpy
             # pass (observationally neutral cache fill).
             vector.prefill_bus_costs(self.timing, self._bus_ns_cache, ops)
-        if self.can_reserve_ahead() and vector.erase_batch_ready(ops):
+        if (
+            self.qos is None
+            and self.can_reserve_ahead()
+            and vector.erase_batch_ready(ops)
+        ):
             # All-ERASE batch with nothing observing mid-batch: compute
             # every grant/end in closed form (numpy cumsum per plane)
             # and schedule one shared countdown instead of per-op

@@ -23,12 +23,13 @@ from repro.cluster.storage import (
     ZonedNodeStorage,
 )
 from repro.errors import ClusterError, TransientFault, WrongEpochError
-from repro.kv.common import PlaceholderValue
+from repro.kv.common import TOMBSTONE, PlaceholderValue, sizeof_value
 from repro.kv.compaction import split_patch
 from repro.kv.slice import Slice
 from repro.qos.admission import DeadlineExceededError
 from repro.sim import Resource, Simulator, Store
 from repro.sim.stats import Counter, ThroughputMeter
+from repro.sim.units import transfer_ns
 
 #: Table 2: client and server node configuration.
 SERVER_CONFIG = {
@@ -406,8 +407,6 @@ class StorageServer:
     # -- request handlers (generators) -----------------------------------------------
     def _cpu_cost_ns(self, nbytes: int) -> int:
         """Slice-handler time: fixed dispatch + size-proportional copy."""
-        from repro.sim.units import transfer_ns
-
         return self.per_request_cpu_ns + transfer_ns(nbytes, self.copy_mb_per_s)
 
     def handle_get(
@@ -466,8 +465,6 @@ class StorageServer:
                         - self.per_request_cpu_ns
                     ))
             if result is not None:
-                from repro.kv.common import sizeof_value
-
                 slice_.bytes_read.add(sizeof_value(result))
             if self.obs is not None:
                 self._note_request(
@@ -504,8 +501,6 @@ class StorageServer:
             start = self.sim.now
             slice_ = self.route(key, epoch)
             slice_.writes.add()
-            from repro.kv.common import sizeof_value
-
             with self._slice_cpu[slice_.slice_id].request() as cpu:
                 yield cpu
                 wait_ns = self.sim.now - start
@@ -566,7 +561,7 @@ class StorageServer:
         """Generator: delete = put of a tombstone."""
         yield from self.handle_put(
             key,
-            _tombstone(),
+            TOMBSTONE,
             deadline_ns=deadline_ns,
             epoch=epoch,
             tenant=tenant,
@@ -721,12 +716,6 @@ class StorageServer:
                 ]
                 for handle in lsm.apply_compaction(task, parts, new_handles):
                     self.storage.functional_free(handle)
-
-
-def _tombstone():
-    from repro.kv.common import TOMBSTONE
-
-    return TOMBSTONE
 
 
 def build_storage_server(

@@ -28,9 +28,17 @@ instant: a read hands its ops to the engine as one request
 (``ChannelEngine.read_ahead``) and books each DMA without an end event
 (``HostLink.reserve_ahead``), finishing at the latest DMA end; a write
 reserves bus and program from the DMA end
-(``ChannelEngine.program_ahead``).  With observability, QoS, tracing or
-a fault rule attached, every phase is its own hop (DESIGN.md section
-7).
+(``ChannelEngine.program_ahead``).  With engine observability, tracing,
+non-uniform priorities or a fault rule at the site, every phase is its
+own hop (DESIGN.md section 7).
+
+Channel QoS is a gate in front of all this, not a reason to leave it:
+each admission is one grant hop, the op's start instant, and what the
+hop admits is reserved ahead from there -- a read's pages (those that
+find slots free at submission share one hop), a written page's bus and
+program.  Only the written page's DMA end stays an event, because the
+slot is taken at it.  A wired fault plan holding no rule for the
+channel or the link is no injector.
 
 A request's continuations die with it.  A write's window is one small
 object (:class:`_WriteWindow`) whose bound methods are the callbacks
@@ -112,10 +120,13 @@ class _WriteWindow:
         # and nothing watches the channel phase by phase, the bus and
         # the program are reserved from here too and the page costs one
         # event (its program end), not three.
+        # Behind an admission gate the page takes its slot at the DMA
+        # end, so that end stays an event; the engine reserves ahead
+        # from the grant hop (``execute_fast``).
         engine = self.engine
         link = self.link
         page_size = self.page_size
-        if engine.can_reserve_ahead():
+        if engine.qos is None and engine.can_reserve_ahead():
             dma_end = link.reserve_ahead("write", page_size)
             if dma_end is not None:
                 link.write_meter.record(dma_end, page_size)

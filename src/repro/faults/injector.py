@@ -179,6 +179,20 @@ class FaultInjector:
             return None
         return self._evaluate(states, kind, ctx)
 
+    def quiet(self, *kinds: str) -> bool:
+        """True when no rule is configured here for any of ``kinds``:
+        the site-level check a hot path makes *before* building a
+        draw's context -- a wired injector that is quiet behaves, at
+        that instant, exactly as :data:`NULL_INJECTOR`.  (An exhausted
+        rule still counts: the site stays on the path that consults
+        it.)"""
+        states = self.plan._states
+        site = self.site
+        for kind in kinds:
+            if states.get((site, kind)):
+                return False
+        return True
+
     def delay_ns(self, kind: str, **ctx) -> int:
         """Injected extra latency for this operation (0 when quiet)."""
         states = self.plan._states.get((self.site, kind))

@@ -112,7 +112,7 @@ class HostLink:
         if nbytes < 0:
             raise ValueError(f"negative transfer size {nbytes}")
         faults = self.faults
-        if faults is not NULL_INJECTOR:
+        if faults is not NULL_INJECTOR and not faults.quiet(DROP, DELAY):
             if faults.fires(DROP, direction=direction, nbytes=nbytes) is not None:
                 raise LinkDropError(
                     f"{self.spec.name}: {direction} transfer of {nbytes} B dropped"
@@ -132,13 +132,18 @@ class HostLink:
         meter with that timestamp).
 
         Returns None, reserving nothing, when the end is not known at
-        submission: a wired fault injector may drop or delay the
-        transfer, and a transfer longer than one chunk re-queues for
-        the lane chunk by chunk.  Use :meth:`reserve_call` then.  A
-        later ``reserve_call`` that queues behind this reservation has
-        no end event to chain from and relays at its grant.
+        submission: a ``drop`` or ``delay`` rule at this site may drop
+        or delay the transfer (a wired injector holding neither is, at
+        this instant, no injector), and a transfer longer than one
+        chunk re-queues for the lane chunk by chunk.  Use
+        :meth:`reserve_call` then.  A later ``reserve_call`` that
+        queues behind this reservation has no end event to chain from
+        and relays at its grant.
         """
-        if self.faults is not NULL_INJECTOR or nbytes > self.spec.chunk_bytes:
+        faults = self.faults
+        if nbytes > self.spec.chunk_bytes or not (
+            faults is NULL_INJECTOR or faults.quiet(DROP, DELAY)
+        ):
             return None
         cost = self._cost_cache.get((direction, nbytes))
         if cost is None:

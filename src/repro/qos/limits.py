@@ -69,12 +69,12 @@ class ChannelQosState:
         instant, inside that hop.
         """
         sim = self.sim
-        queued = sim.now
+        queued = sim._now
         self._depth += 1
         self._note_depth()
 
         def hop():
-            waited = sim.now - queued
+            waited = sim._now - queued
             if waited > 0:
                 self.throttled.add()
                 self.throttle_wait_ns.add(waited)
@@ -85,6 +85,38 @@ class ChannelQosState:
             sim._schedule_call(hop, 0)
         else:
             self._fast_waiting.append(hop)
+
+    def admit_request(self, ops, fn, then) -> None:
+        """Admit one request's ops, FIFO, as ``admit_fast(lambda:
+        fn((op,), then))`` for each in turn would -- except that the
+        prefix that finds slots free now shares ONE grant hop,
+        ``fn(prefix, then)``.
+        The hops it stands for would have carried consecutive sequence
+        numbers, so nothing could have run between them; none of them
+        waited, so none counts as throttled.  The rest queue one by
+        one, each granted by a release (one hop each).
+        """
+        taken = min(len(ops), self._fast_avail)
+        if taken:
+            self._fast_avail -= taken
+            self._depth += taken
+            self._note_depth()
+            prefix = ops[:taken]
+            self.sim._schedule_call(lambda: fn(prefix, then), 0)
+        for op in ops[taken:]:
+            self.admit_fast(lambda op=op: fn((op,), then))
+
+    def releasing(self, then):
+        """``then`` behind this state's release: what an admitted op
+        runs at its end instant, after its engine's counters."""
+        if then is None:
+            return self.release_fast
+
+        def released():
+            self.release_fast()
+            then()
+
+        return released
 
     def release_fast(self) -> None:
         """Return an admission slot at the op's end instant.

@@ -11,6 +11,14 @@ second set of seeds draws read-heavy casts: several readers on a
 channel, reads of up to a whole block (longer than the tail a request
 keeps reserved ahead), and pairs of reads started behind one erase
 batch so that their senses run in lock-step.
+
+Both sets run a second time *gated*: a ``ChannelQosState`` on every
+engine (bound drawn 1-8 per seed) and a wired ``FaultPlan`` holding no
+rule on engines and link.  Admission stands in front of the ahead path
+and a quiet injector is no injector, so the un-observed run still
+reserves ahead -- from the grant hops -- and must equal the observed
+one in the signature, the throttle counters and the admission-depth
+timelines.
 """
 
 import random
@@ -19,8 +27,11 @@ import pytest
 
 from repro.channel.engine import ChannelEngine
 from repro.devices.sdf import SDFDevice
+from repro.faults import FaultPlan
+from repro.faults.wire import attach_device_faults
 from repro.nand.geometry import FlashGeometry
 from repro.obs import Observability, attach_device
+from repro.qos.limits import ChannelQosState
 from repro.sim import Simulator, US
 from tests.channel.test_timeline_equivalence import sdf_signature
 
@@ -160,13 +171,30 @@ def read_cast(rng, sdf):
     return procs
 
 
-def play(seed, observed, cast=cast):
+def gate(seed, sdf):
+    """Admission slots on every engine and a rule-less fault plan wired
+    to engines and link; returns the registry the gates report to (its
+    own: attaching it to an engine would force the per-phase hops) and
+    the plan."""
+    bound = random.Random(f"gate{seed}").randrange(1, 9)
+    gates = Observability()
+    for engine in sdf.engines:
+        engine.qos = ChannelQosState(sdf.sim, engine.channel, bound)
+        engine.qos.bind_obs(gates)
+    plan = FaultPlan(seed=seed)
+    attach_device_faults(plan, sdf)
+    return gates, plan
+
+
+def play(seed, observed, cast=cast, gated=False):
     rng = random.Random(seed)
     sim = Simulator()
     sdf = SDFDevice(sim, n_channels=rng.randrange(1, 5), geometry=GEOMETRY)
     for ftl in sdf.ftls:
         for block in range(8):
             ftl.write(block, [None] * ftl.pages_per_logical_block)
+    if gated:
+        gates, plan = gate(seed, sdf)
     if observed:
         attach_device(Observability(), sdf)
 
@@ -178,7 +206,12 @@ def play(seed, observed, cast=cast):
     if procs:
         sim.run(until=sim.all_of(procs))
     sim.run()
-    return sdf_signature(sim, sdf), sim._seq
+    signature = sdf_signature(sim, sdf)
+    if gated:
+        # throttled, throttle_wait_ns and admission_depth, per channel.
+        signature["qos"] = gates.snapshot(sim.now)
+        signature["faults"] = plan.signatures()
+    return signature, sim._seq
 
 
 @pytest.mark.parametrize("first", range(0, N_SEEDS, BATCH))
@@ -238,3 +271,40 @@ def test_read_stream_matches_per_phase_hops(first, monkeypatch):
     # The batch did exercise what it is about.
     assert insertions[0] >= BATCH
     assert pages_ahead[0] >= 0.9 * read_pages > 0
+
+
+def throttled(signature):
+    return sum(
+        value
+        for name, value in signature["qos"].items()
+        if name.endswith(".throttled")
+    )
+
+
+@pytest.mark.parametrize("first", range(0, N_SEEDS, BATCH))
+def test_gated_ahead_path_matches_per_phase_hops(first):
+    fewer_events = waits = 0
+    for seed in range(first, first + BATCH):
+        got, events = play(seed, observed=False, gated=True)
+        expected, per_phase_events = play(seed, observed=True, gated=True)
+        assert got == expected, f"seed {seed}"
+        fewer_events += events < per_phase_events
+        waits += throttled(got)
+    # Behind the gate a program still saves its bus end, a read its
+    # sense end and its DMA end; and the gates did hold ops back.
+    assert fewer_events >= BATCH // 2
+    assert waits >= BATCH
+
+
+@pytest.mark.parametrize("first", range(N_SEEDS, N_SEEDS + 120, BATCH))
+def test_gated_read_stream_matches_per_phase_hops(first):
+    waits = 0
+    for seed in range(first, first + BATCH):
+        got, events = play(seed, observed=False, cast=read_cast, gated=True)
+        expected, per_phase_events = play(
+            seed, observed=True, cast=read_cast, gated=True
+        )
+        assert got == expected, f"seed {seed}"
+        assert events < per_phase_events
+        waits += throttled(got)
+    assert waits >= BATCH

@@ -14,9 +14,11 @@ import pytest
 
 from repro.channel.engine import ChannelEngine
 from repro.devices.sdf import SDFDevice
+from repro.faults import FaultPlan, attach_device_faults
 from repro.ftl.ops import erase_op, program_op, read_op
 from repro.nand.array import PhysicalAddress
 from repro.nand.catalog import MICRON_25NM_MLC, SDF_CHIP_GEOMETRY
+from repro.interfaces.link import LinkDropError
 from repro.nand.geometry import FlashGeometry
 from repro.obs import Observability, attach_device
 from repro.qos.limits import ChannelQosState
@@ -54,12 +56,23 @@ def read(at, *pages, n=1):
     return ("read", at, None, ops)
 
 
-def run(script, ahead):
+def run(script, ahead, bound=None):
     """Play ``script``; returns (completions, samples, events).  An
     item completes at one instant, a ``read`` at the list of instants
-    its pages left the bus at."""
+    its pages left the bus at.
+
+    With ``bound`` the engine stands behind that many admission slots
+    and both ways go through the same doors (``submit`` and ``read``
+    items only); the per-phase way is then forced by a metrics-only
+    probe on the engine."""
     sim = Simulator()
     engine = ChannelEngine(sim, 0, SDF_CHIP_GEOMETRY, TIMING, 2)
+    qos = None
+    if bound is not None:
+        qos = engine.qos = ChannelQosState(sim, 0, bound)
+        if not ahead:
+            engine.obs = Observability()
+        assert engine.can_reserve_ahead() == ahead
     finished = {}
 
     def finish(tag, kind):
@@ -102,6 +115,7 @@ def run(script, ahead):
                 engine.wait_ns.value,
                 engine.busy_value(),
                 engine.utilization(),
+                qos and (qos.throttled.value, qos.throttle_wait_ns.value),
             )
         )
     sim.run()
@@ -110,11 +124,11 @@ def run(script, ahead):
     return finished, samples, sim._seq
 
 
-def both(script):
+def both(script, bound=None):
     """Asserts the two ways agree; returns (completions, ahead events,
     per-phase events)."""
-    finished, samples, events = run(script, ahead=True)
-    expected, expected_samples, expected_events = run(script, ahead=False)
+    finished, samples, events = run(script, True, bound)
+    expected, expected_samples, expected_events = run(script, False, bound)
     assert finished == expected
     assert samples == expected_samples
     return finished, events, expected_events
@@ -240,15 +254,16 @@ def test_intruder_at_the_request_instant_goes_after_the_stream():
 
 
 def test_request_instants_must_lie_ahead_and_rise():
-    """A request instant must lie ahead of now; among themselves they
-    need not rise -- a page takes its place by request instant."""
+    """A request instant must not lie behind now (now itself is an
+    admission hop's); among themselves they need not rise -- a page
+    takes its place by request instant."""
     sim = Simulator()
     engine = ChannelEngine(sim, 0, SDF_CHIP_GEOMETRY, TIMING, 2)
     page = program_op(addr(), PAGE)
     with pytest.raises(ValueError, match="PROGRAM"):
         engine.program_ahead(read_op(addr(), PAGE), 10)
-    with pytest.raises(ValueError, match="ahead"):
-        engine.program_ahead(page, 0)
+    with pytest.raises(ValueError, match="behind now"):
+        engine.program_ahead(page, -1)
     finished = {}
     engine.program_ahead(page, 20, lambda: finished.setdefault("first", sim.now))
     engine.program_ahead(
@@ -262,6 +277,78 @@ def test_request_instants_must_lie_ahead_and_rise():
         "second": 19 + BUS_NS + TIMING.t_prog_ns,
         "first": 19 + 2 * BUS_NS + TIMING.t_prog_ns,
     }
+
+
+def test_program_at_now_keeps_only_its_plane_phase_tentative():
+    """``request_ns == now``, an admission hop's: the bus phase is real
+    at once, the program still has no bus-end event."""
+    at = 100 * US
+    finished, events, per_phase = both([program(at, at)])
+    assert finished[0] == at + BUS_NS + TIMING.t_prog_ns
+    assert (events, per_phase) == (2, 3)
+
+
+def test_plane_intruder_before_the_bus_end_of_a_program_at_now():
+    """The page is on the bus when an erase takes its plane: the
+    program goes behind it; a read's data that asks for the bus the
+    nanosecond the page took it goes behind the page."""
+    at = 100 * US
+    finished, _, _ = both(
+        [
+            program(at, at),
+            submit(150 * US, erase_op(addr())),
+            submit(at - SENSE_NS, read_op(addr(plane=1), PAGE)),
+        ]
+    )
+    assert finished[1] == 150 * US + TIMING.t_erase_ns
+    assert finished[0] == finished[1] + TIMING.t_prog_ns
+    assert finished[2] == at + 2 * BUS_NS
+
+
+# -- behind an admission gate ------------------------------------------------------------
+
+
+def test_gated_ops_are_reserved_ahead_from_their_grant_hops():
+    """Two slots: a program and a read run, a second program waits for
+    the first one's release.  A hop an op, and no bus end for either
+    program, no sense end for the read."""
+    script = [
+        submit(0, program_op(addr(), PAGE)),
+        submit(10 * US, read_op(addr(plane=1), PAGE)),
+        submit(20 * US, program_op(addr(chip=1), PAGE)),
+    ]
+    finished, events, per_phase = both(script, bound=2)
+    # The read's data waits for the first page to leave the bus; it is
+    # the first to finish, and the second program starts there.
+    assert finished[1] == 2 * BUS_NS
+    assert finished[2] == finished[1] + BUS_NS + TIMING.t_prog_ns
+    assert per_phase - events == 3
+
+
+def test_waiter_granted_by_a_release_at_a_tied_instant():
+    """The program's end releases a slot the very nanosecond a read's
+    sense ends: the waiter's hop is scheduled at that instant, behind
+    the sense end that has been in the heap for a sense time, so the
+    waiting program streams after the read's data."""
+    tie = BUS_NS + TIMING.t_prog_ns
+    script = [
+        submit(0, program_op(addr(), PAGE)),
+        submit(tie - SENSE_NS, read_op(addr(plane=1), PAGE)),
+        submit(tie - 50 * US, program_op(addr(chip=1), PAGE)),
+    ]
+    finished, _, _ = both(script, bound=2)
+    assert finished[0] == tie
+    assert finished[1] == tie + BUS_NS
+    assert finished[2] == tie + 2 * BUS_NS + TIMING.t_prog_ns
+
+
+def test_gated_read_shares_one_hop_for_the_prefix_it_is_granted():
+    """Five pages, three slots: one hop for the first three, then a
+    hop a page as the bus ends release slots.  Per phase: a hop, a
+    sense end and a bus end for each."""
+    finished, events, per_phase = both([read(0, (0, 0), n=5)], bound=3)
+    assert finished[0][:3] == [SENSE_NS + (page + 1) * BUS_NS for page in range(3)]
+    assert (events, per_phase) == (1 + 1 + 5 + 2, 1 + 3 * 5)
 
 
 # -- READs: senses reserved at submission, bus phases ahead ---------------------------
@@ -504,11 +591,15 @@ def test_read_that_finds_its_plane_idle_goes_behind_the_queued_run_it_ties_with(
     assert ahead[0]["run"] > ahead[0]["idle"]
 
 
-@pytest.mark.parametrize("attach", ["obs", "qos"])
+@pytest.mark.parametrize("attach", ["obs", "stall"])
 def test_attachment_between_two_reads_puts_the_next_on_per_phase_hops(attach):
+    """A probe on the engine, or a STALL rule at its site.  (The plan is
+    wired from the start: holding no rule it is no injector.)"""
     sim = Simulator()
     sdf = small_sdf(sim)
     sdf.prefill(0.5)
+    plan = FaultPlan(seed=5)
+    attach_device_faults(plan, sdf)
     engine = sdf.engines[0]
     channel = sdf.channels[0]
     sim.run(until=sim.process(channel.read(0, 0, 8)))
@@ -518,7 +609,7 @@ def test_attachment_between_two_reads_puts_the_next_on_per_phase_hops(attach):
         obs = Observability()
         attach_device(obs, sdf)
     else:
-        qos = engine.qos = ChannelQosState(sim, 0, max_inflight=1)
+        plan.add("ch0", "stall", at_op=3, delay_ns=40 * US)
     assert not engine.can_reserve_ahead()
     sim.run(until=sim.process(channel.read(0, 8, 8)))
     assert engine.ops_executed.value == 16 and not engine._ahead
@@ -527,7 +618,98 @@ def test_attachment_between_two_reads_puts_the_next_on_per_phase_hops(attach):
     if attach == "obs":
         assert obs.metrics.snapshot(sim.now)["channel0.queue_depth"] > 0
     else:
-        assert qos.throttled.value > 0
+        assert [event.kind for event in plan.log] == ["stall"]
+
+
+def test_qos_attached_between_two_reads_gates_the_next_and_stays_ahead():
+    """Admission stands in front of the ahead path: one slot, so a hop
+    and a bus end for every page -- no sense end, no DMA end."""
+    sim = Simulator()
+    sdf = small_sdf(sim)
+    sdf.prefill(0.5)
+    engine = sdf.engines[0]
+    channel = sdf.channels[0]
+    sim.run(until=sim.process(channel.read(0, 0, 8)))
+    ahead_events = sim._seq
+    qos = engine.qos = ChannelQosState(sim, 0, max_inflight=1)
+    assert engine.can_reserve_ahead()
+    sim.run(until=sim.process(channel.read(0, 8, 8)))
+    assert engine.ops_executed.value == 16
+    assert len(sdf.link.read_meter.samples) == 16
+    assert qos.throttled.value == 7
+    assert sim._seq - ahead_events <= 2 * 8 + 8
+
+
+def gated_day(rules_at, observed):
+    """A gated, fault-wired channel serving reads and writes back to
+    back; at ``rules_at`` -- inside a request -- a STALL rule appears
+    at the engine's site and DROP and DELAY rules at the link's."""
+    sim = Simulator()
+    sdf = small_sdf(sim)
+    sdf.prefill(0.5)
+    plan = FaultPlan(seed=11)
+    attach_device_faults(plan, sdf)
+    engine = sdf.engines[0]
+    channel = sdf.channels[0]
+    qos = engine.qos = ChannelQosState(sim, 0, max_inflight=3)
+    if observed:
+        attach_device(Observability(), sdf)
+    outcomes = []
+    events_at_rules = []
+
+    def add_rules():
+        events_at_rules.append(sim._seq)
+        plan.add("ch0", "stall", rate=0.2, delay_ns=90 * US)
+        plan.add("link", "delay", rate=0.1, delay_ns=30 * US)
+        plan.add("link", "drop", at_op=150)
+
+    def issuer():
+        for turn in range(4):
+            for request in (
+                channel.read(turn % 2, 3 * turn, 24),
+                channel.write_fresh(3 + turn),
+            ):
+                try:
+                    yield from request
+                    outcomes.append(sim.now)
+                except LinkDropError:
+                    outcomes.append(("dropped", sim.now))
+
+    sim._schedule_call(add_rules, rules_at)
+    sim.run(until=sim.process(issuer()))
+    sim.run()
+    return {
+        "outcomes": outcomes,
+        "faults": plan.signatures(),
+        "link": (
+            tuple(sdf.link.read_meter.samples),
+            tuple(sdf.link.write_meter.samples),
+        ),
+        "engine": (
+            engine.ops_executed.value, engine.wait_ns.value,
+            engine.busy_value(), qos.throttled.value,
+            qos.throttle_wait_ns.value,
+        ),
+    }, events_at_rules[0], sim._seq
+
+
+@pytest.mark.parametrize("inside", ["read", "write"])
+def test_rules_added_mid_run_are_drawn_as_on_a_run_per_phase_throughout(inside):
+    """What was reserved ahead finishes the way it began -- its draws
+    were already behind it -- and the next op to start, the next DMA to
+    be asked for, consult the rules at the instants the per-phase run
+    does: same fault log, same everything."""
+    # 24 pages at 3 slots take ~5 ms; the first write starts after it.
+    rules_at = (2_000 if inside == "read" else 9_000) * US
+    got, before, total = gated_day(rules_at, observed=False)
+    expected, per_phase_before, per_phase_total = gated_day(rules_at, observed=True)
+    assert got == expected
+    kinds = {signature[1] for signature in got["faults"]}
+    assert kinds == {"stall", "delay", "drop"}
+    assert any(isinstance(outcome, tuple) for outcome in got["outcomes"])
+    # Ahead until the rules came, per phase after.
+    assert before < 0.8 * per_phase_before
+    assert total - before == pytest.approx(per_phase_total - per_phase_before, rel=0.02)
 
 
 def test_observability_attached_mid_request_applies_from_the_next_page():

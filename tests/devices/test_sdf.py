@@ -183,13 +183,20 @@ def test_prefill_validation():
 
 def _read_with_link_injector(wired_from, wired_until, plan=None, n_pages=12):
     """One ``n_pages`` read on an idle channel whose link has an
-    injector wired during ``[wired_from, wired_until)``: the pages that
-    ask for their DMA then go through ``reserve_call`` and a ``landed``
-    event, the others are reserved ahead.  Returns (sim, sdf, process)."""
+    injector holding a rule wired during ``[wired_from, wired_until)``:
+    the pages that ask for their DMA then go through ``reserve_call``
+    and a ``landed`` event, the others are reserved ahead.  (A wired
+    injector holding *no* DROP or DELAY rule is no injector; the
+    default plan's one rule never matches a read.)  Returns (sim, sdf,
+    process)."""
     sim = Simulator()
     sdf = small_sdf(sim, n_channels=1)
     sdf.prefill(0.5)
-    injector = (plan or FaultPlan()).injector("link")
+    if plan is None:
+        plan = FaultPlan().add(
+            "link", DELAY, delay_ns=1, where={"direction": "write"}
+        )
+    injector = plan.injector("link")
     sim._schedule_call(lambda: setattr(sdf.link, "faults", injector), wired_from)
     sim._schedule_call(
         lambda: setattr(sdf.link, "faults", NULL_INJECTOR), wired_until
@@ -232,8 +239,8 @@ def test_read_ends_at_the_latest_dma_end_of_either_kind(first_evented, last_even
     ahead_sdf.prefill(0.5)
     ahead_only.run(until=ahead_only.process(ahead_sdf.channels[0].read(0, 0, 12)))
     assert sim._seq == ahead_only._seq + evented + 2
-    # Same instants as the all-ahead run: an empty injector changes how
-    # a DMA is booked, not when.
+    # Same instants as the all-ahead run: a rule that never fires
+    # changes how a DMA is booked, not when.
     assert finished == ahead_only.now
     assert sdf.link.read_meter.samples == ahead_sdf.link.read_meter.samples
     last_dma_end = sdf.link.read_meter.samples[-1][0]

@@ -22,7 +22,7 @@ from repro.faults import FaultPlan, attach_device_faults
 from repro.interfaces.link import LinkDropError
 from repro.kv.lsm import LSMTree
 from repro.kv.slice import Slice, partition_key_space
-from repro.qos import AdmissionConfig, BreakerConfig, QosPlan
+from repro.qos import AdmissionConfig, BreakerConfig, ChannelQosState, QosPlan
 from repro.sim import KIB, MS, Simulator
 from repro.sim.engine import GC_PACE
 from repro.workloads import FaultBurst, ScenarioRunner
@@ -65,6 +65,29 @@ def found():
 def test_device_cast_leaves_nothing_to_collect(kind, observed, found):
     """The zoo's mixed cast, per phase (observed) and reserved ahead."""
     system = run_cast(kind, seed=3, observed=observed)  # kept whole
+    assert found() == {}
+
+
+def test_gated_sdf_requests_leave_nothing_to_collect(found):
+    """Behind admission slots, with a rule-less fault plan wired: the
+    pages are reserved ahead from their grant hops, and the hops, the
+    releases and the queued waiters die with the request."""
+    sim = Simulator()
+    sdf = build_device("sdf", sim, capacity_scale=0.004, n_channels=2)
+    attach_device_faults(FaultPlan(seed=1), sdf)
+    for engine in sdf.engines:
+        engine.qos = ChannelQosState(sim, engine.channel, max_inflight=4)
+    channel = sdf.channels[0]
+    assert channel.engine.can_reserve_ahead()
+
+    def issuer():
+        yield from channel.write(0)
+        yield from channel.read(0, 0, 64)
+        yield from channel.erase(0)
+
+    sim.run(until=sim.process(issuer()))
+    assert channel.engine.qos.throttled.value > 64
+    assert channel.engine.ops_executed.value > 1024 + 64
     assert found() == {}
 
 
