@@ -4,7 +4,10 @@ Wall-clock seconds vary across machines, so the gate uses the two
 hardware-portable signals, both deterministic per scenario (and per
 mode, for a scenario the harness runs as a mode pair): **events** --
 the number of simulated events; growth means the scheduler got
-chattier -- and **gc_found** -- the objects a run left for the cyclic
+chattier, and the count is exact, so the gate is too: any rise fails,
+and any fall fails until ``baseline.json`` is re-recorded, or the next
+rise would hide under a stale baseline -- and **gc_found** -- the
+objects a run left for the cyclic
 collector; the baseline is 0 and any at all means a request path grew a
 reference cycle, which the kernel's paced collection (DESIGN.md section
 7, "Memory and the collector") turns into resident memory.
@@ -13,7 +16,7 @@ reference cycle, which the kernel's paced collection (DESIGN.md section
 Usage::
 
     python benchmarks/perf/check_regression.py BENCH_perf.json \
-        [--baseline benchmarks/perf/baseline.json] [--tolerance 0.30]
+        [--baseline benchmarks/perf/baseline.json] [--tolerance 0]
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import sys
 from pathlib import Path
 
 
-def check(report: dict, baseline: dict, tolerance: float) -> list:
+def check(report: dict, baseline: dict, tolerance: float = 0.0) -> list:
     failures = []
     for name, base_entry in baseline.items():
         entry = report.get(name)
@@ -45,6 +48,12 @@ def check(report: dict, baseline: dict, tolerance: float) -> list:
                     f"{label}: events {events} exceeds baseline "
                     f"{base_events} by more than {tolerance:.0%}"
                 )
+            elif events < base_events * (1 - tolerance):
+                failures.append(
+                    f"{label}: events {events} below baseline "
+                    f"{base_events} by more than {tolerance:.0%}: "
+                    "re-record baseline.json"
+                )
             if run["gc_found"] > base_run["gc_found"]:
                 failures.append(
                     f"{label}: the run left {run['gc_found']} objects to "
@@ -62,7 +71,7 @@ def main(argv=None):
         "--baseline",
         default=str(Path(__file__).resolve().parent / "baseline.json"),
     )
-    parser.add_argument("--tolerance", type=float, default=0.30)
+    parser.add_argument("--tolerance", type=float, default=0.0)
     args = parser.parse_args(argv)
     report = json.loads(Path(args.report).read_text())
     baseline = json.loads(Path(args.baseline).read_text())

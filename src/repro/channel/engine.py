@@ -27,7 +27,6 @@ from heapq import heappush
 from operator import attrgetter
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
-from repro.channel import vector
 from repro.faults.injector import NULL_INJECTOR, STALL
 from repro.ftl.ops import FlashOp, OpKind
 from repro.nand.geometry import FlashGeometry
@@ -46,30 +45,6 @@ OP_PRIORITIES: Dict[OpKind, int] = {
     OpKind.PROGRAM: 0,
     OpKind.ERASE: 0,
 }
-
-
-class _BusyCounterView:
-    """Counter-compatible read view over an engine's busy time.
-
-    Busy time lives in the reservation interval union; this view lets
-    ``engine.busy_ns.value`` consumers read it like a counter.
-    """
-
-    __slots__ = ("_engine",)
-
-    def __init__(self, engine: "ChannelEngine"):
-        self._engine = engine
-
-    @property
-    def name(self) -> str:
-        return f"channel{self._engine.channel}.busy"
-
-    @property
-    def value(self) -> int:
-        return self._engine.busy_value()
-
-    def __repr__(self):
-        return f"Counter({self.name!r}, value={self.value})"
 
 
 def _revoked():
@@ -138,6 +113,114 @@ class _Ahead:
             then()
 
 
+class _PhasedOp:
+    """One op run phase by phase: each phase is reserved at the instant
+    it is requested, the first at the op's start instant and the next
+    from the end of the one before (``ChannelEngine._chains``).
+
+    Whatever watches is read at the instant it is consulted, never
+    remembered: a phase's hold span goes to the trace ``sim.obs`` has
+    enabled when the phase ends and the op's span to the engine's when
+    the op does; ``record_wait`` alone is taken at the request instant.
+    """
+
+    __slots__ = (
+        "engine", "op", "then", "start", "chain", "step",
+        "request", "grant", "wait", "record_wait", "depth",
+    )
+
+    def __init__(self, engine, op, then, start):
+        self.engine = engine
+        self.op = op
+        self.then = then
+        #: The op's start instant: past admission, before any stall.
+        self.start = start
+        self.chain = engine._chains[op.kind]
+        self.step = 0
+        #: Queue wait summed over the phases that have ended.
+        self.wait = 0
+
+    def request_phase(self) -> None:
+        """Reserve, now, the phase at ``step``."""
+        engine = self.engine
+        sim = engine.sim
+        op = self.op
+        duration = self.chain[self.step]
+        if duration is None:
+            timeline = engine._tl_bus
+            duration = engine._bus_ns(op.nbytes)
+        else:
+            address = op.address
+            timeline = engine._tl_planes[(address.chip, address.plane)]
+        request = self.request = sim._now
+        self.record_wait = sim.obs is not None
+        if engine._uniform_priorities:
+            self.grant = engine._phase_fast(timeline, duration, self.ended)
+            return
+        # Which waiter a priority timeline serves next is decided when
+        # its holder releases: the grant is only known at its hop.
+        depth = self.depth = None if engine._obs is None else engine._depth()
+        if depth is not None:
+            depth.shift(request, 1)
+        timeline.reserve_call(
+            sim, engine.priorities[op.kind], duration, self.granted, self.ended
+        )
+
+    def granted(self, grant: int, end: int) -> None:
+        """A priority timeline's grant hop."""
+        self.grant = grant
+        if self.depth is not None:
+            self.depth.shift(grant, -1)
+        self.engine._busy_union.add(grant, end)
+
+    def ended(self) -> None:
+        """A phase's end instant, where its resource is released: the
+        hold span, then the next phase or the op's completion --
+        engine counters, the op span, then the caller's continuation
+        (behind the QoS slot release, which grants the next admission
+        waiter, when the op was admitted)."""
+        engine = self.engine
+        sim = engine.sim
+        grant = self.grant
+        wait = grant - self.request
+        self.wait = total = self.wait + wait
+        obs = sim.obs
+        if obs is not None and obs.trace.enabled:
+            if self.chain[self.step] is None:
+                track = engine._track_bus
+            else:
+                address = self.op.address
+                track = engine._track_planes[(address.chip, address.plane)]
+            if self.record_wait:
+                obs.trace.span(track, "hold", grant, sim._now, wait_ns=wait)
+            else:
+                obs.trace.span(track, "hold", grant, sim._now)
+        step = self.step = self.step + 1
+        if step < len(self.chain):
+            self.request_phase()
+            return
+        engine.ops_executed.value += 1
+        engine.wait_ns.value += total
+        obs = engine._obs
+        if obs is not None and obs.trace.enabled:
+            op = self.op
+            address = op.address
+            obs.trace.span(
+                engine._ops_track,
+                op.kind.name.lower(),
+                self.start,
+                sim._now,
+                chip=address.chip,
+                plane=address.plane,
+                block=address.block,
+                nbytes=op.nbytes,
+                wait_ns=total,
+            )
+        then = self.then
+        if then is not None:
+            then()
+
+
 class ChannelEngine:
     """Charges simulated time for FlashOps on one channel.
 
@@ -160,10 +243,6 @@ class ChannelEngine:
         self.geometry = geometry
         self.timing = timing
         self.priorities = dict(OP_PRIORITIES if priorities is None else priorities)
-        #: Cached choice of analytic variant (True = plain, False =
-        #: extended); None means "recompute on next submission".
-        #: Invalidated by the obs setter.
-        self._plain = None
         self._obs = None
         #: Optional :class:`repro.qos.limits.ChannelQosState` bounding
         #: the ops admitted to this channel; set by
@@ -175,17 +254,23 @@ class ChannelEngine:
             for chip in range(chips_per_channel)
             for plane in range(geometry.planes_per_chip)
         ]
+        #: With equal priorities a priority queue degenerates to FIFO
+        #: and grants are known at request time; non-uniform priorities
+        #: need the waiter heap of a :class:`PriorityTimeline`.
+        self._uniform_priorities = len(set(self.priorities.values())) == 1
+        new_timeline = (
+            ResourceTimeline if self._uniform_priorities else PriorityTimeline
+        )
         #: The shared bus and one contention resource per (chip, plane).
-        self._tl_bus = ResourceTimeline()
-        self._tl_planes: Dict[Tuple[int, int], ResourceTimeline] = {
-            key: ResourceTimeline() for key in keys
-        }
-        #: Priority-aware twins, used by the extended path when
-        #: priorities are non-uniform (the FIFO timelines above would
-        #: compute wrong grant order).
-        self._ptl_bus = PriorityTimeline()
-        self._ptl_planes: Dict[Tuple[int, int], PriorityTimeline] = {
-            key: PriorityTimeline() for key in keys
+        self._tl_bus = new_timeline()
+        self._tl_planes = {key: new_timeline() for key in keys}
+        #: An op's phases in order (:class:`_PhasedOp`): a plane phase
+        #: as its duration, the bus phase -- as long as the payload
+        #: takes -- as None.
+        self._chains = {
+            OpKind.READ: (timing.t_read_ns, None),
+            OpKind.PROGRAM: (None, timing.t_prog_ns),
+            OpKind.ERASE: (timing.t_erase_ns,),
         }
         #: Precomputed trace track names for the hold spans.
         self._track_bus = f"ch{channel}/bus"
@@ -207,10 +292,6 @@ class ChannelEngine:
         #: Count of reservations that found their timeline idle, the
         #: source of ``ResourceTimeline.rank``.
         self._rank = 0
-        #: With equal priorities a priority queue degenerates to FIFO,
-        #: so the plain FIFO timelines apply; non-uniform priorities
-        #: route to the PriorityTimeline twins instead.
-        self._uniform_priorities = len(set(self.priorities.values())) == 1
         self.ops_executed = Counter(f"channel{channel}.ops")
         #: Total queue wait summed over ops; can exceed wall-clock time
         #: when many ops wait concurrently.
@@ -236,33 +317,6 @@ class ChannelEngine:
     def obs(self, value) -> None:
         self._obs = value
         self._depth_metric = None
-        self._plain = None
-
-    def refresh_fast_plan(self) -> None:
-        """Drop the cached plain/extended choice.
-
-        The choice is invalidated automatically when ``obs`` is
-        assigned (every attach helper's path); call this after
-        out-of-band changes -- toggling ``obs.trace.enabled`` or
-        assigning ``sim.obs`` directly -- so the next submission
-        re-reads them.
-        """
-        self._plain = None
-
-    def _choose_plain(self) -> bool:
-        """True when ops may take the bare analytic path: FIFO
-        timelines, no spans.  What the bare path cannot serve -- trace
-        spans, non-uniform priorities -- selects the extended one;
-        admission slots are a gate in front of either.  Cached (see
-        :meth:`refresh_fast_plan`) so the hot path pays one attribute
-        read instead of re-reading ``sim.obs`` per submission."""
-        sim_obs = self.sim.obs
-        eng_obs = self._obs
-        traced = (sim_obs is not None and sim_obs.trace.enabled) or (
-            eng_obs is not None and eng_obs.trace.enabled
-        )
-        plain = self._plain = self._uniform_priorities and not traced
-        return plain
 
     # -- accounting --------------------------------------------------------------
     #: Integers (two an interval) the busy union's flat buffer may hold
@@ -285,14 +339,6 @@ class ChannelEngine:
             self._count_ahead()
         return self._busy_union.busy_through(now) / now
 
-    @property
-    def busy_ns(self) -> "_BusyCounterView":
-        """Time the channel had at least one op *in service* (holding a
-        plane or the bus) -- queue wait excluded, concurrent service on
-        several planes counted once, so ``busy_ns.value / elapsed <= 1``.
-        A live view."""
-        return _BusyCounterView(self)
-
     def busy_value(self, now_ns: Optional[int] = None) -> int:
         """Closed busy time (ns) through ``now``.
 
@@ -305,15 +351,15 @@ class ChannelEngine:
             self._count_ahead()
         return self._busy_union.closed_through(now)
 
-    # -- plain analytic path -------------------------------------------------------
+    # -- one phase, at its request instant -----------------------------------------
     def _phase_fast(self, timeline: ResourceTimeline, duration_ns: int, fn):
-        """Reserve one phase at sim-now, running ``fn`` at its end.
+        """Reserve one FIFO phase at sim-now, running ``fn`` at its end.
 
         The queue-depth metric sees the request at now and the grant at
         its (possibly future) instant, the busy union records the
         service interval, and ``fn`` fires at the end instant with the
-        tie ordering of ``repro.sim.timeline``.  Returns
-        ``(grant, end)``.
+        tie ordering of ``repro.sim.timeline``.  Returns the grant
+        instant.
         """
         # ResourceTimeline.reserve_and_call inlined: this is the hottest
         # call site and the extra frames are measurable.
@@ -356,7 +402,16 @@ class ChannelEngine:
             self._depth_track(now, grant)
         if revoked:
             self._reserve_again(revoked, timeline)
-        return grant, end
+        return grant
+
+    def _depth(self):
+        """The attached ``obs``'s queue-depth metric."""
+        depth = self._depth_metric
+        if depth is None:
+            depth = self._depth_metric = self._obs.metrics.time_weighted(
+                f"channel{self.channel}.queue_depth"
+            )
+        return depth
 
     def _depth_track(self, request_ns: int, grant_ns: int) -> None:
         """Queue-depth accounting for one phase, event-free.
@@ -367,11 +422,7 @@ class ChannelEngine:
         scheduled -- the integrated area is byte-identical to a
         grant-instant update, at zero event cost.
         """
-        depth = self._depth_metric
-        if depth is None:
-            depth = self._depth_metric = self._obs.metrics.time_weighted(
-                f"channel{self.channel}.queue_depth"
-            )
+        depth = self._depth()
         depth.shift(request_ns, 1)
         if grant_ns <= request_ns:
             depth.shift(request_ns, -1)
@@ -385,24 +436,25 @@ class ChannelEngine:
     READ_AHEAD_PAGES = 32
 
     def can_reserve_ahead(self) -> bool:
-        """True when nothing attached needs an op's per-phase hops: the
-        plain variant, no engine observability (queue depth is tracked
-        per phase), no STALL rule at this site (one is drawn at the
-        op's start instant; a wired injector holding none is, at that
-        instant, :data:`NULL_INJECTOR`).  The closed-form ERASE batch,
-        :meth:`program_ahead` and :meth:`read_ahead` all require it.
-        An admission gate (``qos``) does not decide it: the gate stands
-        in front, and what it admits is reserved ahead from its grant
-        hop."""
-        plain = self._plain
-        if plain is None:
-            plain = self._choose_plain()
+        """True when nothing attached needs an op's per-phase hops: FIFO
+        timelines (a priority grant is only known at its hop), no
+        engine observability (queue depth is tracked per phase), no
+        hold spans to emit, no STALL rule at this site (one is drawn at
+        the op's start instant; a wired injector holding none is, at
+        that instant, :data:`NULL_INJECTOR`).  Read afresh at every
+        call -- once a read request, once a streamed page -- so
+        whatever is attached or enabled meanwhile, through this engine
+        or not, holds from the next op.  :meth:`program_ahead` and
+        :meth:`read_ahead` require it.  An admission gate (``qos``)
+        does not decide it: the gate stands in front, and what it
+        admits is reserved ahead from its grant hop."""
+        if not self._uniform_priorities or self._obs is not None:
+            return False
+        sim_obs = self.sim.obs
+        if sim_obs is not None and sim_obs.trace.enabled:
+            return False
         faults = self.faults
-        return (
-            plain
-            and self._obs is None
-            and (faults is NULL_INJECTOR or faults.quiet(STALL))
-        )
+        return faults is NULL_INJECTOR or faults.quiet(STALL)
 
     def _bus_ns(self, nbytes: int) -> int:
         cache = self._bus_ns_cache
@@ -785,9 +837,6 @@ class ChannelEngine:
         qos = self.qos
         if qos is not None:
             qos.admit_fast(lambda: self._admitted(op, qos.releasing(then)))
-        elif self._plain and self.faults is NULL_INJECTOR:
-            # What :meth:`_submit` comes to on a bare engine.
-            self._fast_phases(op, then)
         else:
             self._submit(op, then)
 
@@ -812,14 +861,7 @@ class ChannelEngine:
         admission must shift the draw to the grant instant, never make
         it early at submission.
         """
-        plain = self._plain
-        if plain is None:
-            plain = self._choose_plain()
-        if plain:
-            phases = lambda: self._fast_phases(op, then)
-        else:
-            start = self.sim._now
-            phases = lambda: self._fast_phases_ext(op, start, then)
+        phased = _PhasedOp(self, op, then, self.sim._now)
         faults = self.faults
         if faults is not NULL_INJECTOR and not faults.quiet(STALL):
             stall_ns = faults.delay_ns(
@@ -828,204 +870,9 @@ class ChannelEngine:
             if stall_ns > 0:
                 # A controller hiccup: the op sits on the channel doing
                 # nothing before contending for resources.
-                self.sim._schedule_call(phases, stall_ns)
+                self.sim._schedule_call(phased.request_phase, stall_ns)
                 return
-        phases()
-
-    def _fast_phases(self, op: FlashOp, then) -> None:
-        sim = self.sim
-        timing = self.timing
-        plane_tl = self._tl_planes[(op.address.chip, op.address.plane)]
-        request = sim._now
-        kind = op.kind
-
-        cache = self._bus_ns_cache
-        bus_ns = cache.get(op.nbytes)
-        if bus_ns is None:
-            bus_ns = cache[op.nbytes] = timing.bus_transfer_ns(op.nbytes)
-
-        if kind is OpKind.READ:
-
-            def bus_phase():
-                request2 = sim._now
-
-                def read_done():
-                    self.ops_executed.add()
-                    self.wait_ns.add(
-                        (grant1 - request) + (grant2 - request2)
-                    )
-                    if then is not None:
-                        then()
-
-                grant2, _ = self._phase_fast(self._tl_bus, bus_ns, read_done)
-
-            grant1, _ = self._phase_fast(plane_tl, timing.t_read_ns, bus_phase)
-        elif kind is OpKind.PROGRAM:
-
-            def plane_phase():
-                request2 = sim._now
-
-                def program_done():
-                    self.ops_executed.add()
-                    self.wait_ns.add(
-                        (grant1 - request) + (grant2 - request2)
-                    )
-                    if then is not None:
-                        then()
-
-                grant2, _ = self._phase_fast(
-                    plane_tl, timing.t_prog_ns, program_done
-                )
-
-            grant1, _ = self._phase_fast(self._tl_bus, bus_ns, plane_phase)
-        elif kind is OpKind.ERASE:
-
-            def erase_done():
-                self.ops_executed.add()
-                self.wait_ns.add(grant1 - request)
-                if then is not None:
-                    then()
-
-            grant1, _ = self._phase_fast(
-                plane_tl, timing.t_erase_ns, erase_done
-            )
-        else:  # pragma: no cover - enum is closed
-            raise ValueError(f"unknown op kind {kind}")
-
-    # -- extended analytic path (tracing / priorities) -----------------------------
-    def _ext_phase(self, key, duration_ns: int, priority: int, done) -> None:
-        """One analytic phase on plane ``key`` (None = the bus);
-        ``done(wait_ns)`` runs at the end instant.
-
-        The traced twin of ``_phase_fast``: the hold span is emitted at
-        the end instant -- where the resource is released -- with the
-        grant captured by closure, and ``wait_ns`` is attached iff
-        ``sim.obs`` was attached at request time.
-        Non-uniform priorities swap the FIFO timeline for the
-        priority-aware one; grant instants are then only known at the
-        grant callback.
-        """
-        sim = self.sim
-        request = sim._now
-        record_wait = sim.obs is not None
-        if self._uniform_priorities:
-            if key is None:
-                track, timeline = self._track_bus, self._tl_bus
-            else:
-                track, timeline = self._track_planes[key], self._tl_planes[key]
-
-            def ended():
-                obs = sim.obs
-                if obs is not None and obs.trace.enabled:
-                    if record_wait:
-                        obs.trace.span(
-                            track, "hold", grant, sim._now,
-                            wait_ns=grant - request,
-                        )
-                    else:
-                        obs.trace.span(track, "hold", grant, sim._now)
-                done(grant - request)
-
-            revoked = self._ahead and self._revoke(timeline)
-            grant, end = timeline.reserve_and_call(sim, duration_ns, ended)
-            if grant <= request:
-                self._rank = timeline.rank = self._rank + 1
-            self._busy_union.add(grant, end)
-            if self._obs is not None:
-                self._depth_track(request, grant)
-            if revoked:
-                self._reserve_again(revoked, timeline)
-            return
-        track = self._track_bus if key is None else self._track_planes[key]
-
-        timeline = self._ptl_bus if key is None else self._ptl_planes[key]
-        obs = self._obs
-        depth = None
-        if obs is not None:
-            depth = self._depth_metric
-            if depth is None:
-                depth = self._depth_metric = obs.metrics.time_weighted(
-                    f"channel{self.channel}.queue_depth"
-                )
-            depth.shift(request, 1)
-        grant_cell = [0]
-
-        def granted(grant, end):
-            grant_cell[0] = grant
-            if depth is not None:
-                depth.shift(grant, -1)
-            self._busy_union.add(grant, end)
-
-        def prio_ended():
-            grant = grant_cell[0]
-            o = sim.obs
-            if o is not None and o.trace.enabled:
-                if record_wait:
-                    o.trace.span(
-                        track, "hold", grant, sim._now,
-                        wait_ns=grant - request,
-                    )
-                else:
-                    o.trace.span(track, "hold", grant, sim._now)
-            done(grant - request)
-
-        timeline.reserve_call(sim, priority, duration_ns, granted, prio_ended)
-
-    def _fast_phases_ext(self, op: FlashOp, start: int, then) -> None:
-        """Extended-path phase chain + completion for one op.
-
-        Completion order: engine counters, then the ops span, then the
-        caller's continuation (behind the QoS slot release, which
-        grants the next admission waiter, when the op was admitted).
-        """
-        sim = self.sim
-        timing = self.timing
-        key = (op.address.chip, op.address.plane)
-        kind = op.kind
-        priority = self.priorities[kind]
-        bus_ns = self._bus_ns(op.nbytes)
-
-        def completion(wait):
-            self.ops_executed.add()
-            self.wait_ns.add(wait)
-            obs = self._obs
-            if obs is not None and obs.trace.enabled:
-                obs.trace.span(
-                    self._ops_track,
-                    kind.name.lower(),
-                    start,
-                    sim._now,
-                    chip=op.address.chip,
-                    plane=op.address.plane,
-                    block=op.address.block,
-                    nbytes=op.nbytes,
-                    wait_ns=wait,
-                )
-            if then is not None:
-                then()
-
-        if kind is OpKind.READ:
-
-            def after_sense(wait1):
-                self._ext_phase(
-                    None, bus_ns, priority,
-                    lambda wait2: completion(wait1 + wait2),
-                )
-
-            self._ext_phase(key, timing.t_read_ns, priority, after_sense)
-        elif kind is OpKind.PROGRAM:
-
-            def after_stream(wait1):
-                self._ext_phase(
-                    key, timing.t_prog_ns, priority,
-                    lambda wait2: completion(wait1 + wait2),
-                )
-
-            self._ext_phase(None, bus_ns, priority, after_stream)
-        elif kind is OpKind.ERASE:
-            self._ext_phase(key, timing.t_erase_ns, priority, completion)
-        else:  # pragma: no cover - enum is closed
-            raise ValueError(f"unknown op kind {kind}")
+        phased.request_phase()
 
     # -- single-op execution -------------------------------------------------------
     def execute(self, op: FlashOp):
@@ -1060,23 +907,6 @@ class ChannelEngine:
         the last op's completion instant.  Each op costs a
         phase-boundary callback per phase on the reservation timelines
         and the whole batch completes through one shared countdown."""
-        if len(ops) >= 8:
-            # Batch-warm the memoized bus-cost table with one numpy
-            # pass (observationally neutral cache fill).
-            vector.prefill_bus_costs(self.timing, self._bus_ns_cache, ops)
-        if (
-            self.qos is None
-            and self.can_reserve_ahead()
-            and vector.erase_batch_ready(ops)
-        ):
-            # All-ERASE batch with nothing observing mid-batch: compute
-            # every grant/end in closed form (numpy cumsum per plane)
-            # and schedule one shared countdown instead of per-op
-            # closures.  Event-for-event identical to the loop below.
-            vector.schedule_erase_batch(self, ops, then)
-            if len(self._busy_raw) > self.BUSY_RAW_LIMIT:
-                self.busy_value()
-            return
         remaining = [len(ops)]
 
         def one_done():

@@ -122,27 +122,6 @@ class ResourceTimeline:
         self._tail_hooks = hooks
         return grant, end
 
-    def reserve_bulk(self, request_ns: int, duration_ns: int, count: int):
-        """Reserve ``count`` back-to-back equal-length services at once.
-
-        Returns ``(grants, ends)`` as numpy int64 arrays and advances
-        the timeline past the last reservation.  This is the vectorized
-        form of ``count`` consecutive :meth:`reserve` calls made at the
-        same ``request_ns``: the first grant is ``max(request, free_at)``
-        and each successor is granted exactly at its predecessor's end.
-
-        ``_tail_hooks`` is cleared -- the caller is responsible for
-        scheduling the end events (and may rebuild the hook chain
-        itself, as the vectorized batch scheduler does).
-        """
-        free = self.free_at
-        first = free if free > request_ns else request_ns
-        grants = first + duration_ns * np.arange(count, dtype=np.int64)
-        ends = grants + duration_ns
-        self.free_at = int(ends[-1])
-        self._tail_hooks = None
-        return grants, ends
-
     def __repr__(self):
         return f"ResourceTimeline(free_at={self.free_at})"
 

@@ -7,8 +7,9 @@ from repro.channel import ChannelEngine, build_engines
 from repro.ftl.ops import OpKind, erase_op, program_op, read_op
 from repro.nand import MICRON_25NM_MLC, SDF_CHIP_GEOMETRY
 from repro.nand.array import PhysicalAddress
-from repro.sim import Simulator, US
+from repro.sim import Event, Simulator, US
 from repro.sim.units import mb_per_s
+from tests.channel.golden import check_golden
 from tests.channel.reference_engine import execute_all, execute_sequential
 
 PAGE = SDF_CHIP_GEOMETRY.page_size  # 8 KiB
@@ -171,7 +172,7 @@ def test_counters_track_ops():
         [read_op(addr(), PAGE), program_op(addr(plane=1), PAGE)]
     )
     assert engine.ops_executed.value == 2
-    assert engine.busy_ns.value > 0
+    assert engine.busy_value() > 0
 
 
 def test_build_engines_creates_independent_channels():
@@ -180,22 +181,22 @@ def test_build_engines_creates_independent_channels():
     assert len(engines) == 4
     assert [e.channel for e in engines] == [0, 1, 2, 3]
     sim.run(until=sim.process(engines[0].execute(read_op(addr(), PAGE))))
-    assert engines[0].busy_ns.value > 0
-    assert engines[1].busy_ns.value == 0
+    assert engines[0].busy_value() > 0
+    assert engines[1].busy_value() == 0
 
 
 def test_busy_excludes_queue_wait():
-    """Regression: busy_ns used to include queue wait, so 'utilisation'
-    could exceed 100%.  Two reads contending for the same plane: the
-    second op's wait must land in wait_ns, not busy_ns."""
+    """Regression: busy time used to include queue wait, so
+    'utilisation' could exceed 100%.  Two reads contending for the same
+    plane: the second op's wait must land in wait_ns, not busy time."""
     ops = [read_op(addr(page=i), PAGE) for i in range(8)]
     elapsed, engine = run_ops(ops)
-    assert engine.busy_ns.value <= elapsed
+    assert engine.busy_value() <= elapsed
     assert engine.wait_ns.value > 0
     # Old accounting summed per-op latency (wait included), far above
     # the wall clock; the union of service intervals never is.
     per_op_total = 8 * (75 * US + 209_800)
-    assert engine.busy_ns.value < per_op_total
+    assert engine.busy_value() < per_op_total
 
 
 def test_utilization_is_a_fraction_under_heavy_contention():
@@ -221,7 +222,7 @@ def test_utilization_counts_overlapping_planes_once():
         for plane in range(2)
     ]
     elapsed, engine = run_ops(ops)
-    assert engine.busy_ns.value <= elapsed
+    assert engine.busy_value() <= elapsed
     assert engine.utilization(elapsed) <= 1.0
 
 
@@ -230,3 +231,59 @@ def test_idle_engine_reports_zero_utilization():
     engine = make_engine(sim)
     assert engine.utilization() == 0.0
     assert engine.wait_ns.value == 0
+
+
+@pytest.mark.parametrize("n_ops", [4, 9, 24])
+def test_erase_batch_matches_generator_and_per_op(n_ops):
+    """An all-ERASE ``execute_batch`` must finish at the same instant
+    with the same counters as a per-op ``execute_fast`` submission --
+    and both at the schedule the generator path recorded."""
+    geometry = SDF_CHIP_GEOMETRY.scaled(0.01)
+
+    def erase_ops(n):
+        planes = geometry.planes_per_chip
+        return [
+            erase_op(PhysicalAddress(0, index % 2, index % planes, index % 8, 0))
+            for index in range(n)
+        ]
+
+    def run(batched, stagger):
+        sim = Simulator()
+        engine = build_engines(sim, 1, geometry, TIMING, 2)[0]
+        done = {}
+
+        def submit(ops):
+            if batched:
+                yield from engine.execute_batch(ops)
+                return
+            finished = Event(sim)
+            remaining = [len(ops)]
+
+            def one_done():
+                remaining[0] -= 1
+                if not remaining[0]:
+                    finished.succeed()
+
+            for op in ops:
+                engine.execute_fast(op, one_done)
+            yield finished
+
+        def scenario():
+            yield from submit(erase_ops(n_ops))
+            if stagger:
+                yield sim.timeout(1_000)
+                yield from submit(erase_ops(5))
+            done["at"] = sim.now
+
+        sim.run(until=sim.process(scenario()))
+        return (
+            done["at"],
+            engine.ops_executed.value,
+            engine.wait_ns.value,
+            engine.busy_value(sim.now),
+        )
+
+    for stagger in (False, True):
+        batched = run(True, stagger)
+        assert batched == run(False, stagger)
+        check_golden(f"erase_batch[{n_ops}-{stagger}]", batched)

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from repro import build_sdf_system
+from repro.devices.sdf import SDFDevice
 from repro.ecc.model import EccModel, ReadStatus
+from repro.nand import SDF_CHIP_GEOMETRY
 from repro.obs import Observability, attach_device, attach_ecc
 from repro.sim import MS, Simulator
 
@@ -108,6 +110,28 @@ def test_metrics_only_attachment_records_no_spans():
     run_workload(obs)
     assert len(obs.trace) == 0
     assert obs.trace.enabled is False
+
+
+@pytest.mark.parametrize("ran_before", [False, True])
+def test_tracing_enabled_through_another_device_reaches_every_engine(ran_before):
+    """Two devices on one simulator, tracing attached through ``a``:
+    ``b``'s engine has no ``obs`` of its own, but its hold spans go to
+    ``sim.obs`` -- from its next op, whether or not it ran ops (and
+    reserved them ahead) while nothing was tracing."""
+    sim = Simulator()
+    geometry = SDF_CHIP_GEOMETRY.scaled(0.004)
+    a, b = (SDFDevice(sim, n_channels=1, geometry=geometry) for _ in "ab")
+    b.prefill()
+    channel = b.channels[0]
+    if ran_before:
+        sim.run(until=sim.process(channel.read(0, 0, 2)))
+    obs = Observability(trace=True)
+    attach_device(obs, a)
+    assert not channel.engine.can_reserve_ahead()
+    sim.run(until=sim.process(channel.read(0, 2, 2)))
+    # Per phase: a sense and a bus hold for each of the two pages.
+    holds = [span.track for span in obs.trace.spans if span.name == "hold"]
+    assert sorted(holds) == ["ch0/bus"] * 2 + ["ch0/chip0.plane0"] * 2
 
 
 def test_server_attach_exposes_request_metrics():
