@@ -177,10 +177,6 @@ def measure_kv_reads(
     run_clients(sim, clients, duration_ns, warmup_ns=warmup_ns)
     # Measure at the device: client batch completions are far too coarse
     # once a batch spans a large fraction of the run.
-    device_stats = (
-        server.system.device.stats
-        if hasattr(server, "system")
-        else server.device.stats
-    )
+    device_stats = server.device.stats
     start = warmup_ns
     return device_stats.read_meter.mb_per_s(start, duration_ns)

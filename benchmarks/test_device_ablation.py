@@ -68,9 +68,7 @@ def run_kv_phase(kind):
     # extent churn pushes device-managed FTLs into their GC regime.
     server = build_server(sim, kind, n_slices=2, capacity_scale=0.004,
                           n_channels=8, memtable_bytes=256 * 1024)
-    device = (
-        server.system.device if hasattr(server, "system") else server.device
-    )
+    device = server.device
     obs = Observability()
     attach_device(obs, device)
     before = dict(device.device_metrics())

@@ -42,9 +42,7 @@ def write_workload(kind: str, n_slices: int):
         for slice_ in server.slices
     ]
     run_clients(sim, clients, DURATION_NS, warmup_ns=WARMUP_NS)
-    device_stats = (
-        server.system.device.stats if kind == "sdf" else server.device.stats
-    )
+    device_stats = server.device.stats
     window = (WARMUP_NS, DURATION_NS)
     read_mb = device_stats.read_meter.mb_per_s(*window)
     write_mb = device_stats.write_meter.mb_per_s(*window)

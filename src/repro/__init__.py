@@ -38,6 +38,7 @@ from repro.errors import (
     ClusterError,
     PermanentFault,
     ReproError,
+    StorageFullError,
     TransientFault,
     WrongEpochError,
 )
@@ -52,4 +53,5 @@ __all__ = [
     "PermanentFault",
     "ClusterError",
     "WrongEpochError",
+    "StorageFullError",
 ]

@@ -1,14 +1,14 @@
 """The storage-cluster model (paper S3.1 / Table 2).
 
 Client nodes send synchronous, optionally batched KV requests over
-10 GbE to a storage server hosting CCDB slices backed by an SDF or a
-commodity SSD.  This is the testbed every production-system experiment
-(Figures 10-14) runs on.
+10 GbE to a storage server hosting CCDB slices, one patch per write
+unit of whatever device is underneath.  This is the testbed every
+production-system experiment (Figures 10-14) runs on.
 
 * :mod:`~repro.cluster.network` -- NIC/switch bandwidth model;
-* :mod:`~repro.cluster.storage` -- timed patch-storage adapters binding
-  slices to an :class:`~repro.devices.sdf.SDFDevice` (via the block
-  layer) or a :class:`~repro.devices.conventional.ConventionalSSD`;
+* :mod:`~repro.cluster.storage` -- the timed :class:`PatchStore`
+  binding slices to any device through a claim / write / read / free
+  extent backend (SDF blocks, zones, LPN extents);
 * :mod:`~repro.cluster.node` -- the storage server: request fan-out,
   slice routing, background patch flushing and compaction;
 * :mod:`~repro.cluster.client` -- closed-loop clients (one per slice,
@@ -69,11 +69,7 @@ from repro.cluster.replication import (
     ReplicaReadError,
     ReplicaWriteError,
 )
-from repro.cluster.storage import (
-    ConventionalNodeStorage,
-    SDFNodeStorage,
-    ZonedNodeStorage,
-)
+from repro.cluster.storage import PatchStore
 
 __all__ = [
     "Nic",
@@ -90,9 +86,7 @@ __all__ = [
     "MigrationRecord",
     "SwimConfig",
     "SwimDetector",
-    "SDFNodeStorage",
-    "ConventionalNodeStorage",
-    "ZonedNodeStorage",
+    "PatchStore",
     "StorageServer",
     "SERVER_CONFIG",
     "NodeDownError",

@@ -18,13 +18,14 @@ from typing import List, Optional
 
 from repro.cluster.network import Nic, TEN_GBE_MB_S
 from repro.cluster.storage import (
-    ConventionalNodeStorage,
-    SDFNodeStorage,
-    ZonedNodeStorage,
+    BlockLayerExtents,
+    LpnExtents,
+    PatchStore,
+    ZoneExtents,
 )
 from repro.errors import ClusterError, TransientFault, WrongEpochError
 from repro.kv.common import TOMBSTONE, PlaceholderValue, sizeof_value
-from repro.kv.compaction import split_patch
+from repro.kv.compaction import drain_compactions, split_patch
 from repro.kv.slice import Slice
 from repro.qos.admission import DeadlineExceededError
 from repro.sim import Resource, Simulator, Store
@@ -61,6 +62,8 @@ class StorageServer:
     ):
         self.sim = sim
         self.storage = storage
+        #: The device under the storage, whatever its kind.
+        self.device = storage.device
         self.slices = list(slices)
         self.per_request_cpu_ns = per_request_cpu_ns
         self.copy_mb_per_s = copy_mb_per_s
@@ -690,32 +693,25 @@ class StorageServer:
         """Functionally populate a slice (no simulated time) so read
         experiments start from a realistic on-device state."""
         lsm = slice_.lsm
+        storage = self.storage
         for key in keys:
             slice_.require_owns(key)
             frozen = lsm.put(key, PlaceholderValue(value_bytes))
             if frozen is not None:
-                handle = self.storage.functional_store(frozen.patch)
+                handle = storage.functional_store(frozen.patch)
                 lsm.register_patch(frozen, handle)
         frozen = lsm.flush()
         if frozen is not None:
-            handle = self.storage.functional_store(frozen.patch)
+            handle = storage.functional_store(frozen.patch)
             lsm.register_patch(frozen, handle)
         if compact:
-            while True:
-                task = lsm.pick_compaction()
-                if task is None:
-                    break
-                patches = [
-                    self.storage.functional_load(h)
-                    for h in lsm.run_handles(task)
-                ]
-                merged = lsm.merge_for_task(task, patches)
-                parts = split_patch(merged, self.storage.patch_capacity_bytes)
-                new_handles = [
-                    self.storage.functional_store(part) for part in parts
-                ]
-                for handle in lsm.apply_compaction(task, parts, new_handles):
-                    self.storage.functional_free(handle)
+            drain_compactions(
+                lsm,
+                storage.functional_load,
+                storage.functional_store,
+                storage.functional_free,
+                storage.patch_capacity_bytes,
+            )
 
 
 def build_storage_server(
@@ -731,44 +727,31 @@ def build_storage_server(
     """A storage server over any registered device kind.
 
     The one-door cluster builder for the device zoo: ``device_kind``
-    selects the backend (see ``repro.devices.device_kinds()``), the
-    matching node-storage adapter is chosen automatically, and
-    ``device_params`` passes backend-specific knobs (``cmt_pages``,
-    ``log_blocks_per_channel``, ...) straight to ``build_device``.
+    selects the device (see ``repro.devices.device_kinds()``) and the
+    extent backend its :class:`~repro.cluster.storage.PatchStore` runs
+    on, and ``device_params`` passes device-specific knobs
+    (``cmt_pages``, ``log_blocks_per_channel``, ...) straight to
+    ``build_device``.
 
-    SDF-backed servers expose the built system as ``server.system``;
-    every other kind exposes the device as ``server.device``.
+    Every server exposes its device as ``server.device``; an SDF-backed
+    one also the built system as ``server.system``.
     """
-    from repro.devices.catalog import build_device
+    from repro.devices.catalog import HUAWEI_GEN3_SPEC, build_device
 
-    params = dict(device_params or {})
+    params = dict(device_params or {}, capacity_scale=capacity_scale)
+    system = None
     if device_kind == "sdf":
         from repro.core.api import build_sdf_system
 
-        system = build_sdf_system(
-            capacity_scale=capacity_scale,
-            n_channels=n_channels,
-            sim=sim,
-            **params,
+        system = build_sdf_system(n_channels=n_channels, sim=sim, **params)
+        backend = BlockLayerExtents(system.block_layer)
+    elif device_kind == "zoned":
+        backend = ZoneExtents(
+            build_device("zoned", sim, n_channels=n_channels, **params)
         )
-        storage = SDFNodeStorage(system.block_layer)
-        server = StorageServer(sim, storage, slices, **server_kwargs)
-        server.system = system
-        return server
-    if device_kind == "zoned":
-        device = build_device(
-            "zoned",
-            sim,
-            capacity_scale=capacity_scale,
-            n_channels=n_channels,
-            **params,
-        )
-        storage = ZonedNodeStorage(device)
     else:
         # The conventional family (page-mapped, DFTL, hybrid, MQ) all
         # speak the LPN extent interface.
-        from repro.devices.catalog import HUAWEI_GEN3_SPEC
-
         base_spec = spec if spec is not None else HUAWEI_GEN3_SPEC
         if n_channels != base_spec.n_channels:
             from dataclasses import replace
@@ -780,17 +763,15 @@ def build_storage_server(
                     base_spec.parity_group_size, max(2, n_channels)
                 ),
             )
-        device = build_device(
-            device_kind,
-            sim,
-            spec=base_spec,
-            capacity_scale=capacity_scale,
-            store_data=True,  # pages hold patch references for value reads
-            **params,
+        # store_data: pages hold patch references for value reads.
+        backend = LpnExtents(
+            build_device(
+                device_kind, sim, spec=base_spec, store_data=True, **params
+            )
         )
-        storage = ConventionalNodeStorage(device)
-    server = StorageServer(sim, storage, slices, **server_kwargs)
-    server.device = device
+    server = StorageServer(sim, PatchStore(backend), slices, **server_kwargs)
+    if system is not None:
+        server.system = system
     return server
 
 

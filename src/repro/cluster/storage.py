@@ -1,301 +1,281 @@
-"""Timed patch-storage adapters for storage-server nodes.
+"""Timed patch storage for storage-server nodes: one store, any device.
 
-A node storage adapter turns LSM work items into timed device I/O:
+One CCDB patch is exactly one device write unit (paper S2.4, S3.1), so
+all the host needs between the LSM and the flash is "claim a unit,
+write it whole, read pages of it, give it back".  :class:`PatchStore`
+says that once; what differs per device kind is the *extent backend*
+it runs on:
 
-* ``store_patch`` -- persist one <= 8 MB patch (one SDF write unit);
-* ``read_value`` -- fetch one value with a single device read of just
-  the pages covering it (the paper's one-read guarantee);
-* ``read_patch`` -- fetch a whole patch (compaction and scans);
-* ``free_patch`` -- release the space (background erase on SDF; LBA
-  reuse on the conventional SSD).
+* ``claim() -> handle`` -- a free unit, or :class:`StorageFullError`;
+* ``write(handle, patch)`` -- generator: fill the unit, every page
+  holding ``patch``;
+* ``read(handle, offset, nbytes)`` -- generator -> the payloads of the
+  pages covering that byte range;
+* ``free(handle)`` -- generator: give a written unit back;
+* ``abandon(handle)`` -- give back a claimed unit whose write failed;
+* ``functional_write`` / ``functional_read`` (-> the first page's
+  payload) / ``functional_free`` -- the zero-time forms preloading uses;
+* ``device``, ``unit_bytes``, and ``block_layer`` (None off SDF).
 
-Patches are kept as Python objects: every page of a stored patch holds
-a reference to the same :class:`~repro.kv.patch.Patch`, so any page read
-can resolve values while the simulator charges time for exactly the
-pages a real system would touch.
+Timed calls hand back the device's own generator wherever one exists,
+so the store adds no frame to the per-get read path.  Patches are kept
+as Python objects: every page of a stored patch holds a reference to
+the same :class:`~repro.kv.patch.Patch`, so any page read can resolve
+values while the simulator charges time for exactly the pages a real
+system would touch.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
 
 from repro.core.block_layer import UserSpaceBlockLayer
-from repro.devices.conventional import ConventionalSSD
+from repro.errors import StorageFullError
 from repro.kv.lsm import Lookup
 from repro.kv.patch import Patch
 
+#: The CCDB patch size: the unit of an LPN-extent backend, whose device
+#: has no write unit of its own (blocks and zones bring theirs).
+PATCH_BYTES = 8 << 20
 
-class SDFNodeStorage:
-    """Patches on an SDF through the user-space block layer."""
+
+class BlockLayerExtents:
+    """SDF: one 8 MB block of the user-space block layer per patch."""
 
     def __init__(self, block_layer: UserSpaceBlockLayer):
         self.block_layer = block_layer
-        self.sim = block_layer.sim
+        self.device = block_layer.device
+        self.unit_bytes = block_layer.block_bytes
+        self._pages = block_layer.pages_per_block
+        self.claim = block_layer.allocate_id
+        self.read = block_layer.read
+        self.free = block_layer.free
+        self.functional_free = block_layer.functional_free
 
-    @property
-    def patch_capacity_bytes(self) -> int:
-        """Largest patch this storage accepts."""
-        return self.block_layer.block_bytes
+    def write(self, handle, patch: Patch):
+        return self.block_layer.write(handle, [patch] * self._pages)
 
-    def store_patch(self, patch: Patch):
-        """Generator -> handle (a block ID)."""
-        if patch.nbytes > self.patch_capacity_bytes:
-            raise ValueError("patch exceeds the 8 MB write unit")
-        handle = self.block_layer.allocate_id()
-        pages = [patch] * self.block_layer.pages_per_block
-        yield from self.block_layer.write(handle, pages)
-        return handle
+    def abandon(self, handle) -> None:
+        """Nothing to return: IDs are never reused, and the block layer
+        queues the half-programmed flash block for erase itself."""
 
-    def store_patches(self, patches):
-        """Generator -> list of handles, persisting patches concurrently.
+    def functional_write(self, handle, patch: Patch) -> None:
+        self.block_layer.functional_write(handle, [patch] * self._pages)
 
-        One block-layer ``write_batch``: the writes land on distinct
-        channels (round-robin placement) and overlap, which is what the
-        compaction output fan-out wants.
-        """
-        patches = list(patches)
-        for patch in patches:
-            if patch.nbytes > self.patch_capacity_bytes:
-                raise ValueError("patch exceeds the 8 MB write unit")
-        handles = [self.block_layer.allocate_id() for _ in patches]
-        items = [
-            (handle, [patch] * self.block_layer.pages_per_block)
-            for handle, patch in zip(handles, patches)
-        ]
-        yield from self.block_layer.write_batch(items)
-        return handles
+    def functional_read(self, handle):
+        return self.block_layer.functional_read(handle, 0, 1)[0]
 
-    def read_value(self, lookup: Lookup, key):
-        """Generator -> value, reading only the pages covering it."""
-        nbytes = max(lookup.size, 1)
-        payloads = yield from self.block_layer.read(
-            lookup.handle, lookup.offset, nbytes
+
+class _FreeListExtents:
+    """Units handed out of, and given back to, a host-side free list."""
+
+    block_layer = None
+
+    def __init__(self, device, handles, unit_bytes: int):
+        self.device = device
+        self.unit_bytes = unit_bytes
+        self._pages = unit_bytes // device.page_size
+        self._free = deque(handles)
+
+    def claim(self):
+        if not self._free:
+            raise StorageFullError(
+                f"no free {self.unit_bytes >> 20} MiB unit left on the "
+                f"{self.device.kind} device"
+            )
+        return self._free.popleft()
+
+    def free(self, handle):
+        self._free.append(handle)
+        return
+        yield  # pragma: no cover - keeps this a generator
+
+    def abandon(self, handle) -> None:
+        self._free.append(handle)
+
+    functional_free = abandon
+
+    def read(self, handle, offset: int, nbytes: int):
+        page = self.device.page_size
+        first = offset // page
+        return self._read_pages(
+            handle, first, (offset + nbytes - 1) // page - first + 1
         )
-        patch: Patch = payloads[0]
-        found, value = patch.get(key)
-        if not found:
-            raise KeyError(f"{key!r} missing from stored patch")
-        return value
-
-    def read_patch(self, handle) -> Patch:
-        """Generator -> the whole patch (a full 8 MB sequential read)."""
-        payloads = yield from self.block_layer.read(handle, 0, None)
-        return payloads[0]
-
-    def free_patch(self, handle):
-        """Generator: release the block (erased in the background)."""
-        yield from self.block_layer.free(handle)
-
-    # -- functional (zero-time) preloading --------------------------------------
-    def functional_store(self, patch: Patch):
-        """Store a patch with no simulated time (preloading)."""
-        handle = self.block_layer.allocate_id()
-        pages = [patch] * self.block_layer.pages_per_block
-        self.block_layer.functional_write(handle, pages)
-        return handle
-
-    def functional_load(self, handle) -> Patch:
-        """Load a patch with no simulated time."""
-        return self.block_layer.functional_read(handle)[0]
-
-    def functional_free(self, handle) -> None:
-        """Release a patch with no simulated time."""
-        self.block_layer.functional_free(handle)
 
 
-class ConventionalNodeStorage:
-    """Patches on a conventional SSD, one 8 MB LBA extent per patch.
+class LpnExtents(_FreeListExtents):
+    """The conventional family: one 8 MB LPN extent per patch.
 
     Extents are recycled: rewriting a previously-used extent invalidates
     its old flash pages inside the device, which is what feeds the FTL's
     garbage collector under sustained write load.
     """
 
-    def __init__(self, device: ConventionalSSD, patch_bytes: int = 8 << 20):
-        self.device = device
-        self.sim = device.sim
-        self.patch_bytes = patch_bytes
-        self.pages_per_patch = patch_bytes // device.page_size
-        if self.pages_per_patch < 1:
-            raise ValueError("patch smaller than one page")
-        n_extents = device.user_pages // self.pages_per_patch
-        if n_extents < 1:
+    def __init__(self, device):
+        pages = PATCH_BYTES // device.page_size
+        if device.user_pages < pages:
             raise ValueError("device too small for a single patch extent")
-        self._free_extents = deque(
-            extent * self.pages_per_patch for extent in range(n_extents)
+        super().__init__(
+            device,
+            range(0, device.user_pages - pages + 1, pages),
+            PATCH_BYTES,
         )
 
-    @property
-    def patch_capacity_bytes(self) -> int:
-        """Largest patch this storage accepts."""
-        return self.patch_bytes
+    def write(self, lpn, patch: Patch):
+        return self.device.write(lpn, self._pages, data=patch)
 
-    def store_patch(self, patch: Patch):
-        """Generator: persist one patch; returns its handle."""
-        if patch.nbytes > self.patch_bytes:
-            raise ValueError("patch exceeds the patch extent")
-        if not self._free_extents:
-            raise RuntimeError("no free patch extents on the device")
-        lpn = self._free_extents.popleft()
-        yield from self.device.write(lpn, self.pages_per_patch, data=patch)
-        return lpn
+    def _read_pages(self, lpn, first: int, count: int):
+        return self.device.read(lpn + first, count)
 
-    def store_patches(self, patches):
-        """Generator -> list of handles, persisting patches concurrently."""
-        patches = list(patches)
-        processes = [
-            self.sim.process(self.store_patch(patch)) for patch in patches
-        ]
-        if not processes:
-            return []
-        results = yield self.sim.all_of(processes)
-        return results
-
-    def read_value(self, lookup: Lookup, key):
-        """Generator: fetch one value with a single device read."""
-        page = self.device.page_size
-        first_page = lookup.offset // page
-        last_page = (lookup.offset + max(lookup.size, 1) - 1) // page
-        payloads = yield from self.device.read(
-            lookup.handle + first_page, last_page - first_page + 1
-        )
-        patch: Optional[Patch] = payloads[0]
-        if patch is None:
-            raise KeyError(f"extent at lpn {lookup.handle} holds no data")
-        found, value = patch.get(key)
-        if not found:
-            raise KeyError(f"{key!r} missing from stored patch")
-        return value
-
-    def read_patch(self, handle) -> Patch:
-        """Generator: fetch a whole patch."""
-        payloads = yield from self.device.read(handle, self.pages_per_patch)
-        return payloads[0]
-
-    def free_patch(self, handle):
-        """Return the extent for reuse (invalidated on next overwrite)."""
-        self._free_extents.append(handle)
-        return
-        yield  # pragma: no cover - keeps this a generator
-
-    # -- functional (zero-time) preloading --------------------------------------
-    def functional_store(self, patch: Patch):
-        """Store a patch with no simulated time (preloading)."""
-        if not self._free_extents:
-            raise RuntimeError("no free patch extents on the device")
-        lpn = self._free_extents.popleft()
-        for index in range(self.pages_per_patch):
+    def functional_write(self, lpn, patch: Patch) -> None:
+        for index in range(self._pages):
             self.device.ftl.write(lpn + index, patch)
-        return lpn
 
-    def functional_load(self, handle) -> Patch:
-        """Load a patch with no simulated time."""
-        data, _ = self.device.ftl.read(handle)
-        if data is None:
-            raise KeyError(f"extent at lpn {handle} holds no data")
-        return data
-
-    def functional_free(self, handle) -> None:
-        """Release a patch with no simulated time."""
-        self._free_extents.append(handle)
+    def functional_read(self, lpn):
+        return self.device.ftl.read(lpn)[0]
 
 
-class ZonedNodeStorage:
-    """Patches on a :class:`~repro.devices.zoned.ZonedDevice`, one zone
-    per patch.
+class ZoneExtents(_FreeListExtents):
+    """Zoned: one zone per patch -- the host-FTL identity SDF argues for.
 
-    The 8 MB KV patch is exactly one zone, so the mapping is the
-    host-FTL identity the SDF argues for: ``store_patch`` fills a free
-    zone, ``free_patch`` returns it to the free list, and the required
-    ZNS reset is paid lazily by the *next* writer of that zone (the
-    moral equivalent of the SDF's pre-write erase discipline).
+    A freed zone goes straight back on the free list; the ZNS reset it
+    needs is paid lazily by the *next* writer of that zone (the moral
+    equivalent of the SDF's pre-write erase discipline), which also
+    covers a zone left half-written by a failed store.
     """
 
-    def __init__(self, device, patch_bytes: int = 8 << 20):
-        self.device = device
-        self.sim = device.sim
-        self.patch_bytes = patch_bytes
-        if patch_bytes > device.zone_bytes:
-            raise ValueError("patch exceeds the zone size")
-        self._free_zones = deque(range(device.n_zones))
+    def __init__(self, device):
+        super().__init__(device, range(device.n_zones), device.zone_bytes)
 
-    @property
-    def patch_capacity_bytes(self) -> int:
-        """Largest patch this storage accepts."""
-        return min(self.patch_bytes, self.device.zone_bytes)
+    def write(self, zone, patch: Patch):
+        yield from self.device.reset_zone(zone)
+        yield from self.device.write_zone(zone, [patch] * self._pages)
 
-    def _claim_zone(self) -> int:
-        if not self._free_zones:
-            raise RuntimeError("no free zones on the device")
-        return self._free_zones.popleft()
+    def _read_pages(self, zone, first: int, count: int):
+        return self.device.read_zone(zone, first, count)
+
+    def functional_write(self, zone, patch: Patch) -> None:
+        self.device.functional_reset_zone(zone)
+        self.device.functional_write_zone(zone, [patch] * self._pages)
+
+    def functional_read(self, zone):
+        return self.device.functional_read_zone(zone)
+
+
+class PatchStore:
+    """Patches on any device, one write unit each, over an extent backend."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.device = backend.device
+        #: The user-space block layer under an SDF backend, else None.
+        self.block_layer = backend.block_layer
+        self.sim = self.device.sim
+        #: Largest patch this storage accepts: the device's write unit.
+        self.patch_capacity_bytes = backend.unit_bytes
+
+    def _claim(self, patches) -> list:
+        """One handle per patch, or none at all."""
+        for patch in patches:
+            if patch.nbytes > self.patch_capacity_bytes:
+                raise ValueError(
+                    f"patch of {patch.nbytes} B exceeds the "
+                    f"{self.patch_capacity_bytes} B write unit"
+                )
+        handles = []
+        try:
+            for _ in patches:
+                handles.append(self.backend.claim())
+        except StorageFullError:
+            for handle in handles:
+                self.backend.abandon(handle)
+            raise
+        return handles
+
+    def _write(self, handle, patch: Patch):
+        """Generator -> ``handle``; a failed write gives the unit back."""
+        try:
+            yield from self.backend.write(handle, patch)
+        except Exception:
+            self.backend.abandon(handle)
+            raise
+        return handle
+
+    def _orphaned(self, write) -> None:
+        """A sibling of a failed batch write finished: nobody registers
+        its handle, so free it (or absorb its own failure)."""
+        if write.ok:
+            self.sim.process(self.backend.free(write.value))
+        else:
+            write.defused = True
 
     def store_patch(self, patch: Patch):
-        """Generator: persist one patch; returns its handle (a zone)."""
-        if patch.nbytes > self.patch_capacity_bytes:
-            raise ValueError("patch exceeds the zone size")
-        zone = self._claim_zone()
-        yield from self.device.reset_zone(zone)
-        pages = [patch] * self.device.pages_per_zone
-        yield from self.device.write_zone(zone, pages)
-        return zone
+        """Generator -> handle: persist one patch."""
+        (handle,) = self._claim([patch])
+        return (yield from self._write(handle, patch))
 
     def store_patches(self, patches):
-        """Generator -> list of handles, persisting patches concurrently."""
+        """Generator -> list of handles (input order), persisting the
+        patches concurrently.
+
+        Every handle is claimed first, then each write runs as its own
+        process: on SDF they land on distinct channels (round-robin
+        placement) and overlap, which is what the compaction output
+        fan-out wants.
+        """
         patches = list(patches)
-        processes = [
-            self.sim.process(self.store_patch(patch)) for patch in patches
+        handles = self._claim(patches)
+        writes = [
+            self.sim.process(self._write(handle, patch))
+            for handle, patch in zip(handles, patches)
         ]
-        if not processes:
-            return []
-        results = yield self.sim.all_of(processes)
-        return results
+        try:
+            yield self.sim.all_of(writes)
+        except Exception:
+            for write in writes:
+                write.add_callback(self._orphaned)
+            raise
+        return handles
+
+    @staticmethod
+    def _patch_at(handle, payload) -> Patch:
+        if payload is None:
+            raise KeyError(f"extent {handle} holds no data")
+        return payload
 
     def read_value(self, lookup: Lookup, key):
-        """Generator: fetch one value with a single zone read."""
-        page = self.device.page_size
-        first_page = lookup.offset // page
-        last_page = (lookup.offset + max(lookup.size, 1) - 1) // page
-        payloads = yield from self.device.read_zone(
-            lookup.handle, first_page, last_page - first_page + 1
+        """Generator -> value, reading only the pages covering it."""
+        payloads = yield from self.backend.read(
+            lookup.handle, lookup.offset, max(lookup.size, 1)
         )
-        patch: Optional[Patch] = payloads[0]
-        if patch is None:
-            raise KeyError(f"zone {lookup.handle} holds no data")
-        found, value = patch.get(key)
+        found, value = self._patch_at(lookup.handle, payloads[0]).get(key)
         if not found:
             raise KeyError(f"{key!r} missing from stored patch")
         return value
 
-    def read_patch(self, handle) -> Patch:
-        """Generator: fetch a whole patch (full-zone sequential read)."""
-        payloads = yield from self.device.read_zone(
-            handle, 0, self.device.pages_per_zone
+    def read_patch(self, handle):
+        """Generator -> the whole patch (a full sequential unit read)."""
+        payloads = yield from self.backend.read(
+            handle, 0, self.patch_capacity_bytes
         )
-        return payloads[0]
+        return self._patch_at(handle, payloads[0])
 
     def free_patch(self, handle):
-        """Return the zone for reuse (reset lazily before rewrite)."""
-        self._free_zones.append(handle)
-        return
-        yield  # pragma: no cover - keeps this a generator
+        """Generator: release the unit (background erase on SDF, lazy
+        reset on zones, invalidate-on-overwrite for LPN extents)."""
+        return self.backend.free(handle)
 
     # -- functional (zero-time) preloading --------------------------------------
     def functional_store(self, patch: Patch):
         """Store a patch with no simulated time (preloading)."""
-        zone = self._claim_zone()
-        self.device.functional_reset_zone(zone)
-        pages = [patch] * self.device.pages_per_zone
-        self.device.functional_write_zone(zone, pages)
-        return zone
+        (handle,) = self._claim([patch])
+        self.backend.functional_write(handle, patch)
+        return handle
 
     def functional_load(self, handle) -> Patch:
         """Load a patch with no simulated time."""
-        data = self.device.functional_read_zone(handle)
-        if data is None:
-            raise KeyError(f"zone {handle} holds no data")
-        return data
+        return self._patch_at(handle, self.backend.functional_read(handle))
 
     def functional_free(self, handle) -> None:
         """Release a patch with no simulated time."""
-        self._free_zones.append(handle)
+        self.backend.functional_free(handle)

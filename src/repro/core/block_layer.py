@@ -20,7 +20,8 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core.scheduler import ErasePolicy, PlacementPolicy, RoundRobinPlacement
 from repro.devices.sdf import SDFDevice
-from repro.sim import AllOf, Store
+from repro.errors import StorageFullError
+from repro.sim import Store
 
 
 @dataclass(frozen=True)
@@ -169,7 +170,15 @@ class UserSpaceBlockLayer:
                 # around the backlog we are queued behind.
                 write_slot = yield from self.qos.acquire(channel_index)
             logical_block = yield from self._acquire_block(channel_index)
-            yield from channel.write(logical_block, self._paginate(data))
+            try:
+                yield from channel.write(logical_block, self._paginate(data))
+            except Exception:
+                # Half-programmed and unnamed: queue it for erase, or
+                # the channel is one block short for good.  (Not
+                # BaseException: a generator closed at teardown must
+                # not schedule on a simulator being collected.)
+                self._dirty[channel_index].put(logical_block)
+                raise
             self._locations[block_id] = BlockLocation(
                 channel_index, logical_block
             )
@@ -191,25 +200,6 @@ class UserSpaceBlockLayer:
                     channel=channel_index,
                     rewrite=rewrite,
                 )
-
-    def write_batch(self, items: Sequence):
-        """Store several blocks concurrently; finish when all land.
-
-        ``items`` is a sequence of ``(block_id, data)`` pairs.  Each
-        write follows the exact single-write path (placement, QoS slot,
-        erase-on-rewrite), but they overlap in time the way independent
-        writers would -- this is the flush/compaction batching hook.
-        Returns the number of blocks written.
-        """
-        items = list(items)
-        if not items:
-            return 0
-        processes = [
-            self.sim.process(self.write(block_id, data))
-            for block_id, data in items
-        ]
-        yield AllOf(self.sim, processes)
-        return len(items)
 
     def read(self, block_id: int, offset: int = 0, nbytes: Optional[int] = None):
         """Read ``nbytes`` starting at ``offset`` within the block.
@@ -285,7 +275,7 @@ class UserSpaceBlockLayer:
         channel_index = self.placement.choose(block_id, self.loads)
         ready = self._ready[channel_index]
         if not ready.items:
-            raise RuntimeError(
+            raise StorageFullError(
                 f"channel {channel_index} has no ready blocks to preload into"
             )
         logical_block = ready.items.popleft()

@@ -59,6 +59,16 @@ class WrongEpochError(TransientFault, ClusterError):
     """
 
 
+class StorageFullError(PermanentFault, ClusterError):
+    """No free write unit (block, zone, LPN extent) is left to claim.
+
+    Raised where storage cannot wait for space to come back: a node's
+    patch store claiming an extent off an empty free list, or a zero-time
+    preload into a channel with no erased block.  Retrying cannot help
+    until something frees a unit.
+    """
+
+
 __all__ = [
     "ReproError",
     "TransientFault",
@@ -66,4 +76,5 @@ __all__ = [
     "ClusterError",
     "ConfigError",
     "WrongEpochError",
+    "StorageFullError",
 ]

@@ -19,7 +19,8 @@ from repro.faults.plan import FaultPlan
 
 
 def attach_device_faults(plan: FaultPlan, device, prefix: str = "") -> None:
-    """Wire a device (SDF or conventional): chips, engines, FTLs, link."""
+    """Wire any ``DeviceModel``: chips, engines, link, and the channel
+    FTLs of a device that has them."""
     plan.bind_clock(device.sim)
     nand = plan.injector(f"{prefix}nand")
     for channel_chips in device.array.chips:
@@ -50,8 +51,4 @@ def attach_server_faults(plan: FaultPlan, server, site: str) -> None:
     ``site`` target for scheduled crashes via a
     :class:`~repro.faults.runner.FaultRunner`."""
     plan.bind_clock(server.sim)
-    storage = server.storage
-    if hasattr(storage, "block_layer"):  # SDFNodeStorage
-        attach_device_faults(plan, storage.block_layer.device, prefix=f"{site}.")
-    elif hasattr(storage, "device"):  # ConventionalNodeStorage
-        attach_device_faults(plan, storage.device, prefix=f"{site}.")
+    attach_device_faults(plan, server.device, prefix=f"{site}.")

@@ -149,3 +149,22 @@ def split_patch(patch: Patch, max_bytes: int) -> List[Patch]:
     if current or not parts:
         parts.append(Patch(current))
     return parts
+
+
+def drain_compactions(lsm, load, store, free, max_patch_bytes: int) -> int:
+    """Run every compaction ``lsm``'s policy wants, synchronously,
+    through the storage's immediate ``load(handle) -> Patch``,
+    ``store(patch) -> handle`` and ``free(handle)``; merge outputs are
+    split at ``max_patch_bytes``.  Returns the number of merges run."""
+    merges = 0
+    while True:
+        task = lsm.pick_compaction()
+        if task is None:
+            return merges
+        patches = [load(handle) for handle in lsm.run_handles(task)]
+        merged = lsm.merge_for_task(task, patches)
+        parts = split_patch(merged, max_patch_bytes)
+        new_handles = [store(part) for part in parts]
+        for freed in lsm.apply_compaction(task, parts, new_handles):
+            free(freed)
+        merges += 1

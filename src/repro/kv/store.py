@@ -19,7 +19,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.api import SDFSystem
 from repro.kv.common import TOMBSTONE
-from repro.kv.compaction import TieredCompactionPolicy, split_patch
+from repro.kv.compaction import TieredCompactionPolicy, drain_compactions
 from repro.kv.lsm import LSMTree
 from repro.kv.patch import Patch
 from repro.sim.units import MIB
@@ -130,21 +130,14 @@ class CCDBStore:
     # -- compaction --------------------------------------------------------------
     def compact_pending(self) -> int:
         """Run every compaction the policy wants; returns merge count."""
-        merges = 0
-        while True:
-            task = self.lsm.pick_compaction()
-            if task is None:
-                return merges
-            patches = [
-                self.backend.load(handle)
-                for handle in self.lsm.run_handles(task)
-            ]
-            merged = self.lsm.merge_for_task(task, patches)
-            parts = split_patch(merged, self.max_patch_bytes)
-            new_handles = [self.backend.store(part) for part in parts]
-            for freed in self.lsm.apply_compaction(task, parts, new_handles):
-                self.backend.free(freed)
-            merges += 1
+        backend = self.backend
+        return drain_compactions(
+            self.lsm,
+            backend.load,
+            backend.store,
+            backend.free,
+            self.max_patch_bytes,
+        )
 
     # -- reads -------------------------------------------------------------------
     def get(self, key, default=None):

@@ -70,9 +70,7 @@ def attach_server_qos(plan: QosPlan, server, name: str = "server") -> None:
         )
         server.qos = controller
         plan.register(controller)
-    storage = server.storage
-    if hasattr(storage, "block_layer"):  # SDFNodeStorage
-        attach_device_qos(plan, storage.block_layer.device, prefix=f"{name}.")
-        attach_block_layer_qos(plan, storage.block_layer, prefix=f"{name}.")
-    elif hasattr(storage, "device"):  # ConventionalNodeStorage
-        attach_device_qos(plan, storage.device, prefix=f"{name}.")
+    attach_device_qos(plan, server.device, prefix=f"{name}.")
+    block_layer = server.storage.block_layer
+    if block_layer is not None:
+        attach_block_layer_qos(plan, block_layer, prefix=f"{name}.")

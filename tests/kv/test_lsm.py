@@ -20,18 +20,11 @@ def drive(tree, backend, frozen):
 
 
 def compact_fully(tree, backend, max_patch_bytes=8 << 20):
-    from repro.kv.compaction import split_patch
+    from repro.kv.compaction import drain_compactions
 
-    while True:
-        task = tree.pick_compaction()
-        if task is None:
-            return
-        patches = [backend.load(h) for h in tree.run_handles(task)]
-        merged = tree.merge_for_task(task, patches)
-        parts = split_patch(merged, max_patch_bytes)
-        new_handles = [backend.store(part) for part in parts]
-        for handle in tree.apply_compaction(task, parts, new_handles):
-            backend.free(handle)
+    drain_compactions(
+        tree, backend.load, backend.store, backend.free, max_patch_bytes
+    )
 
 
 def lookup_value(tree, backend, key):

@@ -69,6 +69,7 @@ def test_top_level_exposes_the_error_hierarchy():
         ClusterError,
         PermanentFault,
         ReproError,
+        StorageFullError,
         TransientFault,
         WrongEpochError,
     )
@@ -78,3 +79,5 @@ def test_top_level_exposes_the_error_hierarchy():
     assert issubclass(ClusterError, ReproError)
     assert issubclass(WrongEpochError, TransientFault)
     assert issubclass(WrongEpochError, ClusterError)
+    assert issubclass(StorageFullError, PermanentFault)
+    assert issubclass(StorageFullError, ClusterError)
