@@ -9,15 +9,19 @@ the last phase's callback (a batch through one shared countdown).
 
 Where an op's bus request instant is known beforehand its bus phase is
 reserved *ahead* and the op costs one event: a streamed PROGRAM whose
-link DMA end is already known (:meth:`ChannelEngine.program_ahead`, the
-plane phase reserved behind the bus phase), and a request's READs,
+link DMA end is already known (:meth:`ChannelEngine.program_page_ahead`,
+the plane phase reserved behind the bus phase), and a request's READs,
 whose senses are reserved at submission with no end events
 (:meth:`ChannelEngine.read_ahead`; a plane is a FIFO, so a sense's end
-is settled then).  Such bus phases are tentative until their request
-instants come: the engine keeps them in the order they will request
-the bus, a newcomer takes its place in that order, and whatever
-reaches the bus or a plane first revokes those it must precede and has
-them made again behind it.  See DESIGN.md "Scheduling".
+is settled then).  Plane and payload size are all this path reads of an
+op, so it takes them as such -- a request's READs as plane runs
+(:class:`~repro.ftl.ops.OpRuns`, or a list grouped into runs at the
+door) -- and builds no :class:`~repro.ftl.ops.FlashOp`.  Such bus
+phases are tentative until their request instants come: the engine
+keeps them in the order they will request the bus, a newcomer takes its
+place in that order, and whatever reaches the bus or a plane first
+revokes those it must precede and has them made again behind it.  See
+DESIGN.md "Scheduling".
 """
 
 from __future__ import annotations
@@ -25,10 +29,10 @@ from __future__ import annotations
 from collections import deque
 from heapq import heappush
 from operator import attrgetter
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.faults.injector import NULL_INJECTOR, STALL
-from repro.ftl.ops import FlashOp, OpKind
+from repro.ftl.ops import FlashOp, OpKind, OpRuns
 from repro.nand.geometry import FlashGeometry
 from repro.nand.timing import NandTiming
 from repro.sim import Event, Simulator
@@ -61,7 +65,7 @@ _LAST = float("inf")
 
 class _Ahead:
     """One op whose bus phase was reserved ahead of its request instant:
-    a streamed PROGRAM (:meth:`ChannelEngine.program_ahead`), with the
+    a streamed PROGRAM (:meth:`ChannelEngine.program_page_ahead`), with the
     plane phase behind it, or a READ whose sense is already reserved
     (:meth:`ChannelEngine.read_ahead`).
 
@@ -444,7 +448,7 @@ class ChannelEngine:
         that instant, :data:`NULL_INJECTOR`).  Read afresh at every
         call -- once a read request, once a streamed page -- so
         whatever is attached or enabled meanwhile, through this engine
-        or not, holds from the next op.  :meth:`program_ahead` and
+        or not, holds from the next op.  :meth:`program_page_ahead` and
         :meth:`read_ahead` require it.  An admission gate (``qos``)
         does not decide it: the gate stands in front, and what it
         admits is reserved ahead from its grant hop."""
@@ -464,10 +468,24 @@ class ChannelEngine:
         return bus_ns
 
     def program_ahead(self, op: FlashOp, request_ns: int, then=None) -> None:
-        """Reserve now a PROGRAM that reaches the channel at
-        ``request_ns`` -- the already-known end of its link DMA, or now,
-        from an admission hop -- with one event, the program's end;
-        ``then()`` runs there.
+        """:meth:`program_page_ahead` for a PROGRAM somebody built."""
+        if op.kind is not OpKind.PROGRAM:
+            raise ValueError(f"only a PROGRAM is reserved ahead, not {op.kind}")
+        address = op.address
+        self.program_page_ahead(
+            (address.chip, address.plane), op.nbytes, request_ns, then
+        )
+
+    def program_page_ahead(
+        self, plane: Tuple[int, int], nbytes: int, request_ns: int, then=None
+    ) -> None:
+        """Reserve now a PROGRAM of ``nbytes`` on plane ``(chip,
+        plane)`` that reaches the channel at ``request_ns`` -- the
+        already-known end of its link DMA, or now, from an admission
+        hop -- with one event, the program's end; ``then()`` runs
+        there.  Plane and size are all of an op this path reads: the
+        write window names them off its :class:`~repro.ftl.ops.OpRuns`
+        and no :class:`FlashOp` is built.
 
         Equivalent to ``execute_fast(op, then)`` called at
         ``request_ns``: the bus is reserved with that request instant
@@ -493,21 +511,19 @@ class ChannelEngine:
             self._retire()
         if len(self._busy_raw) > self.BUSY_RAW_LIMIT:
             self.busy_value()
-        if op.kind is not OpKind.PROGRAM:
-            raise ValueError(f"only a PROGRAM is reserved ahead, not {op.kind}")
         if request_ns < now:
             raise ValueError(
                 f"request instant {request_ns} is behind now ({now})"
             )
         # ``_bus_ns`` inlined: once a streamed page.
         cache = self._bus_ns_cache
-        bus_ns = cache.get(op.nbytes)
+        bus_ns = cache.get(nbytes)
         if bus_ns is None:
-            bus_ns = cache[op.nbytes] = self.timing.bus_transfer_ns(op.nbytes)
+            bus_ns = cache[nbytes] = self.timing.bus_transfer_ns(nbytes)
         entry = _Ahead(
             self,
             then,
-            self._tl_planes[(op.address.chip, op.address.plane)],
+            self._tl_planes[plane],
             # Among equal request instants a page stands where the
             # instant it asked the link for its DMA puts it.
             (request_ns, now, 0, self._rank),
@@ -520,9 +536,11 @@ class ChannelEngine:
             self._reserve_ahead(entry, True)
             ahead.append(entry)
 
-    def read_ahead(self, ops: List[FlashOp], then=None) -> None:
+    def read_ahead(self, ops: Sequence[FlashOp], then=None) -> None:
         """Run one request's READs with one event a page, its bus end;
-        ``then()`` runs at each.
+        ``then()`` runs at each.  ``ops`` is best the
+        :class:`~repro.ftl.ops.OpRuns` the block FTL returned: its
+        plane runs are read off it and no op is built.
 
         Equivalent to ``execute_fast(op, then)`` for each op in turn:
         every sense is reserved now, plane run by plane run (a plane's
@@ -581,23 +599,17 @@ class ChannelEngine:
         Queues that differ only further back are beyond it (DESIGN.md
         section 7).
         """
-        sim = self.sim
-        now = sim._now
+        runs = self._read_runs(ops)
+        now = self.sim._now
         ahead = self._ahead
         if ahead and ahead[0].due <= now:
             self._retire()
         if len(self._busy_raw) > self.BUSY_RAW_LIMIT:
             self.busy_value()
-        channel = self.channel
         t_read = self.timing.t_read_ns
         raw = self._busy_raw
         entries: List[_Ahead] = []
-        nbytes = bus_ns = None
-        index = 0
-        n_ops = len(ops)
-        while index < n_ops:
-            address = ops[index].address
-            key = (address.chip, address.plane)
+        for key, count, bus_ns in runs:
             plane = self._tl_planes[key]
             revoked = ahead and self._revoke(plane)
             grant = plane.free_at
@@ -611,18 +623,7 @@ class ChannelEngine:
                 run = plane.run
                 start = run[0] if run is not None and run[1] == grant else -grant
             rank = plane.rank
-            while index < n_ops:
-                op = ops[index]
-                address = op.address
-                if (address.chip, address.plane) != key:
-                    break
-                if op.kind is not OpKind.READ or address.channel != channel:
-                    raise ValueError(
-                        f"not a READ on channel {channel}: {op}"
-                    )
-                if op.nbytes != nbytes:
-                    nbytes = op.nbytes
-                    bus_ns = self._bus_ns(nbytes)
+            for _ in range(count):
                 end = grant + t_read
                 raw.append(grant)
                 raw.append(end)
@@ -633,7 +634,6 @@ class ChannelEngine:
                     )
                 )
                 grant = end
-                index += 1
             plane.free_at = grant
             plane.run = (start, grant)
             # No sense end event: a phase queuing behind the run relays
@@ -644,6 +644,35 @@ class ChannelEngine:
         # Planes sense in parallel: their runs' pages interleave.
         entries.sort(key=_order)
         self._enter_reads(entries, 0)
+
+    def _read_runs(self, ops) -> List[Tuple[Tuple[int, int], int, int]]:
+        """One request's READs as ``((chip, plane), pages, bus_ns)``
+        plane runs, in op order.  An :class:`~repro.ftl.ops.OpRuns`
+        holds them -- one kind and channel check a request, no op
+        built; any other sequence of ops is grouped here, a run ending
+        where the plane or the page size changes.  Raises before
+        anything is reserved."""
+        channel = self.channel
+        if isinstance(ops, OpRuns):
+            if ops.kind is not OpKind.READ or ops.channel != channel:
+                raise ValueError(f"not READs on channel {channel}: {ops}")
+            bus_ns = self._bus_ns(ops.nbytes)
+            return [(key, count, bus_ns) for key, count in ops.plane_runs()]
+        runs = []
+        last = None
+        for op in ops:
+            address = op.address
+            if op.kind is not OpKind.READ or address.channel != channel:
+                raise ValueError(f"not a READ on channel {channel}: {op}")
+            run = (address.chip, address.plane, op.nbytes)
+            if run == last:
+                runs[-1][1] += 1
+            else:
+                last = run
+                runs.append(
+                    [(address.chip, address.plane), 1, self._bus_ns(op.nbytes)]
+                )
+        return runs
 
     def _enter_reads(self, entries: List[_Ahead], start: int) -> None:
         """Reserve the bus phases of ``entries[start:]``, the next

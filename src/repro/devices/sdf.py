@@ -28,9 +28,12 @@ instant: a read hands its ops to the engine as one request
 (``ChannelEngine.read_ahead``) and books each DMA without an end event
 (``HostLink.reserve_ahead``), finishing at the latest DMA end; a write
 reserves bus and program from the DMA end
-(``ChannelEngine.program_ahead``).  With engine observability, tracing,
+(``ChannelEngine.program_page_ahead``).  On that path no ``FlashOp`` is
+built: the block FTL returns plane runs (``repro.ftl.ops.OpRuns``), the
+read hands them over whole and the write window steps through the
+stripe naming each page's plane.  With engine observability, tracing,
 non-uniform priorities or a fault rule at the site, every phase is its
-own hop (DESIGN.md section 7).
+own hop (DESIGN.md section 7) and takes the op it is about, built then.
 
 Channel QoS is a gate in front of all this, not a reason to leave it:
 each admission is one grant hop, the op's start instant, and what the
@@ -44,9 +47,9 @@ A request's continuations die with it.  A write's window is one small
 object (:class:`_WriteWindow`) whose bound methods are the callbacks
 the link and the engine hold while a page is in flight; a read's are
 closures that name the request's state but not each other.  Nothing
-outlives the request's last page waiting for the cyclic collector --
-its 1,024 ops least of all -- whether it succeeded, lost a page DMA or
-was abandoned by a crashed issuer (``tests/sim/test_gc_hygiene.py``).
+outlives the request's last page waiting for the cyclic collector,
+whether it succeeded, lost a page DMA or was abandoned by a crashed
+issuer (``tests/sim/test_gc_hygiene.py``).
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ import numpy as np
 from repro.channel.engine import ChannelEngine, build_engines
 from repro.devices.base import DeviceStats, base_device_metrics, register_device_metrics
 from repro.ftl.block_ftl import ChannelBlockFTL
-from repro.ftl.ops import OpKind
+from repro.ftl.ops import OpKind, planes_of
 from repro.interfaces.interrupts import InterruptCoalescer
 from repro.interfaces.iostack import IOStackModel, SDF_USER_SPACE_STACK
 from repro.interfaces.link import (
@@ -86,15 +89,20 @@ class _WriteWindow:
     The request's continuations are this object's bound methods, made
     where they are handed on: the link and the engine hold the window
     while a page is in flight and nothing holds it afterwards, so it
-    and its ops die with the last page -- succeeded, failed or
-    abandoned -- without waiting for the cyclic collector (two closures
-    naming each other kept every finished request's ops until a
-    collection; DESIGN.md section 7, "Memory and the collector").
+    dies with the last page -- succeeded, failed or abandoned --
+    without waiting for the cyclic collector (two closures naming each
+    other kept every finished request's ops until a collection;
+    DESIGN.md section 7, "Memory and the collector").
+
+    ``ops`` is whatever ``ChannelBlockFTL.write`` returned: the stripe's
+    plane runs, or a list under a chip fault plan.  A page reserved
+    ahead needs only its plane; a page on the per-phase hops takes
+    ``ops[index]``.
     """
 
     __slots__ = (
-        "sim", "engine", "link", "page_size", "ops", "done", "next",
-        "remaining",
+        "sim", "engine", "link", "page_size", "ops", "planes", "done",
+        "size", "next", "remaining",
     )
 
     def __init__(self, channel: "SDFChannelDevice", ops, done: Event):
@@ -104,34 +112,42 @@ class _WriteWindow:
         self.link = device.link
         self.page_size = channel.page_size
         self.ops = ops
+        #: Each page's ``(chip, plane)`` in turn, in step with the pages
+        #: started: all the reserve-ahead path reads of an op.
+        self.planes = planes_of(ops)
         self.done = done
         #: Index of the next page to admit, and pages not yet programmed.
-        self.next = channel.WRITE_WINDOW_PAGES
-        self.remaining = len(ops)
+        self.size = self.remaining = len(ops)
+        self.next = min(channel.WRITE_WINDOW_PAGES, self.size)
 
     def open(self) -> None:
         """Start the first window's worth of pages."""
-        for op in self.ops[: self.next]:
-            self.start_page(op)
+        for index in range(self.next):
+            self.start_page(index)
 
-    def start_page(self, op) -> None:
+    def start_page(self, index: int) -> None:
         # Asking the shared link for the DMA is the one step that must
         # happen at this instant.  When the DMA's end is known at once
         # and nothing watches the channel phase by phase, the bus and
         # the program are reserved from here too and the page costs one
-        # event (its program end), not three.
+        # event (its program end), not three -- and no op: the engine
+        # is told the page's plane.
         # Behind an admission gate the page takes its slot at the DMA
         # end, so that end stays an event; the engine reserves ahead
         # from the grant hop (``execute_fast``).
         engine = self.engine
         link = self.link
         page_size = self.page_size
+        plane = next(self.planes)
         if engine.qos is None and engine.can_reserve_ahead():
             dma_end = link.reserve_ahead("write", page_size)
             if dma_end is not None:
                 link.write_meter.record(dma_end, page_size)
-                engine.program_ahead(op, dma_end, self.programmed)
+                engine.program_page_ahead(
+                    plane, page_size, dma_end, self.programmed
+                )
                 return
+        op = self.ops[index]
         try:
             link.reserve_call("write", page_size, lambda: self.to_flash(op))
         except LinkDropError as exc:
@@ -152,10 +168,9 @@ class _WriteWindow:
         # waiting page at this exact instant, FIFO) and count down the
         # batch.
         index = self.next
-        ops = self.ops
-        if index < len(ops):
+        if index < self.size:
             self.next = index + 1
-            self.start_page(ops[index])
+            self.start_page(index)
         self.remaining -= 1
         if not self.remaining:
             self.done.succeed()
@@ -400,9 +415,9 @@ class SDFDevice:
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"fraction {fraction} outside [0, 1]")
         written = 0
+        pages = [payload] * self.ftls[0].pages_per_logical_block
         for ftl in self.ftls:
             n_blocks = scaled_count(ftl.n_logical_blocks * fraction)
-            pages = [payload] * ftl.pages_per_logical_block
             for block in range(n_blocks):
                 if not ftl.is_mapped(block):
                     ftl.write(block, pages)

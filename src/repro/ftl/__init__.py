@@ -11,22 +11,25 @@ Two FTL families, matching the paper's Figure 5 contrast:
   management, with **no** garbage collection (the host erases blocks
   explicitly before rewriting them, so write amplification is 1).
 
-Every logical operation returns the list of physical
-:class:`~repro.ftl.ops.FlashOp`\\ s it performed, which the timed device
-layer replays against the channel engines to produce latency.
+Every logical operation returns the sequence of physical
+:class:`~repro.ftl.ops.FlashOp`\\ s it performed -- the block FTL's
+page ops as plane runs, :class:`~repro.ftl.ops.OpRuns` -- which the
+timed device layer replays against the channel engines to produce
+latency.
 """
 
 from repro.ftl.badblocks import BadBlockManager
 from repro.ftl.block_ftl import ChannelBlockFTL, EraseBeforeWriteError
 from repro.ftl.gc import GreedyGarbageCollector
 from repro.ftl.mapping import BlockMapping, PageMapping
-from repro.ftl.ops import FlashOp, OpKind
+from repro.ftl.ops import FlashOp, OpKind, OpRuns
 from repro.ftl.page_ftl import OutOfSpaceError, PageFTL
 from repro.ftl.wear import FreeBlockPool, StaticWearLeveler
 
 __all__ = [
     "FlashOp",
     "OpKind",
+    "OpRuns",
     "PageMapping",
     "BlockMapping",
     "BadBlockManager",

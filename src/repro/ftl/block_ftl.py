@@ -13,6 +13,15 @@ Each of the 44 channels runs an independent engine providing:
 There is deliberately **no garbage collection, no static wear leveling
 and no parity**: the host must erase a logical block before rewriting
 it, so write amplification is exactly 1.
+
+The interface has two shapes of flash work and the engine keeps them:
+a write programs one run of pages per plane
+(``FlashChip.program_pages``) and a read reads one run per plane it
+touches (``read_pages``), and both describe what they did as those runs
+(:class:`~repro.ftl.ops.OpRuns`) -- an 8 MB write is four, a 2 MB read
+one -- which is the ``FlashOp`` sequence to whoever asks for ops and
+costs no object per page to whoever does not.  Only under a chip fault
+plan does a write go page by page, because the plan draws per page.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.faults.injector import NULL_INJECTOR
 from repro.ftl.badblocks import BadBlockManager
 from repro.ftl.mapping import BlockMapping
-from repro.ftl.ops import FlashOp, erase_op, program_op, read_op
+from repro.ftl.ops import FlashOp, OpKind, OpRuns, erase_op, program_op
 from repro.ftl.wear import FreeBlockPool
 from repro.nand.array import FlashArray, PhysicalAddress
 from repro.nand.geometry import scaled_count
@@ -107,13 +116,23 @@ class ChannelBlockFTL:
         return 1.0
 
     # -- operations -------------------------------------------------------------------
-    def write(self, logical_block: int, pages: Sequence) -> List[FlashOp]:
+    def write(self, logical_block: int, pages: Sequence) -> Sequence[FlashOp]:
         """Write one full logical block (8 MB: all pages, stripe order).
 
         ``pages[i]`` lands on plane ``i // pages_per_block`` at page
         offset ``i % pages_per_block`` -- the 2 MB-per-plane striping of
         S2.3.  The logical block must be unmapped (never written, or
         erased since).
+
+        The ops come back as one :class:`~repro.ftl.ops.OpRuns`: a run
+        per plane, in plane-interleaved order (page 0 of every plane,
+        then page 1, ...) so the shared channel bus feeds all four
+        planes from the start.  Each plane's run is programmed in one
+        chip call, so when a later plane's run raises the earlier
+        planes are programmed whole, and counted.  With a fault
+        injector wired to a chip the pages are programmed one call each
+        in that order, a ``PROGRAM_FAIL`` draw apiece
+        (:meth:`_write_page_by_page`), and the ops are a list.
         """
         if len(pages) != self.pages_per_logical_block:
             raise ValueError(
@@ -127,28 +146,40 @@ class ChannelBlockFTL:
         physical = list(self._allocate_group())
         self.mapping.map(logical_block, tuple(physical))
         geo = self.array.geometry
-        page_size = geo.page_size
         pages_per_block = geo.pages_per_block
         channel = self.channel
         # Per plane, what every one of its pages shares.
         planes = []
         for index in range(self.n_planes):
             chip, plane = self._chip_plane(index)
-            planes.append(
-                (
-                    index * pages_per_block,
-                    chip,
-                    plane,
-                    self.array.chip_at(channel, chip),
-                )
+            planes.append((chip, plane, self.array.chip_at(channel, chip)))
+        if any(flash.faults is not NULL_INJECTOR for _, _, flash in planes):
+            return self._write_page_by_page(logical_block, physical, planes, pages)
+        runs = []
+        for index, (chip, plane, flash) in enumerate(planes):
+            base = index * pages_per_block
+            flash.program_pages(
+                plane, physical[index], 0, pages[base : base + pages_per_block]
             )
+            self.host_programs += pages_per_block
+            runs.append((chip, plane, physical[index], 0, pages_per_block))
+        return OpRuns(OpKind.PROGRAM, channel, geo.page_size, runs, True)
+
+    def _write_page_by_page(
+        self, logical_block: int, physical: List[int], planes, pages: Sequence
+    ) -> List[FlashOp]:
+        """:meth:`write` under a chip fault plan: every page its own
+        program, in plane-interleaved order, so that ``PROGRAM_FAIL``
+        is drawn page by page and a failed verify is remapped where it
+        happens."""
+        geo = self.array.geometry
+        page_size = geo.page_size
+        pages_per_block = geo.pages_per_block
+        channel = self.channel
         ops: List[FlashOp] = []
-        # Program in plane-interleaved order (page 0 of every plane, then
-        # page 1, ...) so the shared channel bus feeds all four planes
-        # from the start -- the stripe layout itself is unchanged.
         for page in range(pages_per_block):
-            for plane_index, (base, chip, plane, flash) in enumerate(planes):
-                payload = pages[base + page]
+            for plane_index, (chip, plane, flash) in enumerate(planes):
+                payload = pages[plane_index * pages_per_block + page]
                 try:
                     flash.program_page(
                         plane, physical[plane_index], page, payload
@@ -224,8 +255,11 @@ class ChannelBlockFTL:
 
     def read(
         self, logical_block: int, page_offset: int, n_pages: int = 1
-    ) -> Tuple[List, List[FlashOp]]:
-        """Read ``n_pages`` 8 KB pages starting at ``page_offset``."""
+    ) -> Tuple[List, Sequence[FlashOp]]:
+        """Read ``n_pages`` 8 KB pages starting at ``page_offset``.
+
+        The ops come back as one :class:`~repro.ftl.ops.OpRuns`, a run
+        per plane the range touches, run after run."""
         if n_pages < 1:
             raise ValueError("n_pages must be >= 1")
         if not 0 <= page_offset < self.pages_per_logical_block:
@@ -236,11 +270,10 @@ class ChannelBlockFTL:
         if physical is None:
             return [None] * n_pages, []
         geo = self.array.geometry
-        page_size = geo.page_size
         pages_per_block = geo.pages_per_block
         channel = self.channel
         payloads: List = []
-        ops: List[FlashOp] = []
+        runs = []
         index = page_offset
         end = page_offset + n_pages
         while index < end:
@@ -260,14 +293,8 @@ class ChannelBlockFTL:
                 self.host_reads += flash.reads - reads_before - 1
                 raise
             self.host_reads += count
-            ops += [
-                read_op(
-                    PhysicalAddress(channel, chip, plane, block, page),
-                    page_size,
-                )
-                for page in range(first, first + count)
-            ]
-        return payloads, ops
+            runs.append((chip, plane, block, first, count))
+        return payloads, OpRuns(OpKind.READ, channel, geo.page_size, runs, False)
 
     def erase(self, logical_block: int) -> List[FlashOp]:
         """Host-initiated erase: the new command SDF exposes (S2.3).

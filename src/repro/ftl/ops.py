@@ -1,15 +1,25 @@
 """Physical flash operation records.
 
-Functional FTL calls return lists of :class:`FlashOp` describing exactly
-which physical reads/programs/erases happened.  The timed device layer
-replays these against channel engines to charge simulated time, and
-tests use them to assert write-amplification behaviour.
+Functional FTL calls return sequences of :class:`FlashOp` describing
+exactly which physical reads/programs/erases happened.  The timed device
+layer replays these against channel engines to charge simulated time,
+and tests use them to assert write-amplification behaviour.
+
+The page-mapped FTLs return lists.  The block FTL's two shapes of work
+(paper S2.3) -- the 8 MB write striped over a channel's planes, and
+reads that run page after page inside one plane's block -- come back as
+one :class:`OpRuns`: the plane runs, and the ops only when somebody
+asks for them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, islice, repeat
+from operator import attrgetter
+from typing import Iterator, Tuple
 
 from repro.nand.array import PhysicalAddress
 
@@ -51,3 +61,142 @@ def program_op(addr: PhysicalAddress, nbytes: int, internal=False) -> FlashOp:
 def erase_op(addr: PhysicalAddress, internal=False) -> FlashOp:
     """Construct a block-erase op."""
     return FlashOp(OpKind.ERASE, addr, 0, internal)
+
+
+_plane = attrgetter("address.chip", "address.plane")
+
+
+def planes_of(ops: Sequence) -> Iterator[Tuple[int, int]]:
+    """``(chip, plane)`` of each op in turn; an :class:`OpRuns` answers
+    without building the ops."""
+    if isinstance(ops, OpRuns):
+        return ops.planes()
+    return map(_plane, ops)
+
+
+class OpRuns(Sequence):
+    """One request's page ops on one channel, held as plane runs.
+
+    ``runs`` are ``(chip, plane, block, first_page, count)``; every op
+    has the same ``kind`` and moves ``nbytes``.  The ops go run after
+    run (a read), or -- ``interleaved`` -- page by page across the runs:
+    the first page of every run, then the second (a write feeding all
+    of a channel's planes from the start; the runs are then equally
+    long).
+
+    It is the ``Sequence[FlashOp]`` a list of those ops would be:
+    ``len``, indexing, iteration and ``==`` (against any sequence) give
+    exactly those ops, built when asked for and not kept, and a slice
+    is again a batch -- the same runs behind a narrower window.  What
+    reserves ahead of its instants never asks: it reads
+    :meth:`plane_runs` or :meth:`planes`.
+    """
+
+    __slots__ = (
+        "kind", "channel", "nbytes", "runs", "interleaved", "_start", "_stop",
+    )
+
+    def __init__(
+        self, kind: OpKind, channel: int, nbytes: int, runs, interleaved: bool
+    ):
+        self.kind = kind
+        self.channel = channel
+        self.nbytes = nbytes
+        self.runs: Tuple[Tuple[int, int, int, int, int], ...] = tuple(runs)
+        self.interleaved = interleaved
+        if interleaved and len({run[4] for run in self.runs}) > 1:
+            raise ValueError("interleaved runs must be equally long")
+        #: The window of the runs' ops this batch is.
+        self._start = 0
+        self._stop = sum(run[4] for run in self.runs)
+
+    def _window(self, start: int, stop: int) -> "OpRuns":
+        """The same runs behind the window ``[start, stop)`` of this
+        one (``copy.copy`` of a slotted object costs five times this)."""
+        batch = OpRuns.__new__(OpRuns)
+        batch.kind = self.kind
+        batch.channel = self.channel
+        batch.nbytes = self.nbytes
+        batch.runs = self.runs
+        batch.interleaved = self.interleaved
+        batch._start = self._start + start
+        batch._stop = self._start + max(start, stop)
+        return batch
+
+    # -- without building an op ---------------------------------------------------
+    def planes(self) -> Iterator[Tuple[int, int]]:
+        """``(chip, plane)`` of each op in turn (the order indexing
+        follows, streamed)."""
+        runs = self.runs
+        if self.interleaved:
+            stripe = [run[:2] for run in runs]
+            every = chain.from_iterable(repeat(stripe, runs[0][4] if runs else 0))
+        else:
+            every = chain.from_iterable(repeat(run[:2], run[4]) for run in runs)
+        return islice(every, self._start, self._stop)
+
+    def plane_runs(self) -> Iterator[Tuple[Tuple[int, int], int]]:
+        """``((chip, plane), count)`` for each stretch of consecutive
+        ops on one plane's run, in op order (interleaved ops are
+        stretches of one)."""
+        if self.interleaved:
+            for key in self.planes():
+                yield key, 1
+            return
+        start, stop = self._start, self._stop
+        position = 0
+        for chip, plane, _block, _first, count in self.runs:
+            low = max(position, start)
+            position += count
+            high = min(position, stop)
+            if low < high:
+                yield (chip, plane), high - low
+
+    # -- the sequence of ops ----------------------------------------------------------
+    def __len__(self) -> int:
+        return self._stop - self._start
+
+    def __iter__(self) -> Iterator[FlashOp]:
+        for index in range(self._stop - self._start):
+            yield self[index]
+
+    def __getitem__(self, index):
+        size = self._stop - self._start
+        if isinstance(index, slice):
+            start, stop, step = index.indices(size)
+            if step != 1:
+                return [self[position] for position in range(start, stop, step)]
+            return self._window(start, stop)
+        if index < 0:
+            index += size
+        if not 0 <= index < size:
+            raise IndexError("op index out of range")
+        offset = self._start + index
+        runs = self.runs
+        if self.interleaved:
+            offset, stripe_index = divmod(offset, len(runs))
+            chip, plane, block, first, _count = runs[stripe_index]
+        else:
+            for chip, plane, block, first, count in runs:
+                if offset < count:
+                    break
+                offset -= count
+        return FlashOp(
+            self.kind,
+            PhysicalAddress(self.channel, chip, plane, block, first + offset),
+            self.nbytes,
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other)
+        )
+
+    def __repr__(self):
+        order = "interleaved" if self.interleaved else "run after run"
+        return (
+            f"OpRuns({self.kind.name}, channel={self.channel}, "
+            f"{len(self)} ops of {len(self.runs)} runs, {order})"
+        )

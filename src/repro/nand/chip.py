@@ -175,8 +175,37 @@ class Block:
                 f"block {self.index}: pages must be programmed sequentially "
                 f"(expected page {self._write_ptr}, got {page_index})"
             )
-        self._data[page_index] = data
+        # A placeholder page (``None``) keeps no entry: ``_data`` is
+        # only ever read with ``.get``.
+        if data is not None:
+            self._data[page_index] = data
         self._write_ptr += 1
+
+    def program_run(self, first: int, payloads) -> None:
+        """:meth:`program` for each of ``payloads`` on consecutive pages
+        from ``first``, behind one bad-block, one range and one
+        sequential-order check (nothing is programmed when any fails)."""
+        if self._bad:
+            raise WearOutError(f"program to bad block {self.index}")
+        count = len(payloads)
+        if count > 0:
+            self._check_page_index(first)
+            self._check_page_index(first + count - 1)
+            if first != self._write_ptr:
+                raise ProgramError(
+                    f"block {self.index}: pages must be programmed "
+                    f"sequentially (expected page {self._write_ptr}, "
+                    f"got {first})"
+                )
+        if payloads.count(None) != count:
+            self._data.update(
+                {
+                    page: data
+                    for page, data in enumerate(payloads, first)
+                    if data is not None
+                }
+            )
+        self._write_ptr += count
 
     def erase(self) -> None:
         """Erase the whole block (bumps the erase count)."""
@@ -360,6 +389,24 @@ class FlashChip:
                 f"plane {plane_index} block {block_index} page {page_index}"
             )
         block.program(page_index, data)
+
+    def program_pages(
+        self, plane_index: int, block_index: int, first: int, payloads
+    ) -> None:
+        """:meth:`program_page` for each of ``payloads`` on consecutive
+        pages of one block from ``first``, in order, with one block
+        lookup.  A wired injector draws per page, so a failing page
+        raises with ``programs`` counting it and the pages before it,
+        those pages programmed and the block retired; with none wired
+        a bad block, a range error or a run that does not start at the
+        block's write pointer raises before any page of the run is
+        programmed or counted."""
+        if self.faults is not NULL_INJECTOR:
+            for page, data in enumerate(payloads, first):
+                self.program_page(plane_index, block_index, page, data)
+            return
+        self.planes[plane_index].block(block_index).program_run(first, payloads)
+        self.programs += len(payloads)
 
     def erase_block(self, plane_index: int, block_index: int) -> None:
         """Erase a block; may mark it bad once past rated endurance.

@@ -15,7 +15,7 @@ import pytest
 from repro.channel.engine import ChannelEngine
 from repro.devices.sdf import SDFDevice
 from repro.faults import FaultPlan, attach_device_faults
-from repro.ftl.ops import erase_op, program_op, read_op
+from repro.ftl.ops import OpKind, OpRuns, erase_op, program_op, read_op
 from repro.nand.array import PhysicalAddress
 from repro.nand.catalog import MICRON_25NM_MLC, SDF_CHIP_GEOMETRY
 from repro.interfaces.link import LinkDropError
@@ -517,6 +517,71 @@ def test_read_ahead_takes_only_this_channels_reads():
         engine.read_ahead([program_op(addr(), PAGE)])
     with pytest.raises(ValueError, match="channel 0"):
         engine.read_ahead([read_op(PhysicalAddress(1, 0, 0, 0, 0), PAGE)])
+    run_of_two = [(0, 0, 0, 0, 2)]
+    with pytest.raises(ValueError, match="READ"):
+        engine.read_ahead(OpRuns(OpKind.PROGRAM, 0, PAGE, run_of_two, False))
+    with pytest.raises(ValueError, match="channel 0"):
+        engine.read_ahead(OpRuns(OpKind.READ, 1, PAGE, run_of_two, False))
+    # Checked at the door: nothing of a refused request was reserved.
+    with pytest.raises(ValueError, match="READ"):
+        engine.read_ahead([read_op(addr(), PAGE), program_op(addr(), PAGE)])
+    assert not engine._ahead and engine._tl_planes[(0, 0)].free_at == 0
+
+
+def as_batch(ops):
+    """The plane runs the block FTL would hand over for these READs."""
+    runs = []
+    for op in ops:
+        a = op.address
+        if runs and runs[-1][:3] == [a.chip, a.plane, a.block] and (
+            runs[-1][3] + runs[-1][4] == a.page
+        ):
+            runs[-1][4] += 1
+        else:
+            runs.append([a.chip, a.plane, a.block, a.page, 1])
+    batch = OpRuns(OpKind.READ, 0, PAGE, [tuple(run) for run in runs], False)
+    assert batch == ops
+    return batch
+
+
+@pytest.mark.parametrize("bound", [None, 3])
+def test_a_batch_and_the_list_it_stands_for_are_one_request(bound):
+    """Plane runs read off an ``OpRuns`` or regrouped from a list at the
+    door: same reservations, same events -- bare, and behind a gate
+    whose first hop takes a slice of the request."""
+    script = [
+        read(0, (0, 0), (0, 1), n=40),
+        submit(1_000 * US, read_op(addr(chip=1, plane=1), PAGE)),
+        read(1_700 * US, (1, 1), (0, 0), n=2),
+        submit(2_500 * US, erase_op(addr(plane=1))),
+        read(2_600 * US, (0, 1)),
+    ]
+    if bound is None:
+        script.insert(1, program(200 * US, 900 * US, chip=1))
+    batched = [
+        (kind, at, request, as_batch(what) if kind == "read" else what)
+        for kind, at, request, what in script
+    ]
+    assert run(batched, True, bound) == run(script, True, bound)
+
+
+def test_program_page_ahead_is_program_ahead_without_the_op():
+    def play(with_op):
+        sim = Simulator()
+        engine = ChannelEngine(sim, 0, SDF_CHIP_GEOMETRY, TIMING, 2)
+        finished = []
+        for request, chip, plane in ((100, 0, 1), (90, 1, 0), (100, 0, 1)):
+            then = lambda: finished.append(sim.now)
+            if with_op:
+                engine.program_ahead(
+                    program_op(addr(chip, plane), PAGE), request, then
+                )
+            else:
+                engine.program_page_ahead((chip, plane), PAGE, request, then)
+        sim.run()
+        return finished, sim._seq, engine.busy_value(), engine.wait_ns.value
+
+    assert play(True) == play(False)
 
 
 # -- through the device ------------------------------------------------------------

@@ -7,7 +7,9 @@ that lets the fault plane ride along in every build unconfigured.
 import json
 
 from repro.cluster import Network, Nic, build_sdf_server
+from repro.devices.sdf import SDFDevice
 from repro.faults import (
+    PROGRAM_FAIL,
     FaultPlan,
     FaultRunner,
     attach_network_faults,
@@ -15,6 +17,7 @@ from repro.faults import (
 )
 from repro.kv.lsm import LSMTree
 from repro.kv.slice import KeyRange, Slice
+from repro.nand.geometry import FlashGeometry
 from repro.obs import Observability
 from repro.sim import MS, Simulator
 
@@ -77,3 +80,94 @@ def test_empty_plan_makes_no_rng_draws():
         assert inj.fires("anything", key=1) is None
         assert inj.delay_ns("anything") == 0
     assert plan._states == {} and plan.log == []
+
+
+def run_raw_device(wired: bool):
+    """Writes, reads and erases on two raw SDF channels; with ``wired``
+    every chip holds an injector whose only rule can never match, which
+    puts the block FTL's writes on the page-by-page path (a
+    ``PROGRAM_FAIL`` draw a page) where they otherwise program plane
+    runs and return them as one batch."""
+    sim = Simulator()
+    geometry = FlashGeometry(page_size=512, pages_per_block=8, blocks_per_plane=6)
+    sdf = SDFDevice(sim, n_channels=2, geometry=geometry)
+    plan = FaultPlan(seed=7)
+    if wired:
+        plan.add("nand", PROGRAM_FAIL, rate=1.0, where={"chip": -1})
+        for row in sdf.array.chips:
+            for chip in row:
+                chip.faults = plan.injector("nand")
+    ops_seen = []
+    write_shapes = set()
+    for ftl in sdf.ftls:
+        for name in ("write", "read", "erase"):
+            call = getattr(ftl, name)
+
+            def recorded(*args, _call=call, _name=name, _channel=ftl.channel):
+                result = _call(*args)
+                ops = result[1] if _name == "read" else result
+                ops_seen.append((_channel, _name, list(ops)))
+                if _name == "write":
+                    write_shapes.add(type(ops).__name__)
+                return result
+
+            setattr(ftl, name, recorded)
+    pages = sdf.channels[0].pages_per_logical_block
+    instants = []
+    payloads_read = []
+
+    def host(channel, tag):
+        for block in (0, 1):
+            yield from channel.write(
+                block, [(tag, block, page) for page in range(pages)]
+            )
+            instants.append(sim.now)
+        yield from channel.write(2)  # placeholders
+        for offset, n_pages in ((0, pages), (5, 9), (pages - 1, 1)):
+            payloads_read.append(
+                (yield from channel.read(1, offset, n_pages))
+            )
+            instants.append(sim.now)
+        yield from channel.erase(0)
+        yield from channel.write_fresh(1, [tag] * pages)
+        payloads_read.append((yield from channel.read(1, 3, 6)))
+        payloads_read.append((yield from channel.read(2, 0, pages)))
+        payloads_read.append((yield from channel.read(0, 0, 2)))
+        instants.append(sim.now)
+
+    for channel, tag in zip(sdf.channels, "ab"):
+        sim.process(host(channel, tag))
+    sim.run()
+    chips = [chip for row in sdf.array.chips for chip in row]
+    return {
+        "ops": ops_seen,
+        "instants": instants,
+        "payloads": payloads_read,
+        "chip_counters": [(c.reads, c.programs, c.erases) for c in chips],
+        "ftl_counters": [
+            (f.host_reads, f.host_programs, f.erase_count) for f in sdf.ftls
+        ],
+        "write_pointers": [
+            sorted(
+                (plane.index, block.index, block.write_pointer, block.erase_count)
+                for plane in chip.planes
+                for block in plane._blocks.values()
+            )
+            for chip in chips
+        ],
+        "link": (
+            tuple(sdf.link.read_meter.samples),
+            tuple(sdf.link.write_meter.samples),
+        ),
+        "end": (sim.now, sim._seq),
+    }, plan, write_shapes
+
+
+def test_plane_runs_and_page_by_page_programs_are_the_same_device():
+    bare, _, bare_shapes = run_raw_device(False)
+    wired, plan, wired_shapes = run_raw_device(True)
+    assert plan.log == []
+    assert (bare_shapes, wired_shapes) == ({"OpRuns"}, {"list"})
+    assert bare == wired
+    assert bare["payloads"][0][:2] == [("a", 1, 0), ("a", 1, 1)]
+    assert len(bare["ops"]) == 2 * 12

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.faults import PROGRAM_FAIL, FaultPlan
+from repro.nand.chip import ProgramFailError
 from repro.nand import (
     Block,
     BlockState,
@@ -145,6 +147,105 @@ def test_read_pages_checks_the_run_before_reading_any_of_it(chip):
     with pytest.raises(WearOutError):
         chip.read_pages(0, 1, 0, 2)
     assert chip.reads == 0
+
+
+def test_program_pages_is_program_page_for_each_page_in_order(chip):
+    one_by_one = FlashChip(geometry=SMALL)
+    payloads = ["a", None, "c"]
+    for page, payload in enumerate(payloads):
+        one_by_one.program_page(1, 2, page, payload)
+    chip.program_pages(1, 2, 0, payloads)
+    assert chip.programs == one_by_one.programs == 3
+    assert chip.block(1, 2).write_pointer == 3
+    assert chip.read_pages(1, 2, 0, 4) == one_by_one.read_pages(1, 2, 0, 4)
+    # A run goes on from the write pointer; an empty one is nothing.
+    chip.program_pages(1, 2, 3, ["d"])
+    chip.program_pages(1, 2, 0, [])
+    assert chip.programs == 4
+    assert chip.block(1, 2).state is BlockState.FULL
+    assert chip.read_pages(1, 2, 0, 4) == ["a", None, "c", "d"]
+
+
+def test_program_pages_checks_the_run_before_programming_any_of_it(chip):
+    chip.program_page(0, 0, 0, "a")
+    with pytest.raises(IndexError):
+        chip.program_pages(0, 0, 1, ["b", "c", "d", "e"])
+    with pytest.raises(IndexError):
+        chip.program_pages(0, SMALL.blocks_per_plane, 0, ["b"])
+    with pytest.raises(ProgramError, match="expected page 1, got 2"):
+        chip.program_pages(0, 0, 2, ["c", "d"])
+    with pytest.raises(ProgramError, match="expected page 1, got 0"):
+        chip.program_pages(0, 0, 0, ["a", "b"])
+    chip.block(0, 1).mark_bad()
+    with pytest.raises(WearOutError):
+        chip.program_pages(0, 1, 0, ["a", "b"])
+    assert chip.programs == 1
+    assert chip.block(0, 0).write_pointer == 1
+    assert chip.read_pages(0, 0, 0, 4) == ["a", None, None, None]
+
+
+@pytest.mark.parametrize("at_op", [1, 2, 3, 4])
+def test_program_pages_draws_per_page_with_a_wired_injector(at_op):
+    """A ``PROGRAM_FAIL`` on the k-th opportunity fires on the same page,
+    marks the same block bad and leaves the same pages programmed as
+    the loop of ``program_page`` calls does -- a run on another plane
+    first, so the opportunities count across calls."""
+
+    def play(program):
+        chip = FlashChip(geometry=SMALL)
+        plan = FaultPlan()
+        plan.add("nand", PROGRAM_FAIL, at_op=at_op)
+        chip.faults = plan.injector("nand")
+        failed = False
+        try:
+            program(chip, 0, 5, ["x", "y"])
+            program(chip, 1, 2, ["a", "b", "c"])
+        except ProgramFailError:
+            failed = True
+        return (
+            failed,
+            chip.programs,
+            [event.signature() for event in plan.log],
+            [
+                (chip.is_bad(plane, block), chip.block(plane, block).write_pointer)
+                for plane, block in ((0, 5), (1, 2))
+            ],
+        )
+
+    def page_by_page(chip, plane, block, payloads):
+        for page, payload in enumerate(payloads):
+            chip.program_page(plane, block, page, payload)
+
+    def as_a_run(chip, plane, block, payloads):
+        chip.program_pages(plane, block, 0, payloads)
+
+    got = play(as_a_run)
+    assert got == play(page_by_page)
+    assert got[0] and got[1] == at_op
+
+
+def test_placeholder_pages_keep_no_entry():
+    """``None`` payloads are not stored: the block reads, reports and
+    rejects exactly as one that stored them."""
+    blk = Block(index=0, pages_per_block=6)
+    blk.program(0, None)
+    blk.program_run(1, [None, None, None])
+    assert blk._data == {}
+    assert blk.write_pointer == 4 and blk.state is BlockState.OPEN
+    assert blk.read_run(0, 6) == [None] * 6
+    assert [blk.read(page) for page in range(6)] == [None] * 6
+    assert blk.page(3).state is PageState.PROGRAMMED
+    assert blk.page(3).data is None
+    assert blk.page(4).state is PageState.ERASED
+    with pytest.raises(ProgramError, match="expected page 4, got 2"):
+        blk.program(2, None)
+    with pytest.raises(ProgramError, match="expected page 4, got 5"):
+        blk.program_run(5, [None])
+    blk.program_run(4, [None, "data"])
+    assert blk.state is BlockState.FULL and blk._data == {5: "data"}
+    assert blk.read_run(3, 3) == [None, None, "data"]
+    blk.erase()
+    assert blk.write_pointer == 0 and blk.read(5) is None
 
 
 def test_planes_are_independent(chip):

@@ -91,6 +91,40 @@ def test_gated_sdf_requests_leave_nothing_to_collect(found):
     assert found() == {}
 
 
+def test_no_op_objects_exist_mid_drive_on_the_ahead_path(found):
+    """Four writers and four readers in full flight, nothing watching
+    per phase: the block FTL hands the engine plane runs and the
+    reserve-ahead path builds no ``FlashOp`` and no ``PhysicalAddress``
+    -- not one is alive anywhere in the process."""
+    sim = Simulator()
+    sdf = build_device("sdf", sim, capacity_scale=0.004, n_channels=8)
+    sdf.prefill(0.5)
+    assert all(engine.can_reserve_ahead() for engine in sdf.engines)
+    pages = sdf.channels[0].pages_per_logical_block
+    free = sdf.ftls[0].n_logical_blocks - 1
+
+    def writer(channel):
+        yield from channel.write(free)
+        yield from channel.write(free - 1)
+
+    def reader(channel):
+        for offset in (0, 7, pages // 2 - 3):
+            yield from channel.read(0, offset, pages // 2)
+            yield from channel.read(1, offset, 1)
+
+    drives = [sim.process(writer(channel)) for channel in sdf.channels[:4]]
+    drives += [sim.process(reader(channel)) for channel in sdf.channels[4:]]
+    sim.run(until=40 * MS)
+    in_flight = sum(len(engine._ahead) for engine in sdf.engines)
+    assert in_flight >= 4 * 16 and not any(drive.triggered for drive in drives)
+    assert sum(engine.ops_executed.value for engine in sdf.engines) > 400
+    alive = Counter(type(obj).__name__ for obj in gc.get_objects())
+    assert alive["FlashOp"] == alive["PhysicalAddress"] == 0
+    assert alive["_Ahead"] >= in_flight
+    sim.run(until=sim.all_of(drives))
+    assert found() == {}
+
+
 # -- (b) the LSM on an SDF server -------------------------------------------------
 
 
