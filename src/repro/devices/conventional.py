@@ -447,8 +447,7 @@ class ConventionalSSD:
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"fraction {fraction} outside [0, 1]")
         n_lpns = scaled_count(self.user_pages * fraction)
-        for lpn in range(n_lpns):
-            self.ftl.write(lpn, payload)
+        self.ftl.fill(n_lpns, payload)
         return n_lpns
 
     def __repr__(self):

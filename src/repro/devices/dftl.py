@@ -113,6 +113,19 @@ class DFTLPageFTL(PageFTL):
         ops.extend(super().write(lpn, data))
         return ops
 
+    def fill(self, n_lpns: int, data=None) -> None:
+        """:meth:`write` for each lpn in ``range(n_lpns)``: the block
+        runs of :meth:`PageFTL.fill`, with the cache charged per
+        translation-page run -- the run's first lpn looked up, the rest
+        hits (the first made its page the dirty, most recent entry)."""
+        if not self._fill_by_runs(n_lpns, data):
+            for lpn in range(n_lpns):
+                self.write(lpn, data)
+            return
+        for first in range(0, n_lpns, self.entries_per_tp):
+            self._translate(first, dirty=True)
+            self.map_cache_hits += min(self.entries_per_tp, n_lpns - first) - 1
+
     def read(self, lpn: int):
         ops = self._translate(lpn, dirty=False)
         data, read_ops = super().read(lpn)

@@ -183,6 +183,12 @@ class HybridLogBlockFTL:
         )
         return ops
 
+    def fill(self, n_lpns: int, data=None) -> None:
+        """:meth:`write` ``(lpn, data)`` for each lpn in ``range(n_lpns)``
+        (the functional prefill)."""
+        for lpn in range(n_lpns):
+            self.write(lpn, data)
+
     def read(self, lpn: int) -> Tuple[object, List[FlashOp]]:
         """Read one logical page; (payload, physical ops)."""
         self._check_lpn(lpn)

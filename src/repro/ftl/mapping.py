@@ -66,6 +66,11 @@ class PageMapping:
         """Logical pages that currently map somewhere."""
         return int(np.count_nonzero(self._l2p != UNMAPPED))
 
+    def any_mapped(self, stop: int) -> bool:
+        """True when some lpn in ``range(stop)`` maps somewhere (a
+        reduction over the slice: no temporary of its size)."""
+        return stop > 0 and int(self._l2p[:stop].max()) != UNMAPPED
+
     # -- updates -----------------------------------------------------------------
     def map(self, lpn: int, ppn: int) -> Optional[int]:
         """Point ``lpn`` at ``ppn``; returns the invalidated old PPN (if any).
@@ -83,6 +88,53 @@ class PageMapping:
         self._p2l[ppn] = lpn
         self._valid_per_block[ppn // self.pages_per_block] += 1
         return old_ppn
+
+    def map_many(self, lpns, ppns) -> None:
+        """:meth:`map` for each ``(lpn, ppn)`` pair, with every check
+        made before anything changes: a target that holds valid data,
+        or is named twice, raises ``ValueError`` and a valid count that
+        would go negative ``AssertionError``, the map left as it was.
+        ``lpns`` are distinct (as a block's valid pages, or a fill's,
+        are)."""
+        lpns = np.asarray(lpns, dtype=np.int64)
+        ppns = np.asarray(ppns, dtype=np.int64)
+        if not len(ppns):
+            return
+        held = self._p2l[ppns]
+        if held.max() != UNMAPPED:
+            taken = np.flatnonzero(held != UNMAPPED)[0]
+            raise ValueError(
+                f"ppn {int(ppns[taken])} already holds valid lpn "
+                f"{int(held[taken])}"
+            )
+        if len(set(ppns.tolist())) != len(ppns):
+            raise ValueError("map_many names a target ppn twice")
+        old = self._l2p[lpns]
+        if old.max() != UNMAPPED:
+            old = old[old != UNMAPPED]
+            removed_at, removed = self._per_block(old)
+            short = np.flatnonzero(self._valid_per_block[removed_at] < removed)
+            if len(short):
+                raise AssertionError(
+                    f"valid count of block {int(removed_at[short[0]])} went negative"
+                )
+            self._p2l[old] = UNMAPPED
+            self._valid_per_block[removed_at] -= removed
+        self._l2p[lpns] = ppns
+        self._p2l[ppns] = lpns
+        added_at, added = self._per_block(ppns)
+        self._valid_per_block[added_at] += added
+
+    def _per_block(self, ppns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The blocks the (non-empty) ``ppns`` fall in, each once, and how
+        many fall in each: a bincount over the span they cover (no sort,
+        and not numpy's ``unique``, which imports ``numpy.ma`` -- a
+        megabyte of resident memory)."""
+        blocks = ppns // self.pages_per_block
+        low = int(blocks.min())
+        counts = np.bincount(blocks - low)
+        at = counts.nonzero()[0]
+        return at + low, counts[at].astype(np.int32)
 
     def unmap(self, lpn: int) -> Optional[int]:
         """TRIM: drop the mapping for ``lpn``; returns the freed PPN."""
@@ -103,10 +155,19 @@ class PageMapping:
     def valid_lpns_in_block(self, block_index: int) -> List[Tuple[int, int]]:
         """(ppn, lpn) pairs still valid inside a block (for GC movement)."""
         start = block_index * self.pages_per_block
-        stop = start + self.pages_per_block
-        segment = self._p2l[start:stop]
-        hits = np.nonzero(segment != UNMAPPED)[0]
-        return [(start + int(i), int(segment[i])) for i in hits]
+        offsets, lpns = self.valid_in_block(block_index)
+        return [
+            (start + offset, lpn)
+            for offset, lpn in zip(offsets.tolist(), lpns.tolist())
+        ]
+
+    def valid_in_block(self, block_index: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The block's valid pages as two arrays: their offsets in the
+        block, in order, and the lpns they hold."""
+        start = block_index * self.pages_per_block
+        segment = self._p2l[start : start + self.pages_per_block]
+        offsets = np.flatnonzero(segment != UNMAPPED)
+        return offsets, segment[offsets]
 
     def note_block_erased(self, block_index: int) -> None:
         """Assert-and-reset after an erase: the block must hold no valid data."""
