@@ -869,6 +869,30 @@ class ChannelEngine:
         else:
             self._submit(op, then)
 
+    def execute_program(
+        self, plane: Tuple[int, int], nbytes: int, ops, index: int, then
+    ) -> None:
+        """:meth:`execute_fast` for the PROGRAM ``ops[index]`` of
+        ``nbytes`` on plane ``(chip, plane)``, building the op only if
+        it takes the per-phase path: behind an admission gate its grant
+        hop reserves it ahead by plane and size, as
+        :meth:`program_page_ahead` takes them."""
+        qos = self.qos
+        if qos is None:
+            self.execute_fast(ops[index], then)
+            return
+        if len(self._busy_raw) > self.BUSY_RAW_LIMIT:
+            self.busy_value()
+        then = qos.releasing(then)
+
+        def admitted():
+            if self.can_reserve_ahead():
+                self.program_page_ahead(plane, nbytes, self.sim._now, then)
+            else:
+                self._submit(ops[index], then)
+
+        qos.admit_fast(admitted)
+
     def _admitted(self, op: FlashOp, then) -> None:
         """A grant hop, the start instant of the op it admitted;
         ``then`` already releases its slot."""

@@ -10,6 +10,10 @@ adapter.  It:
   sustained writers feel storage backpressure);
 * runs per-slice background compaction -- the internal read/write
   traffic that Figure 14 measures.
+
+A get and a put are continuations (``handle_get_call`` /
+``handle_put_call``: one object each, whose bound methods are the
+callbacks); ``handle_get``/``handle_put`` are their generator form.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from repro.kv.compaction import drain_compactions, split_patch
 from repro.kv.slice import Slice
 from repro.qos.admission import DeadlineExceededError
 from repro.sim import Resource, Simulator, Store
+from repro.sim.process import bridged, run_inline
 from repro.sim.stats import Counter, ThroughputMeter
 from repro.sim.units import transfer_ns
 
@@ -43,6 +48,252 @@ SERVER_CONFIG = {
 
 class NodeDownError(TransientFault, ClusterError):
     """Request sent to a crashed server; callers fail over or retry."""
+
+
+class _ServerRequest:
+    """What a get and a put share: admission and routing at
+    :meth:`begin`, a turn on the slice's handler thread, and settling
+    exactly once.
+
+    The request's steps are bound methods handed to whatever it waits
+    on (a handler-thread grant, a timer, the storage read), so nothing
+    holds it once it has settled; ``then``/``fail`` are dropped there,
+    after the admission slot is returned and before the caller hears.
+    """
+
+    __slots__ = (
+        "server", "qos", "key", "deadline_ns", "epoch", "tenant", "then",
+        "fail", "slice_", "start", "wait_ns", "cpu",
+    )
+
+    #: Admission class, and the server's and the slice's counters.
+    request_class = server_count = slice_count = ""
+
+    def __init__(self, server, key, deadline_ns, epoch, tenant, then, fail):
+        self.server = server
+        self.key = key
+        self.deadline_ns = deadline_ns
+        self.epoch = epoch
+        self.tenant = tenant
+        self.then = then
+        self.fail = fail
+
+    def begin(self) -> None:
+        """Submission: raises what the handler raised before its first
+        wait, then queues for the slice's handler thread."""
+        server = self.server
+        server._check_up()
+        qos = self.qos = server.qos
+        if qos is not None:
+            qos.try_admit(self.request_class, self.deadline_ns, tenant=self.tenant)
+        try:
+            getattr(server, self.server_count).add()
+            self.start = server.sim._now
+            slice_ = self.slice_ = server.route(self.key, self.epoch)
+            getattr(slice_, self.slice_count).add()
+            self.cpu = server._slice_cpu[slice_.slice_id].request_call(
+                self.dispatched
+            )
+        except Exception:
+            if qos is not None:
+                qos.release(self.request_class)
+            raise
+
+    def dispatched(self) -> None:
+        """The handler thread is ours: charge the dispatch."""
+        server = self.server
+        sim = server.sim
+        self.wait_ns = sim._now - self.start
+        sim._schedule_call(self.served, server._slow(self.cpu_ns()))
+
+    def cpu_ns(self) -> int:
+        raise NotImplementedError
+
+    def served(self) -> None:
+        """The dispatch is charged: release the handler thread, go on."""
+        raise NotImplementedError
+
+    def release_cpu(self) -> None:
+        cpu = self.cpu
+        self.cpu = None
+        cpu.resource.release(cpu)
+
+    def check_epoch(self) -> None:
+        slice_ = self.slice_
+        if self.epoch is not None and slice_.epoch != self.epoch:
+            # Ownership moved while this request queued; the new owner
+            # has the authoritative state now.
+            raise WrongEpochError(
+                f"slice {slice_.slice_id} moved to epoch "
+                f"{slice_.epoch} while request queued"
+            )
+
+    def finish(self, result) -> None:
+        self.settle(self.then, result)
+
+    def failed(self, exc: BaseException) -> None:
+        if self.fail is None:
+            raise exc  # settled already: the caller's own step raised
+        self.settle(self.fail, exc)
+
+    def settle(self, to, result) -> None:
+        self.then = self.fail = None
+        if self.qos is not None:
+            self.qos.release(self.request_class)
+        to(result)
+
+
+class _Get(_ServerRequest):
+    """:meth:`StorageServer.handle_get` as a continuation."""
+
+    __slots__ = ("kind", "size", "value")
+    request_class, server_count, slice_count = "read", "gets", "reads"
+
+    def cpu_ns(self) -> int:
+        return self.server.per_request_cpu_ns
+
+    def served(self) -> None:
+        server = self.server
+        slice_ = self.slice_
+        self.release_cpu()
+        try:
+            # The node may have died while this request queued; answering
+            # from post-crash DRAM state could serve a stale miss.
+            server._check_up()
+            self.check_epoch()
+            qos = self.qos
+            if qos is not None and qos.expired(self.deadline_ns, tenant=self.tenant):
+                raise DeadlineExceededError(
+                    f"get of {self.key!r} missed its deadline while queued"
+                )
+            kind, payload = slice_.lsm.get(self.key)
+            self.kind = kind
+            if kind not in ("value", "miss"):
+                self.size = payload.size
+                server.storage.read_value_call(
+                    payload, self.key, self.read, self.failed
+                )
+                return
+        except Exception as exc:
+            self.failed(exc)
+            return
+        self.done(payload if kind == "value" else None)
+
+    def read(self, value) -> None:
+        """The value is off the device: copy it out on the handler."""
+        self.value = value
+        self.cpu = self.server._slice_cpu[self.slice_.slice_id].request_call(
+            self.copying
+        )
+
+    def copying(self) -> None:
+        server = self.server
+        server.sim._schedule_call(
+            self.copied,
+            server._slow(
+                server._cpu_cost_ns(self.size) - server.per_request_cpu_ns
+            ),
+        )
+
+    def copied(self) -> None:
+        self.release_cpu()
+        self.done(self.value)
+
+    def done(self, result) -> None:
+        server = self.server
+        slice_ = self.slice_
+        if result is not None:
+            slice_.bytes_read.add(sizeof_value(result))
+        if server.obs is not None:
+            server._note_request(
+                "get", slice_, self.start, self.wait_ns,
+                tenant=self.tenant, source=self.kind,
+            )
+        self.finish(result)
+
+
+class _Put(_ServerRequest):
+    """:meth:`StorageServer.handle_put` as a continuation."""
+
+    __slots__ = ("value", "frozen", "flush_epoch", "slot")
+    request_class, server_count, slice_count = "write", "puts", "writes"
+
+    def cpu_ns(self) -> int:
+        return self.server._cpu_cost_ns(sizeof_value(self.value))
+
+    def served(self) -> None:
+        self.release_cpu()
+        try:
+            # A put must never be acknowledged out of a dead epoch: the
+            # memtable it would land in no longer backs any acked state.
+            self.server._check_up()
+            qos = self.qos
+            if qos is not None:
+                run_inline(
+                    qos.write_stall_gate(self.slice_, self.deadline_ns),
+                    self.gated,
+                    self.failed,
+                )
+                return
+        except Exception as exc:
+            self.failed(exc)
+            return
+        self.insert()
+
+    def gated(self, _=None) -> None:
+        try:
+            self.server._check_up()
+        except Exception as exc:
+            self.failed(exc)
+            return
+        self.insert()
+
+    def insert(self) -> None:
+        server = self.server
+        slice_ = self.slice_
+        try:
+            # Cutover freeze: the migration's final tail transfer has
+            # snapshotted (or is about to snapshot) this memtable, so no
+            # new write may land in it.  The client retries; by then the
+            # epoch bump has redirected it to the new owner.  This check
+            # sits immediately before the (synchronous) memtable insert
+            # so nothing can slip in between.
+            if slice_.write_blocked:
+                raise WrongEpochError(
+                    f"slice {slice_.slice_id} is frozen for migration cutover"
+                )
+            self.check_epoch()
+            frozen = slice_.lsm.put(self.key, self.value)
+            slice_.bytes_written.add(sizeof_value(self.value))
+        except Exception as exc:
+            self.failed(exc)
+            return
+        if frozen is None:
+            self.done(False)
+            return
+        # Capture the epoch before blocking on a flush slot: if the node
+        # crashes while we wait, the frozen patch was wiped with the
+        # rest of volatile state and must not be registered.
+        self.frozen = frozen
+        self.flush_epoch = server._epoch
+        self.slot = server._flush_slots[slice_.slice_id].request_call(
+            self.slotted
+        )
+
+    def slotted(self) -> None:
+        server = self.server
+        server.sim.process(
+            server._flush(self.slice_, self.frozen, self.slot, self.flush_epoch)
+        )
+        self.done(True)
+
+    def done(self, flushed: bool) -> None:
+        if self.server.obs is not None:
+            self.server._note_request(
+                "put", self.slice_, self.start, self.wait_ns,
+                tenant=self.tenant, flush=flushed,
+            )
+        self.finish(None)
 
 
 class StorageServer:
@@ -407,7 +658,7 @@ class StorageServer:
             )
         raise KeyError(f"no slice on this server owns key {key!r}")
 
-    # -- request handlers (generators) -----------------------------------------------
+    # -- request handlers ------------------------------------------------------------
     def _cpu_cost_ns(self, nbytes: int) -> int:
         """Slice-handler time: fixed dispatch + size-proportional copy."""
         return self.per_request_cpu_ns + transfer_ns(nbytes, self.copy_mb_per_s)
@@ -430,53 +681,15 @@ class StorageServer:
         ``tenant`` labels the request for per-tenant metrics and
         admission accounting; ``None`` (the default) changes nothing.
         """
-        self._check_up()
-        qos = self.qos
-        if qos is not None:
-            qos.try_admit("read", deadline_ns, tenant=tenant)
-        try:
-            self.gets.add()
-            start = self.sim.now
-            slice_ = self.route(key, epoch)
-            slice_.reads.add()
-            with self._slice_cpu[slice_.slice_id].request() as cpu:
-                yield cpu
-                wait_ns = self.sim.now - start
-                yield self.sim.timeout(self._slow(self.per_request_cpu_ns))
-            # The node may have died while this request queued; answering
-            # from post-crash DRAM state could serve a stale miss.
-            self._check_up()
-            if epoch is not None and slice_.epoch != epoch:
-                # Ownership moved while this request queued; the new
-                # owner has the authoritative state now.
-                raise WrongEpochError(
-                    f"slice {slice_.slice_id} moved to epoch "
-                    f"{slice_.epoch} while request queued"
-                )
-            if qos is not None and qos.expired(deadline_ns, tenant=tenant):
-                raise DeadlineExceededError(
-                    f"get of {key!r} missed its deadline while queued"
-                )
-            kind, payload = slice_.lsm.get(key)
-            result = payload if kind == "value" else None
-            if kind not in ("value", "miss"):
-                result = yield from self.storage.read_value(payload, key)
-                with self._slice_cpu[slice_.slice_id].request() as cpu:
-                    yield cpu
-                    yield self.sim.timeout(self._slow(
-                        self._cpu_cost_ns(payload.size)
-                        - self.per_request_cpu_ns
-                    ))
-            if result is not None:
-                slice_.bytes_read.add(sizeof_value(result))
-            if self.obs is not None:
-                self._note_request(
-                    "get", slice_, start, wait_ns, tenant=tenant, source=kind
-                )
-            return result
-        finally:
-            if qos is not None:
-                qos.release("read")
+        return bridged(
+            self.sim, self.handle_get_call, key, deadline_ns, epoch, tenant
+        )
+
+    def handle_get_call(self, key, deadline_ns, epoch, tenant, then, fail) -> None:
+        """:meth:`handle_get` as a continuation: ``then(value)`` or
+        ``fail(exc)``; raises what the generator raised before its first
+        wait."""
+        _Get(self, key, deadline_ns, epoch, tenant, then, fail).begin()
 
     def handle_put(
         self,
@@ -495,64 +708,18 @@ class StorageServer:
         routing-table stamp (see :meth:`route`); ``tenant`` labels the
         request for per-tenant metrics and admission accounting.
         """
-        self._check_up()
-        qos = self.qos
-        if qos is not None:
-            qos.try_admit("write", deadline_ns, tenant=tenant)
-        try:
-            self.puts.add()
-            start = self.sim.now
-            slice_ = self.route(key, epoch)
-            slice_.writes.add()
-            with self._slice_cpu[slice_.slice_id].request() as cpu:
-                yield cpu
-                wait_ns = self.sim.now - start
-                yield self.sim.timeout(
-                    self._slow(self._cpu_cost_ns(sizeof_value(value)))
-                )
-            # A put must never be acknowledged out of a dead epoch: the
-            # memtable it would land in no longer backs any acked state.
-            self._check_up()
-            if qos is not None:
-                yield from qos.write_stall_gate(slice_, deadline_ns)
-                self._check_up()
-            # Cutover freeze: the migration's final tail transfer has
-            # snapshotted (or is about to snapshot) this memtable, so no
-            # new write may land in it.  The client retries; by then the
-            # epoch bump has redirected it to the new owner.  This check
-            # sits immediately before the (synchronous) memtable insert
-            # so nothing can slip in between.
-            if slice_.write_blocked:
-                raise WrongEpochError(
-                    f"slice {slice_.slice_id} is frozen for migration cutover"
-                )
-            if epoch is not None and slice_.epoch != epoch:
-                raise WrongEpochError(
-                    f"slice {slice_.slice_id} moved to epoch "
-                    f"{slice_.epoch} while request queued"
-                )
-            frozen = slice_.lsm.put(key, value)
-            slice_.bytes_written.add(sizeof_value(value))
-            if frozen is not None:
-                # Capture the epoch before blocking on a flush slot: if the
-                # node crashes while we wait, the frozen patch was wiped with
-                # the rest of volatile state and must not be registered.
-                epoch = self._epoch
-                slot = self._flush_slots[slice_.slice_id].request()
-                yield slot
-                self.sim.process(self._flush(slice_, frozen, slot, epoch))
-            if self.obs is not None:
-                self._note_request(
-                    "put",
-                    slice_,
-                    start,
-                    wait_ns,
-                    tenant=tenant,
-                    flush=frozen is not None,
-                )
-        finally:
-            if qos is not None:
-                qos.release("write")
+        return bridged(
+            self.sim, self.handle_put_call, key, value, deadline_ns, epoch,
+            tenant,
+        )
+
+    def handle_put_call(
+        self, key, value, deadline_ns, epoch, tenant, then, fail
+    ) -> None:
+        """:meth:`handle_put` as a continuation (``then(None)``)."""
+        put = _Put(self, key, deadline_ns, epoch, tenant, then, fail)
+        put.value = value
+        put.begin()
 
     def handle_delete(
         self,

@@ -10,7 +10,9 @@ it runs on:
 * ``write(handle, patch)`` -- generator: fill the unit, every page
   holding ``patch``;
 * ``read(handle, offset, nbytes)`` -- generator -> the payloads of the
-  pages covering that byte range;
+  pages covering that byte range; ``read_call(..., then, fail)`` is the
+  same read as a continuation (the block layer's own, or the generator
+  driven in place);
 * ``free(handle)`` -- generator: give a written unit back;
 * ``abandon(handle)`` -- give back a claimed unit whose write failed;
 * ``functional_write`` / ``functional_read`` (-> the first page's
@@ -18,7 +20,8 @@ it runs on:
 * ``device``, ``unit_bytes``, and ``block_layer`` (None off SDF).
 
 Timed calls hand back the device's own generator wherever one exists,
-so the store adds no frame to the per-get read path.  Patches are kept
+and a get's value read (:meth:`PatchStore.read_value_call`) is one
+continuation object a layer down to the SDF channel.  Patches are kept
 as Python objects: every page of a stored patch holds a reference to
 the same :class:`~repro.kv.patch.Patch`, so any page read can resolve
 values while the simulator charges time for exactly the pages a real
@@ -33,6 +36,7 @@ from repro.core.block_layer import UserSpaceBlockLayer
 from repro.errors import StorageFullError
 from repro.kv.lsm import Lookup
 from repro.kv.patch import Patch
+from repro.sim.process import bridged, run_inline
 
 #: The CCDB patch size: the unit of an LPN-extent backend, whose device
 #: has no write unit of its own (blocks and zones bring theirs).
@@ -49,6 +53,7 @@ class BlockLayerExtents:
         self._pages = block_layer.pages_per_block
         self.claim = block_layer.allocate_id
         self.read = block_layer.read
+        self.read_call = block_layer.read_call
         self.free = block_layer.free
         self.functional_free = block_layer.functional_free
 
@@ -101,6 +106,9 @@ class _FreeListExtents:
         return self._read_pages(
             handle, first, (offset + nbytes - 1) // page - first + 1
         )
+
+    def read_call(self, handle, offset: int, nbytes: int, then, fail) -> None:
+        run_inline(self.read(handle, offset, nbytes), then, fail)
 
 
 class LpnExtents(_FreeListExtents):
@@ -160,6 +168,33 @@ class ZoneExtents(_FreeListExtents):
 
     def functional_read(self, zone):
         return self.device.functional_read_zone(zone)
+
+
+class _ValueRead:
+    """One value read: the pages covering it, then the value out of the
+    patch they hold."""
+
+    __slots__ = ("handle", "key", "then", "fail")
+
+    def __init__(self, handle, key, then, fail):
+        self.handle = handle
+        self.key = key
+        self.then = then
+        self.fail = fail
+
+    def read(self, payloads) -> None:
+        then, fail = self.then, self.fail
+        self.then = self.fail = None
+        try:
+            found, value = PatchStore._patch_at(self.handle, payloads[0]).get(
+                self.key
+            )
+            if not found:
+                raise KeyError(f"{self.key!r} missing from stored patch")
+        except Exception as exc:
+            fail(exc)
+            return
+        then(value)
 
 
 class PatchStore:
@@ -245,13 +280,17 @@ class PatchStore:
 
     def read_value(self, lookup: Lookup, key):
         """Generator -> value, reading only the pages covering it."""
-        payloads = yield from self.backend.read(
-            lookup.handle, lookup.offset, max(lookup.size, 1)
+        return bridged(self.sim, self.read_value_call, lookup, key)
+
+    def read_value_call(self, lookup: Lookup, key, then, fail) -> None:
+        """:meth:`read_value` as a continuation: ``then(value)``."""
+        self.backend.read_call(
+            lookup.handle,
+            lookup.offset,
+            max(lookup.size, 1),
+            _ValueRead(lookup.handle, key, then, fail).read,
+            fail,
         )
-        found, value = self._patch_at(lookup.handle, payloads[0]).get(key)
-        if not found:
-            raise KeyError(f"{key!r} missing from stored patch")
-        return value
 
     def read_patch(self, handle):
         """Generator -> the whole patch (a full sequential unit read)."""

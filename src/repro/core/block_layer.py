@@ -10,7 +10,8 @@ channels.  Responsibilities, exactly as the paper lists them:
   background by default, so erase latency stays off the write path;
 * translate byte-level reads into 8 KB page reads on the right channel.
 
-All I/O methods are generators to be run as simulation processes.
+All I/O methods are generators to be run as simulation processes; a
+read is also a continuation (:meth:`UserSpaceBlockLayer.read_call`).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.core.scheduler import ErasePolicy, PlacementPolicy, RoundRobinPlaceme
 from repro.devices.sdf import SDFDevice
 from repro.errors import StorageFullError
 from repro.sim import Store
+from repro.sim.process import bridged
 
 
 @dataclass(frozen=True)
@@ -34,6 +36,45 @@ class BlockLocation:
 
 class BlockNotFoundError(KeyError):
     """Read/free of a block ID that has never been written."""
+
+
+class _BlockRead:
+    """One timed block read past its channel read: what the block layer
+    does with the pages when they arrive."""
+
+    __slots__ = (
+        "layer", "obs", "block_id", "channel", "offset", "nbytes", "start",
+        "then",
+    )
+
+    def __init__(self, layer, block_id, channel, offset, nbytes, then):
+        self.layer = layer
+        self.obs = layer.obs
+        self.block_id = block_id
+        self.channel = channel
+        self.offset = offset
+        self.nbytes = nbytes
+        self.start = layer.sim._now
+        self.then = then
+
+    def done(self, payloads) -> None:
+        layer = self.layer
+        obs = self.obs
+        if obs is not None:
+            layer._m_reads.add()
+            if obs.trace.enabled:
+                obs.trace.span(
+                    "blk/read",
+                    "read",
+                    self.start,
+                    layer.sim.now,
+                    block_id=self.block_id,
+                    channel=self.channel,
+                    nbytes=self.nbytes,
+                )
+        then = self.then
+        self.then = None
+        then(layer._joined(payloads, self.offset, self.nbytes))
 
 
 class UserSpaceBlockLayer:
@@ -207,35 +248,35 @@ class UserSpaceBlockLayer:
         Returns ``bytes`` when the block was written with real data,
         else the raw page payload list.
         """
+        return bridged(self.sim, self.read_call, block_id, offset, nbytes)
+
+    def read_call(self, block_id: int, offset: int, nbytes, then, fail) -> None:
+        """:meth:`read` as a continuation: ``then(data)`` or
+        ``fail(exc)``; an unknown ID or a bad range raises here."""
         location = self._locations.get(block_id)
         if location is None:
             raise BlockNotFoundError(block_id)
         nbytes = self._check_range(offset, nbytes)
         if nbytes == 0:
-            return b""
-        obs = self.obs
-        start_ns = self.sim.now
+            then(b"")
+            return
         first_page = offset // self.page_size
         last_page = (offset + nbytes - 1) // self.page_size
-        channel = self.device.channels[location.channel]
-        payloads = yield from channel.read(
-            location.logical_block, first_page, last_page - first_page + 1
+        read = _BlockRead(self, block_id, location.channel, offset, nbytes, then)
+        self.device.channels[location.channel].read_call(
+            location.logical_block,
+            first_page,
+            last_page - first_page + 1,
+            read.done,
+            fail,
         )
-        if obs is not None:
-            self._m_reads.add()
-            if obs.trace.enabled:
-                obs.trace.span(
-                    "blk/read",
-                    "read",
-                    start_ns,
-                    self.sim.now,
-                    block_id=block_id,
-                    channel=location.channel,
-                    nbytes=nbytes,
-                )
+
+    def _joined(self, payloads, offset: int, nbytes: int):
+        """Pages holding real data as the requested bytes; anything else
+        as the raw page payload list."""
         if all(isinstance(p, (bytes, bytearray)) for p in payloads):
             joined = b"".join(bytes(p) for p in payloads)
-            start = offset - first_page * self.page_size
+            start = offset % self.page_size
             return joined[start : start + nbytes]
         return payloads
 
@@ -299,11 +340,7 @@ class UserSpaceBlockLayer:
         payloads, _ = self.device.ftls[location.channel].read(
             location.logical_block, first_page, last_page - first_page + 1
         )
-        if all(isinstance(p, (bytes, bytearray)) for p in payloads):
-            joined = b"".join(bytes(p) for p in payloads)
-            start = offset - first_page * self.page_size
-            return joined[start : start + nbytes]
-        return payloads
+        return self._joined(payloads, offset, nbytes)
 
     def functional_free(self, block_id: int) -> None:
         """Free and erase with no simulated time."""

@@ -39,17 +39,21 @@ Channel QoS is a gate in front of all this, not a reason to leave it:
 each admission is one grant hop, the op's start instant, and what the
 hop admits is reserved ahead from there -- a read's pages (those that
 find slots free at submission share one hop), a written page's bus and
-program.  Only the written page's DMA end stays an event, because the
+program (``ChannelEngine.execute_program``: by plane and size, no op
+built).  Only the written page's DMA end stays an event, because the
 slot is taken at it.  A wired fault plan holding no rule for the
-channel or the link is no injector.
+channel, the link or the chips is no injector.
 
-A request's continuations die with it.  A write's window is one small
-object (:class:`_WriteWindow`) whose bound methods are the callbacks
-the link and the engine hold while a page is in flight; a read's are
-closures that name the request's state but not each other.  Nothing
-outlives the request's last page waiting for the cyclic collector,
-whether it succeeded, lost a page DMA or was abandoned by a crashed
-issuer (``tests/sim/test_gc_hygiene.py``).
+A request's continuations die with it.  A write's window
+(:class:`_WriteWindow`) and a read (:class:`_PagedRead`) are each one
+small object whose bound methods are the callbacks the link and the
+engine hold while a page is in flight.  Nothing outlives the request's
+last page waiting for the cyclic collector, whether it succeeded, lost
+a page DMA or was abandoned by a crashed issuer
+(``tests/sim/test_gc_hygiene.py``).  A read is a continuation all the
+way (:meth:`SDFChannelDevice.read_call`, which the block layer and a
+server's get call); :meth:`SDFChannelDevice.read` is its generator
+form.
 """
 
 from __future__ import annotations
@@ -76,6 +80,7 @@ from repro.nand.catalog import MICRON_25NM_MLC, SDF_CHIP_GEOMETRY
 from repro.nand.geometry import FlashGeometry, scaled_count
 from repro.nand.timing import NandTiming
 from repro.sim import Event, Simulator
+from repro.sim.process import bridged
 
 
 class _WriteWindow:
@@ -96,8 +101,8 @@ class _WriteWindow:
 
     ``ops`` is whatever ``ChannelBlockFTL.write`` returned: the stripe's
     plane runs, or a list under a chip fault plan.  A page reserved
-    ahead needs only its plane; a page on the per-phase hops takes
-    ``ops[index]``.
+    ahead -- from its DMA end, or from an admission grant -- needs only
+    its plane; a page on the per-phase hops takes ``ops[index]``.
     """
 
     __slots__ = (
@@ -134,7 +139,7 @@ class _WriteWindow:
         # is told the page's plane.
         # Behind an admission gate the page takes its slot at the DMA
         # end, so that end stays an event; the engine reserves ahead
-        # from the grant hop (``execute_fast``).
+        # from the grant hop (``execute_program``), still with no op.
         engine = self.engine
         link = self.link
         page_size = self.page_size
@@ -147,9 +152,10 @@ class _WriteWindow:
                     plane, page_size, dma_end, self.programmed
                 )
                 return
-        op = self.ops[index]
         try:
-            link.reserve_call("write", page_size, lambda: self.to_flash(op))
+            link.reserve_call(
+                "write", page_size, lambda: self.to_flash(plane, index)
+            )
         except LinkDropError as exc:
             # The dropped page never programs and its window slot is
             # not handed on: the request fails once, the pages already
@@ -157,11 +163,13 @@ class _WriteWindow:
             # the window dies with the last of them.
             fail_dropped(self.done, exc)
 
-    def to_flash(self, op) -> None:
+    def to_flash(self, plane, index: int) -> None:
         # DMA landed in the staging buffer; contend for the channel
         # (bus then plane program).
         self.link.write_meter.record(self.sim.now, self.page_size)
-        self.engine.execute_fast(op, self.programmed)
+        self.engine.execute_program(
+            plane, self.page_size, self.ops, index, self.programmed
+        )
 
     def programmed(self) -> None:
         # One program finished: free a window slot (admitting the next
@@ -174,6 +182,124 @@ class _WriteWindow:
         self.remaining -= 1
         if not self.remaining:
             self.done.succeed()
+
+
+class _PagedRead:
+    """One page read request: I/O-stack submit, the pages off the
+    channel and up the link, the interrupt, the completion.
+
+    Its steps are bound methods: the engine holds ``stream`` while a
+    page is on the channel and the link ``landed`` while its DMA is in
+    flight, so the request dies with its last page -- or, when one of
+    its page DMAs is dropped, with the last of the others.
+    """
+
+    __slots__ = (
+        "channel", "device", "page_size", "block", "offset", "n_pages",
+        "then", "fail", "start", "payloads", "ahead", "remaining", "latest",
+        "error",
+    )
+
+    def __init__(self, channel, block, offset, n_pages, then, fail):
+        self.channel = channel
+        self.device = channel.device
+        self.page_size = channel.page_size
+        self.block = block
+        self.offset = offset
+        self.n_pages = n_pages
+        self.then = then
+        self.fail = fail
+        #: The dropped DMA the request fails with, once.
+        self.error = None
+
+    def submit(self) -> None:
+        device = self.device
+        sim = device.sim
+        self.start = sim._now
+        sim._schedule_call(self.submitted, device.iostack.submit_ns)
+
+    def submitted(self) -> None:
+        channel = self.channel
+        engine = channel.engine
+        try:
+            self.payloads, ops = channel.ftl.read(
+                self.block, self.offset, self.n_pages
+            )
+            if ops:
+                self.remaining = len(ops)
+                self.latest = 0
+                # When nothing watches the channel phase by phase the
+                # engine takes the request whole: one event a page, its
+                # bus end.
+                self.ahead = engine.can_reserve_ahead()
+                if self.ahead:
+                    engine.read_ahead(ops, self.stream)
+                else:
+                    for op in ops:
+                        engine.execute_fast(op, self.stream)
+                return
+        except Exception as exc:
+            self.settle(self.fail, exc)
+            return
+        self.transferred()
+
+    def stream(self) -> None:
+        # Runs at one op's bus-phase end: asking the shared link for the
+        # page's DMA is the one step that must happen at this instant.
+        # A dropped page fails the request (once); its other pages keep
+        # their reservations.
+        link = self.device.link
+        if self.ahead:
+            dma_end = link.reserve_ahead("read", self.page_size)
+            if dma_end is not None:
+                self.landed(dma_end)
+                return
+        try:
+            link.reserve_call("read", self.page_size, self.landed)
+        except LinkDropError as exc:
+            if self.error is None:
+                # Without the frames between the raise and the catch
+                # (as ``interfaces.link.fail_dropped``), through the hop
+                # a failed completion event would have taken.
+                self.error = exc.with_traceback(None)
+                self.device.sim._schedule_call(self.dropped)
+
+    def landed(self, dma_end=None) -> None:
+        # One page's DMA end is settled: ``dma_end``, known ahead, or
+        # now.  The request ends with the latest.
+        device = self.device
+        now = device.sim._now
+        if dma_end is None:
+            dma_end = now
+        device.link.read_meter.record(dma_end, self.page_size)
+        if dma_end > self.latest:
+            self.latest = dma_end
+        self.remaining -= 1
+        if not self.remaining:
+            device.sim._schedule_call(self.transferred, self.latest - now)
+
+    def dropped(self) -> None:
+        self.settle(self.fail, self.error)
+
+    def transferred(self) -> None:
+        device = self.device
+        device.sim._schedule_call(
+            self.interrupted, device.interrupts.on_completion()
+        )
+
+    def interrupted(self) -> None:
+        device = self.device
+        device.sim._schedule_call(self.completed, device.iostack.complete_ns)
+
+    def completed(self) -> None:
+        device = self.device
+        now = device.sim._now
+        device.stats.note_read(now, self.n_pages * self.page_size, now - self.start)
+        self.settle(self.then, self.payloads)
+
+    def settle(self, to, result) -> None:
+        self.then = self.fail = None
+        to(result)
 
 
 class SDFChannelDevice:
@@ -219,60 +345,16 @@ class SDFChannelDevice:
         completes at the latest DMA end among its pages, whichever way
         each was booked.
         """
-        device = self.device
-        sim = device.sim
-        engine = self.engine
-        link = device.link
-        start = sim.now
-        yield sim.timeout(device.iostack.submit_ns)
-        payloads, ops = self.ftl.read(logical_block, page_offset, n_pages)
-        if ops:
-            page_size = self.page_size
-            meter = link.read_meter
-            done = Event(sim)
-            # When nothing watches the channel phase by phase the engine
-            # takes the request whole: one event a page, its bus end.
-            ahead = engine.can_reserve_ahead()
-            state = {"remaining": len(ops), "latest": 0}
+        return bridged(
+            self.device.sim, self.read_call, logical_block, page_offset, n_pages
+        )
 
-            def landed(dma_end=None):
-                # One page's DMA end is settled: ``dma_end``, known
-                # ahead, or now.  The request ends with the latest.
-                if dma_end is None:
-                    dma_end = sim.now
-                meter.record(dma_end, page_size)
-                if dma_end > state["latest"]:
-                    state["latest"] = dma_end
-                state["remaining"] -= 1
-                if not state["remaining"]:
-                    done.succeed(delay=state["latest"] - sim.now)
-
-            def stream():
-                # Runs at one op's bus-phase end: asking the shared link
-                # for the page's DMA is the one step that must happen at
-                # this instant.  A dropped page fails the request
-                # (once); its other pages keep their reservations.
-                if ahead:
-                    dma_end = link.reserve_ahead("read", page_size)
-                    if dma_end is not None:
-                        landed(dma_end)
-                        return
-                try:
-                    link.reserve_call("read", page_size, landed)
-                except LinkDropError as exc:
-                    fail_dropped(done, exc)
-
-            if ahead:
-                engine.read_ahead(ops, stream)
-            else:
-                for op in ops:
-                    engine.execute_fast(op, stream)
-            yield done
-        nbytes = n_pages * self.page_size
-        yield sim.timeout(device.interrupts.on_completion())
-        yield sim.timeout(device.iostack.complete_ns)
-        device.stats.note_read(sim.now, nbytes, sim.now - start)
-        return payloads
+    def read_call(
+        self, logical_block: int, page_offset: int, n_pages: int, then, fail
+    ) -> None:
+        """:meth:`read` as a continuation: ``then(payloads)`` or
+        ``fail(exc)``."""
+        _PagedRead(self, logical_block, page_offset, n_pages, then, fail).submit()
 
     def write(self, logical_block: int, pages: Optional[Sequence] = None):
         """Write one full 8 MB logical block.

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.faults.injector import NULL_INJECTOR
+from repro.faults.injector import NULL_INJECTOR, PROGRAM_FAIL
 from repro.ftl.badblocks import BadBlockManager
 from repro.ftl.mapping import BlockMapping
 from repro.ftl.ops import FlashOp, OpKind, OpRuns, erase_op, program_op
@@ -129,9 +129,9 @@ class ChannelBlockFTL:
         then page 1, ...) so the shared channel bus feeds all four
         planes from the start.  Each plane's run is programmed in one
         chip call, so when a later plane's run raises the earlier
-        planes are programmed whole, and counted.  With a fault
-        injector wired to a chip the pages are programmed one call each
-        in that order, a ``PROGRAM_FAIL`` draw apiece
+        planes are programmed whole, and counted.  With a
+        ``PROGRAM_FAIL`` rule wired to a chip the pages are programmed
+        one call each in that order, a draw apiece
         (:meth:`_write_page_by_page`), and the ops are a list.
         """
         if len(pages) != self.pages_per_logical_block:
@@ -153,7 +153,7 @@ class ChannelBlockFTL:
         for index in range(self.n_planes):
             chip, plane = self._chip_plane(index)
             planes.append((chip, plane, self.array.chip_at(channel, chip)))
-        if any(flash.faults is not NULL_INJECTOR for _, _, flash in planes):
+        if not all(flash.faults.quiet(PROGRAM_FAIL) for _, _, flash in planes):
             return self._write_page_by_page(logical_block, physical, planes, pages)
         runs = []
         for index, (chip, plane, flash) in enumerate(planes):

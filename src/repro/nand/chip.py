@@ -346,11 +346,12 @@ class FlashChip:
         self, plane_index: int, block_index: int, first: int, count: int
     ) -> list:
         """:meth:`read_page` for ``count`` consecutive pages of one
-        block, in order, with one block lookup.  A wired injector draws
-        per page, so a failing page raises with ``reads`` counting it
-        and the pages before it; a bad block or a range error raises
-        before any page is read or counted."""
-        if self.faults is not NULL_INJECTOR:
+        block, in order, with one block lookup.  An injector with a
+        ``READ_UNCORRECTABLE`` rule draws per page, so a failing page
+        raises with ``reads`` counting it and the pages before it; a bad
+        block or a range error raises before any page is read or
+        counted."""
+        if not self.faults.quiet(READ_UNCORRECTABLE):
             return [
                 self.read_page(plane_index, block_index, page)
                 for page in range(first, first + count)
@@ -395,13 +396,13 @@ class FlashChip:
     ) -> None:
         """:meth:`program_page` for each of ``payloads`` on consecutive
         pages of one block from ``first``, in order, with one block
-        lookup.  A wired injector draws per page, so a failing page
-        raises with ``programs`` counting it and the pages before it,
-        those pages programmed and the block retired; with none wired
-        a bad block, a range error or a run that does not start at the
-        block's write pointer raises before any page of the run is
-        programmed or counted."""
-        if self.faults is not NULL_INJECTOR:
+        lookup.  An injector with a ``PROGRAM_FAIL`` rule draws per
+        page, so a failing page raises with ``programs`` counting it and
+        the pages before it, those pages programmed and the block
+        retired; otherwise a bad block, a range error or a run that does
+        not start at the block's write pointer raises before any page of
+        the run is programmed or counted."""
+        if not self.faults.quiet(PROGRAM_FAIL):
             for page, data in enumerate(payloads, first):
                 self.program_page(plane_index, block_index, page, data)
             return

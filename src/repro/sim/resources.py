@@ -44,6 +44,24 @@ class Request(Event):
         self.resource.release(self)
 
 
+class _CallRequest(Request):
+    """A :meth:`Resource.request_call` ticket: granted, it runs ``fn``
+    instead of waking waiters, in the event slot ``succeed`` schedules,
+    and drops ``fn`` (the holder keeps the ticket to release it)."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, sim, resource: "Resource", fn):
+        super().__init__(sim, resource)
+        self.fn = fn
+
+    def _process(self) -> None:
+        self._processed = True
+        fn = self.fn
+        self.fn = None
+        fn()
+
+
 class Resource:
     """A FIFO resource with ``capacity`` identical slots."""
 
@@ -67,7 +85,15 @@ class Resource:
 
     def request(self) -> Request:
         """Ask for a slot; the returned event fires when it is granted."""
-        req = Request(self.sim, self)
+        return self._enqueue(Request(self.sim, self))
+
+    def request_call(self, fn) -> Request:
+        """:meth:`request` for a continuation: ``fn()`` runs at the
+        grant, scheduled exactly where the request's event would have
+        been.  Hand the returned ticket to :meth:`release`."""
+        return self._enqueue(_CallRequest(self.sim, self, fn))
+
+    def _enqueue(self, req: Request) -> Request:
         self._waiting.append(req)
         self._grant()
         return req

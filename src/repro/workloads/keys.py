@@ -23,6 +23,7 @@ Models are plain objects sampled with a caller-supplied numpy
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Iterator
 
 import numpy as np
@@ -128,6 +129,10 @@ class ZipfianKeyModel(KeyModel):
         self.n_ranks = min(max_rank, span)
         weights = 1.0 / np.arange(1, self.n_ranks + 1) ** theta
         self._cdf = np.cumsum(weights / weights.sum())
+        #: The CDF as Python floats: ``bisect`` over it ranks a draw as
+        #: ``np.searchsorted(self._cdf, draw)`` does, at a fraction of
+        #: the cost of calling numpy for one scalar.
+        self._cdf_list = self._cdf.tolist()
         self._a = _coprime_multiplier(span)
         self._b = (_GOLDEN >> 17) % span
 
@@ -139,7 +144,7 @@ class ZipfianKeyModel(KeyModel):
     def sample(self, rng: np.random.Generator, now_ns: int = 0) -> int:
         # Float rounding can leave cdf[-1] < 1.0; a draw landing past it
         # would index one-off-the-end, so clamp to the last rank.
-        rank = int(np.searchsorted(self._cdf, rng.random()))
+        rank = bisect_left(self._cdf_list, rng.random())
         if rank >= self.n_ranks:
             rank = self.n_ranks - 1
         return self.rank_key(rank)

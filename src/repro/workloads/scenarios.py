@@ -33,9 +33,11 @@ from repro.errors import ConfigError, TransientFault
 from repro.faults.injector import BROWNOUT, CRASH
 from repro.faults.plan import FaultPlan
 from repro.faults.runner import FaultRunner
+from repro.kv.common import PlaceholderValue
 from repro.obs.attach import Observability
 from repro.obs.metrics import Histogram
 from repro.sim import Simulator
+from repro.sim.process import run_inline
 from repro.sim.shard import SealedHorizonMerger, run_sharded
 from repro.sim.units import MS, S
 from repro.workloads.arrivals import OpenLoopArrivals
@@ -361,73 +363,11 @@ class ScenarioRunner:
         return lo + (key - lo) % count
 
     # -- request execution -------------------------------------------------------------
-    def _one_request(self, tenant: TenantSpec, view, op, key, size, rng_seed):
-        """Generator: one open-loop request with bounded shed/retry."""
-        sim = self.sim
-        outcomes = self.outcomes[tenant.name]
-        metrics = self.obs.metrics
-        deadline = sim.now + tenant.slo.deadline_ns
-        start = sim.now
-        rng = None  # drawn from only to jitter a retry's backoff
-        for attempt in range(MAX_ATTEMPTS):
-            if attempt > 0:
-                outcomes["retries"] += 1
-                metrics.counter(f"tenant.{tenant.name}.retries").add(1)
-                backoff = RETRY_BACKOFF_NS << (attempt - 1)
-                if rng is None:
-                    rng = np.random.default_rng(rng_seed)
-                yield sim.timeout(int(backoff * (1.0 + rng.random())))
-                view.refresh()
-            if sim.now > deadline:
-                break  # doomed: the SLO window is already gone
-            try:
-                server, entry = view.lookup(key)
-            except KeyError:
-                continue  # stale view names a since-split slice
-            breaker = self.breakers.get(self._node_names.get(server))
-            if breaker is not None and not breaker.allow():
-                continue  # fast local failure; retry elsewhere/later
-            try:
-                if op == "read":
-                    yield from server.handle_get(
-                        key,
-                        deadline_ns=deadline,
-                        epoch=entry.epoch,
-                        tenant=tenant.name,
-                    )
-                elif op == "write":
-                    from repro.kv.common import PlaceholderValue
-
-                    yield from server.handle_put(
-                        key,
-                        PlaceholderValue(size),
-                        deadline_ns=deadline,
-                        epoch=entry.epoch,
-                        tenant=tenant.name,
-                    )
-                else:  # scan
-                    yield from self._scan(
-                        server, tenant, key, deadline
-                    )
-            except (TransientFault, KeyError):
-                if breaker is not None:
-                    breaker.record_failure()
-                continue
-            if breaker is not None:
-                breaker.record_success()
-            latency = sim.now - start
-            metrics.histogram(f"tenant.{tenant.name}.request_ns").record(
-                latency
-            )
-            if sim.now <= deadline:
-                outcomes["good"] += 1
-                metrics.counter(f"tenant.{tenant.name}.good").add(1)
-            else:
-                outcomes["late"] += 1
-                metrics.counter(f"tenant.{tenant.name}.late").add(1)
-            return
-        outcomes["shed"] += 1
-        metrics.counter(f"tenant.{tenant.name}.shed").add(1)
+    def _count(self, tenant: str, outcome: str) -> None:
+        """One more request ``outcome`` for ``tenant``, in the report's
+        counts and in the registry."""
+        self.outcomes[tenant][outcome] += 1
+        self.obs.metrics.counter(f"tenant.{tenant}.{outcome}").add(1)
 
     def _scan(self, server, tenant: TenantSpec, key: int, deadline: int):
         """One scan: plan the range, read at most one backing patch."""
@@ -446,43 +386,6 @@ class ScenarioRunner:
                 return
         # Entirely memory-resident: charge one dispatch quantum.
         yield self.sim.timeout(server.per_request_cpu_ns)
-
-    def _tenant_driver(self, tenant: TenantSpec, index: int):
-        """Open-loop arrivals: spawn one request process per arrival.
-
-        Every random draw happens *here*, in arrival order, so the
-        request interleaving downstream can never perturb the sampled
-        workload -- the key to byte-identical reruns.
-        """
-        sim = self.sim
-        scenario = self.scenario
-        rng = np.random.default_rng([scenario.seed, index])
-        view = self.ctrl.view()
-        arrivals = OpenLoopArrivals(tenant.arrivals)
-        outcomes = self.outcomes[tenant.name]
-        metrics = self.obs.metrics
-        for at_ns in arrivals.times(rng, 0, scenario.duration_ns):
-            delay = at_ns - sim.now
-            if delay > 0:
-                yield sim.timeout(delay)
-            op = tenant.mix.sample(rng)
-            key = tenant.keys.sample(rng, sim.now)
-            if op != "write":
-                key = self._quantize(key)
-            size = tenant.sizes.sample(rng)
-            seed = int(rng.integers(0, 2**31))
-            if self._local_name is not None:
-                # Sharded: every shard makes every draw above (keeping
-                # the RNG stream byte-identical) but only the owning
-                # shard issues the request.
-                slice_index = bisect.bisect_right(self._slice_los, key) - 1
-                if self._owners[slice_index] != self._local_name:
-                    continue
-            outcomes["offered"] += 1
-            metrics.counter(f"tenant.{tenant.name}.offered").add(1)
-            sim.process(
-                self._one_request(tenant, view, op, key, size, seed)
-            )
 
     def _rebalancer(self):
         """Periodic load-driven rebalance passes for the whole run."""
@@ -512,7 +415,7 @@ class ScenarioRunner:
             # pure drain -- the engine never acts on a closing system.
             self.policy_engine.start(until_ns=scenario.duration_ns)
         for index, tenant in enumerate(scenario.tenants):
-            self.sim.process(self._tenant_driver(tenant, index))
+            self.sim._schedule_call(_TenantArrivals(self, tenant, index).start)
         if scenario.rebalance_every_ns is not None:
             self.sim.process(self._rebalancer())
         # Drain: drivers stop issuing at duration_ns; in-flight
@@ -557,6 +460,183 @@ class ScenarioRunner:
                 tenant, counts, latency, duration_s
             )
         return result
+
+
+class _TenantArrivals:
+    """One tenant's open-loop arrivals: a request object per arrival.
+
+    Every random draw happens *here*, in arrival order, so the request
+    interleaving downstream can never perturb the sampled workload --
+    the key to byte-identical reruns.  The next arrival is one timer
+    away; an arrival starts its request at once, in the slot a process
+    would have taken for its first step.
+    """
+
+    __slots__ = ("runner", "tenant", "index", "rng", "view", "times")
+
+    def __init__(self, runner: ScenarioRunner, tenant: TenantSpec, index: int):
+        self.runner = runner
+        self.tenant = tenant
+        self.index = index
+
+    def start(self) -> None:
+        runner = self.runner
+        scenario = runner.scenario
+        self.rng = np.random.default_rng([scenario.seed, self.index])
+        self.view = runner.ctrl.view()
+        self.times = OpenLoopArrivals(self.tenant.arrivals).times(
+            self.rng, 0, scenario.duration_ns
+        )
+        self.advance()
+
+    def advance(self) -> None:
+        """Arrivals up to the first one still to come."""
+        sim = self.runner.sim
+        for at_ns in self.times:
+            delay = at_ns - sim._now
+            if delay > 0:
+                sim._schedule_call(self.arrived, delay)
+                return
+            self.arrive()
+
+    def arrived(self) -> None:
+        self.arrive()
+        self.advance()
+
+    def arrive(self) -> None:
+        runner = self.runner
+        sim = runner.sim
+        tenant = self.tenant
+        rng = self.rng
+        op = tenant.mix.sample(rng)
+        key = tenant.keys.sample(rng, sim._now)
+        if op != "write":
+            key = runner._quantize(key)
+        size = tenant.sizes.sample(rng)
+        seed = int(rng.integers(0, 2**31))
+        if runner._local_name is not None:
+            # Sharded: every shard makes every draw above (keeping the
+            # RNG stream byte-identical) but only the owning shard
+            # issues the request.
+            slice_index = bisect.bisect_right(runner._slice_los, key) - 1
+            if runner._owners[slice_index] != runner._local_name:
+                return
+        runner._count(tenant.name, "offered")
+        sim._schedule_call(
+            _Request(runner, tenant, self.view, op, key, size, seed).begin
+        )
+
+
+class _Request:
+    """One open-loop request with bounded shed/retry.
+
+    Each attempt is a get, a put (``StorageServer.handle_*_call``) or a
+    scan (``ScenarioRunner._scan``, driven in place); its outcome comes
+    back to :meth:`served` or :meth:`failed`, and a retry's backoff is
+    one timer.
+    """
+
+    __slots__ = (
+        "runner", "tenant", "view", "op", "key", "size", "seed", "start",
+        "deadline", "attempt", "rng", "breaker",
+    )
+
+    def __init__(self, runner, tenant, view, op, key, size, seed):
+        self.runner = runner
+        self.tenant = tenant
+        self.view = view
+        self.op = op
+        self.key = key
+        self.size = size
+        self.seed = seed
+        self.attempt = 0
+        self.rng = None  # drawn from only to jitter a retry's backoff
+
+    def begin(self) -> None:
+        now = self.runner.sim._now
+        self.start = now
+        self.deadline = now + self.tenant.slo.deadline_ns
+        self.issue()
+
+    def retry(self) -> None:
+        """An attempt failed or could not be made: back off, or shed."""
+        attempt = self.attempt = self.attempt + 1
+        if attempt == MAX_ATTEMPTS:
+            self.shed()
+            return
+        runner = self.runner
+        runner._count(self.tenant.name, "retries")
+        backoff = RETRY_BACKOFF_NS << (attempt - 1)
+        if self.rng is None:
+            self.rng = np.random.default_rng(self.seed)
+        runner.sim._schedule_call(
+            self.backed_off, int(backoff * (1.0 + self.rng.random()))
+        )
+
+    def backed_off(self) -> None:
+        self.view.refresh()
+        self.issue()
+
+    def issue(self) -> None:
+        runner = self.runner
+        if runner.sim._now > self.deadline:
+            self.shed()  # doomed: the SLO window is already gone
+            return
+        try:
+            server, entry = self.view.lookup(self.key)
+        except KeyError:
+            self.retry()  # stale view names a since-split slice
+            return
+        breaker = self.breaker = runner.breakers.get(
+            runner._node_names.get(server)
+        )
+        if breaker is not None and not breaker.allow():
+            self.retry()  # fast local failure; retry elsewhere/later
+            return
+        tenant = self.tenant
+        try:
+            if self.op == "read":
+                server.handle_get_call(
+                    self.key, self.deadline, entry.epoch, tenant.name,
+                    self.served, self.failed,
+                )
+            elif self.op == "write":
+                server.handle_put_call(
+                    self.key, PlaceholderValue(self.size), self.deadline,
+                    entry.epoch, tenant.name, self.served, self.failed,
+                )
+            else:
+                run_inline(
+                    runner._scan(server, tenant, self.key, self.deadline),
+                    self.served,
+                    self.failed,
+                )
+        except (TransientFault, KeyError):
+            self.failed_attempt()
+
+    def shed(self) -> None:
+        self.runner._count(self.tenant.name, "shed")
+
+    def failed(self, exc: BaseException) -> None:
+        if not isinstance(exc, (TransientFault, KeyError)):
+            raise exc
+        self.failed_attempt()
+
+    def failed_attempt(self) -> None:
+        if self.breaker is not None:
+            self.breaker.record_failure()
+        self.retry()
+
+    def served(self, _=None) -> None:
+        runner = self.runner
+        if self.breaker is not None:
+            self.breaker.record_success()
+        now = runner.sim._now
+        name = self.tenant.name
+        runner.obs.metrics.histogram(f"tenant.{name}.request_ns").record(
+            now - self.start
+        )
+        runner._count(name, "good" if now <= self.deadline else "late")
 
 
 def _tenant_report(

@@ -10,6 +10,7 @@ from repro.cluster import Network, Nic, build_sdf_server
 from repro.devices.sdf import SDFDevice
 from repro.faults import (
     PROGRAM_FAIL,
+    READ_UNCORRECTABLE,
     FaultPlan,
     FaultRunner,
     attach_network_faults,
@@ -82,21 +83,33 @@ def test_empty_plan_makes_no_rng_draws():
     assert plan._states == {} and plan.log == []
 
 
-def run_raw_device(wired: bool):
+def run_raw_device(wired: bool, rules: bool = True):
     """Writes, reads and erases on two raw SDF channels; with ``wired``
-    every chip holds an injector whose only rule can never match, which
-    puts the block FTL's writes on the page-by-page path (a
-    ``PROGRAM_FAIL`` draw a page) where they otherwise program plane
-    runs and return them as one batch."""
+    every chip holds an injector -- whose only rules, one a site, can
+    never match, which puts the block FTL's writes on the page-by-page
+    path (a ``PROGRAM_FAIL`` draw a page) and the chips' reads too (a
+    ``READ_UNCORRECTABLE`` draw a page) where they otherwise program
+    and read plane runs; or, without ``rules``, none at all, which is
+    no injector."""
     sim = Simulator()
     geometry = FlashGeometry(page_size=512, pages_per_block=8, blocks_per_plane=6)
     sdf = SDFDevice(sim, n_channels=2, geometry=geometry)
     plan = FaultPlan(seed=7)
+    page_reads = []
     if wired:
-        plan.add("nand", PROGRAM_FAIL, rate=1.0, where={"chip": -1})
+        if rules:
+            plan.add("nand", PROGRAM_FAIL, rate=1.0, where={"chip": -1})
+            plan.add("nand", READ_UNCORRECTABLE, rate=1.0, where={"chip": -1})
         for row in sdf.array.chips:
             for chip in row:
                 chip.faults = plan.injector("nand")
+                read_page = chip.read_page
+
+                def counted(*args, _read_page=read_page):
+                    page_reads.append(args)
+                    return _read_page(*args)
+
+                chip.read_page = counted
     ops_seen = []
     write_shapes = set()
     for ftl in sdf.ftls:
@@ -160,14 +173,26 @@ def run_raw_device(wired: bool):
             tuple(sdf.link.write_meter.samples),
         ),
         "end": (sim.now, sim._seq),
-    }, plan, write_shapes
+    }, plan, write_shapes, len(page_reads)
 
 
 def test_plane_runs_and_page_by_page_programs_are_the_same_device():
-    bare, _, bare_shapes = run_raw_device(False)
-    wired, plan, wired_shapes = run_raw_device(True)
+    bare, _, bare_shapes, _ = run_raw_device(False)
+    wired, plan, wired_shapes, page_reads = run_raw_device(True)
     assert plan.log == []
     assert (bare_shapes, wired_shapes) == ({"OpRuns"}, {"list"})
+    assert page_reads == sum(reads for reads, _, _ in bare["chip_counters"])
     assert bare == wired
     assert bare["payloads"][0][:2] == [("a", 1, 0), ("a", 1, 1)]
     assert len(bare["ops"]) == 2 * 12
+
+
+def test_a_chip_plan_with_no_rule_is_no_injector():
+    """A wired plan holding no ``PROGRAM_FAIL``/``READ_UNCORRECTABLE``
+    rule leaves the chips on plane runs: an ``OpRuns`` from every
+    write, no page read one call at a time, and the same device."""
+    bare, _, _, _ = run_raw_device(False)
+    quiet, plan, shapes, page_reads = run_raw_device(True, rules=False)
+    assert plan.log == []
+    assert shapes == {"OpRuns"} and page_reads == 0
+    assert quiet == bare

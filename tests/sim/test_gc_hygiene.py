@@ -26,6 +26,7 @@ from repro.qos import AdmissionConfig, BreakerConfig, ChannelQosState, QosPlan
 from repro.sim import KIB, MS, Simulator
 from repro.sim.engine import GC_PACE
 from repro.workloads import FaultBurst, ScenarioRunner
+from tests.cluster.test_node_continuations import play
 from tests.devices.test_device_zoo import run_cast
 from tests.workloads.test_scenarios import tiny_scenario, tiny_tenant
 
@@ -125,6 +126,32 @@ def test_no_op_objects_exist_mid_drive_on_the_ahead_path(found):
     assert found() == {}
 
 
+def test_no_op_objects_exist_mid_drive_behind_the_admission_gate(found):
+    """Gated writes in full flight, a rule-less fault plan wired: each
+    page's grant hop reserves it ahead by plane and size, so no
+    ``FlashOp`` or ``PhysicalAddress`` is alive either."""
+    sim = Simulator()
+    sdf = build_device("sdf", sim, capacity_scale=0.004, n_channels=4)
+    attach_device_faults(FaultPlan(seed=1), sdf)
+    for engine in sdf.engines:
+        engine.qos = ChannelQosState(sim, engine.channel, max_inflight=4)
+    assert all(engine.can_reserve_ahead() for engine in sdf.engines)
+
+    def writer(channel):
+        yield from channel.write(0)
+        yield from channel.write(1)
+
+    drives = [sim.process(writer(channel)) for channel in sdf.channels]
+    sim.run(until=20 * MS)
+    assert not any(drive.triggered for drive in drives)
+    assert sum(engine.qos.throttled.value for engine in sdf.engines) > 100
+    assert sum(len(engine._ahead) for engine in sdf.engines) >= 4
+    alive = Counter(type(obj).__name__ for obj in gc.get_objects())
+    assert alive["FlashOp"] == alive["PhysicalAddress"] == 0
+    sim.run(until=sim.all_of(drives))
+    assert found() == {}
+
+
 # -- (b) the LSM on an SDF server -------------------------------------------------
 
 
@@ -150,6 +177,20 @@ def test_lsm_flush_and_compaction_leave_nothing_to_collect(found):
     sim.run(until=sim.all_of([sim.process(client(s)) for s in slices]))
     sim.run()  # background flushes and compactions finish
     assert all(s.lsm.flushes >= 8 and s.lsm.compactions >= 2 for s in slices)
+    assert found() == {}
+
+
+@pytest.mark.parametrize("via_process", [True, False], ids=["bridged", "called"])
+def test_gets_dropped_or_abandoned_by_a_crash_leave_nothing_to_collect(
+    via_process, found
+):
+    """A get whose page DMA is dropped mid-flight, gets and a put a
+    crash abandons while they queue, a shed, an epoch move: every one
+    settles and leaves nothing behind, continuation or generator."""
+    seen, server = play(via_process)  # server kept whole
+    outcomes = [value for _, _, value in seen]
+    assert outcomes.count("LinkDropError") == 1
+    assert outcomes.count("NodeDownError") == 3
     assert found() == {}
 
 

@@ -193,6 +193,19 @@ def test_zipfian_clamp_at_cdf_edge():
     assert key == model.rank_key(model.n_ranks - 1)
 
 
+def test_zipfian_ranks_match_numpy_searchsorted():
+    """The draw is ranked by ``bisect`` over the CDF as Python floats:
+    the rank ``np.searchsorted`` gives on 100k draws and on one past
+    ``cdf[-1]`` (clamped)."""
+    model = ZipfianKeyModel(0, 1_000)  # its cdf[-1] rounds below 1.0
+    draws = np.random.default_rng(11).random(100_000).tolist()
+    draws += [model._cdf[-1], 1.0 - 2 ** -53, 0.0]
+    assert model._cdf[-1] < draws[-2]  # past the CDF's last value
+    ranks = np.minimum(np.searchsorted(model._cdf, draws), model.n_ranks - 1)
+    keys = [model.sample(_StubRandom(draw)) for draw in draws]
+    assert keys == [model.rank_key(int(rank)) for rank in ranks]
+
+
 def test_zipfian_small_range_unchanged():
     # Span below max_rank: every key is a rank; still in range/skewed.
     model = ZipfianKeyModel(0, 100)
