@@ -253,7 +253,7 @@ class KVClient:
                     f"budget after {attempt} refreshes"
                 ) from last_error
             try:
-                yield from self._attempt_once_routed(deadline_ns=deadline)
+                yield from self._attempt_once(deadline_ns=deadline)
                 return
             except (WrongEpochError, KeyError) as exc:
                 # WrongEpochError: the slice moved (or is mid-cutover).
@@ -266,97 +266,44 @@ class KVClient:
             f"request still misrouted after {ROUTE_RETRIES} refreshes"
         ) from last_error
 
-    def _attempt_once_routed(self, deadline_ns: Optional[int] = None):
-        """One routed attempt: like :meth:`_attempt_once`, but every
-        sub-request resolves its owner through the routing view and
-        carries the entry's epoch stamp."""
+    def _route(self, key):
+        """The server owning ``key`` and the routing epoch to stamp on
+        its sub-request: ``(self.server, None)`` without a router."""
+        if self.router is None:
+            return self.server, None
+        server, entry = self.router.lookup(key)
+        return server, entry.epoch
+
+    def _attempt_once(self, deadline_ns: Optional[int] = None):
+        """Generator: one request attempt.  The batch enters at the
+        first key's server; every sub-request resolves its own owner
+        and epoch stamp through :meth:`_route`."""
         spec = self.spec
         start = self.sim.now
         if spec.mode == "read":
             keys = self._sample_read_keys(spec.batch_size)
         else:
             keys = self._next_write_keys(spec.batch_size)
-        front, _ = self.router.lookup(keys[0])
+        front, _ = self._route(keys[0])
         envelope = ENVELOPE_BYTES * spec.batch_size
         payload = spec.batch_size * spec.value_bytes
         if spec.mode == "read":
             yield from self.network.send(self.nic, front.nic, envelope)
-            per_sub = spec.value_bytes + ENVELOPE_BYTES
-
-            def sub_read(key):
-                server, entry = self.router.lookup(key)
-                value = yield from server.handle_get(
-                    key,
-                    deadline_ns=deadline_ns,
-                    epoch=entry.epoch,
-                    tenant=self.tenant,
-                )
-                yield from self.network.send(server.nic, self.nic, per_sub)
-                return value
-
-            subs = [
-                defuse_on_failure(self.sim.process(sub_read(key)))
-                for key in keys
-            ]
-            yield AllOf(self.sim, subs)
-        else:
-            yield from self.network.send(
-                self.nic, front.nic, payload + envelope
-            )
-
-            def sub_write(key):
-                server, entry = self.router.lookup(key)
-                yield from server.handle_put(
-                    key,
-                    PlaceholderValue(spec.value_bytes),
-                    deadline_ns=deadline_ns,
-                    epoch=entry.epoch,
-                    tenant=self.tenant,
-                )
-
-            subs = [
-                defuse_on_failure(self.sim.process(sub_write(key)))
-                for key in keys
-            ]
-            yield AllOf(self.sim, subs)
-            yield from self.network.send(front.nic, self.nic, envelope)
-        self.meter.record(self.sim.now, payload)
-        self.latency.record(self.sim.now - start)
-        self.requests_completed += 1
-
-    def _attempt_once(self, deadline_ns: Optional[int] = None):
-        """Generator: one request attempt (the original request body)."""
-        spec = self.spec
-        start = self.sim.now
-        if spec.mode == "read":
-            keys = self._sample_read_keys(spec.batch_size)
-            request_bytes = ENVELOPE_BYTES * spec.batch_size
-            response_bytes = (
-                spec.batch_size * spec.value_bytes
-                + ENVELOPE_BYTES * spec.batch_size
-            )
-        else:
-            keys = self._next_write_keys(spec.batch_size)
-            request_bytes = (
-                spec.batch_size * spec.value_bytes
-                + ENVELOPE_BYTES * spec.batch_size
-            )
-            response_bytes = ENVELOPE_BYTES * spec.batch_size
-        yield from self.network.send(self.nic, self.server.nic, request_bytes)
-        if spec.mode == "read":
             # Each sub-response streams back as soon as its sub-request
             # completes (S3.3.1: the server "can send the data back to
             # the client at the same time that it is serving the next
             # sub-request").
-            per_sub = response_bytes // spec.batch_size
+            per_sub = spec.value_bytes + ENVELOPE_BYTES
 
             def sub_read(key):
-                value = yield from self.server.handle_get(
-                    key, deadline_ns=deadline_ns, tenant=self.tenant
+                server, epoch = self._route(key)
+                value = yield from server.handle_get(
+                    key,
+                    deadline_ns=deadline_ns,
+                    epoch=epoch,
+                    tenant=self.tenant,
                 )
-                yield from self.network.send(
-                    self.server.nic, self.nic, per_sub
-                )
+                yield from self.network.send(server.nic, self.nic, per_sub)
                 return value
 
             # Defused at spawn: if several subs fail (drops, a crash),
@@ -368,24 +315,26 @@ class KVClient:
             ]
             yield AllOf(self.sim, subs)
         else:
-            subs = [
-                defuse_on_failure(
-                    self.sim.process(
-                        self.server.handle_put(
-                            key,
-                            PlaceholderValue(spec.value_bytes),
-                            deadline_ns=deadline_ns,
-                            tenant=self.tenant,
-                        )
-                    )
+            yield from self.network.send(
+                self.nic, front.nic, payload + envelope
+            )
+
+            def sub_write(key):
+                server, epoch = self._route(key)
+                yield from server.handle_put(
+                    key,
+                    PlaceholderValue(spec.value_bytes),
+                    deadline_ns=deadline_ns,
+                    epoch=epoch,
+                    tenant=self.tenant,
                 )
+
+            subs = [
+                defuse_on_failure(self.sim.process(sub_write(key)))
                 for key in keys
             ]
             yield AllOf(self.sim, subs)
-            yield from self.network.send(
-                self.server.nic, self.nic, response_bytes
-            )
-        payload = spec.batch_size * spec.value_bytes
+            yield from self.network.send(front.nic, self.nic, envelope)
         self.meter.record(self.sim.now, payload)
         self.latency.record(self.sim.now - start)
         self.requests_completed += 1

@@ -34,15 +34,18 @@ site, so a :class:`~repro.faults.plan.FaultPlan` can abort a transfer
 at any boundary (kind :data:`MIGRATION_ABORT`, ``where={"phase": ...}``).
 Node crashes mid-migration surface as
 :class:`~repro.cluster.node.NodeDownError` from the transfer itself.
-Either way the migration aborts cleanly: routing is unchanged, the
-source keeps serving, and a later retry starts over.
+Either way -- and on any other exception before the commit, such as a
+target out of units -- the migration aborts cleanly: routing is
+unchanged, the source keeps serving, the target gets back every unit
+the migration claimed, and a later retry starts over.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.cluster.membership import RECORD_ABORTED, RECORD_COMMITTED
 from repro.cluster.network import Network
 from repro.cluster.node import StorageServer
 from repro.errors import ClusterError, TransientFault
@@ -65,6 +68,46 @@ MIGRATION_PHASES = ("prepare", "copy", "catchup", "cutover", "cleanup")
 
 class MigrationError(ClusterError):
     """A migration could not run (bad arguments, not a mid-flight fault)."""
+
+
+def _sources(lsm: LSMTree, runs: bool = True, pending: bool = True):
+    """An LSM's data as ``(handle, level, token, patch)`` tuples: its
+    registered runs oldest first (``patch`` None: read it through the
+    handle), then its frozen-but-unstored patches (``handle`` None,
+    level 0)."""
+    walk = []
+    if runs:
+        walk += [
+            (run.handle, run.level, run.freeze_token, None)
+            for run in lsm.runs_snapshot()
+        ]
+    if pending:
+        walk += [(None, 0, frozen.token, frozen.patch) for frozen in lsm._pending]
+    return walk
+
+
+class _NoGroup:
+    """The lease calls of a controller with no
+    :class:`~repro.cluster.membership.ControllerGroup`: a migration makes
+    the same calls, and each does nothing (no events, no yields) -- the
+    historical immortal-singleton behaviour."""
+
+    def open_lease(self, slice_id: int) -> None:
+        return None
+
+    def _nothing(self, *args) -> None:
+        """No lease to check, no publish to fence, no record to settle."""
+
+    check_lease = fence_publish = _settle = _nothing
+
+    def phase_barrier(self, phase, lease, src_name, dst_name):
+        return ()
+
+    def lease_current(self, lease) -> bool:
+        return True
+
+
+_NO_GROUP = _NoGroup()
 
 
 @dataclass(frozen=True)
@@ -232,16 +275,9 @@ class ClusterController:
         if isinstance(plane, Observability):
             self.obs = plane
             registry = plane.metrics
-            for counter in (
-                self.migrations_started,
-                self.migrations_completed,
-                self.migrations_aborted,
-                self.bytes_migrated,
-                self.splits,
-                self.merges,
-                self.rebalance_moves,
-            ):
-                registry.register_counter(counter.name, counter)
+            for counter in vars(self).values():  # the cluster.* counters
+                if isinstance(counter, Counter):
+                    registry.register_counter(counter.name, counter)
             registry.register_callback(
                 "cluster.routing_version", lambda _now: self.table.version
             )
@@ -273,30 +309,15 @@ class ClusterController:
             raise ValueError(f"node {name!r} already enrolled")
         self.nodes[name] = server
         for slice_ in server.slices:
-            if slice_.slice_id in self._replicas:
-                self._replicas[slice_.slice_id][name] = slice_
-                entry = self.table.entry(slice_.slice_id)
-                self.table.publish(
-                    SliceLocation(
-                        slice_id=entry.slice_id,
-                        key_range=entry.key_range,
-                        epoch=entry.epoch,
-                        replicas=entry.replicas + (name,),
-                    )
-                )
+            sid = slice_.slice_id
+            if sid in self._replicas:
+                entry = self.table.entry(sid)
             else:
-                self._replicas[slice_.slice_id] = {name: slice_}
-                self.table.publish(
-                    SliceLocation(
-                        slice_id=slice_.slice_id,
-                        key_range=slice_.key_range,
-                        epoch=slice_.epoch,
-                        replicas=(name,),
-                    )
-                )
-                self._next_slice_id = max(
-                    self._next_slice_id, slice_.slice_id + 1
-                )
+                self._replicas[sid] = {}
+                entry = SliceLocation(sid, slice_.key_range, slice_.epoch, ())
+                self._next_slice_id = max(self._next_slice_id, sid + 1)
+            self._replicas[sid][name] = slice_
+            self.table.publish(replace(entry, replicas=entry.replicas + (name,)))
 
     def node(self, name: str) -> StorageServer:
         return self.nodes[name]
@@ -437,10 +458,12 @@ class ClusterController:
            and are redirected by the new table.
         5. **cleanup** -- free the source's now-orphaned patches.
 
-        A :class:`TransientFault` anywhere before the commit aborts the
-        migration: the importing twin is discarded, the source unfreezes
-        and routing is untouched.  Faults after the commit only delay
-        cleanup (the target is already authoritative and durable).
+        Any exception before the commit aborts the migration: the
+        importing twin is discarded, every unit its runs hold on the
+        target comes back, the source unfreezes and routing is
+        untouched.  A :class:`TransientFault` after the commit only
+        delays cleanup (the target is already authoritative and
+        durable).
         """
         if src_name not in self.nodes or dst_name not in self.nodes:
             raise KeyError(f"unknown node in {src_name!r} -> {dst_name!r}")
@@ -470,97 +493,98 @@ class ClusterController:
         source_slice = hosts[src_name]
         source_lsm = source_slice.lsm
         target_slice = Slice(
-            slice_id,
-            source_slice.key_range,
-            lsm=LSMTree(
-                memtable_bytes=source_lsm.memtable.capacity_bytes,
-                enable_wal=source_lsm.wal is not None,
-                durable_wal=source_lsm.durable_wal,
-            ),
+            slice_id, source_slice.key_range, lsm=source_lsm.empty_like()
         )
         target_slice.epoch = source_slice.epoch
         # Under a replicated control plane the migration runs under a
         # leadership lease, checked at every transfer and replicated at
-        # every phase boundary; ``None`` (no group) skips all of it.
-        lease = (
-            self.group.open_lease(slice_id)
-            if self.group is not None
-            else None
-        )
+        # every phase boundary; with no group every lease call is a no-op.
+        group = self.group if self.group is not None else _NO_GROUP
+        lease = group.open_lease(slice_id)
+        copied: set = set()
+
+        def check():
+            src._check_up()
+            dst._check_up()
+            # Leadership fencing on the data path: the driving replica
+            # must still be up and both nodes must accept its term.
+            group.check_lease(lease, src, dst)
+
+        def phase(name):
+            self._fault_point(name, slice_id)
+            yield from group.phase_barrier(name, lease, src_name, dst_name)
+
+        def ship(sources):
+            """Ship every not-yet-copied source; returns how many moved.
+
+            Dedup is by freeze token, which survives the pending-patch
+            -> registered-run transition: a patch pre-shipped from the
+            WAL tail is not re-copied when the source's background flush
+            later registers it as a run.  (Compaction, which would
+            coalesce tokens, is paused for the whole migration.)
+            """
+            moved = 0
+            for handle, level, token, patch in sources:
+                if token in copied:
+                    continue
+                check()
+                if patch is None:
+                    patch = yield from src.handle_patch_read(
+                        handle, slice_=source_slice
+                    )
+                yield from self._paced_send(src, dst, patch.nbytes)
+                stored = yield from dst.storage.store_patch(patch)
+                target_slice.lsm.adopt_run(patch, stored, level, token)
+                copied.add(token)
+                self.bytes_migrated.add(patch.nbytes)
+                moved += 1
+            return moved
+
         self.migrations_started.add()
         self._migrations_inflight += 1
         start_ns = self.sim.now
         committed = False
         try:
-            # -- prepare --
-            self._fault_point("prepare", slice_id)
-            yield from self._phase_barrier(
-                "prepare", lease, src_name, dst_name
-            )
-            self._check_nodes(src, dst, lease)
-            source_slice.migration_hold = True
-            yield from self._quiesce_compaction(source_slice)
+            yield from phase("prepare")
+            check()
+            yield from self._hold(source_slice)
             dst.add_slice(target_slice, importing=True)
-            copied: set = set()
             # -- copy: snapshot of the registered runs --
-            self._fault_point("copy", slice_id)
-            yield from self._phase_barrier(
-                "copy", lease, src_name, dst_name
-            )
-            yield from self._copy_runs(
-                src, dst, source_slice, target_slice, copied, lease
-            )
+            yield from phase("copy")
+            yield from ship(_sources(source_lsm, pending=False))
             # -- catch-up: runs flushed while we were copying.  Under a
             # steady write stream each pass finds the runs that landed
             # during the previous one, so chasing to zero may never
             # terminate; once a pass moves <= 1 run the delta is small
             # enough for the stop-and-copy cutover to absorb.
-            self._fault_point("catchup", slice_id)
-            yield from self._phase_barrier(
-                "catchup", lease, src_name, dst_name
-            )
+            yield from phase("catchup")
             while True:
-                moved = yield from self._copy_runs(
-                    src, dst, source_slice, target_slice, copied, lease
-                )
+                moved = yield from ship(_sources(source_lsm, pending=False))
                 if moved <= 1:
                     break
-            # -- cutover --
-            self._fault_point("cutover", slice_id)
-            yield from self._phase_barrier(
-                "cutover", lease, src_name, dst_name
-            )
+            yield from phase("cutover")
             # Pre-ship the WAL tail (pending patches + force-frozen
             # memtable) while writes still flow, so the write-blocked
             # window below only has to move the last few milliseconds
             # of traffic -- short enough that blocked writers ride it
             # out inside their redirect-retry budget.
             source_lsm.flush()
-            yield from self._copy_tail(
-                src, dst, source_lsm, target_slice, copied, lease
-            )
-            yield from self._copy_runs(
-                src, dst, source_slice, target_slice, copied, lease
-            )
+            yield from ship(_sources(source_lsm, runs=False))
+            yield from ship(_sources(source_lsm, pending=False))
             source_slice.write_blocked = True
             # Final delta: whatever landed between the pre-ship and the
             # write block.  These are the acked writes whose durability
             # still rests on the source WAL; adopting them as stored
             # runs on the target makes them durable there before the
             # commit.
-            yield from self._copy_runs(
-                src, dst, source_slice, target_slice, copied, lease
-            )
+            yield from ship(_sources(source_lsm, pending=False))
             source_lsm.flush()
-            yield from self._copy_tail(
-                src, dst, source_lsm, target_slice, copied, lease
-            )
+            yield from ship(_sources(source_lsm, runs=False))
             # -- commit: atomic (no yields between here and publish) --
-            self._check_nodes(src, dst, lease)
-            if self.group is not None:
-                # Exactly-one-cutover guard: only the current leader at
-                # the quorum-agreed term may flip routing.
-                self.group.fence_publish(lease)
+            check()
+            # Exactly-one-cutover guard: only the current leader at the
+            # quorum-agreed term may flip routing.
+            group.fence_publish(lease)
             epoch = self._next_epoch
             self._next_epoch += 1
             source_slice.epoch = epoch  # stale stamps die on the source
@@ -571,9 +595,8 @@ class ClusterController:
             hosts[dst_name] = target_slice
             old = self.table.entry(slice_id)
             self.table.publish(
-                SliceLocation(
-                    slice_id=slice_id,
-                    key_range=old.key_range,
+                replace(
+                    old,
                     epoch=epoch,
                     replicas=tuple(
                         dst_name if name == src_name else name
@@ -582,15 +605,11 @@ class ClusterController:
                 )
             )
             committed = True
-            if self.group is not None:
-                self.group.note_commit(lease)
+            group._settle(lease, RECORD_COMMITTED)
             self._load_marks.pop(slice_id, None)
             source_slice.write_blocked = False
             # -- cleanup: the source copy is garbage now --
-            self._fault_point("cleanup", slice_id)
-            yield from self._phase_barrier(
-                "cleanup", lease, src_name, dst_name
-            )
+            yield from phase("cleanup")
             for run in source_lsm.runs_snapshot():
                 yield from src.storage.free_patch(run.handle)
             self.migrations_completed.add()
@@ -602,40 +621,39 @@ class ClusterController:
                     self.sim.now,
                     epoch=epoch,
                 )
-        except TransientFault:
+        except Exception as exc:
             if committed:
+                if not isinstance(exc, TransientFault):
+                    raise
                 # Only cleanup was interrupted: the target is already
                 # authoritative; the source copy leaks until a retry of
                 # cleanup (harmless -- space, not correctness).
                 self.migrations_completed.add()
                 return target_slice
-            # Roll back: discard the importing twin, unfreeze the
-            # source.  Routing never changed, so clients were never
+            # Roll back everything done on the target: discard the
+            # importing twin and give back every unit its adopted runs
+            # hold -- also when a new leader's resolve_inflight has
+            # already unhooked the twin, which leaves the units to this
+            # driver.  Routing never changed, so clients were never
             # redirected; every acked write is still durable on the
             # source (its runs, WAL and ledgered state are untouched).
-            # A fenced driver whose slice a *newer* leadership has
-            # since taken over must leave the shared migration flags
-            # alone -- the new migration owns them now.
-            if self.group is None or self.group.lease_current(lease):
-                source_slice.write_blocked = False
             if target_slice in dst.slices:
                 dst.remove_slice(target_slice)
-            if self.group is not None:
-                self.group.note_abort(lease)
+            group._settle(lease, RECORD_ABORTED)
             self.migrations_aborted.add()
             if self.obs is not None:
                 self.obs.metrics.counter("cluster.migration_aborts").add(1)
-                if self.obs.trace.enabled:
-                    self.obs.trace.instant(
-                        "cluster/migration",
-                        f"abort:slice{slice_id}",
-                        self.sim.now,
-                    )
+            self._instant("cluster/migration", f"abort:slice{slice_id}")
+            for run in target_slice.lsm.runs_snapshot():
+                yield from dst.storage.free_patch(run.handle)
             raise
         finally:
             self._migrations_inflight -= 1
-            if self.group is None or self.group.lease_current(lease):
-                source_slice.migration_hold = False
+            # A fenced driver whose slice a *newer* leadership has
+            # since taken over must leave the shared migration flags
+            # alone -- the new migration owns them now.
+            if group.lease_current(lease):
+                self._release(source_slice)
             if not committed:
                 # Wake the source compactor in case holds piled up.
                 poke = src._compaction_pokes.get(source_slice.slice_id)
@@ -643,56 +661,19 @@ class ClusterController:
                     poke.put(True)
         return target_slice
 
-    def _copy_runs(
-        self, src, dst, source_slice, target_slice, copied, lease=None
-    ):
-        """One snapshot pass: ship every not-yet-copied registered run.
-
-        Dedup is by freeze token, which survives the pending-patch ->
-        registered-run transition: a patch pre-shipped from the WAL
-        tail is not re-copied when the source's background flush later
-        registers it as a run.  (Compaction, which would coalesce
-        tokens, is paused for the whole migration.)
-        """
-        moved = 0
-        for run in source_slice.lsm.runs_snapshot():
-            if run.freeze_token in copied:
-                continue
-            self._check_nodes(src, dst, lease)
-            patch = yield from src.handle_patch_read(
-                run.handle, slice_=source_slice
-            )
-            yield from self._paced_send(src, dst, patch.nbytes)
-            handle = yield from dst.storage.store_patch(patch)
-            target_slice.lsm.adopt_run(
-                patch, handle, run.level, run.freeze_token
-            )
-            copied.add(run.freeze_token)
-            self.bytes_migrated.add(patch.nbytes)
-            moved += 1
-        return moved
-
-    def _quiesce_compaction(self, slice_: Slice):
-        """Wait out a merge that was already in flight when the
-        migration hold landed -- it would otherwise free run handles
-        under the copy pass.  The hold stops new merges from starting,
-        so this terminates."""
+    def _hold(self, slice_: Slice):
+        """Generator: stop new merges on ``slice_`` and wait out one
+        already in flight -- it would otherwise free run handles under
+        the copy.  The hold stops new merges from starting, so this
+        terminates; :meth:`_release` lifts it."""
+        slice_.migration_hold = True
         while slice_.compaction_active:
             yield self.sim.timeout(MS)
 
-    def _copy_tail(
-        self, src, dst, source_lsm, target_slice, copied, lease=None
-    ):
-        """Ship the frozen-but-unstored pending patches."""
-        for frozen in list(source_lsm._pending):
-            if frozen.token in copied:
-                continue
-            self._check_nodes(src, dst, lease)
-            yield from self._paced_send(src, dst, frozen.patch.nbytes)
-            handle = yield from dst.storage.store_patch(frozen.patch)
-            target_slice.lsm.adopt_run(frozen.patch, handle, 0, frozen.token)
-            copied.add(frozen.token)
-            self.bytes_migrated.add(frozen.patch.nbytes)
+    @staticmethod
+    def _release(slice_: Slice) -> None:
+        slice_.migration_hold = False
+        slice_.write_blocked = False
 
     def _paced_send(self, src, dst, nbytes: int):
         """Network transfer, throttled under the migration copy budget."""
@@ -708,26 +689,6 @@ class ClusterController:
             )
         yield from self.network.send(src.nic, dst.nic, nbytes)
 
-    def _check_nodes(self, src, dst, lease=None) -> None:
-        src._check_up()
-        dst._check_up()
-        if lease is not None:
-            # Leadership fencing on the data path: the driving replica
-            # must still be up and both nodes must accept its term.
-            self.group.check_lease(lease, src, dst)
-
-    def _phase_barrier(self, phase, lease, src_name, dst_name):
-        """Generator: the replicated-control-plane hook at one phase
-        boundary -- leadership fencing, fenced command round-trips and
-        quorum record replication.  A no-op (no events, no yields)
-        without a :class:`~repro.cluster.membership.ControllerGroup`.
-        """
-        if lease is None:
-            return
-        yield from self.group.phase_barrier(
-            phase, lease, src_name, dst_name
-        )
-
     def _fault_point(self, phase: str, slice_id: int) -> None:
         """Abort-here hook consulted at each phase boundary."""
         event = self.faults.fires(
@@ -737,6 +698,11 @@ class ClusterController:
             raise TransientFault(
                 f"injected migration abort at {phase} for slice {slice_id}"
             )
+
+    def _instant(self, track: str, name: str) -> None:
+        """A trace instant, when an attached trace is enabled."""
+        if self.obs is not None and self.obs.trace.enabled:
+            self.obs.trace.instant(track, name, self.sim.now)
 
     # -- split / merge -----------------------------------------------------------------
     def split_slice(self, slice_id: int, at):
@@ -762,45 +728,28 @@ class ClusterController:
         for name in entry.replicas:
             server = self.nodes[name]
             parent = self._replicas[slice_id][name]
-            lsm = parent.lsm
-            parent.migration_hold = True
-            yield from self._quiesce_compaction(parent)
+            yield from self._hold(parent)
             try:
-                children = []
-                for child_id, child_range in (
-                    (low_id, low_range),
-                    (high_id, high_range),
-                ):
-                    child = Slice(
-                        child_id,
-                        child_range,
-                        lsm=LSMTree(
-                            memtable_bytes=lsm.memtable.capacity_bytes,
-                            enable_wal=lsm.wal is not None,
-                            durable_wal=lsm.durable_wal,
-                        ),
+                low, high = children = [
+                    Slice(child_id, child_range, lsm=parent.lsm.empty_like())
+                    for child_id, child_range in (
+                        (low_id, low_range),
+                        (high_id, high_range),
                     )
+                ]
+                for child in children:
                     child.epoch = epoch
-                    children.append(child)
-                low, high = children
                 # Rewrite runs: one read per parent patch, one store per
                 # non-empty half.
                 parent.write_blocked = True
-                lsm.flush()
-                sources = [
-                    (run.handle, run.level, run.freeze_token, None)
-                    for run in lsm.runs_snapshot()
-                ] + [
-                    (None, 0, frozen.token, frozen.patch)
-                    for frozen in lsm._pending
-                ]
-                freed = [run.handle for run in lsm.runs_snapshot()]
+                parent.lsm.flush()
+                sources = _sources(parent.lsm)
                 for handle, level, token, patch in sources:
                     if patch is None:
                         patch = yield from server.handle_patch_read(
                             handle, slice_=parent
                         )
-                    for child in (low, high):
+                    for child in children:
                         part = patch.restricted_to(child.key_range)
                         if part is None:
                             continue
@@ -814,11 +763,11 @@ class ClusterController:
                 server.remove_slice(parent)
                 low_hosts[name] = low
                 high_hosts[name] = high
-                for handle in freed:
-                    yield from server.storage.free_patch(handle)
+                for handle, _level, _token, patch in sources:
+                    if patch is None:
+                        yield from server.storage.free_patch(handle)
             finally:
-                parent.migration_hold = False
-                parent.write_blocked = False
+                self._release(parent)
         self._replicas[low_id] = low_hosts
         self._replicas[high_id] = high_hosts
         del self._replicas[slice_id]
@@ -831,12 +780,9 @@ class ClusterController:
             SliceLocation(high_id, high_range, epoch, entry.replicas)
         )
         self.splits.add()
-        if self.obs is not None and self.obs.trace.enabled:
-            self.obs.trace.instant(
-                "cluster/topology",
-                f"split:slice{slice_id}->({low_id},{high_id})",
-                self.sim.now,
-            )
+        self._instant(
+            "cluster/topology", f"split:slice{slice_id}->({low_id},{high_id})"
+        )
         return low_id, high_id
 
     def merge_slices(self, low_id: int, high_id: int):
@@ -867,15 +813,8 @@ class ClusterController:
                 self._replicas[low_id][name],
                 self._replicas[high_id][name],
             ]
-            lsm0 = parents[0].lsm
             merged = Slice(
-                merged_id,
-                merged_range,
-                lsm=LSMTree(
-                    memtable_bytes=lsm0.memtable.capacity_bytes,
-                    enable_wal=lsm0.wal is not None,
-                    durable_wal=lsm0.durable_wal,
-                ),
+                merged_id, merged_range, lsm=parents[0].lsm.empty_like()
             )
             merged.epoch = epoch
             try:
@@ -886,40 +825,27 @@ class ClusterController:
                 # unaffected) and adopt with fresh consecutive tokens.
                 sources = []
                 for parent in parents:
-                    parent.migration_hold = True
-                    yield from self._quiesce_compaction(parent)
+                    yield from self._hold(parent)
                     parent.write_blocked = True
                     parent.lsm.flush()
-                    for run in parent.lsm.runs_snapshot():
-                        sources.append(
-                            (run.freeze_token, parent, run, None)
-                        )
-                    for frozen in parent.lsm._pending:
-                        sources.append(
-                            (frozen.token, parent, None, frozen.patch)
-                        )
-                sources.sort(key=lambda s: (s[0], s[1].key_range.lo))
-                for token, (_, parent, run, pending) in enumerate(sources):
-                    if run is not None:
+                    sources += [(s, parent) for s in _sources(parent.lsm)]
+                sources.sort(key=lambda s: (s[0][2], s[1].key_range.lo))
+                for token, (source, parent) in enumerate(sources):
+                    handle, level, _, patch = source
+                    if patch is None:
                         patch = yield from server.handle_patch_read(
-                            run.handle, slice_=parent
-                        )
-                        merged.lsm.adopt_run(
-                            patch, run.handle, run.level, token
+                            handle, slice_=parent
                         )
                     else:
-                        handle = yield from server.storage.store_patch(
-                            pending
-                        )
-                        merged.lsm.adopt_run(pending, handle, 0, token)
+                        handle = yield from server.storage.store_patch(patch)
+                    merged.lsm.adopt_run(patch, handle, level, token)
                 server.add_slice(merged)
                 for parent in parents:
                     server.remove_slice(parent)
                 merged_hosts[name] = merged
             finally:
                 for parent in parents:
-                    parent.migration_hold = False
-                    parent.write_blocked = False
+                    self._release(parent)
         self._replicas[merged_id] = merged_hosts
         del self._replicas[low_id]
         del self._replicas[high_id]
@@ -931,12 +857,9 @@ class ClusterController:
             SliceLocation(merged_id, merged_range, epoch, low_entry.replicas)
         )
         self.merges.add()
-        if self.obs is not None and self.obs.trace.enabled:
-            self.obs.trace.instant(
-                "cluster/topology",
-                f"merge:({low_id},{high_id})->slice{merged_id}",
-                self.sim.now,
-            )
+        self._instant(
+            "cluster/topology", f"merge:({low_id},{high_id})->slice{merged_id}"
+        )
         return merged_id
 
     # -- rebalancing -------------------------------------------------------------------

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, replace
+from types import GeneratorType
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -310,38 +311,19 @@ class SwimDetector:
         pick = int(self._rng(replica.name).integers(0, len(candidates)))
         return candidates[pick]
 
-    def _endpoint(self, name: str):
-        return self.group.endpoint(name)
-
     def _ping_once(self, src_nic: Nic, subject) -> bool:
         """Generator -> bool: one ping round-trip, raced with the ping
         timeout; a cut link or a dead subject reads as a miss."""
-
-        def _rpc():
-            yield from self.group.network.send(src_nic, subject.nic,
-                                               PING_BYTES)
-            if not subject.up:
-                return False
-            yield from self.group.network.send(subject.nic, src_nic,
-                                               ACK_BYTES)
-            return True
-
-        def _safe():
-            try:
-                return (yield from _rpc())
-            except MessageDroppedError:
-                return False
-
-        proc = self.sim.process(_safe())
-        done, value = yield from race_with_timeout(
-            self.sim, proc, self.config.ping_timeout_ns
+        group = self.group
+        ok = yield from group._timed(
+            group._round_trip(src_nic, subject, PING_BYTES)
         )
-        return bool(value) if done else False
+        return bool(ok)
 
     def _probe(self, replica: ControllerReplica, target_name: str):
         """Generator -> bool: direct ping, then ping-req via proxies."""
         self.group.pings.add()
-        subject = self._endpoint(target_name)
+        subject = self.group.endpoint(target_name)
         ok = yield from self._ping_once(replica.nic, subject)
         if ok:
             return True
@@ -354,24 +336,14 @@ class SwimDetector:
             pick = int(self._rng(replica.name).integers(0, len(proxies)))
             proxy = proxies.pop(pick)
             self.group.ping_reqs.add()
-            try:
-                # ping-req leg: observer -> proxy, proxy probes, answer
-                # back.  Any cut link on the way reads as a miss.
-                yield from self.group.network.send(
-                    replica.nic, proxy.nic, PING_BYTES
-                )
-                if not proxy.up:
-                    continue
-                ok = yield from self._ping_once(proxy.nic, subject)
-                yield from self.group.network.send(
-                    proxy.nic, replica.nic, ACK_BYTES
-                )
-            except MessageDroppedError:
-                continue
+            # ping-req leg: observer -> proxy, proxy probes, answer
+            # back.  Any cut link on the way reads as a miss.
+            ok = yield from self.group._round_trip(
+                replica.nic, proxy, PING_BYTES,
+                act=lambda: self._ping_once(proxy.nic, subject),
+            )
             if ok:
                 return True
-            if not proxies:
-                break
         return False
 
     # -- state transitions -------------------------------------------------------------
@@ -417,7 +389,7 @@ class SwimDetector:
                 view.state = MEMBER_DEAD
                 view.since_ns = now
                 view.rejoin_since_ns = None
-                self.group._on_confirm(replica.name, subject)
+                self.group._note_membership(replica.name, subject, "confirm")
 
 
 class ControllerGroup:
@@ -536,33 +508,14 @@ class ControllerGroup:
             )
         self.obs = plane
         registry = plane.metrics
-        for counter in (
-            self.pings,
-            self.ping_reqs,
-            self.suspicions,
-            self.refutes,
-            self.confirms,
-            self.rejoins,
-            self.elections,
-            self.election_rounds,
-            self.fences,
-            self.replications,
-            self.replication_failures,
-            self.migrations_resolved,
-        ):
-            registry.register_counter(counter.name, counter)
-        registry.register_callback(
-            "cluster.membership.alive",
-            lambda _now: self.membership_counts()[0],
-        )
-        registry.register_callback(
-            "cluster.membership.suspects",
-            lambda _now: self.membership_counts()[1],
-        )
-        registry.register_callback(
-            "cluster.membership.dead",
-            lambda _now: self.membership_counts()[2],
-        )
+        for counter in vars(self).values():  # the counters of __init__
+            if isinstance(counter, Counter):
+                registry.register_counter(counter.name, counter)
+        for index, state in enumerate(("alive", "suspects", "dead")):
+            registry.register_callback(
+                f"cluster.membership.{state}",
+                lambda _now, index=index: self.membership_counts()[index],
+            )
         registry.register_callback(
             "cluster.election.term", lambda _now: self.term
         )
@@ -612,34 +565,62 @@ class ControllerGroup:
         for replica in self.replicas:
             self.sim.process(self.detector._probe_loop(replica, until_ns))
 
+    # -- messaging ---------------------------------------------------------------------
+    def _round_trip(self, src_nic: Nic, peer, nbytes: int, act=None,
+                    reply_bytes: int = ACK_BYTES, dropped=None):
+        """Generator: one request/ack exchange with ``peer``.
+
+        Sends ``nbytes``; a peer that is down gets no further and the
+        result is None.  Otherwise ``act()`` runs at the peer (an act
+        that returns a generator -- a ping-req's own probe -- runs on
+        simulated time) and its value, True when there is no act, comes
+        back with the ``reply_bytes`` ack.  A message dropped on either
+        leg returns ``dropped``: a cut link reads as a silent peer.
+        """
+        try:
+            yield from self.network.send(src_nic, peer.nic, nbytes)
+            if not peer.up:
+                return None
+            value = True if act is None else act()
+            if isinstance(value, GeneratorType):
+                value = yield from value
+            yield from self.network.send(peer.nic, src_nic, reply_bytes)
+            return value
+        except MessageDroppedError:
+            return dropped
+
+    def _timed(self, exchange):
+        """Generator -> ``exchange``'s value run as its own process, or
+        None when the ping timeout passes first."""
+        proc = self.sim.process(exchange)
+        done, value = yield from race_with_timeout(
+            self.sim, proc, self.swim.ping_timeout_ns
+        )
+        return value if done else None
+
+    def _instant(self, track: str, name: str, **args) -> None:
+        """A trace instant, when an attached trace is enabled."""
+        if self.obs is not None and self.obs.trace.enabled:
+            self.obs.trace.instant(track, name, self.sim.now, **args)
+
     # -- membership events -------------------------------------------------------------
     def _note_membership(self, observer: str, subject: str,
                          event: str) -> None:
+        """Count, log and trace one observer's verdict; a confirmed-dead
+        leader sends a live observer campaigning."""
         counter = {
             "suspect": self.suspicions,
             "refute": self.refutes,
             "rejoin": self.rejoins,
+            "confirm": self.confirms,
         }[event]
         counter.add()
         self.events.append((self.sim.now, observer, subject, event))
-        if self.obs is not None and self.obs.trace.enabled:
-            self.obs.trace.instant(
-                "cluster/membership",
-                f"{event}:{subject}",
-                self.sim.now,
-                observer=observer,
-            )
-
-    def _on_confirm(self, observer: str, subject: str) -> None:
-        self.confirms.add()
-        self.events.append((self.sim.now, observer, subject, "confirm"))
-        if self.obs is not None and self.obs.trace.enabled:
-            self.obs.trace.instant(
-                "cluster/membership",
-                f"confirm:{subject}",
-                self.sim.now,
-                observer=observer,
-            )
+        self._instant(
+            "cluster/membership", f"{event}:{subject}", observer=observer
+        )
+        if event != "confirm":
+            return
         watcher = self._by_name.get(observer)
         leader = self.leader
         if (
@@ -658,6 +639,10 @@ class ControllerGroup:
         self.sim.process(self._election_loop(candidate))
 
     def _election_loop(self, candidate: ControllerReplica):
+        def seen_alive(peer) -> bool:
+            state = self.detector.state(candidate.name, peer.name)
+            return state == MEMBER_ALIVE
+
         try:
             while candidate.up and (
                 self._until_ns is None or self.sim.now < self._until_ns
@@ -665,12 +650,7 @@ class ControllerGroup:
                 leader = self.leader
                 if leader is candidate:
                     return
-                if (
-                    leader is not None
-                    and leader.up
-                    and self.detector.state(candidate.name, leader.name)
-                    == MEMBER_ALIVE
-                ):
+                if leader is not None and leader.up and seen_alive(leader):
                     return  # leadership recovered (new leader, or heal)
                 # Pre-vote guard: a candidate whose own view shows
                 # fewer than a quorum of live replicas (itself
@@ -681,9 +661,7 @@ class ControllerGroup:
                 # stands by until its view recovers.
                 live = 1 + sum(
                     1 for peer in self.replicas
-                    if peer is not candidate
-                    and self.detector.state(candidate.name, peer.name)
-                    == MEMBER_ALIVE
+                    if peer is not candidate and seen_alive(peer)
                 )
                 if live >= self.quorum:
                     # Bully: defer to any better-ranked replica this
@@ -692,8 +670,7 @@ class ControllerGroup:
                         peer for peer in self.replicas
                         if peer.rank < candidate.rank
                         and peer is not leader
-                        and self.detector.state(candidate.name, peer.name)
-                        == MEMBER_ALIVE
+                        and seen_alive(peer)
                     ]
                     if not better:
                         won = yield from self._election_round(candidate)
@@ -707,29 +684,19 @@ class ControllerGroup:
                       voter: ControllerReplica, term: int):
         """Generator -> (granted, voter_term); unreachable = (False, 0)."""
 
-        def _rpc():
-            yield from self.network.send(candidate.nic, voter.nic,
-                                         VOTE_BYTES)
-            if not voter.up:
-                return (False, 0)
+        def grant():
             granted = term > voter.voted_term and term > voter.term
             if granted:
                 voter.voted_term = term
-            yield from self.network.send(voter.nic, candidate.nic,
-                                         VOTE_BYTES)
             return (granted, voter.term)
 
-        def _safe():
-            try:
-                return (yield from _rpc())
-            except MessageDroppedError:
-                return (False, 0)
-
-        proc = self.sim.process(_safe())
-        done, value = yield from race_with_timeout(
-            self.sim, proc, self.swim.ping_timeout_ns
+        result = yield from self._timed(
+            self._round_trip(
+                candidate.nic, voter, VOTE_BYTES, act=grant,
+                reply_bytes=VOTE_BYTES,
+            )
         )
-        return value if done else (False, 0)
+        return result or (False, 0)
 
     def _election_round(self, candidate: ControllerReplica):
         """Generator -> bool: one campaign round at a fresh term."""
@@ -767,45 +734,31 @@ class ControllerGroup:
         self.events.append(
             (self.sim.now, candidate.name, candidate.name, "elect")
         )
-        if self.obs is not None and self.obs.trace.enabled:
-            self.obs.trace.instant(
-                "cluster/election",
-                f"elect:{candidate.name}",
-                self.sim.now,
-                term=term,
-            )
+        self._instant(
+            "cluster/election", f"elect:{candidate.name}", term=term
+        )
+
+        def adopt():
+            peer.term = max(peer.term, term)
+
+        def fence():
+            if term > node.controller_term:
+                node.controller_term = term
+            self.fences.add()
+
         # Announce to every reachable peer so followers adopt the term.
         for peer in self.replicas:
-            if peer is candidate:
-                continue
-            try:
-                yield from self.network.send(
-                    candidate.nic, peer.nic, ANNOUNCE_BYTES
+            if peer is not candidate:
+                yield from self._round_trip(
+                    candidate.nic, peer, ANNOUNCE_BYTES, act=adopt
                 )
-                if peer.up:
-                    peer.term = max(peer.term, term)
-                    yield from self.network.send(
-                        peer.nic, candidate.nic, ACK_BYTES
-                    )
-            except MessageDroppedError:
-                continue
         # Fence every reachable storage node: the deposed leader's
         # commands die there from now on.
         for name in sorted(self.controller.nodes):
             node = self.controller.nodes[name]
-            try:
-                yield from self.network.send(
-                    candidate.nic, node.nic, FENCE_BYTES
-                )
-                if node.up:
-                    if term > node.controller_term:
-                        node.controller_term = term
-                    self.fences.add()
-                    yield from self.network.send(
-                        node.nic, candidate.nic, ACK_BYTES
-                    )
-            except MessageDroppedError:
-                continue
+            yield from self._round_trip(
+                candidate.nic, node, FENCE_BYTES, act=fence
+            )
         self.resolve_inflight()
 
     # -- replicated migration records --------------------------------------------------
@@ -861,49 +814,38 @@ class ControllerGroup:
         ctrl = self.controller
         for node_name in (src_name, dst_name):
             node = ctrl.nodes[node_name]
-            try:
-                yield from self.network.send(
-                    driver.nic, node.nic, COMMAND_BYTES
-                )
-                if node.up:
-                    node.fence_controller(lease.term)
-                    yield from self.network.send(
-                        node.nic, driver.nic, ACK_BYTES
-                    )
-                # A down node is left for the migration's own liveness
-                # checks, which raise the historical NodeDownError.
-            except MessageDroppedError as exc:
+            # A down node is left for the migration's own liveness
+            # checks, which raise the historical NodeDownError.
+            reached = yield from self._round_trip(
+                driver.nic, node, COMMAND_BYTES,
+                act=lambda: node.fence_controller(lease.term),
+                dropped=False,
+            )
+            if reached is False:
                 raise ControllerFencedError(
                     f"leader {driver.name} cut off from {node_name} "
                     f"at {phase} of slice {lease.slice_id}"
-                ) from exc
+                )
         record = MigrationRecord(
             lease.slice_id, phase, src_name, dst_name, lease.term
         )
         acks = 1  # the driver's own copy
         stale = False
+
+        def accept():
+            nonlocal stale
+            if peer.term > lease.term:
+                stale = True  # follower already serves a new leader
+                return False
+            peer.term = max(peer.term, lease.term)
+            return True
+
         for peer in self.replicas:
-            if peer is driver:
-                continue
-            try:
-                yield from self.network.send(
-                    driver.nic, peer.nic, RECORD_BYTES
+            if peer is not driver:
+                acked = yield from self._round_trip(
+                    driver.nic, peer, RECORD_BYTES, act=accept
                 )
-                if not peer.up:
-                    continue
-                if peer.term > lease.term:
-                    stale = True  # follower already serves a new leader
-                    yield from self.network.send(
-                        peer.nic, driver.nic, ACK_BYTES
-                    )
-                    continue
-                peer.term = max(peer.term, lease.term)
-                yield from self.network.send(
-                    peer.nic, driver.nic, ACK_BYTES
-                )
-                acks += 1
-            except MessageDroppedError:
-                continue
+                acks += bool(acked)
         if stale:
             raise ControllerFencedError(
                 f"a follower holds a term newer than {lease.term}; "
@@ -915,11 +857,7 @@ class ControllerGroup:
                 f"{phase} record for slice {lease.slice_id} reached "
                 f"{acks}/{self.quorum} replicas"
             )
-        if not driver.up:
-            raise ControllerFencedError(
-                f"controller {driver.name} died replicating {phase} "
-                f"of slice {lease.slice_id}"
-            )
+        self.check_lease(lease)  # the driver may have died meanwhile
         existing = self.records.get(lease.slice_id)
         if not (
             existing is not None
@@ -939,29 +877,20 @@ class ControllerGroup:
         impossible -- a deposed leader reaching its commit point dies
         here, inside the no-yield commit block.
         """
-        if not lease.replica.up:
-            raise ControllerFencedError(
-                f"controller {lease.replica.name} died before publish"
-            )
+        self.check_lease(lease)
         if lease.term < self.term or self.leader is not lease.replica:
             raise ControllerFencedError(
                 f"deposed leader {lease.replica.name} (term "
                 f"{lease.term} < {self.term}) may not publish routing"
             )
 
-    def note_commit(self, lease: ControllerLease) -> None:
-        record = self.records.get(lease.slice_id)
-        if record is not None and record.term == lease.term:
-            self.records[lease.slice_id] = replace(
-                record, phase=RECORD_COMMITTED
-            )
-
-    def note_abort(self, lease: ControllerLease) -> None:
-        record = self.records.get(lease.slice_id)
-        if record is not None and record.term == lease.term:
-            self.records[lease.slice_id] = replace(
-                record, phase=RECORD_ABORTED
-            )
+    def _settle(self, owner, phase: str) -> None:
+        """Move a slice's record to the terminal ``phase``.  ``owner``
+        is the lease that drove the migration or the record itself;
+        a record a newer term has since written is left alone."""
+        record = self.records.get(owner.slice_id)
+        if record is not None and record.term == owner.term:
+            self.records[owner.slice_id] = replace(record, phase=phase)
 
     def resolve_inflight(self) -> List[Tuple[int, str]]:
         """Resume-or-abort every replicated mid-flight migration.
@@ -972,7 +901,9 @@ class ControllerGroup:
         the cutover (dst owns the slice), the migration committed and
         the record is marked so; otherwise the safe resolution is
         abort -- discard the importing twin on the destination and
-        unfreeze the source, leaving it authoritative.  Returns
+        unfreeze the source, leaving it authoritative.  The units the
+        twin's runs hold are its driver's to give back: a fenced driver
+        always reaches its rollback at its next lease check.  Returns
         ``[(slice_id, resolution), ...]`` for reporting.
         """
         ctrl = self.controller
@@ -990,9 +921,7 @@ class ControllerGroup:
                 and record.src not in entry.replicas
             )
             if committed:
-                self.records[slice_id] = replace(
-                    record, phase=RECORD_COMMITTED
-                )
+                self._settle(record, RECORD_COMMITTED)
                 resolutions.append((slice_id, "adopted"))
             else:
                 dst = ctrl.nodes.get(record.dst)
@@ -1004,18 +933,14 @@ class ControllerGroup:
                 source_slice = hosts.get(record.src)
                 if source_slice is not None:
                     source_slice.write_blocked = False
-                self.records[slice_id] = replace(
-                    record, phase=RECORD_ABORTED
-                )
+                self._settle(record, RECORD_ABORTED)
                 resolutions.append((slice_id, "aborted"))
             self.migrations_resolved.add()
-            if self.obs is not None and self.obs.trace.enabled:
-                self.obs.trace.instant(
-                    "cluster/election",
-                    f"resolve:{resolutions[-1][1]}:slice{slice_id}",
-                    self.sim.now,
-                    phase=record.phase,
-                )
+            self._instant(
+                "cluster/election",
+                f"resolve:{resolutions[-1][1]}:slice{slice_id}",
+                phase=record.phase,
+            )
         return resolutions
 
     def __repr__(self):

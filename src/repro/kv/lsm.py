@@ -248,6 +248,16 @@ class LSMTree:
             self._key_map[key] = run.run_id
 
     # -- migration (snapshot transfer) --------------------------------------------
+    def empty_like(self) -> "LSMTree":
+        """A new, empty LSM with this one's memtable size and WAL mode
+        (and the default compaction policy): the tree a migration twin
+        or a split/merge child starts from."""
+        return LSMTree(
+            memtable_bytes=self.memtable.capacity_bytes,
+            enable_wal=self.wal is not None,
+            durable_wal=self.durable_wal,
+        )
+
     def runs_snapshot(self) -> List[Run]:
         """The registered runs, oldest freeze first.
 

@@ -4,6 +4,8 @@ load-driven rebalancer (crash-during-migration safety lives in
 ``test_migration_faults.py``).
 """
 
+import hashlib
+
 import pytest
 
 from repro.cluster import (
@@ -22,6 +24,28 @@ from repro.qos import MigrationConfig, QosPlan
 from repro.sim import MS, Simulator
 
 VALUE = b"v" * 4096
+
+#: The schedules of the multi-step control-plane runs at the last commit
+#: before the control plane was refactored (``schedule_digest``).
+GOLDEN = {
+    "drain_remove": "af2dcc07d6aeaf02",
+    "split_merge_migrate": "446d1b0e99ba1ea4",
+    "rebalance": "b42a50b558683268",
+}
+
+
+def schedule_digest(sim, ctrl, slice_id) -> str:
+    """Sim time, event sequence number, the slice's routing entry and
+    the migration counters, hashed."""
+    state = (
+        sim.now,
+        sim._seq,
+        ctrl.table.entry(slice_id),
+        ctrl.migrations_started.value,
+        ctrl.migrations_completed.value,
+        ctrl.migrations_aborted.value,
+    )
+    return hashlib.sha256(repr(state).encode()).hexdigest()[:16]
 
 
 def make_cluster(n_nodes=2, **server_kwargs):
@@ -152,6 +176,7 @@ def test_drain_then_remove_node():
     removed = ctrl.remove_node("n0")
     assert removed.slices == []
     assert "n0" not in ctrl.nodes
+    assert schedule_digest(sim, ctrl, sid) == GOLDEN["drain_remove"]
 
 
 def test_remove_node_refuses_while_hosting():
@@ -348,6 +373,7 @@ def test_merged_slice_survives_migration():
     sim.run(until=sim.process(ctrl.migrate_slice(merged, "n0", "n1")))
     assert ctrl.table.entry(merged).replicas == ("n1",)
     assert read_all(sim, ctrl, range(0, 400)) == 0
+    assert schedule_digest(sim, ctrl, merged) == GOLDEN["split_merge_migrate"]
 
 
 def test_merge_requires_matching_replica_sets():
@@ -373,6 +399,7 @@ def test_rebalance_moves_the_hottest_slice_to_the_coldest_node():
     # Watermarks reset: with no fresh traffic, the next pass is a no-op.
     move = sim.run(until=sim.process(ctrl.rebalance()))
     assert move is None
+    assert schedule_digest(sim, ctrl, hot) == GOLDEN["rebalance"]
 
 
 def test_rebalance_balanced_cluster_is_a_no_op():
@@ -428,6 +455,81 @@ def test_controller_attach_fault_plan_arms_abort_points():
     # Aborted cleanly: source still serves, routing unchanged.
     assert ctrl.table.entry(sid).replicas == ("n0",)
     assert read_all(sim, ctrl, range(0, 50)) == 0
+
+
+def _abort_cluster(kind):
+    """An SDF source holding a slice with registered runs, and a
+    ``kind`` target."""
+    from repro.cluster import build_storage_server
+
+    sim, network, ctrl = make_cluster(1)
+    ctrl.add_node(
+        "n1",
+        build_storage_server(
+            sim, [], device_kind=kind, capacity_scale=0.01, n_channels=4
+        ),
+    )
+    sid = ctrl.create_slice(
+        KeyRange(0, 10_000), on=["n0"], memtable_bytes=64 * 1024
+    )
+    fill(sim, ctrl.node("n0"), range(0, 300))
+    sim.run(until=sim.now + 50 * MS)  # let background flushes register runs
+    return sim, ctrl, sid
+
+
+def free_units(server) -> int:
+    return len(server.storage.backend._free)
+
+
+@pytest.mark.parametrize("kind", ["zoned", "conventional"])
+@pytest.mark.parametrize("phase", ["prepare", "copy", "catchup", "cutover"])
+def test_aborted_migration_gives_the_target_its_units_back(phase, kind):
+    from repro.cluster import MIGRATION_ABORT, MIGRATION_SITE
+    from repro.errors import TransientFault
+
+    sim, ctrl, sid = _abort_cluster(kind)
+    ctrl.attach(
+        FaultPlan(seed=3).add(
+            MIGRATION_SITE, MIGRATION_ABORT, at_op=1, where={"phase": phase}
+        )
+    )
+    target = ctrl.node("n1")
+    before = free_units(target)
+    with pytest.raises(TransientFault):
+        sim.run(until=sim.process(ctrl.migrate_slice(sid, "n0", "n1")))
+    sim.run(until=sim.now + 50 * MS)
+    assert free_units(target) == before
+    assert ctrl.migrations_aborted.value == 1
+    # The retry starts over from a target with every unit free.
+    sim.run(until=sim.process(ctrl.migrate_slice(sid, "n0", "n1")))
+    assert ctrl.table.entry(sid).replicas == ("n1",)
+    assert read_all(sim, ctrl, range(0, 300)) == 0
+
+
+def test_target_out_of_units_aborts_cleanly_and_retries():
+    from repro.errors import StorageFullError
+    from repro.kv import Patch, PlaceholderValue
+
+    sim, ctrl, sid = _abort_cluster("zoned")
+    target = ctrl.node("n1")
+    entry = ctrl.table.entry(sid)
+    hogs = [
+        target.storage.functional_store(Patch([(-1, PlaceholderValue(8))]))
+        for _ in range(free_units(target) - 1)
+    ]
+    assert free_units(target) == 1
+    with pytest.raises(StorageFullError):
+        sim.run(until=sim.process(ctrl.migrate_slice(sid, "n0", "n1")))
+    assert ctrl.table.entry(sid) == entry
+    assert not ctrl.replica(sid, "n0").write_blocked
+    assert all(s.slice_id != sid for s in target.slices)
+    assert ctrl.migrations_aborted.value == 1
+    assert free_units(target) == 1
+    for handle in hogs:
+        target.storage.functional_free(handle)
+    sim.run(until=sim.process(ctrl.migrate_slice(sid, "n0", "n1")))
+    assert ctrl.table.entry(sid).replicas == ("n1",)
+    assert read_all(sim, ctrl, range(0, 300)) == 0
 
 
 def test_controller_attach_rejects_unknown_plane():

@@ -19,6 +19,7 @@ fenced off, mirroring how a real control plane re-queues interrupted
 work after an election.
 """
 
+import hashlib
 import json
 import os
 
@@ -50,6 +51,22 @@ FAST = SwimConfig(
     ping_req_fanout=1,
     suspect_timeout_ns=40 * MS,
 )
+#: Hashes of ``Scenario.digest()`` at the last commit before the
+#: control plane was refactored: the clean run and each leader-failure
+#: case of the boundary matrix.
+GOLDEN = {
+    "clean": "41d07f34768d9101",
+    "crash-prepare": "45b987bce5052c69",
+    "crash-copy": "613c5a656de4d791",
+    "crash-catchup": "7937ab0866561003",
+    "crash-cutover": "f73fd927bfc566bb",
+    "crash-cleanup": "9c554b0831f967d6",
+    "partition-prepare": "5041438e071b395b",
+    "partition-copy": "097b0c66d9f28f8f",
+    "partition-catchup": "8034f7d442eda22d",
+    "partition-cutover": "279239dce09609f7",
+    "partition-cleanup": "23c65ff93e75c7d3",
+}
 
 
 class Scenario:
@@ -217,6 +234,9 @@ class Scenario:
             self.ctrl.migrations_aborted.value,
         )
 
+    def digest_hash(self) -> str:
+        return hashlib.sha256(repr(self.digest()).encode()).hexdigest()[:16]
+
 
 def leader_fault_plan(mode: str, at_ns: int) -> FaultPlan:
     plan = FaultPlan(seed=9)
@@ -266,6 +286,7 @@ def boundary(phase: str, seed=SEED) -> int:
 def test_clean_migration_under_replicated_controller():
     scenario = Scenario()
     scenario.run()
+    assert scenario.digest_hash() == GOLDEN["clean"]
     assert scenario.committed
     assert not scenario.retried
     # Quiet leadership: no election ever ran.
@@ -283,6 +304,7 @@ def test_leader_failure_at_phase_boundary(phase, mode):
     plan = leader_fault_plan(mode, at_ns)
     scenario = Scenario(plan)
     scenario.run()
+    assert scenario.digest_hash() == GOLDEN[f"{mode}-{phase}"]
     assert scenario.committed is not None
     if not scenario.committed:
         # The original driver was fenced off pre-commit; the failover
@@ -337,7 +359,7 @@ def test_deposed_leader_cannot_double_cutover():
 
 @pytest.mark.chaos
 def test_chaos_leader_failure_matrix_convergence_report():
-    """The CI ``controller-chaos`` job: the full leader-failure matrix
+    """In the CI ``chaos`` job: the full leader-failure matrix
     (crash and partition at every phase boundary) at this run's
     ``CHAOS_SEED``, with a machine-readable convergence report written
     for the artifact upload when ``CONTROLLER_CHAOS_JSON`` names a

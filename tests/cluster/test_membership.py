@@ -5,6 +5,8 @@ watched storage nodes, metric export, byte-identical determinism, and
 the no-drift contract of the inactive (single-replica) group.
 """
 
+import hashlib
+
 import pytest
 
 from repro.cluster import (
@@ -28,6 +30,9 @@ FAST = SwimConfig(
     ping_req_fanout=1,
     suspect_timeout_ns=40 * MS,
 )
+#: Hash of ``group.events`` of the seed-7 detection replay, recorded at
+#: the last commit before the control plane was refactored.
+GOLDEN_EVENTS = "0081693fb34207a9"
 
 
 def make_group(n_replicas=3, swim=FAST, seed=0, nodes=0, obs=None):
@@ -149,7 +154,12 @@ def test_detection_replays_byte_identically():
             net.bytes_moved,
         )
 
-    assert run(7) == run(7)
+    first = run(7)
+    assert first == run(7)
+    # ...and it is the schedule recorded before the control plane was
+    # refactored (a hash of ``group.events``).
+    events = hashlib.sha256(repr(first[1]).encode()).hexdigest()[:16]
+    assert events == GOLDEN_EVENTS
     # ...and the seed actually matters (different probe orders).
     assert run(7)[2:] != run(11)[2:] or run(7)[1] != run(11)[1]
 
