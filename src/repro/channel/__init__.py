@@ -14,6 +14,6 @@ overlap rules implement real NAND pipelining:
 * ERASE: the plane is busy for tBERS; the bus is untouched.
 """
 
-from repro.channel.engine import ChannelEngine, OP_PRIORITIES, build_engines
+from repro.channel.engine import ChannelEngine, build_engines
 
-__all__ = ["ChannelEngine", "OP_PRIORITIES", "build_engines"]
+__all__ = ["ChannelEngine", "build_engines"]

@@ -1,9 +1,8 @@
 """Per-channel timed execution of flash operations.
 
-The bus and every (chip, plane) are capacity-1 FIFO (or priority)
-resources whose grant/end instants are computed analytically against
-per-resource :class:`~repro.sim.timeline.ResourceTimeline` objects;
-an op reserves each phase at the instant it requests it -- one end
+The bus and every (chip, plane) are capacity-1 FIFO resources whose
+grant/end instants are computed analytically against per-resource
+:class:`~repro.sim.timeline.ResourceTimeline` objects; an op reserves each phase at the instant it requests it -- one end
 event per phase, whose callback requests the next -- and completes in
 the last phase's callback (a batch through one shared countdown).
 
@@ -38,17 +37,7 @@ from repro.nand.timing import NandTiming
 from repro.sim import Event, Simulator
 from repro.sim.engine import _PhaseEnd
 from repro.sim.stats import Counter
-from repro.sim.timeline import BusyUnion, PriorityTimeline, ResourceTimeline
-
-#: Default service priorities (lower = sooner).  The base policy is
-#: FIFO-equal; the paper's future-work scheduler prioritizes on-demand
-#: reads over writes and erases, which `repro.core.scheduler` enables by
-#: passing custom priorities.
-OP_PRIORITIES: Dict[OpKind, int] = {
-    OpKind.READ: 0,
-    OpKind.PROGRAM: 0,
-    OpKind.ERASE: 0,
-}
+from repro.sim.timeline import BusyUnion, ResourceTimeline
 
 
 def _revoked():
@@ -130,7 +119,7 @@ class _PhasedOp:
 
     __slots__ = (
         "engine", "op", "then", "start", "chain", "step",
-        "request", "grant", "wait", "record_wait", "depth",
+        "request", "grant", "wait", "record_wait",
     )
 
     def __init__(self, engine, op, then, start):
@@ -156,26 +145,9 @@ class _PhasedOp:
         else:
             address = op.address
             timeline = engine._tl_planes[(address.chip, address.plane)]
-        request = self.request = sim._now
+        self.request = sim._now
         self.record_wait = sim.obs is not None
-        if engine._uniform_priorities:
-            self.grant = engine._phase_fast(timeline, duration, self.ended)
-            return
-        # Which waiter a priority timeline serves next is decided when
-        # its holder releases: the grant is only known at its hop.
-        depth = self.depth = None if engine._obs is None else engine._depth()
-        if depth is not None:
-            depth.shift(request, 1)
-        timeline.reserve_call(
-            sim, engine.priorities[op.kind], duration, self.granted, self.ended
-        )
-
-    def granted(self, grant: int, end: int) -> None:
-        """A priority timeline's grant hop."""
-        self.grant = grant
-        if self.depth is not None:
-            self.depth.shift(grant, -1)
-        self.engine._busy_union.add(grant, end)
+        self.grant = engine._phase_fast(timeline, duration, self.ended)
 
     def ended(self) -> None:
         """A phase's end instant, where its resource is released: the
@@ -240,13 +212,11 @@ class ChannelEngine:
         geometry: FlashGeometry,
         timing: NandTiming,
         chips_per_channel: int = 2,
-        priorities: Optional[Dict[OpKind, int]] = None,
     ):
         self.sim = sim
         self.channel = channel
         self.geometry = geometry
         self.timing = timing
-        self.priorities = dict(OP_PRIORITIES if priorities is None else priorities)
         self._obs = None
         #: Optional :class:`repro.qos.limits.ChannelQosState` bounding
         #: the ops admitted to this channel; set by
@@ -258,16 +228,9 @@ class ChannelEngine:
             for chip in range(chips_per_channel)
             for plane in range(geometry.planes_per_chip)
         ]
-        #: With equal priorities a priority queue degenerates to FIFO
-        #: and grants are known at request time; non-uniform priorities
-        #: need the waiter heap of a :class:`PriorityTimeline`.
-        self._uniform_priorities = len(set(self.priorities.values())) == 1
-        new_timeline = (
-            ResourceTimeline if self._uniform_priorities else PriorityTimeline
-        )
         #: The shared bus and one contention resource per (chip, plane).
-        self._tl_bus = new_timeline()
-        self._tl_planes = {key: new_timeline() for key in keys}
+        self._tl_bus = ResourceTimeline()
+        self._tl_planes = {key: ResourceTimeline() for key in keys}
         #: An op's phases in order (:class:`_PhasedOp`): a plane phase
         #: as its duration, the bus phase -- as long as the payload
         #: takes -- as None.
@@ -440,8 +403,7 @@ class ChannelEngine:
     READ_AHEAD_PAGES = 32
 
     def can_reserve_ahead(self) -> bool:
-        """True when nothing attached needs an op's per-phase hops: FIFO
-        timelines (a priority grant is only known at its hop), no
+        """True when nothing attached needs an op's per-phase hops: no
         engine observability (queue depth is tracked per phase), no
         hold spans to emit, no STALL rule at this site (one is drawn at
         the op's start instant; a wired injector holding none is, at
@@ -452,7 +414,7 @@ class ChannelEngine:
         :meth:`read_ahead` require it.  An admission gate (``qos``)
         does not decide it: the gate stands in front, and what it
         admits is reserved ahead from its grant hop."""
-        if not self._uniform_priorities or self._obs is not None:
+        if self._obs is not None:
             return False
         sim_obs = self.sim.obs
         if sim_obs is not None and sim_obs.trace.enabled:
@@ -982,12 +944,9 @@ def build_engines(
     geometry: FlashGeometry,
     timing: NandTiming,
     chips_per_channel: int = 2,
-    priorities: Optional[Dict[OpKind, int]] = None,
 ) -> List[ChannelEngine]:
     """One engine per channel, sharing nothing."""
     return [
-        ChannelEngine(
-            sim, channel, geometry, timing, chips_per_channel, priorities
-        )
+        ChannelEngine(sim, channel, geometry, timing, chips_per_channel)
         for channel in range(n_channels)
     ]

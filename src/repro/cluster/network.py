@@ -57,23 +57,6 @@ class Nic:
         self.tx = Resource(sim, capacity=lanes)
         self.rx = Resource(sim, capacity=lanes)
 
-    def _hold(self, lane: Resource, nbytes: int):
-        remaining = max(nbytes, 1)
-        while remaining > 0:
-            chunk = min(remaining, self.chunk_bytes)
-            with lane.request() as hold:
-                yield hold
-                yield self.sim.timeout(transfer_ns(chunk, self.mb_per_s))
-            remaining -= chunk
-
-    def transmit(self, nbytes: int):
-        """Generator: occupy the tx lane for nbytes."""
-        yield from self._hold(self.tx, nbytes)
-
-    def receive(self, nbytes: int):
-        """Generator: occupy the rx lane for nbytes."""
-        yield from self._hold(self.rx, nbytes)
-
 
 class Network:
     """A single switch connecting NICs with fixed fabric latency."""

@@ -4,9 +4,9 @@ SDF's hardware only becomes useful through the software wrapped around
 it (S2.4): a **user-space block layer** that hands out 64-bit block IDs,
 hashes them round-robin across the 44 exposed channels, enforces the
 8 MB write unit, and keeps erase off the write path by erasing freed
-blocks in the background.  The scheduling policies the paper sketches as
-future work (read-priority service, load-balance-aware placement) live
-in :mod:`repro.core.scheduler`.
+blocks in the background.  The placement policy the paper sketches as
+future work (load-balance-aware placement) lives in
+:mod:`repro.core.scheduler`.
 """
 
 from repro.core.api import SDFSystem, build_conventional_ssd, build_sdf_system
@@ -19,7 +19,6 @@ from repro.core.scheduler import (
     LeastLoadedPlacement,
     PlacementPolicy,
     RoundRobinPlacement,
-    read_priority_priorities,
 )
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "RoundRobinPlacement",
     "LeastLoadedPlacement",
     "ErasePolicy",
-    "read_priority_priorities",
     "SDFSystem",
     "build_sdf_system",
     "build_conventional_ssd",

@@ -8,8 +8,6 @@ the ablation benchmarks can compare them:
 * :class:`RoundRobinPlacement` -- ``channel = id % n`` (deployed).
 * :class:`LeastLoadedPlacement` -- pick the channel with the fewest
   outstanding writes (the paper's "load-balance-aware scheduler").
-* :func:`read_priority_priorities` -- channel-engine priorities that let
-  on-demand reads overtake queued writes and erases.
 * :class:`ErasePolicy` -- erase freed blocks in the background
   (deployed: erases scheduled in idle periods) or inline right before
   the next write to the block (the conventional discipline Figure 8
@@ -19,9 +17,7 @@ the ablation benchmarks can compare them:
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, List, Protocol
-
-from repro.ftl.ops import OpKind
+from typing import List, Protocol
 
 
 class ErasePolicy(Enum):
@@ -33,11 +29,6 @@ class ErasePolicy(Enum):
     #: Erase immediately before rewriting a block (write latency then
     #: includes tBERS, as measured for SDF in Figure 8).
     INLINE = "inline"
-
-
-def read_priority_priorities() -> Dict[OpKind, int]:
-    """Engine priorities putting on-demand reads first (paper S2.4)."""
-    return {OpKind.READ: 0, OpKind.PROGRAM: 1, OpKind.ERASE: 2}
 
 
 class PlacementPolicy(Protocol):

@@ -31,9 +31,9 @@ reserves bus and program from the DMA end
 (``ChannelEngine.program_page_ahead``).  On that path no ``FlashOp`` is
 built: the block FTL returns plane runs (``repro.ftl.ops.OpRuns``), the
 read hands them over whole and the write window steps through the
-stripe naming each page's plane.  With engine observability, tracing,
-non-uniform priorities or a fault rule at the site, every phase is its
-own hop (DESIGN.md section 7) and takes the op it is about, built then.
+stripe naming each page's plane.  With engine observability, tracing
+or a fault rule at the site, every phase is its own hop (DESIGN.md
+section 7) and takes the op it is about, built then.
 
 Channel QoS is a gate in front of all this, not a reason to leave it:
 each admission is one grant hop, the op's start instant, and what the
@@ -58,14 +58,14 @@ form.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.channel.engine import ChannelEngine, build_engines
 from repro.devices.base import DeviceStats, base_device_metrics, register_device_metrics
 from repro.ftl.block_ftl import ChannelBlockFTL
-from repro.ftl.ops import OpKind, planes_of
+from repro.ftl.ops import planes_of
 from repro.interfaces.interrupts import InterruptCoalescer
 from repro.interfaces.iostack import IOStackModel, SDF_USER_SPACE_STACK
 from repro.interfaces.link import (
@@ -416,7 +416,6 @@ class SDFDevice:
         link_spec: LinkSpec = PCIE_1_1_X8,
         iostack: IOStackModel = SDF_USER_SPACE_STACK,
         reserve_fraction: float = 0.01,
-        priorities: Optional[Dict[OpKind, int]] = None,
         rng: Optional[np.random.Generator] = None,
         factory_bad_rate: float = 0.0,
         endurance: Optional[int] = None,
@@ -437,7 +436,7 @@ class SDFDevice:
             for channel in range(n_channels)
         ]
         self.engines = build_engines(
-            sim, n_channels, geometry, timing, chips_per_channel, priorities
+            sim, n_channels, geometry, timing, chips_per_channel
         )
         self.link = HostLink(sim, link_spec)
         self.iostack = iostack

@@ -18,7 +18,6 @@ The core abstractions:
 * :class:`~repro.sim.process.Process` -- a generator-based coroutine that
   ``yield``\\ s events.
 * :class:`~repro.sim.resources.Resource`,
-  :class:`~repro.sim.resources.PriorityResource`,
   :class:`~repro.sim.resources.Store` -- contention primitives.
 * :mod:`~repro.sim.stats` -- throughput meters, latency recorders and
   time-weighted statistics used by the benchmark harness.
@@ -27,7 +26,7 @@ The core abstractions:
 from repro.sim.engine import Simulator
 from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
 from repro.sim.process import Process
-from repro.sim.resources import PriorityResource, Resource, Store
+from repro.sim.resources import Resource, Store
 from repro.sim.stats import (
     Counter,
     LatencyRecorder,
@@ -45,7 +44,6 @@ __all__ = [
     "AnyOf",
     "Process",
     "Resource",
-    "PriorityResource",
     "Store",
     "ThroughputMeter",
     "LatencyRecorder",

@@ -16,7 +16,7 @@ import gc
 import heapq
 from typing import Generator, Iterable, Optional
 
-from repro.sim.events import AllOf, AnyOf, Event, PooledTimeout, Timeout
+from repro.sim.events import AllOf, Event, PooledTimeout, Timeout
 from repro.sim.process import Process
 
 
@@ -208,10 +208,6 @@ class Simulator:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that fires when every given event has fired."""
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that fires when the first given event fires."""
-        return AnyOf(self, events)
 
     # -- running ----------------------------------------------------------------
     def peek(self) -> Optional[int]:

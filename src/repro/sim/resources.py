@@ -1,5 +1,4 @@
-"""Contention primitives for simulator processes: Resource,
-PriorityResource, Store.
+"""Contention primitives for simulator processes: Resource, Store.
 
 A ``Resource(capacity=1)`` is a lock a process holds for a duration, a
 ``Store`` a queue between processes.  The timed device models do not
@@ -9,7 +8,6 @@ reservation timelines (:mod:`repro.sim.timeline`).
 
 from __future__ import annotations
 
-import heapq
 import typing
 from collections import deque
 from typing import Optional
@@ -115,63 +113,6 @@ class Resource:
             self._users.add(req)
             # No value: a request that held itself would be a reference
             # cycle, kept until a collection (the holder has ``req``).
-            req.succeed()
-
-    def acquire(self, hold_ns: int):
-        """Convenience process body: acquire, hold ``hold_ns``, release.
-
-        Usage: ``yield from resource.acquire(duration)``.
-        """
-        with self.request() as req:
-            yield req
-            yield self.sim.timeout(hold_ns)
-
-
-class PriorityRequest(Request):
-    """A :class:`PriorityResource` request (lower priority value = sooner)."""
-
-    __slots__ = ("priority", "_order")
-
-    def __init__(self, sim, resource, priority: int, order: int):
-        super().__init__(sim, resource)
-        self.priority = priority
-        self._order = order
-
-    def _key(self):
-        return (self.priority, self._order)
-
-
-class PriorityResource(Resource):
-    """A resource whose wait queue is ordered by request priority."""
-
-    def __init__(self, sim: "Simulator", capacity: int = 1):
-        super().__init__(sim, capacity)
-        self._waiting: list = []
-        self._order = 0
-
-    def request(self, priority: int = 0) -> PriorityRequest:
-        """Ask for a slot; the returned event fires when granted."""
-        self._order += 1
-        req = PriorityRequest(self.sim, self, priority, self._order)
-        heapq.heappush(self._waiting, (req._key(), req))
-        self._grant()
-        return req
-
-    def release(self, request: Request) -> None:
-        """Return a held slot (or cancel a queued request)."""
-        if request in self._users:
-            self._users.discard(request)
-            self._grant()
-        else:
-            self._waiting = [
-                entry for entry in self._waiting if entry[1] is not request
-            ]
-            heapq.heapify(self._waiting)
-
-    def _grant(self) -> None:
-        while self._waiting and len(self._users) < self.capacity:
-            _, req = heapq.heappop(self._waiting)
-            self._users.add(req)
             req.succeed()
 
 

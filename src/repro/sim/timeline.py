@@ -5,8 +5,8 @@ A process-per-op scheduler (``tests/channel/reference_engine.py``, the
 test oracle; "the generator path" or "the slow path" below) models
 every contended resource as a
 :class:`~repro.sim.resources.Resource` and spends one process
-suspension per acquire/hold/release.  For capacity-1 FIFO resources with
-uniform priorities the same schedule can be computed *analytically*: a
+suspension per acquire/hold/release.  For capacity-1 FIFO resources
+the same schedule can be computed *analytically*: a
 resource is a single "next free" timestamp, a request made at ``now``
 is granted at ``max(now, free_at)`` and the end of service is
 ``grant + duration``.  :class:`ResourceTimeline` is that timestamp;
@@ -41,7 +41,6 @@ Equivalence rules (the contract the no-drift suite enforces):
 from __future__ import annotations
 
 from array import array
-from heapq import heappop, heappush
 
 import numpy as np
 
@@ -124,74 +123,6 @@ class ResourceTimeline:
 
     def __repr__(self):
         return f"ResourceTimeline(free_at={self.free_at})"
-
-
-class PriorityTimeline:
-    """Analytic mirror of a capacity-1 ``PriorityResource``.
-
-    Unlike :class:`ResourceTimeline`, grant instants under non-uniform
-    priorities cannot be computed at request time: which waiter runs
-    next is decided when the current holder releases.  So this timeline
-    keeps the waiter heap explicitly -- ordered by ``(priority, order)``
-    exactly like ``PriorityResource`` -- but still schedules only two
-    events per phase (one grant hop, one end) instead of running a
-    process.
-
-    Event-shape equivalence with the generator path:
-
-    * an immediate grant on the slow path is still one scheduled event
-      (``Request.succeed`` schedules the grant), so :meth:`reserve_call`
-      always pays exactly one grant hop;
-    * a queued waiter is granted inside the holder's release, *before*
-      the holder's process continuation runs -- :meth:`_start`'s end
-      callback grants the next waiter first, then runs the holder's
-      continuation, preserving same-instant seq order.
-    """
-
-    __slots__ = ("_waiting", "_order", "_busy")
-
-    def __init__(self):
-        self._waiting: list = []
-        self._order = 0
-        self._busy = False
-
-    def reserve_call(self, sim, priority: int, duration_ns: int, granted, fn):
-        """Queue one phase: ``granted(grant, end)`` runs at the grant
-        instant, ``fn()`` at the end instant."""
-        self._order += 1
-        entry = (priority, self._order, duration_ns, granted, fn)
-        if self._busy:
-            heappush(self._waiting, entry)
-        else:
-            self._start(sim, entry)
-
-    def _start(self, sim, entry) -> None:
-        self._busy = True
-        _priority, _order, duration_ns, granted, fn = entry
-
-        def hop():
-            grant = sim._now
-            granted(grant, grant + duration_ns)
-
-            def ended():
-                # Grant the successor (or go idle) BEFORE the holder's
-                # continuation, matching the slow path's release-inside-
-                # the-with-exit ordering.
-                if self._waiting:
-                    self._start(sim, heappop(self._waiting))
-                else:
-                    self._busy = False
-                fn()
-
-            sim._schedule_call(ended, duration_ns)
-
-        sim._schedule_call(hop, 0)
-
-    def __repr__(self):
-        return (
-            f"PriorityTimeline(busy={self._busy}, "
-            f"waiting={len(self._waiting)})"
-        )
 
 
 class BusyUnion:

@@ -3,9 +3,9 @@
 This is the scheduler ``repro.channel.engine`` used to carry as its
 "generator" twin, kept outside the product as the oracle the
 differential test compares :class:`~repro.channel.engine.ChannelEngine`
-against: the bus and every (chip, plane) are capacity-1
-:class:`~repro.sim.PriorityResource` objects, an op is a process that
-acquires and holds them phase by phase, admission is a plain
+against: the bus and every (chip, plane) are capacity-1 FIFO
+:class:`~repro.sim.Resource` objects, an op is a process that
+acquires and holds them phase by phase, admission is a
 :class:`~repro.sim.Resource` of ``max_inflight`` slots, and busy time is
 an in-service counter.  Slow and obviously right; never optimise it.
 
@@ -13,11 +13,11 @@ an in-service counter.  Slow and obviously right; never optimise it.
 process-per-op batch drivers; they work on either engine.
 """
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.faults.injector import NULL_INJECTOR, STALL
 from repro.ftl.ops import FlashOp, OpKind
-from repro.sim import AllOf, PriorityResource, Resource
+from repro.sim import AllOf, Resource
 
 
 def execute_all(engine, ops):
@@ -48,15 +48,13 @@ class ReferenceEngine:
         geometry,
         timing,
         chips_per_channel: int = 2,
-        priorities: Optional[Dict[OpKind, int]] = None,
         max_inflight: Optional[int] = None,
     ):
         self.sim = sim
         self.timing = timing
-        self.priorities = priorities or dict.fromkeys(OpKind, 0)
-        self.bus = PriorityResource(sim, capacity=1)
+        self.bus = Resource(sim, capacity=1)
         self.planes = {
-            (chip, plane): PriorityResource(sim, capacity=1)
+            (chip, plane): Resource(sim, capacity=1)
             for chip in range(chips_per_channel)
             for plane in range(geometry.planes_per_chip)
         }
@@ -88,12 +86,12 @@ class ReferenceEngine:
         return busy / now
 
     # -- execution -----------------------------------------------------------------
-    def _phase(self, resource, priority: int, duration_ns: int):
+    def _phase(self, resource, duration_ns: int):
         """Acquire ``resource``, hold it for the service time; returns
         the queue wait (grant minus request)."""
         sim = self.sim
         queued = sim.now
-        with resource.request(priority) as hold:
+        with resource.request() as hold:
             yield hold
             granted = sim.now
             if self._in_service == 0:
@@ -115,20 +113,19 @@ class ReferenceEngine:
             # A controller hiccup: the op sits on the channel doing
             # nothing before contending for resources.
             yield self.sim.timeout(stall_ns)
-        priority = self.priorities[op.kind]
         plane = self.planes[(op.address.chip, op.address.plane)]
         timing = self.timing
         bus_ns = timing.bus_transfer_ns(op.nbytes)
         if op.kind is OpKind.READ:
             # Sense into the plane register, then stream over the bus.
-            wait = yield from self._phase(plane, priority, timing.t_read_ns)
-            wait += yield from self._phase(self.bus, priority, bus_ns)
+            wait = yield from self._phase(plane, timing.t_read_ns)
+            wait += yield from self._phase(self.bus, bus_ns)
         elif op.kind is OpKind.PROGRAM:
             # Stream into the chip register, then program the cells.
-            wait = yield from self._phase(self.bus, priority, bus_ns)
-            wait += yield from self._phase(plane, priority, timing.t_prog_ns)
+            wait = yield from self._phase(self.bus, bus_ns)
+            wait += yield from self._phase(plane, timing.t_prog_ns)
         else:
-            wait = yield from self._phase(plane, priority, timing.t_erase_ns)
+            wait = yield from self._phase(plane, timing.t_erase_ns)
         self.ops_executed += 1
         self.wait_ns += wait
 

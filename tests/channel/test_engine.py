@@ -4,7 +4,7 @@ rules that reproduce the paper's per-channel bandwidth arithmetic."""
 import pytest
 
 from repro.channel import ChannelEngine, build_engines
-from repro.ftl.ops import OpKind, erase_op, program_op, read_op
+from repro.ftl.ops import erase_op, program_op, read_op
 from repro.nand import MICRON_25NM_MLC, SDF_CHIP_GEOMETRY
 from repro.nand.array import PhysicalAddress
 from repro.sim import Event, Simulator, US
@@ -16,14 +16,13 @@ PAGE = SDF_CHIP_GEOMETRY.page_size  # 8 KiB
 TIMING = MICRON_25NM_MLC
 
 
-def make_engine(sim, priorities=None):
+def make_engine(sim):
     return ChannelEngine(
         sim,
         channel=0,
         geometry=SDF_CHIP_GEOMETRY,
         timing=TIMING,
         chips_per_channel=2,
-        priorities=priorities,
     )
 
 
@@ -31,9 +30,9 @@ def addr(chip=0, plane=0, block=0, page=0):
     return PhysicalAddress(0, chip, plane, block, page)
 
 
-def run_ops(ops, sequential=False, priorities=None):
+def run_ops(ops, sequential=False):
     sim = Simulator()
-    engine = make_engine(sim, priorities)
+    engine = make_engine(sim)
 
     def proc():
         if sequential:
@@ -136,26 +135,6 @@ def test_erase_holds_plane_but_not_bus():
     sim.run()
     assert finish_times["read-other-plane"] < 400 * US
     assert finish_times["read-same-plane"] > 3_000 * US
-
-
-def test_priority_lets_reads_jump_erase_queue():
-    """With read priority enabled, a read issued while erases are queued
-    on the same plane is served before the queued erase."""
-    priorities = {OpKind.READ: 0, OpKind.PROGRAM: 1, OpKind.ERASE: 2}
-    sim = Simulator()
-    engine = make_engine(sim, priorities)
-    order = []
-
-    def run(tag, op, delay=0):
-        yield sim.timeout(delay)
-        yield from engine.execute(op)
-        order.append(tag)
-
-    sim.process(run("erase-1", erase_op(addr())))  # starts immediately
-    sim.process(run("erase-2", erase_op(addr()), delay=1))
-    sim.process(run("read", read_op(addr(page=1), PAGE), delay=2))
-    sim.run()
-    assert order.index("read") < order.index("erase-2")
 
 
 def test_wrong_channel_rejected():

@@ -294,47 +294,6 @@ def ops_soup(geometry, n, kinds):
     return ops
 
 
-def test_nonuniform_priorities_stay_fast_and_match():
-    """Non-uniform op priorities route to the priority-aware analytic
-    queue; the reordered schedule must match the one the generator's
-    PriorityResource produced, byte for byte."""
-    geometry = SDF_CHIP_GEOMETRY.scaled(0.01)
-    priorities = {OpKind.READ: 0, OpKind.PROGRAM: 1, OpKind.ERASE: 2}
-    kinds = (OpKind.ERASE, OpKind.PROGRAM, OpKind.READ)
-
-    def run(trace):
-        sim = Simulator()
-        engine = build_engines(sim, 1, geometry, MICRON_25NM_MLC, 2,
-                               priorities=priorities)[0]
-        obs = Observability(trace=trace) if trace else None
-        if obs is not None:
-            sim.obs = obs
-            engine.obs = obs
-        done = {}
-
-        def scenario():
-            # Two waves so later requests queue behind reordered
-            # earlier ones.
-            yield from engine.execute_batch(ops_soup(geometry, 18, kinds))
-            yield from engine.execute_batch(ops_soup(geometry, 12, kinds))
-            done["at"] = sim.now
-
-        sim.run(until=sim.process(scenario()))
-        spans = span_signature(obs) if obs is not None else ()
-        return (
-            done["at"],
-            engine.ops_executed.value,
-            engine.wait_ns.value,
-            engine.busy_value(sim.now),
-            spans,
-        )
-
-    for trace in (False, True):
-        result = run(trace)
-        assert bool(result[4]) == trace  # spans recorded iff tracing
-        check_golden(f"nonuniform_priorities[{trace}]", result)
-
-
 def test_quiet_link_fault_plan_stays_fast():
     """A fault plan with no link rules (the fleet-day shape: node
     crashes only) makes no link RNG draw and injects nothing."""

@@ -35,23 +35,27 @@ PRELOAD = range(0, 80)  # acked before the migration starts
 LIVE = range(80, 200)  # written concurrently with the migration
 CRASH_DOWNTIME = 80 * MS
 
-#: The schedule each case ran at the last commit before the control
-#: plane was refactored (``schedule_digest``); a change to it must be a
-#: deliberate one.  The four ``src`` cases whose migration aborts were
-#: re-recorded when the rollback began giving the twin's units back
-#: (their crash lands at one instant, hence one digest).
+#: The schedule each case runs (``schedule_digest``); a change to it
+#: must be a deliberate one.  Re-recorded when the preload began waiting
+#: for the source's flushes to land: it used to wait a fixed 50 ms, one
+#: 8 MB patch flush takes about 310 ms, and the migration started with
+#: no runs and two pending patches on the source.  Copy and catch-up
+#: then shipped nothing, prepare, copy, catchup and cutover began at one
+#: instant, and the four ``src`` cases crashing there shared one digest.
+#: Prepare and copy still share an instant, so their cases still share a
+#: digest.
 GOLDEN = {
-    "clean": "b11ce59817cce2f2",
-    "src-prepare": "d58f0033a1ae00aa",
-    "src-copy": "d58f0033a1ae00aa",
-    "src-catchup": "d58f0033a1ae00aa",
-    "src-cutover": "d58f0033a1ae00aa",
-    "src-cleanup": "99b3c6a0b0117b38",
-    "dst-prepare": "685913aae3b035d9",
-    "dst-copy": "685913aae3b035d9",
-    "dst-catchup": "685913aae3b035d9",
-    "dst-cutover": "685913aae3b035d9",
-    "dst-cleanup": "87a18ce6e0f98583",
+    "clean": "dd2661b61e1ded47",
+    "src-prepare": "a1ba7ee1e612a204",
+    "src-copy": "a1ba7ee1e612a204",
+    "src-catchup": "3726b7c40a5b44f9",
+    "src-cutover": "759ba9c56ceda1b8",
+    "src-cleanup": "6078473e60df822a",
+    "dst-prepare": "2bf39e0bf4589bdf",
+    "dst-copy": "2bf39e0bf4589bdf",
+    "dst-catchup": "2bf39e0bf4589bdf",
+    "dst-cutover": "2bf39e0bf4589bdf",
+    "dst-cleanup": "7de62a4c369ba90e",
 }
 
 
@@ -104,7 +108,10 @@ class Scenario:
                 self.acked.add(key)
 
         self.sim.run(until=self.sim.process(_fill()))
-        self.sim.run(until=self.sim.now + 50 * MS)  # flushes settle
+        # Flushes settle: the migration then has runs to copy.
+        lsm = self.ctrl.replica(self.sid, "src").lsm
+        while lsm.n_pending:
+            self.sim.run(until=self.sim.now + 50 * MS)
 
     def writer(self):
         """Routed writes racing the migration.  Redirects on epoch
@@ -188,6 +195,12 @@ def record_boundaries():
     scenario.run()
     assert scenario.committed
     assert set(times) == set(MIGRATION_PHASES)
+    # Each crash case must land inside a phase of its own.  Prepare does
+    # no simulated work without a controller group, so it shares copy's
+    # instant; every phase after it starts strictly later.
+    starts = [times[phase] for phase in MIGRATION_PHASES]
+    assert starts[0] == starts[1]
+    assert all(a < b for a, b in zip(starts[1:], starts[2:]))
     return times
 
 

@@ -1,14 +1,6 @@
 """Unit tests for placement/erase scheduling policies."""
 
-import pytest
-
-from repro.core import (
-    ErasePolicy,
-    LeastLoadedPlacement,
-    RoundRobinPlacement,
-    read_priority_priorities,
-)
-from repro.ftl.ops import OpKind
+from repro.core import ErasePolicy, LeastLoadedPlacement, RoundRobinPlacement
 
 
 def test_round_robin_is_modular():
@@ -62,12 +54,6 @@ def test_least_loaded_fixed_sequence_is_stable():
     ]
     got = [policy.choose(i, loads) for i, (loads, _) in enumerate(sequence)]
     assert got == [expected for _, expected in sequence]
-
-
-def test_read_priority_ordering():
-    priorities = read_priority_priorities()
-    assert priorities[OpKind.READ] < priorities[OpKind.PROGRAM]
-    assert priorities[OpKind.PROGRAM] < priorities[OpKind.ERASE]
 
 
 def test_erase_policy_values():

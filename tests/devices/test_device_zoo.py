@@ -126,6 +126,9 @@ def test_stale_spec_key_is_a_config_error_naming_the_vocabulary(kind):
     assert "capacity_scale" in str(err.value)
     with pytest.raises(ConfigError, match="does not accept 'mode'"):
         DeviceSpec(kind, {"capacity_scale": SCALE, "mode": "generator"})
+    # So does the retired channel-queue ``priorities`` knob.
+    with pytest.raises(ConfigError, match="does not accept 'priorities'"):
+        build_device(kind, priorities={})
     # Keys forwarded through ``**overrides`` to the device constructor
     # stay accepted.
     if kind in ("sdf", "zoned"):

@@ -1,8 +1,8 @@
-"""Unit tests for Resource / PriorityResource / Store."""
+"""Unit tests for Resource / Store."""
 
 import pytest
 
-from repro.sim import PriorityResource, Resource, Simulator, Store
+from repro.sim import Resource, Simulator, Store
 
 
 def test_resource_serializes_holders():
@@ -74,70 +74,85 @@ def test_resource_counters():
     assert res.queue_length == 1
 
 
-def test_acquire_helper_holds_for_duration():
+@pytest.mark.parametrize("form", ["request", "request_call"])
+def test_request_call_runs_fn_where_a_request_waiter_resumes(form):
+    """Granted at the holder's release, ``fn`` runs in the event the
+    grant schedules -- where a ``request()`` waiter resumes: not inside
+    the release, and ahead of anything scheduled after it."""
     sim = Simulator()
     res = Resource(sim, 1)
-    trace = []
+    holder = res.request()
+    log = []
 
-    def worker(wid):
-        yield from res.acquire(5)
-        trace.append((wid, sim.now))
+    def waiter():
+        yield res.request()
+        log.append(("granted", sim.now))
 
-    sim.process(worker("a"))
-    sim.process(worker("b"))
+    if form == "request":
+        sim.process(waiter())
+    else:
+        res.request_call(lambda: log.append(("granted", sim.now)))
+
+    def releaser():
+        yield sim.timeout(7)
+        res.release(holder)
+        assert log == []
+        sim.timeout(0).add_callback(lambda _: log.append(("after", sim.now)))
+
+    sim.process(releaser())
     sim.run()
-    assert trace == [("a", 5), ("b", 10)]
+    assert log == [("granted", 7), ("after", 7)]
 
 
-def test_priority_resource_orders_by_priority():
+def test_request_and_request_call_tickets_interleave_fifo():
     sim = Simulator()
-    res = PriorityResource(sim, 1)
+    res = Resource(sim, 1)
     order = []
+    tickets = {}
 
-    def worker(name, priority, arrive):
-        yield sim.timeout(arrive)
-        with res.request(priority=priority) as req:
-            yield req
-            order.append(name)
-            yield sim.timeout(100)
+    def granted(name):
+        order.append((name, sim.now))
+        sim.timeout(10).add_callback(lambda _: res.release(tickets[name]))
 
-    # "hold" grabs the resource first; others queue and are served by priority.
-    sim.process(worker("hold", 0, 0))
-    sim.process(worker("low", 5, 1))
-    sim.process(worker("high", 1, 2))
-    sim.process(worker("mid", 3, 3))
+    def call(name):
+        tickets[name] = res.request_call(lambda: granted(name))
+
+    def plain(name):
+        tickets[name] = res.request()
+        tickets[name].add_callback(lambda _: granted(name))
+
+    for name in "abcde":
+        (call if name in "ace" else plain)(name)
     sim.run()
-    assert order == ["hold", "high", "mid", "low"]
+    assert order == [("a", 0), ("b", 10), ("c", 20), ("d", 30), ("e", 40)]
 
 
-def test_priority_resource_fifo_within_same_priority():
+def test_releasing_a_queued_call_ticket_cancels_it():
     sim = Simulator()
-    res = PriorityResource(sim, 1)
-    order = []
-
-    def worker(name, arrive):
-        yield sim.timeout(arrive)
-        with res.request(priority=2) as req:
-            yield req
-            order.append(name)
-            yield sim.timeout(10)
-
-    for idx, name in enumerate(["first", "second", "third"]):
-        sim.process(worker(name, idx))
+    res = Resource(sim, 1)
+    holder = res.request()
+    calls = []
+    cancelled = res.request_call(lambda: calls.append("cancelled"))
+    res.request_call(lambda: calls.append("next"))
+    res.release(cancelled)
+    assert res.queue_length == 1
+    res.release(holder)
     sim.run()
-    assert order == ["first", "second", "third"]
+    assert calls == ["next"]
+    assert res.count == 1 and res.queue_length == 0
 
 
-def test_priority_resource_cancel_queued_request():
+def test_call_ticket_drops_fn_once_granted():
     sim = Simulator()
-    res = PriorityResource(sim, 1)
-    hold = res.request(priority=0)
-    queued = res.request(priority=1)
+    res = Resource(sim, 1)
+    calls = []
+    ticket = res.request_call(lambda: calls.append(sim.now))
+    assert ticket.fn is not None
     sim.run()
-    res.release(queued)
-    res.release(hold)
-    sim.run()
-    assert res.count == 0 and res.queue_length == 0
+    assert calls == [0]
+    assert ticket.fn is None and ticket.processed
+    res.release(ticket)
+    assert res.count == 0
 
 
 def test_store_fifo_order():
