@@ -17,7 +17,7 @@ asserts the paper's architectural claims *and* their boundary:
   read-modify-write an entire 8 MB erase block.
 
 Set ``DEVICE_ABLATION_JSON=/path.json`` to dump the artifact (the CI
-``device-ablation-smoke`` job uploads it).
+``plane-smokes`` job uploads it).
 """
 
 from __future__ import annotations

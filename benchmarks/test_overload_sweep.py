@@ -28,7 +28,7 @@ import numpy as np
 from _bench_common import build_server, emit, preload_keys, run_once
 
 from repro.faults.errors import TransientFault
-from repro.qos import AdmissionConfig, QosPlan, attach_server_qos
+from repro.qos import AdmissionConfig, QosPlan
 from repro.sim import AllOf, Simulator
 from repro.sim.units import MS
 
@@ -87,7 +87,7 @@ def run_at_rate(
     max_reads = max(4, int(capacity_rps * 0.45 * DEADLINE_NS / 1e9))
     if admission:
         plan = QosPlan(admission=AdmissionConfig(max_reads=max_reads))
-        attach_server_qos(plan, server, name="node")
+        plan.attach(server, "node")
     interarrival_ns = max(1, int(1e9 / (capacity_rps * multiplier)))
     rng = np.random.default_rng(23)
 

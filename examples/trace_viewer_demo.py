@@ -26,8 +26,8 @@ from repro.sim.units import MS
 def main() -> None:
     out_path = sys.argv[1] if len(sys.argv) > 1 else "sdf.trace.json"
 
-    obs = Observability(trace=True)
-    system = build_sdf_system(capacity_scale=0.004, n_channels=4, obs=obs)
+    system = build_sdf_system(capacity_scale=0.004, n_channels=4)
+    obs = Observability(trace=True).attach(system)
 
     # --- a small mixed workload -------------------------------------------
     payload = b"<html>software-defined flash</html>" * 100

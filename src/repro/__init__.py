@@ -14,9 +14,11 @@ The package implements, in pure Python:
   runs on (:mod:`repro.kv`, :mod:`repro.cluster`, :mod:`repro.workloads`);
 * analytic models for capacity, cost and reliability
   (:mod:`repro.analysis`);
-* observability (:mod:`repro.obs`) and deterministic fault injection
-  (:mod:`repro.faults`), both attachable to an already-built system
-  behind no-op defaults.
+* four opt-in planes -- observability (:mod:`repro.obs`), deterministic
+  fault injection (:mod:`repro.faults`), overload protection
+  (:mod:`repro.qos`) and self-tuning (:mod:`repro.policy`) -- each
+  attaching itself to an already-built component
+  (``plane.attach(target)``) behind no-op defaults.
 
 Quickstart::
 

@@ -219,8 +219,8 @@ class ChannelEngine:
         self.timing = timing
         self._obs = None
         #: Optional :class:`repro.qos.limits.ChannelQosState` bounding
-        #: the ops admitted to this channel; set by
-        #: ``repro.qos.attach_device_qos``.  None keeps admission free.
+        #: the ops admitted to this channel; set by ``QosPlan.attach``.
+        #: None keeps admission free.
         #: A gate in front of whichever path an op takes, not a path.
         self.qos = None
         keys = [

@@ -251,52 +251,6 @@ class ClusterController:
         #: burst that would otherwise read as fresh load skew).
         self._rebalance_cooldown = 0
 
-    # -- plane wiring ------------------------------------------------------------------
-    def attach(self, plane) -> "ClusterController":
-        """Wire one plane into the controller itself.
-
-        * ``Observability`` -- migration/routing counters become
-          snapshot metrics; migrations emit phase spans;
-        * ``FaultPlan`` -- the plan's ``migration`` site drives the
-          phase-boundary abort points;
-        * ``QosPlan`` -- its :class:`~repro.qos.config.MigrationConfig`
-          becomes the copy budget;
-        * ``PolicyPlan`` -- the controller becomes the plan's
-          control-plane actuator (rebalance, split, migration pacing).
-
-        Node-level planes are attached per node via
-        :meth:`StorageServer.attach`, not here.
-        """
-        from repro.faults.plan import FaultPlan
-        from repro.obs.attach import Observability
-        from repro.policy.engine import PolicyPlan
-        from repro.qos.config import QosPlan
-
-        if isinstance(plane, Observability):
-            self.obs = plane
-            registry = plane.metrics
-            for counter in vars(self).values():  # the cluster.* counters
-                if isinstance(counter, Counter):
-                    registry.register_counter(counter.name, counter)
-            registry.register_callback(
-                "cluster.routing_version", lambda _now: self.table.version
-            )
-            registry.register_callback(
-                "cluster.nodes", lambda _now: len(self.nodes)
-            )
-        elif isinstance(plane, FaultPlan):
-            self.faults = plane.injector(MIGRATION_SITE)
-        elif isinstance(plane, QosPlan):
-            self.migration_budget = plane.migration
-        elif isinstance(plane, PolicyPlan):
-            plane._bind_controller(self)
-        else:
-            raise TypeError(
-                f"don't know how to attach {type(plane).__name__}; expected "
-                "Observability, FaultPlan, QosPlan or PolicyPlan"
-            )
-        return self
-
     # -- membership --------------------------------------------------------------------
     def add_node(self, name: str, server: StorageServer) -> None:
         """Enroll a (possibly slice-less) server under ``name``.

@@ -496,31 +496,6 @@ class ControllerGroup:
             if name not in self.watched:
                 self.watch(name, self.controller.nodes[name])
 
-    # -- plane wiring ------------------------------------------------------------------
-    def attach(self, plane) -> "ControllerGroup":
-        """Wire a plane into the group (currently: ``Observability``)."""
-        from repro.obs.attach import Observability
-
-        if not isinstance(plane, Observability):
-            raise TypeError(
-                f"don't know how to attach {type(plane).__name__}; "
-                "expected Observability"
-            )
-        self.obs = plane
-        registry = plane.metrics
-        for counter in vars(self).values():  # the counters of __init__
-            if isinstance(counter, Counter):
-                registry.register_counter(counter.name, counter)
-        for index, state in enumerate(("alive", "suspects", "dead")):
-            registry.register_callback(
-                f"cluster.membership.{state}",
-                lambda _now, index=index: self.membership_counts()[index],
-            )
-        registry.register_callback(
-            "cluster.election.term", lambda _now: self.term
-        )
-        return self
-
     def membership_counts(self) -> Tuple[int, int, int]:
         """(alive, suspect, dead) from the authoritative observer --
         the lowest-rank live replica (the leader's own view wherever

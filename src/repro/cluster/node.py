@@ -344,10 +344,11 @@ class StorageServer:
         self.gets = Counter("server.gets")
         self.puts = Counter("server.puts")
         self.scans = Counter("server.scans")
-        #: Optional :class:`repro.obs.Observability`; see :meth:`attach_obs`.
+        #: Optional :class:`repro.obs.Observability`; set by
+        #: ``Observability.attach``.
         self.obs = None
         #: Optional :class:`repro.qos.admission.AdmissionController`; set
-        #: by ``repro.qos.attach_server_qos``.  None keeps every request
+        #: by ``QosPlan.attach``.  None keeps every request
         #: admitted unconditionally.
         self.qos = None
         #: CPU latency multiplier (brownout fault); 1.0 = healthy.
@@ -369,49 +370,6 @@ class StorageServer:
         if enable_compaction:
             for slice_ in self.slices:
                 sim.process(self._compactor(slice_))
-
-    # -- plane wiring ------------------------------------------------------------------
-    def attach(self, plane, *, name: str = "server") -> "StorageServer":
-        """Wire one plane into this server, dispatching on plane type.
-
-        The unified entry point for every opt-in plane:
-
-        * :class:`repro.obs.Observability` -- request metrics, per-slice
-          counters and trace spans (``name`` is unused);
-        * :class:`repro.faults.FaultPlan` -- the server becomes the
-          scheduled-fault target at site ``name`` and the device layers
-          underneath gain their injectors (sites ``{name}.*``);
-        * :class:`repro.qos.QosPlan` -- admission control/write stalls
-          on this server plus channel bounds below it (metrics prefixed
-          ``{name}``);
-        * :class:`repro.policy.PolicyPlan` -- the server is recorded
-          under ``name`` as an actuator target for policy actions.
-
-        Returns ``self`` so attachments chain fluently.
-        """
-        from repro.faults.plan import FaultPlan
-        from repro.obs.attach import Observability
-        from repro.policy.engine import PolicyPlan
-        from repro.qos.config import QosPlan
-
-        if isinstance(plane, Observability):
-            self.attach_obs(plane)
-        elif isinstance(plane, FaultPlan):
-            from repro.faults.wire import attach_server_faults
-
-            attach_server_faults(plane, self, site=name)
-        elif isinstance(plane, QosPlan):
-            from repro.qos.wire import attach_server_qos
-
-            attach_server_qos(plane, self, name=name)
-        elif isinstance(plane, PolicyPlan):
-            plane._bind_server(name, self)
-        else:
-            raise TypeError(
-                f"don't know how to attach {type(plane).__name__}; expected "
-                "Observability, FaultPlan, QosPlan or PolicyPlan"
-            )
-        return self
 
     # -- slice hosting -----------------------------------------------------------------
     def add_slice(self, slice_: Slice, importing: bool = False) -> None:
@@ -462,21 +420,6 @@ class StorageServer:
             poke.put(True)  # wake the compactor so it can exit
 
     # -- observability -----------------------------------------------------------------
-    def attach_obs(self, obs) -> None:
-        """Wire this server into an :class:`repro.obs.Observability`.
-
-        Request counters and per-slice counters become snapshot metrics;
-        gets/puts additionally record latency histograms and, when
-        tracing is on, per-slice request spans with queue-wait split out.
-        """
-        self.obs = obs
-        registry = obs.metrics
-        registry.register_counter("server.gets", self.gets)
-        registry.register_counter("server.puts", self.puts)
-        registry.register_counter("server.scans", self.scans)
-        for slice_ in self.slices:
-            slice_.bind_metrics(registry)
-
     def _note_request(
         self,
         kind: str,

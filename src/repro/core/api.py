@@ -40,50 +40,6 @@ class SDFSystem:
         self.device = device
         self.block_layer = block_layer
 
-    # -- plane wiring ------------------------------------------------------------------
-    def attach(self, plane, *, prefix: str = "") -> "SDFSystem":
-        """Wire one opt-in plane into this system, dispatching on type.
-
-        The single entry point for post-construction wiring:
-
-        * :class:`repro.obs.Observability` -- device + block-layer
-          metrics, traces and resource spans;
-        * :class:`repro.faults.FaultPlan` -- chip/engine/FTL/link fault
-          injectors (sites under ``prefix``);
-        * :class:`repro.qos.QosPlan` -- channel and block-layer bounds
-          (metrics under ``prefix``);
-        * :class:`repro.policy.PolicyPlan` -- declarative self-tuning
-          rules (the plan records this system as an actuator target).
-
-        Returns ``self`` so attachments chain::
-
-            system = build_sdf_system(capacity_scale=0.01)
-            system.attach(obs).attach(plan)
-        """
-        from repro.faults.plan import FaultPlan
-        from repro.obs.attach import Observability, _wire_system
-        from repro.policy.engine import PolicyPlan
-        from repro.qos.config import QosPlan
-
-        if isinstance(plane, Observability):
-            _wire_system(plane, self)
-        elif isinstance(plane, FaultPlan):
-            from repro.faults.wire import _wire_system_faults
-
-            _wire_system_faults(plane, self, prefix=prefix)
-        elif isinstance(plane, QosPlan):
-            from repro.qos.wire import _wire_system_qos
-
-            _wire_system_qos(plane, self, prefix=prefix)
-        elif isinstance(plane, PolicyPlan):
-            plane._bind_system(self)
-        else:
-            raise TypeError(
-                f"don't know how to attach {type(plane).__name__}; expected "
-                "Observability, FaultPlan, QosPlan or PolicyPlan"
-            )
-        return self
-
     # -- process driving ------------------------------------------------------------
     def run(self, generator):
         """Run one operation (a generator) to completion; returns its value."""
@@ -119,19 +75,13 @@ def build_sdf_system(
     placement: Optional[PlacementPolicy] = None,
     erase_policy: ErasePolicy = ErasePolicy.BACKGROUND,
     sim: Optional[Simulator] = None,
-    obs=None,
-    faults=None,
-    qos=None,
     **device_overrides,
 ) -> SDFSystem:
     """An SDF system with the paper's deployed configuration.
 
     ``capacity_scale`` shrinks per-plane block counts for fast runs;
-    bandwidth-relevant parameters are untouched.  ``obs`` / ``faults``
-    / ``qos`` attach the corresponding planes before the system is
-    returned (equivalent to calling :meth:`SDFSystem.attach` on each;
-    when ``obs`` is given together with a fault or QoS plan, the plan
-    is also bound to it).
+    bandwidth-relevant parameters are untouched.  Planes attach to the
+    returned system, e.g. ``Observability().attach(system)``.
     """
     sim = sim if sim is not None else Simulator()
     device = build_device(
@@ -142,18 +92,7 @@ def build_sdf_system(
         **device_overrides,
     )
     block_layer = UserSpaceBlockLayer(device, placement, erase_policy)
-    system = SDFSystem(sim, device, block_layer)
-    if obs is not None:
-        system.attach(obs)
-    if faults is not None:
-        system.attach(faults)
-        if obs is not None:
-            faults.attach_obs(obs)
-    if qos is not None:
-        system.attach(qos)
-        if obs is not None:
-            qos.attach_obs(obs)
-    return system
+    return SDFSystem(sim, device, block_layer)
 
 
 def build_conventional_ssd(

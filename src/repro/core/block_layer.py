@@ -96,7 +96,7 @@ class UserSpaceBlockLayer:
 
         #: Optional :class:`repro.obs.Observability`; wired up (together
         #: with the cached metric handles below) by
-        #: ``repro.obs.attach_block_layer``.  None keeps every hook a
+        #: ``Observability.attach``.  None keeps every hook a
         #: single attribute check.
         self.obs = None
         self._m_writes = self._m_reads = None
@@ -104,8 +104,7 @@ class UserSpaceBlockLayer:
         self._m_backlog: List = []
         #: Optional :class:`repro.qos.limits.BlockWriteLimiter` bounding
         #: concurrent block writes per channel; set by
-        #: ``repro.qos.attach_block_layer_qos``.  None leaves writes
-        #: unbounded.
+        #: ``QosPlan.attach``.  None leaves writes unbounded.
         self.qos = None
 
         self._next_id = 0

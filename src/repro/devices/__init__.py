@@ -40,9 +40,14 @@ from repro.devices.mqftl import MQFTLDevice
 from repro.devices.sdf import SDFChannelDevice, SDFDevice
 from repro.devices.zoned import ZonedDevice, ZoneStateError
 
+#: The device model classes (the DFTL, hybrid and MQ kinds subclass
+#: ``ConventionalSSD``): a plane's ``attach`` knows a device by these.
+DEVICE_CLASSES = (SDFDevice, ConventionalSSD, ZonedDevice)
+
 __all__ = [
     "DeviceModel",
     "DeviceStats",
+    "DEVICE_CLASSES",
     "DEVICE_METRIC_KEYS",
     "SDFDevice",
     "SDFChannelDevice",

@@ -125,10 +125,6 @@ class DeviceModel(Protocol):
         """The uniform :data:`DEVICE_METRIC_KEYS` snapshot."""
         ...
 
-    def attach_metrics(self, registry) -> None:
-        """Register ``device.{kind}.*`` pull metrics on a registry."""
-        ...
-
 
 def base_device_metrics(**overrides) -> Dict[str, float]:
     """The neutral metric dict (WA 1.0, all-SRAM map, no GC/merges),

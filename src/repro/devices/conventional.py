@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from repro.channel.engine import build_engines
-from repro.devices.base import DeviceStats, base_device_metrics, register_device_metrics
+from repro.devices.base import DeviceStats, base_device_metrics
 from repro.ftl.ops import FlashOp
 from repro.ftl.page_ftl import PageFTL
 from repro.interfaces.iostack import IOStackModel, KERNEL_IO_STACK
@@ -436,10 +436,6 @@ class ConventionalSSD:
             gc_runs=ftl.gc_runs,
             erases=ftl.erases,
         )
-
-    def attach_metrics(self, registry) -> None:
-        """Register ``device.{kind}.*`` pull metrics."""
-        register_device_metrics(registry, self)
 
     # -- functional helpers ---------------------------------------------------------------
     def prefill(self, fraction: float = 1.0, payload=None) -> int:

@@ -63,7 +63,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.channel.engine import ChannelEngine, build_engines
-from repro.devices.base import DeviceStats, base_device_metrics, register_device_metrics
+from repro.devices.base import DeviceStats, base_device_metrics
 from repro.ftl.block_ftl import ChannelBlockFTL
 from repro.ftl.ops import planes_of
 from repro.interfaces.interrupts import InterruptCoalescer
@@ -484,10 +484,6 @@ class SDFDevice:
             host_programs=sum(ftl.host_programs for ftl in self.ftls),
             erases=sum(ftl.erase_count for ftl in self.ftls),
         )
-
-    def attach_metrics(self, registry) -> None:
-        """Register ``device.{kind}.*`` pull metrics."""
-        register_device_metrics(registry, self)
 
     def prefill(self, fraction: float = 1.0, payload=None) -> int:
         """Functionally fill a fraction of every channel (no simulated

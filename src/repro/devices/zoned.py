@@ -21,7 +21,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.devices.base import base_device_metrics, register_device_metrics
+from repro.devices.base import base_device_metrics
 from repro.devices.sdf import SDFDevice
 from repro.interfaces.iostack import IOStackModel, SDF_USER_SPACE_STACK
 from repro.interfaces.link import LinkSpec, PCIE_1_1_X8
@@ -211,10 +211,6 @@ class ZonedDevice:
             host_programs=sum(ftl.host_programs for ftl in self.ftls),
             erases=sum(ftl.erase_count for ftl in self.ftls),
         )
-
-    def attach_metrics(self, registry) -> None:
-        """Register ``device.{kind}.*`` pull metrics."""
-        register_device_metrics(registry, self)
 
     def __repr__(self):
         return (

@@ -64,7 +64,7 @@ class EccModel:
         self.uncorrectable_reads = 0
         self.clean_reads = 0
         #: Optional :class:`repro.obs.Observability`; set by
-        #: ``repro.obs.attach_ecc``, which exposes the three outcome
+        #: ``Observability.attach``, which exposes the three outcome
         #: tallies above as pull metrics (``ecc.reads_*``).
         self.obs = None
 

@@ -4,9 +4,10 @@ The paper's reliability bet is that host software -- replication,
 failover, bad-block remapping, WAL replay -- can absorb every failure
 the device no longer hides.  This package is the test substrate for
 that bet: a :class:`FaultPlan` describes what goes wrong (probabilistic
-rules + scheduled crashes), per-site :class:`FaultInjector` handles are
-threaded through the NAND/channel/link/network/node layers behind no-op
-defaults, a :class:`FaultRunner` drives scheduled faults, and
+rules + scheduled crashes), ``FaultPlan.attach`` threads per-site
+:class:`FaultInjector` handles through the NAND/channel/link/network/
+controller layers behind no-op defaults, a :class:`FaultRunner` drives
+scheduled faults, and
 :class:`RetryPolicy`/:func:`race_with_timeout` provide the host-side
 timeout/backoff machinery.
 
@@ -40,11 +41,6 @@ from repro.faults.retry import (
     race_with_timeout,
 )
 from repro.faults.runner import FaultRunner
-from repro.faults.wire import (
-    attach_device_faults,
-    attach_network_faults,
-    attach_server_faults,
-)
 
 __all__ = [
     "BROWNOUT",
@@ -67,9 +63,6 @@ __all__ = [
     "RetryPolicy",
     "ScheduledFault",
     "TransientFault",
-    "attach_device_faults",
-    "attach_network_faults",
-    "attach_server_faults",
     "defuse_on_failure",
     "race_with_timeout",
 ]

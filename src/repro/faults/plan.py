@@ -2,7 +2,7 @@
 will go wrong in a run.
 
 A plan is built up front, wired into an already-constructed system with
-the helpers in :mod:`repro.faults.wire` (or by assigning
+:meth:`FaultPlan.attach` (or by assigning
 ``layer.faults = plan.injector(site)`` by hand), and then left alone:
 layers consult their injector on each operation, scheduled faults are
 driven by a :class:`~repro.faults.runner.FaultRunner`.
@@ -141,9 +141,14 @@ class FaultPlan:
         time-window rules (``after_ns``/``before_ns``) take effect."""
         self._sim = sim
 
-    def attach_obs(self, obs) -> None:
-        """Mirror fired faults into ``repro.obs`` metrics and traces."""
-        self.obs = obs
+    def attach(self, target, name: str = "") -> "FaultPlan":
+        """Wire this plan into a built device, SDF system, storage
+        server, network or cluster controller and bind its clock (sites
+        in :mod:`repro.faults.wire`); returns ``self`` so calls chain."""
+        from repro.faults.wire import wire
+
+        wire(self, target, name)
+        return self
 
     def scheduled_for(self, site: str) -> List[ScheduledFault]:
         """Scheduled faults registered against a site, in time order."""

@@ -1,27 +1,48 @@
-"""Attach a :class:`~repro.faults.plan.FaultPlan` to built systems.
+"""The body of :meth:`FaultPlan.attach <repro.faults.plan.FaultPlan.attach>`.
 
-Mirrors :mod:`repro.obs.attach`: systems are constructed fault-free and
-wired afterwards.  Site naming (``prefix`` distinguishes multiple
-devices/servers under one plan):
+Systems are constructed fault-free and wired afterwards; whatever the
+target, the plan's clock is bound to its simulator, so events carry
+timestamps and time-window rules take effect.  Site naming (``name``
+distinguishes several devices/servers under one plan):
 
-* ``{prefix}nand`` -- every chip of the device (ctx carries chip id);
-* ``{prefix}ch<N>`` -- channel engine N;
-* ``{prefix}ftl.ch<N>`` -- channel FTL N (recovery logging only);
-* ``{prefix}link`` -- the host link;
-* network / replication / node sites are whatever string the caller
-  picks when wiring them (conventionally ``net``, ``replication``,
-  ``node<N>``).
+* a device or SDF system -- ``{name}nand`` for every chip (ctx carries
+  the chip id), ``{name}ch<N>`` for channel engine N,
+  ``{name}ftl.ch<N>`` for channel FTL N (recovery logging only) and
+  ``{name}link`` for the host link;
+* a storage server -- its device's sites under ``{name}.`` (``name``
+  defaults to ``server``); the server itself is the ``name`` target for
+  scheduled crashes via a :class:`~repro.faults.runner.FaultRunner`;
+* a network -- the site ``name`` (default ``net``);
+* a cluster controller -- the ``migration`` site, whose rules abort a
+  migration at its phase boundaries.
 """
 
 from __future__ import annotations
 
-from repro.faults.plan import FaultPlan
+from repro.cluster import MIGRATION_SITE, ClusterController, Network, StorageServer
+from repro.core import SDFSystem
+from repro.devices import DEVICE_CLASSES
 
 
-def attach_device_faults(plan: FaultPlan, device, prefix: str = "") -> None:
-    """Wire any ``DeviceModel``: chips, engines, link, and the channel
-    FTLs of a device that has them."""
-    plan.bind_clock(device.sim)
+def wire(plan, target, name: str = "") -> None:
+    if isinstance(target, StorageServer):
+        _device(plan, target.device, f"{name or 'server'}.")
+    elif isinstance(target, SDFSystem):
+        _device(plan, target.device, name)
+    elif isinstance(target, DEVICE_CLASSES):
+        _device(plan, target, name)
+    elif isinstance(target, Network):
+        target.faults = plan.injector(name or "net")
+    elif isinstance(target, ClusterController):
+        target.faults = plan.injector(MIGRATION_SITE)
+    else:
+        raise TypeError(f"FaultPlan cannot attach to {type(target).__name__}")
+    plan.bind_clock(target.sim)
+
+
+def _device(plan, device, prefix: str) -> None:
+    """Chips, engines, link, and the channel FTLs of a device that has
+    them."""
     nand = plan.injector(f"{prefix}nand")
     for channel_chips in device.array.chips:
         for chip in channel_chips:
@@ -32,23 +53,3 @@ def attach_device_faults(plan: FaultPlan, device, prefix: str = "") -> None:
         ftl.faults = plan.injector(f"{prefix}ftl.ch{ftl.channel}")
     if hasattr(device, "link"):
         device.link.faults = plan.injector(f"{prefix}link")
-
-
-def _wire_system_faults(plan: FaultPlan, system, prefix: str = "") -> None:
-    """Wire an :class:`~repro.core.api.SDFSystem` (its device)."""
-    attach_device_faults(plan, system.device, prefix=prefix)
-
-
-def attach_network_faults(plan: FaultPlan, network, site: str = "net") -> None:
-    """Wire a :class:`~repro.cluster.network.Network`."""
-    plan.bind_clock(network.sim)
-    network.faults = plan.injector(site)
-
-
-def attach_server_faults(plan: FaultPlan, server, site: str) -> None:
-    """Wire a :class:`~repro.cluster.node.StorageServer` and the device
-    underneath it (sites prefixed ``{site}.``); the server itself is the
-    ``site`` target for scheduled crashes via a
-    :class:`~repro.faults.runner.FaultRunner`."""
-    plan.bind_clock(server.sim)
-    attach_device_faults(plan, server.device, prefix=f"{site}.")

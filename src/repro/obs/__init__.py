@@ -10,8 +10,8 @@ wear.  This package makes those visible in any run:
 * :class:`~repro.obs.metrics.MetricsRegistry` holds named counters,
   gauges, histograms and time-weighted signals with a one-call
   ``snapshot()`` and text report;
-* :class:`~repro.obs.attach.Observability` bundles both, and the
-  ``attach_*`` helpers wire an already-built system to it.
+* :class:`~repro.obs.attach.Observability` bundles both, and its
+  ``attach`` wires an already-built component to it.
 
 Typical use::
 
@@ -19,7 +19,8 @@ Typical use::
     from repro.obs import Observability
 
     obs = Observability(trace=True)
-    system = build_sdf_system(capacity_scale=0.004, n_channels=4, obs=obs)
+    system = build_sdf_system(capacity_scale=0.004, n_channels=4)
+    obs.attach(system)
     block = system.put(b"payload")
     system.get(block, 0, 7)
     obs.trace.write("run.trace.json")          # open in ui.perfetto.dev
@@ -29,22 +30,13 @@ Everything is off by default: a system that is never attached pays only
 a ``None`` check per instrumentation site.
 """
 
-from repro.obs.attach import (
-    Observability,
-    attach_block_layer,
-    attach_device,
-    attach_ecc,
-    attach_server,
-)
+from repro.obs.attach import Observability, attach_device
 from repro.obs.metrics import Gauge, Histogram, MetricsRegistry
 from repro.obs.trace import NullTraceCollector, Span, TraceCollector
 
 __all__ = [
     "Observability",
-    "attach_block_layer",
     "attach_device",
-    "attach_ecc",
-    "attach_server",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

@@ -3,15 +3,11 @@ running system.
 
 :class:`Observability` bundles one :class:`~repro.obs.trace.TraceCollector`
 (or the no-op null collector when tracing is off) with one
-:class:`~repro.obs.metrics.MetricsRegistry`.  The ``attach_*`` helpers
-connect an already-built system to it:
-
-* :func:`attach_device` -- channel engines (op spans, utilisation,
-  queue depth) and per-channel FTLs (host op counts, wear);
-* :func:`attach_block_layer` -- block-layer counters, erase backlog
-  timelines and op spans;
-* :func:`attach_server` -- a CCDB storage server's request metrics and
-  per-slice counters.
+:class:`~repro.obs.metrics.MetricsRegistry`.  :meth:`Observability.attach`
+instruments an already-built device (:func:`attach_device`), block
+layer, SDF system (both of those), CCDB storage server, cluster
+controller, controller group or ECC model, and has a fault, QoS or
+policy plan mirror what it does into the registry and trace.
 
 Attachment is optional and late-bound: systems built without an
 ``Observability`` run exactly as before, paying only a ``None`` check
@@ -22,8 +18,10 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.devices.base import register_device_metrics
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NullTraceCollector, TraceCollector
+from repro.sim.stats import Counter
 
 
 class Observability:
@@ -43,6 +41,47 @@ class Observability:
         kind = "tracing" if self.trace.enabled else "metrics-only"
         return f"Observability({kind}, metrics={len(self.metrics.names())})"
 
+    def attach(self, target) -> "Observability":
+        """Instrument one built component (see the module docstring for
+        what each kind gains); returns ``self`` so calls chain."""
+        from repro.cluster import ClusterController, ControllerGroup, StorageServer
+        from repro.core import SDFSystem, UserSpaceBlockLayer
+        from repro.devices import DEVICE_CLASSES
+        from repro.ecc.model import EccModel
+        from repro.faults.plan import FaultPlan
+        from repro.policy.engine import PolicyPlan
+        from repro.qos.config import QosPlan
+
+        if isinstance(target, DEVICE_CLASSES):
+            attach_device(self, target)
+        elif isinstance(target, UserSpaceBlockLayer):
+            _block_layer(self, target)
+        elif isinstance(target, SDFSystem):
+            attach_device(self, target.device)
+            _block_layer(self, target.block_layer)
+        elif isinstance(target, StorageServer):
+            # The server only, never its device: an engine with ``obs``
+            # set runs the per-phase path instead of reserving ahead,
+            # and fleet_day depends on staying on reserve-ahead.
+            _server(self, target)
+        elif isinstance(target, ClusterController):
+            _controller(self, target)
+        elif isinstance(target, ControllerGroup):
+            _group(self, target)
+        elif isinstance(target, EccModel):
+            _ecc(self, target)
+        elif isinstance(target, QosPlan):
+            target.obs = self
+            for state in target._states:
+                state.bind_obs(self)
+        elif isinstance(target, (FaultPlan, PolicyPlan)):
+            target.obs = self
+        else:
+            raise TypeError(
+                f"Observability cannot attach to {type(target).__name__}"
+            )
+        return self
+
 
 def attach_device(obs: Observability, device) -> None:
     """Instrument any :class:`~repro.devices.base.DeviceModel`.
@@ -50,8 +89,7 @@ def attach_device(obs: Observability, device) -> None:
     Channel engines (when the device exposes them) get op-level spans
     and a live queue-depth timeline; the registry gains per-channel
     utilisation/busy/wait pull metrics, each exposed FTL's host-op and
-    wear metrics, and the device's uniform ``device.{kind}.*`` family
-    via its ``attach_metrics`` hook.
+    wear metrics, and the device's uniform ``device.{kind}.*`` family.
     """
     device.sim.obs = obs
     registry = obs.metrics
@@ -74,12 +112,10 @@ def attach_device(obs: Observability, device) -> None:
         )
     for ftl in getattr(device, "ftls", ()):
         ftl.attach_metrics(registry)
-    if hasattr(device, "attach_metrics"):
-        device.attach_metrics(registry)
+    register_device_metrics(registry, device)
 
 
-def attach_block_layer(obs: Observability, layer) -> None:
-    """Instrument a :class:`~repro.core.block_layer.UserSpaceBlockLayer`."""
+def _block_layer(obs: Observability, layer) -> None:
     registry = obs.metrics
     layer.obs = obs
     layer._m_writes = registry.counter("blk.writes")
@@ -99,33 +135,54 @@ def attach_block_layer(obs: Observability, layer) -> None:
     )
 
 
-def _wire_system(obs: Observability, system) -> None:
-    """Instrument an :class:`~repro.core.api.SDFSystem` end to end."""
-    attach_device(obs, system.device)
-    attach_block_layer(obs, system.block_layer)
-
-
-def attach_server(obs: Observability, server) -> None:
-    """Instrument a :class:`~repro.cluster.node.StorageServer`."""
-    server.attach_obs(obs)
-
-
-def attach_ecc(obs: Observability, ecc) -> None:
-    """Instrument an :class:`~repro.ecc.model.EccModel`.
-
-    Every ``read_outcome`` increments one of the ``ecc.reads_clean`` /
-    ``ecc.reads_corrected`` / ``ecc.reads_uncorrectable`` counters, so
-    correction pressure shows up in the same snapshot as the QoS
-    shed/stall metrics it tends to precede.
-    """
-    ecc.obs = obs
+def _server(obs: Observability, server) -> None:
+    # Gets/puts also record latency histograms and, when tracing is on,
+    # per-slice request spans with queue-wait split out.
+    server.obs = obs
     registry = obs.metrics
-    registry.register_callback(
-        "ecc.reads_clean", lambda _now: ecc.clean_reads
+    registry.register_counter("server.gets", server.gets)
+    registry.register_counter("server.puts", server.puts)
+    registry.register_counter("server.scans", server.scans)
+    for slice_ in server.slices:
+        slice_.bind_metrics(registry)
+
+
+def _counters(obs: Observability, target) -> None:
+    """Set ``target.obs`` and export the counters of its ``__init__``."""
+    target.obs = obs
+    for counter in vars(target).values():
+        if isinstance(counter, Counter):
+            obs.metrics.register_counter(counter.name, counter)
+
+
+def _controller(obs: Observability, ctrl) -> None:
+    _counters(obs, ctrl)
+    obs.metrics.register_callback(
+        "cluster.routing_version", lambda _now: ctrl.table.version
     )
-    registry.register_callback(
-        "ecc.reads_corrected", lambda _now: ecc.corrected_reads
+    obs.metrics.register_callback("cluster.nodes", lambda _now: len(ctrl.nodes))
+
+
+def _group(obs: Observability, group) -> None:
+    _counters(obs, group)
+    for index, state in enumerate(("alive", "suspects", "dead")):
+        obs.metrics.register_callback(
+            f"cluster.membership.{state}",
+            lambda _now, index=index: group.membership_counts()[index],
+        )
+    obs.metrics.register_callback(
+        "cluster.election.term", lambda _now: group.term
     )
-    registry.register_callback(
-        "ecc.reads_uncorrectable", lambda _now: ecc.uncorrectable_reads
-    )
+
+
+def _ecc(obs: Observability, ecc) -> None:
+    """Every ``read_outcome`` increments one of the ``ecc.reads_clean``
+    / ``ecc.reads_corrected`` / ``ecc.reads_uncorrectable`` counters,
+    so correction pressure shows up in the same snapshot as the QoS
+    shed/stall metrics it tends to precede."""
+    ecc.obs = obs
+    for outcome in ("clean", "corrected", "uncorrectable"):
+        obs.metrics.register_callback(
+            f"ecc.reads_{outcome}",
+            lambda _now, tally=f"{outcome}_reads": getattr(ecc, tally),
+        )

@@ -5,8 +5,10 @@ loop: declarative :class:`Rule` objects read live metrics through the
 observability plane, pass through a property-tested hysteresis +
 cooldown automaton (no flapping), and pull the control-plane levers the
 rest of the repo already exposes -- admission limits, rebalance, slice
-splits, migration pacing.  Everything runs on the simulated clock with
-per-rule RNG streams, so a policy-driven run replays byte-identically.
+splits, migration pacing -- on the controller and servers
+``PolicyPlan.attach`` bound.  Everything runs on the simulated clock
+with per-rule RNG streams, so a policy-driven run replays
+byte-identically.
 """
 
 from repro.policy.actions import (

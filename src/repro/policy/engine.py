@@ -2,12 +2,11 @@
 
 :class:`PolicyPlan` is the declarative bundle -- rules plus an
 evaluation period and a seed -- following the same attachment
-discipline as every other plane: build it up front, attach it through
-``SDFSystem.attach`` / ``StorageServer.attach`` /
-``ClusterController.attach`` (each records the actuator targets it
-reaches), and the *empty* plan wires nothing at all, so a run with an
-empty plan attached is byte-identical to a run with no plan
-(``tests/policy/test_scenario_no_drift.py``).
+discipline as every other plane: build it up front, ``attach`` it to
+the cluster controller and the storage servers it may act on (it
+records them as actuator targets), and the *empty* plan wires nothing
+at all, so a run with an empty plan attached is byte-identical to a
+run with no plan (``tests/policy/test_scenario_no_drift.py``).
 
 :class:`PolicyEngine` is the live evaluator: one simulation process
 that wakes every ``period_ns`` of *simulated* time, reads each rule's
@@ -83,10 +82,10 @@ class PolicyContext:
 class PolicyPlan:
     """A declarative set of rules to evaluate against one run.
 
-    Attach through the unified plane surface; the plan records which
-    actuators it reached (``_controller``, ``_servers``) and the
-    :class:`PolicyEngine` resolves them lazily at evaluation time, so
-    attachment order (qos before or after policy) does not matter.
+    :meth:`attach` records the actuators (``_controller``,
+    ``_servers``) and the :class:`PolicyEngine` resolves them lazily at
+    evaluation time, so attachment order (qos before or after policy)
+    does not matter.
     """
 
     def __init__(
@@ -106,26 +105,28 @@ class PolicyPlan:
         self.obs = None
         self._controller = None
         self._servers: Dict[str, object] = {}
-        self._systems: List[object] = []
 
     @property
     def empty(self) -> bool:
         """True when attaching this plan wires nothing anywhere."""
         return not self.rules
 
-    def attach_obs(self, obs) -> None:
-        """Emit rule outcomes through this observability plane."""
-        self.obs = obs
+    def attach(self, target, name: str = "") -> "PolicyPlan":
+        """Make a cluster controller the plan's control-plane actuator
+        (rebalance, split, migration pacing), or record a storage
+        server under ``name`` (default ``server``) as an actuator
+        target; returns ``self`` so calls chain."""
+        from repro.cluster import ClusterController, StorageServer
 
-    # -- attachment hooks (called by the planes' attach dispatch) ----------------------
-    def _bind_controller(self, controller) -> None:
-        self._controller = controller
-
-    def _bind_server(self, name: str, server) -> None:
-        self._servers[name] = server
-
-    def _bind_system(self, system) -> None:
-        self._systems.append(system)
+        if isinstance(target, ClusterController):
+            self._controller = target
+        elif isinstance(target, StorageServer):
+            self._servers[name or "server"] = target
+        else:
+            raise TypeError(
+                f"PolicyPlan cannot attach to {type(target).__name__}"
+            )
+        return self
 
     def __repr__(self):
         return (

@@ -16,9 +16,10 @@ stack, each mechanism individually opt-in through a :class:`QosPlan`:
   breakers and a total retry budget, so retries stop amplifying
   brownouts.
 
-Same discipline as :mod:`repro.faults`: an unconfigured run is
-byte-identical to a run with no plan attached (no attribute changes, no
-metric registration, no extra events).
+Same discipline as :mod:`repro.faults`: ``QosPlan.attach`` wires a plan
+into a built device, block layer, system, server or controller, and an
+unconfigured run is byte-identical to a run with no plan attached (no
+attribute changes, no metric registration, no extra events).
 """
 
 from repro.qos.admission import (
@@ -37,11 +38,6 @@ from repro.qos.config import (
     WriteStallConfig,
 )
 from repro.qos.limits import BlockWriteLimiter, ChannelQosState
-from repro.qos.wire import (
-    attach_block_layer_qos,
-    attach_device_qos,
-    attach_server_qos,
-)
 
 __all__ = [
     "REQUEST_CLASSES",
@@ -59,7 +55,4 @@ __all__ = [
     "QosPlan",
     "RequestSheddedError",
     "WriteStallConfig",
-    "attach_block_layer_qos",
-    "attach_device_qos",
-    "attach_server_qos",
 ]

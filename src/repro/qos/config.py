@@ -3,7 +3,7 @@ protection a run opts into.
 
 Follows the same attachment discipline as :class:`repro.faults.plan.FaultPlan`:
 a plan is built up front, wired into an already-constructed system with
-the helpers in :mod:`repro.qos.wire`, and consulted by the layers behind
+:meth:`QosPlan.attach`, and consulted by the layers behind
 no-op-default hooks.  The contract the test tier leans on:
 
 * **No drift** -- an *empty* plan (every sub-config ``None``) wires
@@ -190,14 +190,14 @@ class QosPlan:
         self.write_stall = write_stall
         self.admission = admission
         self.breaker = breaker
-        #: Consumed by :class:`repro.cluster.control.ClusterController`,
-        #: not by the wiring helpers (it budgets the controller's own
-        #: transfers rather than instrumenting a layer).
+        #: Consumed by :class:`repro.cluster.control.ClusterController`
+        #: (it budgets the controller's own transfers rather than
+        #: instrumenting a layer).
         self.migration = migration
         self.obs = None
-        #: Every live QoS state object created by the wiring helpers
-        #: (channel limiters, admission controllers, breakers), so a
-        #: late ``attach_obs`` still reaches all of them.
+        #: Every live QoS state object the plan created (channel
+        #: limiters, admission controllers, breakers), so an
+        #: ``Observability`` attached late still reaches all of them.
         self._states: List = []
 
     @property
@@ -217,11 +217,14 @@ class QosPlan:
         if self.obs is not None:
             state.bind_obs(self.obs)
 
-    def attach_obs(self, obs) -> None:
-        """Mirror shed/stall/throttle/breaker activity into ``repro.obs``."""
-        self.obs = obs
-        for state in self._states:
-            state.bind_obs(obs)
+    def attach(self, target, name: str = "") -> "QosPlan":
+        """Wire this plan's bounds into a built device, block layer, SDF
+        system, storage server or cluster controller (naming in
+        :mod:`repro.qos.wire`); returns ``self`` so calls chain."""
+        from repro.qos.wire import wire
+
+        wire(self, target, name)
+        return self
 
     def make_breaker(self, sim, name: str = "breaker"):
         """A :class:`~repro.qos.breaker.CircuitBreaker` from this plan's

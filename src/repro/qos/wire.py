@@ -1,25 +1,48 @@
-"""Attach a :class:`~repro.qos.config.QosPlan` to built systems.
+"""The body of :meth:`QosPlan.attach <repro.qos.config.QosPlan.attach>`.
 
-Mirrors :mod:`repro.faults.wire`: systems are constructed without
-overload protection and wired afterwards.  Each helper is conditional on
-the matching sub-config -- an empty plan wires *nothing* (no attributes
-changed, no resources created), which is what the QoS no-drift test
-pins down.
+Systems are constructed without overload protection and wired
+afterwards.  Each part is conditional on the matching sub-config -- an
+empty plan wires *nothing* (no attributes changed, no resources
+created), which is what the QoS no-drift test pins down.
 
-Naming (``prefix``/``name`` distinguish multiple devices/servers under
-one plan): channel limiters register metrics as ``qos.{prefix}ch<N>``,
-the block-layer write limiter as ``qos.{prefix}blk``, and a server's
-admission controller as ``qos.{name}``.
+Naming (``name`` distinguishes several devices/servers under one
+plan): channel limiters register metrics as ``qos.{name}ch<N>``, the
+block-layer write limiter as ``qos.{name}blk``, and a server's
+admission controller as ``qos.{name}`` (``name`` defaults to
+``server``), with the device layers under it prefixed ``{name}.``.
 """
 
 from __future__ import annotations
 
+from repro.cluster import ClusterController, StorageServer
+from repro.core import SDFSystem, UserSpaceBlockLayer
+from repro.devices import DEVICE_CLASSES
 from repro.qos.admission import AdmissionController
-from repro.qos.config import QosPlan
 from repro.qos.limits import BlockWriteLimiter, ChannelQosState
 
 
-def attach_device_qos(plan: QosPlan, device, prefix: str = "") -> None:
+def wire(plan, target, name: str = "") -> None:
+    if isinstance(target, DEVICE_CLASSES):
+        _device(plan, target, name)
+    elif isinstance(target, UserSpaceBlockLayer):
+        _block_layer(plan, target, name)
+    elif isinstance(target, SDFSystem):
+        _device(plan, target.device, name)
+        _block_layer(plan, target.block_layer, name)
+    elif isinstance(target, StorageServer):
+        name = name or "server"
+        _admission(plan, target, name)
+        _device(plan, target.device, f"{name}.")
+        if target.storage.block_layer is not None:
+            _block_layer(plan, target.storage.block_layer, f"{name}.")
+    elif isinstance(target, ClusterController):
+        # The copy budget for the controller's own transfers.
+        target.migration_budget = plan.migration
+    else:
+        raise TypeError(f"QosPlan cannot attach to {type(target).__name__}")
+
+
+def _device(plan, device, prefix: str) -> None:
     """Bound each channel engine's admitted queue depth."""
     cfg = plan.channel
     if cfg is None or cfg.max_inflight_ops is None:
@@ -32,7 +55,7 @@ def attach_device_qos(plan: QosPlan, device, prefix: str = "") -> None:
         plan.register(state)
 
 
-def attach_block_layer_qos(plan: QosPlan, layer, prefix: str = "") -> None:
+def _block_layer(plan, layer, prefix: str) -> None:
     """Bound concurrent block writes per channel at the block layer."""
     cfg = plan.channel
     if cfg is None or cfg.max_inflight_writes is None:
@@ -47,20 +70,9 @@ def attach_block_layer_qos(plan: QosPlan, layer, prefix: str = "") -> None:
     plan.register(limiter)
 
 
-def _wire_system_qos(plan: QosPlan, system, prefix: str = "") -> None:
-    """Wire an :class:`~repro.core.api.SDFSystem` (device + block layer)."""
-    attach_device_qos(plan, system.device, prefix=prefix)
-    attach_block_layer_qos(plan, system.block_layer, prefix=prefix)
-
-
-def attach_server_qos(plan: QosPlan, server, name: str = "server") -> None:
-    """Wire a :class:`~repro.cluster.node.StorageServer` and the device
-    underneath it (device metrics prefixed ``{name}.``).
-
-    The server gains an :class:`AdmissionController` when the plan
-    configures admission limits or write stalls; the device layers gain
-    their bounds when the plan configures channel limits.
-    """
+def _admission(plan, server, name: str) -> None:
+    """An :class:`AdmissionController` when the plan configures
+    admission limits or write stalls."""
     stall = plan.write_stall
     if stall is not None and stall.empty:
         stall = None
@@ -70,7 +82,3 @@ def attach_server_qos(plan: QosPlan, server, name: str = "server") -> None:
         )
         server.qos = controller
         plan.register(controller)
-    attach_device_qos(plan, server.device, prefix=f"{name}.")
-    block_layer = server.storage.block_layer
-    if block_layer is not None:
-        attach_block_layer_qos(plan, block_layer, prefix=f"{name}.")

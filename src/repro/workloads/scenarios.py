@@ -258,17 +258,17 @@ class ScenarioRunner:
                 **kwargs,
             )
         self.ctrl = ClusterController(self.sim, self.network)
-        self.ctrl.attach(self.obs)
-        self.ctrl.attach(self.plan)
+        self.obs.attach(self.ctrl)
+        self.plan.attach(self.ctrl)
         if qos is not None:
-            self.ctrl.attach(qos)
+            qos.attach(self.ctrl)
             # Mirror shed/stall/breaker counters into the registry:
             # policy rules read them (``qos.{node}.shed_reads``), and
             # operators get them in the result snapshot for free.
-            qos.attach_obs(self.obs)
+            self.obs.attach(qos)
         if self.policy is not None:
-            self.ctrl.attach(self.policy)
-            self.policy.attach_obs(self.obs)
+            self.policy.attach(self.ctrl)
+            self.obs.attach(self.policy)
         self.runner = FaultRunner(self.sim, self.plan)
         self.breakers: Dict[str, object] = {}
         #: Server -> enrolled name, for the per-attempt breaker lookup.
@@ -286,15 +286,15 @@ class ScenarioRunner:
             )
             self.ctrl.add_node(name, server)
             self._node_names[server] = name
-            server.attach(self.obs)
-            server.attach(self.plan, name=name)
+            self.obs.attach(server)
+            self.plan.attach(server, name)
             if qos is not None:
-                server.attach(qos, name=name)
+                qos.attach(server, name)
                 breaker = qos.make_breaker(self.sim, name=f"breaker.{name}")
                 if breaker is not None:
                     self.breakers[name] = breaker
             if self.policy is not None:
-                server.attach(self.policy, name=name)
+                self.policy.attach(server, name)
             self.runner.bind(name, server)
         # Slices partition [0, key_span), placed round-robin.  Placement
         # is computed over the *global* (lexicographically sorted) node

@@ -28,7 +28,6 @@ import pytest
 from repro.channel.engine import ChannelEngine
 from repro.devices.sdf import SDFDevice
 from repro.faults import FaultPlan
-from repro.faults.wire import attach_device_faults
 from repro.nand.geometry import FlashGeometry
 from repro.obs import Observability, attach_device
 from repro.qos.limits import ChannelQosState
@@ -182,7 +181,7 @@ def gate(seed, sdf):
         engine.qos = ChannelQosState(sdf.sim, engine.channel, bound)
         engine.qos.bind_obs(gates)
     plan = FaultPlan(seed=seed)
-    attach_device_faults(plan, sdf)
+    plan.attach(sdf)
     return gates, plan
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from repro.channel.engine import ChannelEngine
 from repro.devices.sdf import SDFDevice
-from repro.faults import FaultPlan, attach_device_faults
+from repro.faults import FaultPlan
 from repro.ftl.ops import OpKind, OpRuns, erase_op, program_op, read_op
 from repro.nand.array import PhysicalAddress
 from repro.nand.catalog import MICRON_25NM_MLC, SDF_CHIP_GEOMETRY
@@ -664,7 +664,7 @@ def test_attachment_between_two_reads_puts_the_next_on_per_phase_hops(attach):
     sdf = small_sdf(sim)
     sdf.prefill(0.5)
     plan = FaultPlan(seed=5)
-    attach_device_faults(plan, sdf)
+    plan.attach(sdf)
     engine = sdf.engines[0]
     channel = sdf.channels[0]
     sim.run(until=sim.process(channel.read(0, 0, 8)))
@@ -713,7 +713,7 @@ def gated_day(rules_at, observed):
     sdf = small_sdf(sim)
     sdf.prefill(0.5)
     plan = FaultPlan(seed=11)
-    attach_device_faults(plan, sdf)
+    plan.attach(sdf)
     engine = sdf.engines[0]
     channel = sdf.channels[0]
     qos = engine.qos = ChannelQosState(sim, 0, max_inflight=3)

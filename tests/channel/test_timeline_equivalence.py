@@ -17,13 +17,13 @@ import pytest
 
 from repro.channel.engine import build_engines
 from repro.devices import HUAWEI_GEN3_SPEC, INTEL_320_SPEC, build_device
-from repro.faults import FaultPlan, attach_device_faults
+from repro.faults import FaultPlan
 from repro.ftl.ops import FlashOp, OpKind
 from repro.interfaces.link import LinkDropError
 from repro.nand.array import PhysicalAddress
 from repro.nand.catalog import MICRON_25NM_MLC, SDF_CHIP_GEOMETRY
 from repro.obs import Observability, attach_device
-from repro.qos import ChannelQosConfig, QosPlan, attach_device_qos
+from repro.qos import ChannelQosConfig, QosPlan
 from repro.sim import MIB, MS, Simulator
 from repro.workloads import (
     drive_conventional_reads,
@@ -165,7 +165,7 @@ def test_full_fault_plan_forces_link_fallback_and_matches():
     sdf = small_sdf(sim)
     plan = FaultPlan(seed=5)
     plan.add("link", "delay", rate=0.1, delay_ns=50_000)
-    attach_device_faults(plan, sdf)
+    plan.attach(sdf)
     sequential_reads(sim, sdf)
     faults = tuple(plan.signatures())
     assert faults
@@ -184,7 +184,7 @@ def test_link_drop_fails_the_request_once_and_matches(direction):
     # request path crashed the simulation on the second failed worker).
     for at_op in (5, 150, 700) if direction == "read" else (5, 5000, 11000):
         plan.add("link", "drop", at_op=at_op)
-    attach_device_faults(plan, sdf)
+    plan.attach(sdf)
     if direction == "read":
         sdf.prefill(1.0)
     dropped = []
@@ -218,7 +218,7 @@ def test_multi_chunk_transfer_races_page_dmas():
     # Never fires; at the recording commit an active link rule kept the
     # timeline mode's page DMAs on the same lane model as ``transfer``.
     plan.add("link", "delay", rate=1e-12, delay_ns=1)
-    attach_device_faults(plan, sdf)
+    plan.attach(sdf)
     finished = []
 
     def bulk(direction, nbytes, start_ns):
@@ -245,7 +245,7 @@ def test_qos_plan_stays_fast_and_matches(max_inflight):
     sim = Simulator()
     sdf = small_sdf(sim)
     plan = QosPlan(channel=ChannelQosConfig(max_inflight_ops=max_inflight))
-    attach_device_qos(plan, sdf)
+    plan.attach(sdf)
     sequential_reads(sim, sdf)
     qos_counters = tuple(
         (engine.qos.throttled.value, engine.qos.throttle_wait_ns.value)
@@ -301,7 +301,7 @@ def test_quiet_link_fault_plan_stays_fast():
     sdf = small_sdf(sim)
     plan = FaultPlan(seed=11)
     plan.add("nand", "read_uncorrectable", rate=1e-9)
-    attach_device_faults(plan, sdf)
+    plan.attach(sdf)
     sequential_reads(sim, sdf)
     check_golden("quiet_link_plan", sdf_signature(sim, sdf))
 
@@ -314,11 +314,11 @@ def test_qos_tracing_and_faults_combined_match():
     obs = Observability(trace=True)
     attach_device(obs, sdf)
     qos = QosPlan(channel=ChannelQosConfig(max_inflight_ops=4))
-    attach_device_qos(qos, sdf)
+    qos.attach(sdf)
     plan = FaultPlan(seed=13)
     for channel in range(N_CHANNELS):
         plan.add(f"ch{channel}", "stall", rate=0.05, delay_ns=500_000)
-    attach_device_faults(plan, sdf)
+    plan.attach(sdf)
     sequential_reads(sim, sdf)
     faults = tuple(plan.signatures())
     assert faults  # stalls actually fired

@@ -228,11 +228,9 @@ def test_migrate_slice_argument_validation():
 
 def test_migration_respects_concurrency_budget():
     sim, network, ctrl = make_cluster(3)
-    ctrl.attach(
-        QosPlan(
-            migration=MigrationConfig(max_concurrent=1, copy_mb_per_s=1.0)
-        )
-    )
+    QosPlan(
+        migration=MigrationConfig(max_concurrent=1, copy_mb_per_s=1.0)
+    ).attach(ctrl)
     a = ctrl.create_slice(
         KeyRange(0, 1000), on=["n0"], memtable_bytes=64 * 1024
     )
@@ -254,7 +252,7 @@ def test_migration_copy_budget_slows_the_transfer():
     def timed(qos):
         sim, network, ctrl = make_cluster(2)
         if qos is not None:
-            ctrl.attach(qos)
+            qos.attach(ctrl)
         sid = ctrl.create_slice(
             KeyRange(0, 10_000), on=["n0"], memtable_bytes=64 * 1024
         )
@@ -427,7 +425,7 @@ def test_rebalance_never_strands_a_single_slice_node():
 def test_controller_attach_obs_exports_metrics():
     sim, network, ctrl = make_cluster(2)
     obs = Observability()
-    assert ctrl.attach(obs) is ctrl
+    assert obs.attach(ctrl) is obs
     sid = ctrl.create_slice(KeyRange(0, 1000), on=["n0"])
     fill(sim, ctrl.node("n0"), range(0, 50))
     sim.run(until=sim.process(ctrl.migrate_slice(sid, "n0", "n1")))
@@ -446,15 +444,35 @@ def test_controller_attach_fault_plan_arms_abort_points():
     plan = FaultPlan(seed=3).add(
         MIGRATION_SITE, MIGRATION_ABORT, at_op=1, where={"phase": "copy"}
     )
-    ctrl.attach(plan)
+    plan.attach(ctrl)
     sid = ctrl.create_slice(KeyRange(0, 1000), on=["n0"])
     fill(sim, ctrl.node("n0"), range(0, 50))
     with pytest.raises(TransientFault):
         sim.run(until=sim.process(ctrl.migrate_slice(sid, "n0", "n1")))
     assert ctrl.migrations_aborted.value == 1
+    assert [event.at_ns for event in plan.log] == [sim.now]
     # Aborted cleanly: source still serves, routing unchanged.
     assert ctrl.table.entry(sid).replicas == ("n0",)
     assert read_all(sim, ctrl, range(0, 50)) == 0
+
+
+def test_controller_only_fault_plan_keeps_its_time_window():
+    """A plan attached to nothing but the controller still gets a
+    clock: a rule whose window opens in a simulated fortnight does not
+    abort a migration now."""
+    from repro.cluster import MIGRATION_ABORT, MIGRATION_SITE
+
+    sim, network, ctrl = make_cluster(2)
+    plan = FaultPlan(seed=1).add(
+        MIGRATION_SITE, MIGRATION_ABORT, rate=1.0, after_ns=10**15
+    )
+    plan.attach(ctrl)
+    sid = ctrl.create_slice(KeyRange(0, 1000), on=["n0"])
+    fill(sim, ctrl.node("n0"), range(0, 50))
+    sim.run(until=sim.process(ctrl.migrate_slice(sid, "n0", "n1")))
+    assert plan.log == []
+    assert ctrl.migrations_aborted.value == 0
+    assert ctrl.table.entry(sid).replicas == ("n1",)
 
 
 def _abort_cluster(kind):
@@ -488,11 +506,9 @@ def test_aborted_migration_gives_the_target_its_units_back(phase, kind):
     from repro.errors import TransientFault
 
     sim, ctrl, sid = _abort_cluster(kind)
-    ctrl.attach(
-        FaultPlan(seed=3).add(
-            MIGRATION_SITE, MIGRATION_ABORT, at_op=1, where={"phase": phase}
-        )
-    )
+    FaultPlan(seed=3).add(
+        MIGRATION_SITE, MIGRATION_ABORT, at_op=1, where={"phase": phase}
+    ).attach(ctrl)
     target = ctrl.node("n1")
     before = free_units(target)
     with pytest.raises(TransientFault):
@@ -532,12 +548,6 @@ def test_target_out_of_units_aborts_cleanly_and_retries():
     assert read_all(sim, ctrl, range(0, 300)) == 0
 
 
-def test_controller_attach_rejects_unknown_plane():
-    sim, network, ctrl = make_cluster(1)
-    with pytest.raises(TypeError, match="don't know how to attach"):
-        ctrl.attach(object())
-
-
 # -- no-drift ----------------------------------------------------------------------------
 
 
@@ -560,8 +570,7 @@ def test_idle_control_plane_is_byte_identical_no_drift():
             sim, [slice_], capacity_scale=0.01, n_channels=4
         )
         network = Network(sim)
-        server.system.attach(obs)
-        server.attach(obs)
+        obs.attach(server.system).attach(server)
         if with_controller:
             ctrl = ClusterController(sim, network)
             ctrl.add_node("n0", server)  # adopts + publishes the slice

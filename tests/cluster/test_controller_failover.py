@@ -51,21 +51,25 @@ FAST = SwimConfig(
     ping_req_fanout=1,
     suspect_timeout_ns=40 * MS,
 )
-#: Hashes of ``Scenario.digest()`` at the last commit before the
-#: control plane was refactored: the clean run and each leader-failure
-#: case of the boundary matrix.
+#: Hashes of ``Scenario.digest()``: the clean run and each
+#: leader-failure case of the boundary matrix.  Re-recorded when the
+#: preload began waiting for the source's flushes to land: it used to
+#: wait a fixed 50 ms, and the migration started with no runs and two
+#: pending patches on the source, so copy and catch-up shipped nothing
+#: and prepare, copy, catchup and cutover began within 1.3 ms of each
+#: other (66 ms).  They now begin at 416 ms, 417 ms, 1.57 s and 3.87 s.
 GOLDEN = {
-    "clean": "41d07f34768d9101",
-    "crash-prepare": "45b987bce5052c69",
-    "crash-copy": "613c5a656de4d791",
-    "crash-catchup": "7937ab0866561003",
-    "crash-cutover": "f73fd927bfc566bb",
-    "crash-cleanup": "9c554b0831f967d6",
-    "partition-prepare": "5041438e071b395b",
-    "partition-copy": "097b0c66d9f28f8f",
-    "partition-catchup": "8034f7d442eda22d",
-    "partition-cutover": "279239dce09609f7",
-    "partition-cleanup": "23c65ff93e75c7d3",
+    "clean": "0f5f7edd6afd61db",
+    "crash-prepare": "5a082aa2631b5502",
+    "crash-copy": "2e7263e41eb49d12",
+    "crash-catchup": "1ee7d726c588ab1d",
+    "crash-cutover": "b8df1ef3570486d4",
+    "crash-cleanup": "711ba7a1712c3eaf",
+    "partition-prepare": "e607a7223b14a77f",
+    "partition-copy": "51851e67e7f2c68b",
+    "partition-catchup": "bb8d5b22ca2c9282",
+    "partition-cutover": "392c4c5b8730e459",
+    "partition-cleanup": "d958b4460f8b5e40",
 }
 
 
@@ -112,7 +116,11 @@ class Scenario:
                 self.acked.add(key)
 
         self.sim.run(until=self.sim.process(_fill()))
-        self.sim.run(until=self.sim.now + 50 * MS)  # flushes settle
+        # Flushes settle: the migration then has runs to copy.
+        lsm = self.ctrl.replica(self.sid, "src").lsm
+        while lsm.n_pending:
+            self.sim.run(until=self.sim.now + 50 * MS)
+        assert lsm.runs_snapshot()
         self.group.start(until_ns=10_000 * MS)
 
     def writer(self):

@@ -39,7 +39,7 @@ def make_group(n_replicas=3, seed=0, nodes=1, obs=None):
         sim, net, ctrl, n_replicas=n_replicas, swim=FAST, seed=seed
     )
     if obs is not None:
-        group.attach(obs)
+        obs.attach(group)
     group.watch_nodes()
     return sim, net, ctrl, group
 

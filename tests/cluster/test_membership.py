@@ -45,7 +45,7 @@ def make_group(n_replicas=3, swim=FAST, seed=0, nodes=0, obs=None):
         sim, net, ctrl, n_replicas=n_replicas, swim=swim, seed=seed
     )
     if obs is not None:
-        group.attach(obs)
+        obs.attach(group)
     group.watch_nodes()
     return sim, net, ctrl, group
 

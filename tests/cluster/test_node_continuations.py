@@ -8,7 +8,7 @@ dropped link DMA.
 """
 
 from repro.cluster import build_sdf_server
-from repro.faults import FaultPlan, attach_server_faults
+from repro.faults import FaultPlan
 from repro.kv import PlaceholderValue
 from repro.kv.slice import KeyRange, Slice
 from repro.qos import AdmissionConfig, QosPlan
@@ -20,12 +20,12 @@ def _server(sim):
         sim, [Slice(0, KeyRange(0, 10_000))], capacity_scale=0.01, n_channels=4
     )
     server.preload(server.slices[0], range(64), 16 * 1024)
-    server.attach(QosPlan(admission=AdmissionConfig(max_reads=2)), name="n0")
+    QosPlan(admission=AdmissionConfig(max_reads=2)).attach(server, "n0")
     plan = FaultPlan(seed=3)
     # The 9th read DMA: the last page of the third value read (a 16 KiB
     # value spans three pages).
     plan.add("n0.link", "drop", at_op=9, where={"direction": "read"})
-    attach_server_faults(plan, server, site="n0")
+    plan.attach(server, "n0")
     return server
 
 

@@ -181,7 +181,7 @@ def failing_server(kind):
     server = make_server(kind)
     plan = FaultPlan(seed=0)
     plan.add("n0.link", DROP, at_op=5)
-    server.attach(plan, name="n0")
+    plan.attach(server, "n0")
     return server.storage, plan
 
 
@@ -217,7 +217,7 @@ def test_server_planes_reach_engines_chips_and_link(kind):
     assert device.kind == kind
 
     faults = FaultPlan(seed=0)
-    server.attach(faults, name="n0")
+    faults.attach(server, "n0")
     assert all(engine.faults is not None for engine in device.engines)
     assert all(
         chip.faults is not None
@@ -229,7 +229,7 @@ def test_server_planes_reach_engines_chips_and_link(kind):
     qos = QosPlan(
         channel=ChannelQosConfig(max_inflight_ops=4, max_inflight_writes=1)
     )
-    server.attach(qos, name="n0")
+    qos.attach(server, "n0")
     assert all(engine.qos is not None for engine in device.engines)
     if kind == "sdf":
         assert server.system.device is device

@@ -1,5 +1,5 @@
 """Coverage for the public :class:`~repro.core.api.SDFSystem` facade:
-synchronous conveniences, the unified ``attach`` dispatch, builder
+synchronous conveniences, planes attached to a system, builder
 kwargs, and the conventional-SSD baseline builder.
 """
 
@@ -12,6 +12,7 @@ from repro import (
 )
 from repro.core.block_layer import BlockNotFoundError
 from repro.devices.catalog import HUAWEI_GEN3_SPEC
+from repro.errors import ConfigError
 from repro.faults import FaultPlan
 from repro.obs import Observability
 from repro.qos import QosPlan
@@ -81,12 +82,12 @@ def test_build_conventional_ssd_baseline():
     assert device.sim.now == 0
 
 
-# -- unified attach ----------------------------------------------------------------------
+# -- planes attached to a system --------------------------------------------------------
 
 
 def test_attach_observability_registers_device_metrics():
-    obs = Observability()
-    system = small_system(obs=obs)
+    system = small_system()
+    obs = Observability().attach(system)
     system.put(b"z" * 4096)
     snapshot = obs.snapshot(system.sim.now)
     assert snapshot["blk.writes"] == 1
@@ -97,29 +98,22 @@ def test_attach_returns_self_and_chains():
     system = small_system()
     obs = Observability()
     plan = FaultPlan(seed=1)
-    assert system.attach(obs).attach(plan) is system
+    assert obs.attach(system).attach(plan) is obs
+    assert plan.attach(system) is plan
+    assert plan.obs is obs
 
 
 def test_attach_qos_plan():
     from repro.qos.config import ChannelQosConfig
 
-    system = small_system(
-        qos=QosPlan(channel=ChannelQosConfig(max_inflight_ops=4))
-    )
+    system = small_system()
+    QosPlan(channel=ChannelQosConfig(max_inflight_ops=4)).attach(system)
     data = b"q" * 4096
     block_id = system.put(data)  # bounded admission still serves
     assert system.get(block_id, 0, len(data)) == data
 
 
-def test_build_binds_plans_to_obs():
-    obs = Observability()
-    plan = FaultPlan(seed=2)
-    system = small_system(obs=obs, faults=plan)
-    assert plan.obs is obs
-    assert isinstance(system, SDFSystem)
-
-
-def test_attach_unknown_plane_raises_type_error():
-    system = small_system()
-    with pytest.raises(TypeError, match="don't know how to attach"):
-        system.attach(42)
+@pytest.mark.parametrize("keyword", ["obs", "faults", "qos"])
+def test_build_takes_no_plane_keyword(keyword):
+    with pytest.raises(ConfigError, match=keyword):
+        small_system(**{keyword: Observability()})

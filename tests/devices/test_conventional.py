@@ -10,7 +10,7 @@ from repro.devices import (
     HUAWEI_GEN3_SPEC,
     INTEL_320_SPEC,
 )
-from repro.faults import FaultPlan, attach_device_faults
+from repro.faults import FaultPlan
 from repro.interfaces.link import LinkDropError
 from repro.sim import MS, Simulator, US
 from repro.sim.units import mb_per_s
@@ -201,7 +201,7 @@ def drop_link_transfer(device, at_op):
     """Drop the ``at_op``-th page DMA submitted to ``device``'s link."""
     plan = FaultPlan(seed=0)
     plan.add("link", "drop", at_op=at_op)
-    attach_device_faults(plan, device)
+    plan.attach(device)
     return plan
 
 

@@ -35,13 +35,11 @@ from repro.faults import (
     FaultPlan,
     FaultRunner,
     RetryPolicy,
-    attach_network_faults,
-    attach_server_faults,
 )
 from repro.kv.compaction import TieredCompactionPolicy
 from repro.kv.lsm import LSMTree
 from repro.kv.slice import KeyRange, Slice
-from repro.obs import Observability, attach_server
+from repro.obs import Observability
 from repro.sim import MS, S, Simulator
 
 #: The CI chaos job sweeps this via the environment; 0 is the default
@@ -83,12 +81,12 @@ def run_chaos(seed, n_ops=120, client_requests=10):
     # workload mixes replicated traffic with client request traffic.
     servers = [_replica(sim, with_client_slice=(i == 0)) for i in range(3)]
     for index, server in enumerate(servers):
-        attach_server_faults(plan, server, site=f"node{index}")
-    attach_server(obs, servers[1])  # the replica that will crash
-    plan.attach_obs(obs)
+        plan.attach(server, f"node{index}")
+    obs.attach(servers[1])  # the replica that will crash
+    obs.attach(plan)
 
     network = Network(sim)
-    attach_network_faults(plan, network)
+    plan.attach(network)
 
     # The schedule: a mid-run crash, deterministic chip failures on
     # replica 0, sporadic uncorrectable reads on replica 2, network

@@ -28,7 +28,6 @@ from repro.faults import (
     STALL,
     FaultPlan,
     RetryPolicy,
-    attach_network_faults,
 )
 from repro.ftl.block_ftl import ChannelBlockFTL
 from repro.ftl.ops import read_op
@@ -237,7 +236,7 @@ def test_network_drop_is_retried_by_the_client():
     network = Network(sim)
     plan = FaultPlan()
     plan.add("net", DROP, at_op=1)
-    attach_network_faults(plan, network)
+    plan.attach(network)
     client = KVClient(
         sim,
         network,
@@ -262,7 +261,7 @@ def test_network_drop_without_retry_policy_propagates():
     network = Network(sim)
     plan = FaultPlan()
     plan.add("net", DROP, at_op=1)
-    attach_network_faults(plan, network)
+    plan.attach(network)
     from repro.cluster.network import Nic
 
     src, dst = Nic(sim, name="a"), Nic(sim, name="b")

@@ -13,8 +13,6 @@ from repro.faults import (
     READ_UNCORRECTABLE,
     FaultPlan,
     FaultRunner,
-    attach_network_faults,
-    attach_server_faults,
 )
 from repro.kv.lsm import LSMTree
 from repro.kv.slice import KeyRange, Slice
@@ -34,14 +32,13 @@ def run_workload(with_empty_plan: bool):
         n_channels=4,
     )
     network = Network(sim)
-    server.system.attach(obs)
-    server.attach(obs)
+    obs.attach(server.system).attach(server)
     plan = None
     if with_empty_plan:
         plan = FaultPlan(seed=2024)
-        attach_server_faults(plan, server, site="node0")
-        attach_network_faults(plan, network)
-        plan.attach_obs(obs)
+        plan.attach(server, "node0")
+        plan.attach(network)
+        obs.attach(plan)
         FaultRunner(sim, plan).start()  # empty schedule: spawns nothing
     client = Nic(sim, name="client")
     value = b"drift" * 1024  # 5 KB

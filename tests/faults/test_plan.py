@@ -187,7 +187,7 @@ def test_fired_faults_emit_obs_counters_and_trace_instants():
     obs = Observability(trace=True)
     plan = FaultPlan()
     plan.add("s", READ_UNCORRECTABLE, at_op=1)
-    plan.attach_obs(obs)
+    obs.attach(plan)
     plan.injector("s").fires(READ_UNCORRECTABLE, page=9)
     plan.injector("s").note("remap", page=9)
     snap = obs.snapshot()

@@ -21,7 +21,6 @@ from repro.faults import (
     FaultPlan,
     FaultRunner,
     RetryPolicy,
-    attach_server_faults,
 )
 from repro.kv.lsm import LSMTree
 from repro.kv.slice import KeyRange, Slice
@@ -79,7 +78,7 @@ def test_acked_writes_survive_any_schedule_with_a_surviving_replica(case):
         duration_ns=case["crash_duration_ms"] * MS,
     )
     for index, server in enumerate(servers):
-        attach_server_faults(plan, server, site=f"node{index}")
+        plan.attach(server, f"node{index}")
     kv = ReplicatedKV(
         sim,
         servers,

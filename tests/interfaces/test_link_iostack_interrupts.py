@@ -80,7 +80,7 @@ def test_link_rule_added_mid_run_never_exceeds_the_link_cap():
     mid-run booked both at once and the PCIe link carried up to
     2228 MB/s.  One lane model: the rule changes nothing."""
     from repro.devices import build_device
-    from repro.faults import FaultPlan, attach_device_faults
+    from repro.faults import FaultPlan
     from repro.sim import MS
 
     window_ns = 250 * US
@@ -89,7 +89,7 @@ def test_link_rule_added_mid_run_never_exceeds_the_link_cap():
         sim = Simulator()
         sdf = build_device("sdf", sim, capacity_scale=0.004)
         plan = FaultPlan(seed=1)
-        attach_device_faults(plan, sdf)
+        plan.attach(sdf)
         sdf.prefill(1.0)
 
         def reader(dev, n_pages):

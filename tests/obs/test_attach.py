@@ -14,14 +14,14 @@ from repro import build_sdf_system
 from repro.devices.sdf import SDFDevice
 from repro.ecc.model import EccModel, ReadStatus
 from repro.nand import SDF_CHIP_GEOMETRY
-from repro.obs import Observability, attach_device, attach_ecc
+from repro.obs import Observability, attach_device
 from repro.sim import MS, Simulator
 
 
 def run_workload(obs=None, n_channels=4):
-    system = build_sdf_system(
-        capacity_scale=0.004, n_channels=n_channels, obs=obs
-    )
+    system = build_sdf_system(capacity_scale=0.004, n_channels=n_channels)
+    if obs is not None:
+        obs.attach(system)
     ids = [system.put(b"payload-%d" % index) for index in range(2 * n_channels)]
     for block_id in ids[: n_channels]:
         system.get(block_id, 0, 4096)
@@ -148,7 +148,7 @@ def test_server_attach_exposes_request_metrics():
         sim, slices, capacity_scale=0.004, n_channels=4
     )
     obs = Observability(trace=True)
-    server.attach_obs(obs)
+    obs.attach(server)
 
     def workload():
         yield from server.handle_put(5, PlaceholderValue(1024))
@@ -176,7 +176,7 @@ def test_ecc_attach_exposes_read_outcome_counters():
     # Deterministic-optimistic model (rng=None): every read is CLEAN.
     obs = Observability()
     ecc = EccModel()
-    attach_ecc(obs, ecc)
+    obs.attach(ecc)
     for _ in range(5):
         assert ecc.read_outcome(8192, 1000) is ReadStatus.CLEAN
     snap = obs.snapshot()
@@ -191,7 +191,7 @@ def test_ecc_attach_counts_corrections_and_failures_at_high_wear():
     # metrics must always agree with the model's own tallies.
     obs = Observability()
     ecc = EccModel(rng=np.random.default_rng(42))
-    attach_ecc(obs, ecc)
+    obs.attach(ecc)
     n = 400
     for index in range(n):
         ecc.read_outcome(8192, 3_000 if index % 2 == 0 else 6_000)
@@ -210,14 +210,14 @@ def test_ecc_attach_counts_corrections_and_failures_at_high_wear():
 
 
 def test_ecc_attach_is_pull_only_no_hot_path_cost():
-    # The model never calls into obs on a read -- attach_ecc registers
+    # The model never calls into obs on a read -- attaching registers
     # callbacks over the plain attribute tallies, so an unattached model
     # has no obs coupling at all.
     ecc = EccModel()
     assert ecc.obs is None
     ecc.read_outcome(8192, 100)
     obs = Observability()
-    attach_ecc(obs, ecc)
+    obs.attach(ecc)
     assert ecc.obs is obs
     # Reads made *before* attachment are still visible (pull semantics).
     assert obs.snapshot()["ecc.reads_clean"] == 1

@@ -40,9 +40,9 @@ def make_server(sim, obs, qos):
         capacity_scale=0.01,
         n_channels=4,
     )
-    server.attach(obs)
-    server.attach(qos, name="n0")
-    qos.attach_obs(obs)
+    obs.attach(server)
+    qos.attach(server, "n0")
+    obs.attach(qos)
     return server
 
 
@@ -132,7 +132,7 @@ def test_policy_outcome_metric_names_are_stable():
         ),
         period_ns=MS,
     )
-    plan.attach_obs(obs)
+    obs.attach(plan)
     engine = PolicyEngine(plan, sim, obs=obs)
     obs.metrics.gauge("load").set(5.0)
     engine.start(until_ns=3 * MS)
@@ -199,7 +199,7 @@ def test_membership_and_election_metric_names_are_stable():
             suspect_timeout_ns=40 * MS,
         ),
     )
-    group.attach(obs)
+    obs.attach(group)
     group.watch_nodes()
 
     def killer():

@@ -89,11 +89,11 @@ def run_policy_chaos(seed, n_bursts=4):
     qos = QosPlan(admission=AdmissionConfig(max_reads=64, max_writes=64))
     policy = PolicyPlan(rules=make_rules(), period_ns=5 * MS, seed=seed)
     ctrl = ClusterController(sim, Network(sim))
-    ctrl.attach(obs)
-    ctrl.attach(plan)
-    ctrl.attach(qos)
-    ctrl.attach(policy)
-    policy.attach_obs(obs)
+    obs.attach(ctrl)
+    plan.attach(ctrl)
+    qos.attach(ctrl)
+    policy.attach(ctrl)
+    obs.attach(policy)
     runner = FaultRunner(sim, plan)
     for index in range(3):
         name = f"n{index}"
@@ -101,10 +101,10 @@ def run_policy_chaos(seed, n_bursts=4):
             sim, [], capacity_scale=0.01, n_channels=4
         )
         ctrl.add_node(name, server)
-        server.attach(obs)
-        server.attach(plan, name=name)
-        server.attach(qos, name=name)
-        server.attach(policy, name=name)
+        obs.attach(server)
+        plan.attach(server, name)
+        qos.attach(server, name)
+        policy.attach(server, name)
         runner.bind(name, server)
     for index in range(3):
         ctrl.create_slice(

@@ -66,11 +66,11 @@ def make_scenario():
     group = ControllerGroup(
         sim, network, ctrl, n_replicas=3, swim=FAST, seed=3
     )
-    group.attach(obs)
+    obs.attach(group)
     group.watch_nodes()
     plan = PolicyPlan(rules=(dead_node_rule(),), period_ns=10 * MS)
-    plan.attach_obs(obs)
-    ctrl.attach(plan)
+    obs.attach(plan)
+    plan.attach(ctrl)
     engine = PolicyEngine(plan, sim, obs=obs)
     return sim, ctrl, group, obs, engine, sids
 
@@ -136,7 +136,7 @@ def test_signal_reads_default_without_a_group():
     sim = Simulator()
     obs = Observability()
     plan = PolicyPlan(rules=(dead_node_rule(),), period_ns=10 * MS)
-    plan.attach_obs(obs)
+    obs.attach(plan)
     engine = PolicyEngine(plan, sim, obs=obs)
     engine.start(until_ns=100 * MS)
     sim.run()

@@ -39,7 +39,7 @@ def engine_over_gauge(rules, script, obs=None, period_ns=MS, seed=0,
     sim = Simulator()
     obs = obs if obs is not None else Observability()
     plan = PolicyPlan(rules=tuple(rules), period_ns=period_ns, seed=seed)
-    plan.attach_obs(obs)
+    obs.attach(plan)
     engine = PolicyEngine(plan, sim, obs=obs)
 
     def scripted():
@@ -216,7 +216,7 @@ def small_cluster(sim, qos):
         )
         name = f"n{index}"
         ctrl.add_node(name, server)
-        server.attach(qos, name=name)
+        qos.attach(server, name)
     ctrl.create_slice(KeyRange(0, 100), on=["n0"])
     ctrl.create_slice(KeyRange(100, 200), on=["n1"])
     return ctrl
@@ -227,7 +227,7 @@ def test_set_and_scale_admission_retune_every_node():
     qos = QosPlan(admission=AdmissionConfig(max_reads=32, max_writes=16))
     ctrl = small_cluster(sim, qos)
     plan = PolicyPlan(rules=(load_rule(),))
-    ctrl.attach(plan)
+    plan.attach(ctrl)
     engine = PolicyEngine(plan, sim)
 
     SetAdmission(max_reads=8, max_writes=4).apply(engine.ctx, None)
@@ -252,7 +252,7 @@ def test_pace_migrations_rebudgets_the_controller():
     qos = QosPlan(admission=AdmissionConfig(max_reads=32))
     ctrl = small_cluster(sim, qos)
     plan = PolicyPlan(rules=(load_rule(),))
-    ctrl.attach(plan)
+    plan.attach(ctrl)
     engine = PolicyEngine(plan, sim)
     PaceMigrations(copy_mb_per_s=50.0, max_concurrent=1).apply(
         engine.ctx, None
@@ -275,7 +275,7 @@ def test_metric_signal_reads_histogram_fields_and_defaults():
     sim = Simulator()
     obs = Observability()
     plan = PolicyPlan(rules=(load_rule(),))
-    plan.attach_obs(obs)
+    obs.attach(plan)
     engine = PolicyEngine(plan, sim, obs=obs)
     obs.metrics.histogram("lat").record(100)
     obs.metrics.histogram("lat").record(300)
@@ -302,7 +302,7 @@ def test_delta_rate_signal_windows_per_tick():
         ),
         period_ns=MS,
     )
-    plan.attach_obs(obs)
+    obs.attach(plan)
     engine = PolicyEngine(plan, sim, obs=obs)
     signal = DeltaRateSignal("sheds")
     engine.ctx._advance(0, 0)
@@ -346,26 +346,22 @@ def test_plan_validation():
 
 
 def test_attach_dispatch_reaches_every_surface():
-    from repro import build_sdf_system
     from repro.cluster.node import build_sdf_server
 
     plan = PolicyPlan(rules=(load_rule(),))
-    system = build_sdf_system(capacity_scale=0.005, n_channels=4)
-    assert system.attach(plan) is system
-    assert plan._systems == [system]
-
     sim = Simulator()
     server = build_sdf_server(sim, [], capacity_scale=0.005, n_channels=4)
-    assert server.attach(plan, name="n7") is server
+    assert plan.attach(server, "n7") is plan
     assert plan._servers["n7"] is server
 
     qos = QosPlan(admission=AdmissionConfig(max_reads=8))
     ctrl = small_cluster(Simulator(), qos)
-    assert ctrl.attach(plan) is ctrl
+    assert plan.attach(ctrl) is plan
     assert plan._controller is ctrl
 
-    with pytest.raises(TypeError, match="don't know how to attach"):
-        system.attach(object())
+    # An SDF system is no actuator: attaching one used to do nothing.
+    with pytest.raises(TypeError, match="PolicyPlan cannot attach to SDFSystem"):
+        plan.attach(server.system)
 
 
 def test_engine_start_guards():

@@ -15,16 +15,10 @@ import numpy as np
 import pytest
 
 from repro.cluster import ReplicatedKV, build_sdf_server
-from repro.faults import (
-    BROWNOUT,
-    FaultPlan,
-    FaultRunner,
-    RetryPolicy,
-    attach_server_faults,
-)
+from repro.faults import BROWNOUT, FaultPlan, FaultRunner, RetryPolicy
 from repro.kv.lsm import LSMTree
 from repro.kv.slice import KeyRange, Slice
-from repro.obs import Observability, attach_server
+from repro.obs import Observability
 from repro.qos import BreakerState, CircuitBreaker
 from repro.sim import MS, S, Simulator
 
@@ -60,9 +54,9 @@ def run_brownout_chaos(seed, n_ops=60):
     plan = FaultPlan(seed=seed)
     servers = [_replica(sim) for _ in range(3)]
     for index, server in enumerate(servers):
-        attach_server_faults(plan, server, site=f"node{index}")
-    attach_server(obs, servers[1])  # the replica that browns out
-    plan.attach_obs(obs)
+        plan.attach(server, f"node{index}")
+    obs.attach(servers[1])  # the replica that browns out
+    obs.attach(plan)
 
     plan.schedule(
         "node1",

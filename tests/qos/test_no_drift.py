@@ -12,12 +12,7 @@ from repro.cluster import Network, Nic, build_sdf_server
 from repro.kv.lsm import LSMTree
 from repro.kv.slice import KeyRange, Slice
 from repro.obs import Observability
-from repro.qos import (
-    ChannelQosConfig,
-    QosPlan,
-    WriteStallConfig,
-    attach_server_qos,
-)
+from repro.qos import ChannelQosConfig, QosPlan, WriteStallConfig
 from repro.sim import MS, Simulator
 
 
@@ -32,8 +27,7 @@ def run_workload(with_empty_plan: bool):
         n_channels=4,
     )
     network = Network(sim)
-    server.system.attach(obs)
-    server.attach(obs)
+    obs.attach(server.system).attach(server)
     plan = None
     if with_empty_plan:
         # Sub-configs whose every knob is None count as empty too.
@@ -42,9 +36,9 @@ def run_workload(with_empty_plan: bool):
             write_stall=WriteStallConfig(),
         )
         assert plan.empty
-        attach_server_qos(plan, server, name="node0")
-        server.system.attach(plan)
-        plan.attach_obs(obs)
+        plan.attach(server, "node0")
+        plan.attach(server.system)
+        obs.attach(plan)
     client = Nic(sim, name="client")
     value = b"drift" * 1024  # 5 KB
 
@@ -82,9 +76,9 @@ def test_empty_plan_run_is_byte_identical_to_no_plan_run():
 
 
 def test_empty_plan_registers_no_metrics():
-    # Even a late attach_obs on an empty plan must not touch the
+    # Even a late Observability attach on an empty plan must not touch the
     # registry -- there are no states to bind.
     obs = Observability()
     plan = QosPlan()
-    plan.attach_obs(obs)
+    obs.attach(plan)
     assert obs.metrics.names() == []

@@ -18,7 +18,7 @@ import pytest
 
 from repro.cluster import build_storage_server
 from repro.devices import HUAWEI_GEN3_SPEC, build_device, device_kinds
-from repro.faults import FaultPlan, attach_device_faults
+from repro.faults import FaultPlan
 from repro.interfaces.link import LinkDropError
 from repro.kv.lsm import LSMTree
 from repro.kv.slice import Slice, partition_key_space
@@ -75,7 +75,7 @@ def test_gated_sdf_requests_leave_nothing_to_collect(found):
     releases and the queued waiters die with the request."""
     sim = Simulator()
     sdf = build_device("sdf", sim, capacity_scale=0.004, n_channels=2)
-    attach_device_faults(FaultPlan(seed=1), sdf)
+    FaultPlan(seed=1).attach(sdf)
     for engine in sdf.engines:
         engine.qos = ChannelQosState(sim, engine.channel, max_inflight=4)
     channel = sdf.channels[0]
@@ -132,7 +132,7 @@ def test_no_op_objects_exist_mid_drive_behind_the_admission_gate(found):
     ``FlashOp`` or ``PhysicalAddress`` is alive either."""
     sim = Simulator()
     sdf = build_device("sdf", sim, capacity_scale=0.004, n_channels=4)
-    attach_device_faults(FaultPlan(seed=1), sdf)
+    FaultPlan(seed=1).attach(sdf)
     for engine in sdf.engines:
         engine.qos = ChannelQosState(sim, engine.channel, max_inflight=4)
     assert all(engine.can_reserve_ahead() for engine in sdf.engines)
@@ -240,7 +240,7 @@ def _fail_a_write(sim, device, write, found):
     once, the device serves the next one, and nothing is left."""
     plan = FaultPlan(seed=1)
     plan.add("link", "drop", at_op=40)
-    attach_device_faults(plan, device)
+    plan.attach(device)
     outcomes = []
 
     def issuer():
