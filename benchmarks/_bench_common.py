@@ -97,7 +97,7 @@ def build_server(sim, kind, n_slices, capacity_scale=0.03,
                  memtable_bytes=None, **kwargs):
     """A storage server over any device-zoo kind.
 
-    ``kind`` is a registered device kind ("sdf", "conventional",
+    ``kind`` is a device kind ("sdf", "conventional",
     "dftl", "hybrid", "mqftl", "zoned") or one of the legacy aliases
     "gen3" (the Huawei conventional baseline) / "intel" (the Intel 320
     spec at a larger scale so a patch extent still fits).

@@ -1,7 +1,7 @@
 """CCDB ablation across the device zoo (the redesign's acceptance run).
 
 One CCDB-style KV workload and one fleet-day slice, replayed over every
-registered device kind -- SDF, conventional page-mapped, DFTL, hybrid
+device kind -- SDF, conventional page-mapped, DFTL, hybrid
 log-block, multi-queue, zoned -- through the single ``build_device``
 door.  Emits a per-device JSON artifact (cost/WA/predictability) and
 asserts the paper's architectural claims *and* their boundary:
@@ -243,10 +243,7 @@ def run_small_update_phase(kind):
                     yield from channel.write(block)
 
     else:
-        device = build_device(kind, sim, capacity_scale=0.01, cmt_pages=64) \
-            if kind == "dftl" else build_device(
-                kind, sim, capacity_scale=0.01
-            )
+        device = build_device(kind, sim, capacity_scale=0.01)
         n_updates = 256
         rng = random.Random(SEED)
         span = 512  # hot set: within one DFTL translation page

@@ -31,11 +31,7 @@ Quickstart::
 """
 
 from repro._version import __version__
-from repro.core.api import (
-    SDFSystem,
-    build_conventional_ssd,
-    build_sdf_system,
-)
+from repro.core.api import SDFSystem, build_sdf_system
 from repro.errors import (
     ClusterError,
     PermanentFault,
@@ -49,7 +45,6 @@ __all__ = [
     "__version__",
     "SDFSystem",
     "build_sdf_system",
-    "build_conventional_ssd",
     "ReproError",
     "TransientFault",
     "PermanentFault",

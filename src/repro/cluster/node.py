@@ -829,55 +829,43 @@ def build_storage_server(
     slices: List[Slice],
     device_kind: str = "sdf",
     capacity_scale: float = 0.05,
-    n_channels: int = 44,
+    n_channels: Optional[int] = 44,
     spec=None,
     device_params: Optional[dict] = None,
     **server_kwargs,
 ):
-    """A storage server over any registered device kind.
+    """A storage server over any device kind.
 
-    The one-door cluster builder for the device zoo: ``device_kind``
-    selects the device (see ``repro.devices.device_kinds()``) and the
-    extent backend its :class:`~repro.cluster.storage.PatchStore` runs
-    on, and ``device_params`` passes device-specific knobs
-    (``cmt_pages``, ``log_blocks_per_channel``, ...) straight to
-    ``build_device``.
+    ``device_kind`` selects the device (see
+    ``repro.devices.device_kinds()``) and the extent backend its
+    :class:`~repro.cluster.storage.PatchStore` runs on; ``spec`` (the
+    conventional family's) and ``device_params`` (``cmt_pages``,
+    ``log_blocks_per_channel``, ...) go with ``capacity_scale`` and
+    ``n_channels`` straight to ``build_device``, whose builder knows the
+    kind's defaults.  ``n_channels=None`` keeps a conventional spec's own.
 
     Every server exposes its device as ``server.device``; an SDF-backed
     one also the built system as ``server.system``.
     """
-    from repro.devices.catalog import HUAWEI_GEN3_SPEC, build_device
+    from repro.devices.catalog import build_device
 
-    params = dict(device_params or {}, capacity_scale=capacity_scale)
+    params = dict(
+        device_params or {}, capacity_scale=capacity_scale, n_channels=n_channels
+    )
     system = None
     if device_kind == "sdf":
         from repro.core.api import build_sdf_system
 
-        system = build_sdf_system(n_channels=n_channels, sim=sim, **params)
+        system = build_sdf_system(sim=sim, **params)
         backend = BlockLayerExtents(system.block_layer)
     elif device_kind == "zoned":
-        backend = ZoneExtents(
-            build_device("zoned", sim, n_channels=n_channels, **params)
-        )
+        backend = ZoneExtents(build_device("zoned", sim, **params))
     else:
         # The conventional family (page-mapped, DFTL, hybrid, MQ) all
-        # speak the LPN extent interface.
-        base_spec = spec if spec is not None else HUAWEI_GEN3_SPEC
-        if n_channels != base_spec.n_channels:
-            from dataclasses import replace
-
-            base_spec = replace(
-                base_spec,
-                n_channels=n_channels,
-                parity_group_size=min(
-                    base_spec.parity_group_size, max(2, n_channels)
-                ),
-            )
-        # store_data: pages hold patch references for value reads.
+        # speak the LPN extent interface; store_data: pages hold patch
+        # references for value reads.
         backend = LpnExtents(
-            build_device(
-                device_kind, sim, spec=base_spec, store_data=True, **params
-            )
+            build_device(device_kind, sim, spec=spec, store_data=True, **params)
         )
     server = StorageServer(sim, PatchStore(backend), slices, **server_kwargs)
     if system is not None:
@@ -910,16 +898,14 @@ def build_conventional_server(
     capacity_scale: float = 0.05,
     **server_kwargs,
 ):
-    """A storage server over a commodity SSD baseline."""
-    from repro.devices.catalog import HUAWEI_GEN3_SPEC
-
-    spec = spec if spec is not None else HUAWEI_GEN3_SPEC
+    """A storage server over a commodity SSD baseline (default: the
+    Huawei Gen3), at its spec's own channel count."""
     return build_storage_server(
         sim,
         slices,
         device_kind="conventional",
         capacity_scale=capacity_scale,
-        n_channels=spec.n_channels,
+        n_channels=None,
         spec=spec,
         **server_kwargs,
     )

@@ -9,7 +9,7 @@ future work (load-balance-aware placement) lives in
 :mod:`repro.core.scheduler`.
 """
 
-from repro.core.api import SDFSystem, build_conventional_ssd, build_sdf_system
+from repro.core.api import SDFSystem, build_sdf_system
 from repro.core.block_layer import (
     BlockLocation,
     UserSpaceBlockLayer,
@@ -30,5 +30,4 @@ __all__ = [
     "ErasePolicy",
     "SDFSystem",
     "build_sdf_system",
-    "build_conventional_ssd",
 ]

@@ -21,8 +21,7 @@ from typing import Optional, Union
 
 from repro.core.block_layer import UserSpaceBlockLayer
 from repro.core.scheduler import ErasePolicy, PlacementPolicy
-from repro.devices.catalog import HUAWEI_GEN3_SPEC, build_device
-from repro.devices.conventional import ConventionalSSD, ConventionalSSDSpec
+from repro.devices.catalog import build_device
 from repro.devices.sdf import SDFDevice
 from repro.sim import Simulator
 
@@ -93,20 +92,3 @@ def build_sdf_system(
     )
     block_layer = UserSpaceBlockLayer(device, placement, erase_policy)
     return SDFSystem(sim, device, block_layer)
-
-
-def build_conventional_ssd(
-    spec: ConventionalSSDSpec = HUAWEI_GEN3_SPEC,
-    capacity_scale: float = 1.0,
-    sim: Optional[Simulator] = None,
-    store_data: bool = False,
-) -> ConventionalSSD:
-    """A commodity-SSD baseline (default: the Huawei Gen3)."""
-    sim = sim if sim is not None else Simulator()
-    return build_device(
-        "conventional",
-        sim,
-        spec=spec,
-        capacity_scale=capacity_scale,
-        store_data=store_data,
-    )

@@ -13,9 +13,10 @@
   (queue-per-channel controller), :class:`~repro.devices.zoned.ZonedDevice`
   (ZNS-style zones over the SDF hardware).
 * :mod:`~repro.devices.catalog` -- the concrete devices of Tables 1-3
-  plus the one-door factory: every backend registers under a string
-  ``kind`` and is built via :func:`~repro.devices.catalog.build_device`
-  or a declarative :class:`~repro.devices.catalog.DeviceSpec`.
+  plus the builder table: every backend is built by
+  :func:`~repro.devices.catalog.build_device` under a string ``kind``
+  (:func:`~repro.devices.catalog.device_kinds`), and its builder alone
+  knows the kind's defaults.
 
 All backends satisfy the :class:`~repro.devices.base.DeviceModel`
 protocol and report the same ``device.{kind}.*`` metric family
@@ -27,15 +28,13 @@ from repro.devices.catalog import (
     HUAWEI_GEN3_SPEC,
     INTEL_320_SPEC,
     MEMBLAZE_Q520_SPEC,
-    DeviceSpec,
     build_device,
     device_kinds,
-    register_device,
     sdf_spec,
 )
 from repro.devices.conventional import ConventionalSSD, ConventionalSSDSpec
-from repro.devices.dftl import DFTLDevice, DFTLSpec
-from repro.devices.hybrid import HybridDevice, HybridSpec
+from repro.devices.dftl import DFTLDevice
+from repro.devices.hybrid import HybridDevice
 from repro.devices.mqftl import MQFTLDevice
 from repro.devices.sdf import SDFChannelDevice, SDFDevice
 from repro.devices.zoned import ZonedDevice, ZoneStateError
@@ -54,16 +53,12 @@ __all__ = [
     "ConventionalSSD",
     "ConventionalSSDSpec",
     "DFTLDevice",
-    "DFTLSpec",
     "HybridDevice",
-    "HybridSpec",
     "MQFTLDevice",
     "ZonedDevice",
     "ZoneStateError",
-    "DeviceSpec",
     "build_device",
     "device_kinds",
-    "register_device",
     "sdf_spec",
     "HUAWEI_GEN3_SPEC",
     "INTEL_320_SPEC",

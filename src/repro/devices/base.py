@@ -95,7 +95,7 @@ class DeviceModel(Protocol):
     is this protocol that ``build_device`` returns against.
     """
 
-    #: Registry kind ("sdf", "conventional", "dftl", "hybrid", "mqftl",
+    #: Device kind ("sdf", "conventional", "dftl", "hybrid", "mqftl",
     #: "zoned", ...); also the ``device.{kind}.*`` metric prefix.
     kind: str
     sim: object

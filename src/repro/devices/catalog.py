@@ -1,4 +1,4 @@
-"""The device zoo: concrete drives plus the spec-driven factory.
+"""The device zoo: concrete drives plus the builder table.
 
 The paper's hardware (Tables 1-4) lives here as specs -- controller
 costs for the commodity baselines are calibrated against the paper's
@@ -8,39 +8,32 @@ no controller knobs: its numbers emerge from the channel engines, the
 link, and the thin software stack alone.
 
 Every backend -- SDF, conventional page-mapped, DFTL, hybrid log-block,
-multi-queue, zoned -- registers under a string ``kind`` and is built
-through one door::
+multi-queue, zoned -- has one builder in a ``{kind: builder}`` table,
+the only code that knows the kind's defaults, and :func:`build_device`
+is the one door to all of them::
 
-    device = build_device("dftl", sim, capacity_scale=0.01, cmt_pages=8)
+    device = build_device("dftl", sim, capacity_scale=0.01, n_channels=8,
+                          cmt_pages=8)
 
-or declaratively via :class:`DeviceSpec`, which pickles/compares
-cleanly for scenario configs::
-
-    spec = DeviceSpec("sdf", {"n_channels": 8})
-    device = spec.build(sim)
+Every kind takes ``capacity_scale`` and ``n_channels``.  The
+conventional family (``conventional``, ``dftl``, ``hybrid``, ``mqftl``)
+starts from the Huawei Gen3 spec; a channel count other than the spec's
+rewrites it, clamping the parity group to ``min(g, max(2, n))`` (no
+parity stays no parity).
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
-from dataclasses import dataclass, field, fields, replace
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    Mapping,
-    Optional,
-    Tuple,
-    get_type_hints,
-)
+from dataclasses import replace
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.devices.conventional import ConventionalSSD, ConventionalSSDSpec
-from repro.devices.dftl import DFTLDevice, DFTLSpec
-from repro.devices.hybrid import HybridDevice, HybridSpec
+from repro.devices.dftl import DFTLDevice
+from repro.devices.hybrid import HybridDevice
 from repro.devices.mqftl import MQFTLDevice
 from repro.devices.sdf import SDFDevice
 from repro.devices.zoned import ZonedDevice
@@ -129,159 +122,10 @@ def sdf_spec() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# The registry.
-# ---------------------------------------------------------------------------
-
-_REGISTRY: Dict[str, Callable[..., Any]] = {}
-
-
-def register_device(kind: str) -> Callable[[Callable], Callable]:
-    """Decorator: register ``builder(sim, **spec)`` under ``kind``.
-
-    Third-party backends can hook into ``build_device`` the same way
-    the built-in zoo does; re-registering a kind raises.
-    """
-
-    def decorate(builder: Callable) -> Callable:
-        if kind in _REGISTRY:
-            raise ConfigError(f"device kind {kind!r} already registered")
-        _REGISTRY[kind] = builder
-        return builder
-
-    return decorate
-
-
-def device_kinds() -> Tuple[str, ...]:
-    """The registered device kinds, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def _named_keywords(fn) -> Tuple[list, bool]:
-    """``(keyword names after the leading sim, takes **kwargs)``."""
-    parameters = list(inspect.signature(fn).parameters.values())[1:]
-    names = [
-        p.name
-        for p in parameters
-        if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
-    ]
-    return names, any(p.kind is p.VAR_KEYWORD for p in parameters)
-
-
-@functools.lru_cache(maxsize=None)
-def _accepted_keys(builder: Callable) -> Optional[Tuple[str, ...]]:
-    """The spec keys ``builder(sim, **spec)`` accepts, read from its
-    signature; a ``**overrides`` catch-all is followed into the
-    constructor of the builder's annotated return type (how the
-    SDF-hardware kinds forward them).  None when that trail ends in a
-    catch-all with nowhere known to go: anything is accepted."""
-    accepted, open_ended = _named_keywords(builder)
-    if open_ended:
-        target = get_type_hints(builder).get("return")
-        if not inspect.isclass(target):
-            return None
-        forwarded, open_ended = _named_keywords(target)
-        if open_ended:
-            return None
-        accepted += [name for name in forwarded if name not in accepted]
-    return tuple(accepted)
-
-
-def _check_spec(kind: str, keys: Iterable[str]) -> Callable:
-    """The builder registered for ``kind``, after rejecting an unknown
-    kind or a spec key its builder does not accept -- so a stale key in
-    a sweep config fails at parse time, with the kind's vocabulary in
-    the message."""
-    try:
-        builder = _REGISTRY[kind]
-    except KeyError:
-        raise ConfigError(
-            f"unknown device kind {kind!r}; known kinds: "
-            f"{', '.join(device_kinds())}"
-        ) from None
-    accepted = _accepted_keys(builder)
-    if accepted is not None:
-        for key in keys:
-            if key not in accepted:
-                raise ConfigError(
-                    f"device kind {kind!r} does not accept {key!r}; "
-                    f"accepted keys: {', '.join(accepted)}"
-                )
-    return builder
-
-
-def build_device(kind: str, sim: Optional[Simulator] = None, **spec) -> Any:
-    """Build any registered device behind the one-door factory.
-
-    ``sim=None`` creates a fresh :class:`Simulator` (handy in tests);
-    unknown kinds, and keys the kind does not accept, raise
-    :class:`~repro.errors.ConfigError` naming the known ones.  Keyword
-    arguments are backend-specific -- see each builder's docstring and
-    DESIGN.md section 11.
-    """
-    builder = _check_spec(kind, spec)
-    if sim is None:
-        sim = Simulator()
-    return builder(sim, **spec)
-
-
-@dataclass(frozen=True)
-class DeviceSpec:
-    """A declarative, hashable (kind, params) recipe for a device.
-
-    Lets configs (scenarios, sweeps, ablation grids) carry a device
-    choice as data; ``build`` defers to :func:`build_device`.
-    """
-
-    kind: str
-    params: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self):
-        _check_spec(self.kind, self.params)
-
-    def build(self, sim: Optional[Simulator] = None) -> Any:
-        """Instantiate the device this spec describes."""
-        return build_device(self.kind, sim, **dict(self.params))
-
-    def with_params(self, **updates) -> "DeviceSpec":
-        """A copy with ``updates`` merged over ``params``."""
-        merged = dict(self.params)
-        merged.update(updates)
-        return DeviceSpec(self.kind, merged)
-
-
-# ---------------------------------------------------------------------------
-# Built-in builders.
+# The builders.
 # ---------------------------------------------------------------------------
 
 
-def _conventional_family_spec(
-    spec_cls,
-    spec: Optional[ConventionalSSDSpec],
-    capacity_scale: float,
-    extra: Dict[str, Any],
-):
-    """Derive a (possibly subclassed) spec for page/log-mapped builds.
-
-    Starts from ``spec`` (default: the Huawei Gen3 drive), widens it to
-    ``spec_cls`` when the backend needs extra knobs, then applies the
-    capacity scale.  Scaling happens *after* widening so subclass specs
-    survive ``dataclasses.replace``.
-    """
-    if spec is None:
-        spec = HUAWEI_GEN3_SPEC
-    if not isinstance(spec, spec_cls):
-        base_kwargs = {
-            f.name: getattr(spec, f.name) for f in fields(ConventionalSSDSpec)
-        }
-        spec = spec_cls(**base_kwargs, **extra)
-    elif extra:
-        spec = replace(spec, **extra)
-    if capacity_scale != 1.0:
-        spec = spec.scaled(capacity_scale)
-    return spec
-
-
-@register_device("sdf")
 def _build_sdf(
     sim: Simulator,
     capacity_scale: float = 1.0,
@@ -301,70 +145,6 @@ def _build_sdf(
     return SDFDevice(sim, rng=rng, **kwargs)
 
 
-@register_device("conventional")
-def _build_conventional(
-    sim: Simulator,
-    spec: ConventionalSSDSpec = HUAWEI_GEN3_SPEC,
-    capacity_scale: float = 1.0,
-    store_data: bool = False,
-) -> ConventionalSSD:
-    """A commodity baseline, optionally with scaled-down capacity."""
-    if capacity_scale != 1.0:
-        spec = spec.scaled(capacity_scale)
-    return ConventionalSSD(sim, spec, store_data=store_data)
-
-
-@register_device("dftl")
-def _build_dftl(
-    sim: Simulator,
-    spec: Optional[ConventionalSSDSpec] = None,
-    capacity_scale: float = 1.0,
-    store_data: bool = False,
-    cmt_pages: Optional[int] = None,
-) -> DFTLDevice:
-    """A DFTL drive: page-mapped with a bounded cached mapping table.
-
-    ``cmt_pages=None`` keeps the spec's own bound (or the DFTLSpec
-    default of 64 when widening a plain conventional spec).
-    """
-    extra = {} if cmt_pages is None else {"cmt_pages": cmt_pages}
-    dspec = _conventional_family_spec(DFTLSpec, spec, capacity_scale, extra)
-    return DFTLDevice(sim, dspec, store_data=store_data)
-
-
-@register_device("hybrid")
-def _build_hybrid(
-    sim: Simulator,
-    spec: Optional[ConventionalSSDSpec] = None,
-    capacity_scale: float = 1.0,
-    store_data: bool = False,
-    log_blocks_per_channel: Optional[int] = None,
-) -> HybridDevice:
-    """A hybrid log-block (BAST-style) drive with merge costs."""
-    extra = (
-        {}
-        if log_blocks_per_channel is None
-        else {"log_blocks_per_channel": log_blocks_per_channel}
-    )
-    hspec = _conventional_family_spec(HybridSpec, spec, capacity_scale, extra)
-    return HybridDevice(sim, hspec, store_data=store_data)
-
-
-@register_device("mqftl")
-def _build_mqftl(
-    sim: Simulator,
-    spec: Optional[ConventionalSSDSpec] = None,
-    capacity_scale: float = 1.0,
-    store_data: bool = False,
-) -> MQFTLDevice:
-    """An LFTL-style multi-queue drive: queue-per-channel controller."""
-    mspec = _conventional_family_spec(
-        ConventionalSSDSpec, spec, capacity_scale, {}
-    )
-    return MQFTLDevice(sim, mspec, store_data=store_data)
-
-
-@register_device("zoned")
 def _build_zoned(
     sim: Simulator,
     capacity_scale: float = 1.0,
@@ -378,3 +158,137 @@ def _build_zoned(
     kwargs["n_channels"] = n_channels
     kwargs.update(overrides)
     return ZonedDevice(sim, rng=rng, **kwargs)
+
+
+def _family_spec(
+    spec: Optional[ConventionalSSDSpec],
+    capacity_scale: float,
+    n_channels: Optional[int],
+) -> ConventionalSSDSpec:
+    """``spec`` (default: the Huawei Gen3) at ``n_channels`` channels
+    (None: the spec's own) and ``capacity_scale``.
+
+    A new channel count clamps the parity group to ``min(g, max(2, n))``;
+    a spec without parity stays without.  Capacity scales last.
+    """
+    if spec is None:
+        spec = HUAWEI_GEN3_SPEC
+    if n_channels is not None and n_channels != spec.n_channels:
+        group = spec.parity_group_size
+        if group is not None:
+            group = min(group, max(2, n_channels))
+        spec = replace(spec, n_channels=n_channels, parity_group_size=group)
+    if capacity_scale != 1.0:
+        spec = spec.scaled(capacity_scale)
+    return spec
+
+
+def _build_conventional(
+    sim: Simulator,
+    spec: Optional[ConventionalSSDSpec] = None,
+    capacity_scale: float = 1.0,
+    n_channels: Optional[int] = None,
+    store_data: bool = False,
+) -> ConventionalSSD:
+    """A commodity page-mapped baseline."""
+    spec = _family_spec(spec, capacity_scale, n_channels)
+    return ConventionalSSD(sim, spec, store_data=store_data)
+
+
+def _build_dftl(
+    sim: Simulator,
+    spec: Optional[ConventionalSSDSpec] = None,
+    capacity_scale: float = 1.0,
+    n_channels: Optional[int] = None,
+    store_data: bool = False,
+    cmt_pages: int = 64,
+) -> DFTLDevice:
+    """A DFTL drive: page-mapped with a cached mapping table of
+    ``cmt_pages`` translation pages."""
+    spec = _family_spec(spec, capacity_scale, n_channels)
+    return DFTLDevice(sim, spec, store_data=store_data, cmt_pages=cmt_pages)
+
+
+def _build_hybrid(
+    sim: Simulator,
+    spec: Optional[ConventionalSSDSpec] = None,
+    capacity_scale: float = 1.0,
+    n_channels: Optional[int] = None,
+    store_data: bool = False,
+    log_blocks_per_channel: int = 4,
+) -> HybridDevice:
+    """A hybrid log-block (BAST-style) drive with merge costs."""
+    spec = _family_spec(spec, capacity_scale, n_channels)
+    return HybridDevice(
+        sim,
+        spec,
+        store_data=store_data,
+        log_blocks_per_channel=log_blocks_per_channel,
+    )
+
+
+def _build_mqftl(
+    sim: Simulator,
+    spec: Optional[ConventionalSSDSpec] = None,
+    capacity_scale: float = 1.0,
+    n_channels: Optional[int] = None,
+    store_data: bool = False,
+) -> MQFTLDevice:
+    """An LFTL-style multi-queue drive: queue-per-channel controller."""
+    spec = _family_spec(spec, capacity_scale, n_channels)
+    return MQFTLDevice(sim, spec, store_data=store_data)
+
+
+#: Each kind's builder, then the constructor its ``**overrides`` reach:
+#: the keys a kind accepts are the keywords these callables name.
+_BUILDERS: Dict[str, Tuple[Callable, ...]] = {
+    "conventional": (_build_conventional,),
+    "dftl": (_build_dftl,),
+    "hybrid": (_build_hybrid,),
+    "mqftl": (_build_mqftl,),
+    "sdf": (_build_sdf, SDFDevice),
+    "zoned": (_build_zoned, ZonedDevice),
+}
+
+
+def device_kinds() -> Tuple[str, ...]:
+    """The device kinds, sorted."""
+    return tuple(sorted(_BUILDERS))
+
+
+@functools.lru_cache(maxsize=None)
+def _accepted_keys(kind: str) -> Tuple[str, ...]:
+    """The keywords, after the leading ``sim``, that ``kind``'s
+    callables name (read once: a signature costs ~0.1 ms, and every
+    server build asks)."""
+    keys: list = []
+    for fn in _BUILDERS[kind]:
+        for p in list(inspect.signature(fn).parameters.values())[1:]:
+            if p.kind is not p.VAR_KEYWORD and p.name not in keys:
+                keys.append(p.name)
+    return tuple(keys)
+
+
+def build_device(kind: str, sim: Optional[Simulator] = None, **spec) -> Any:
+    """Build a device of ``kind`` -- the one door to the zoo.
+
+    ``sim=None`` creates a fresh :class:`Simulator` (handy in tests).
+    An unknown kind, or a key the kind does not accept, raises
+    :class:`~repro.errors.ConfigError` naming the accepted ones -- so a
+    stale key in a sweep config fails at once, with the kind's
+    vocabulary in the message.  See each builder's docstring and
+    DESIGN.md section 11.
+    """
+    if kind not in _BUILDERS:
+        raise ConfigError(
+            f"unknown device kind {kind!r}; known kinds: "
+            f"{', '.join(device_kinds())}"
+        )
+    accepted = _accepted_keys(kind)
+    for key in spec:
+        if key not in accepted:
+            raise ConfigError(
+                f"device kind {kind!r} does not accept {key!r}; "
+                f"accepted keys: {', '.join(accepted)}"
+            )
+    return _BUILDERS[kind][0](sim if sim is not None else Simulator(), **spec)

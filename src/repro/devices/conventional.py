@@ -149,7 +149,7 @@ class _PagedWrite:
 class ConventionalSSD:
     """Timed conventional SSD built on :class:`~repro.ftl.page_ftl.PageFTL`."""
 
-    #: Registry kind; also the ``device.{kind}.*`` metric prefix.
+    #: Builder-table kind; also the ``device.{kind}.*`` metric prefix.
     kind = "conventional"
 
     def __init__(

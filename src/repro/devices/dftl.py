@@ -21,7 +21,6 @@ host data and count toward write amplification.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import List
 
 from repro.devices.base import base_device_metrics
@@ -31,25 +30,18 @@ from repro.nand.array import FlashArray, PhysicalAddress
 from repro.ftl.page_ftl import PageFTL
 
 
-@dataclass(frozen=True)
-class DFTLSpec(ConventionalSSDSpec):
-    """A conventional-SSD spec plus the cached-mapping-table bound."""
-
-    #: Translation pages the cached mapping table holds (each covers
-    #: ``page_size / 8`` logical pages; 8-byte map entries).
-    cmt_pages: int = 64
-
-
 class DFTLPageFTL(PageFTL):
     """PageFTL whose map lookups go through a bounded translation cache."""
 
     #: Bytes per map entry (4-byte PPN + metadata, the usual estimate).
     ENTRY_BYTES = 8
 
-    def __init__(self, array: FlashArray, cmt_pages: int = 64, **kwargs):
+    def __init__(self, array: FlashArray, cmt_pages: int, **kwargs):
         super().__init__(array, **kwargs)
         if cmt_pages < 1:
             raise ValueError("cmt_pages must be >= 1")
+        #: Translation pages the cached mapping table holds (each covers
+        #: ``page_size / 8`` logical pages; 8-byte map entries).
         self.cmt_pages = cmt_pages
         self.entries_per_tp = max(
             1, array.geometry.page_size // self.ENTRY_BYTES
@@ -156,11 +148,15 @@ class DFTLDevice(ConventionalSSD):
 
     kind = "dftl"
 
+    def __init__(self, sim, spec: ConventionalSSDSpec, store_data=False, *,
+                 cmt_pages: int):
+        self.cmt_pages = cmt_pages
+        super().__init__(sim, spec, store_data=store_data)
+
     def _make_ftl(self, spec: ConventionalSSDSpec, store_data: bool):
-        cmt_pages = getattr(spec, "cmt_pages", 64)
         return DFTLPageFTL(
             self.array,
-            cmt_pages=cmt_pages,
+            cmt_pages=self.cmt_pages,
             op_ratio=spec.op_ratio,
             stripe_pages=spec.stripe_pages,
             parity_group_size=spec.parity_group_size,

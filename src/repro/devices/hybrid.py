@@ -24,7 +24,6 @@ free blocks come from the same per-plane min-wear pools
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.devices.base import base_device_metrics
@@ -34,14 +33,6 @@ from repro.ftl.page_ftl import OutOfSpaceError
 from repro.ftl.wear import FreeBlockPool
 from repro.nand.array import FlashArray, PhysicalAddress
 from repro.nand.geometry import scaled_count
-
-
-@dataclass(frozen=True)
-class HybridSpec(ConventionalSSDSpec):
-    """A conventional-SSD spec plus the log-block pool bound."""
-
-    #: Page-mapped log blocks each channel may hold before merging.
-    log_blocks_per_channel: int = 4
 
 
 class _LogBlock:
@@ -62,8 +53,8 @@ class HybridLogBlockFTL:
     def __init__(
         self,
         array: FlashArray,
+        log_blocks_per_channel: int,
         op_ratio: float = 0.25,
-        log_blocks_per_channel: int = 4,
         store_data: bool = True,
     ):
         if not 0.0 <= op_ratio < 1.0:
@@ -409,11 +400,17 @@ class HybridDevice(ConventionalSSD):
 
     kind = "hybrid"
 
+    def __init__(self, sim, spec: ConventionalSSDSpec, store_data=False, *,
+                 log_blocks_per_channel: int):
+        #: Page-mapped log blocks each channel may hold before merging.
+        self.log_blocks_per_channel = log_blocks_per_channel
+        super().__init__(sim, spec, store_data=store_data)
+
     def _make_ftl(self, spec: ConventionalSSDSpec, store_data: bool):
         return HybridLogBlockFTL(
             self.array,
             op_ratio=spec.op_ratio,
-            log_blocks_per_channel=getattr(spec, "log_blocks_per_channel", 4),
+            log_blocks_per_channel=self.log_blocks_per_channel,
             store_data=store_data,
         )
 

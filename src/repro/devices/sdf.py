@@ -403,7 +403,7 @@ class SDFChannelDevice:
 class SDFDevice:
     """The full 44-channel SDF board."""
 
-    #: Registry kind; also the ``device.{kind}.*`` metric prefix.
+    #: Builder-table kind; also the ``device.{kind}.*`` metric prefix.
     kind = "sdf"
 
     def __init__(

@@ -4,17 +4,11 @@ Paper S4.3 (after Foong et al.): the Linux block stack spends ~9100 CPU
 cycles issuing a request and ~21900 completing it -- ~12.9 us total on a
 2.4 GHz server core.  SDF's user-space IOCTL path plus thin PCIe driver
 costs only 2-4 us per request (S2.4), mostly MSI handling.
-
-Each model optionally owns a host-CPU resource so that per-request
-software time is *serialized* per issuing context, which is what makes
-software overhead matter at high IOPS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.sim import Resource, Simulator
 
 
 @dataclass(frozen=True)
@@ -41,20 +35,3 @@ KERNEL_IO_STACK = IOStackModel("linux-kernel", 3_800, 9_100)
 #: SDF: IOCTL straight to the PCIe driver; ~3 us total, mostly the MSI.
 SDF_USER_SPACE_STACK = IOStackModel("sdf-user-space", 1_000, 2_000)
 
-
-class HostCPU:
-    """A pool of cores serializing software-stack work."""
-
-    def __init__(self, sim: Simulator, cores: int = 8):
-        if cores < 1:
-            raise ValueError("need at least one core")
-        self.sim = sim
-        self.cores = Resource(sim, capacity=cores)
-
-    def spend(self, cost_ns: int):
-        """Generator: occupy one core for ``cost_ns``."""
-        if cost_ns <= 0:
-            return
-        with self.cores.request() as hold:
-            yield hold
-            yield self.sim.timeout(cost_ns)

@@ -13,8 +13,7 @@
 * :mod:`~repro.workloads.tenants` -- YCSB-style operation mixes and
   per-tenant SLO declarations;
 * :mod:`~repro.workloads.scenarios` -- seeded fleet-day scenarios that
-  drive a multi-node cluster with every plane attached;
-* :mod:`~repro.workloads.traces` -- record/replay of request traces.
+  drive a multi-node cluster with every plane attached.
 """
 
 from repro.workloads.arrivals import (
@@ -63,7 +62,6 @@ from repro.workloads.tenants import (
     SloSpec,
     TenantSpec,
 )
-from repro.workloads.traces import Trace, TraceEvent, replay_on_sdf
 
 __all__ = [
     "SizeDistribution",
@@ -100,7 +98,4 @@ __all__ = [
     "drive_sdf_writes",
     "drive_conventional_reads",
     "drive_conventional_writes",
-    "Trace",
-    "TraceEvent",
-    "replay_on_sdf",
 ]

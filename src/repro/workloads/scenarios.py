@@ -95,7 +95,7 @@ class Scenario:
     #: Per-node device scale-down (see benchmarks/_bench_common.py).
     capacity_scale: float = 0.01
     n_channels: int = 4
-    #: Storage backend per node -- any registered device kind
+    #: Storage backend per node -- any device kind
     #: (``repro.devices.device_kinds()``): "sdf", "conventional",
     #: "dftl", "hybrid", "mqftl", "zoned".
     device_kind: str = "sdf"

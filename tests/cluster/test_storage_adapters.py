@@ -5,11 +5,13 @@ One suite, parametrized over ``device_kinds()`` and built through
 promises must hold whichever extent backend is underneath.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro import StorageFullError
 from repro.cluster import build_storage_server
-from repro.devices import device_kinds
+from repro.devices import HUAWEI_GEN3_SPEC, device_kinds
 from repro.faults import DROP, FaultPlan
 from repro.kv import Patch, PlaceholderValue
 from repro.kv.lsm import Lookup, LSMTree
@@ -345,3 +347,20 @@ def test_conventional_missing_key_raises():
     handle = run(store.sim, store.store_patch(sample_patch()))
     with pytest.raises(KeyError):
         run(store.sim, store.read_value(Lookup(0, handle, 0, 10), "absent"))
+
+
+def test_conventional_server_without_parity_takes_any_channel_count():
+    """A parity-less spec stays parity-less when the server rewrites its
+    channel count (``None`` is no group to clamp)."""
+    spec = replace(HUAWEI_GEN3_SPEC, parity_group_size=None)
+    server = build_storage_server(
+        Simulator(),
+        [Slice(0, KeyRange(0, 1000))],
+        device_kind="conventional",
+        spec=spec,
+        capacity_scale=0.008,
+        n_channels=8,
+    )
+    assert server.device.spec.n_channels == 8
+    assert server.device.spec.parity_group_size is None
+    assert server.device.ftl.parity_group_size is None

@@ -1,17 +1,12 @@
 """Coverage for the public :class:`~repro.core.api.SDFSystem` facade:
-synchronous conveniences, planes attached to a system, builder
-kwargs, and the conventional-SSD baseline builder.
+synchronous conveniences, planes attached to a system and builder
+kwargs.
 """
 
 import pytest
 
-from repro import (
-    SDFSystem,
-    build_conventional_ssd,
-    build_sdf_system,
-)
+from repro import SDFSystem, build_sdf_system
 from repro.core.block_layer import BlockNotFoundError
-from repro.devices.catalog import HUAWEI_GEN3_SPEC
 from repro.errors import ConfigError
 from repro.faults import FaultPlan
 from repro.obs import Observability
@@ -74,12 +69,6 @@ def test_build_reuses_a_caller_simulator():
     system = small_system(sim=sim)
     assert system.sim is sim
     assert isinstance(system, SDFSystem)
-
-
-def test_build_conventional_ssd_baseline():
-    device = build_conventional_ssd(capacity_scale=0.004)
-    assert device.spec.name == HUAWEI_GEN3_SPEC.name  # scaled copy
-    assert device.sim.now == 0
 
 
 # -- planes attached to a system --------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Locks the API-redesign contract:
 
-* every registered kind satisfies :class:`~repro.devices.DeviceModel`
+* every kind satisfies :class:`~repro.devices.DeviceModel`
   and reports the full ``DEVICE_METRIC_KEYS`` family;
 * same seed -> byte-identical DeviceStats and obs counters, per kind;
 * backend-specific semantics: DFTL's bounded map cache, the hybrid
@@ -15,12 +15,11 @@ import pytest
 
 from repro.devices import (
     DEVICE_METRIC_KEYS,
+    HUAWEI_GEN3_SPEC,
     DeviceModel,
-    DeviceSpec,
     ZoneStateError,
     build_device,
     device_kinds,
-    register_device,
 )
 from repro.errors import ConfigError
 from repro.obs import Observability
@@ -52,7 +51,7 @@ def small_device(kind, sim=None, **params):
 
 
 # ---------------------------------------------------------------------------
-# Registry and protocol.
+# Kinds and protocol.
 # ---------------------------------------------------------------------------
 
 
@@ -63,14 +62,6 @@ def test_registry_lists_all_six_kinds():
 def test_unknown_kind_raises_config_error_naming_known_kinds():
     with pytest.raises(ConfigError, match="sdf"):
         build_device("nvme-of", Simulator())
-
-
-def test_reregistering_a_kind_raises():
-    with pytest.raises(ConfigError, match="already registered"):
-
-        @register_device("sdf")
-        def clash(sim):  # pragma: no cover - never called
-            return None
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -103,16 +94,29 @@ def test_attach_registers_device_metrics_under_kind_prefix(kind):
     assert snap[f"device.{kind}.write_amplification"] == pytest.approx(1.0)
 
 
-def test_device_spec_is_declarative_and_buildable():
-    spec = DeviceSpec("dftl", {"capacity_scale": SCALE, "cmt_pages": 8})
-    device = spec.build()
-    assert device.kind == "dftl"
-    assert device.ftl.cmt_pages == 8
-    wider = spec.with_params(cmt_pages=16)
-    assert wider.build().ftl.cmt_pages == 16
-    assert spec.params["cmt_pages"] == 8  # original untouched
-    with pytest.raises(ConfigError):
-        DeviceSpec("no-such-kind")
+@pytest.mark.parametrize("kind", device_kinds())
+def test_every_kind_takes_capacity_scale_and_n_channels(kind):
+    """The one door: every kind's builder takes the same two sizing
+    keys, and the rest of a kind's keys reach its device."""
+    device = build_device(kind, Simulator(), capacity_scale=SCALE, n_channels=4)
+    assert device.kind == kind
+    assert device.array.n_channels == len(device.engines) == 4
+    if kind == "dftl":
+        dftl = build_device(kind, capacity_scale=SCALE, n_channels=4,
+                            cmt_pages=8)
+        assert dftl.ftl.cmt_pages == 8
+
+
+@pytest.mark.parametrize("kind", ("conventional", "dftl", "hybrid", "mqftl"))
+def test_conventional_family_defaults_to_gen3(kind):
+    """With no spec the family builds the Huawei Gen3 (capacity-scaled),
+    and at 4 channels its 11-channel parity group clamps to 4."""
+    device = build_device(kind, capacity_scale=0.004)
+    assert device.spec.name == HUAWEI_GEN3_SPEC.name
+    assert device.spec.n_channels == HUAWEI_GEN3_SPEC.n_channels
+    assert device.sim.now == 0
+    narrow = build_device(kind, capacity_scale=SCALE, n_channels=4)
+    assert narrow.spec.parity_group_size == 4
 
 
 @pytest.mark.parametrize("kind", device_kinds())
@@ -124,8 +128,6 @@ def test_stale_spec_key_is_a_config_error_naming_the_vocabulary(kind):
         build_device(kind, mode="generator")
     assert "accepted keys: " in str(err.value)
     assert "capacity_scale" in str(err.value)
-    with pytest.raises(ConfigError, match="does not accept 'mode'"):
-        DeviceSpec(kind, {"capacity_scale": SCALE, "mode": "generator"})
     # So does the retired channel-queue ``priorities`` knob.
     with pytest.raises(ConfigError, match="does not accept 'priorities'"):
         build_device(kind, priorities={})
@@ -275,8 +277,6 @@ def test_dftl_hot_working_set_hits_the_cache():
 def test_hybrid_updates_flow_through_log_blocks_and_merge():
     from dataclasses import replace
 
-    from repro.devices import HUAWEI_GEN3_SPEC
-
     spec = replace(HUAWEI_GEN3_SPEC, n_channels=2, parity_group_size=2)
     sim = Simulator()
     device = build_device(
@@ -314,8 +314,6 @@ def test_hybrid_updates_flow_through_log_blocks_and_merge():
 
 def test_hybrid_sequential_streams_switch_merge_cheaply():
     from dataclasses import replace
-
-    from repro.devices import HUAWEI_GEN3_SPEC
 
     spec = replace(HUAWEI_GEN3_SPEC, n_channels=2, parity_group_size=2)
     sim = Simulator()

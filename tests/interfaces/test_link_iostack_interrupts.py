@@ -14,7 +14,6 @@ from repro.interfaces import (
     SATA_2_0,
     SDF_USER_SPACE_STACK,
 )
-from repro.interfaces.iostack import HostCPU
 from repro.sim import MB, Simulator, US
 from repro.sim.units import mb_per_s
 
@@ -164,23 +163,6 @@ def test_iostack_totals_match_paper():
 def test_iostack_validation():
     with pytest.raises(ValueError):
         IOStackModel("bad", -1, 0)
-
-
-def test_host_cpu_serializes_software_time():
-    sim = Simulator()
-    cpu = HostCPU(sim, cores=1)
-    done = []
-
-    def worker(tag):
-        yield from cpu.spend(10 * US)
-        done.append((tag, sim.now))
-
-    sim.process(worker("a"))
-    sim.process(worker("b"))
-    sim.run()
-    assert done == [("a", 10 * US), ("b", 20 * US)]
-    with pytest.raises(ValueError):
-        HostCPU(sim, cores=0)
 
 
 def test_interrupt_coalescer_merges_within_window():

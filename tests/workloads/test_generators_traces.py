@@ -1,4 +1,4 @@
-"""Tests for the device drivers and trace replay."""
+"""Tests for the device drivers."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,9 @@ import pytest
 from repro.devices import build_device, HUAWEI_GEN3_SPEC
 from repro.sim import MS, Simulator
 from repro.workloads import (
-    Trace,
-    TraceEvent,
     drive_conventional_reads,
     drive_sdf_reads,
     drive_sdf_writes,
-    replay_on_sdf,
 )
 
 
@@ -50,55 +47,3 @@ def test_conventional_read_driver():
         queue_depth=16,
     )
     assert 800 < mb_s < 1400  # near the 1.15-1.2 GB/s envelope
-
-
-def test_trace_validation_and_ordering():
-    trace = Trace()
-    trace.append(TraceEvent(0, "read", 0, 0))
-    trace.append(TraceEvent(10, "write", 0, 1))
-    with pytest.raises(ValueError):
-        trace.append(TraceEvent(5, "read", 0, 0))
-    with pytest.raises(ValueError):
-        TraceEvent(0, "explode", 0, 0)
-    with pytest.raises(ValueError):
-        TraceEvent(-1, "read", 0, 0)
-    assert len(trace) == 2
-    assert trace.duration_ns() == 10
-
-
-def test_trace_scaling():
-    trace = Trace([TraceEvent(1000, "read", 0, 0)])
-    assert trace.scaled(0.5).events[0].at_ns == 500
-    with pytest.raises(ValueError):
-        trace.scaled(0)
-
-
-def test_replay_open_loop_issues_at_timestamps():
-    sim = Simulator()
-    sdf = build_device("sdf", sim, capacity_scale=0.004, n_channels=2)
-    sdf.prefill(1.0)
-    trace = Trace(
-        [
-            TraceEvent(0, "read", 0, 0, 0, 1),
-            TraceEvent(5 * MS, "read", 1, 0, 0, 1),
-            TraceEvent(6 * MS, "erase", 0, 0),
-        ]
-    )
-    latencies = replay_on_sdf(sim, sdf, trace, open_loop=True)
-    assert len(latencies) == 3
-    assert sim.now >= 6 * MS
-
-
-def test_replay_closed_loop_serializes_per_channel():
-    sim = Simulator()
-    sdf = build_device("sdf", sim, capacity_scale=0.004, n_channels=1)
-    sdf.prefill(1.0)
-    trace = Trace(
-        [
-            TraceEvent(0, "read", 0, 0, 0, 1),
-            TraceEvent(0, "read", 0, 1, 0, 1),
-            TraceEvent(0, "write", 0, 2),
-        ]
-    )
-    latencies = replay_on_sdf(sim, sdf, trace, open_loop=False)
-    assert len(latencies) == 3
