@@ -429,15 +429,6 @@ class ChannelEngine:
             bus_ns = cache[nbytes] = self.timing.bus_transfer_ns(nbytes)
         return bus_ns
 
-    def program_ahead(self, op: FlashOp, request_ns: int, then=None) -> None:
-        """:meth:`program_page_ahead` for a PROGRAM somebody built."""
-        if op.kind is not OpKind.PROGRAM:
-            raise ValueError(f"only a PROGRAM is reserved ahead, not {op.kind}")
-        address = op.address
-        self.program_page_ahead(
-            (address.chip, address.plane), op.nbytes, request_ns, then
-        )
-
     def program_page_ahead(
         self, plane: Tuple[int, int], nbytes: int, request_ns: int, then=None
     ) -> None:
@@ -862,7 +853,10 @@ class ChannelEngine:
         if kind is OpKind.READ:
             self._admitted_reads((op,), then)
         elif kind is OpKind.PROGRAM and self.can_reserve_ahead():
-            self.program_ahead(op, self.sim._now, then)
+            address = op.address
+            self.program_page_ahead(
+                (address.chip, address.plane), op.nbytes, self.sim._now, then
+            )
         else:
             self._submit(op, then)
 

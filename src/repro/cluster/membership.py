@@ -139,9 +139,9 @@ class ControllerReplica:
 
     Carries the fault-domain state (liveness, NIC, persistent term and
     vote) -- the *logic* lives in :class:`ControllerGroup`, which drives
-    whichever replica currently leads.  ``crash()``/``restart()`` follow
-    the :class:`~repro.faults.runner.FaultRunner` scheduled-crash
-    protocol, so a plan can kill a controller like any storage node.
+    whichever replica currently leads.  ``crash()``/``restart()`` are
+    what a fault plan's scheduled crash calls, so a plan attached to the
+    group can kill a controller like any storage node.
     """
 
     def __init__(self, sim: Simulator, name: str, rank: int):

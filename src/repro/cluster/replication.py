@@ -18,8 +18,10 @@ behaviours the paper assumes host software provides live here:
 * **resync** -- :meth:`heal` replays a restarted replica's missed keys
   from its peers.
 
-Fault injection goes through :mod:`repro.faults` (site ``replication``
-for the read-path BCH-failure stand-in).
+Fault injection goes through :mod:`repro.faults`: attaching a
+``ReplicatedKV`` to a fault plan wires the ``replication`` site (the
+read-path BCH-failure stand-in) and has every replica's site resync it
+after a recovery.
 
 With a ``router`` -- a callable returning the slice's *current* replica
 servers, typically
@@ -58,9 +60,9 @@ class ReplicatedKV:
     behaviour) or resolved per operation through ``router`` (a callable
     returning the current list of :class:`StorageServer`\\ s).
 
-    ``faults`` is a :class:`~repro.faults.injector.FaultInjector` for the
-    ``replication`` site; its ``read_uncorrectable`` rules stand in for
-    the wear-driven BCH failures of :class:`repro.ecc.model.EccModel`.
+    ``faults`` is the ``replication`` site's injector once a fault plan
+    is attached; its ``read_uncorrectable`` rules stand in for the
+    wear-driven BCH failures of :class:`repro.ecc.model.EccModel`.
     ``retry`` enables per-attempt timeouts with exponential backoff;
     without it reads make a single failover pass (the original
     behaviour).
@@ -71,7 +73,6 @@ class ReplicatedKV:
         sim: Simulator,
         servers: Optional[List[StorageServer]] = None,
         rng: Optional[np.random.Generator] = None,
-        faults=None,
         retry: Optional[RetryPolicy] = None,
         breakers: Optional[List] = None,
         router: Optional[Callable[[], List[StorageServer]]] = None,
@@ -96,7 +97,7 @@ class ReplicatedKV:
         self._servers = list(servers) if servers is not None else None
         self.router = router
         self.rng = rng
-        self.faults = faults if faults is not None else NULL_INJECTOR
+        self.faults = NULL_INJECTOR
         self.retry = retry
         #: Optional per-replica :class:`~repro.qos.breaker.CircuitBreaker`
         #: list (index-aligned with ``servers``).  Opting in also bounds
@@ -325,9 +326,9 @@ class ReplicatedKV:
 
         Replays every key the replica missed while down by reading the
         current value from the healthy replicas and writing it back.  A
-        key that reads as a miss is replayed as a delete.  Intended as
-        the ``on_restore`` hook of a
-        :class:`~repro.faults.runner.FaultRunner`.
+        key that reads as a miss is replayed as a delete.  A fault plan
+        the ``ReplicatedKV`` is attached to runs it after every recovery
+        at replica ``index``'s site.
 
         Resync copies race with live writes: a put issued between our
         read and our write-back would be overwritten with the older

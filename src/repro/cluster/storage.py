@@ -36,7 +36,7 @@ from repro.core.block_layer import UserSpaceBlockLayer
 from repro.errors import StorageFullError
 from repro.kv.lsm import Lookup
 from repro.kv.patch import Patch
-from repro.sim.process import bridged, run_inline
+from repro.sim.process import run_inline
 
 #: The CCDB patch size: the unit of an LPN-extent backend, whose device
 #: has no write unit of its own (blocks and zones bring theirs).
@@ -278,12 +278,9 @@ class PatchStore:
             raise KeyError(f"extent {handle} holds no data")
         return payload
 
-    def read_value(self, lookup: Lookup, key):
-        """Generator -> value, reading only the pages covering it."""
-        return bridged(self.sim, self.read_value_call, lookup, key)
-
     def read_value_call(self, lookup: Lookup, key, then, fail) -> None:
-        """:meth:`read_value` as a continuation: ``then(value)``."""
+        """Read the value of ``key``, only the pages covering it, then
+        ``then(value)``."""
         self.backend.read_call(
             lookup.handle,
             lookup.offset,

@@ -14,7 +14,7 @@ package provides:
 
 from repro.ecc.bch import BCHCode, UncorrectableError
 from repro.ecc.gf import GF2m
-from repro.ecc.model import EccModel, ReadStatus, bch_code
+from repro.ecc.model import EccModel, ReadStatus
 
 __all__ = [
     "GF2m",
@@ -22,5 +22,4 @@ __all__ = [
     "UncorrectableError",
     "EccModel",
     "ReadStatus",
-    "bch_code",
 ]

@@ -11,27 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from repro.ecc.bch import BCHCode
 from repro.nand.errors import RawBitErrorModel, page_failure_probability
-
-
-@lru_cache(maxsize=None)
-def bch_code(m: int, t: int) -> BCHCode:
-    """Shared :class:`BCHCode` per ``(m, t)``.
-
-    Building a code means constructing GF(2^m) tables and the generator
-    polynomial (lcm of up to 2t minimal polynomials) -- costly enough
-    that rebuilding it per decode dominates functional ECC paths.  The
-    codec is stateless apart from an internal scratch buffer, so one
-    instance per parameter pair serves every caller of the
-    single-threaded simulator.
-    """
-    return BCHCode(m, t)
 
 
 class ReadStatus(Enum):

@@ -6,8 +6,8 @@ the device no longer hides.  This package is the test substrate for
 that bet: a :class:`FaultPlan` describes what goes wrong (probabilistic
 rules + scheduled crashes), ``FaultPlan.attach`` threads per-site
 :class:`FaultInjector` handles through the NAND/channel/link/network/
-controller layers behind no-op defaults, a :class:`FaultRunner` drives
-scheduled faults, and
+controller layers behind no-op defaults and records the targets of
+scheduled faults, ``FaultPlan.start`` drives those, and
 :class:`RetryPolicy`/:func:`race_with_timeout` provide the host-side
 timeout/backoff machinery.
 
@@ -40,7 +40,6 @@ from repro.faults.retry import (
     defuse_on_failure,
     race_with_timeout,
 )
-from repro.faults.runner import FaultRunner
 
 __all__ = [
     "BROWNOUT",
@@ -58,7 +57,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultRule",
-    "FaultRunner",
     "NullFaultInjector",
     "RetryPolicy",
     "ScheduledFault",

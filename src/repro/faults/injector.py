@@ -19,6 +19,7 @@ site                      faults consulted there
 ``net``                   datacenter network (``drop``, ``delay``,
                           scheduled ``partition`` link cuts)
 ``node<N>``               storage server N (scheduled ``crash``/``brownout``)
+``ctl<N>``                controller replica N (scheduled ``crash``)
 ``replication``           ``ReplicatedKV`` read-path BCH-failure stand-in
 ========================  =====================================================
 

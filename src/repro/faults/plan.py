@@ -4,8 +4,30 @@ will go wrong in a run.
 A plan is built up front, wired into an already-constructed system with
 :meth:`FaultPlan.attach` (or by assigning
 ``layer.faults = plan.injector(site)`` by hand), and then left alone:
-layers consult their injector on each operation, scheduled faults are
-driven by a :class:`~repro.faults.runner.FaultRunner`.
+layers consult their injector on each operation, and
+:meth:`FaultPlan.start` drives the scheduled faults against the
+targets ``attach`` recorded.
+
+Scheduled kinds, and what the target at their site must expose:
+
+* ``crash`` -- ``crash()`` (synchronous) and ``restart()`` (a generator
+  run as part of the driver process);
+* ``brownout`` -- ``begin_brownout(multiplier)`` and ``end_brownout()``
+  (both synchronous); the node stays up but every handler CPU charge is
+  multiplied for the fault's duration.  Pass the multiplier as a
+  schedule arg: ``plan.schedule(site, BROWNOUT, at_ns, duration_ns,
+  multiplier=20.0)``.
+* ``partition`` -- ``begin_partition(a, b, symmetric)`` and
+  ``end_partition(a, b, symmetric)`` (both synchronous;
+  :class:`repro.cluster.network.Network` has them).  ``a`` and ``b``
+  name the two sides of the cut: single NIC names or comma-joined
+  groups (``a="ctl0", b="ctl1,ctl2,n0"``); ``symmetric=False`` cuts only
+  the ``a`` -> ``b`` direction.  Schedule as ``plan.schedule("net",
+  PARTITION, at_ns, duration_ns, a="ctl0", b="ctl1,ctl2")``.
+
+After the recovery of any kind, a site that holds a replica of an
+attached :class:`~repro.cluster.replication.ReplicatedKV` resyncs it
+(:meth:`~repro.cluster.replication.ReplicatedKV.heal`).
 
 Two properties the test tier leans on:
 
@@ -21,16 +43,50 @@ Two properties the test tier leans on:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.faults.errors import FaultInjectionError
 from repro.faults.injector import (
+    BROWNOUT,
+    CRASH,
+    PARTITION,
     FaultEvent,
     FaultInjector,
     FaultRule,
     ScheduledFault,
     _RuleState,
 )
+
+#: Scheduled kind -> (onset method, recovery method, recovery event).
+_SCHEDULED = {
+    CRASH: ("crash", "restart", "restart"),
+    BROWNOUT: ("begin_brownout", "end_brownout", "brownout_end"),
+    PARTITION: ("begin_partition", "end_partition", "partition_heal"),
+}
+
+
+def _partition_sides(args: dict):
+    """Decode the ``a``/``b`` endpoint groups of one partition fault."""
+    try:
+        a, b = args["a"], args["b"]
+    except KeyError as exc:
+        raise FaultInjectionError(
+            "partition fault needs a= and b= endpoint names"
+        ) from exc
+    side_a = tuple(a.split(",")) if isinstance(a, str) else a
+    side_b = tuple(b.split(",")) if isinstance(b, str) else b
+    return side_a, side_b, bool(args.get("symmetric", True))
+
+
+def _calls(fault: ScheduledFault) -> tuple:
+    """``(onset args, recovery args, keywords)`` of one scheduled fault."""
+    args = dict(fault.args)
+    if fault.kind == BROWNOUT:
+        return (args.get("multiplier", 10.0),), (), {}
+    if fault.kind == PARTITION:
+        side_a, side_b, symmetric = _partition_sides(args)
+        return (side_a, side_b), (side_a, side_b), {"symmetric": symmetric}
+    return (), (), {}
 
 
 class FaultPlan:
@@ -43,8 +99,13 @@ class FaultPlan:
         self._states: Dict[Tuple[str, str], List[_RuleState]] = {}
         self._scheduled: Dict[str, List[ScheduledFault]] = {}
         self._injectors: Dict[str, FaultInjector] = {}
+        #: site -> the object its scheduled faults hit (set by attach)
+        self._targets: Dict[str, object] = {}
+        #: site -> generator function run after each recovery there
+        self._restore: Dict[str, Callable] = {}
         self._n_rules = 0
         self._sim = None
+        self._started = False
         self.obs = None
 
     # -- construction ------------------------------------------------------------
@@ -143,12 +204,77 @@ class FaultPlan:
 
     def attach(self, target, name: str = "") -> "FaultPlan":
         """Wire this plan into a built device, SDF system, storage
-        server, network or cluster controller and bind its clock (sites
-        in :mod:`repro.faults.wire`); returns ``self`` so calls chain."""
+        server, network, cluster controller, controller group or
+        replicated KV, record the targets of its scheduled faults and
+        bind its clock (sites in :mod:`repro.faults.wire`); returns
+        ``self`` so calls chain."""
         from repro.faults.wire import wire
 
         wire(self, target, name)
         return self
+
+    def start(self) -> None:
+        """Spawn one driver process per scheduled fault: sites in
+        order, each site's faults by ``at_ns``.
+
+        Call after attaching every target and before (or during)
+        ``sim.run()``.  A fault that could not run -- a site with no
+        target, an unknown kind, a target without the kind's methods, a
+        partition without ``a=``/``b=`` -- raises
+        :class:`FaultInjectionError` here, before any process exists:
+        a typo'd site silently injecting nothing would defeat the test
+        tier.
+        """
+        if self._started:
+            raise FaultInjectionError("FaultPlan.start() called twice")
+        drivers = []
+        for site in sorted(self._scheduled):
+            target = self._targets.get(site)
+            if target is None:
+                raise FaultInjectionError(
+                    f"scheduled fault at site {site!r} with no target; "
+                    f"attached targets: {sorted(self._targets)}"
+                )
+            for fault in self.scheduled_for(site):
+                if fault.kind not in _SCHEDULED:
+                    raise FaultInjectionError(
+                        f"don't know how to drive scheduled fault kind "
+                        f"{fault.kind!r} at site {site!r}"
+                    )
+                for method in _SCHEDULED[fault.kind][:2]:
+                    if not callable(getattr(target, method, None)):
+                        raise FaultInjectionError(
+                            f"{type(target).__name__} at site {site!r} "
+                            f"cannot take a scheduled {fault.kind}: "
+                            f"it has no {method}()"
+                        )
+                drivers.append((site, target, fault, _calls(fault)))
+        self._started = True
+        for site, target, fault, calls in drivers:
+            self._sim.process(self._drive(site, target, fault, calls))
+
+    def _drive(self, site, target, fault: ScheduledFault, calls):
+        sim = self._sim
+        injector = self.injector(site)
+        onset, recovery, event = _SCHEDULED[fault.kind]
+        onset_args, recovery_args, keywords = calls
+        args = dict(fault.args)
+        delay = fault.at_ns - sim.now
+        if delay > 0:
+            yield sim.timeout(delay)
+        getattr(target, onset)(*onset_args, **keywords)
+        injector.inject(fault.kind, **args)
+        if fault.duration_ns is None:
+            return  # never recovers
+        if fault.duration_ns > 0:
+            yield sim.timeout(fault.duration_ns)
+        recovering = getattr(target, recovery)(*recovery_args, **keywords)
+        if recovering is not None:
+            yield from recovering  # a restart takes simulated time
+        injector.note(event, **args)
+        restore = self._restore.get(site)
+        if restore is not None:
+            yield from restore()
 
     def scheduled_for(self, site: str) -> List[ScheduledFault]:
         """Scheduled faults registered against a site, in time order."""

@@ -24,7 +24,7 @@ from repro.ftl.gc import GreedyGarbageCollector
 from repro.ftl.mapping import BlockMapping, PageMapping
 from repro.ftl.ops import FlashOp, OpKind, OpRuns
 from repro.ftl.page_ftl import OutOfSpaceError, PageFTL
-from repro.ftl.wear import FreeBlockPool, StaticWearLeveler
+from repro.ftl.wear import FreeBlockPool
 
 __all__ = [
     "FlashOp",
@@ -34,7 +34,6 @@ __all__ = [
     "BlockMapping",
     "BadBlockManager",
     "FreeBlockPool",
-    "StaticWearLeveler",
     "GreedyGarbageCollector",
     "PageFTL",
     "OutOfSpaceError",

@@ -1,14 +1,11 @@
-"""Wear leveling: free-block allocation and (optional) static migration.
+"""Wear leveling: free-block allocation.
 
 **Dynamic wear leveling** (what SDF implements, S2.1): when a write
 needs a fresh block, pick the free block with the smallest erase count.
 The paper stores the erase-count table in banked SRAM so the minimum
 search can proceed in parallel; functionally this is a min-heap.
-
-**Static wear leveling** (what SDF deliberately *omits*, S2.2): migrate
-long-lived cold data out of low-wear blocks.  Implemented here for the
-conventional-SSD baseline and for the ablation study that justifies the
-omission.
+Static wear leveling -- migrating cold data out of low-wear blocks --
+is what SDF deliberately *omits* (S2.2), and no FTL here runs it.
 """
 
 from __future__ import annotations
@@ -76,65 +73,9 @@ class FreeBlockPool:
         self._free.discard(block)
         self._erase_counts.pop(block, None)
 
-    def note_external_erase(self, block: int) -> None:
-        """Record an erase performed while the block was allocated."""
-        if block in self._free:
-            raise ValueError("block is free; release() records its erase")
-        self._erase_counts[block] = self._erase_counts.get(block, 0) + 1
-        if self.on_erase is not None:
-            self.on_erase(block, self._erase_counts[block])
-
-    @property
-    def min_free_erase_count(self) -> Optional[int]:
-        """Smallest erase count among free blocks."""
-        while self._heap:
-            count, block = self._heap[0]
-            if block in self._free and count == self._erase_counts[block]:
-                return count
-            heapq.heappop(self._heap)
-        return None
-
     def wear_spread(self) -> int:
         """max - min erase count over every block this pool has seen."""
         if not self._erase_counts:
             return 0
         counts = self._erase_counts.values()
         return max(counts) - min(counts)
-
-
-class StaticWearLeveler:
-    """Cold-data migration policy for the conventional baseline/ablation.
-
-    When the wear spread (max erase count - min erase count) exceeds
-    ``threshold``, the block with the minimum erase count is nominated
-    for migration: its (cold) valid data should be moved so the
-    low-wear block can rejoin the free pool.  The mechanics of moving
-    data belong to the owning FTL; this class only decides *when* and
-    *which block*.
-    """
-
-    def __init__(self, threshold: int = 50):
-        if threshold < 1:
-            raise ValueError(f"threshold must be >= 1, got {threshold}")
-        self.threshold = threshold
-        self.migrations_triggered = 0
-
-    def pick_victim(
-        self,
-        erase_count_of: Callable[[int], int],
-        candidate_blocks: Iterable[int],
-        max_erase_count: int,
-    ) -> Optional[int]:
-        """The coldest candidate, if the spread crosses the threshold."""
-        victim = None
-        victim_count = None
-        for block in candidate_blocks:
-            count = erase_count_of(block)
-            if victim_count is None or count < victim_count:
-                victim, victim_count = block, count
-        if victim is None:
-            return None
-        if max_erase_count - victim_count < self.threshold:
-            return None
-        self.migrations_triggered += 1
-        return victim

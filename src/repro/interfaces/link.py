@@ -88,21 +88,11 @@ class HostLink:
         #: :data:`~repro.faults.injector.NULL_INJECTOR` unless wired.
         self.faults = NULL_INJECTOR
 
-    def transfer(self, direction: str, nbytes: int):
-        """Generator: move ``nbytes`` in ``direction`` over the link.
-
-        'read' is device-to-host, 'write' is host-to-device.  Transfers
-        are split into chunks so concurrent requests share the lane.
-        """
-        done = Event(self.sim)
-        self.reserve_call(direction, nbytes, done.succeed)
-        yield done
-        meter = self.read_meter if direction == "read" else self.write_meter
-        meter.record(self.sim.now, nbytes)
-
     def reserve_call(self, direction: str, nbytes: int, fn) -> None:
         """Reserve the lane for an ``nbytes`` transfer submitted at
-        sim-now; ``fn`` runs at the DMA's end instant.
+        sim-now; ``fn`` runs at the DMA's end instant.  'read' is
+        device-to-host, 'write' is host-to-device; transfers are split
+        into chunks so concurrent requests share the lane.
 
         A ``drop`` fault raises :class:`LinkDropError` here, at the
         submission instant; a ``delay`` fault defers the reservation.

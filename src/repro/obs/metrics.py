@@ -137,7 +137,7 @@ class MetricsRegistry:
 
     # -- reading ---------------------------------------------------------------
     def peek(self, name: str, now_ns: Optional[int] = None, default=None):
-        """Read one metric *without creating it* (policy-engine reads).
+        """Read one metric *without creating it* (policy rule reads).
 
         Returns the same shape :meth:`snapshot` would give the name --
         counter/gauge value, histogram summary dict, time-weighted

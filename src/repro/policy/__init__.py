@@ -1,30 +1,22 @@
 """repro.policy -- deterministic, declarative self-tuning.
 
-The autonomous policy engine closes the observe -> decide -> actuate
+A started :class:`PolicyPlan` closes the observe -> decide -> actuate
 loop: declarative :class:`Rule` objects read live metrics through the
 observability plane, pass through a property-tested hysteresis +
 cooldown automaton (no flapping), and pull the control-plane levers the
-rest of the repo already exposes -- admission limits, rebalance, slice
-splits, migration pacing -- on the controller and servers
-``PolicyPlan.attach`` bound.  Everything runs on the simulated clock
-with per-rule RNG streams, so a policy-driven run replays
-byte-identically.
+rest of the repo already exposes -- admission limits, rebalance,
+migration pacing -- on the controller and servers ``PolicyPlan.attach``
+bound.  ``PolicyPlan.start(sim)`` runs it on the simulated clock with
+per-rule RNG streams, so a policy-driven run replays byte-identically.
 """
 
 from repro.policy.actions import (
-    CallbackAction,
     PaceMigrations,
     ScaleAdmission,
     SetAdmission,
-    SplitHottestSlice,
     TriggerRebalance,
 )
-from repro.policy.engine import (
-    PolicyContext,
-    PolicyEngine,
-    PolicyPlan,
-    build_policy_engine,
-)
+from repro.policy.engine import PolicyContext, PolicyPlan
 from repro.policy.rules import (
     FIRED,
     IDLE,
@@ -37,28 +29,18 @@ from repro.policy.rules import (
     Rule,
     RuleState,
 )
-from repro.policy.signals import (
-    DeadNodeSignal,
-    DeltaRateSignal,
-    MetricSignal,
-    NodeSkewSignal,
-    SliceSkewSignal,
-)
+from repro.policy.signals import DeltaRateSignal, MetricSignal
 
 __all__ = [
-    "CallbackAction",
-    "DeadNodeSignal",
     "DeltaRateSignal",
     "FIRED",
     "Hysteresis",
     "IDLE",
     "MetricSignal",
-    "NodeSkewSignal",
     "OUTCOMES",
     "PENDING",
     "PaceMigrations",
     "PolicyContext",
-    "PolicyEngine",
     "PolicyPlan",
     "Rule",
     "RuleState",
@@ -67,8 +49,5 @@ __all__ = [
     "SUPPRESSED_HYSTERESIS",
     "ScaleAdmission",
     "SetAdmission",
-    "SliceSkewSignal",
-    "SplitHottestSlice",
     "TriggerRebalance",
-    "build_policy_engine",
 ]

@@ -2,12 +2,13 @@
 
 Each action's ``apply(ctx, rng)`` either reconfigures the system
 synchronously (admission limits, migration pacing) and returns a
-description string, or returns a *generator* that the engine spawns as
-its own simulation process (rebalance passes, slice splits -- work that
-takes simulated time and must not block rule evaluation).  While such a
+description string, or returns a *generator* that the plan spawns as
+its own simulation process (rebalance passes -- work that takes
+simulated time and must not block rule evaluation).  While such a
 process runs, the owning rule is *busy*: a would-be re-fire is
 suppressed without consuming the cooldown, so overlapping migrations
-can never be triggered by one rule.
+can never be triggered by one rule.  A bare ``fn(ctx, rng)`` works
+anywhere an action does.
 
 ``rng`` is the rule's private :class:`numpy.random.Generator` stream
 (seeded from the plan seed and the rule's position), available for
@@ -19,7 +20,7 @@ byte-identically.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.errors import TransientFault
 from repro.qos.config import AdmissionConfig, MigrationConfig
@@ -172,62 +173,3 @@ class TriggerRebalance:
                 pass  # rolled back inside the controller; retry later
 
         return _pass()
-
-
-@dataclass(frozen=True)
-class SplitHottestSlice:
-    """Split the hottest slice at its key-range midpoint, then migrate
-    one child to the least-loaded node (simulated-time process).
-
-    The escalation beyond :class:`TriggerRebalance`: when one slice is
-    the hot spot, moving it whole just moves the problem, so divide it
-    first.  ``min_bytes`` guards against splitting a slice that merely
-    *looks* hot because the cluster is idle.
-    """
-
-    min_bytes: int = 0
-
-    def apply(self, ctx, rng):
-        ctrl = ctx.controller
-        if ctrl is None:
-            return "no controller; split skipped"
-        hottest, load = None, -1
-        for slice_id in sorted(ctrl._replicas):
-            served = ctrl.slice_load(slice_id)
-            if served > load:
-                hottest, load = slice_id, served
-        if hottest is None or load < self.min_bytes:
-            return "no slice hot enough to split"
-        entry = ctrl.table.entry(hottest)
-        lo, hi = entry.key_range.lo, entry.key_range.hi
-        if hi - lo < 2:
-            return f"slice {hottest} key range too narrow to split"
-
-        def _split_and_spread():
-            try:
-                low_id, high_id = yield from ctrl.split_slice(
-                    hottest, lo + (hi - lo) // 2
-                )
-                src = ctrl.table.entry(high_id).replicas[0]
-                dst = ctrl._placement_target(exclude_slice=high_id)
-                if dst is not None and dst != src:
-                    yield from ctrl.migrate_slice(high_id, src, dst)
-            except (TransientFault, KeyError):
-                pass  # aborted cleanly inside the controller
-
-        return _split_and_spread()
-
-
-@dataclass(frozen=True)
-class CallbackAction:
-    """Adapt a plain function (or generator function) into an action.
-
-    The escape hatch for tests and bespoke policies: ``fn(ctx, rng)``
-    may mutate the system synchronously, or return a generator for the
-    engine to run as a process.
-    """
-
-    fn: Callable
-
-    def apply(self, ctx, rng):
-        return self.fn(ctx, rng)

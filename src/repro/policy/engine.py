@@ -1,4 +1,4 @@
-"""The policy engine: closes the obs -> control loop, deterministically.
+"""The policy plane: closes the obs -> control loop, deterministically.
 
 :class:`PolicyPlan` is the declarative bundle -- rules plus an
 evaluation period and a seed -- following the same attachment
@@ -8,20 +8,20 @@ records them as actuator targets), and the *empty* plan wires nothing
 at all, so a run with an empty plan attached is byte-identical to a
 run with no plan (``tests/policy/test_scenario_no_drift.py``).
 
-:class:`PolicyEngine` is the live evaluator: one simulation process
-that wakes every ``period_ns`` of *simulated* time, reads each rule's
-signal through the registry's non-creating ``peek``, feeds the
-no-flap automaton (:class:`~repro.policy.rules.RuleState`), and on a
-fire applies the rule's action -- synchronously, or as a spawned
-process for actions that take simulated time.  Every evaluation draws
-nothing from any global RNG: each rule owns a private
+:meth:`PolicyPlan.start` makes the plan the live evaluator: one
+simulation process that wakes every ``period_ns`` of *simulated* time,
+reads each rule's signal through the registry's non-creating ``peek``,
+feeds the no-flap automaton (:class:`~repro.policy.rules.RuleState`),
+and on a fire applies the rule's action -- synchronously, or as a
+spawned process for actions that take simulated time.  Every
+evaluation draws nothing from any global RNG: each rule owns a private
 ``numpy`` Generator stream seeded ``[plan.seed, rule_index]``, so two
 runs of the same plan against the same workload replay byte-identically.
 
 Every fire/suppress/cooldown outcome is emitted through ``repro.obs``
-as ``policy.{rule}.{outcome}`` counters plus instant trace events on
-the ``policy`` track, so the control loop's own behaviour is as
-observable as the system it steers.
+(``obs.attach(plan)``) as ``policy.{rule}.{outcome}`` counters plus
+instant trace events on the ``policy`` track, so the control loop's
+own behaviour is as observable as the system it steers.
 """
 
 from __future__ import annotations
@@ -30,15 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.policy.rules import (
-    FIRED,
-    IDLE,
-    PENDING,
-    Rule,
-    SUPPRESSED_BUSY,
-    SUPPRESSED_COOLDOWN,
-    SUPPRESSED_HYSTERESIS,
-)
+from repro.policy.rules import FIRED, IDLE, PENDING, Rule
 from repro.sim.units import MS
 
 
@@ -48,7 +40,7 @@ class PolicyContext:
     ``metric(name)`` is a non-creating registry read (``None`` when the
     metric does not exist yet); ``delta(key, value)`` returns the
     change in ``value`` since the previous evaluation tick under the
-    caller's ``key`` (0.0 on first observation) -- the engine promotes
+    caller's ``key`` (0.0 on first observation) -- the plan promotes
     the current tick's readings to "previous" after each evaluation
     pass, so every rule in one pass windows against the same baseline.
     """
@@ -80,12 +72,12 @@ class PolicyContext:
 
 
 class PolicyPlan:
-    """A declarative set of rules to evaluate against one run.
+    """A declarative set of rules, and their evaluator once started.
 
     :meth:`attach` records the actuators (``_controller``,
-    ``_servers``) and the :class:`PolicyEngine` resolves them lazily at
-    evaluation time, so attachment order (qos before or after policy)
-    does not matter.
+    ``_servers``); :meth:`start` hands them to the
+    :class:`PolicyContext` the rules see, so attachment order (qos
+    before or after policy) does not matter.  A plan runs once.
     """
 
     def __init__(
@@ -105,6 +97,20 @@ class PolicyPlan:
         self.obs = None
         self._controller = None
         self._servers: Dict[str, object] = {}
+        self.sim = None
+        self.ctx: Optional[PolicyContext] = None
+        self._states = [rule.make_state() for rule in self.rules]
+        self._rngs = [
+            np.random.default_rng([seed, index])
+            for index in range(len(self.rules))
+        ]
+        self._busy: Dict[str, bool] = {}
+        #: (fire_time_ns, rule_name) per fire, in order.
+        self.fire_log: List[Tuple[int, str]] = []
+        self.outcome_counts: Dict[str, Dict[str, int]] = {
+            rule.name: {} for rule in self.rules
+        }
+        self.evaluations = 0
 
     @property
     def empty(self) -> bool:
@@ -113,7 +119,7 @@ class PolicyPlan:
 
     def attach(self, target, name: str = "") -> "PolicyPlan":
         """Make a cluster controller the plan's control-plane actuator
-        (rebalance, split, migration pacing), or record a storage
+        (rebalance, migration pacing), or record a storage
         server under ``name`` (default ``server``) as an actuator
         target; returns ``self`` so calls chain."""
         from repro.cluster import ClusterController, StorageServer
@@ -128,40 +134,6 @@ class PolicyPlan:
             )
         return self
 
-    def __repr__(self):
-        return (
-            f"PolicyPlan({len(self.rules)} rules, "
-            f"period={self.period_ns} ns, seed={self.seed})"
-        )
-
-
-class PolicyEngine:
-    """The live evaluator for one :class:`PolicyPlan` on one simulator."""
-
-    def __init__(self, plan: PolicyPlan, sim, obs=None):
-        self.plan = plan
-        self.sim = sim
-        self.obs = obs if obs is not None else plan.obs
-        self.ctx = PolicyContext(
-            sim,
-            obs=self.obs,
-            controller=plan._controller,
-            servers=plan._servers,
-        )
-        self._states = [rule.make_state() for rule in plan.rules]
-        self._rngs = [
-            np.random.default_rng([plan.seed, index])
-            for index in range(len(plan.rules))
-        ]
-        self._busy: Dict[str, bool] = {}
-        self._started = False
-        #: (fire_time_ns, rule_name) per fire, in order.
-        self.fire_log: List[Tuple[int, str]] = []
-        self.outcome_counts: Dict[str, Dict[str, int]] = {
-            rule.name: {} for rule in plan.rules
-        }
-        self.evaluations = 0
-
     # -- results -----------------------------------------------------------------------
     @property
     def total_fires(self) -> int:
@@ -171,22 +143,29 @@ class PolicyEngine:
         return sum(1 for _at, name in self.fire_log if name == rule_name)
 
     # -- driving -----------------------------------------------------------------------
-    def start(self, until_ns: Optional[int] = None) -> None:
-        """Spawn the evaluation loop (call once, before/during sim.run).
+    def start(self, sim, until_ns: Optional[int] = None) -> None:
+        """Spawn the evaluation loop on ``sim`` (call once, before or
+        during ``sim.run()``).
 
         ``until_ns`` stops the loop at that simulated time, so a
         drain-to-empty run terminates; ``None`` ticks forever (only
         safe under ``sim.run(until=...)``).
         """
-        if self._started:
-            raise RuntimeError("PolicyEngine.start() called twice")
-        self._started = True
-        if not self.plan.rules:
+        if self.sim is not None:
+            raise RuntimeError("PolicyPlan.start() called twice")
+        self.sim = sim
+        self.ctx = PolicyContext(
+            sim,
+            obs=self.obs,
+            controller=self._controller,
+            servers=self._servers,
+        )
+        if not self.rules:
             return  # an empty plan schedules nothing
-        self.sim.process(self._loop(until_ns))
+        sim.process(self._loop(until_ns))
 
     def _loop(self, until_ns: Optional[int]):
-        period = self.plan.period_ns
+        period = self.period_ns
         while True:
             if until_ns is not None and self.sim.now + period > until_ns:
                 return
@@ -199,7 +178,7 @@ class PolicyEngine:
         now = self.sim.now
         self.ctx._advance(now, now - self.ctx.now if self.evaluations else 0)
         self.evaluations += 1
-        for index, rule in enumerate(self.plan.rules):
+        for index, rule in enumerate(self.rules):
             value = rule.read_signal(self.ctx)
             outcome = self._states[index].observe(
                 now, value, blocked=self._busy.get(rule.name, False)
@@ -253,11 +232,6 @@ class PolicyEngine:
 
     def __repr__(self):
         return (
-            f"PolicyEngine({len(self.plan.rules)} rules, "
-            f"{self.total_fires} fires, {self.evaluations} evals)"
+            f"PolicyPlan({len(self.rules)} rules, "
+            f"period={self.period_ns} ns, seed={self.seed})"
         )
-
-
-def build_policy_engine(plan: PolicyPlan, sim, obs=None) -> PolicyEngine:
-    """One-call construction mirroring the other planes' helpers."""
-    return PolicyEngine(plan, sim, obs=obs)

@@ -2,10 +2,8 @@
 
 Every signal reduces the live system to one float through the
 :class:`~repro.policy.engine.PolicyContext` -- registry metrics via the
-non-creating :meth:`~repro.obs.metrics.MetricsRegistry.peek`, windowed
-deltas via the engine's per-tick memory, and control-plane state via
-the attached :class:`~repro.cluster.control.ClusterController`.  A
-plain ``callable(ctx) -> float`` works anywhere a signal does; these
+non-creating :meth:`~repro.obs.metrics.MetricsRegistry.peek` and
+windowed deltas via the plan's per-tick memory.  A plain ``callable(ctx) -> float`` works anywhere a signal does; these
 classes just package the recurring shapes.
 
 Reads never create metrics and never mutate the system, so evaluating
@@ -115,85 +113,3 @@ class DeltaRateSignal:
         if not self.per_second:
             return total
         return total / max(ctx.tick_ns, 1) * 1e9
-
-
-@dataclass(frozen=True)
-class DeadNodeSignal:
-    """Confirmed-dead member count from the replicated control plane.
-
-    Reads the ``cluster.membership.dead`` gauge the
-    :class:`~repro.cluster.membership.ControllerGroup` publishes (the
-    leader's SWIM view, counting controller replicas and watched
-    storage nodes alike), so a rule can react to a node death the
-    failure detector has *confirmed* -- e.g. ``TriggerRebalance`` to
-    re-spread load across the survivors.  Reads ``default`` (0.0, no
-    deaths) when no group is attached, so the rule idles harmlessly in
-    a single-controller deployment.
-    """
-
-    name: str = "cluster.membership.dead"
-    default: float = 0.0
-
-    def read(self, ctx) -> float:
-        value = ctx.metric(self.name)
-        if value is None:
-            return self.default
-        return float(value)
-
-
-@dataclass(frozen=True)
-class NodeSkewSignal:
-    """Hot-node / cold-node served-bytes ratio over the last tick.
-
-    Reads the controller's per-node load counters (bytes served), takes
-    the delta since the previous tick per node, and returns
-    ``max / max(min, floor_bytes)`` across live, non-draining nodes.
-    Reads 1.0 (no skew) without a controller or with fewer than two
-    eligible nodes.  ``floor_bytes`` keeps a near-idle cluster from
-    reading as pathologically skewed.
-    """
-
-    floor_bytes: int = 1
-
-    def read(self, ctx) -> float:
-        ctrl = ctx.controller
-        if ctrl is None:
-            return 1.0
-        deltas = []
-        for name in sorted(ctrl.nodes):
-            if name in ctrl.draining or not ctrl.nodes[name].up:
-                continue
-            served = sum(
-                ctrl._slice_bytes(s) for s in ctrl.nodes[name].slices
-            )
-            deltas.append(ctx.delta(("node_bytes", name), float(served)))
-        if len(deltas) < 2:
-            return 1.0
-        return max(deltas) / max(min(deltas), float(self.floor_bytes))
-
-
-@dataclass(frozen=True)
-class SliceSkewSignal:
-    """Hottest-slice / mean-slice served-bytes ratio over the last tick.
-
-    The "one slice is on fire" detector behind split-and-migrate rules.
-    Reads 1.0 without a controller or with fewer than two slices.
-    """
-
-    floor_bytes: int = 1
-
-    def read(self, ctx) -> float:
-        ctrl = ctx.controller
-        if ctrl is None:
-            return 1.0
-        deltas = []
-        for slice_id in sorted(ctrl._replicas):
-            served = sum(
-                ctrl._slice_bytes(s)
-                for s in ctrl._replicas[slice_id].values()
-            )
-            deltas.append(ctx.delta(("slice_bytes", slice_id), float(served)))
-        if len(deltas) < 2:
-            return 1.0
-        mean = sum(deltas) / len(deltas)
-        return max(deltas) / max(mean, float(self.floor_bytes))

@@ -24,7 +24,7 @@ The core abstractions:
 """
 
 from repro.sim.engine import Simulator
-from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
+from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.resources import Resource, Store
 from repro.sim.stats import (
@@ -39,7 +39,6 @@ __all__ = [
     "Simulator",
     "Event",
     "Timeout",
-    "Interrupt",
     "AllOf",
     "AnyOf",
     "Process",

@@ -16,15 +16,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _PENDING = object()
 
 
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`repro.sim.process.Process.interrupt`."""
-
-    @property
-    def cause(self):
-        """The cause passed to interrupt(), if any."""
-        return self.args[0] if self.args else None
-
-
 class Event:
     """A one-shot occurrence that processes and callbacks can wait on.
 
@@ -102,13 +93,6 @@ class Event:
             self.sim._schedule_call(lambda: callback(self))
         else:
             self.callbacks.append(callback)
-
-    def remove_callback(self, callback) -> None:
-        """Detach a previously added callback (no-op if absent)."""
-        try:
-            self.callbacks.remove(callback)
-        except ValueError:
-            pass
 
     def _process(self) -> None:
         self._processed = True

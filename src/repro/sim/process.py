@@ -13,7 +13,7 @@ from __future__ import annotations
 import typing
 from typing import Generator
 
-from repro.sim.events import Event, Interrupt
+from repro.sim.events import Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
@@ -22,7 +22,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class Process(Event):
     """A running simulation process (also an event: its completion)."""
 
-    __slots__ = ("_gen", "_target")
+    __slots__ = ("_gen",)
 
     def __init__(self, sim: "Simulator", generator: Generator):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -31,39 +31,19 @@ class Process(Event):
             )
         super().__init__(sim)
         self._gen = generator
-        self._target: Event | None = None
         bootstrap = Event(sim)
         bootstrap._ok = True
         bootstrap._value = None
         sim._schedule(bootstrap)
         bootstrap.add_callback(self._resume)
-        self._target = bootstrap
 
     @property
     def is_alive(self) -> bool:
         """True while the underlying generator has not finished."""
         return not self.triggered
 
-    def interrupt(self, cause=None) -> None:
-        """Throw :class:`Interrupt` into the process at the current instant.
-
-        The event the process was waiting on is abandoned (its outcome is
-        ignored by this process).  Interrupting a finished process is an
-        error.
-        """
-        if self.triggered:
-            raise RuntimeError("cannot interrupt a completed process")
-        if self._target is None:
-            raise RuntimeError("process is not waiting on anything yet")
-        target, self._target = self._target, None
-        target.remove_callback(self._resume)
-        if not target.ok if target.triggered else False:
-            target.defused = True
-        self.sim._schedule_call(lambda: self._throw_in(Interrupt(cause)))
-
     # -- internals ---------------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        self._target = None
         if event.ok:
             self._advance(self._gen.send, event.value)
             return
@@ -78,11 +58,6 @@ class Process(Event):
             # request would be a reference cycle.  A process the
             # exception kills keeps them, for whoever debugs it.
             exc.__traceback__ = raised_in
-
-    def _throw_in(self, exc: BaseException) -> None:
-        if self.triggered:
-            return
-        self._advance(self._gen.throw, exc)
 
     def _advance(self, step, arg) -> None:
         try:
@@ -104,7 +79,6 @@ class Process(Event):
             self._gen.close()
             self.fail(RuntimeError("process cannot wait on itself"))
             return
-        self._target = target
         target.add_callback(self._resume)
 
 

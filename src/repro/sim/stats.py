@@ -113,12 +113,6 @@ class ThroughputMeter:
             self.bytes_in(lo, hi, include_start) / MB_DEC / ((hi - lo) / S)
         )
 
-    def gb_per_s(
-        self, t0: Optional[int] = None, t1: Optional[int] = None
-    ) -> float:
-        """Decimal GB/s over the window."""
-        return self.mb_per_s(t0, t1) / 1000.0
-
     def reset(self) -> None:
         """Clear all recorded state."""
         self._samples.clear()

@@ -23,7 +23,7 @@ Equivalence rules (the contract the no-drift suite enforces):
   reaches the resource first undoes the ahead reservations whose
   request instant has not come (restoring ``free_at`` and
   ``_tail_hooks``), reserves, and has them made again behind it
-  (``ChannelEngine.program_ahead``, ``ChannelEngine.read_ahead``);
+  (``ChannelEngine.program_page_ahead``, ``ChannelEngine.read_ahead``);
 * same-instant requests must be reserved in the same order the slow
   path's processes would issue them (creation order) -- and where the
   requests come from end events that a reservation made ahead no

@@ -4,8 +4,7 @@
   production system (web pages 32 KB, thumbnails 128 KB, images 512 KB;
   write sizes 100 KB - 1 MB for Figure 14);
 * :mod:`~repro.workloads.keys` -- key-popularity models (uniform,
-  zipfian over the full keyspace, hot-set shift) plus the legacy
-  key-sequence generators;
+  zipfian over the full keyspace, hot-set shift);
 * :mod:`~repro.workloads.generators` -- closed-loop device drivers used
   by the microbenchmarks (Table 4, Figures 7-8);
 * :mod:`~repro.workloads.arrivals` -- open-loop arrival schedules
@@ -17,7 +16,6 @@
 """
 
 from repro.workloads.arrivals import (
-    ArrivalStats,
     DiurnalWave,
     OpenLoopArrivals,
     RateSchedule,
@@ -39,9 +37,6 @@ from repro.workloads.keys import (
     KeyModel,
     UniformKeyModel,
     ZipfianKeyModel,
-    sequential_keys,
-    uniform_keys,
-    zipfian_keys,
 )
 from repro.workloads.scenarios import (
     FaultBurst,
@@ -71,14 +66,10 @@ __all__ = [
     "UniformKeyModel",
     "ZipfianKeyModel",
     "HotSetShiftKeyModel",
-    "sequential_keys",
-    "uniform_keys",
-    "zipfian_keys",
     "DiurnalWave",
     "Spike",
     "RateSchedule",
     "OpenLoopArrivals",
-    "ArrivalStats",
     "OP_KINDS",
     "OpMix",
     "YCSB_A",

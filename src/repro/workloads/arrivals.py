@@ -20,8 +20,8 @@ produce the identical arrival sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, List, Tuple
+from dataclasses import dataclass
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -170,18 +170,3 @@ class OpenLoopArrivals:
             yield at
             rate = self.schedule.rate_at(int(t))
             t += 1e9 / rate
-
-
-@dataclass
-class ArrivalStats:
-    """Bookkeeping helper: counts arrivals per fixed-width bucket (for
-    tests asserting the wave/spike shape actually materialised)."""
-
-    bucket_ns: int
-    counts: List[int] = field(default_factory=list)
-
-    def record(self, t_ns: int) -> None:
-        index = t_ns // self.bucket_ns
-        while len(self.counts) <= index:
-            self.counts.append(0)
-        self.counts[index] += 1

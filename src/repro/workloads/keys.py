@@ -1,12 +1,9 @@
-"""Key-sequence generators and key-popularity models.
+"""Key-popularity models.
 
 The paper's clients pick keys "randomly and uniformly" from a slice's
-range (S3.3.1); index building scans sequentially (S3.3.2).  The
-zipfian generator supports the skewed-workload ablation that motivates
-the paper's future-work load-balance-aware scheduler.
-
-Beyond the paper-figure generators, this module provides composable
-**key-popularity models** for the production workload engine
+range (S3.3.1); the zipfian model supports the skewed-workload ablation
+that motivates the paper's future-work load-balance-aware scheduler.
+The models compose into the production workload engine
 (:mod:`repro.workloads.scenarios`):
 
 * :class:`UniformKeyModel` -- every key equally likely;
@@ -24,7 +21,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Iterator
 
 import numpy as np
 
@@ -44,30 +40,12 @@ def _coprime_multiplier(span: int) -> int:
     return a
 
 
-def sequential_keys(lo: int, hi: int) -> Iterator[int]:
-    """lo, lo+1, ..., hi-1 (one full scan of the range)."""
-    if not lo < hi:
-        raise ValueError("empty key range")
-    return iter(range(lo, hi))
-
-
-def uniform_keys(
-    lo: int, hi: int, rng: np.random.Generator
-) -> Iterator[int]:
-    """Endless uniformly random keys in [lo, hi)."""
-    if not lo < hi:
-        raise ValueError("empty key range")
-    while True:
-        yield int(rng.integers(lo, hi))
-
-
 class KeyModel:
     """Base class: a deterministic key-popularity distribution.
 
     ``sample(rng, now_ns)`` draws one key; ``now_ns`` lets
     time-varying models (hot-set drift) shift with simulated time and
-    is ignored by stationary ones.  ``stream(rng)`` is the endless
-    stationary iterator the paper-figure drivers use.
+    is ignored by stationary ones.
     """
 
     lo: int
@@ -75,11 +53,6 @@ class KeyModel:
 
     def sample(self, rng: np.random.Generator, now_ns: int = 0) -> int:
         raise NotImplementedError
-
-    def stream(self, rng: np.random.Generator) -> Iterator[int]:
-        """Endless keys (stationary view: ``now_ns`` pinned to 0)."""
-        while True:
-            yield self.sample(rng)
 
 
 class UniformKeyModel(KeyModel):
@@ -213,19 +186,3 @@ class HotSetShiftKeyModel(KeyModel):
             f"hot={self.hot_keys}@{self.hot_weight}, "
             f"period={self.shift_period_ns}ns)"
         )
-
-
-def zipfian_keys(
-    lo: int,
-    hi: int,
-    rng: np.random.Generator,
-    theta: float = 0.99,
-    max_rank: int = 10_000,
-) -> Iterator[int]:
-    """Endless zipf-skewed keys in [lo, hi) (rank-1 key is hottest).
-
-    Generator facade over :class:`ZipfianKeyModel` (which documents the
-    full-range rank scattering and sampling mechanics).
-    """
-    model = ZipfianKeyModel(lo, hi, theta=theta, max_rank=max_rank)
-    return model.stream(rng)

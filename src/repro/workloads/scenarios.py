@@ -32,7 +32,6 @@ import numpy as np
 from repro.errors import ConfigError, TransientFault
 from repro.faults.injector import BROWNOUT, CRASH
 from repro.faults.plan import FaultPlan
-from repro.faults.runner import FaultRunner
 from repro.kv.common import PlaceholderValue
 from repro.obs.attach import Observability
 from repro.obs.metrics import Histogram
@@ -237,7 +236,6 @@ class ScenarioRunner:
         # An empty PolicyPlan must leave the run untouched (the no-drift
         # contract every plane honours), so it is simply not wired.
         self.policy = policy if policy is not None and policy.rules else None
-        self.policy_engine = None
         self.sim = Simulator()
         self.obs = obs if obs is not None else Observability()
         self.network = Network(self.sim)
@@ -269,7 +267,6 @@ class ScenarioRunner:
         if self.policy is not None:
             self.policy.attach(self.ctrl)
             self.obs.attach(self.policy)
-        self.runner = FaultRunner(self.sim, self.plan)
         self.breakers: Dict[str, object] = {}
         #: Server -> enrolled name, for the per-attempt breaker lookup.
         self._node_names: Dict[object, str] = {}
@@ -295,7 +292,6 @@ class ScenarioRunner:
                     self.breakers[name] = breaker
             if self.policy is not None:
                 self.policy.attach(server, name)
-            self.runner.bind(name, server)
         # Slices partition [0, key_span), placed round-robin.  Placement
         # is computed over the *global* (lexicographically sorted) node
         # names even in sharded mode, so every shard agrees on who owns
@@ -321,11 +317,6 @@ class ScenarioRunner:
                 memtable_bytes=scenario.memtable_bytes,
             )
         self._preload()
-        self.outcomes = {
-            t.name: {"good": 0, "late": 0, "shed": 0, "retries": 0,
-                     "offered": 0}
-            for t in scenario.tenants
-        }
 
     # -- setup -------------------------------------------------------------------------
     def _preload(self) -> None:
@@ -364,9 +355,8 @@ class ScenarioRunner:
 
     # -- request execution -------------------------------------------------------------
     def _count(self, tenant: str, outcome: str) -> None:
-        """One more request ``outcome`` for ``tenant``, in the report's
-        counts and in the registry."""
-        self.outcomes[tenant][outcome] += 1
+        """One more request ``outcome`` for ``tenant``, in the registry
+        the report is read from."""
         self.obs.metrics.counter(f"tenant.{tenant}.{outcome}").add(1)
 
     def _scan(self, server, tenant: TenantSpec, key: int, deadline: int):
@@ -404,16 +394,11 @@ class ScenarioRunner:
     # -- run ---------------------------------------------------------------------------
     def run(self) -> ScenarioResult:
         scenario = self.scenario
-        self.runner.start()
+        self.plan.start()
         if self.policy is not None:
-            from repro.policy.engine import PolicyEngine
-
-            self.policy_engine = PolicyEngine(
-                self.policy, self.sim, obs=self.obs
-            )
             # Stop ticking at duration_ns so the post-deadline drain is
-            # pure drain -- the engine never acts on a closing system.
-            self.policy_engine.start(until_ns=scenario.duration_ns)
+            # pure drain -- the plan never acts on a closing system.
+            self.policy.start(self.sim, until_ns=scenario.duration_ns)
         for index, tenant in enumerate(scenario.tenants):
             self.sim._schedule_call(_TenantArrivals(self, tenant, index).start)
         if scenario.rebalance_every_ns is not None:
@@ -436,9 +421,7 @@ class ScenarioRunner:
             migrations_aborted=self.ctrl.migrations_aborted.value,
             rebalance_moves=self.ctrl.rebalance_moves.value,
             policy_fires=(
-                self.policy_engine.total_fires
-                if self.policy_engine is not None
-                else 0
+                self.policy.total_fires if self.policy is not None else 0
             ),
             snapshot=snapshot,
         )
@@ -449,15 +432,8 @@ class ScenarioRunner:
             latency = snapshot.get(
                 f"tenant.{tenant.name}.request_ns", {"count": 0}
             )
-            counts = {
-                field_name: int(
-                    snapshot.get(f"tenant.{tenant.name}.{field_name}", 0)
-                )
-                for field_name in ("offered", "good", "late", "shed",
-                                   "retries")
-            }
             result.tenants[tenant.name] = _tenant_report(
-                tenant, counts, latency, duration_s
+                tenant, _tenant_counts(snapshot, tenant), latency, duration_s
             )
         return result
 
@@ -639,6 +615,14 @@ class _Request:
         runner._count(name, "good" if now <= self.deadline else "late")
 
 
+def _tenant_counts(snapshot: dict, tenant: TenantSpec) -> Dict[str, int]:
+    """A tenant's request outcome counts, read from a registry snapshot."""
+    return {
+        field_name: int(snapshot.get(f"tenant.{tenant.name}.{field_name}", 0))
+        for field_name in ("offered", "good", "late", "shed", "retries")
+    }
+
+
 def _tenant_report(
     tenant: TenantSpec, counts: dict, latency: dict, duration_s: float
 ) -> TenantReport:
@@ -729,7 +713,10 @@ def _shard_node_payload(scenario: Scenario, node_index: int, qos) -> dict:
         "sim_end_ns": int(runner.sim.now),
         "faults_fired": runner.plan.fault_count(),
         "fault_log": list(runner.plan.signatures()),
-        "outcomes": runner.outcomes,
+        "outcomes": {
+            tenant.name: _tenant_counts(result.snapshot, tenant)
+            for tenant in scenario.tenants
+        },
         "samples": {
             tenant.name: list(
                 metrics.histogram(

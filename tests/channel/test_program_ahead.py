@@ -1,7 +1,8 @@
 """Bus phases reserved ahead of their request instants.
 
-``ChannelEngine.program_ahead(op, request_ns)`` must be
-indistinguishable from ``execute_fast(op)`` called at ``request_ns``,
+``ChannelEngine.program_page_ahead(plane, nbytes, request_ns)`` must be
+indistinguishable from ``execute_fast`` of that PROGRAM called at
+``request_ns``,
 and ``ChannelEngine.read_ahead(ops)`` from ``execute_fast`` for each op
 in turn, whatever reaches the bus or a plane in between.  Every
 scenario here runs twice -- pages reserved ahead, and the same ops
@@ -84,7 +85,10 @@ def run(script, ahead, bound=None):
         if kind == "submit":
             engine.execute_batch_call(what, then)
         elif kind == "program":
-            engine.program_ahead(what, request, then)
+            address = what.address
+            engine.program_page_ahead(
+                (address.chip, address.plane), what.nbytes, request, then
+            )
         elif ahead:
             engine.read_ahead(what, then)
         else:
@@ -259,17 +263,14 @@ def test_request_instants_must_lie_ahead_and_rise():
     takes its place by request instant."""
     sim = Simulator()
     engine = ChannelEngine(sim, 0, SDF_CHIP_GEOMETRY, TIMING, 2)
-    page = program_op(addr(), PAGE)
-    with pytest.raises(ValueError, match="PROGRAM"):
-        engine.program_ahead(read_op(addr(), PAGE), 10)
     with pytest.raises(ValueError, match="behind now"):
-        engine.program_ahead(page, -1)
+        engine.program_page_ahead((0, 0), PAGE, -1)
     finished = {}
-    engine.program_ahead(page, 20, lambda: finished.setdefault("first", sim.now))
-    engine.program_ahead(
-        program_op(addr(plane=1), PAGE),
-        19,
-        lambda: finished.setdefault("second", sim.now),
+    engine.program_page_ahead(
+        (0, 0), PAGE, 20, lambda: finished.setdefault("first", sim.now)
+    )
+    engine.program_page_ahead(
+        (0, 1), PAGE, 19, lambda: finished.setdefault("second", sim.now)
     )
     assert [entry.bus_req for entry in engine._ahead] == [19, 20]
     sim.run()
@@ -563,25 +564,6 @@ def test_a_batch_and_the_list_it_stands_for_are_one_request(bound):
         for kind, at, request, what in script
     ]
     assert run(batched, True, bound) == run(script, True, bound)
-
-
-def test_program_page_ahead_is_program_ahead_without_the_op():
-    def play(with_op):
-        sim = Simulator()
-        engine = ChannelEngine(sim, 0, SDF_CHIP_GEOMETRY, TIMING, 2)
-        finished = []
-        for request, chip, plane in ((100, 0, 1), (90, 1, 0), (100, 0, 1)):
-            then = lambda: finished.append(sim.now)
-            if with_op:
-                engine.program_ahead(
-                    program_op(addr(chip, plane), PAGE), request, then
-                )
-            else:
-                engine.program_page_ahead((chip, plane), PAGE, request, then)
-        sim.run()
-        return finished, sim._seq, engine.busy_value(), engine.wait_ns.value
-
-    assert play(True) == play(False)
 
 
 # -- through the device ------------------------------------------------------------

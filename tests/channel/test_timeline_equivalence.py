@@ -24,7 +24,7 @@ from repro.nand.array import PhysicalAddress
 from repro.nand.catalog import MICRON_25NM_MLC, SDF_CHIP_GEOMETRY
 from repro.obs import Observability, attach_device
 from repro.qos import ChannelQosConfig, QosPlan
-from repro.sim import MIB, MS, Simulator
+from repro.sim import MIB, MS, Event, Simulator
 from repro.workloads import (
     drive_conventional_reads,
     drive_conventional_writes,
@@ -216,7 +216,7 @@ def test_multi_chunk_transfer_races_page_dmas():
     sdf = small_sdf(sim)
     plan = FaultPlan(seed=2)
     # Never fires; at the recording commit an active link rule kept the
-    # timeline mode's page DMAs on the same lane model as ``transfer``.
+    # timeline mode's page DMAs on the same lane model as a bulk DMA.
     plan.add("link", "delay", rate=1e-12, delay_ns=1)
     plan.attach(sdf)
     finished = []
@@ -224,7 +224,12 @@ def test_multi_chunk_transfer_races_page_dmas():
     def bulk(direction, nbytes, start_ns):
         yield sim.timeout(start_ns)
         for _ in range(3):
-            yield from sdf.link.transfer(direction, nbytes)
+            done = Event(sim)
+            sdf.link.reserve_call(direction, nbytes, done.succeed)
+            yield done
+            link = sdf.link
+            meter = link.read_meter if direction == "read" else link.write_meter
+            meter.record(sim.now, nbytes)
             finished.append((direction, nbytes, sim.now))
 
     sim.process(bulk("read", 1 * MIB + 4096, 137_000))

@@ -29,7 +29,7 @@ from repro.cluster import (
     SwimConfig,
     build_sdf_server,
 )
-from repro.faults import PARTITION, FaultPlan, FaultRunner
+from repro.faults import PARTITION, FaultPlan
 from repro.sim import MS, Simulator
 
 #: The CI chaos job sweeps this via the environment; 0 is the default
@@ -69,14 +69,12 @@ def flap_run(seed):
             a="ctl2",
             b="ctl0,ctl1",
         )
-    runner = FaultRunner(sim, plan)
-    runner.bind("net", network)
-    runner.start()
+    plan.attach(network).start()
     last_heal = FIRST_CUT_NS + (FLAPS - 1) * FLAP_PERIOD_NS + 30 * MS
     end = last_heal + 600 * MS
     group.start(until_ns=end)
     sim.run(until=end)
-    sim.run()  # drain the runner's heal bookkeeping
+    sim.run()  # drain the plan's heal bookkeeping
     return sim, network, group, last_heal
 
 

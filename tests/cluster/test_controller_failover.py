@@ -35,7 +35,7 @@ from repro.cluster import (
 )
 from repro.cluster.membership import RECORD_COMMITTED
 from repro.errors import TransientFault
-from repro.faults import CRASH, PARTITION, FaultPlan, FaultRunner
+from repro.faults import CRASH, PARTITION, FaultPlan
 from repro.kv.slice import KeyRange
 from repro.sim import MS, Simulator
 
@@ -103,11 +103,7 @@ class Scenario:
         self.committed = None
         self.retried = False
         if plan is not None:
-            runner = FaultRunner(self.sim, plan)
-            runner.bind("net", self.network)
-            for replica in self.group.replicas:
-                runner.bind(replica.name, replica)
-            runner.start()
+            plan.attach(self.network).attach(self.group).start()
 
     def preload(self):
         def _fill():

@@ -11,8 +11,8 @@ node fail-stops at *every* phase boundary of an online slice migration
 Two-pass technique: a clean run records the simulated time of each
 phase boundary through a probe on the controller's fault hook, then
 each parameterised case re-runs the identical deterministic scenario
-with a :class:`~repro.faults.runner.FaultRunner` crash scheduled just
-inside the phase under test.
+with a crash scheduled on the attached node just inside the phase
+under test (``FaultPlan.start``).
 """
 
 import hashlib
@@ -26,7 +26,7 @@ from repro.cluster import (
     build_sdf_server,
 )
 from repro.errors import TransientFault
-from repro.faults import CRASH, FaultPlan, FaultRunner
+from repro.faults import CRASH, FaultPlan
 from repro.kv.slice import KeyRange
 from repro.sim import MS, Simulator
 
@@ -96,10 +96,9 @@ class Scenario:
         self.acked = set()
         self.committed = None
         if plan is not None:
-            runner = FaultRunner(self.sim, plan)
-            runner.bind("node:src", self.ctrl.node("src"))
-            runner.bind("node:dst", self.ctrl.node("dst"))
-            runner.start()
+            plan.attach(self.ctrl.node("src"), "node:src")
+            plan.attach(self.ctrl.node("dst"), "node:dst")
+            plan.start()
 
     def preload(self):
         def _fill():

@@ -206,9 +206,10 @@ def test_replication_recovers_from_injected_failures():
     plan = FaultPlan(seed=7).add(
         "replication", READ_UNCORRECTABLE, rate=0.3
     )
-    replicated = ReplicatedKV(
-        sim, servers, faults=plan.injector("replication")
-    )
+    for index, server in enumerate(servers):
+        plan.attach(server, f"n{index}")
+    replicated = ReplicatedKV(sim, servers)
+    plan.attach(replicated)
 
     def scenario():
         yield from replicated.put(3, PlaceholderValue(4096))
@@ -230,9 +231,10 @@ def test_replication_total_failure_raises():
     plan = FaultPlan(seed=1).add(
         "replication", READ_UNCORRECTABLE, rate=0.999
     )
-    replicated = ReplicatedKV(
-        sim, servers, faults=plan.injector("replication")
-    )
+    for index, server in enumerate(servers):
+        plan.attach(server, f"n{index}")
+    replicated = ReplicatedKV(sim, servers)
+    plan.attach(replicated)
 
     def scenario():
         yield from replicated.put(1, PlaceholderValue(16))

@@ -1,6 +1,6 @@
 """The PARTITION fault kind: scheduled link cuts in the network model.
 
-Covers the fault-plane wiring (``FaultPlan.schedule`` + ``FaultRunner``
+Covers the fault-plane wiring (``FaultPlan.schedule`` + ``FaultPlan.start``
 driving ``Network.begin_partition``/``end_partition``), symmetric and
 asymmetric cuts, group cuts, overlapping cuts composing by count, and
 the no-drift guarantee that an un-partitioned network is untouched.
@@ -15,7 +15,7 @@ from repro.cluster.network import (
     TEN_GBE_MB_S,
 )
 from repro.errors import TransientFault
-from repro.faults import PARTITION, FaultPlan, FaultRunner
+from repro.faults import PARTITION, FaultInjectionError, FaultPlan
 from repro.sim import MS, Simulator
 
 
@@ -111,9 +111,7 @@ def test_fault_runner_drives_scheduled_partition():
     plan = FaultPlan(seed=3).schedule(
         "net", PARTITION, at_ns=10 * MS, duration_ns=20 * MS, a="a", b="b"
     )
-    runner = FaultRunner(sim, plan)
-    runner.bind("net", net)
-    runner.start()
+    plan.attach(net).start()
     outcomes = []
 
     def probe():
@@ -139,9 +137,7 @@ def test_fault_runner_partition_groups_split_on_comma():
     plan = FaultPlan(seed=3).schedule(
         "net", PARTITION, at_ns=0, duration_ns=10 * MS, a="a", b="b,c"
     )
-    runner = FaultRunner(sim, plan)
-    runner.bind("net", net)
-    runner.start()
+    plan.attach(net).start()
 
     def probe():
         yield sim.timeout(1 * MS)
@@ -159,13 +155,10 @@ def test_fault_runner_partition_requires_endpoints():
     plan = FaultPlan(seed=3).schedule(
         "net", PARTITION, at_ns=0, duration_ns=MS, a="a"  # missing b=
     )
-    runner = FaultRunner(sim, plan)
-    runner.bind("net", net)
-    runner.start()
-    from repro.faults import FaultInjectionError
-
-    with pytest.raises(FaultInjectionError):
-        sim.run()
+    plan.attach(net)
+    with pytest.raises(FaultInjectionError, match="a= and b="):
+        plan.start()
+    assert sim._seq == 0  # before any event
 
 
 def test_unpartitioned_network_sends_are_untouched():

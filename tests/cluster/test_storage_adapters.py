@@ -18,6 +18,7 @@ from repro.kv.lsm import Lookup, LSMTree
 from repro.kv.slice import KeyRange, Slice
 from repro.qos import ChannelQosConfig, QosPlan
 from repro.sim import S, Simulator
+from repro.sim.process import bridged
 
 KINDS = device_kinds()
 every_kind = pytest.mark.parametrize("kind", KINDS)
@@ -48,6 +49,11 @@ def run(sim, gen):
     return sim.run(until=sim.process(gen))
 
 
+def read_value(store, lookup, key):
+    """The value of ``key``, through ``read_value_call``."""
+    return run(store.sim, bridged(store.sim, store.read_value_call, lookup, key))
+
+
 def free_units(store):
     """Units a store could still claim once writes in flight and
     background erases settle."""
@@ -58,15 +64,15 @@ def free_units(store):
 
 
 def read(store, patch, handle, key, size):
-    """``read_value`` of ``key``; returns (value, device bytes read)."""
+    """``read_value_call`` of ``key``; returns (value, device bytes read)."""
     meter = store.device.stats.read_meter
     before = meter.total_bytes
     lookup = Lookup(0, handle, patch.offset_of(key), size)
-    value = run(store.sim, store.read_value(lookup, key))
+    value = read_value(store, lookup, key)
     return value, meter.total_bytes - before
 
 
-# -- store -> read_value -> read_patch -> free -> reuse -----------------------------
+# -- store -> read_value_call -> read_patch -> free -> reuse -------------------------
 @every_kind
 def test_store_read_free_reuse(kind):
     store = make_store(kind)
@@ -121,11 +127,11 @@ def test_missing_key_and_empty_extent_raise(kind):
     store = make_store(kind)
     handle = run(store.sim, store.store_patch(sample_patch()))
     with pytest.raises(KeyError, match="absent"):
-        run(store.sim, store.read_value(Lookup(0, handle, 0, 10), "absent"))
+        read_value(store, Lookup(0, handle, 0, 10), "absent")
     # A unit nothing was ever stored in.
     unwritten = 7 if store.block_layer is not None else store.backend._free[0]
     with pytest.raises(KeyError):
-        run(store.sim, store.read_value(Lookup(0, unwritten, 0, 10), "k00"))
+        read_value(store, Lookup(0, unwritten, 0, 10), "k00")
     with pytest.raises(KeyError):
         store.functional_load(unwritten)
 
@@ -273,7 +279,7 @@ def test_sdf_store_and_read_value():
     handle = run(store.sim, store.store_patch(patch))
     # Value of k03: offset = 3 * (3 + 4096) + 3 (its key).
     lookup = Lookup(0, handle, 3 * 4099 + 3, 4096)
-    value = run(store.sim, store.read_value(lookup, "k03"))
+    value = read_value(store, lookup, "k03")
     assert value == PlaceholderValue(4096)
 
 
@@ -317,7 +323,7 @@ def test_conventional_store_read_free_cycle():
     handle = run(store.sim, store.store_patch(patch))
     assert run(store.sim, store.read_patch(handle)) is patch
     lookup = Lookup(0, handle, 4099 + 3, 4096)
-    value = run(store.sim, store.read_value(lookup, "k01"))
+    value = read_value(store, lookup, "k01")
     assert value == PlaceholderValue(4096)
     run(store.sim, store.free_patch(handle))
 
@@ -346,7 +352,7 @@ def test_conventional_missing_key_raises():
     store = make_store("conventional")
     handle = run(store.sim, store.store_patch(sample_patch()))
     with pytest.raises(KeyError):
-        run(store.sim, store.read_value(Lookup(0, handle, 0, 10), "absent"))
+        read_value(store, Lookup(0, handle, 0, 10), "absent")
 
 
 def test_conventional_server_without_parity_takes_any_channel_count():

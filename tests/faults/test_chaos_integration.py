@@ -33,7 +33,6 @@ from repro.faults import (
     PROGRAM_FAIL,
     READ_UNCORRECTABLE,
     FaultPlan,
-    FaultRunner,
     RetryPolicy,
 )
 from repro.kv.compaction import TieredCompactionPolicy
@@ -102,14 +101,10 @@ def run_chaos(seed, n_ops=120, client_requests=10):
     kv = ReplicatedKV(
         sim,
         servers,
-        faults=plan.injector("replication"),
         retry=RetryPolicy(timeout_ns=40 * MS, max_attempts=5),
         rng=np.random.default_rng(seed),
     )
-    runner = FaultRunner(sim, plan)
-    for index, server in enumerate(servers):
-        runner.bind(f"node{index}", server, on_restore=lambda i=index: kv.heal(i))
-    runner.start()
+    plan.attach(kv).start()
 
     client = KVClient(
         sim,

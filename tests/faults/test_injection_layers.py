@@ -206,24 +206,17 @@ def test_link_drop_raises_and_delay_slows():
     plan.add("link", DELAY, at_op=1, delay_ns=3 * MS)
     link.faults = plan.injector("link")
 
-    def scenario():
-        with pytest.raises(LinkDropError):
-            yield from link.transfer("read", 4096)
-        start = sim.now
-        yield from link.transfer("read", 4096)
-        return sim.now - start
-
-    with_fault = sim.run(until=sim.process(scenario()))
+    ends = []
+    with pytest.raises(LinkDropError):
+        link.reserve_call("read", 4096, None)
+    link.reserve_call("read", 4096, lambda: ends.append(sim.now))
+    sim.run()
 
     sim2 = Simulator()
     link2 = HostLink(sim2, PCIE_1_1_X8)
-
-    def clean():
-        start = sim2.now
-        yield from link2.transfer("read", 4096)
-        return sim2.now - start
-
-    clean_ns = sim2.run(until=sim2.process(clean()))
+    link2.reserve_call("read", 4096, lambda: ends.append(sim2.now))
+    sim2.run()
+    with_fault, clean_ns = ends
     assert with_fault == clean_ns + 3 * MS
     assert plan.fault_count("link", DROP) == 1
 

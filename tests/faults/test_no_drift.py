@@ -8,12 +8,7 @@ import json
 
 from repro.cluster import Network, Nic, build_sdf_server
 from repro.devices.sdf import SDFDevice
-from repro.faults import (
-    PROGRAM_FAIL,
-    READ_UNCORRECTABLE,
-    FaultPlan,
-    FaultRunner,
-)
+from repro.faults import PROGRAM_FAIL, READ_UNCORRECTABLE, FaultPlan
 from repro.kv.lsm import LSMTree
 from repro.kv.slice import KeyRange, Slice
 from repro.nand.geometry import FlashGeometry
@@ -39,7 +34,7 @@ def run_workload(with_empty_plan: bool):
         plan.attach(server, "node0")
         plan.attach(network)
         obs.attach(plan)
-        FaultRunner(sim, plan).start()  # empty schedule: spawns nothing
+        plan.start()  # empty schedule: spawns nothing
     client = Nic(sim, name="client")
     value = b"drift" * 1024  # 5 KB
 

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.cluster import Network, ReplicatedKV, build_sdf_server
 from repro.faults import (
+    BROWNOUT,
     CRASH,
     DELAY,
     NULL_INJECTOR,
@@ -11,9 +13,10 @@ from repro.faults import (
     STALL,
     FaultInjectionError,
     FaultPlan,
-    FaultRunner,
     RetryPolicy,
 )
+from repro.kv.lsm import LSMTree
+from repro.kv.slice import KeyRange, Slice
 from repro.obs import Observability
 from repro.sim import MS, Simulator
 
@@ -198,7 +201,7 @@ def test_fired_faults_emit_obs_counters_and_trace_instants():
     assert "recover:remap" in names
 
 
-# -- scheduling and the runner ---------------------------------------------------------------
+# -- scheduling and start ---------------------------------------------------------------
 def test_scheduled_for_returns_time_order():
     plan = FaultPlan()
     plan.schedule("n", CRASH, at_ns=20)
@@ -207,43 +210,45 @@ def test_scheduled_for_returns_time_order():
     assert plan.scheduled_for("unknown") == []
 
 
-class _CrashDummy:
-    """Minimal crash/restart target for runner tests."""
+def replica(sim):
+    """A one-slice server whose WAL replay costs 1 ms a record."""
+    lsm = LSMTree(memtable_bytes=64 * 1024, durable_wal=True)
+    server = build_sdf_server(
+        sim,
+        [Slice(0, KeyRange(0, 1_000), lsm=lsm)],
+        capacity_scale=0.004,
+        n_channels=4,
+    )
+    server.wal_replay_ns_per_record = 1 * MS
+    return server
 
-    def __init__(self, sim):
-        self.sim = sim
-        self.up = True
-        self.crash_at = None
-        self.restart_at = None
-        self.restored = False
 
-    def crash(self):
-        self.up = False
-        self.crash_at = self.sim.now
-
-    def restart(self):
-        yield self.sim.timeout(1 * MS)
-        self.up = True
-        self.restart_at = self.sim.now
+def times(plan, kind, recovery=False):
+    return [e.at_ns for e in plan.log if e.kind == kind and e.recovery == recovery]
 
 
 def test_runner_drives_crash_and_restart():
     sim = Simulator()
     plan = FaultPlan()
     plan.schedule("n", CRASH, at_ns=10 * MS, duration_ns=5 * MS, node=0)
-    runner = FaultRunner(sim, plan)
-    target = _CrashDummy(sim)
+    servers = [replica(sim), replica(sim)]
+    plan.attach(servers[0], "n").attach(servers[1], "m")
+    kv = ReplicatedKV(sim, servers)
+    plan.attach(kv)
+    plan.start()
 
-    def restore():
-        target.restored = True
-        yield sim.timeout(0)
+    def writes():
+        yield from kv.put(1, b"before")  # the one WAL record to replay
+        yield sim.timeout(12 * MS - sim.now)
+        yield from kv.put(2, b"while down")  # missed by n: resynced
 
-    runner.bind("n", target, on_restore=restore)
-    runner.start()
+    sim.process(writes())
     sim.run(until=30 * MS)
-    assert target.crash_at == 10 * MS
-    assert target.restart_at == 16 * MS  # 10 crash + 5 down + 1 restart
-    assert target.restored
+    assert times(plan, CRASH) == [10 * MS]
+    assert times(plan, "restart", recovery=True) == [16 * MS]  # 10 + 5 + 1
+    assert servers[0].up
+    assert kv.resynced_keys.value == 1  # the restore step ran
+    assert plan.recovery_count("replication", "replica_resync") == 1
     assert plan.fault_count("n", CRASH) == 1
     assert plan.recovery_count("n", "restart") == 1
 
@@ -252,27 +257,57 @@ def test_runner_never_recovers_when_duration_is_none():
     sim = Simulator()
     plan = FaultPlan()
     plan.schedule("n", CRASH, at_ns=1 * MS, duration_ns=None)
-    runner = FaultRunner(sim, plan)
-    target = _CrashDummy(sim)
-    runner.bind("n", target)
-    runner.start()
+    server = replica(sim)
+    plan.attach(server, "n").start()
     sim.run(until=50 * MS)
-    assert not target.up
-    assert target.restart_at is None
+    assert not server.up
+    assert times(plan, "restart", recovery=True) == []
 
 
 def test_runner_rejects_unbound_scheduled_site_and_double_start():
     sim = Simulator()
     plan = FaultPlan()
     plan.schedule("typo", CRASH, at_ns=0)
-    runner = FaultRunner(sim, plan)
-    with pytest.raises(FaultInjectionError):
-        runner.start()
+    plan.attach(replica(sim), "n")
+    with pytest.raises(FaultInjectionError, match="'typo' with no target"):
+        plan.start()
     plan2 = FaultPlan()
-    runner2 = FaultRunner(sim, plan2)
-    runner2.start()
+    plan2.start()
     with pytest.raises(FaultInjectionError):
-        runner2.start()
+        plan2.start()
+
+
+def test_an_unknown_kind_fails_at_start_before_any_event():
+    sim = Simulator()
+    network = Network(sim)
+    plan = FaultPlan().schedule("net", "crsh", at_ns=3 * MS)
+    plan.attach(network)
+    with pytest.raises(FaultInjectionError, match="kind 'crsh'"):
+        plan.start()
+    assert sim._seq == 0
+
+
+def test_a_target_without_the_kinds_methods_fails_at_start():
+    sim = Simulator()
+    network = Network(sim)
+    plan = FaultPlan().schedule(
+        "net", BROWNOUT, at_ns=5 * MS, duration_ns=MS, multiplier=4.0
+    )
+    plan.attach(network)
+    with pytest.raises(
+        FaultInjectionError, match="Network at site 'net' cannot take a "
+        "scheduled brownout: it has no begin_brownout"
+    ):
+        plan.start()
+    assert sim._seq == 0
+
+
+def test_a_replicated_kv_needs_its_servers_attached_first():
+    sim = Simulator()
+    servers = [replica(sim), replica(sim)]
+    plan = FaultPlan().attach(servers[0], "n")
+    with pytest.raises(FaultInjectionError, match="replica 1"):
+        plan.attach(ReplicatedKV(sim, servers))
 
 
 # -- retry policy --------------------------------------------------------------------------

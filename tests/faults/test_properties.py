@@ -19,7 +19,6 @@ from repro.faults import (
     CRASH,
     READ_UNCORRECTABLE,
     FaultPlan,
-    FaultRunner,
     RetryPolicy,
 )
 from repro.kv.lsm import LSMTree
@@ -82,14 +81,10 @@ def test_acked_writes_survive_any_schedule_with_a_surviving_replica(case):
     kv = ReplicatedKV(
         sim,
         servers,
-        faults=plan.injector("replication"),
         retry=RetryPolicy(timeout_ns=30 * MS, max_attempts=4),
         rng=np.random.default_rng(case["seed"]),
     )
-    runner = FaultRunner(sim, plan)
-    for index, server in enumerate(servers):
-        runner.bind(f"node{index}", server, on_restore=lambda i=index: kv.heal(i))
-    runner.start()
+    plan.attach(kv).start()
 
     model = {}
 

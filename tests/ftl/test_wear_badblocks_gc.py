@@ -1,4 +1,4 @@
-"""Unit tests for FreeBlockPool, StaticWearLeveler, BadBlockManager, GC."""
+"""Unit tests for FreeBlockPool, BadBlockManager, GC."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.ftl import (
     BadBlockManager,
     FreeBlockPool,
     GreedyGarbageCollector,
-    StaticWearLeveler,
 )
 
 
@@ -56,23 +55,11 @@ def test_pool_retire_removes_block():
     assert pool.allocate() == 2
 
 
-def test_pool_external_erase_accounting():
-    pool = FreeBlockPool([1])
-    block = pool.allocate()
-    pool.note_external_erase(block)
-    pool.note_external_erase(block)
-    pool.release(block, erased=False)
-    assert pool.erase_count(block) == 2
-    with pytest.raises(ValueError):
-        pool.note_external_erase(block)  # it is free now
-
-
 def test_pool_wear_spread():
     pool = FreeBlockPool([1, 2])
     block = pool.allocate()
     pool.release(block)  # that block now has one more erase than the other
     assert pool.wear_spread() == 1
-    assert pool.min_free_erase_count == 0
 
 
 def test_pool_wear_stays_balanced_over_many_cycles():
@@ -105,16 +92,3 @@ def test_greedy_gc_picks_fewest_valid():
     assert gc.select_victim(valid, [0, 3]) == 0
     assert gc.select_victim(valid, []) is None
     assert gc.victims_selected == 2
-
-
-def test_static_wear_leveler_threshold():
-    swl = StaticWearLeveler(threshold=10)
-    counts = {1: 0, 2: 5, 3: 20}
-    victim = swl.pick_victim(counts.get, [1, 2, 3], max_erase_count=20)
-    assert victim == 1  # coldest block, spread 20 >= 10
-    assert swl.migrations_triggered == 1
-    # Below threshold: no migration.
-    assert swl.pick_victim(counts.get, [2, 3], max_erase_count=12) is None
-    assert swl.pick_victim(counts.get, [], max_erase_count=100) is None
-    with pytest.raises(ValueError):
-        StaticWearLeveler(threshold=0)

@@ -14,8 +14,18 @@ from repro.interfaces import (
     SATA_2_0,
     SDF_USER_SPACE_STACK,
 )
-from repro.sim import MB, Simulator, US
+from repro.sim import MB, Event, Simulator, US
 from repro.sim.units import mb_per_s
+
+
+def transfer(link, direction, nbytes):
+    """Generator: one DMA through ``reserve_call``, recorded on the
+    direction's meter at its end instant."""
+    done = Event(link.sim)
+    link.reserve_call(direction, nbytes, done.succeed)
+    yield done
+    meter = link.read_meter if direction == "read" else link.write_meter
+    meter.record(link.sim.now, nbytes)
 
 
 def run_transfers(spec, transfers):
@@ -23,7 +33,7 @@ def run_transfers(spec, transfers):
     sim = Simulator()
     link = HostLink(sim, spec)
     procs = [
-        sim.process(link.transfer(direction, nbytes))
+        sim.process(transfer(link, direction, nbytes))
         for direction, nbytes in transfers
     ]
     sim.run(until=sim.all_of(procs))
@@ -64,7 +74,7 @@ def test_concurrent_reads_share_fairly_via_chunking():
     finish = {}
 
     def mover(tag):
-        yield from link.transfer("read", 8 * MB)
+        yield from transfer(link, "read", 8 * MB)
         finish[tag] = sim.now
 
     sim.process(mover("a"))
@@ -129,9 +139,9 @@ def test_transfer_validation():
     sim = Simulator()
     link = HostLink(sim, PCIE_1_1_X8)
     with pytest.raises(ValueError):
-        sim.run(until=sim.process(link.transfer("sideways", 100)))
+        sim.run(until=sim.process(transfer(link, "sideways", 100)))
     with pytest.raises(ValueError):
-        sim.run(until=sim.process(link.transfer("read", -1)))
+        sim.run(until=sim.process(transfer(link, "read", -1)))
 
 
 def test_zero_byte_transfer_costs_only_overhead():
@@ -203,7 +213,7 @@ def test_interrupt_coalescer_validation_and_empty_ratio():
 
 def test_reserve_ahead_books_the_lane_without_an_event():
     """A single-chunk transfer's end is known at submission: the lane
-    is held until then, nothing is scheduled, and a later ``transfer``
+    is held until then, nothing is scheduled, and a later ``reserve_call``
     queues behind it (relaying at its grant: no end event to chain
     from)."""
     sim = Simulator()
@@ -214,7 +224,7 @@ def test_reserve_ahead_books_the_lane_without_an_event():
     assert link.reserve_ahead("write", 8192) == 2 * expected
     assert sim._seq == 0 and sim.peek() is None
     assert link.reserve_ahead("read", 8192) < expected  # its own lane
-    sim.run(until=sim.process(link.transfer("write", 8192)))
+    sim.run(until=sim.process(transfer(link, "write", 8192)))
     assert sim.now == 3 * expected
 
 

@@ -109,14 +109,7 @@ def test_qos_shed_metric_names_are_stable():
 
 
 def test_policy_outcome_metric_names_are_stable():
-    from repro.policy import (
-        CallbackAction,
-        Hysteresis,
-        MetricSignal,
-        PolicyEngine,
-        PolicyPlan,
-        Rule,
-    )
+    from repro.policy import Hysteresis, MetricSignal, PolicyPlan, Rule
     from repro.sim import MS
 
     sim = Simulator()
@@ -127,15 +120,14 @@ def test_policy_outcome_metric_names_are_stable():
                 name="tighten",
                 signal=MetricSignal("load"),
                 hysteresis=Hysteresis(upper=1.0, lower=0.5),
-                action=CallbackAction(lambda ctx, rng: None),
+                action=lambda ctx, rng: None,
             ),
         ),
         period_ns=MS,
     )
     obs.attach(plan)
-    engine = PolicyEngine(plan, sim, obs=obs)
     obs.metrics.gauge("load").set(5.0)
-    engine.start(until_ns=3 * MS)
+    plan.start(sim, until_ns=3 * MS)
     sim.run()
     names = set(obs.metrics.names())
     assert "policy.tighten.evals" in names
@@ -175,7 +167,7 @@ def test_device_zoo_metric_names_are_stable():
 
 
 def test_membership_and_election_metric_names_are_stable():
-    """``DeadNodeSignal`` (and any operator dashboard) keys on these
+    """Dead-node policy rules (and any operator dashboard) key on these
     names; a rename would silently un-wire dead-node rules."""
     from repro.cluster import (
         ClusterController,

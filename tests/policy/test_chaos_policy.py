@@ -1,4 +1,4 @@
-"""Chaos tier for the policy plane: the engine stays live and correct
+"""Chaos tier for the policy plane: the plan stays live and correct
 while the cluster it steers crashes and browns out underneath it.
 
 A three-node cluster with durable WALs runs a bursty write stream while
@@ -10,7 +10,7 @@ scheduled FaultBursts.  The contracts:
   readable after the faults heal, including writes acked just before
   the crash (durable-WAL replay covers them);
 * **rules keep firing** -- the fire log shows activity both before the
-  crash and after the restart; the engine never wedges on a dead node;
+  crash and after the restart; the plan never wedges on a dead node;
 * **determinism** -- two runs under the same ``CHAOS_SEED`` produce the
   identical fire log, acked-write model and fault signatures.
 
@@ -27,13 +27,12 @@ from repro.cluster.control import ClusterController
 from repro.cluster.network import Network
 from repro.cluster.node import build_sdf_server
 from repro.errors import TransientFault
-from repro.faults import BROWNOUT, CRASH, FaultPlan, FaultRunner
+from repro.faults import BROWNOUT, CRASH, FaultPlan
 from repro.kv.slice import KeyRange
 from repro.obs import Observability
 from repro.policy import (
     DeltaRateSignal,
     Hysteresis,
-    PolicyEngine,
     PolicyPlan,
     Rule,
     ScaleAdmission,
@@ -94,7 +93,6 @@ def run_policy_chaos(seed, n_bursts=4):
     qos.attach(ctrl)
     policy.attach(ctrl)
     obs.attach(policy)
-    runner = FaultRunner(sim, plan)
     for index in range(3):
         name = f"n{index}"
         server = build_sdf_server(
@@ -105,7 +103,6 @@ def run_policy_chaos(seed, n_bursts=4):
         plan.attach(server, name)
         qos.attach(server, name)
         policy.attach(server, name)
-        runner.bind(name, server)
     for index in range(3):
         ctrl.create_slice(
             KeyRange(index * SPAN // 3, (index + 1) * SPAN // 3),
@@ -122,10 +119,9 @@ def run_policy_chaos(seed, n_bursts=4):
         duration_ns=BROWNOUT_NS,
         multiplier=20.0,
     )
-    runner.start()
-    engine = PolicyEngine(policy, sim, obs=obs)
+    plan.start()
     duration_ns = n_bursts * 2 * BURST_NS + BROWNOUT_AT_NS + BROWNOUT_NS
-    engine.start(until_ns=duration_ns)
+    policy.start(sim, until_ns=duration_ns)
 
     model = {}  # key -> last *acknowledged* value
     rng = np.random.default_rng(seed)
@@ -166,7 +162,7 @@ def run_policy_chaos(seed, n_bursts=4):
                 yield sim.timeout(idle)
 
     sim.run(until=sim.process(driver()))
-    # Drain: retries, WAL replay, the brownout window, engine ticks.
+    # Drain: retries, WAL replay, the brownout window, policy ticks.
     sim.run(until=max(sim.now, duration_ns) + S)
     sim.run()
 
@@ -183,7 +179,7 @@ def run_policy_chaos(seed, n_bursts=4):
     sim.run(until=sim.process(verify()))
     digest = (
         sim.now,
-        tuple(engine.fire_log),
+        tuple(policy.fire_log),
         tuple(sorted(model.items())),
         tuple(sorted(final.items())),
         tuple(plan.signatures()),
@@ -192,7 +188,7 @@ def run_policy_chaos(seed, n_bursts=4):
         "sim": sim,
         "obs": obs,
         "plan": plan,
-        "engine": engine,
+        "policy": policy,
         "ctrl": ctrl,
         "model": model,
         "final": final,
@@ -211,24 +207,24 @@ def _assert_invariants(run):
     servers = run["ctrl"].nodes
     assert servers["n1"].up and servers["n1"].restarts == 1
     assert servers["n2"].slowdown == 1.0
-    # Rules fired on both sides of the crash window: the engine never
+    # Rules fired on both sides of the crash window: the plan never
     # wedged on the dead node.
-    engine = run["engine"]
-    fire_times = [at for at, _name in engine.fire_log]
+    policy = run["policy"]
+    fire_times = [at for at, _name in policy.fire_log]
     assert any(at < CRASH_AT_NS for at in fire_times)
     assert any(at > CRASH_AT_NS + CRASH_NS for at in fire_times)
     # Both directions of the control loop ran.
-    assert engine.fires("tighten") >= 1
-    assert engine.fires("relax") >= 1
+    assert policy.fires("tighten") >= 1
+    assert policy.fires("relax") >= 1
 
 
 def test_policy_chaos_smoke_zero_acked_write_loss():
     run = run_policy_chaos(seed=11, n_bursts=4)
     _assert_invariants(run)
-    # The engine's own activity surfaced through repro.obs.
+    # The plan's own activity surfaced through repro.obs.
     snap = run["obs"].metrics.snapshot(run["sim"].now)
-    assert snap["policy.tighten.fired"] == run["engine"].fires("tighten")
-    assert snap["policy.relax.fired"] == run["engine"].fires("relax")
+    assert snap["policy.tighten.fired"] == run["policy"].fires("tighten")
+    assert snap["policy.relax.fired"] == run["policy"].fires("relax")
 
 
 @pytest.mark.chaos

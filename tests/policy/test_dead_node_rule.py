@@ -3,7 +3,7 @@
 The chain under test spans three planes: the controller group's
 failure detector confirms a watched storage node dead, the
 ``cluster.membership.dead`` gauge rises through observability, a
-:class:`~repro.policy.signals.DeadNodeSignal` rule crosses its band,
+:class:`~repro.policy.signals.MetricSignal` rule on it crosses its band,
 and :class:`~repro.policy.actions.TriggerRebalance` re-spreads load
 across the survivors.
 """
@@ -18,9 +18,8 @@ from repro.cluster import (
 from repro.kv.slice import KeyRange
 from repro.obs import Observability
 from repro.policy import (
-    DeadNodeSignal,
     Hysteresis,
-    PolicyEngine,
+    MetricSignal,
     PolicyPlan,
     Rule,
     TriggerRebalance,
@@ -39,7 +38,7 @@ FAST = SwimConfig(
 def dead_node_rule():
     return Rule(
         name="dead_node",
-        signal=DeadNodeSignal(),
+        signal=MetricSignal("cluster.membership.dead"),
         hysteresis=Hysteresis(upper=1.0, lower=0.5),
         action=TriggerRebalance(imbalance=1.5),
         cooldown_ns=10_000 * MS,  # one shot per death in this run
@@ -71,8 +70,7 @@ def make_scenario():
     plan = PolicyPlan(rules=(dead_node_rule(),), period_ns=10 * MS)
     obs.attach(plan)
     plan.attach(ctrl)
-    engine = PolicyEngine(plan, sim, obs=obs)
-    return sim, ctrl, group, obs, engine, sids
+    return sim, ctrl, group, obs, plan, sids
 
 
 def load(sim, ctrl):
@@ -88,10 +86,10 @@ def load(sim, ctrl):
 
 
 def test_confirmed_node_death_triggers_rebalance():
-    sim, ctrl, group, obs, engine, sids = make_scenario()
+    sim, ctrl, group, obs, plan, sids = make_scenario()
     load(sim, ctrl)
     group.start(until_ns=1_000 * MS)
-    engine.start(until_ns=1_000 * MS)
+    plan.start(sim, until_ns=1_000 * MS)
 
     def killer():
         yield sim.timeout(100 * MS)
@@ -118,10 +116,10 @@ def test_confirmed_node_death_triggers_rebalance():
 
 
 def test_rule_stays_idle_while_everyone_lives():
-    sim, ctrl, group, obs, engine, _sids = make_scenario()
+    sim, ctrl, group, obs, plan, _sids = make_scenario()
     load(sim, ctrl)
     group.start(until_ns=500 * MS)
-    engine.start(until_ns=500 * MS)
+    plan.start(sim, until_ns=500 * MS)
     sim.run(until=500 * MS)
     snap = obs.metrics.snapshot(sim.now)
     assert snap["cluster.membership.dead"] == 0
@@ -137,8 +135,7 @@ def test_signal_reads_default_without_a_group():
     obs = Observability()
     plan = PolicyPlan(rules=(dead_node_rule(),), period_ns=10 * MS)
     obs.attach(plan)
-    engine = PolicyEngine(plan, sim, obs=obs)
-    engine.start(until_ns=100 * MS)
+    plan.start(sim, until_ns=100 * MS)
     sim.run()
     snap = obs.metrics.snapshot(sim.now)
     assert snap.get("policy.dead_node.fired", 0) == 0

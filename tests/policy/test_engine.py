@@ -1,4 +1,4 @@
-"""Engine units: sim-clock evaluation, firing, actuators, determinism.
+"""Policy plan units: sim-clock evaluation, firing, actuators, determinism.
 
 The property suite (`test_rule_properties.py`) owns the automaton; these
 tests own everything around it -- the tick loop, signal reads through
@@ -11,13 +11,11 @@ import pytest
 
 from repro.obs import Observability
 from repro.policy import (
-    CallbackAction,
     FIRED,
     Hysteresis,
     MetricSignal,
     DeltaRateSignal,
     PaceMigrations,
-    PolicyEngine,
     PolicyPlan,
     Rule,
     ScaleAdmission,
@@ -29,9 +27,9 @@ from repro.qos import AdmissionConfig, QosPlan
 from repro.sim import MS, Simulator
 
 
-def engine_over_gauge(rules, script, obs=None, period_ns=MS, seed=0,
-                      until_ns=40 * MS):
-    """Run rules against a scripted ``load`` gauge; returns the engine.
+def run_over_gauge(rules, script, obs=None, period_ns=MS, seed=0,
+                   until_ns=40 * MS):
+    """Run rules against a scripted ``load`` gauge; returns the plan.
 
     ``script`` maps tick times (ns) to gauge values; between entries the
     gauge holds its last value.
@@ -40,7 +38,6 @@ def engine_over_gauge(rules, script, obs=None, period_ns=MS, seed=0,
     obs = obs if obs is not None else Observability()
     plan = PolicyPlan(rules=tuple(rules), period_ns=period_ns, seed=seed)
     obs.attach(plan)
-    engine = PolicyEngine(plan, sim, obs=obs)
 
     def scripted():
         for at_ns in sorted(script):
@@ -50,9 +47,9 @@ def engine_over_gauge(rules, script, obs=None, period_ns=MS, seed=0,
             obs.metrics.gauge("load").set(script[at_ns])
 
     sim.process(scripted())
-    engine.start(until_ns=until_ns)
+    plan.start(sim, until_ns=until_ns)
     sim.run()
-    return engine
+    return plan
 
 
 def load_rule(action=None, **overrides):
@@ -60,7 +57,7 @@ def load_rule(action=None, **overrides):
         name="hot",
         signal=MetricSignal("load"),
         hysteresis=Hysteresis(upper=10.0, lower=4.0),
-        action=action if action is not None else CallbackAction(
+        action=action if action is not None else (
             lambda ctx, rng: "noted"
         ),
         cooldown_ns=0,
@@ -74,40 +71,39 @@ def load_rule(action=None, **overrides):
 
 def test_rule_fires_when_the_signal_crosses_the_band():
     hits = []
-    engine = engine_over_gauge(
-        [load_rule(action=CallbackAction(
-            lambda ctx, rng: hits.append(ctx.now)))],
+    plan = run_over_gauge(
+        [load_rule(action=lambda ctx, rng: hits.append(ctx.now))],
         script={0: 0.0, 5 * MS: 20.0, 10 * MS: 0.0},
     )
-    assert engine.total_fires == 1
-    assert hits and hits[0] == engine.fire_log[0][0]
+    assert plan.total_fires == 1
+    assert hits and hits[0] == plan.fire_log[0][0]
     # Fired once, re-armed when the load fell through the band, idled.
-    counts = engine.outcome_counts["hot"]
+    counts = plan.outcome_counts["hot"]
     assert counts[FIRED] == 1
 
 
 def test_cooldown_and_hysteresis_surface_in_obs_counters():
     obs = Observability()
-    engine = engine_over_gauge(
+    plan = run_over_gauge(
         [load_rule(cooldown_ns=50 * MS)],
         # Raised, then re-armed, then raised again inside the cooldown.
         script={0: 20.0, 6 * MS: 0.0, 12 * MS: 20.0},
         obs=obs,
     )
-    assert engine.total_fires == 1
-    counts = engine.outcome_counts["hot"]
+    assert plan.total_fires == 1
+    counts = plan.outcome_counts["hot"]
     assert counts[SUPPRESSED_COOLDOWN] >= 1
     snap = obs.metrics.snapshot()
     assert snap["policy.hot.fired"] == 1
     assert snap["policy.hot.suppressed_cooldown"] == counts[
         SUPPRESSED_COOLDOWN
     ]
-    assert snap["policy.hot.evals"] == engine.evaluations
+    assert snap["policy.hot.evals"] == plan.evaluations
 
 
 def test_trace_events_record_fires():
     obs = Observability(trace=True)
-    engine_over_gauge(
+    run_over_gauge(
         [load_rule()], script={0: 0.0, 5 * MS: 20.0}, obs=obs
     )
     names = [name for _track, name, _ts, _args in obs.trace._instants]
@@ -125,30 +121,30 @@ def test_generator_action_sets_the_busy_latch():
 
         return _work()
 
-    engine = engine_over_gauge(
-        [load_rule(action=CallbackAction(slow_action))],
+    plan = run_over_gauge(
+        [load_rule(action=slow_action)],
         # Stays raised for the whole run: the first fire's action runs
         # 10 ms, during which re-fires must be busy-suppressed (the
         # signal never re-arms, so there is exactly one fire).
         script={0: 20.0},
     )
-    assert engine.total_fires == 1
-    assert engine.outcome_counts["hot"].get(SUPPRESSED_BUSY, 0) == 0
+    assert plan.total_fires == 1
+    assert plan.outcome_counts["hot"].get(SUPPRESSED_BUSY, 0) == 0
     # (hysteresis suppression, not busy: the rule disarmed on fire)
 
     # Force the busy path: a band with lower == upper re-arms on every
     # sub-threshold dip; keep the signal pinned at the threshold.
-    engine = engine_over_gauge(
+    plan = run_over_gauge(
         [
             load_rule(
-                action=CallbackAction(slow_action),
+                action=slow_action,
                 hysteresis=Hysteresis(upper=10.0, lower=10.0),
             )
         ],
         script={0: 20.0, 2 * MS: 5.0, 3 * MS: 20.0},
     )
-    assert engine.outcome_counts["hot"].get(SUPPRESSED_BUSY, 0) >= 1
-    assert engine.total_fires >= 1
+    assert plan.outcome_counts["hot"].get(SUPPRESSED_BUSY, 0) >= 1
+    assert plan.total_fires >= 1
 
 
 # --- determinism ------------------------------------------------------------
@@ -157,13 +153,11 @@ def test_generator_action_sets_the_busy_latch():
 def test_engine_replays_byte_identically():
     def run_once():
         draws = []
-        engine = engine_over_gauge(
+        plan = run_over_gauge(
             [
                 load_rule(
-                    action=CallbackAction(
-                        lambda ctx, rng: draws.append(
-                            (ctx.now, float(rng.random()))
-                        )
+                    action=lambda ctx, rng: draws.append(
+                        (ctx.now, float(rng.random()))
                     ),
                     hysteresis=Hysteresis(upper=10.0, lower=4.0),
                 )
@@ -171,7 +165,7 @@ def test_engine_replays_byte_identically():
             script={0: 0.0, 5 * MS: 20.0, 10 * MS: 0.0, 15 * MS: 20.0},
             seed=77,
         )
-        return engine.fire_log, engine.outcome_counts, draws
+        return plan.fire_log, plan.outcome_counts, draws
 
     assert run_once() == run_once()
 
@@ -181,16 +175,14 @@ def test_per_rule_rng_streams_are_independent():
     draws = {}
 
     def recorder(name):
-        return CallbackAction(
-            lambda ctx, rng, name=name: draws.setdefault(name, []).append(
-                float(rng.random())
-            )
+        return lambda ctx, rng, name=name: draws.setdefault(name, []).append(
+            float(rng.random())
         )
 
     script = {0: 0.0, 5 * MS: 20.0, 10 * MS: 0.0, 15 * MS: 20.0}
-    engine_over_gauge([load_rule(action=recorder("solo"))], script=script)
+    run_over_gauge([load_rule(action=recorder("solo"))], script=script)
     solo = draws.pop("solo")
-    engine_over_gauge(
+    run_over_gauge(
         [
             load_rule(name="hot", action=recorder("hot")),
             load_rule(name="other", action=recorder("other")),
@@ -228,20 +220,20 @@ def test_set_and_scale_admission_retune_every_node():
     ctrl = small_cluster(sim, qos)
     plan = PolicyPlan(rules=(load_rule(),))
     plan.attach(ctrl)
-    engine = PolicyEngine(plan, sim)
+    plan.start(sim)
 
-    SetAdmission(max_reads=8, max_writes=4).apply(engine.ctx, None)
+    SetAdmission(max_reads=8, max_writes=4).apply(plan.ctx, None)
     for node in ctrl.nodes.values():
         assert node.qos.config.max_reads == 8
         assert node.qos.config.max_writes == 4
 
-    ScaleAdmission(read=2.0, write=0.5).apply(engine.ctx, None)
+    ScaleAdmission(read=2.0, write=0.5).apply(plan.ctx, None)
     for node in ctrl.nodes.values():
         assert node.qos.config.max_reads == 16
         assert node.qos.config.max_writes == 2
 
     # Clamps: floor and ceiling bound the scaled limits.
-    ScaleAdmission(write=0.001, read=1e9, ceiling=64).apply(engine.ctx, None)
+    ScaleAdmission(write=0.001, read=1e9, ceiling=64).apply(plan.ctx, None)
     for node in ctrl.nodes.values():
         assert node.qos.config.max_writes == 1
         assert node.qos.config.max_reads == 64
@@ -253,9 +245,9 @@ def test_pace_migrations_rebudgets_the_controller():
     ctrl = small_cluster(sim, qos)
     plan = PolicyPlan(rules=(load_rule(),))
     plan.attach(ctrl)
-    engine = PolicyEngine(plan, sim)
+    plan.start(sim)
     PaceMigrations(copy_mb_per_s=50.0, max_concurrent=1).apply(
-        engine.ctx, None
+        plan.ctx, None
     )
     assert ctrl.migration_budget.copy_mb_per_s == 50.0
     assert ctrl.migration_budget.max_concurrent == 1
@@ -276,17 +268,17 @@ def test_metric_signal_reads_histogram_fields_and_defaults():
     obs = Observability()
     plan = PolicyPlan(rules=(load_rule(),))
     obs.attach(plan)
-    engine = PolicyEngine(plan, sim, obs=obs)
+    plan.start(sim)
     obs.metrics.histogram("lat").record(100)
     obs.metrics.histogram("lat").record(300)
-    assert MetricSignal("lat", field="max").read(engine.ctx) == 300.0
-    assert MetricSignal("missing", default=7.0).read(engine.ctx) == 7.0
+    assert MetricSignal("lat", field="max").read(plan.ctx) == 300.0
+    assert MetricSignal("missing", default=7.0).read(plan.ctx) == 7.0
     with pytest.raises(ValueError):
-        MetricSignal("lat").read(engine.ctx)  # histogram needs field=
+        MetricSignal("lat").read(plan.ctx)  # histogram needs field=
     obs.metrics.counter("a").add(2)
     obs.metrics.counter("b").add(3)
-    assert MetricSignal(("a", "b")).read(engine.ctx) == 5.0
-    assert MetricSignal(("a", "b"), reduce="max").read(engine.ctx) == 3.0
+    assert MetricSignal(("a", "b")).read(plan.ctx) == 5.0
+    assert MetricSignal(("a", "b"), reduce="max").read(plan.ctx) == 3.0
 
 
 def test_delta_rate_signal_windows_per_tick():
@@ -303,16 +295,16 @@ def test_delta_rate_signal_windows_per_tick():
         period_ns=MS,
     )
     obs.attach(plan)
-    engine = PolicyEngine(plan, sim, obs=obs)
+    plan.start(sim)
     signal = DeltaRateSignal("sheds")
-    engine.ctx._advance(0, 0)
-    assert signal.read(engine.ctx) == 0.0  # first tick: no window yet
+    plan.ctx._advance(0, 0)
+    assert signal.read(plan.ctx) == 0.0  # first tick: no window yet
     obs.metrics.counter("sheds").add(10)
-    engine.ctx._advance(MS, MS)
+    plan.ctx._advance(MS, MS)
     # 10 events in 1 ms -> 10_000 events/s.
-    assert signal.read(engine.ctx) == pytest.approx(10_000.0)
-    engine.ctx._advance(2 * MS, MS)
-    assert signal.read(engine.ctx) == 0.0  # no growth this tick
+    assert signal.read(plan.ctx) == pytest.approx(10_000.0)
+    plan.ctx._advance(2 * MS, MS)
+    assert signal.read(plan.ctx) == 0.0  # no growth this tick
 
 
 def test_peek_never_creates_metrics():
@@ -366,11 +358,11 @@ def test_attach_dispatch_reaches_every_surface():
 
 def test_engine_start_guards():
     sim = Simulator()
-    engine = PolicyEngine(PolicyPlan(), sim)
-    engine.start()
+    plan = PolicyPlan()
+    plan.start(sim)
     with pytest.raises(RuntimeError):
-        engine.start()
+        plan.start(sim)
     # An empty plan scheduled nothing: the sim has no events.
     sim.run()
     assert sim.now == 0
-    assert engine.evaluations == 0
+    assert plan.evaluations == 0

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ReplicatedKV, build_sdf_server
-from repro.faults import BROWNOUT, FaultPlan, FaultRunner, RetryPolicy
+from repro.faults import BROWNOUT, FaultPlan, RetryPolicy
 from repro.kv.lsm import LSMTree
 from repro.kv.slice import KeyRange, Slice
 from repro.obs import Observability
@@ -82,15 +82,11 @@ def run_brownout_chaos(seed, n_ops=60):
     kv = ReplicatedKV(
         sim,
         servers,
-        faults=plan.injector("replication"),
         retry=RetryPolicy(timeout_ns=15 * MS, max_attempts=5),
         rng=np.random.default_rng(seed),
         breakers=breakers,
     )
-    runner = FaultRunner(sim, plan)
-    for index, server in enumerate(servers):
-        runner.bind(f"node{index}", server, on_restore=lambda i=index: kv.heal(i))
-    runner.start()
+    plan.attach(kv).start()
 
     model = {}
     rng = np.random.default_rng(seed)

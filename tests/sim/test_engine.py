@@ -6,7 +6,6 @@ from repro.sim import (
     AllOf,
     AnyOf,
     Event,
-    Interrupt,
     MS,
     Simulator,
     Timeout,
@@ -229,40 +228,6 @@ def test_process_requires_generator():
     sim = Simulator()
     with pytest.raises(TypeError):
         sim.process(lambda: None)
-
-
-def test_interrupt_wakes_process_with_cause():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(1 * MS)
-            log.append("slept-full")
-        except Interrupt as intr:
-            log.append(("interrupted", intr.cause, sim.now))
-
-    proc = sim.process(sleeper())
-
-    def interrupter():
-        yield sim.timeout(10 * US)
-        proc.interrupt("urgent")
-
-    sim.process(interrupter())
-    sim.run()
-    assert log == [("interrupted", "urgent", 10 * US)]
-
-
-def test_interrupt_completed_process_rejected():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1)
-
-    proc = sim.process(quick())
-    sim.run()
-    with pytest.raises(RuntimeError):
-        proc.interrupt()
 
 
 def test_all_of_collects_values_in_order():

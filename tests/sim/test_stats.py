@@ -32,7 +32,6 @@ def test_throughput_meter_simple_rate():
     for i in range(1, 11):
         meter.record(i * S // 10, 10_000_000)
     assert meter.mb_per_s(0, S) == pytest.approx(100.0)
-    assert meter.gb_per_s(0, S) == pytest.approx(0.1)
     assert meter.total_bytes == 100_000_000
     assert meter.n_samples == 10
 

@@ -3,8 +3,9 @@
 The planes (observability, faults, QoS, policy) instrument the lower
 layers; the lower layers never reach back for them.  These tests pin
 that layering, the error every plane raises for a target it does not
-know, and the rule that observing a server leaves its device on the
-reserve-ahead path.
+know, the rule that observing a server leaves its device on the
+reserve-ahead path, and that the two planes that act over simulated
+time run themselves once attached (``start``).
 """
 
 import ast
@@ -12,12 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.cluster import build_sdf_server
-from repro.faults import FaultPlan
+from repro.cluster import Network, build_sdf_server
+from repro.faults import CRASH, PARTITION, FaultPlan
 from repro.obs import Observability
-from repro.policy import PolicyPlan
+from repro.policy import Hysteresis, PolicyPlan, Rule
 from repro.qos import QosPlan
-from repro.sim import Simulator
+from repro.sim import MS, Simulator
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -93,3 +94,48 @@ def test_observing_a_server_leaves_its_device_reserving_ahead():
     for engine in engines:
         assert engine.obs is None
         assert engine.can_reserve_ahead()
+
+
+def test_an_attached_fault_plan_starts_its_crash_and_partition():
+    sim = Simulator()
+    server = build_sdf_server(sim, [], capacity_scale=0.004, n_channels=4)
+    network = Network(sim)
+    plan = FaultPlan()
+    plan.schedule("n0", CRASH, at_ns=1 * MS, duration_ns=2 * MS)
+    plan.schedule("net", PARTITION, at_ns=2 * MS, duration_ns=2 * MS,
+                  a="x", b="y")
+    plan.attach(server, "n0").attach(network).start()
+    sim.run(until=2 * MS + 1)
+    assert not server.up and network._cuts
+    sim.run()
+    assert server.up and not network._cuts
+    assert [(e.site, e.kind, e.at_ns) for e in plan.log] == [
+        ("n0", CRASH, 1 * MS),
+        ("net", PARTITION, 2 * MS),
+        ("n0", "restart", 3 * MS),
+        ("net", "partition_heal", 4 * MS),
+    ]
+
+
+def test_a_started_policy_plan_fires_its_rule():
+    sim = Simulator()
+    obs = Observability()
+    fired = []
+    plan = PolicyPlan(
+        rules=(
+            Rule(
+                name="hot",
+                signal=lambda ctx: 1.0,
+                hysteresis=Hysteresis(upper=0.5, lower=0.1),
+                action=lambda ctx, rng: fired.append(ctx.now),
+            ),
+        ),
+        period_ns=1 * MS,
+    )
+    obs.attach(plan)
+    plan.start(sim, until_ns=3 * MS)
+    sim.run()
+    assert fired == [1 * MS]
+    assert plan.fire_log == [(1 * MS, "hot")]
+    assert plan.evaluations == 3
+    assert obs.snapshot(sim.now)["policy.hot.fired"] == 1

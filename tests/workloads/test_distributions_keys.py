@@ -1,6 +1,5 @@
 """Unit tests for size distributions and key-popularity models."""
 
-import itertools
 from collections import Counter
 
 import numpy as np
@@ -13,9 +12,6 @@ from repro.workloads import (
     SizeDistribution,
     UniformKeyModel,
     ZipfianKeyModel,
-    sequential_keys,
-    uniform_keys,
-    zipfian_keys,
 )
 
 
@@ -66,22 +62,18 @@ def test_mean_estimate_is_sane():
     assert dist.mean_estimate(np.random.default_rng(0), n=10) == 1000
 
 
-def test_sequential_keys():
-    assert list(sequential_keys(3, 7)) == [3, 4, 5, 6]
-    with pytest.raises(ValueError):
-        sequential_keys(5, 5)
-
-
 def test_uniform_keys_stay_in_range():
     rng = np.random.default_rng(3)
-    keys = list(itertools.islice(uniform_keys(10, 20, rng), 200))
+    model = UniformKeyModel(10, 20)
+    keys = [model.sample(rng) for _ in range(200)]
     assert all(10 <= key < 20 for key in keys)
     assert len(set(keys)) > 5
 
 
 def test_zipfian_keys_are_skewed():
     rng = np.random.default_rng(4)
-    keys = list(itertools.islice(zipfian_keys(0, 1000, rng), 3000))
+    model = ZipfianKeyModel(0, 1000)
+    keys = [model.sample(rng) for _ in range(3000)]
     assert all(0 <= key < 1000 for key in keys)
     counts = sorted(
         (keys.count(key) for key in set(keys)), reverse=True
@@ -91,11 +83,10 @@ def test_zipfian_keys_are_skewed():
 
 
 def test_zipfian_validation():
-    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        next(zipfian_keys(5, 5, rng))
+        ZipfianKeyModel(5, 5)
     with pytest.raises(ValueError):
-        next(zipfian_keys(0, 10, rng, theta=3.0))
+        ZipfianKeyModel(0, 10, theta=3.0)
 
 
 # --- log-uniform boundary clamp (regression) -------------------------------
