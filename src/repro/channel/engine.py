@@ -9,18 +9,22 @@ the last phase's callback (a batch through one shared countdown).
 Where an op's bus request instant is known beforehand its bus phase is
 reserved *ahead* and the op costs one event: a streamed PROGRAM whose
 link DMA end is already known (:meth:`ChannelEngine.program_page_ahead`,
-the plane phase reserved behind the bus phase), and a request's READs,
-whose senses are reserved at submission with no end events
+the plane phase reserved behind the bus phase), a batch's PROGRAMs,
+whose bus phases are requested at once
+(:meth:`ChannelEngine.execute_batch_call` on a plain engine: the
+conventional family's door), and a request's READs, whose senses are
+reserved at submission with no end events
 (:meth:`ChannelEngine.read_ahead`; a plane is a FIFO, so a sense's end
 is settled then).  Plane and payload size are all this path reads of an
 op, so it takes them as such -- a request's READs as plane runs
 (:class:`~repro.ftl.ops.OpRuns`, or a list grouped into runs at the
-door) -- and builds no :class:`~repro.ftl.ops.FlashOp`.  Such bus
-phases are tentative until their request instants come: the engine
-keeps them in the order they will request the bus, a newcomer takes its
-place in that order, and whatever reaches the bus or a plane first
-revokes those it must precede and has them made again behind it.  See
-DESIGN.md "Scheduling".
+door), a GC move's programs as plane runs
+(:class:`~repro.ftl.ops.Relocation`) -- and builds no
+:class:`~repro.ftl.ops.FlashOp`.  Such phases are tentative until their
+request instants come: the engine keeps them in the order they will
+request the bus, a newcomer takes its place in that order, and
+whatever reaches the bus or a plane first revokes those it must precede
+and has them made again behind it.  See DESIGN.md "Scheduling".
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from operator import attrgetter
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.faults.injector import NULL_INJECTOR, STALL
-from repro.ftl.ops import FlashOp, OpKind, OpRuns
+from repro.ftl.ops import FlashOp, OpKind, OpParts, OpRuns, Relocation
 from repro.nand.geometry import FlashGeometry
 from repro.nand.timing import NandTiming
 from repro.sim import Event, Simulator
@@ -46,6 +50,7 @@ def _revoked():
 
 
 _order = attrgetter("order")
+_plane_key = attrgetter("address.chip", "address.plane")
 
 #: Orders an intruder -- a reservation made at its own instant -- behind
 #: every tentative entry that requests the bus at that nanosecond.
@@ -69,7 +74,7 @@ class _Ahead:
     __slots__ = (
         "engine", "then", "plane", "order", "bus_req", "bus_ns", "wait",
         "bus_grant", "bus_end", "plane_grant", "due",
-        "bus_undo", "plane_undo", "event", "bus_counted",
+        "bus_undo", "plane_undo", "event", "bus_counted", "below",
     )
 
     def __init__(self, engine, then, plane, order, bus_ns, wait):
@@ -88,6 +93,8 @@ class _Ahead:
         #: True once the bus interval is in the engine's busy union
         #: (a busy read between ``bus_req`` and ``due``).
         self.bus_counted = False
+        # self.below (a PROGRAM): the program entered before it on its
+        # plane, set when it is chained onto ``plane.tentative``.
 
     def done(self) -> None:
         """The op's end instant: what ``read_done``/``program_done`` do
@@ -212,11 +219,20 @@ class ChannelEngine:
         geometry: FlashGeometry,
         timing: NandTiming,
         chips_per_channel: int = 2,
+        caller_lead_ns: int = 0,
     ):
         self.sim = sim
         self.channel = channel
         self.geometry = geometry
         self.timing = timing
+        #: Whether :meth:`execute_batch_call` may reserve PROGRAMs
+        #: ahead: only while its callers -- events scheduled at most
+        #: ``caller_lead_ns`` before they run (0: at that very instant,
+        #: as a grant hop is) -- run less than a page's bus phase after
+        #: they were scheduled.
+        self._programs_ahead = caller_lead_ns < timing.bus_transfer_ns(
+            geometry.page_size
+        )
         self._obs = None
         #: Optional :class:`repro.qos.limits.ChannelQosState` bounding
         #: the ops admitted to this channel; set by ``QosPlan.attach``.
@@ -473,10 +489,11 @@ class ChannelEngine:
         bus_ns = cache.get(nbytes)
         if bus_ns is None:
             bus_ns = cache[nbytes] = self.timing.bus_transfer_ns(nbytes)
+        timeline = self._tl_planes[plane]
         entry = _Ahead(
             self,
             then,
-            self._tl_planes[plane],
+            timeline,
             # Among equal request instants a page stands where the
             # instant it asked the link for its DMA puts it.
             (request_ns, now, 0, self._rank),
@@ -488,6 +505,8 @@ class ChannelEngine:
         else:
             self._reserve_ahead(entry, True)
             ahead.append(entry)
+            entry.below = timeline.tentative
+            timeline.tentative = entry
 
     def read_ahead(self, ops: Sequence[FlashOp], then=None) -> None:
         """Run one request's READs with one event a page, its bus end;
@@ -650,12 +669,18 @@ class ChannelEngine:
         first = entries[0].order
         if ahead and ahead[-1].order > first:
             revoked = self._revoke(self._tl_bus, first)
-            for _ in revoked:
+            for entry in reversed(revoked):
                 ahead.pop()
+                if entry.plane is not None:
+                    entry.plane.tentative = entry.below
             # Stable: at equal places the earlier reservation stays first.
             entries = sorted(revoked + entries, key=_order)
         for entry in entries:
             self._reserve_ahead(entry, True)
+            plane = entry.plane
+            if plane is not None:
+                entry.below = plane.tentative
+                plane.tentative = entry
         ahead.extend(entries)
 
     def _reserve_ahead(self, entry: _Ahead, from_bus: bool) -> None:
@@ -727,7 +752,9 @@ class ChannelEngine:
             if entry.plane is None:
                 entry.bus_undo = None
             else:
-                entry.plane_undo = None
+                # Off its plane's chain: a revoke stops at it (no undo
+                # record), and it keeps no older entry alive.
+                entry.plane_undo = entry.below = None
                 grant = entry.plane_grant
                 raw.append(grant)
                 raw.append(grant + duration)
@@ -753,25 +780,27 @@ class ChannelEngine:
         for :meth:`_reserve_again`.
 
         On a plane those are its own programs still short of their
-        plane request instant (a READ's sense is never tentative).  On
-        the bus they are the entries placed after ``order`` -- for an
-        intruder, which reserves at its own instant, those still short
-        of their bus request instant -- with the plane phases of the
-        programs among them: the bus end they request the plane at is
-        about to move.  (No other program on those planes is newer and
-        left standing -- bus ends rise along ``_ahead``.)
+        plane request instant (a READ's sense is never tentative),
+        chained from ``timeline.tentative``.  On the bus they are the
+        entries placed after ``order`` -- for an intruder, which
+        reserves at its own instant, those still short of their bus
+        request instant -- with the plane phases of the programs among
+        them: the bus end they request the plane at is about to move.
+        (No other program on those planes is newer and left standing --
+        bus ends rise along ``_ahead``.)
         """
-        self._retire()
-        on_bus = timeline is self._tl_bus
-        if on_bus and order is None:
-            order = (self.sim._now, _LAST)
+        ahead = self._ahead
+        now = self.sim._now
+        if ahead and ahead[0].due <= now:
+            self._retire()
+        if timeline is not self._tl_bus:
+            return self._revoke_plane(timeline)
+        if order is None:
+            order = (now, _LAST)
         revoked = []
-        for entry in reversed(self._ahead):
-            if on_bus:
-                if entry.order <= order:
-                    break
-            elif entry.plane is not timeline:
-                continue
+        for entry in reversed(ahead):
+            if entry.order <= order:
+                break
             revoked.append(entry)
             plane = entry.plane
             if plane is None:
@@ -786,8 +815,34 @@ class ChannelEngine:
             else:
                 event._fn = _revoked
                 event._hooks = None
-        if on_bus and revoked:
+        if revoked:
             timeline.free_at, timeline._tail_hooks = revoked[-1].bus_undo
+        revoked.reverse()
+        return revoked
+
+    def _revoke_plane(self, timeline: ResourceTimeline) -> List[_Ahead]:
+        """:meth:`_revoke` on a plane: its programs in ``_ahead`` that
+        the reservation made now must precede, newest first down its
+        chain (``timeline.tentative``, ``_Ahead.below``) and taken off
+        it until :meth:`_reserve_again` remakes them (a revoke meanwhile
+        finds none).  The chain stops at the first retired program: one
+        whose bus ends now asked for the plane first (``_retire``), and
+        bus ends rise along ``_ahead``, so the older ones did too."""
+        entry = timeline.tentative
+        revoked = []
+        while entry is not None and entry.plane_undo is not None:
+            revoked.append(entry)
+            entry = entry.below
+        timeline.tentative = entry
+        for entry in revoked:
+            timeline.free_at, tail, timeline.rank = entry.plane_undo
+            timeline._tail_hooks = tail
+            event = entry.event
+            if event is None:
+                tail.pop()
+            else:
+                event._fn = _revoked
+                event._hooks = None
         revoked.reverse()
         return revoked
 
@@ -798,6 +853,9 @@ class ChannelEngine:
         just made on ``timeline``."""
         from_bus = timeline is self._tl_bus
         for entry in revoked:
+            if not from_bus:
+                entry.below = timeline.tentative
+                timeline.tentative = entry
             self._reserve_ahead(entry, from_bus)
 
     def execute_fast(self, op: FlashOp, then=None) -> None:
@@ -911,25 +969,169 @@ class ChannelEngine:
         self.execute_batch_call(ops, done.succeed)
         yield done
 
-    def execute_batch_call(self, ops: List[FlashOp], then) -> None:
-        """Run a non-empty list of ops concurrently; ``then()`` runs at
-        the last op's completion instant.  Each op costs a
-        phase-boundary callback per phase on the reservation timelines
-        and the whole batch completes through one shared countdown."""
-        remaining = [len(ops)]
+    def execute_batch_call(self, ops: Sequence[FlashOp], then) -> None:
+        """Run a non-empty batch of this channel's ops concurrently, as
+        if each were submitted now in turn; ``then()`` runs once, at the
+        last op's completion instant.  ``ops`` is a list of ops, an
+        :class:`~repro.ftl.ops.OpRuns`, or an
+        :class:`~repro.ftl.ops.OpParts` whose parts may be batches (a
+        page-mapped GC move, :class:`~repro.ftl.ops.Relocation`).  The
+        whole batch is checked before anything is reserved.
 
-        def one_done():
-            remaining[0] -= 1
-            if not remaining[0]:
-                then()
-
-        for op in ops:
-            if op.address.channel != self.channel:
-                raise ValueError(
-                    f"op for channel {op.address.channel} sent to engine "
-                    f"{self.channel}"
+        On a plain engine (no admission gate, :meth:`can_reserve_ahead`)
+        whose callers run less than a page's bus phase after their
+        event was scheduled (``caller_lead_ns``), a PROGRAM costs one
+        event, its end: its bus phase is reserved now and its plane
+        phase ahead, as :meth:`program_page_ahead` does at
+        ``request_ns == now`` (a batch of one PROGRAM is handed to it
+        as it is, one of any other op to :meth:`execute_fast`).  The
+        plane phase asks for the plane at the bus end, from an end
+        event the per-phase path schedules at the bus grant; a caller
+        that takes that plane at that nanosecond was scheduled less
+        than a bus phase before it, after the grant, so it goes behind
+        the program, as the retired entry puts it.  (A caller that can
+        be scheduled longer before would go first when scheduled while
+        the program waited for the bus; the engine cannot tell, so
+        there every op runs per phase -- DESIGN.md section 7, "The tie
+        rule for batches".)  READs and ERASEs run per phase, and the
+        senses of consecutive READs on one plane are requested as one
+        run, the plane's tentative programs revoked once around it.
+        (Reserved ahead, a READ's end event would be scheduled when the
+        page is entered rather than at its bus grant; a conventional
+        read's end asks the shared link for its DMA, so that order
+        shows -- DESIGN.md section 7, "Conventional batches".)  This
+        is the per-phase schedule of the ops in list order: senses and
+        erases are the only ops that take a plane now, programs the
+        only ones that take the bus now, and every other phase is asked
+        for later.  Otherwise each op goes through
+        :meth:`execute_fast`, phase by phase.
+        """
+        parts = self._batch_parts(ops)
+        if len(parts) == 1 and type(parts[0]) is FlashOp:
+            # One op: what the batch path would do with it, directly.
+            op = parts[0]
+            if op.kind is OpKind.PROGRAM and self._plain():
+                address = op.address
+                self.program_page_ahead(
+                    (address.chip, address.plane), op.nbytes, self.sim._now, then
                 )
-            self.execute_fast(op, one_done)
+            else:
+                self.execute_fast(op, then)
+            return
+        plain = self._plain()
+        done = then
+        if len(ops) > 1:
+            remaining = [len(ops)]
+
+            def done():
+                remaining[0] -= 1
+                if not remaining[0]:
+                    then()
+
+        if plain:
+            self._reserve_batch(parts, done)
+        else:
+            for op in ops:
+                self.execute_fast(op, done)
+
+    def _plain(self) -> bool:
+        """Whether :meth:`execute_batch_call` reserves PROGRAMs ahead:
+        no admission gate, nothing watching per phase, and callers
+        that run less than a page's bus phase after being scheduled."""
+        return self._programs_ahead and self.qos is None and self.can_reserve_ahead()
+
+    def _batch_parts(self, ops) -> Sequence:
+        """The parts of a batch, each an op or a batch of ops on this
+        channel (``OpRuns`` of one kind, a ``Relocation``'s READs and
+        PROGRAMs); raises before anything is reserved unless there is
+        an op and every op is on this channel."""
+        if type(ops) is list:
+            parts = ops
+        elif isinstance(ops, OpParts):
+            parts = ops.parts
+        elif isinstance(ops, (OpRuns, Relocation)):
+            parts = (ops,)
+        else:
+            parts = ops
+        if not len(ops):
+            raise ValueError(f"empty batch for channel {self.channel}")
+        channel = self.channel
+        for part in parts:
+            if part.channel != channel:
+                raise ValueError(
+                    f"op for channel {part.channel} sent to engine {channel}"
+                )
+        return parts
+
+    def _reserve_batch(self, parts, then) -> None:
+        """:meth:`execute_batch_call` past the gate: in list order, each
+        run of READs on one plane (PROGRAMs between them take no plane
+        now) as one run of per-phase senses and each ERASE per phase;
+        then the PROGRAMs, bus now and plane ahead, entered at one
+        place."""
+        now = self.sim._now
+        ahead = self._ahead
+        if ahead and ahead[0].due <= now:
+            self._retire()
+        if len(self._busy_raw) > self.BUSY_RAW_LIMIT:
+            self.busy_value()
+        bus_ns_of = self._bus_ns
+        programs: List[Tuple[Tuple[int, int], int]] = []
+        reads: List[FlashOp] = []  # the READ run being gathered
+        for part in parts:
+            if isinstance(part, FlashOp):
+                ops = (part,)
+            elif isinstance(part, Relocation):
+                bus_ns = bus_ns_of(part.nbytes)
+                programs.extend([(key, bus_ns) for key in part.program_planes()])
+                ops = part.reads()
+            elif part.kind is OpKind.PROGRAM:
+                bus_ns = bus_ns_of(part.nbytes)
+                programs.extend([(key, bus_ns) for key in part.planes()])
+                continue
+            else:
+                ops = part
+            for op in ops:
+                kind = op.kind
+                if kind is OpKind.PROGRAM:
+                    address = op.address
+                    programs.append(
+                        ((address.chip, address.plane), bus_ns_of(op.nbytes))
+                    )
+                    continue
+                if reads and (
+                    kind is not OpKind.READ or _plane_key(op) != _plane_key(reads[0])
+                ):
+                    self._read_run(reads, then)
+                    reads = []
+                if kind is OpKind.READ:
+                    reads.append(op)
+                else:
+                    self._submit(op, then)
+        if reads:
+            self._read_run(reads, then)
+        if programs:
+            order = (now, now, 0, self._rank)
+            planes = self._tl_planes
+            self._enter(
+                [
+                    _Ahead(self, then, planes[key], order, bus_ns, 0)
+                    for key, bus_ns in programs
+                ]
+            )
+
+    def _read_run(self, ops: Sequence[FlashOp], then) -> None:
+        """Per-phase READs on one plane whose senses are all requested
+        now: the plane's tentative programs are revoked once before the
+        senses and remade once behind them (each sense's own revoke
+        then finds none), not once a page."""
+        plane = self._tl_planes[_plane_key(ops[0])]
+        revoked = self._ahead and self._revoke(plane)
+        now = self.sim._now
+        for op in ops:
+            _PhasedOp(self, op, then, now).request_phase()
+        if revoked:
+            self._reserve_again(revoked, plane)
 
 
 def build_engines(
@@ -938,9 +1140,14 @@ def build_engines(
     geometry: FlashGeometry,
     timing: NandTiming,
     chips_per_channel: int = 2,
+    caller_lead_ns: int = 0,
 ) -> List[ChannelEngine]:
-    """One engine per channel, sharing nothing."""
+    """One engine per channel, sharing nothing; ``caller_lead_ns`` is
+    how long before it runs a caller of a batch can have been scheduled
+    (:class:`ChannelEngine`)."""
     return [
-        ChannelEngine(sim, channel, geometry, timing, chips_per_channel)
+        ChannelEngine(
+            sim, channel, geometry, timing, chips_per_channel, caller_lead_ns
+        )
         for channel in range(n_channels)
     ]

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.channel.engine import build_engines
 from repro.devices.base import DeviceStats, base_device_metrics
-from repro.ftl.ops import FlashOp
+from repro.ftl.ops import FlashOp, OpParts
 from repro.ftl.page_ftl import PageFTL
 from repro.interfaces.iostack import IOStackModel, KERNEL_IO_STACK
 from repro.interfaces.link import (
@@ -77,6 +77,17 @@ class ConventionalSSDSpec:
         """Same device with ``blocks_per_plane`` scaled down -- used by
         tests/benches to shrink simulated capacity, not behaviour."""
         return replace(self, geometry=self.geometry.scaled(capacity_factor))
+
+    @property
+    def longest_page_phase_ns(self) -> int:
+        """The longest controller phase of one page (a write's, or a
+        read's at full congestion): its end is the event that hands a
+        page's flash ops to the channel engines, scheduled this long
+        before at most."""
+        return max(
+            self.controller_write_ns_per_page,
+            int(self.controller_read_ns_per_page * self.congestion_max_factor),
+        )
 
 
 class _PagedWrite:
@@ -173,6 +184,7 @@ class ConventionalSSD:
             spec.geometry,
             spec.timing,
             spec.chips_per_channel,
+            spec.longest_page_phase_ns,
         )
         self.link = HostLink(sim, spec.link)
         self.controller = ResourceTimeline()
@@ -404,12 +416,22 @@ class ConventionalSSD:
 
         self._write_one_page(lpn, data, flushed)
 
-    def _execute_ops(self, ops: List[FlashOp], then) -> None:
+    def _execute_ops(self, ops: Sequence[FlashOp], then) -> None:
         """Run a batch of physical ops, grouped per channel, in
-        parallel; ``then()`` runs when the last channel's batch ends."""
+        parallel; ``then()`` runs when the last channel's batch ends.
+
+        This is the family's only door to the channel engines, and each
+        channel's batch goes through it in one call
+        (:meth:`ChannelEngine.execute_batch_call`, where a plain engine
+        costs a PROGRAM one event, its end).  A write that set off a GC
+        relocation hands its ops over as :class:`~repro.ftl.ops.OpParts`:
+        the move stays one :class:`~repro.ftl.ops.Relocation` part, so
+        its pages reach the engine as a read run and program plane runs,
+        with no op built unless the batch runs per phase."""
+        parts = ops.parts if type(ops) is OpParts else ops
         by_channel: dict = {}
-        for op in ops:
-            by_channel.setdefault(op.channel, []).append(op)
+        for part in parts:
+            by_channel.setdefault(part.channel, []).append(part)
         remaining = [len(by_channel)]
 
         def channel_done():
@@ -418,6 +440,8 @@ class ConventionalSSD:
                 then()
 
         for channel, channel_ops in by_channel.items():
+            if parts is not ops:
+                channel_ops = OpParts(channel_ops)
             self.engines[channel].execute_batch_call(channel_ops, channel_done)
 
     def drain(self):

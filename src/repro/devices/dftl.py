@@ -21,11 +21,11 @@ host data and count toward write amplification.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List
+from typing import List, Sequence
 
 from repro.devices.base import base_device_metrics
 from repro.devices.conventional import ConventionalSSD, ConventionalSSDSpec
-from repro.ftl.ops import FlashOp, program_op, read_op
+from repro.ftl.ops import FlashOp, OpParts, program_op, read_op
 from repro.nand.array import FlashArray, PhysicalAddress
 from repro.ftl.page_ftl import PageFTL
 
@@ -100,9 +100,13 @@ class DFTLPageFTL(PageFTL):
         return ops
 
     # -- public operations ------------------------------------------------------------
-    def write(self, lpn: int, data=None) -> List[FlashOp]:
+    def write(self, lpn: int, data=None) -> Sequence[FlashOp]:
         ops = self._translate(lpn, dirty=True)
-        ops.extend(super().write(lpn, data))
+        written = super().write(lpn, data)
+        if isinstance(written, OpParts):
+            # A relocation stays one part (its plane runs).
+            return OpParts(ops + written.parts)
+        ops.extend(written)
         return ops
 
     def fill(self, n_lpns: int, data=None) -> None:

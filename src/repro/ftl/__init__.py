@@ -13,7 +13,8 @@ Two FTL families, matching the paper's Figure 5 contrast:
 
 Every logical operation returns the sequence of physical
 :class:`~repro.ftl.ops.FlashOp`\\ s it performed -- the block FTL's
-page ops as plane runs, :class:`~repro.ftl.ops.OpRuns` -- which the
+page ops as plane runs, :class:`~repro.ftl.ops.OpRuns`, a page-mapped
+GC relocation as a :class:`~repro.ftl.ops.Relocation` -- which the
 timed device layer replays against the channel engines to produce
 latency.
 """
@@ -22,7 +23,7 @@ from repro.ftl.badblocks import BadBlockManager
 from repro.ftl.block_ftl import ChannelBlockFTL, EraseBeforeWriteError
 from repro.ftl.gc import GreedyGarbageCollector
 from repro.ftl.mapping import BlockMapping, PageMapping
-from repro.ftl.ops import FlashOp, OpKind, OpRuns
+from repro.ftl.ops import FlashOp, OpKind, OpParts, OpRuns, Relocation
 from repro.ftl.page_ftl import OutOfSpaceError, PageFTL
 from repro.ftl.wear import FreeBlockPool
 
@@ -30,6 +31,8 @@ __all__ = [
     "FlashOp",
     "OpKind",
     "OpRuns",
+    "OpParts",
+    "Relocation",
     "PageMapping",
     "BlockMapping",
     "BadBlockManager",

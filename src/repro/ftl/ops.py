@@ -5,11 +5,14 @@ exactly which physical reads/programs/erases happened.  The timed device
 layer replays these against channel engines to charge simulated time,
 and tests use them to assert write-amplification behaviour.
 
-The page-mapped FTLs return lists.  The block FTL's two shapes of work
-(paper S2.3) -- the 8 MB write striped over a channel's planes, and
-reads that run page after page inside one plane's block -- come back as
-one :class:`OpRuns`: the plane runs, and the ops only when somebody
-asks for them.
+The page-mapped FTLs return lists, except where a write set off a GC
+relocation: that move comes back as one :class:`Relocation` (the
+victim's read run and the destination plane runs) among the write's
+other ops, all of them one :class:`OpParts`.  The block FTL's two
+shapes of work (paper S2.3) -- the 8 MB write striped over a channel's
+planes, and reads that run page after page inside one plane's block --
+come back as one :class:`OpRuns`: the plane runs, and the ops only when
+somebody asks for them.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, islice, repeat
 from operator import attrgetter
-from typing import Iterator, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.nand.array import PhysicalAddress
 
@@ -74,7 +77,26 @@ def planes_of(ops: Sequence) -> Iterator[Tuple[int, int]]:
     return map(_plane, ops)
 
 
-class OpRuns(Sequence):
+class _OpSequence(Sequence):
+    """A ``Sequence[FlashOp]`` held other than as a list: it iterates
+    by index unless it knows better, and compares equal to any sequence
+    of the same ops."""
+
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[FlashOp]:
+        for index in range(len(self)):
+            yield self[index]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other)
+        )
+
+
+class OpRuns(_OpSequence):
     """One request's page ops on one channel, held as plane runs.
 
     ``runs`` are ``(chip, plane, block, first_page, count)``; every op
@@ -156,10 +178,6 @@ class OpRuns(Sequence):
     def __len__(self) -> int:
         return self._stop - self._start
 
-    def __iter__(self) -> Iterator[FlashOp]:
-        for index in range(self._stop - self._start):
-            yield self[index]
-
     def __getitem__(self, index):
         size = self._stop - self._start
         if isinstance(index, slice):
@@ -187,16 +205,168 @@ class OpRuns(Sequence):
             self.nbytes,
         )
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(
-            mine == theirs for mine, theirs in zip(self, other)
-        )
-
     def __repr__(self):
         order = "interleaved" if self.interleaved else "run after run"
         return (
             f"OpRuns({self.kind.name}, channel={self.channel}, "
             f"{len(self)} ops of {len(self.runs)} runs, {order})"
         )
+
+
+class Relocation(_OpSequence):
+    """A GC relocation's ops on one channel, held as the victim's read
+    run and the destination plane runs.
+
+    Page ``i`` of the move is read at ``offsets[i]`` of the victim block
+    ``source`` = ``(chip, plane, block)`` (op ``2i``) and programmed by
+    call ``i`` of the page-by-page loop (op ``2i + 1``): read, program,
+    read, program, ... as the loop returns them.  ``runs`` are
+    ``(k, count, chip, plane, block, first_page)``: calls ``k``,
+    ``k + stride``, ... land on ``count`` consecutive pages of one
+    block.  Like :class:`OpRuns` it is the ``Sequence[FlashOp]`` that
+    list would be, its ops (all ``internal``) built when asked for and
+    not kept; what reserves ahead reads :meth:`read_run` and
+    :meth:`program_planes` instead.
+    """
+
+    __slots__ = ("channel", "nbytes", "source", "offsets", "runs", "stride")
+
+    def __init__(self, channel: int, nbytes: int, source, offsets, runs, stride):
+        self.channel = channel
+        self.nbytes = nbytes
+        self.source: Tuple[int, int, int] = source
+        self.offsets = offsets
+        self.runs = runs
+        self.stride = stride
+
+    # -- without building an op ---------------------------------------------------
+    def read_run(self) -> Tuple[Tuple[int, int], int]:
+        """``((chip, plane), pages)`` of the reads: one plane run."""
+        chip, plane, _block = self.source
+        return (chip, plane), len(self.offsets)
+
+    def reads(self) -> List[FlashOp]:
+        """The READ ops (``self[0::2]``), built."""
+        chip, plane, block = self.source
+        channel = self.channel
+        nbytes = self.nbytes
+        return [
+            FlashOp(
+                OpKind.READ,
+                PhysicalAddress(channel, chip, plane, block, offset),
+                nbytes,
+                True,
+            )
+            for offset in self.offsets
+        ]
+
+    def program_planes(self) -> List[Tuple[int, int]]:
+        """``(chip, plane)`` of each program in turn."""
+        planes: List[Tuple[int, int]] = [None] * len(self.offsets)
+        stride = self.stride
+        for k, count, chip, plane, _block, _page in self.runs:
+            planes[k : k + count * stride : stride] = [(chip, plane)] * count
+        return planes
+
+    def programs(self) -> List[FlashOp]:
+        """The PROGRAM ops (``self[1::2]``), built run by run."""
+        programs: List[FlashOp] = [None] * len(self.offsets)
+        channel = self.channel
+        nbytes = self.nbytes
+        stride = self.stride
+        for k, count, chip, plane, block, page in self.runs:
+            programs[k : k + count * stride : stride] = [
+                FlashOp(
+                    OpKind.PROGRAM,
+                    PhysicalAddress(channel, chip, plane, block, index),
+                    nbytes,
+                    True,
+                )
+                for index in range(page, page + count)
+            ]
+        return programs
+
+    # -- the sequence of ops ----------------------------------------------------------
+    def __len__(self) -> int:
+        return 2 * len(self.offsets)
+
+    def __iter__(self) -> Iterator[FlashOp]:
+        for read, program in zip(self.reads(), self.programs()):
+            yield read
+            yield program
+
+    def __getitem__(self, index):
+        size = len(self)
+        if isinstance(index, slice):
+            return [self[position] for position in range(*index.indices(size))]
+        if index < 0:
+            index += size
+        if not 0 <= index < size:
+            raise IndexError("op index out of range")
+        call, is_program = divmod(index, 2)
+        if not is_program:
+            chip, plane, block = self.source
+            address = PhysicalAddress(
+                self.channel, chip, plane, block, self.offsets[call]
+            )
+            return FlashOp(OpKind.READ, address, self.nbytes, True)
+        stride = self.stride
+        for k, count, chip, plane, block, page in self.runs:
+            step, phase = divmod(call - k, stride)
+            if not phase and 0 <= step < count:
+                address = PhysicalAddress(self.channel, chip, plane, block, page + step)
+                return FlashOp(OpKind.PROGRAM, address, self.nbytes, True)
+        raise IndexError(f"no program run holds call {call}")
+
+    def __repr__(self):
+        return (
+            f"Relocation(channel={self.channel}, {len(self.offsets)} pages "
+            f"from {self.source} over {len(self.runs)} runs)"
+        )
+
+
+class OpParts(_OpSequence):
+    """Ops held as parts, in order: single :class:`FlashOp` s and batches
+    (:class:`OpRuns`, :class:`Relocation`).  It is the
+    ``Sequence[FlashOp]`` their concatenation is; the channel engine
+    takes the parts as they are."""
+
+    __slots__ = ("parts", "_size")
+
+    def __init__(self, parts):
+        self.parts = list(parts)
+        self._size = sum(
+            1 if isinstance(part, FlashOp) else len(part) for part in self.parts
+        )
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self) -> Iterator[FlashOp]:
+        for part in self.parts:
+            if isinstance(part, FlashOp):
+                yield part
+            else:
+                yield from part
+
+    def __getitem__(self, index):
+        size = self._size
+        if isinstance(index, slice):
+            return list(self)[index]
+        if index < 0:
+            index += size
+        if not 0 <= index < size:
+            raise IndexError("op index out of range")
+        for part in self.parts:
+            if isinstance(part, FlashOp):
+                if not index:
+                    return part
+                index -= 1
+            elif index < len(part):
+                return part[index]
+            else:
+                index -= len(part)
+        raise IndexError("op index out of range")
+
+    def __repr__(self):
+        return f"OpParts({len(self)} ops in {len(self.parts)} parts)"

@@ -24,14 +24,21 @@ runs").
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.faults.injector import NULL_INJECTOR, PROGRAM_FAIL, READ_UNCORRECTABLE
 from repro.ftl.gc import GreedyGarbageCollector
 from repro.ftl.mapping import PageMapping
-from repro.ftl.ops import FlashOp, OpKind, erase_op, program_op, read_op
+from repro.ftl.ops import (
+    FlashOp,
+    OpParts,
+    Relocation,
+    erase_op,
+    program_op,
+    read_op,
+)
 from repro.ftl.wear import FreeBlockPool
 from repro.nand.array import FlashArray, PhysicalAddress
 from repro.nand.geometry import scaled_count
@@ -161,17 +168,20 @@ class PageFTL:
         return self._data_channels[stripe_index % len(self._data_channels)]
 
     # -- public operations ------------------------------------------------------------
-    def write(self, lpn: int, data=None) -> List[FlashOp]:
+    def write(self, lpn: int, data=None) -> Sequence[FlashOp]:
         """Write one logical page; returns every physical op performed
-        (including any GC and parity traffic it triggered)."""
+        (including any GC and parity traffic it triggered): a list, or
+        an :class:`~repro.ftl.ops.OpParts` when it holds a relocation
+        done as runs."""
         self._check_lpn(lpn)
         channel = self.channel_of_lpn(lpn)
-        ops: List[FlashOp] = []
-        ops.extend(self._ensure_free_space(channel))
+        ops = self._ensure_free_space(channel)
         addr = self._append(channel, lpn, data)
         self.user_programs += 1
         ops.append(program_op(addr, self.array.geometry.page_size))
         ops.extend(self._maybe_write_parity(channel))
+        if len(ops) > 1 and any(type(op) is Relocation for op in ops):
+            return OpParts(ops)
         return ops
 
     def fill(self, n_lpns: int, data=None) -> None:
@@ -452,9 +462,10 @@ class PageFTL:
         return counts, pending
 
     # -- garbage collection -----------------------------------------------------------------
-    def _ensure_free_space(self, channel: int) -> List[FlashOp]:
-        """Run greedy GC on a channel until it has breathing room."""
-        ops: List[FlashOp] = []
+    def _ensure_free_space(self, channel: int) -> List:
+        """Run greedy GC on a channel until it has breathing room; the
+        ops as parts (:class:`FlashOp` s and :class:`Relocation` s)."""
+        ops: List = []
         pages_per_block = self._pages_per_block
         while self._free[channel] < self.gc_free_blocks:
             victim = self.gc_policy.select_victim(
@@ -474,7 +485,7 @@ class PageFTL:
             ops.extend(self._collect_block(channel, victim))
         return ops
 
-    def _collect_block(self, channel: int, victim: int) -> List[FlashOp]:
+    def _collect_block(self, channel: int, victim: int) -> List:
         """Relocate a victim block's valid pages, erase it, free it.
 
         The valid pages move as runs (:meth:`_relocate_runs`) unless a
@@ -491,7 +502,7 @@ class PageFTL:
             and sum(self._blocks_opened(shares)) <= self._free[channel]
             and self._quiet(channel, READ_UNCORRECTABLE, PROGRAM_FAIL)
         ):
-            ops = self._relocate_runs(channel, victim, offsets, lpns, shares)
+            ops = [self._relocate_runs(channel, victim, offsets, lpns, shares)]
         else:
             ops = self._relocate_page_by_page(channel, victim)
         victim_addr = self.array.unpack_block(victim)
@@ -526,11 +537,15 @@ class PageFTL:
 
     def _relocate_runs(
         self, channel: int, victim: int, offsets, lpns, shares
-    ) -> List[FlashOp]:
+    ) -> Relocation:
         """:meth:`_relocate_page_by_page` as runs: the valid pages come
         off the victim in one read, go on in one program per destination
-        plane run, and are remapped in one ``map_many``; the ops are the
-        same read, program, read, program, ... list."""
+        plane run, and are remapped in one ``map_many``.  The ops are
+        the same read, program, read, program, ... sequence, handed over
+        as the read run and the program plane runs
+        (:class:`~repro.ftl.ops.Relocation`): the channel engine reserves
+        them run by run, and a :class:`FlashOp` is built only for
+        whoever indexes or iterates them."""
         page_size = self.array.geometry.page_size
         per_block = self._pages_per_block
         planes = self._planes
@@ -546,18 +561,8 @@ class PageFTL:
         flash.reads += n
         self.gc_reads += n
         data = [span[offset - first] for offset in offsets]
-        # Page i's read is op 2i, its program op 2i + 1.
-        ops: List[FlashOp] = [None] * (2 * n)
-        ops[0::2] = [
-            FlashOp(
-                OpKind.READ,
-                PhysicalAddress(channel, src.chip, src.plane, src.block, offset),
-                page_size,
-                True,
-            )
-            for offset in offsets
-        ]
         ppns = [0] * n
+        runs = []
         for k, take, chip, plane, block, flat_block, page in self._claim_runs(
             channel, n, shares
         ):
@@ -565,20 +570,15 @@ class PageFTL:
             chips[chip].program_pages(plane, block, page, data[k:stop:planes])
             base = flat_block * per_block + page
             ppns[k:stop:planes] = range(base, base + take)
-            ops[2 * k + 1 : 2 * stop : 2 * planes] = [
-                FlashOp(
-                    OpKind.PROGRAM,
-                    PhysicalAddress(channel, chip, plane, block, index),
-                    page_size,
-                    True,
-                )
-                for index in range(page, page + take)
-            ]
+            runs.append((k, take, chip, plane, block, page))
         self.gc_programs += n
         self.mapping.map_many(lpns, ppns)
-        return ops
+        return Relocation(
+            channel, page_size, (src.chip, src.plane, src.block), offsets,
+            runs, planes,
+        )
 
-    def _maybe_write_parity(self, data_channel: int) -> List[FlashOp]:
+    def _maybe_write_parity(self, data_channel: int) -> List:
         """RAID-5-style channel parity: one parity program per (g-1)
         data programs within the channel's parity group."""
         if self.parity_group_size is None:
@@ -590,7 +590,7 @@ class PageFTL:
             return []
         self._parity_pending[group] = 0
         parity_channel = self._parity_channels[group % len(self._parity_channels)]
-        ops = list(self._ensure_free_space(parity_channel))
+        ops = self._ensure_free_space(parity_channel)
         addr, _, _ = self._next_slot(parity_channel)
         self.array.program_page(addr, None)
         self.parity_programs += 1

@@ -48,7 +48,7 @@ import numpy as np
 class ResourceTimeline:
     """Next-free timestamp of one capacity-1 FIFO resource."""
 
-    __slots__ = ("free_at", "_tail_hooks", "rank", "run")
+    __slots__ = ("free_at", "_tail_hooks", "rank", "run", "tentative")
 
     def __init__(self, free_at: int = 0):
         self.free_at = free_at
@@ -73,6 +73,11 @@ class ResourceTimeline:
         #: reservation that finds ``free_at`` at its end continues it.
         #: ``start`` is negated when the run queued behind something.
         self.run = None
+        #: The newest of the owner's reservations on this timeline that
+        #: may still be tentative, or None: the channel engine chains
+        #: its programs waiting to reach a plane through them, so a
+        #: plane intruder revokes them without a scan.
+        self.tentative = None
 
     def reserve(self, request_ns: int, duration_ns: int):
         """Reserve ``duration_ns`` of service requested at ``request_ns``.
