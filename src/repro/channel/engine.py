@@ -25,6 +25,15 @@ request instants come: the engine keeps them in the order they will
 request the bus, a newcomer takes its place in that order, and
 whatever reaches the bus or a plane first revokes those it must precede
 and has them made again behind it.  See DESIGN.md "Scheduling".
+
+Ops come in through four doors -- :meth:`ChannelEngine.execute_fast`
+(one op), :meth:`ChannelEngine.execute_batch_call` (a batch, one
+completion), :meth:`ChannelEngine.read_ahead` (a request's READs) and
+:meth:`ChannelEngine.program_page_ahead` (a streamed PROGRAM) -- and
+the engine alone picks each op's path: what watches it per phase
+(:meth:`ChannelEngine.can_reserve_ahead`) and its admission gate
+(``qos``) are read in here, never by a caller, which asks at most
+:meth:`ChannelEngine.can_program_ahead` before it books a page's DMA.
 """
 
 from __future__ import annotations
@@ -32,13 +41,13 @@ from __future__ import annotations
 from collections import deque
 from heapq import heappush
 from operator import attrgetter
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.injector import NULL_INJECTOR, STALL
 from repro.ftl.ops import FlashOp, OpKind, OpParts, OpRuns, Relocation
 from repro.nand.geometry import FlashGeometry
 from repro.nand.timing import NandTiming
-from repro.sim import Event, Simulator
+from repro.sim import Simulator
 from repro.sim.engine import _PhaseEnd
 from repro.sim.stats import Counter
 from repro.sim.timeline import BusyUnion, ResourceTimeline
@@ -426,10 +435,11 @@ class ChannelEngine:
         that instant, :data:`NULL_INJECTOR`).  Read afresh at every
         call -- once a read request, once a streamed page -- so
         whatever is attached or enabled meanwhile, through this engine
-        or not, holds from the next op.  :meth:`program_page_ahead` and
-        :meth:`read_ahead` require it.  An admission gate (``qos``)
-        does not decide it: the gate stands in front, and what it
-        admits is reserved ahead from its grant hop."""
+        or not, holds from the next op.  :meth:`read_ahead` reads it at
+        submission, :meth:`can_program_ahead` includes it.  An
+        admission gate (``qos``) does not decide it: the gate stands in
+        front, and what it admits is reserved ahead from its grant
+        hop."""
         if self._obs is not None:
             return False
         sim_obs = self.sim.obs
@@ -461,11 +471,11 @@ class ChannelEngine:
         and the plane with the bus end as its request instant, and any
         reservation that reaches either before those instants revokes
         this one, goes first, and has it made again (:meth:`_revoke`).
-        One made *at* such an instant goes after.  Callers check
-        :meth:`can_reserve_ahead` first -- and, for a request instant
-        still to come, that no admission gate is attached: a slot is
-        taken at the instant the page reaches the channel, which then
-        has to be an event (:meth:`execute_fast` there).  The page takes
+        One made *at* such an instant goes after.  A caller checks
+        :meth:`can_program_ahead` first (:meth:`execute_fast` at the
+        instant the page reaches the channel otherwise); the engine's
+        own grant hop, an event at its own instant, needs only
+        :meth:`can_reserve_ahead`.  The page takes
         its place among the reservations already ahead by request
         instant (:meth:`_enter`); at ``request_ns == now`` only the
         plane phase is tentative, and the page stands behind everything
@@ -508,21 +518,24 @@ class ChannelEngine:
             entry.below = timeline.tentative
             timeline.tentative = entry
 
-    def read_ahead(self, ops: Sequence[FlashOp], then=None) -> None:
-        """Run one request's READs with one event a page, its bus end;
-        ``then()`` runs at each.  ``ops`` is best the
+    def read_ahead(self, ops: Sequence[FlashOp], then=None) -> bool:
+        """Run one request's READs; ``then()`` runs at each page's bus
+        end.  Returns :meth:`can_reserve_ahead` as read at submission:
+        whether the pages were reserved ahead.  ``ops`` is best the
         :class:`~repro.ftl.ops.OpRuns` the block FTL returned: its
         plane runs are read off it and no op is built.
 
-        Equivalent to ``execute_fast(op, then)`` for each op in turn:
-        every sense is reserved now, plane run by plane run (a plane's
-        tentative programs are revoked once before the run and remade
-        once behind it), with no end event -- a plane is a FIFO, so the
-        sense's end, the instant the page requests the bus, is settled.
-        The bus phases are reserved ahead with those request instants,
-        :attr:`READ_AHEAD_PAGES` at a time.  Callers check
-        :meth:`can_reserve_ahead` first; a request in flight when
-        something is attached finishes the way it began.
+        Reserved ahead, the request costs one event a page, its bus
+        end, and is equivalent to ``execute_fast(op, then)`` for each op
+        in turn: every sense is reserved now, plane run by plane run (a
+        plane's tentative programs are revoked once before the run and
+        remade once behind it), with no end event -- a plane is a FIFO,
+        so the sense's end, the instant the page requests the bus, is
+        settled.  The bus phases are reserved ahead with those request
+        instants, :attr:`READ_AHEAD_PAGES` at a time.  A request in
+        flight when something is attached finishes the way it began.
+        When something needs the per-phase hops, each op goes to
+        :meth:`execute_fast` in turn.
 
         Behind an admission gate the request takes its slots FIFO and
         each grant hop reserves what it admitted: the prefix that finds
@@ -532,11 +545,16 @@ class ChannelEngine:
         path, where the rule is consulted.  ``then`` runs behind each
         page's release.
         """
+        if not self.can_reserve_ahead():
+            for op in ops:
+                self.execute_fast(op, then)
+            return False
         qos = self.qos
         if qos is None:
             self._reserve_reads(ops, then)
         else:
             qos.admit_request(ops, self._admitted_reads, qos.releasing(then))
+        return True
 
     def _admitted_reads(self, ops, then) -> None:
         """A grant hop, the start instant of the READs it admitted;
@@ -858,7 +876,7 @@ class ChannelEngine:
                 timeline.tentative = entry
             self._reserve_ahead(entry, from_bus)
 
-    def execute_fast(self, op: FlashOp, then=None) -> None:
+    def execute_fast(self, op, then=None) -> None:
         """Schedule one op on the reservation timelines.
 
         ``then()`` (if given) runs at the op's completion instant --
@@ -866,11 +884,15 @@ class ChannelEngine:
         after the admission slot's release) -- so callers can chain
         further reservations (link DMA, batch completions) from it.
 
-        With QoS attached the op first takes an admission slot; its
-        grant hop is its start instant, and an event scheduled at that
-        very instant, so what it admits is reserved ahead from there
-        when nothing watches per phase (:meth:`can_reserve_ahead`): a
-        READ as a request of one, a PROGRAM with request instant now.
+        ``op`` is a :class:`FlashOp`, or a PROGRAM of a write's stripe
+        as its one-op :class:`~repro.ftl.ops.OpRuns` window
+        (``ops[index:index + 1]``), which is built only if it runs per
+        phase.  With QoS attached the op first takes an admission slot;
+        its grant hop is its start instant, and an event scheduled at
+        that very instant, so what it admits is reserved ahead from
+        there when nothing watches per phase (:meth:`can_reserve_ahead`):
+        a READ as a request of one, a PROGRAM by plane and size with
+        request instant now.
         """
         if len(self._busy_raw) > self.BUSY_RAW_LIMIT:
             self.busy_value()
@@ -880,45 +902,23 @@ class ChannelEngine:
         else:
             self._submit(op, then)
 
-    def execute_program(
-        self, plane: Tuple[int, int], nbytes: int, ops, index: int, then
-    ) -> None:
-        """:meth:`execute_fast` for the PROGRAM ``ops[index]`` of
-        ``nbytes`` on plane ``(chip, plane)``, building the op only if
-        it takes the per-phase path: behind an admission gate its grant
-        hop reserves it ahead by plane and size, as
-        :meth:`program_page_ahead` takes them."""
-        qos = self.qos
-        if qos is None:
-            self.execute_fast(ops[index], then)
-            return
-        if len(self._busy_raw) > self.BUSY_RAW_LIMIT:
-            self.busy_value()
-        then = qos.releasing(then)
-
-        def admitted():
-            if self.can_reserve_ahead():
-                self.program_page_ahead(plane, nbytes, self.sim._now, then)
-            else:
-                self._submit(ops[index], then)
-
-        qos.admit_fast(admitted)
-
-    def _admitted(self, op: FlashOp, then) -> None:
+    def _admitted(self, op, then) -> None:
         """A grant hop, the start instant of the op it admitted;
         ``then`` already releases its slot."""
         kind = op.kind
         if kind is OpKind.READ:
             self._admitted_reads((op,), then)
         elif kind is OpKind.PROGRAM and self.can_reserve_ahead():
-            address = op.address
-            self.program_page_ahead(
-                (address.chip, address.plane), op.nbytes, self.sim._now, then
-            )
+            if type(op) is OpRuns:
+                plane = op.first_plane()
+            else:
+                address = op.address
+                plane = (address.chip, address.plane)
+            self.program_page_ahead(plane, op.nbytes, self.sim._now, then)
         else:
             self._submit(op, then)
 
-    def _submit(self, op: FlashOp, then) -> None:
+    def _submit(self, op, then) -> None:
         """Per-phase submission at the op's start instant.
 
         Runs post-admission (the QoS grant hop already happened) and
@@ -928,6 +928,8 @@ class ChannelEngine:
         admission must shift the draw to the grant instant, never make
         it early at submission.
         """
+        if type(op) is OpRuns:
+            op = op[0]
         phased = _PhasedOp(self, op, then, self.sim._now)
         faults = self.faults
         if faults is not NULL_INJECTOR and not faults.quiet(STALL):
@@ -941,34 +943,7 @@ class ChannelEngine:
                 return
         phased.request_phase()
 
-    # -- single-op execution -------------------------------------------------------
-    def execute(self, op: FlashOp):
-        """Generator: run one op to completion (``yield from`` this).
-
-        With a QoS bound attached, the op first waits for one of the
-        channel's admission slots; the queue the planes and bus see
-        stays shallow and the wait lands on the issuer as backpressure.
-        """
-        if op.address.channel != self.channel:
-            raise ValueError(
-                f"op for channel {op.address.channel} sent to engine "
-                f"{self.channel}"
-            )
-        done = Event(self.sim)
-        self.execute_fast(op, done.succeed)
-        yield done
-
-    # -- batch helpers ----------------------------------------------------------------
-    def execute_batch(self, ops: Iterable[FlashOp]):
-        """Generator form of :meth:`execute_batch_call`: ONE completion
-        event, at the instant the last op completes."""
-        ops = list(ops)
-        if not ops:
-            return
-        done = Event(self.sim)
-        self.execute_batch_call(ops, done.succeed)
-        yield done
-
+    # -- batches -------------------------------------------------------------------------
     def execute_batch_call(self, ops: Sequence[FlashOp], then) -> None:
         """Run a non-empty batch of this channel's ops concurrently, as
         if each were submitted now in turn; ``then()`` runs once, at the
@@ -1010,7 +985,7 @@ class ChannelEngine:
         if len(parts) == 1 and type(parts[0]) is FlashOp:
             # One op: what the batch path would do with it, directly.
             op = parts[0]
-            if op.kind is OpKind.PROGRAM and self._plain():
+            if op.kind is OpKind.PROGRAM and self.can_program_ahead():
                 address = op.address
                 self.program_page_ahead(
                     (address.chip, address.plane), op.nbytes, self.sim._now, then
@@ -1018,7 +993,7 @@ class ChannelEngine:
             else:
                 self.execute_fast(op, then)
             return
-        plain = self._plain()
+        plain = self.can_program_ahead()
         done = then
         if len(ops) > 1:
             remaining = [len(ops)]
@@ -1034,10 +1009,17 @@ class ChannelEngine:
             for op in ops:
                 self.execute_fast(op, done)
 
-    def _plain(self) -> bool:
-        """Whether :meth:`execute_batch_call` reserves PROGRAMs ahead:
-        no admission gate, nothing watching per phase, and callers
-        that run less than a page's bus phase after being scheduled."""
+    def can_program_ahead(self) -> bool:
+        """Whether a PROGRAM whose request instant is known now may be
+        reserved ahead (:meth:`program_page_ahead`, and
+        :meth:`execute_batch_call`'s PROGRAMs): no admission gate -- a
+        slot is taken at the instant the page reaches the channel,
+        which then has to be an event -- nothing watching per phase
+        (:meth:`can_reserve_ahead`), and callers that run less than a
+        page's bus phase after being scheduled (``caller_lead_ns``).
+        Otherwise the page goes through :meth:`execute_fast` at that
+        instant, behind a gate reserved ahead from its grant hop -- an
+        event run at its own instant -- when nothing watches."""
         return self._programs_ahead and self.qos is None and self.can_reserve_ahead()
 
     def _batch_parts(self, ops) -> Sequence:

@@ -19,7 +19,10 @@ processes::
     payloads = yield from device.channels[3].read(block, 0, n_pages=2)
 
 A page costs one event in either direction when nothing watches the
-channel phase by phase (``ChannelEngine.can_reserve_ahead``).  The one
+channel phase by phase.  The engine alone decides that: a read hands
+it the request and learns the path from what ``read_ahead`` returns, a
+write asks ``can_program_ahead`` before it books a page's DMA, and
+neither reads the engine's admission gate.  The one
 step that must stay an event is the page asking the **shared** link
 for its DMA -- a written page at the program end that frees its window
 slot, a read page at its bus end: that instant decides its place on a
@@ -39,10 +42,11 @@ Channel QoS is a gate in front of all this, not a reason to leave it:
 each admission is one grant hop, the op's start instant, and what the
 hop admits is reserved ahead from there -- a read's pages (those that
 find slots free at submission share one hop), a written page's bus and
-program (``ChannelEngine.execute_program``: by plane and size, no op
-built).  Only the written page's DMA end stays an event, because the
-slot is taken at it.  A wired fault plan holding no rule for the
-channel, the link or the chips is no injector.
+program (``ChannelEngine.execute_fast`` with the page's one-op
+``OpRuns`` window: by plane and size, no op built).  Only the written
+page's DMA end stays an event, because the slot is taken at it.  A
+wired fault plan holding no rule for the channel, the link or the
+chips is no injector.
 
 A request's continuations die with it.  A write's window
 (:class:`_WriteWindow`) and a read (:class:`_PagedRead`) are each one
@@ -65,7 +69,7 @@ import numpy as np
 from repro.channel.engine import ChannelEngine, build_engines
 from repro.devices.base import DeviceStats, base_device_metrics
 from repro.ftl.block_ftl import ChannelBlockFTL
-from repro.ftl.ops import planes_of
+from repro.ftl.ops import OpRuns, planes_of
 from repro.interfaces.interrupts import InterruptCoalescer
 from repro.interfaces.iostack import IOStackModel, SDF_USER_SPACE_STACK
 from repro.interfaces.link import (
@@ -101,8 +105,10 @@ class _WriteWindow:
 
     ``ops`` is whatever ``ChannelBlockFTL.write`` returned: the stripe's
     plane runs, or a list under a chip fault plan.  A page reserved
-    ahead -- from its DMA end, or from an admission grant -- needs only
-    its plane; a page on the per-phase hops takes ``ops[index]``.
+    ahead from its DMA end needs only its plane; one that reaches the
+    channel at its DMA end goes to ``execute_fast`` as ``ops[index]``
+    -- of plane runs, as its one-op window, which the engine builds
+    into an op only if the page runs per phase.
     """
 
     __slots__ = (
@@ -137,14 +143,14 @@ class _WriteWindow:
         # the program are reserved from here too and the page costs one
         # event (its program end), not three -- and no op: the engine
         # is told the page's plane.
-        # Behind an admission gate the page takes its slot at the DMA
-        # end, so that end stays an event; the engine reserves ahead
-        # from the grant hop (``execute_program``), still with no op.
+        # Otherwise -- behind an admission gate, say, where the page
+        # takes its slot at the DMA end -- that end stays an event and
+        # the engine picks the page's path there (``execute_fast``).
         engine = self.engine
         link = self.link
         page_size = self.page_size
         plane = next(self.planes)
-        if engine.qos is None and engine.can_reserve_ahead():
+        if engine.can_program_ahead():
             dma_end = link.reserve_ahead("write", page_size)
             if dma_end is not None:
                 link.write_meter.record(dma_end, page_size)
@@ -153,9 +159,7 @@ class _WriteWindow:
                 )
                 return
         try:
-            link.reserve_call(
-                "write", page_size, lambda: self.to_flash(plane, index)
-            )
+            link.reserve_call("write", page_size, lambda: self.to_flash(index))
         except LinkDropError as exc:
             # The dropped page never programs and its window slot is
             # not handed on: the request fails once, the pages already
@@ -163,13 +167,13 @@ class _WriteWindow:
             # the window dies with the last of them.
             fail_dropped(self.done, exc)
 
-    def to_flash(self, plane, index: int) -> None:
+    def to_flash(self, index: int) -> None:
         # DMA landed in the staging buffer; contend for the channel
         # (bus then plane program).
         self.link.write_meter.record(self.sim.now, self.page_size)
-        self.engine.execute_program(
-            plane, self.page_size, self.ops, index, self.programmed
-        )
+        ops = self.ops
+        page = ops[index:index + 1] if type(ops) is OpRuns else ops[index]
+        self.engine.execute_fast(page, self.programmed)
 
     def programmed(self) -> None:
         # One program finished: free a window slot (admitting the next
@@ -220,7 +224,6 @@ class _PagedRead:
 
     def submitted(self) -> None:
         channel = self.channel
-        engine = channel.engine
         try:
             self.payloads, ops = channel.ftl.read(
                 self.block, self.offset, self.n_pages
@@ -228,15 +231,9 @@ class _PagedRead:
             if ops:
                 self.remaining = len(ops)
                 self.latest = 0
-                # When nothing watches the channel phase by phase the
-                # engine takes the request whole: one event a page, its
-                # bus end.
-                self.ahead = engine.can_reserve_ahead()
-                if self.ahead:
-                    engine.read_ahead(ops, self.stream)
-                else:
-                    for op in ops:
-                        engine.execute_fast(op, self.stream)
+                # The engine picks the pages' path: reserved ahead, one
+                # event a page, its bus end, the DMA booked from there.
+                self.ahead = channel.engine.read_ahead(ops, self.stream)
                 return
         except Exception as exc:
             self.settle(self.fail, exc)
@@ -385,7 +382,9 @@ class SDFChannelDevice:
         start = sim.now
         yield sim.timeout(device.iostack.submit_ns)
         ops = self.ftl.erase(logical_block)
-        yield from self.engine.execute_batch(ops)
+        done = Event(sim)
+        self.engine.execute_batch_call(ops, done.succeed)
+        yield done
         yield sim.timeout(device.interrupts.on_completion())
         yield sim.timeout(device.iostack.complete_ns)
         device.stats.note_erase(sim.now, sim.now - start)

@@ -157,6 +157,19 @@ class OpRuns(_OpSequence):
             every = chain.from_iterable(repeat(run[:2], run[4]) for run in runs)
         return islice(every, self._start, self._stop)
 
+    def first_plane(self) -> Tuple[int, int]:
+        """``(chip, plane)`` of the first op: a one-op window's page,
+        found without walking the ops before it."""
+        offset = self._start
+        runs = self.runs
+        if self.interleaved:
+            return runs[offset % len(runs)][:2]
+        for run in runs:
+            if offset < run[4]:
+                return run[:2]
+            offset -= run[4]
+        raise IndexError("op index out of range")
+
     def plane_runs(self) -> Iterator[Tuple[Tuple[int, int], int]]:
         """``((chip, plane), count)`` for each stretch of consecutive
         ops on one plane's run, in op order (interleaved ops are

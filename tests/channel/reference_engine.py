@@ -10,14 +10,36 @@ acquires and holds them phase by phase, admission is a
 an in-service counter.  Slow and obviously right; never optimise it.
 
 :func:`execute_all` and :func:`execute_sequential` are the old
-process-per-op batch drivers; they work on either engine.
+process-per-op batch drivers and :func:`execute` the one-op generator
+they drive; they work on either engine.  :func:`execute_batch` is a
+batch's generator form, one completion event.
 """
 
 from typing import Optional
 
 from repro.faults.injector import NULL_INJECTOR, STALL
 from repro.ftl.ops import FlashOp, OpKind
-from repro.sim import AllOf, Resource
+from repro.sim import AllOf, Event, Resource
+
+
+def execute(engine, op):
+    """Generator: run one op to completion (``yield from`` this) -- on
+    a :class:`~repro.channel.engine.ChannelEngine` through its
+    ``execute_fast`` door, behind its admission gate if it has one."""
+    if isinstance(engine, ReferenceEngine):
+        yield from engine.execute(op)
+        return
+    done = Event(engine.sim)
+    engine.execute_fast(op, done.succeed)
+    yield done
+
+
+def execute_batch(engine, ops):
+    """Generator: a non-empty batch through ``execute_batch_call``, ONE
+    completion event at the instant the last op completes."""
+    done = Event(engine.sim)
+    engine.execute_batch_call(ops, done.succeed)
+    yield done
 
 
 def execute_all(engine, ops):
@@ -27,7 +49,7 @@ def execute_all(engine, ops):
     would; everything else overlaps.
     """
     sim = engine.sim
-    processes = [sim.process(engine.execute(op)) for op in list(ops)]
+    processes = [sim.process(execute(engine, op)) for op in list(ops)]
     if processes:
         yield AllOf(sim, processes)
 
@@ -35,7 +57,7 @@ def execute_all(engine, ops):
 def execute_sequential(engine, ops):
     """Generator: run ops strictly one after another."""
     for op in ops:
-        yield from engine.execute(op)
+        yield from execute(engine, op)
 
 
 class ReferenceEngine:

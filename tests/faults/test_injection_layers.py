@@ -44,6 +44,7 @@ from repro.nand.chip import ProgramFailError, UncorrectableReadError
 from repro.nand.geometry import FlashGeometry
 from repro.nand.timing import NandTiming
 from repro.sim import MS, S, Simulator
+from tests.channel.reference_engine import execute
 
 SMALL_GEO = FlashGeometry(
     page_size=512, pages_per_block=4, blocks_per_plane=8, planes_per_chip=2
@@ -183,7 +184,7 @@ def _timed_read(plan=None):
         plan.bind_clock(sim)
         engine.faults = plan.injector("ch0")
     op = read_op(PhysicalAddress(0, 0, 0, 0, 0), SMALL_GEO.page_size)
-    sim.run(until=sim.process(engine.execute(op)))
+    sim.run(until=sim.process(execute(engine, op)))
     return sim.now
 
 

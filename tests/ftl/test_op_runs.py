@@ -113,6 +113,11 @@ def test_batches_are_the_lists_write_and_read_used_to_build(
     assert list(written[3:].plane_runs()) == [
         (key, 1) for key in planes_of(reference_write_ops(ftl, 2)[3:])
     ]
+    # A one-op window names its page's plane without building it.
+    page = data.draw(st.integers(0, total - 1))
+    assert written[page:page + 1].first_plane() == next(
+        planes_of(reference_write_ops(ftl, 2)[page:])
+    )
 
     offset = data.draw(st.integers(0, total - 1))
     n_pages = data.draw(st.integers(1, total - offset))
@@ -134,6 +139,10 @@ def test_batches_are_the_lists_write_and_read_used_to_build(
         else:
             regrouped.append([key, 1])
     assert [list(run) for run in ops[low:high].plane_runs()] == regrouped
+    if low < n_pages:
+        assert ops[low:low + 1].first_plane() == next(
+            planes_of(reference_read_ops(ftl, 2, offset, n_pages)[low:])
+        )
 
 
 def test_an_8mb_write_is_four_runs_and_a_2mb_read_one():

@@ -5,7 +5,11 @@ layers; the lower layers never reach back for them.  These tests pin
 that layering, the error every plane raises for a target it does not
 know, the rule that observing a server leaves its device on the
 reserve-ahead path, and that the two planes that act over simulated
-time run themselves once attached (``start``).
+time run themselves once attached (``start``).  A channel engine alone
+picks an op's path: a device neither reads the engine's QoS gate nor
+asks whether it can reserve ahead, and takes the engine's four doors
+only (``execute_fast``, ``execute_batch_call``, ``read_ahead``,
+``program_page_ahead``).
 """
 
 import ast
@@ -57,6 +61,38 @@ def test_lower_layers_import_no_plane_wiring(package):
         f"{path.relative_to(SRC)}:{line} imports {what}"
         for path in sorted((SRC / package).rglob("*.py"))
         for line, what in plane_imports(path)
+    ]
+    assert found == []
+
+
+def attributes(path: Path, names, calls=False):
+    """``(line, name)`` for every attribute in ``names`` that ``path``
+    reads -- or, with ``calls``, calls."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if calls:
+            if not isinstance(node, ast.Call):
+                continue
+            node = node.func
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            yield node.lineno, node.attr
+
+
+def test_devices_leave_the_path_choice_to_the_engine():
+    found = [
+        f"{path.relative_to(SRC)}:{line} reads .{name}"
+        for path in sorted((SRC / "devices").rglob("*.py"))
+        for line, name in attributes(path, {"qos", "can_reserve_ahead"})
+    ]
+    assert found == []
+
+
+def test_nothing_calls_an_engine_door_that_is_gone():
+    found = [
+        f"{path.relative_to(SRC)}:{line} calls .{name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line, name in attributes(
+            path, {"execute", "execute_batch", "execute_program"}, calls=True
+        )
     ]
     assert found == []
 
