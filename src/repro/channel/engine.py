@@ -44,7 +44,14 @@ from operator import attrgetter
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.injector import NULL_INJECTOR, STALL
-from repro.ftl.ops import FlashOp, OpKind, OpParts, OpRuns, Relocation
+from repro.ftl.ops import (
+    FlashOp,
+    OpKind,
+    OpParts,
+    OpRuns,
+    Relocation,
+    StripePage,
+)
 from repro.nand.geometry import FlashGeometry
 from repro.nand.timing import NandTiming
 from repro.sim import Simulator
@@ -885,10 +892,10 @@ class ChannelEngine:
         further reservations (link DMA, batch completions) from it.
 
         ``op`` is a :class:`FlashOp`, or a PROGRAM of a write's stripe
-        as its one-op :class:`~repro.ftl.ops.OpRuns` window
-        (``ops[index:index + 1]``), which is built only if it runs per
-        phase.  With QoS attached the op first takes an admission slot;
-        its grant hop is its start instant, and an event scheduled at
+        as a :class:`~repro.ftl.ops.StripePage`: its plane drawn by the
+        write window, its op built only if it runs per phase.  With QoS
+        attached the op first takes an admission slot; its grant hop is
+        its start instant, and an event scheduled at
         that very instant, so what it admits is reserved ahead from
         there when nothing watches per phase (:meth:`can_reserve_ahead`):
         a READ as a request of one, a PROGRAM by plane and size with
@@ -909,8 +916,8 @@ class ChannelEngine:
         if kind is OpKind.READ:
             self._admitted_reads((op,), then)
         elif kind is OpKind.PROGRAM and self.can_reserve_ahead():
-            if type(op) is OpRuns:
-                plane = op.first_plane()
+            if type(op) is StripePage:
+                plane = op.plane
             else:
                 address = op.address
                 plane = (address.chip, address.plane)
@@ -928,8 +935,8 @@ class ChannelEngine:
         admission must shift the draw to the grant instant, never make
         it early at submission.
         """
-        if type(op) is OpRuns:
-            op = op[0]
+        if type(op) is StripePage:
+            op = op.runs[op.index]
         phased = _PhasedOp(self, op, then, self.sim._now)
         faults = self.faults
         if faults is not NULL_INJECTOR and not faults.quiet(STALL):

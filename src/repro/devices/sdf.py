@@ -42,8 +42,8 @@ Channel QoS is a gate in front of all this, not a reason to leave it:
 each admission is one grant hop, the op's start instant, and what the
 hop admits is reserved ahead from there -- a read's pages (those that
 find slots free at submission share one hop), a written page's bus and
-program (``ChannelEngine.execute_fast`` with the page's one-op
-``OpRuns`` window: by plane and size, no op built).  Only the written
+program (``ChannelEngine.execute_fast`` with the page as a
+``StripePage``: by plane and size, no op built).  Only the written
 page's DMA end stays an event, because the slot is taken at it.  A
 wired fault plan holding no rule for the channel, the link or the
 chips is no injector.
@@ -69,7 +69,7 @@ import numpy as np
 from repro.channel.engine import ChannelEngine, build_engines
 from repro.devices.base import DeviceStats, base_device_metrics
 from repro.ftl.block_ftl import ChannelBlockFTL
-from repro.ftl.ops import OpRuns, planes_of
+from repro.ftl.ops import OpRuns, StripePage, planes_of
 from repro.interfaces.interrupts import InterruptCoalescer
 from repro.interfaces.iostack import IOStackModel, SDF_USER_SPACE_STACK
 from repro.interfaces.link import (
@@ -107,8 +107,9 @@ class _WriteWindow:
     plane runs, or a list under a chip fault plan.  A page reserved
     ahead from its DMA end needs only its plane; one that reaches the
     channel at its DMA end goes to ``execute_fast`` as ``ops[index]``
-    -- of plane runs, as its one-op window, which the engine builds
-    into an op only if the page runs per phase.
+    -- of plane runs, as a ``StripePage`` carrying the plane already
+    drawn, which the engine builds into an op only if the page runs
+    per phase.
     """
 
     __slots__ = (
@@ -145,7 +146,8 @@ class _WriteWindow:
         # is told the page's plane.
         # Otherwise -- behind an admission gate, say, where the page
         # takes its slot at the DMA end -- that end stays an event and
-        # the engine picks the page's path there (``execute_fast``).
+        # the engine picks the page's path there (``execute_fast``),
+        # handed the plane drawn here.
         engine = self.engine
         link = self.link
         page_size = self.page_size
@@ -159,7 +161,9 @@ class _WriteWindow:
                 )
                 return
         try:
-            link.reserve_call("write", page_size, lambda: self.to_flash(index))
+            link.reserve_call(
+                "write", page_size, lambda: self.to_flash(index, plane)
+            )
         except LinkDropError as exc:
             # The dropped page never programs and its window slot is
             # not handed on: the request fails once, the pages already
@@ -167,12 +171,14 @@ class _WriteWindow:
             # the window dies with the last of them.
             fail_dropped(self.done, exc)
 
-    def to_flash(self, index: int) -> None:
+    def to_flash(self, index: int, plane) -> None:
         # DMA landed in the staging buffer; contend for the channel
         # (bus then plane program).
         self.link.write_meter.record(self.sim.now, self.page_size)
         ops = self.ops
-        page = ops[index:index + 1] if type(ops) is OpRuns else ops[index]
+        page = (
+            StripePage(ops, index, plane) if type(ops) is OpRuns else ops[index]
+        )
         self.engine.execute_fast(page, self.programmed)
 
     def programmed(self) -> None:

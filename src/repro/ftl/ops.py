@@ -157,19 +157,6 @@ class OpRuns(_OpSequence):
             every = chain.from_iterable(repeat(run[:2], run[4]) for run in runs)
         return islice(every, self._start, self._stop)
 
-    def first_plane(self) -> Tuple[int, int]:
-        """``(chip, plane)`` of the first op: a one-op window's page,
-        found without walking the ops before it."""
-        offset = self._start
-        runs = self.runs
-        if self.interleaved:
-            return runs[offset % len(runs)][:2]
-        for run in runs:
-            if offset < run[4]:
-                return run[:2]
-            offset -= run[4]
-        raise IndexError("op index out of range")
-
     def plane_runs(self) -> Iterator[Tuple[Tuple[int, int], int]]:
         """``((chip, plane), count)`` for each stretch of consecutive
         ops on one plane's run, in op order (interleaved ops are
@@ -224,6 +211,24 @@ class OpRuns(_OpSequence):
             f"OpRuns({self.kind.name}, channel={self.channel}, "
             f"{len(self)} ops of {len(self.runs)} runs, {order})"
         )
+
+
+class StripePage:
+    """Page ``index`` of a write's :class:`OpRuns`, a PROGRAM, with its
+    ``(chip, plane)`` already drawn: what a written page hands the
+    channel when it reaches it at its DMA end.  Reserved ahead, the
+    engine reads ``plane`` and ``nbytes``; only a page that runs per
+    phase has its op built (``runs[index]``)."""
+
+    __slots__ = ("runs", "index", "plane", "nbytes")
+
+    kind = OpKind.PROGRAM
+
+    def __init__(self, runs: OpRuns, index: int, plane: Tuple[int, int]):
+        self.runs = runs
+        self.index = index
+        self.plane = plane
+        self.nbytes = runs.nbytes
 
 
 class Relocation(_OpSequence):

@@ -50,7 +50,8 @@ class Histogram(LatencyRecorder):
         """Count, mean, min/max and standard quantiles of the samples."""
         if not len(self):
             return {"count": 0}
-        ordered = sorted(self.samples)
+        ordered = self.samples
+        ordered.sort()
         return {
             "count": len(self),
             "mean": self.mean,

@@ -25,12 +25,6 @@ from repro.sim import AllOf, Simulator
 from repro.sim.stats import ThroughputMeter
 
 
-def _window_mb_per_s(meter: ThroughputMeter, start: int, end: int) -> float:
-    if end <= start:
-        return 0.0
-    return meter.bytes_in(start, end) / 1e6 / ((end - start) / 1e9)
-
-
 def drive_sdf_reads(
     sim: Simulator,
     sdf: SDFDevice,
@@ -87,7 +81,7 @@ def drive_sdf_reads(
         for t in range(threads_per_channel)
     ]
     sim.run(until=AllOf(sim, procs))
-    return _window_mb_per_s(meter, measure_from, deadline)
+    return meter.mb_per_s(measure_from, deadline)
 
 
 def drive_sdf_writes(
@@ -123,7 +117,7 @@ def drive_sdf_writes(
         sim.process(writer(sdf.channels[channel])) for channel in targets
     ]
     sim.run(until=AllOf(sim, procs))
-    return _window_mb_per_s(meter, measure_from, deadline)
+    return meter.mb_per_s(measure_from, deadline)
 
 
 def drive_conventional_reads(
@@ -162,7 +156,7 @@ def drive_conventional_reads(
 
     procs = [sim.process(worker(500 + i)) for i in range(queue_depth)]
     sim.run(until=AllOf(sim, procs))
-    return _window_mb_per_s(meter, measure_from, deadline)
+    return meter.mb_per_s(measure_from, deadline)
 
 
 def drive_conventional_writes(
@@ -203,4 +197,4 @@ def drive_conventional_writes(
     sim.run(until=AllOf(sim, procs))
     drained = sim.process(device.drain())
     sim.run(until=drained)
-    return _window_mb_per_s(meter, measure_from, deadline)
+    return meter.mb_per_s(measure_from, deadline)

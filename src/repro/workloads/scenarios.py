@@ -718,11 +718,9 @@ def _shard_node_payload(scenario: Scenario, node_index: int, qos) -> dict:
             for tenant in scenario.tenants
         },
         "samples": {
-            tenant.name: list(
-                metrics.histogram(
-                    f"tenant.{tenant.name}.request_ns"
-                ).samples
-            )
+            tenant.name: metrics.histogram(
+                f"tenant.{tenant.name}.request_ns"
+            ).samples
             for tenant in scenario.tenants
         },
         "result_json": result.to_json(),
@@ -766,7 +764,7 @@ def _merge_payloads(scenario: Scenario, payloads: list) -> ScenarioResult:
                 counts[field_name] = counts.get(field_name, 0) + value
         pooled = Histogram(f"tenant.{tenant.name}.request_ns")
         for payload in payloads:
-            pooled._samples.extend(payload["samples"][tenant.name])
+            pooled.extend(payload["samples"][tenant.name])
         latency = pooled.summary()
         result.snapshot[pooled.name] = latency
         for field_name, value in sorted(counts.items()):

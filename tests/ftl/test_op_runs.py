@@ -5,12 +5,21 @@ used to build: the reference here is that list, made with the same
 constructors, page by page.
 """
 
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ftl import ChannelBlockFTL, OpKind
-from repro.ftl.ops import FlashOp, OpRuns, planes_of, program_op, read_op
+from repro.ftl.ops import (
+    FlashOp,
+    OpRuns,
+    StripePage,
+    planes_of,
+    program_op,
+    read_op,
+)
 from repro.nand import FlashArray, FlashGeometry, NandTiming, WearOutError
 from repro.nand.array import PhysicalAddress
 
@@ -113,11 +122,14 @@ def test_batches_are_the_lists_write_and_read_used_to_build(
     assert list(written[3:].plane_runs()) == [
         (key, 1) for key in planes_of(reference_write_ops(ftl, 2)[3:])
     ]
-    # A one-op window names its page's plane without building it.
+    # A page handed on with the plane its window drew builds the op.
     page = data.draw(st.integers(0, total - 1))
-    assert written[page:page + 1].first_plane() == next(
-        planes_of(reference_write_ops(ftl, 2)[page:])
-    )
+    plane = next(islice(planes_of(written), page, None))
+    op = reference_write_ops(ftl, 2)[page]
+    stripe_page = StripePage(written, page, plane)
+    assert stripe_page.plane == (op.address.chip, op.address.plane)
+    assert (stripe_page.kind, stripe_page.nbytes) == (op.kind, op.nbytes)
+    assert stripe_page.runs[stripe_page.index] == op
 
     offset = data.draw(st.integers(0, total - 1))
     n_pages = data.draw(st.integers(1, total - offset))
@@ -140,7 +152,7 @@ def test_batches_are_the_lists_write_and_read_used_to_build(
             regrouped.append([key, 1])
     assert [list(run) for run in ops[low:high].plane_runs()] == regrouped
     if low < n_pages:
-        assert ops[low:low + 1].first_plane() == next(
+        assert next(ops[low:low + 1].planes()) == next(
             planes_of(reference_read_ops(ftl, 2, offset, n_pages)[low:])
         )
 

@@ -1,7 +1,13 @@
 """Unit tests for measurement helpers."""
 
-import pytest
+import math
+from operator import itemgetter
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.obs.metrics import Histogram
 from repro.sim import (
     Counter,
     LatencyRecorder,
@@ -12,7 +18,7 @@ from repro.sim import (
     US,
 )
 from repro.sim.stats import percentile
-from repro.sim.units import mb_per_s, transfer_ns
+from repro.sim.units import MB_DEC, mb_per_s, transfer_ns
 
 
 def test_counter_basic():
@@ -182,3 +188,152 @@ def test_throughput_meter_accepts_a_sample_ahead_of_its_instant():
         assert ahead.bytes_in(t0, t1) == at_instant.bytes_in(t0, t1)
         assert ahead.mb_per_s(t0, t1) == at_instant.mb_per_s(t0, t1)
     assert ahead.mb_per_s() == at_instant.mb_per_s()
+
+
+# -- the recorders against a plain list of samples --------------------------------
+
+
+class ListMeter:
+    """``ThroughputMeter`` as a list of ``(time_ns, nbytes)`` pairs."""
+
+    def __init__(self):
+        self.pairs = []
+
+    def bytes_in(self, t0, t1, include_start=False):
+        if include_start:
+            return sum(n for t, n in self.pairs if t0 <= t <= t1)
+        return sum(n for t, n in self.pairs if t0 < t <= t1)
+
+    def mb_per_s(self, t0=None, t1=None):
+        if not self.pairs:
+            return 0.0
+        times = [t for t, _ in self.pairs]
+        lo = min(times) if t0 is None else t0
+        hi = max(times) if t1 is None else t1
+        if hi <= lo:
+            return 0.0
+        return self.bytes_in(lo, hi, t0 is None) / MB_DEC / ((hi - lo) / S)
+
+
+def list_stats(values):
+    """What ``LatencyRecorder`` answers, computed on a list of ints."""
+    n = len(values)
+    mean = sum(values) / n if n else 0.0
+    stdev = (
+        math.sqrt(sum((x - mean) ** 2 for x in values) / (n - 1))
+        if n >= 2 else 0.0
+    )
+    return mean, stdev
+
+
+instants = st.integers(-5, 40)
+streams = st.lists(
+    st.tuples(instants, st.integers(0, 1 << 40)), max_size=60
+)
+windows = st.lists(
+    st.tuples(st.integers(-10, 50), st.integers(-10, 50)), max_size=6
+)
+
+
+def assert_meter_is_the_list(meter, reference, spans):
+    assert meter.samples == sorted(reference.pairs, key=itemgetter(0))
+    assert all(type(t) is int and type(n) is int for t, n in meter.samples)
+    assert meter.n_samples == len(reference.pairs)
+    assert meter.total_bytes == sum(n for _, n in reference.pairs)
+    assert meter.mb_per_s() == reference.mb_per_s()
+    for t0, t1 in spans:
+        for include_start in (False, True):
+            got = meter.bytes_in(t0, t1, include_start)
+            assert got == reference.bytes_in(t0, t1, include_start)
+            assert type(got) is int
+        assert meter.mb_per_s(t0, t1) == reference.mb_per_s(t0, t1)
+        assert meter.mb_per_s(t0) == reference.mb_per_s(t0)
+        assert meter.mb_per_s(t1=t1) == reference.mb_per_s(t1=t1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(first=streams, then=streams, spans=windows)
+def test_throughput_meter_is_a_list_of_pairs(first, then, spans):
+    """Samples recorded in any order -- ahead of their instant, equal
+    timestamps -- answer exactly what the list of pairs answers, through
+    a reset and after it."""
+    meter, reference = ThroughputMeter(), ListMeter()
+    for when, nbytes in first:
+        meter.record(when, nbytes)
+        reference.pairs.append((when, nbytes))
+    assert_meter_is_the_list(meter, reference, spans)
+    meter.reset()
+    reference.pairs.clear()
+    assert_meter_is_the_list(meter, reference, spans)
+    for when, nbytes in then:
+        meter.record(when, nbytes)
+        reference.pairs.append((when, nbytes))
+    assert_meter_is_the_list(meter, reference, spans)
+
+
+latencies = st.lists(st.integers(0, 10**12), max_size=80)
+
+
+@settings(max_examples=150, deadline=None)
+@given(recorded=latencies, extended=latencies,
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+def test_latency_recorder_and_histogram_are_a_list(recorded, extended, fractions):
+    """``record`` then ``extend``: every statistic is the one the list
+    of the same ints gives, bit for bit, as Python numbers."""
+    values = recorded + extended
+    for recorder in (LatencyRecorder(), Histogram()):
+        for value in recorded:
+            recorder.record(value)
+        recorder.extend(extended)
+        assert recorder.samples == values and len(recorder) == len(values)
+        assert all(type(value) is int for value in recorder.samples)
+        mean, stdev = list_stats(values)
+        assert type(recorder.mean) is float and recorder.mean == mean
+        assert recorder.stdev == stdev
+        assert recorder.minimum == min(values, default=0)
+        assert recorder.maximum == max(values, default=0)
+        for fraction in fractions:
+            if values:
+                assert recorder.quantile(fraction) == percentile(
+                    sorted(values), fraction
+                )
+        recorder.reset()
+        assert recorder.samples == [] and recorder.mean == 0.0
+    histogram = Histogram()
+    histogram.extend(values)
+    summary = histogram.summary()
+    if not values:
+        assert summary == {"count": 0}
+    else:
+        ordered = sorted(values)
+        assert summary == {
+            "count": len(values),
+            "mean": list_stats(values)[0],
+            "min": ordered[0],
+            "max": ordered[-1],
+            "p50": percentile(ordered, 0.50),
+            "p95": percentile(ordered, 0.95),
+            "p99": percentile(ordered, 0.99),
+        }
+
+
+def test_recorders_refuse_a_negative_or_non_integer_sample():
+    meter = ThroughputMeter()
+    meter.record(1, 10)
+    for when, nbytes, error in (
+        (2, -1, ValueError), (2, 1.5, TypeError), (2.5, 10, TypeError),
+        (1 << 70, 10, OverflowError),
+    ):
+        with pytest.raises(error):
+            meter.record(when, nbytes)
+    # A refused sample leaves nothing behind in either column.
+    assert meter.samples == [(1, 10)] and meter.total_bytes == 10
+    recorder = LatencyRecorder()
+    recorder.record(3)
+    for value, error in ((-1, ValueError), (2.5, TypeError)):
+        with pytest.raises(error):
+            recorder.record(value)
+    for batch, error in (([4, -2], ValueError), ([4, 2.5], TypeError)):
+        with pytest.raises(error):
+            recorder.extend(batch)
+    assert recorder.samples == [3]
