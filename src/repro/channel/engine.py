@@ -30,10 +30,11 @@ Ops come in through four doors -- :meth:`ChannelEngine.execute_fast`
 (one op), :meth:`ChannelEngine.execute_batch_call` (a batch, one
 completion), :meth:`ChannelEngine.read_ahead` (a request's READs) and
 :meth:`ChannelEngine.program_page_ahead` (a streamed PROGRAM) -- and
-the engine alone picks each op's path: what watches it per phase
+the engine alone picks each op's path: a trace or a STALL rule
 (:meth:`ChannelEngine.can_reserve_ahead`) and its admission gate
 (``qos``) are read in here, never by a caller, which asks at most
 :meth:`ChannelEngine.can_program_ahead` before it books a page's DMA.
+Metrics pick no path: they are read off the reservations.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from repro.nand.geometry import FlashGeometry
 from repro.nand.timing import NandTiming
 from repro.sim import Simulator
 from repro.sim.engine import _PhaseEnd
-from repro.sim.stats import Counter
+from repro.sim.stats import Counter, TimeWeighted
 from repro.sim.timeline import BusyUnion, ResourceTimeline
 
 
@@ -90,7 +91,7 @@ class _Ahead:
     __slots__ = (
         "engine", "then", "plane", "order", "bus_req", "bus_ns", "wait",
         "bus_grant", "bus_end", "plane_grant", "due",
-        "bus_undo", "plane_undo", "event", "bus_counted", "below",
+        "bus_undo", "plane_undo", "event", "below",
     )
 
     def __init__(self, engine, then, plane, order, bus_ns, wait):
@@ -106,9 +107,6 @@ class _Ahead:
         self.bus_ns = bus_ns
         #: Queue wait already behind the op (a READ's sense).
         self.wait = wait
-        #: True once the bus interval is in the engine's busy union
-        #: (a busy read between ``bus_req`` and ``due``).
-        self.bus_counted = False
         # self.below (a PROGRAM): the program entered before it on its
         # plane, set when it is chained onto ``plane.tentative``.
 
@@ -200,7 +198,7 @@ class _PhasedOp:
             return
         engine.ops_executed.value += 1
         engine.wait_ns.value += total
-        obs = engine._obs
+        obs = engine.obs
         if obs is not None and obs.trace.enabled:
             op = self.op
             address = op.address
@@ -249,7 +247,9 @@ class ChannelEngine:
         self._programs_ahead = caller_lead_ns < timing.bus_transfer_ns(
             geometry.page_size
         )
-        self._obs = None
+        #: Optional :class:`repro.obs.Observability` (``attach_device``): op spans go
+        #: to its trace, phases into :meth:`queue_depth`.  None: no-op hooks.
+        self.obs = None
         #: Optional :class:`repro.qos.limits.ChannelQosState` bounding
         #: the ops admitted to this channel; set by ``QosPlan.attach``.
         #: None keeps admission free.
@@ -288,6 +288,9 @@ class ChannelEngine:
         #: is FIFO, so the bus ends PROGRAMs request their planes at
         #: rise along it too.
         self._ahead: Deque[_Ahead] = deque()
+        #: How many entries at the head of ``_ahead`` have their bus phase
+        #: counted (``_count_ahead``): a prefix, bus requests rise along it.
+        self._counted = 0
         #: Count of reservations that found their timeline idle, the
         #: source of ``ResourceTimeline.rank``.
         self._rank = 0
@@ -295,27 +298,15 @@ class ChannelEngine:
         #: Total queue wait summed over ops; can exceed wall-clock time
         #: when many ops wait concurrently.
         self.wait_ns = Counter(f"channel{channel}.wait")
-        # self._obs (property ``obs``): optional
-        # :class:`repro.obs.Observability`, set by
-        # ``repro.obs.attach_device``; None keeps all hooks no-ops.
         #: Fault-injection handle (channel ``stall`` latency spikes);
         #: :data:`~repro.faults.injector.NULL_INJECTOR` unless wired.
         self.faults = NULL_INJECTOR
-        self._depth_metric = None
+        #: Phases waiting for the bus or a plane (:meth:`_waited`), each counted once
+        #: it cannot be revoked: per phase and a sense at reservation, an ahead
+        #: bus phase once its request instant passes, a plane phase at ``_retire``.
+        self._depth: Optional[TimeWeighted] = None
         #: Memoized bus_transfer_ns per payload size (hot path).
         self._bus_ns_cache: Dict[int, int] = {}
-
-    # -- attachment points -----------------------------------------------------
-    @property
-    def obs(self):
-        """Optional :class:`repro.obs.Observability`; set by
-        ``repro.obs.attach_device``.  None keeps all hooks no-ops."""
-        return self._obs
-
-    @obs.setter
-    def obs(self, value) -> None:
-        self._obs = value
-        self._depth_metric = None
 
     # -- accounting --------------------------------------------------------------
     #: Integers (two an interval) the busy union's flat buffer may hold
@@ -334,8 +325,7 @@ class ChannelEngine:
         now = self.sim.now if now_ns is None else now_ns
         if now <= 0:
             return 0.0
-        if self._ahead:
-            self._count_ahead()
+        self._count_ahead()
         return self._busy_union.busy_through(now) / now
 
     def busy_value(self, now_ns: Optional[int] = None) -> int:
@@ -346,18 +336,33 @@ class ChannelEngine:
         in-service counter excludes in-flight service.
         """
         now = self.sim.now if now_ns is None else now_ns
-        if self._ahead:
-            self._count_ahead()
+        self._count_ahead()
         return self._busy_union.closed_through(now)
+
+    def queue_depth(self, now_ns: Optional[int] = None) -> Optional[float]:
+        """Time-weighted mean count of phases waiting for the bus or a
+        plane, from 0 through ``now_ns`` (the last change known when
+        None), of those counted while ``obs`` was set; None before one."""
+        self._count_ahead()
+        depth = self._depth
+        if depth is not None:
+            return depth.average(depth.horizon if now_ns is None else now_ns)
+
+    def _waited(self, request_ns: int, grant_ns: int) -> None:
+        """Count one phase in the queue depth, from request to grant."""
+        if self._depth is None:
+            self._depth = TimeWeighted()
+        self._depth.shift_at(request_ns, 1)
+        self._depth.shift_at(grant_ns, -1)
 
     # -- one phase, at its request instant -----------------------------------------
     def _phase_fast(self, timeline: ResourceTimeline, duration_ns: int, fn):
         """Reserve one FIFO phase at sim-now, running ``fn`` at its end.
 
-        The queue-depth metric sees the request at now and the grant at
-        its (possibly future) instant, the busy union records the
-        service interval, and ``fn`` fires at the end instant with the
-        tie ordering of ``repro.sim.timeline``.  Returns the grant
+        The busy union records the service interval, the queue depth
+        (with ``obs`` set) the wait from now to the (possibly future)
+        grant, and ``fn`` fires at the end instant with the tie
+        ordering of ``repro.sim.timeline``.  Returns the grant
         instant.
         """
         # ResourceTimeline.reserve_and_call inlined: this is the hottest
@@ -397,36 +402,12 @@ class ChannelEngine:
         raw = self._busy_raw
         raw.append(grant)
         raw.append(end)
-        if self._obs is not None:
-            self._depth_track(now, grant)
         if revoked:
             self._reserve_again(revoked, timeline)
+        if self.obs is not None:
+            self._waited(now, grant)
+            self._retire()  # which folds the depth
         return grant
-
-    def _depth(self):
-        """The attached ``obs``'s queue-depth metric."""
-        depth = self._depth_metric
-        if depth is None:
-            depth = self._depth_metric = self._obs.metrics.time_weighted(
-                f"channel{self.channel}.queue_depth"
-            )
-        return depth
-
-    def _depth_track(self, request_ns: int, grant_ns: int) -> None:
-        """Queue-depth accounting for one phase, event-free.
-
-        The grant instant is already known at reservation time, so the
-        depth decrement is *deferred* into the metric (folded in, in
-        timestamp order, by its next update or read) rather than
-        scheduled -- the integrated area is byte-identical to a
-        grant-instant update, at zero event cost.
-        """
-        depth = self._depth()
-        depth.shift(request_ns, 1)
-        if grant_ns <= request_ns:
-            depth.shift(request_ns, -1)
-        else:
-            depth.shift_at(grant_ns, -1)
 
     # -- bus phases reserved ahead of their request instants -------------------------
     #: READ bus phases one request keeps reserved ahead at a time: an
@@ -435,25 +416,26 @@ class ChannelEngine:
     READ_AHEAD_PAGES = 32
 
     def can_reserve_ahead(self) -> bool:
-        """True when nothing attached needs an op's per-phase hops: no
-        engine observability (queue depth is tracked per phase), no
-        hold spans to emit, no STALL rule at this site (one is drawn at
-        the op's start instant; a wired injector holding none is, at
-        that instant, :data:`NULL_INJECTOR`).  Read afresh at every
-        call -- once a read request, once a streamed page -- so
-        whatever is attached or enabled meanwhile, through this engine
-        or not, holds from the next op.  :meth:`read_ahead` reads it at
-        submission, :meth:`can_program_ahead` includes it.  An
-        admission gate (``qos``) does not decide it: the gate stands in
-        front, and what it admits is reserved ahead from its grant
-        hop."""
-        if self._obs is not None:
-            return False
-        sim_obs = self.sim.obs
+        """True when nothing attached needs an op's per-phase hops
+        (:meth:`_phased`).  Read afresh at every call -- once a read
+        request, once a streamed page -- so whatever is attached or
+        enabled meanwhile holds from the next op.  Metrics do not decide
+        it, nor does an admission gate (``qos``): what the gate admits
+        is reserved ahead from its grant hop."""
+        return not self._phased()
+
+    def _phased(self) -> bool:
+        """Spans to emit -- a trace enabled on this engine's ``obs`` or
+        the simulator's -- or a STALL rule at this site (drawn at the
+        op's start; a wired injector holding none is, then,
+        :data:`NULL_INJECTOR`)."""
+        obs, sim_obs = self.obs, self.sim.obs
+        if obs is not None and obs.trace.enabled:
+            return True
         if sim_obs is not None and sim_obs.trace.enabled:
-            return False
+            return True
         faults = self.faults
-        return faults is NULL_INJECTOR or faults.quiet(STALL)
+        return faults is not NULL_INJECTOR and not faults.quiet(STALL)
 
     def _bus_ns(self, nbytes: int) -> int:
         cache = self._bus_ns_cache
@@ -605,6 +587,7 @@ class ChannelEngine:
             self.busy_value()
         t_read = self.timing.t_read_ns
         raw = self._busy_raw
+        observed = self.obs is not None
         entries: List[_Ahead] = []
         for key, count, bus_ns in runs:
             plane = self._tl_planes[key]
@@ -619,6 +602,9 @@ class ChannelEngine:
                 # the later start sorts first and all before idle ones.
                 run = plane.run
                 start = run[0] if run is not None and run[1] == grant else -grant
+            if observed:
+                for sense in range(grant, grant + count * t_read, t_read):
+                    self._waited(now, sense)
             rank = plane.rank
             for _ in range(count):
                 end = grant + t_read
@@ -762,16 +748,23 @@ class ChannelEngine:
 
     def _retire(self) -> None:
         """Drop the reservations nothing can precede any more (last
-        request instant reached) into the busy union."""
+        request instant reached) into the busy union and, observed, the
+        depth, folded through the first request still to count (<= now)."""
         now = self.sim._now
         ahead = self._ahead
         raw = self._busy_raw
         duration = self.timing.t_prog_ns
+        observed = self.obs is not None
+        counted = self._counted
         while ahead and ahead[0].due <= now:
             entry = ahead.popleft()
-            if not entry.bus_counted:
+            if counted:
+                counted -= 1
+            else:
                 raw.append(entry.bus_grant)
                 raw.append(entry.bus_end)
+                if observed:
+                    self._waited(entry.bus_req, entry.bus_grant)
             # The tail saved with the op's last phase holds the entry's
             # own hook: a cycle.
             if entry.plane is None:
@@ -783,21 +776,33 @@ class ChannelEngine:
                 grant = entry.plane_grant
                 raw.append(grant)
                 raw.append(grant + duration)
+                if observed:
+                    self._waited(entry.bus_end, grant)
+        self._counted = counted
+        if observed and self._depth is not None:
+            uncounted = ahead[counted].bus_req if counted < len(ahead) else now
+            self._depth.settle(min(now, uncounted))
 
     def _count_ahead(self) -> None:
-        """Before a busy-time read: every service interval whose request
-        instant has been reached -- what the per-phase path would have
-        recorded by now -- goes into the busy union."""
-        self._retire()
+        """Before a read of busy time or queue depth: every phase requested
+        by now -- what the per-phase path would have recorded -- goes into
+        the busy union and, observed, the queue depth."""
         now = self.sim._now
         raw = self._busy_raw
-        for entry in self._ahead:
+        observed = self.obs is not None
+        ahead = self._ahead
+        counted = self._counted
+        while counted < len(ahead):
+            entry = ahead[counted]
             if entry.bus_req > now:
                 break
-            if not entry.bus_counted:
-                entry.bus_counted = True
-                raw.append(entry.bus_grant)
-                raw.append(entry.bus_end)
+            counted += 1
+            raw.append(entry.bus_grant)
+            raw.append(entry.bus_end)
+            if observed:
+                self._waited(entry.bus_req, entry.bus_grant)
+        self._counted = counted
+        self._retire()
 
     def _revoke(self, timeline: ResourceTimeline, order=None) -> List[_Ahead]:
         """Undo, newest first, the ahead reservations that a reservation
@@ -897,7 +902,7 @@ class ChannelEngine:
         attached the op first takes an admission slot; its grant hop is
         its start instant, and an event scheduled at
         that very instant, so what it admits is reserved ahead from
-        there when nothing watches per phase (:meth:`can_reserve_ahead`):
+        there when nothing needs it per phase (:meth:`can_reserve_ahead`):
         a READ as a request of one, a PROGRAM by plane and size with
         request instant now.
         """
@@ -1021,13 +1026,13 @@ class ChannelEngine:
         reserved ahead (:meth:`program_page_ahead`, and
         :meth:`execute_batch_call`'s PROGRAMs): no admission gate -- a
         slot is taken at the instant the page reaches the channel,
-        which then has to be an event -- nothing watching per phase
+        which then has to be an event -- nothing needing it per phase
         (:meth:`can_reserve_ahead`), and callers that run less than a
         page's bus phase after being scheduled (``caller_lead_ns``).
         Otherwise the page goes through :meth:`execute_fast` at that
         instant, behind a gate reserved ahead from its grant hop -- an
-        event run at its own instant -- when nothing watches."""
-        return self._programs_ahead and self.qos is None and self.can_reserve_ahead()
+        event run at its own instant -- when nothing needs it per phase."""
+        return self._programs_ahead and self.qos is None and not self._phased()
 
     def _batch_parts(self, ops) -> Sequence:
         """The parts of a batch, each an op or a batch of ops on this

@@ -18,7 +18,7 @@ processes::
 
     payloads = yield from device.channels[3].read(block, 0, n_pages=2)
 
-A page costs one event in either direction when nothing watches the
+A page costs one event in either direction when nothing needs the
 channel phase by phase.  The engine alone decides that: a read hands
 it the request and learns the path from what ``read_ahead`` returns, a
 write asks ``can_program_ahead`` before it books a page's DMA, and
@@ -34,9 +34,9 @@ reserves bus and program from the DMA end
 (``ChannelEngine.program_page_ahead``).  On that path no ``FlashOp`` is
 built: the block FTL returns plane runs (``repro.ftl.ops.OpRuns``), the
 read hands them over whole and the write window steps through the
-stripe naming each page's plane.  With engine observability, tracing
-or a fault rule at the site, every phase is its own hop (DESIGN.md
-section 7) and takes the op it is about, built then.
+stripe naming each page's plane.  With tracing or a fault rule at the
+site, every phase is its own hop (DESIGN.md section 7) and takes the op
+it is about, built then; metrics alone change nothing.
 
 Channel QoS is a gate in front of all this, not a reason to leave it:
 each admission is one grant hop, the op's start instant, and what the
@@ -140,7 +140,7 @@ class _WriteWindow:
     def start_page(self, index: int) -> None:
         # Asking the shared link for the DMA is the one step that must
         # happen at this instant.  When the DMA's end is known at once
-        # and nothing watches the channel phase by phase, the bus and
+        # and nothing needs the channel phase by phase, the bus and
         # the program are reserved from here too and the page costs one
         # event (its program end), not three -- and no op: the engine
         # is told the page's plane.

@@ -60,9 +60,9 @@ class Observability:
             attach_device(self, target.device)
             _block_layer(self, target.block_layer)
         elif isinstance(target, StorageServer):
-            # The server only, never its device: an engine with ``obs``
-            # set runs the per-phase path instead of reserving ahead,
-            # and fleet_day depends on staying on reserve-ahead.
+            # The server only, never its device: device metrics are
+            # named by channel, not by node, so a fleet's devices would
+            # overwrite one another's in one registry.
             _server(self, target)
         elif isinstance(target, ClusterController):
             _controller(self, target)
@@ -87,23 +87,18 @@ def attach_device(obs: Observability, device) -> None:
     """Instrument any :class:`~repro.devices.base.DeviceModel`.
 
     Channel engines (when the device exposes them) get op-level spans
-    and a live queue-depth timeline; the registry gains per-channel
-    utilisation/busy/wait pull metrics, each exposed FTL's host-op and
-    wear metrics, and the device's uniform ``device.{kind}.*`` family.
+    and count their queue depth; the registry gains per-channel pull
+    metrics, each exposed FTL's host-op and wear metrics, and the
+    device's uniform ``device.{kind}.*`` family.
     """
     device.sim.obs = obs
     registry = obs.metrics
     for engine in getattr(device, "engines", ()):
         engine.obs = obs
         channel = engine.channel
-        registry.register_callback(
-            f"channel{channel}.utilization",
-            lambda now, e=engine: e.utilization(now),
-        )
-        registry.register_callback(
-            f"channel{channel}.busy_ns",
-            lambda now, e=engine: e.busy_value(now),
-        )
+        registry.register_callback(f"channel{channel}.utilization", engine.utilization)
+        registry.register_callback(f"channel{channel}.busy_ns", engine.busy_value)
+        registry.register_callback(f"channel{channel}.queue_depth", engine.queue_depth)
         registry.register_callback(
             f"channel{channel}.wait_ns", lambda now, e=engine: e.wait_ns.value
         )

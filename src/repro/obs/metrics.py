@@ -50,13 +50,12 @@ class Histogram(LatencyRecorder):
         """Count, mean, min/max and standard quantiles of the samples."""
         if not len(self):
             return {"count": 0}
-        ordered = self.samples
-        ordered.sort()
+        ordered = self.ordered()
         return {
-            "count": len(self),
+            "count": len(ordered),
             "mean": self.mean,
-            "min": self.minimum,
-            "max": self.maximum,
+            "min": int(ordered[0]),
+            "max": int(ordered[-1]),
             "p50": percentile(ordered, 0.50),
             "p95": percentile(ordered, 0.95),
             "p99": percentile(ordered, 0.99),
@@ -122,7 +121,8 @@ class MetricsRegistry:
 
         ``now_ns`` is forwarded from :meth:`snapshot` and may be None
         when the caller did not supply a time; callbacks over simulator-
-        attached objects should then fall back to their own clock.
+        attached objects should then fall back to their own clock.  One
+        that returns None has no value yet: snapshots leave it out.
         """
         self._callbacks[name] = fn
 
@@ -161,9 +161,8 @@ class MetricsRegistry:
             at = now_ns if now_ns is not None else signal.horizon
             return signal.average(at)
         fn = self._callbacks.get(name)
-        if fn is not None:
-            return fn(now_ns)
-        return default
+        value = None if fn is None else fn(now_ns)
+        return default if value is None else value
 
     def snapshot(self, now_ns: Optional[int] = None) -> dict:
         """Flatten every metric into ``{name: value}``.
@@ -171,7 +170,7 @@ class MetricsRegistry:
         Counters and gauges contribute their value; histograms a summary
         dict; time-weighted signals their average up to ``now_ns`` (or
         their last update when no time is given); callbacks whatever
-        they return.
+        they return, but None.
         """
         snap: dict = {}
         for name, counter in self._counters.items():
@@ -184,7 +183,9 @@ class MetricsRegistry:
             at = now_ns if now_ns is not None else signal.horizon
             snap[name] = signal.average(at)
         for name, fn in self._callbacks.items():
-            snap[name] = fn(now_ns)
+            value = fn(now_ns)
+            if value is not None:
+                snap[name] = value
         return snap
 
     def report(self, now_ns: Optional[int] = None, title: str = "metrics") -> str:

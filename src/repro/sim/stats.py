@@ -147,7 +147,7 @@ class ThroughputMeter:
 
 def percentile(sorted_values: Sequence[float], fraction: float) -> float:
     """Linear-interpolated percentile of an already-sorted sequence."""
-    if not sorted_values:
+    if len(sorted_values) == 0:
         raise ValueError("percentile of empty sequence")
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction {fraction} outside [0, 1]")
@@ -231,9 +231,13 @@ class LatencyRecorder:
         mu = self.mean
         return self.stdev / mu if mu else 0.0
 
+    def ordered(self):
+        """The samples sorted, as an int64 array (a copy)."""
+        return np.sort(np.frombuffer(self._samples, dtype=np.int64))
+
     def quantile(self, fraction: float) -> float:
         """Interpolated quantile of the samples."""
-        return percentile(sorted(self._samples), fraction)
+        return percentile(self.ordered(), fraction)
 
     def reset(self) -> None:
         """Clear all recorded state."""
@@ -282,7 +286,8 @@ class TimeWeighted:
             return max(self._last_time, max(t for t, _, _ in self._pending))
         return self._last_time
 
-    def _settle(self, time_ns: int) -> None:
+    def settle(self, time_ns: int) -> None:
+        """Fold in the deferred changes due at or before ``time_ns``."""
         pending = self._pending
         while pending and pending[0][0] <= time_ns:
             at, _, delta = heappop(pending)
@@ -295,18 +300,12 @@ class TimeWeighted:
     def update(self, time_ns: int, value: float) -> None:
         """Record a change of the signal at a timestamp."""
         if self._pending:
-            self._settle(time_ns)
+            self.settle(time_ns)
         if time_ns < self._last_time:
             raise ValueError("time went backwards")
         self._area += self._value * (time_ns - self._last_time)
         self._value = value
         self._last_time = time_ns
-
-    def shift(self, time_ns: int, delta: float) -> None:
-        """Apply a relative change at ``time_ns`` (pending folded first)."""
-        if self._pending:
-            self._settle(time_ns)
-        self.update(time_ns, self._value + delta)
 
     def shift_at(self, time_ns: int, delta: float) -> None:
         """Queue a relative change for a (usually future) instant."""
@@ -316,7 +315,7 @@ class TimeWeighted:
     def average(self, time_ns: int) -> float:
         """Average value from start until ``time_ns``."""
         if self._pending:
-            self._settle(time_ns)
+            self.settle(time_ns)
         if time_ns <= self._start:
             return self._value
         area = self._area + self._value * (time_ns - self._last_time)

@@ -12,7 +12,9 @@ an in-service counter.  Slow and obviously right; never optimise it.
 :func:`execute_all` and :func:`execute_sequential` are the old
 process-per-op batch drivers and :func:`execute` the one-op generator
 they drive; they work on either engine.  :func:`execute_batch` is a
-batch's generator form, one completion event.
+batch's generator form, one completion event.  :func:`per_phase` pins
+an engine to its per-phase path, the oracle the reserve-ahead
+differentials compare against.
 """
 
 from typing import Optional
@@ -20,6 +22,19 @@ from typing import Optional
 from repro.faults.injector import NULL_INJECTOR, STALL
 from repro.ftl.ops import FlashOp, OpKind
 from repro.sim import AllOf, Event, Resource
+
+
+def _never() -> bool:
+    return False
+
+
+def per_phase(*engines):
+    """Pin each :class:`~repro.channel.engine.ChannelEngine` to its
+    per-phase path: ``can_reserve_ahead`` and ``can_program_ahead``
+    (which a device asks) answer False on the instance, so every door
+    sends each op phase by phase, as a trace or a STALL rule would."""
+    for engine in engines:
+        engine.can_reserve_ahead = engine.can_program_ahead = _never
 
 
 def execute(engine, op):

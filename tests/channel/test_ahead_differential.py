@@ -3,11 +3,14 @@ against the per-phase hops.
 
 Each seed draws a small SDF (1-4 channels) and a cast of processes --
 writers, a second writer on a channel, readers of 1 or 32 pages, an
-eraser, started in lock-step or staggered -- and runs it twice: as is
-(pages reserved ahead, revoked and remade around every intruder), and
-with a metrics-only ``Observability`` attached, which puts every page on
-the per-phase hops.  The full ``sdf_signature`` must be equal.  A
-second set of seeds draws read-heavy casts: several readers on a
+eraser, started in lock-step or staggered -- and runs it twice, a
+metrics-only ``Observability`` attached to both: as is (pages reserved
+ahead, revoked and remade around every intruder), and with every
+engine pinned to its per-phase hops (``per_phase``).  The full
+``sdf_signature`` must be equal, and so must the observability
+snapshots taken at checkpoints along the run and at its end -- queue
+depth, utilisation, busy time and the rest.  A second set of seeds
+draws read-heavy casts: several readers on a
 channel, reads of up to a whole block (longer than the tail a request
 keeps reserved ahead), and pairs of reads started behind one erase
 batch so that their senses run in lock-step.
@@ -15,9 +18,9 @@ batch so that their senses run in lock-step.
 Both sets run a second time *gated*: a ``ChannelQosState`` on every
 engine (bound drawn 1-8 per seed) and a wired ``FaultPlan`` holding no
 rule on engines and link.  Admission stands in front of the ahead path
-and a quiet injector is no injector, so the un-observed run still
-reserves ahead -- from the grant hops -- and must equal the observed
-one in the signature, the throttle counters and the admission-depth
+and a quiet injector is no injector, so the unpinned run still
+reserves ahead -- from the grant hops -- and must equal the pinned one
+in the signature, the throttle counters and the admission-depth
 timelines.
 """
 
@@ -31,7 +34,8 @@ from repro.faults import FaultPlan
 from repro.nand.geometry import FlashGeometry
 from repro.obs import Observability, attach_device
 from repro.qos.limits import ChannelQosState
-from repro.sim import Simulator, US
+from repro.sim import MS, Simulator, US
+from tests.channel.reference_engine import per_phase
 from tests.channel.test_timeline_equivalence import sdf_signature
 
 #: 96-page logical blocks (six 16-page windows), 12 of them a channel
@@ -47,6 +51,12 @@ BATCH = 20
 #: the rule looks back one run.  The bus schedule is the same; two
 #: pages swap slots.  (1 seed of the 460 tried.)
 BEYOND_TIE_RULE = {349}
+#: Where the observability snapshots are taken: every millisecond
+#: while the casts start and read, then every ten until the longest
+#: ends.
+CHECKPOINTS = tuple(range(777 * US, 20 * MS, MS)) + tuple(
+    range(20 * MS + 3_333, 300 * MS, 10 * MS)
+)
 
 
 def cast(rng, sdf):
@@ -173,8 +183,8 @@ def read_cast(rng, sdf):
 def gate(seed, sdf):
     """Admission slots on every engine and a rule-less fault plan wired
     to engines and link; returns the registry the gates report to (its
-    own: attaching it to an engine would force the per-phase hops) and
-    the plan."""
+    own, so that the device's snapshot stays the ungated run's) and the
+    plan."""
     bound = random.Random(f"gate{seed}").randrange(1, 9)
     gates = Observability()
     for engine in sdf.engines:
@@ -185,7 +195,11 @@ def gate(seed, sdf):
     return gates, plan
 
 
-def play(seed, observed, cast=cast, gated=False):
+def play(seed, pinned, cast=cast, gated=False):
+    """The seed's cast on an observed SDF, its engines ``pinned`` to
+    the per-phase hops or not; returns the signature -- the device's,
+    the snapshots at the checkpoints the run passes and at its end, the
+    gates' -- and the events scheduled."""
     rng = random.Random(seed)
     sim = Simulator()
     sdf = SDFDevice(sim, n_channels=rng.randrange(1, 5), geometry=GEOMETRY)
@@ -194,18 +208,31 @@ def play(seed, observed, cast=cast, gated=False):
             ftl.write(block, [None] * ftl.pages_per_logical_block)
     if gated:
         gates, plan = gate(seed, sdf)
-    if observed:
-        attach_device(Observability(), sdf)
+    obs = Observability()
+    attach_device(obs, sdf)
+    if pinned:
+        per_phase(*sdf.engines)
 
     def delayed(start_ns, generator):
         yield sim.timeout(start_ns)
         yield from generator
 
     procs = [sim.process(delayed(*proc)) for proc in cast(rng, sdf)]
+    snapshots = []
+    for checkpoint in CHECKPOINTS:
+        # Through the checkpoint; the clock stops there only if the
+        # run goes on past it, so that its end stays its last event.
+        while sim.peek() is not None and sim.peek() <= checkpoint:
+            sim.step()
+        if sim.peek() is None:
+            break
+        sim.run(until=checkpoint)
+        snapshots.append(obs.snapshot(checkpoint))
     if procs:
         sim.run(until=sim.all_of(procs))
     sim.run()
     signature = sdf_signature(sim, sdf)
+    signature["obs"] = (snapshots, obs.snapshot(sim.now), obs.snapshot())
     if gated:
         # throttled, throttle_wait_ns and admission_depth, per channel.
         signature["qos"] = gates.snapshot(sim.now)
@@ -226,8 +253,8 @@ def test_ahead_path_matches_per_phase_hops(first, monkeypatch):
     monkeypatch.setattr(ChannelEngine, "_revoke", counting)
     fewer_events = 0
     for seed in range(first, first + BATCH):
-        got, events = play(seed, observed=False)
-        expected, per_phase_events = play(seed, observed=True)
+        got, events = play(seed, pinned=False)
+        expected, per_phase_events = play(seed, pinned=True)
         assert got == expected, f"seed {seed}"
         fewer_events += events < per_phase_events
     # The batch did exercise what it is about.
@@ -258,10 +285,10 @@ def test_read_stream_matches_per_phase_hops(first, monkeypatch):
     monkeypatch.setattr(ChannelEngine, "read_ahead", counting_read_ahead)
     read_pages = 0
     for seed in range(first, first + BATCH):
-        got, events = play(seed, observed=False, cast=read_cast)
+        got, events = play(seed, pinned=False, cast=read_cast)
         ahead_so_far = pages_ahead[0]
-        expected, per_phase_events = play(seed, observed=True, cast=read_cast)
-        assert pages_ahead[0] == ahead_so_far  # observed: per-phase hops
+        expected, per_phase_events = play(seed, pinned=True, cast=read_cast)
+        assert pages_ahead[0] == ahead_so_far  # pinned: per-phase hops
         if seed in BEYOND_TIE_RULE:
             # Strict: a rule that reaches this far takes the seed out.
             assert got != expected and got["wear"] == expected["wear"]
@@ -286,8 +313,8 @@ def throttled(signature):
 def test_gated_ahead_path_matches_per_phase_hops(first):
     fewer_events = waits = 0
     for seed in range(first, first + BATCH):
-        got, events = play(seed, observed=False, gated=True)
-        expected, per_phase_events = play(seed, observed=True, gated=True)
+        got, events = play(seed, pinned=False, gated=True)
+        expected, per_phase_events = play(seed, pinned=True, gated=True)
         assert got == expected, f"seed {seed}"
         fewer_events += events < per_phase_events
         waits += throttled(got)
@@ -301,9 +328,9 @@ def test_gated_ahead_path_matches_per_phase_hops(first):
 def test_gated_read_stream_matches_per_phase_hops(first):
     waits = 0
     for seed in range(first, first + BATCH):
-        got, events = play(seed, observed=False, cast=read_cast, gated=True)
+        got, events = play(seed, pinned=False, cast=read_cast, gated=True)
         expected, per_phase_events = play(
-            seed, observed=True, cast=read_cast, gated=True
+            seed, pinned=True, cast=read_cast, gated=True
         )
         assert got == expected, f"seed {seed}"
         assert events < per_phase_events

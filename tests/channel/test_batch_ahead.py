@@ -3,9 +3,10 @@ per-phase hops.
 
 A batch's PROGRAMs are reserved ahead (bus now, plane from the bus end)
 and cost one event each; its READs and ERASEs run per phase, a plane's
-senses taken as one run.  The oracle is the same script with a
-metrics-only probe on the engine, which puts every op of every batch
-on the per-phase hops.  The conventional scripts are shaped as the
+senses taken as one run.  The oracle is the same script with the
+engine pinned to its per-phase hops (``per_phase``), every op of every
+batch taken phase by phase; both carry a metrics-only probe, whose
+queue depth is sampled with the counters.  The conventional scripts are shaped as the
 three conventional drives' work -- GC relocations (a victim's valid
 pages read and programmed onto every plane, then the victim's erase, as
 one ``Relocation`` part or as the flat op list), host programs and
@@ -35,6 +36,7 @@ from repro.ftl.ops import (
 from repro.nand.array import PhysicalAddress
 from repro.obs import Observability
 from repro.sim import US, Simulator
+from tests.channel.reference_engine import per_phase
 
 #: The drives whose controller phases call the engine, by name.
 SPECS = {
@@ -212,20 +214,21 @@ def mixed_cast(seed):
     return script
 
 
-def play(script, observed, spec=SDF, caller_lead_ns=0):
-    """Run ``script`` on one engine of ``spec``'s, built for callers
-    scheduled up to ``caller_lead_ns`` before they run; returns
-    (completions, samples, events).  With ``observed`` a metrics-only
-    probe puts every batch on the per-phase hops, reads go op by op
-    through ``execute_fast`` and a streamed page is submitted from a
-    timer set when it asks for its DMA."""
+def play(script, pinned, spec=SDF, caller_lead_ns=0):
+    """Run ``script`` on one observed engine of ``spec``'s, built for
+    callers scheduled up to ``caller_lead_ns`` before they run; returns
+    (completions, samples, events).  ``pinned`` to the per-phase hops,
+    every batch goes phase by phase, reads go op by op through
+    ``execute_fast`` and a streamed page is submitted from a timer set
+    when it asks for its DMA."""
     sim = Simulator()
     engine = ChannelEngine(
         sim, 0, spec.geometry, spec.timing, spec.chips_per_channel, caller_lead_ns
     )
-    if observed:
-        engine.obs = Observability()
-    assert engine.can_reserve_ahead() != observed
+    engine.obs = Observability()
+    if pinned:
+        per_phase(engine)
+    assert engine.can_reserve_ahead() != pinned
     finished = {}
 
     def finish(tag, many):
@@ -237,12 +240,12 @@ def play(script, observed, spec=SDF, caller_lead_ns=0):
         if kind == "batch":
             engine.execute_batch_call(payload, then)
         elif kind == "read":
-            if observed:
+            if pinned:
                 for op in payload:
                     engine.execute_fast(op, then)
             else:
                 engine.read_ahead(payload, then)
-        elif observed:
+        elif pinned:
             sim._schedule_call(
                 lambda: engine.execute_fast(payload, then), request - sim.now
             )
@@ -268,7 +271,12 @@ def play(script, observed, spec=SDF, caller_lead_ns=0):
     for checkpoint in CHECKPOINTS + (None,):
         sim.run(until=checkpoint)
         samples.append(
-            (engine.ops_executed.value, engine.wait_ns.value, engine.busy_value())
+            (
+                engine.ops_executed.value,
+                engine.wait_ns.value,
+                engine.busy_value(),
+                engine.queue_depth(checkpoint),
+            )
         )
     assert len(finished) == len(script)
     return finished, samples, sim._seq
@@ -295,8 +303,8 @@ def test_conventional_batches_match_the_per_phase_hops(name, seed):
 @pytest.mark.parametrize("seed", range(80))
 def test_mixed_batches_match_the_per_phase_hops(seed):
     script = mixed_cast(seed)
-    finished, samples, _ = play(script, observed=False)
-    expected, expected_samples, _ = play(script, observed=True)
+    finished, samples, _ = play(script, pinned=False)
+    expected, expected_samples, _ = play(script, pinned=True)
     assert finished == expected
     assert samples == expected_samples
 
@@ -317,12 +325,12 @@ def test_a_relocation_part_and_its_op_list_are_one_batch():
     offsets = list(range(0, 40, 3))
     unbuilt = gc_batch((0, 1), offsets, 1, True)
     unbuilt.parts[0].__class__ = _Unbuilt
-    as_parts = play([("batch", 0, 0, unbuilt)], observed=False)
+    as_parts = play([("batch", 0, 0, unbuilt)], pinned=False)
     as_list = play(
-        [("batch", 0, 0, gc_batch((0, 1), offsets, 1, False))], observed=False
+        [("batch", 0, 0, gc_batch((0, 1), offsets, 1, False))], pinned=False
     )
     per_phase = play(
-        [("batch", 0, 0, gc_batch((0, 1), offsets, 1, True))], observed=True
+        [("batch", 0, 0, gc_batch((0, 1), offsets, 1, True))], pinned=True
     )
     assert as_parts == as_list
     assert as_parts[:2] == per_phase[:2]
@@ -333,8 +341,8 @@ def test_a_program_costs_one_event_and_a_read_two():
     PROGRAM costs its end, a READ still a sense end and a bus end."""
     victim = (1, 0)
     batch = gc_batch(victim, list(range(10)), 0, True)
-    _, _, events = play([("batch", 0, 0, batch)], observed=False)
-    _, _, per_phase = play([("batch", 0, 0, batch)], observed=True)
+    _, _, events = play([("batch", 0, 0, batch)], pinned=False)
+    _, _, per_phase = play([("batch", 0, 0, batch)], pinned=True)
     # Ten bus ends saved; the first read's data queues behind the
     # programs' bus phases, which have no end event to chain from, and
     # is granted by one relay at its grant.

@@ -7,7 +7,7 @@ and ``ChannelEngine.read_ahead(ops)`` from ``execute_fast`` for each op
 in turn, whatever reaches the bus or a plane in between.  Every
 scenario here runs twice -- pages reserved ahead, and the same ops
 submitted the per-phase way (programs by a timer at their request
-instant) -- and compares completion instants, counters and busy time
+instant) -- and compares completion instants, counters, busy time and queue depth
 sampled along the way.
 """
 
@@ -24,6 +24,7 @@ from repro.nand.geometry import FlashGeometry
 from repro.obs import Observability, attach_device
 from repro.qos.limits import ChannelQosState
 from repro.sim import Simulator, US
+from tests.channel.reference_engine import per_phase
 
 PAGE = SDF_CHIP_GEOMETRY.page_size
 TIMING = MICRON_25NM_MLC
@@ -64,15 +65,16 @@ def run(script, ahead, bound=None):
 
     With ``bound`` the engine stands behind that many admission slots
     and both ways go through the same doors (``submit`` and ``read``
-    items only); the per-phase way is then forced by a metrics-only
-    probe on the engine."""
+    items only); the per-phase way then pins the engine to it
+    (``per_phase``).  Both ways carry a metrics-only probe."""
     sim = Simulator()
     engine = ChannelEngine(sim, 0, SDF_CHIP_GEOMETRY, TIMING, 2)
+    engine.obs = Observability()
     qos = None
     if bound is not None:
         qos = engine.qos = ChannelQosState(sim, 0, bound)
         if not ahead:
-            engine.obs = Observability()
+            per_phase(engine)
         assert engine.can_reserve_ahead() == ahead
     finished = {}
 
@@ -119,6 +121,7 @@ def run(script, ahead, bound=None):
                 engine.wait_ns.value,
                 engine.busy_value(),
                 engine.utilization(),
+                engine.queue_depth(checkpoint),
                 qos and (qos.throttled.value, qos.throttle_wait_ns.value),
             )
         )
@@ -609,12 +612,12 @@ def test_read_that_finds_its_plane_idle_goes_behind_the_queued_run_it_ties_with(
     itself a sense time old; the newcomer's by a submission scheduled
     one stack crossing ago -- so the queued run's page goes first."""
 
-    def play(observed):
+    def play(pinned):
         sim = Simulator()
         sdf = small_sdf(sim)
         sdf.prefill(0.5)
-        if observed:
-            attach_device(Observability(), sdf)
+        if pinned:
+            per_phase(*sdf.engines)
         channel = sdf.channels[0]
         finished = {}
 
@@ -629,8 +632,8 @@ def test_read_that_finds_its_plane_idle_goes_behind_the_queued_run_it_ties_with(
         sim.run()
         return finished, tuple(sdf.link.read_meter.samples)
 
-    ahead, per_phase = play(False), play(True)
-    assert ahead == per_phase
+    ahead = play(False)
+    assert ahead == play(True)
     # The newcomer's page is the third on the bus, not the second.
     submit_ns = small_sdf(Simulator()).iostack.submit_ns
     dma_asked_at = submit_ns + SENSE_NS + 3 * BUS_NS
@@ -638,10 +641,10 @@ def test_read_that_finds_its_plane_idle_goes_behind_the_queued_run_it_ties_with(
     assert ahead[0]["run"] > ahead[0]["idle"]
 
 
-@pytest.mark.parametrize("attach", ["obs", "stall"])
-def test_attachment_between_two_reads_puts_the_next_on_per_phase_hops(attach):
-    """A probe on the engine, or a STALL rule at its site.  (The plan is
-    wired from the start: holding no rule it is no injector.)"""
+def two_reads(attach):
+    """Two 8-page reads on a fault-wired channel, ``attach`` called
+    between them; returns the engine, the plan and the events the
+    second cost."""
     sim = Simulator()
     sdf = small_sdf(sim)
     sdf.prefill(0.5)
@@ -652,20 +655,39 @@ def test_attachment_between_two_reads_puts_the_next_on_per_phase_hops(attach):
     sim.run(until=sim.process(channel.read(0, 0, 8)))
     ahead_events = sim._seq
     assert engine.can_reserve_ahead() and ahead_events <= 8 + 8
-    if attach == "obs":
-        obs = Observability()
-        attach_device(obs, sdf)
-    else:
-        plan.add("ch0", "stall", at_op=3, delay_ns=40 * US)
-    assert not engine.can_reserve_ahead()
+    attach(sdf, plan)
     sim.run(until=sim.process(channel.read(0, 8, 8)))
-    assert engine.ops_executed.value == 16 and not engine._ahead
+    assert engine.ops_executed.value == 16
+    return engine, plan, sim._seq - ahead_events
+
+
+@pytest.mark.parametrize("attach", ["stall"])
+def test_attachment_between_two_reads_puts_the_next_on_per_phase_hops(attach):
+    """A STALL rule at the engine's site.  (The plan is wired from the
+    start: holding no rule it is no injector.)"""
+
+    def add_rule(sdf, plan):
+        plan.add("ch0", "stall", at_op=3, delay_ns=40 * US)
+        assert not sdf.engines[0].can_reserve_ahead()
+
+    engine, plan, events = two_reads(add_rule)
+    assert not engine._ahead
     # Sense end, bus end and DMA end for every page.
-    assert sim._seq - ahead_events >= 3 * 8
-    if attach == "obs":
-        assert obs.metrics.snapshot(sim.now)["channel0.queue_depth"] > 0
-    else:
-        assert [event.kind for event in plan.log] == ["stall"]
+    assert events >= 3 * 8
+    assert [event.kind for event in plan.log] == ["stall"]
+
+
+def test_observability_attached_between_two_reads_keeps_the_next_ahead():
+    """A metrics-only probe picks no path: the second read costs what
+    an unobserved one does, and its pages are in the queue depth."""
+    obs = Observability()
+
+    def observe(sdf, plan):
+        attach_device(obs, sdf)
+        assert sdf.engines[0].can_reserve_ahead()
+
+    assert two_reads(observe)[2] == two_reads(lambda sdf, plan: None)[2]
+    assert obs.metrics.snapshot()["channel0.queue_depth"] > 0
 
 
 def test_qos_attached_between_two_reads_gates_the_next_and_stays_ahead():
@@ -687,7 +709,7 @@ def test_qos_attached_between_two_reads_gates_the_next_and_stays_ahead():
     assert sim._seq - ahead_events <= 2 * 8 + 8
 
 
-def gated_day(rules_at, observed):
+def gated_day(rules_at, pinned):
     """A gated, fault-wired channel serving reads and writes back to
     back; at ``rules_at`` -- inside a request -- a STALL rule appears
     at the engine's site and DROP and DELAY rules at the link's."""
@@ -699,8 +721,8 @@ def gated_day(rules_at, observed):
     engine = sdf.engines[0]
     channel = sdf.channels[0]
     qos = engine.qos = ChannelQosState(sim, 0, max_inflight=3)
-    if observed:
-        attach_device(Observability(), sdf)
+    if pinned:
+        per_phase(engine)
     outcomes = []
     events_at_rules = []
 
@@ -748,8 +770,8 @@ def test_rules_added_mid_run_are_drawn_as_on_a_run_per_phase_throughout(inside):
     does: same fault log, same everything."""
     # 24 pages at 3 slots take ~5 ms; the first write starts after it.
     rules_at = (2_000 if inside == "read" else 9_000) * US
-    got, before, total = gated_day(rules_at, observed=False)
-    expected, per_phase_before, per_phase_total = gated_day(rules_at, observed=True)
+    got, before, total = gated_day(rules_at, pinned=False)
+    expected, per_phase_before, per_phase_total = gated_day(rules_at, pinned=True)
     assert got == expected
     kinds = {signature[1] for signature in got["faults"]}
     assert kinds == {"stall", "delay", "drop"}
@@ -760,24 +782,28 @@ def test_rules_added_mid_run_are_drawn_as_on_a_run_per_phase_throughout(inside):
 
 
 def test_observability_attached_mid_request_applies_from_the_next_page():
-    sim = Simulator()
-    sdf = small_sdf(sim)
-    engine = sdf.engines[0]
-    write = sim.process(sdf.channels[0].write(0))
-    sim.run(until=2_000 * US)
-    done_before = engine.ops_executed.value
-    assert 0 < done_before < 64 and engine.can_reserve_ahead()
-    events_before = sim._seq
-    obs = Observability()
-    attach_device(obs, sdf)
-    assert not engine.can_reserve_ahead()
-    sim.run(until=write)
-    assert engine.ops_executed.value == 64
-    # The pages begun after the attach took the per-phase hops (three
-    # events each) and were seen by the queue-depth probe.
-    remaining = 64 - done_before - 16
-    assert sim._seq - events_before >= 3 * remaining
-    assert obs.metrics.snapshot(sim.now)["channel0.queue_depth"] > 0
+    """The pages that reach their request instants after the attach are
+    in the queue depth, and the write costs what an unobserved one
+    does: the probe picks no path."""
+
+    def write(observed):
+        sim = Simulator()
+        sdf = small_sdf(sim)
+        engine = sdf.engines[0]
+        write = sim.process(sdf.channels[0].write(0))
+        sim.run(until=2_000 * US)
+        assert 0 < engine.ops_executed.value < 64
+        obs = Observability()
+        if observed:
+            attach_device(obs, sdf)
+        assert engine.can_reserve_ahead()
+        sim.run(until=write)
+        assert engine.ops_executed.value == 64
+        return sim._seq, sim.now, obs.metrics.snapshot(sim.now)
+
+    events, end, snapshot = write(observed=True)
+    assert (events, end) == write(observed=False)[:2]
+    assert snapshot["channel0.queue_depth"] > 0
 
 
 def test_qos_attached_mid_request_admits_from_the_next_page():
@@ -794,25 +820,41 @@ def test_qos_attached_mid_request_admits_from_the_next_page():
 
 
 def test_busy_time_read_mid_stream_matches_the_observed_run():
-    """``busy_value``/``utilization`` read while pages are between
-    their request instants: same numbers as a run whose engine carries
-    a metrics-only probe (per-phase hops)."""
+    """``busy_value``/``utilization`` -- and, observed, the queue
+    depth -- read while pages are between their request instants: the
+    same numbers unobserved, observed, and observed with the engine
+    pinned to its per-phase hops."""
 
-    def sample(observed):
+    def sample(observed, pinned=False):
         sim = Simulator()
         sdf = small_sdf(sim)
+        obs = Observability()
         if observed:
-            attach_device(Observability(), sdf)
+            attach_device(obs, sdf)
         engine = sdf.engines[0]
-        assert engine.can_reserve_ahead() != observed
+        if pinned:
+            per_phase(engine)
         sim.process(sdf.channels[0].write(0))
         samples = []
         for checkpoint in range(50 * US, 12_000 * US, 50 * US):
             sim.run(until=checkpoint)
-            samples.append((engine.busy_value(), engine.utilization()))
-        return samples
+            snapshot = obs.snapshot(checkpoint)
+            samples.append(
+                (
+                    engine.busy_value(),
+                    engine.utilization(),
+                    snapshot.get("channel0.queue_depth"),
+                )
+            )
+        return samples, sim._seq
 
-    assert sample(False) == sample(True)
+    plain, plain_events = sample(False)
+    observed, events = sample(True)
+    pinned, pinned_events = sample(True, pinned=True)
+    assert events == plain_events < pinned_events
+    assert [busy for *busy, _ in plain] == [busy for *busy, _ in observed]
+    assert observed == pinned
+    assert observed[-1][-1] > 0
 
 
 def test_busy_union_stays_bounded_and_reads_as_if_never_closed_early():

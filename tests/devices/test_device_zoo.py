@@ -26,6 +26,7 @@ from repro.obs import Observability
 from repro.obs.attach import attach_device
 from repro.sim import Simulator
 from tests.channel.golden import check_golden
+from tests.channel.reference_engine import per_phase
 
 ALL_KINDS = ("conventional", "dftl", "hybrid", "mqftl", "sdf", "zoned")
 SCALE = 0.01
@@ -142,15 +143,18 @@ def test_stale_spec_key_is_a_config_error_naming_the_vocabulary(kind):
 # ---------------------------------------------------------------------------
 
 
-def run_cast(kind, seed, observed=True):
-    """Drive the zoo's mixed cast on one small device of ``kind``;
-    returns ``(sim, device, obs)``, the finished system still whole
+def run_cast(kind, seed, observed=True, pinned=False):
+    """Drive the zoo's mixed cast on one small device of ``kind`` --
+    ``pinned`` to its engines' per-phase hops or not; returns ``(sim,
+    device, obs)``, the finished system still whole
     (``tests/sim/test_gc_hygiene.py`` collects over it)."""
     sim = Simulator()
     device = small_device(kind, sim)
     obs = Observability()
     if observed:
         attach_device(obs, device)
+    if pinned:
+        per_phase(*getattr(device, "engines", ()))
     rng = random.Random(seed)
 
     if kind in ("sdf", "zoned"):

@@ -15,7 +15,9 @@ from repro.devices.sdf import SDFDevice
 from repro.ecc.model import EccModel, ReadStatus
 from repro.nand import SDF_CHIP_GEOMETRY
 from repro.obs import Observability, attach_device
-from repro.sim import MS, Simulator
+from repro.devices import build_device
+from repro.sim import MIB, MS, Simulator
+from repro.workloads.generators import drive_sdf_reads, drive_sdf_writes
 
 
 def run_workload(obs=None, n_channels=4):
@@ -110,6 +112,47 @@ def test_metrics_only_attachment_records_no_spans():
     run_workload(obs)
     assert len(obs.trace) == 0
     assert obs.trace.enabled is False
+
+
+def drive(kind, observed):
+    """``kind`` ("reads": 2 MiB sequential, "writes": 8 MiB blocks) on
+    an 8-channel SDF; returns the MB/s, the events, and the snapshots
+    at the end and at the horizon (None unobserved)."""
+    sim = Simulator()
+    sdf = build_device("sdf", sim, capacity_scale=0.004, n_channels=8)
+    if kind == "reads":
+        sdf.prefill(0.5)
+    obs = Observability()
+    if observed:
+        attach_device(obs, sdf)
+    if kind == "reads":
+        mb_per_s = drive_sdf_reads(
+            sim, sdf, 2 * MIB, 200 * MS, sequential=True, warmup_ns=20 * MS,
+            rng=np.random.default_rng(0),
+        )
+    else:
+        mb_per_s = drive_sdf_writes(sim, sdf, 400 * MS, warmup_ns=50 * MS)
+    return mb_per_s, sim._seq, obs.snapshot(sim.now), obs.snapshot()
+
+
+@pytest.mark.parametrize(
+    "kind,events,depth,depth_at_horizon",
+    [
+        ("reads", 8_561, 127.2733259051381, 127.42421992283285),
+        ("writes", 16_465, 11.274217454547593, 11.306801482288268),
+    ],
+)
+def test_metrics_only_observation_leaves_the_schedule_alone(
+    kind, events, depth, depth_at_horizon
+):
+    """Observed, the drive costs the events it costs plain, and the
+    queue depth reads what it did when a probe put every op on the
+    per-phase hops (24,721 and 49,233 events)."""
+    mb_per_s, plain_events, _, _ = drive(kind, observed=False)
+    observed = drive(kind, observed=True)
+    assert (mb_per_s, plain_events) == observed[:2] == (observed[0], events)
+    assert observed[2]["channel0.queue_depth"] == depth
+    assert observed[3]["channel0.queue_depth"] == depth_at_horizon
 
 
 @pytest.mark.parametrize("ran_before", [False, True])

@@ -61,11 +61,16 @@ def found():
 # -- (a) every device kind ------------------------------------------------------
 
 
-@pytest.mark.parametrize("observed", [True, False], ids=["observed", "bare"])
+@pytest.mark.parametrize(
+    "observed,pinned",
+    [(True, False), (False, False), (True, True)],
+    ids=["observed", "bare", "per-phase"],
+)
 @pytest.mark.parametrize("kind", device_kinds())
-def test_device_cast_leaves_nothing_to_collect(kind, observed, found):
-    """The zoo's mixed cast, per phase (observed) and reserved ahead."""
-    system = run_cast(kind, seed=3, observed=observed)  # kept whole
+def test_device_cast_leaves_nothing_to_collect(kind, observed, pinned, found):
+    """The zoo's mixed cast reserved ahead, observed and not, and
+    observed with every engine pinned to its per-phase hops."""
+    system = run_cast(kind, seed=3, observed=observed, pinned=pinned)  # kept whole
     assert found() == {}
 
 

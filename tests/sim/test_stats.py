@@ -103,16 +103,16 @@ def test_time_weighted_average():
 
 
 def test_time_weighted_deferred_shifts_match_event_order():
-    """shift/shift_at integrate the same area as eager event-time
-    updates -- the fast path's event-free queue-depth accounting."""
+    """shift_at integrates the same area as eager event-time updates --
+    the engine's event-free queue-depth accounting."""
     eager = TimeWeighted()
     lazy = TimeWeighted()
     # Two queued ops: requests at 10 and 20, grants at 30 and 50.
     for t, v in ((10, 1), (20, 2), (30, 1), (50, 0)):
         eager.update(t, v)
-    lazy.shift(10, 1)
+    lazy.shift_at(10, 1)
     lazy.shift_at(30, -1)
-    lazy.shift(20, 1)  # before the pending grant; nothing settles yet
+    lazy.shift_at(20, 1)  # before the pending grant
     lazy.shift_at(50, -1)
     assert lazy.horizon == 50 and eager.horizon == 50
     assert lazy.average(60) == eager.average(60)
@@ -121,7 +121,7 @@ def test_time_weighted_deferred_shifts_match_event_order():
 
 def test_time_weighted_deferred_settle_is_timestamp_ordered():
     lazy = TimeWeighted()
-    lazy.shift(0, 3)
+    lazy.shift_at(0, 3)
     lazy.shift_at(40, -1)
     lazy.shift_at(20, -1)  # queued out of order; settles by timestamp
     # Reads fold only changes at/before the read instant.
@@ -315,6 +315,44 @@ def test_latency_recorder_and_histogram_are_a_list(recorded, extended, fractions
             "p95": percentile(ordered, 0.95),
             "p99": percentile(ordered, 0.99),
         }
+
+
+def list_percentile(ordered, fraction):
+    """The list-sorted formula, written out: linear interpolation
+    between the two ranks around ``fraction`` of the way."""
+    pos = fraction * (len(ordered) - 1)
+    lo, hi = math.floor(pos), math.ceil(pos)
+    if lo == hi:
+        return float(ordered[lo])
+    weight = pos - lo
+    return float(ordered[lo] * (1 - weight) + ordered[hi] * weight)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.integers(0, 2**56), min_size=1, max_size=120))
+def test_histogram_summary_is_the_list_sorted_formula(values):
+    """A peek's summary sorts the int64 buffer, never a Python copy of
+    it, and gives what sorting the list gives, bit for bit and type for
+    type -- for samples far past 2**53, where int-to-float rounding
+    shows (their sum within int64, which ``mean`` needs)."""
+    histogram = Histogram()
+    histogram.extend(values)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Histogram, "samples", property(lambda _: 1 / 0))
+        summary = histogram.summary()
+    ordered = sorted(values)
+    expected = {
+        "count": len(values),
+        "mean": sum(values) / len(values),
+        "min": ordered[0],
+        "max": ordered[-1],
+    }
+    for name, fraction in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
+        expected[name] = list_percentile(ordered, fraction)
+    assert summary == expected
+    assert [type(value) for value in summary.values()] == [
+        type(value) for value in expected.values()
+    ]
 
 
 def test_recorders_refuse_a_negative_or_non_integer_sample():

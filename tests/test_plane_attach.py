@@ -9,7 +9,8 @@ time run themselves once attached (``start``).  A channel engine alone
 picks an op's path: a device neither reads the engine's QoS gate nor
 asks whether it can reserve ahead, and takes the engine's four doors
 only (``execute_fast``, ``execute_batch_call``, ``read_ahead``,
-``program_page_ahead``).
+``program_page_ahead``).  Metrics pick no path: the engine's path
+choice reads no ``obs``.
 """
 
 import ast
@@ -17,8 +18,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.channel.engine import ChannelEngine
 from repro.cluster import Network, build_sdf_server
 from repro.faults import CRASH, PARTITION, FaultPlan
+from repro.nand.catalog import MICRON_25NM_MLC, SDF_CHIP_GEOMETRY
 from repro.obs import Observability
 from repro.policy import Hysteresis, PolicyPlan, Rule
 from repro.qos import QosPlan
@@ -95,6 +98,38 @@ def test_nothing_calls_an_engine_door_that_is_gone():
         )
     ]
     assert found == []
+
+
+def test_metrics_pick_no_channel_path():
+    """``can_reserve_ahead`` and ``can_program_ahead`` read no ``obs``
+    (a trace is asked for through ``_phased``): an engine and a
+    simulator carrying a metrics-only probe reserve ahead."""
+    tree = ast.parse((SRC / "channel" / "engine.py").read_text())
+    (engine_class,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "ChannelEngine"
+    ]
+    choosers = [
+        node
+        for node in engine_class.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("can_reserve_ahead", "can_program_ahead")
+    ]
+    assert len(choosers) == 2
+    found = [
+        f"{chooser.name}:{node.lineno} reads .{node.attr}"
+        for chooser in choosers
+        for node in ast.walk(chooser)
+        if isinstance(node, ast.Attribute) and node.attr in ("obs", "_obs")
+    ]
+    assert found == []
+    sim = Simulator()
+    engine = ChannelEngine(sim, 0, SDF_CHIP_GEOMETRY, MICRON_25NM_MLC)
+    sim.obs = engine.obs = Observability()
+    assert engine.can_reserve_ahead() and engine.can_program_ahead()
+    engine.obs = Observability(trace=True)
+    assert not engine.can_reserve_ahead()
 
 
 PLANES = pytest.mark.parametrize(
