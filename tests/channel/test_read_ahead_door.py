@@ -19,106 +19,54 @@ count the pages in its queue depth.
 
 import pytest
 
-from repro.channel.engine import ChannelEngine
-from repro.faults import STALL, FaultPlan
 from repro.ftl.ops import OpKind, OpRuns, erase_op, program_op, read_op
-from repro.nand.array import PhysicalAddress
-from repro.nand.catalog import MICRON_25NM_MLC, SDF_CHIP_GEOMETRY
-from repro.obs import Observability
-from repro.qos.limits import ChannelQosState
-from repro.sim import Simulator, US
+from repro.sim import US
+from tests.channel.differential import PAGE, Case, addr, batch, play, read
 
 from .golden import digest
 
-PAGE = SDF_CHIP_GEOMETRY.page_size
-
-
-def addr(chip=0, plane=0, page=0):
-    return PhysicalAddress(0, chip, plane, 0, page)
-
-
-def reads(*planes, n=1):
-    return [
-        read_op(addr(chip, plane, page), PAGE)
-        for chip, plane in planes
-        for page in range(n)
-    ]
-
 
 def script():
-    """``(at_us, kind, payload)``: read requests of both shapes (a list,
-    the block FTL's plane runs, one longer than a refill), among
-    programs and erases that reach the planes and the bus around them.
+    """Read requests of both shapes (a list, the block FTL's plane runs,
+    one longer than a refill), among programs and erases that reach the
+    planes and the bus around them, each from a hop at its instant.
     Built per run: an op kept alive here would count in the collector
     tests' census."""
     return (
-        (0, "batch", [program_op(addr(0, 0), PAGE), program_op(addr(0, 1), PAGE),
-                      program_op(addr(1, 0), PAGE)]),
-        (10, "read", reads((0, 0), (1, 1), n=3)),
-        (30, "op", read_op(addr(1, 0), PAGE)),
-        (60, "read", OpRuns(OpKind.READ, 0, PAGE,
-                            [(0, 1, 0, 0, 2), (1, 0, 0, 4, 3)], False)),
-        (200, "batch", [erase_op(addr(1, 1)), program_op(addr(0, 0, 5), PAGE)]),
-        (250, "read", reads((0, 1), (1, 0), n=2)),
-        (400, "op", program_op(addr(1, 1, 6), PAGE)),
-        (900, "read", reads((0, 0), (0, 1), (1, 0), (1, 1), n=10)),
-        (950, "read", reads((1, 1), n=2)),
+        batch(0, program_op(addr(0, 0), PAGE), program_op(addr(0, 1), PAGE),
+              program_op(addr(1, 0), PAGE)),
+        read(10 * US, (0, 0), (1, 1), n=3),
+        ("op", 30 * US, 0, read_op(addr(1, 0), PAGE)),
+        ("read", 60 * US, 0, OpRuns(OpKind.READ, 0, PAGE,
+                                    [(0, 1, 0, 0, 2), (1, 0, 0, 4, 3)], False)),
+        batch(200 * US, erase_op(addr(1, 1)), program_op(addr(0, 0, 5), PAGE)),
+        read(250 * US, (0, 1), (1, 0), n=2),
+        ("op", 400 * US, 0, program_op(addr(1, 1, 6), PAGE)),
+        read(900 * US, (0, 0), (0, 1), (1, 0), (1, 1), n=10),
+        read(950 * US, (1, 1), n=2),
     )
 
 
-def engine_in(state, sim):
-    """A channel-0 engine in ``state``: any of "plain", "gated",
-    "observed", "stall" and "gated+observed"."""
-    engine = ChannelEngine(sim, 0, SDF_CHIP_GEOMETRY, MICRON_25NM_MLC, 2)
-    if "gated" in state:
-        engine.qos = ChannelQosState(sim, 0, max_inflight=3)
-    if "observed" in state:
-        engine.obs = Observability()
-    if state == "stall":
-        plan = FaultPlan().add("ch0", STALL, at_op=4, delay_ns=70 * US)
-        plan.bind_clock(sim)
-        engine.faults = plan.injector("ch0")
-    return engine
-
-
-def play(state):
-    """The read requests' flags, the script's signature -- each item's
-    completion instants (a read's are its pages' bus ends), then the
-    engine's wait and op count and the events scheduled -- and the
-    engine."""
-    sim = Simulator()
-    engine = engine_in(state, sim)
-    flags = []
-    ends = {}
-
-    def finish(tag):
-        return lambda: ends.setdefault(tag, []).append(sim.now)
-
-    def submit(tag, kind, payload):
-        if kind == "read":
-            flags.append(engine.read_ahead(payload, finish(tag)))
-        elif kind == "batch":
-            engine.execute_batch_call(payload, finish(tag))
-        else:
-            engine.execute_fast(payload, finish(tag))
-
-    items = script()
-    for tag, (at_us, kind, payload) in enumerate(items):
-        # Submitted from an event scheduled at its own instant, as a
-        # batch's caller must be on an engine with no caller lead.
-        sim._schedule_call(
-            lambda item=(tag, kind, payload): sim._schedule_call(
-                lambda: submit(*item)
-            ),
-            at_us * US,
-        )
-    sim.run()
-    assert len(ends) == len(items)
-    return flags, (
-        [ends[tag] for tag in range(len(items))],
+def play_in(state):
+    """The script on a channel-0 engine in ``state`` -- any of "plain",
+    "gated", "observed", "stall" and "gated+observed": the read
+    requests' flags, the script's signature -- each item's completion
+    instants (a read's are its pages' bus ends), then the engine's wait
+    and op count and the events scheduled -- and the engine."""
+    case = Case(
+        script(),
+        bound=3 if "gated" in state else None,
+        stall={"at_op": 4, "delay_ns": 70 * US} if state == "stall" else None,
+        observed="observed" in state,
+    )
+    played = play(case)
+    engine = played.engine
+    ends = [played.finished[tag] for tag in range(len(case.items))]
+    return played.flags, (
+        [instants if isinstance(instants, list) else [instants] for instants in ends],
         engine.wait_ns.value,
         engine.ops_executed.value,
-        sim._seq,
+        played.events,
     ), engine
 
 
@@ -148,8 +96,8 @@ RECORDED["gated+observed"] = RECORDED["gated"]
 )
 def test_read_ahead_picks_the_path_the_caller_used_to(state):
     flag, counts, recorded = RECORDED[state]
-    flags, signature, engine = play(state)
-    assert flags == [flag] * sum(kind == "read" for _, kind, _ in script())
+    flags, signature, engine = play_in(state)
+    assert flags == [flag] * sum(kind == "read" for kind, *_ in script())
     assert signature[1:] == counts
     assert digest(signature) == recorded
     if "observed" in state:

@@ -329,12 +329,13 @@ def list_percentile(ordered, fraction):
 
 
 @settings(max_examples=200, deadline=None)
-@given(values=st.lists(st.integers(0, 2**56), min_size=1, max_size=120))
+@given(values=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=120))
 def test_histogram_summary_is_the_list_sorted_formula(values):
     """A peek's summary sorts the int64 buffer, never a Python copy of
     it, and gives what sorting the list gives, bit for bit and type for
     type -- for samples far past 2**53, where int-to-float rounding
-    shows (their sum within int64, which ``mean`` needs)."""
+    shows, up to the largest int64, whose sums overflow int64 (``mean``
+    is exact regardless)."""
     histogram = Histogram()
     histogram.extend(values)
     with pytest.MonkeyPatch.context() as patch:
