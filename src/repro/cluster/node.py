@@ -11,9 +11,9 @@ adapter.  It:
 * runs per-slice background compaction -- the internal read/write
   traffic that Figure 14 measures.
 
-A get and a put are continuations (``handle_get_call`` /
-``handle_put_call``: one object each, whose bound methods are the
-callbacks); ``handle_get``/``handle_put`` are their generator form.
+A get, a put and a patch read are continuations (``handle_*_call``:
+one object each, whose bound methods are the callbacks); ``handle_get``,
+``handle_put`` and ``handle_patch_read`` are their generator form.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.kv.compaction import drain_compactions, split_patch
 from repro.kv.slice import Slice
 from repro.qos.admission import DeadlineExceededError
 from repro.sim import Resource, Simulator, Store
-from repro.sim.process import bridged, run_inline
+from repro.sim.process import bridged
 from repro.sim.stats import Counter, ThroughputMeter
 from repro.sim.units import transfer_ns
 
@@ -51,8 +51,8 @@ class NodeDownError(TransientFault, ClusterError):
 
 
 class _ServerRequest:
-    """What a get and a put share: admission and routing at
-    :meth:`begin`, a turn on the slice's handler thread, and settling
+    """What a get, a put and a patch read share: admission and routing
+    at :meth:`begin`, a turn on the slice's handler thread, and settling
     exactly once.
 
     The request's steps are bound methods handed to whatever it waits
@@ -77,6 +77,7 @@ class _ServerRequest:
         self.tenant = tenant
         self.then = then
         self.fail = fail
+        self.slice_ = None
 
     def begin(self) -> None:
         """Submission: raises what the handler raised before its first
@@ -87,10 +88,12 @@ class _ServerRequest:
         if qos is not None:
             qos.try_admit(self.request_class, self.deadline_ns, tenant=self.tenant)
         try:
-            getattr(server, self.server_count).add()
+            slice_ = self.slice_
+            if slice_ is None:  # a patch read names its slice
+                getattr(server, self.server_count).add()
+                slice_ = self.slice_ = server.route(self.key, self.epoch)
+                getattr(slice_, self.slice_count).add()
             self.start = server.sim._now
-            slice_ = self.slice_ = server.route(self.key, self.epoch)
-            getattr(slice_, self.slice_count).add()
             self.cpu = server._slice_cpu[slice_.slice_id].request_call(
                 self.dispatched
             )
@@ -107,7 +110,8 @@ class _ServerRequest:
         sim._schedule_call(self.served, server._slow(self.cpu_ns()))
 
     def cpu_ns(self) -> int:
-        raise NotImplementedError
+        """The dispatch's handler time (a put's copies its value)."""
+        return self.server.per_request_cpu_ns
 
     def served(self) -> None:
         """The dispatch is charged: release the handler thread, go on."""
@@ -148,9 +152,6 @@ class _Get(_ServerRequest):
 
     __slots__ = ("kind", "size", "value")
     request_class, server_count, slice_count = "read", "gets", "reads"
-
-    def cpu_ns(self) -> int:
-        return self.server.per_request_cpu_ns
 
     def served(self) -> None:
         server = self.server
@@ -215,7 +216,7 @@ class _Get(_ServerRequest):
 class _Put(_ServerRequest):
     """:meth:`StorageServer.handle_put` as a continuation."""
 
-    __slots__ = ("value", "frozen", "flush_epoch", "slot")
+    __slots__ = ("value", "stalled", "frozen", "flush_epoch", "slot")
     request_class, server_count, slice_count = "write", "puts", "writes"
 
     def cpu_ns(self) -> int:
@@ -223,24 +224,40 @@ class _Put(_ServerRequest):
 
     def served(self) -> None:
         self.release_cpu()
+        self.stalled = None
+        self.looked()
+
+    def looked(self) -> None:
+        """At the write-stall gate (AdmissionController.write_stall): go
+        on, or wait ``stall_delay_ns`` -- then go on after a stall, look
+        again after a stop."""
+        server = self.server
+        qos = self.qos
         try:
-            # A put must never be acknowledged out of a dead epoch: the
-            # memtable it would land in no longer backs any acked state.
-            self.server._check_up()
-            qos = self.qos
+            if self.stalled is None:
+                # A put must never be acknowledged out of a dead epoch: the
+                # memtable it would land in no longer backs any acked state.
+                server._check_up()
+            pressure = "ok"
             if qos is not None:
-                run_inline(
-                    qos.write_stall_gate(self.slice_, self.deadline_ns),
-                    self.gated,
-                    self.failed,
-                )
-                return
+                pressure = qos.write_stall(self.slice_, self.deadline_ns)
         except Exception as exc:
             self.failed(exc)
             return
-        self.insert()
+        if pressure != "ok":
+            if self.stalled is None:
+                self.stalled = server.sim._now
+            server.sim._schedule_call(
+                self.looked if pressure == "stop" else self.gated,
+                qos.stall.stall_delay_ns,
+            )
+        elif self.stalled is None:
+            self.insert()
+        else:
+            self.gated()
 
-    def gated(self, _=None) -> None:
+    def gated(self) -> None:
+        self.qos.write_stalled(self.stalled)
         try:
             self.server._check_up()
         except Exception as exc:
@@ -294,6 +311,24 @@ class _Put(_ServerRequest):
                 tenant=self.tenant, flush=flushed,
             )
         self.finish(None)
+
+
+class _PatchRead(_ServerRequest):
+    """:meth:`StorageServer.handle_patch_read` as a continuation: the
+    ``scan`` class, a turn on the named slice's handler thread and one
+    dispatch, then the whole patch off the device."""
+
+    __slots__ = ("handle",)
+    request_class = "scan"
+
+    def served(self) -> None:
+        self.release_cpu()
+        try:
+            self.server.storage.read_patch_call(
+                self.handle, self.finish, self.failed
+            )
+        except Exception as exc:
+            self.failed(exc)
 
 
 class StorageServer:
@@ -695,34 +730,26 @@ class StorageServer:
     def handle_patch_read(
         self,
         handle,
-        slice_: Optional[Slice] = None,
+        slice_: Slice,
         deadline_ns: Optional[int] = None,
         tenant: Optional[str] = None,
     ):
-        """Generator -> a whole patch (one 8 MB sequential read).
+        """Generator -> a whole patch (one 8 MB sequential read), on
+        ``slice_``'s handler thread like any other request and in the
+        ``scan`` admission class (attributed to ``tenant``, if named)."""
+        return bridged(
+            self.sim, self.handle_patch_read_call, handle, slice_, deadline_ns,
+            tenant,
+        )
 
-        When ``slice_`` is given, the request serializes on that
-        slice's handler thread like any other request and counts
-        against the ``scan`` admission class (attributed to ``tenant``
-        when one is named).
-        """
-        qos = self.qos if slice_ is not None else None
-        if slice_ is not None:
-            self._check_up()
-            if qos is not None:
-                qos.try_admit("scan", deadline_ns, tenant=tenant)
-        try:
-            if slice_ is not None:
-                with self._slice_cpu[slice_.slice_id].request() as cpu:
-                    yield cpu
-                    yield self.sim.timeout(self._slow(self.per_request_cpu_ns))
-            else:
-                yield self.sim.timeout(self._slow(self.per_request_cpu_ns))
-            patch = yield from self.storage.read_patch(handle)
-            return patch
-        finally:
-            if qos is not None:
-                qos.release("scan")
+    def handle_patch_read_call(
+        self, handle, slice_: Slice, deadline_ns, tenant, then, fail
+    ) -> None:
+        """:meth:`handle_patch_read` as a continuation (``then(patch)``)."""
+        read = _PatchRead(self, None, deadline_ns, None, tenant, then, fail)
+        read.handle = handle
+        read.slice_ = slice_
+        read.begin()
 
     # -- background work ---------------------------------------------------------------
     def _flush(self, slice_: Slice, frozen, slot, epoch: Optional[int] = None):

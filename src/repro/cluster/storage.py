@@ -9,19 +9,19 @@ it runs on:
 * ``claim() -> handle`` -- a free unit, or :class:`StorageFullError`;
 * ``write(handle, patch)`` -- generator: fill the unit, every page
   holding ``patch``;
-* ``read(handle, offset, nbytes)`` -- generator -> the payloads of the
-  pages covering that byte range; ``read_call(..., then, fail)`` is the
-  same read as a continuation (the block layer's own, or the generator
-  driven in place);
+* ``read_call(handle, offset, nbytes, then, fail)`` -- continuation ->
+  the payloads of the pages covering that byte range (the block
+  layer's, a conventional device's or a zone's own read);
 * ``free(handle)`` -- generator: give a written unit back;
 * ``abandon(handle)`` -- give back a claimed unit whose write failed;
 * ``functional_write`` / ``functional_read`` (-> the first page's
   payload) / ``functional_free`` -- the zero-time forms preloading uses;
 * ``device``, ``unit_bytes``, and ``block_layer`` (None off SDF).
 
-Timed calls hand back the device's own generator wherever one exists,
-and a get's value read (:meth:`PatchStore.read_value_call`) is one
-continuation object a layer down to the SDF channel.  Patches are kept
+Timed writes and frees hand back the device's own generator; a read --
+a get's value (:meth:`PatchStore.read_value_call`) or a whole patch
+(:meth:`PatchStore.read_patch_call`) -- is one continuation object a
+layer down to the device's read.  Patches are kept
 as Python objects: every page of a stored patch holds a reference to
 the same :class:`~repro.kv.patch.Patch`, so any page read can resolve
 values while the simulator charges time for exactly the pages a real
@@ -36,7 +36,7 @@ from repro.core.block_layer import UserSpaceBlockLayer
 from repro.errors import StorageFullError
 from repro.kv.lsm import Lookup
 from repro.kv.patch import Patch
-from repro.sim.process import run_inline
+from repro.sim.process import bridged
 
 #: The CCDB patch size: the unit of an LPN-extent backend, whose device
 #: has no write unit of its own (blocks and zones bring theirs).
@@ -52,7 +52,6 @@ class BlockLayerExtents:
         self.unit_bytes = block_layer.block_bytes
         self._pages = block_layer.pages_per_block
         self.claim = block_layer.allocate_id
-        self.read = block_layer.read
         self.read_call = block_layer.read_call
         self.free = block_layer.free
         self.functional_free = block_layer.functional_free
@@ -100,15 +99,12 @@ class _FreeListExtents:
 
     functional_free = abandon
 
-    def read(self, handle, offset: int, nbytes: int):
+    def read_call(self, handle, offset: int, nbytes: int, then, fail) -> None:
         page = self.device.page_size
         first = offset // page
-        return self._read_pages(
-            handle, first, (offset + nbytes - 1) // page - first + 1
+        self._read_pages_call(
+            handle, first, (offset + nbytes - 1) // page - first + 1, then, fail
         )
-
-    def read_call(self, handle, offset: int, nbytes: int, then, fail) -> None:
-        run_inline(self.read(handle, offset, nbytes), then, fail)
 
 
 class LpnExtents(_FreeListExtents):
@@ -132,8 +128,8 @@ class LpnExtents(_FreeListExtents):
     def write(self, lpn, patch: Patch):
         return self.device.write(lpn, self._pages, data=patch)
 
-    def _read_pages(self, lpn, first: int, count: int):
-        return self.device.read(lpn + first, count)
+    def _read_pages_call(self, lpn, first: int, count: int, then, fail):
+        self.device.read_call(lpn + first, count, then, fail)
 
     def functional_write(self, lpn, patch: Patch) -> None:
         for index in range(self._pages):
@@ -159,8 +155,8 @@ class ZoneExtents(_FreeListExtents):
         yield from self.device.reset_zone(zone)
         yield from self.device.write_zone(zone, [patch] * self._pages)
 
-    def _read_pages(self, zone, first: int, count: int):
-        return self.device.read_zone(zone, first, count)
+    def _read_pages_call(self, zone, first: int, count: int, then, fail):
+        self.device.read_zone_call(zone, first, count, then, fail)
 
     def functional_write(self, zone, patch: Patch) -> None:
         self.device.functional_reset_zone(zone)
@@ -170,9 +166,9 @@ class ZoneExtents(_FreeListExtents):
         return self.device.functional_read_zone(zone)
 
 
-class _ValueRead:
-    """One value read: the pages covering it, then the value out of the
-    patch they hold."""
+class _UnitRead:
+    """One read of a stored unit's pages: the patch they hold, or the
+    value it holds under ``key`` when one is named."""
 
     __slots__ = ("handle", "key", "then", "fail")
 
@@ -186,15 +182,15 @@ class _ValueRead:
         then, fail = self.then, self.fail
         self.then = self.fail = None
         try:
-            found, value = PatchStore._patch_at(self.handle, payloads[0]).get(
-                self.key
-            )
-            if not found:
-                raise KeyError(f"{self.key!r} missing from stored patch")
+            result = PatchStore._patch_at(self.handle, payloads[0])
+            if self.key is not None:
+                found, result = result.get(self.key)
+                if not found:
+                    raise KeyError(f"{self.key!r} missing from stored patch")
         except Exception as exc:
             fail(exc)
             return
-        then(value)
+        then(result)
 
 
 class PatchStore:
@@ -285,16 +281,23 @@ class PatchStore:
             lookup.handle,
             lookup.offset,
             max(lookup.size, 1),
-            _ValueRead(lookup.handle, key, then, fail).read,
+            _UnitRead(lookup.handle, key, then, fail).read,
             fail,
         )
 
     def read_patch(self, handle):
         """Generator -> the whole patch (a full sequential unit read)."""
-        payloads = yield from self.backend.read(
-            handle, 0, self.patch_capacity_bytes
+        return bridged(self.sim, self.read_patch_call, handle)
+
+    def read_patch_call(self, handle, then, fail) -> None:
+        """:meth:`read_patch` as a continuation: ``then(patch)``."""
+        self.backend.read_call(
+            handle,
+            0,
+            self.patch_capacity_bytes,
+            _UnitRead(handle, None, then, fail).read,
+            fail,
         )
-        return self._patch_at(handle, payloads[0])
 
     def free_patch(self, handle):
         """Generator: release the unit (background erase on SDF, lazy

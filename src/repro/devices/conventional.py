@@ -23,18 +23,13 @@ from repro.devices.base import DeviceStats, base_device_metrics
 from repro.ftl.ops import FlashOp, OpParts
 from repro.ftl.page_ftl import PageFTL
 from repro.interfaces.iostack import IOStackModel, KERNEL_IO_STACK
-from repro.interfaces.link import (
-    HostLink,
-    LinkDropError,
-    LinkSpec,
-    PCIE_1_1_X8,
-    fail_dropped,
-)
+from repro.interfaces.link import HostLink, LinkDropError, LinkSpec, PCIE_1_1_X8
 from repro.nand.array import FlashArray
 from repro.nand.catalog import MICRON_25NM_MLC, SDF_CHIP_GEOMETRY
 from repro.nand.geometry import FlashGeometry, scaled_count
 from repro.nand.timing import NandTiming
-from repro.sim import Event, Simulator
+from repro.sim import Simulator
+from repro.sim.process import bridged
 from repro.sim.stats import ThroughputMeter
 from repro.sim.timeline import ResourceTimeline
 
@@ -90,33 +85,116 @@ class ConventionalSSDSpec:
         )
 
 
-class _PagedWrite:
-    """One admitted write, a page on the wire at a time.
+class _HostRequest:
+    """One read or write: I/O-stack submit, controller admission, the
+    pages (a write's one at a time), one completion hop.
 
-    Its four steps are bound methods made where they are handed on (to
-    the link, the buffer's waiter queue, a controller timeline), so
-    whoever a step is parked with holds the request and nothing holds
-    it once it has completed or failed: it dies there, not at the next
-    cyclic collection as four closures naming each other did.
+    Its steps are bound methods made where they are handed on (to the
+    link, the buffer's waiter queue, a controller timeline), so whoever
+    a step is parked with holds the request and nothing holds it once
+    it has settled: it dies there, not at the next cyclic collection as
+    closures naming each other did.
     """
 
-    __slots__ = ("ssd", "lpn", "n_pages", "data", "done", "index")
+    __slots__ = (
+        "ssd", "lpn", "n_pages", "data", "payloads", "start", "index",
+        "error", "then", "fail",
+    )
 
-    def __init__(self, ssd: "ConventionalSSD", lpn, n_pages, data, done):
+    def __init__(self, ssd: "ConventionalSSD", lpn, n_pages, data, payloads,
+                 then, fail):
+        if n_pages < 1:
+            raise ValueError("n_pages must be >= 1")
         self.ssd = ssd
         self.lpn = lpn
         self.n_pages = n_pages
         self.data = data
-        self.done = done
-        #: The page on the wire (or parked for buffer space).
+        self.payloads = payloads
+        self.then = then
+        self.fail = fail
+        #: A write's page on the wire (or parked for buffer space); a
+        #: read's pages up the link so far.
         self.index = 0
+        #: The dropped DMA the request fails with, once.
+        self.error = None
 
+    def submit(self) -> None:
+        ssd = self.ssd
+        sim = ssd.sim
+        self.start = sim._now
+        if self.payloads is not None:
+            ssd._open_reads += 1
+        ssd._open_requests += 1
+        sim._schedule_call(self.submitted, ssd.spec.iostack.submit_ns)
+
+    def submitted(self) -> None:
+        ssd = self.ssd
+        ssd._request_controller(self.lpn).reserve_and_call(
+            ssd.sim,
+            ssd.spec.controller_request_ns,
+            self.send if self.payloads is None else self.read_pages,
+        )
+
+    # -- a read's pages ----------------------------------------------------------
+    def read_pages(self) -> None:
+        """Charge every page's controller cost now (FIFO, in page
+        order); each page then reads flash and streams up the link on
+        its own."""
+        ssd = self.ssd
+        spec = ssd.spec
+        excess = max(0, ssd._open_reads - spec.congestion_free_requests)
+        congestion = min(
+            spec.congestion_max_factor,
+            1.0 + excess / spec.congestion_knee_requests,
+        )
+        page_ns = int(spec.controller_read_ns_per_page * congestion)
+        for index in range(self.n_pages):
+            ssd._page_controller(self.lpn + index).reserve_and_call(
+                ssd.sim, page_ns, lambda index=index: self.look_up(index)
+            )
+
+    def look_up(self, index: int) -> None:
+        ssd = self.ssd
+        data, ops = ssd.ftl.read(self.lpn + index)
+        pending = ssd._pending_pages.get(self.lpn + index)
+        if pending:
+            # The freshest copy is still in the DRAM write buffer;
+            # timing is unchanged (the controller/flash work is what
+            # the request costs), only the payload is corrected.
+            data = pending[-1]
+        self.payloads[index] = data
+        if ops:
+            # One hop behind the flash completion: an unmapped page
+            # whose controller cost ends at this same instant has no
+            # flash work and takes the link lane first.
+            ssd._execute_ops(ops, lambda: ssd.sim._schedule_call(self.stream))
+        else:
+            self.stream()
+
+    def stream(self) -> None:
+        # Pages stream up to the host as they arrive (DMA overlaps
+        # flash).  A dropped page fails the request (once); its other
+        # pages keep their reservations.
+        ssd = self.ssd
+        try:
+            ssd.link.reserve_call("read", ssd.page_size, self.streamed)
+        except LinkDropError as exc:
+            self.dropped(exc)
+
+    def streamed(self) -> None:
+        ssd = self.ssd
+        ssd.link.read_meter.record(ssd.sim.now, ssd.page_size)
+        self.index += 1
+        if self.index == self.n_pages:
+            self.transferred()
+
+    # -- a write's pages ---------------------------------------------------------
     def send(self) -> None:
         ssd = self.ssd
         try:
             ssd.link.reserve_call("write", ssd.page_size, self.landed)
         except LinkDropError as exc:
-            fail_dropped(self.done, exc)
+            self.dropped(exc)
 
     def landed(self) -> None:
         ssd = self.ssd
@@ -147,7 +225,7 @@ class _PagedWrite:
         ssd = self.ssd
         self.index += 1
         if self.index >= self.n_pages:
-            self.done.succeed(delay=ssd.spec.iostack.complete_ns)
+            self.transferred()
         elif ssd._open_requests > 1:
             # Another open request may claim the link lane at this
             # very instant straight from a controller grant (its
@@ -155,6 +233,38 @@ class _PagedWrite:
             ssd.sim._schedule_call(self.send)
         else:
             self.send()
+
+    # -- completion ---------------------------------------------------------------
+    def transferred(self) -> None:
+        """Every page is through: complete ``complete_ns`` later."""
+        ssd = self.ssd
+        ssd.sim._schedule_call(self.completed, ssd.spec.iostack.complete_ns)
+
+    def dropped(self, exc: LinkDropError) -> None:
+        """A page's DMA was dropped: fail once, one hop later, without
+        the frames between raise and catch (``link.fail_dropped``)."""
+        if self.error is None:
+            self.error = exc.with_traceback(None)
+            self.ssd.sim._schedule_call(self.failed)
+
+    def completed(self) -> None:
+        ssd = self.ssd
+        stats = ssd.stats
+        note = stats.note_write if self.payloads is None else stats.note_read
+        now = ssd.sim._now
+        note(now, self.n_pages * ssd.page_size, now - self.start)
+        self.settle(self.then, self.payloads)
+
+    def failed(self) -> None:
+        self.settle(self.fail, self.error)
+
+    def settle(self, to, result) -> None:
+        ssd = self.ssd
+        ssd._open_requests -= 1
+        if self.payloads is not None:
+            ssd._open_reads -= 1
+        self.then = self.fail = None
+        to(result)
 
 
 class ConventionalSSD:
@@ -267,116 +377,31 @@ class ConventionalSSD:
         return self._buffer_level
 
     # -- timed operations ---------------------------------------------------------------
-    def _request(self, lpn: int, start):
-        """Generator under ``read``/``write``: I/O-stack submit, then
-        controller admission, then ``start(done)`` launches the page
-        callbacks and the caller sleeps on the one completion event --
-        no simulator process below this frame (DESIGN.md "Scheduling")."""
-        sim = self.sim
-        self._open_requests += 1
-        try:
-            yield sim.timeout(self.spec.iostack.submit_ns)
-            done = Event(sim)
-            self._request_controller(lpn).reserve_and_call(
-                sim, self.spec.controller_request_ns, lambda: start(done)
-            )
-            yield done
-        finally:
-            self._open_requests -= 1
-
     def read(self, lpn: int, n_pages: int = 1):
-        """Read ``n_pages`` starting at ``lpn``; returns payload list."""
-        if n_pages < 1:
-            raise ValueError("n_pages must be >= 1")
-        start = self.sim.now
-        payloads: List = [None] * n_pages
-        self._open_reads += 1
-        try:
-            yield from self._request(
-                lpn, lambda done: self._read_pages(lpn, payloads, done)
-            )
-        finally:
-            self._open_reads -= 1
-        now = self.sim.now
-        self.stats.note_read(now, n_pages * self.page_size, now - start)
-        return payloads
+        """Generator: read ``n_pages`` starting at ``lpn``; returns the
+        payload list."""
+        return bridged(self.sim, self.read_call, lpn, n_pages)
 
-    def _read_pages(self, lpn: int, payloads: List, done: Event) -> None:
-        """Admitted read: charge every page's controller cost now (FIFO,
-        in page order); each page then reads flash and streams up the
-        link on its own.  ``done`` fires ``complete_ns`` after the last
-        DMA, or fails on the first dropped one."""
-        sim = self.sim
-        link = self.link
-        page_size = self.page_size
-        remaining = [len(payloads)]
-        excess = max(0, self._open_reads - self.spec.congestion_free_requests)
-        congestion = min(
-            self.spec.congestion_max_factor,
-            1.0 + excess / self.spec.congestion_knee_requests,
-        )
-        page_ns = int(self.spec.controller_read_ns_per_page * congestion)
-
-        def landed():
-            link.read_meter.record(sim.now, page_size)
-            remaining[0] -= 1
-            if not remaining[0]:
-                done.succeed(delay=self.spec.iostack.complete_ns)
-
-        def stream():
-            # Pages stream up to the host as they arrive (DMA overlaps
-            # flash).  A dropped page fails the request (once); its
-            # other pages keep their reservations.
-            try:
-                link.reserve_call("read", page_size, landed)
-            except LinkDropError as exc:
-                fail_dropped(done, exc)
-
-        def lookup(index):
-            data, ops = self.ftl.read(lpn + index)
-            pending = self._pending_pages.get(lpn + index)
-            if pending:
-                # The freshest copy is still in the DRAM write buffer;
-                # timing is unchanged (the controller/flash work is
-                # what the request costs), only the payload is corrected.
-                data = pending[-1]
-            payloads[index] = data
-            if ops:
-                # One hop behind the flash completion: an unmapped page
-                # whose controller cost ends at this same instant has
-                # no flash work and takes the link lane first.
-                self._execute_ops(ops, lambda: sim._schedule_call(stream))
-            else:
-                stream()
-
-        for index in range(len(payloads)):
-            self._page_controller(lpn + index).reserve_and_call(
-                sim, page_ns, lambda index=index: lookup(index)
-            )
+    def read_call(self, lpn: int, n_pages: int, then, fail) -> None:
+        """:meth:`read` as a continuation (``then(payloads)``): no
+        simulator process below this frame (DESIGN.md "Scheduling")."""
+        _HostRequest(self, lpn, n_pages, None, [None] * n_pages, then, fail).submit()
 
     def write(self, lpn: int, n_pages: int = 1, data=None):
-        """Write ``n_pages`` starting at ``lpn``.
+        """Generator: write ``n_pages`` starting at ``lpn``.
 
         With a DRAM buffer the request completes once the data is
         buffered (write-back); background flushers move it to flash.
         Without one, the request waits for the flash programs.
         """
-        if n_pages < 1:
-            raise ValueError("n_pages must be >= 1")
-        start = self.sim.now
-        yield from self._request(
-            lpn, lambda done: self._write_pages(lpn, n_pages, data, done)
-        )
-        now = self.sim.now
-        self.stats.note_write(now, n_pages * self.page_size, now - start)
+        return bridged(self.sim, self.write_call, lpn, n_pages, data)
 
-    def _write_pages(self, lpn: int, n_pages: int, data, done: Event) -> None:
-        """Admitted write: data streams over the wire page by page and
-        lands in the DRAM buffer (or goes straight to flash) as it
-        arrives, so long requests do not stall the whole drain pipeline
-        behind one DMA.  ``done`` fires ``complete_ns`` after the last
-        page is taken, or fails on a dropped DMA."""
-        _PagedWrite(self, lpn, n_pages, data, done).send()
+    def write_call(self, lpn: int, n_pages: int, data, then, fail) -> None:
+        """:meth:`write` as a continuation (``then(None)``): the pages
+        cross the wire one at a time and each lands in the DRAM buffer
+        (or goes to flash) as it arrives, so a long request does not
+        stall the drain pipeline behind one DMA."""
+        _HostRequest(self, lpn, n_pages, data, None, then, fail).submit()
 
     def _write_one_page(self, lpn: int, data, then) -> None:
         """Controller cost, FTL write, flash programs; then ``then()``."""

@@ -29,6 +29,7 @@ from repro.nand.catalog import MICRON_25NM_MLC, SDF_CHIP_GEOMETRY
 from repro.nand.geometry import FlashGeometry
 from repro.nand.timing import NandTiming
 from repro.sim import Resource, Simulator
+from repro.sim.process import bridged
 
 
 class ZoneStateError(Exception):
@@ -151,9 +152,14 @@ class ZonedDevice:
 
     def read_zone(self, zone: int, page_offset: int = 0, n_pages: int = 1):
         """Read ``n_pages`` 8 KB pages from a zone."""
+        return bridged(self.sim, self.read_zone_call, zone, page_offset, n_pages)
+
+    def read_zone_call(
+        self, zone: int, page_offset: int, n_pages: int, then, fail
+    ) -> None:
+        """:meth:`read_zone` as a continuation (``then(payloads)``)."""
         channel, block = self._locate(zone)
-        payloads = yield from channel.read(block, page_offset, n_pages)
-        return payloads
+        channel.read_call(block, page_offset, n_pages, then, fail)
 
     def reset_zone(self, zone: int):
         """Explicit zone reset (the erase command); idempotent on EMPTY."""

@@ -156,34 +156,32 @@ class AdmissionController:
         return True
 
     # -- write stalls -----------------------------------------------------------------
-    def write_stall_gate(self, slice_, deadline_ns: Optional[int] = None):
-        """Generator: delay (stall) or block (stop) one put according to
-        the slice's LSM pressure.  No-op when no stall config is set or
-        the pressure is ``ok``.  A stopped put whose deadline passes
-        while blocked is shed rather than left to wait forever.
-        """
+    def write_stall(self, slice_, deadline_ns: Optional[int] = None) -> str:
+        """One look of the write-stall gate at a put, counted: the
+        slice's LSM pressure (``"ok"`` with no stall config).  On a
+        ``"stall"`` the put waits ``stall_delay_ns`` and goes on (then
+        :meth:`write_stalled`), on a ``"stop"`` it waits and looks
+        again -- unless its deadline has passed: then it is shed."""
         cfg = self.stall
         if cfg is None:
-            return
+            return "ok"
         pressure = slice_.write_pressure(cfg)
-        if pressure == "ok":
-            return
-        start = self.sim.now
-        while pressure == "stop":
+        if pressure == "stop":
             if self.expired(deadline_ns):
                 raise DeadlineExceededError(
                     "write deadline passed while stopped on flush backlog"
                 )
             self.write_stops.add()
-            yield self.sim.timeout(cfg.stall_delay_ns)
-            pressure = slice_.write_pressure(cfg)
-        if pressure == "stall":
+        elif pressure == "stall":
             self.write_stalls.add()
-            yield self.sim.timeout(cfg.stall_delay_ns)
+        return pressure
+
+    def write_stalled(self, since_ns: int) -> None:
+        """A put that waited at the gate since ``since_ns`` goes on."""
         if self.obs is not None:
             self.obs.metrics.histogram(
                 f"qos.{self.name}.write_stall_ns"
-            ).record(self.sim.now - start)
+            ).record(self.sim.now - since_ns)
 
     def __repr__(self):
         return (

@@ -89,8 +89,9 @@ class Process(Event):
 # up to the first wait (raising whatever a generator would have raised
 # before its first ``yield``), each wait is one scheduled hop, and the
 # last step calls ``then(value)`` -- or ``fail(exc)``, synchronously from
-# the step that raised -- as its final act.  The two helpers below join
-# that style to generators in either direction, adding no event.
+# the step that raised -- as its final act.  A continuation calls only
+# other ``*_call``s; :func:`bridged` is the one adapter, for callers
+# that are generators, and adds no event.
 
 
 class _Bridge(Event):
@@ -124,57 +125,3 @@ def bridged(sim: "Simulator", start, *args):
     if not done._ok:
         raise done._value
     return done._value
-
-
-class _Inline:
-    """A generator driven in place by :func:`run_inline`."""
-
-    __slots__ = ("gen", "then", "fail")
-
-    def __init__(self, gen: Generator, then, fail):
-        self.gen = gen
-        self.then = then
-        self.fail = fail
-
-    def resume(self, event: Event) -> None:
-        if event._ok:
-            self.advance(self.gen.send, event._value)
-            return
-        event.defused = True
-        exc = event._value
-        raised_in = exc.__traceback__
-        try:
-            self.advance(self.gen.throw, exc)
-        finally:
-            # As Process._resume: the generator frames the exception
-            # crossed hold the failed event, which holds the exception.
-            exc.__traceback__ = raised_in
-
-    def advance(self, step, arg) -> None:
-        try:
-            target = step(arg)
-        except StopIteration as stop:
-            settle, result = self.then, stop.value
-        except Exception as exc:
-            settle, result = self.fail, exc
-        else:
-            target.add_callback(self.resume)
-            return
-        self.gen = self.then = self.fail = None
-        settle(result)
-
-
-def run_inline(gen: Generator, then, fail) -> None:
-    """Drive ``gen`` as ``yield from`` would, as a continuation: no
-    :class:`Process`, no bootstrap or completion event.  What it raises
-    before its first wait is raised here; after that it goes to
-    ``fail(exc)``, and its return value to ``then(value)`` -- at once,
-    if it returns without waiting."""
-    try:
-        target = gen.send(None)
-    except StopIteration as stop:
-        result = stop.value
-    else:
-        target.add_callback(_Inline(gen, then, fail).resume)
-        return
-    then(result)

@@ -21,21 +21,15 @@ Determinism contract:
   boundaries.  Platforms without ``fork`` (and ``workers=1``) run the
   tasks inline -- same results, no processes.
 
-:class:`SealedHorizonMerger` performs the deterministic event-merge at
-the network boundary: per-stream events are buffered and released only
-up to the minimum across stream watermarks (the earliest timestamp any
-stream may still produce), ordered by ``(timestamp, stream, arrival)``.
-With a static control plane every stream's watermark jumps straight to
-infinity at completion -- the degenerate (and cheapest) case -- but the
-merge discipline is what keeps the chronology byte-identical however
-many workers raced to fill the buffers.
+The caller merges what the tasks return by task index, after all of
+them have finished, so how many workers raced to fill the result queue
+cannot change it.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from heapq import heappop, heappush
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Sequence
 
 from repro.errors import ReproError
 
@@ -44,86 +38,21 @@ class ShardError(ReproError):
     """A sharded worker failed (its exception is in the message)."""
 
 
-class SealedHorizonMerger:
-    """Deterministic k-way merge of per-shard timestamped event streams.
-
-    Each stream pushes ``(at_ns, item)`` pairs in nondecreasing ``at_ns``
-    order and advances a *watermark*: a promise that it will never again
-    push anything earlier.  :meth:`release` emits, in global order, every
-    event strictly below the sealed horizon ``min(watermarks)`` -- no
-    straggler can land before them, so the released prefix is final.
-    Ties are broken by ``(stream index, arrival order)``, which is
-    deterministic because each stream is internally ordered.
-    """
-
-    def __init__(self, n_streams: int):
-        if n_streams < 1:
-            raise ValueError("need at least one stream")
-        self._heap: list = []
-        self._watermarks: List[int] = [0] * n_streams
-        self._seq = 0
-
-    def push(self, stream: int, at_ns: int, item) -> None:
-        """Buffer one event from ``stream`` at ``at_ns``."""
-        if at_ns < self._watermarks[stream]:
-            raise ValueError(
-                f"stream {stream} pushed at {at_ns} behind its "
-                f"watermark {self._watermarks[stream]}"
-            )
-        self._seq += 1
-        heappush(self._heap, (at_ns, stream, self._seq, item))
-
-    def advance(self, stream: int, watermark_ns: int) -> None:
-        """Promise that ``stream`` will push nothing before
-        ``watermark_ns`` from now on (monotonic per stream)."""
-        if watermark_ns > self._watermarks[stream]:
-            self._watermarks[stream] = watermark_ns
-
-    def release(self) -> list:
-        """Pop every sealed event (strictly below the horizon), in
-        global ``(at_ns, stream, arrival)`` order."""
-        horizon = min(self._watermarks)
-        out = []
-        heap = self._heap
-        while heap and heap[0][0] < horizon:
-            out.append(heappop(heap)[3])
-        return out
-
-    def drain(self, finished_watermark_ns: Optional[int] = None) -> list:
-        """Seal every stream (they are done) and release everything."""
-        for stream in range(len(self._watermarks)):
-            self._watermarks[stream] = (
-                float("inf")
-                if finished_watermark_ns is None
-                else finished_watermark_ns
-            )
-        out = []
-        heap = self._heap
-        while heap:
-            out.append(heappop(heap)[3])
-        return out
-
-
-def run_sharded(
-    tasks: Sequence[Callable[[], object]],
-    workers: int,
-    inline: bool = False,
-) -> list:
+def run_sharded(tasks: Sequence[Callable[[], object]], workers: int) -> list:
     """Run ``tasks`` across ``workers`` forked processes; returns their
     results in task order.
 
     Task ``i`` is assigned to worker ``i % workers`` and each worker
     runs its tasks sequentially in index order, so the schedule -- and
     therefore every result -- is independent of how many workers exist.
-    Falls back to inline execution (identical results) when ``inline``
-    is set, only one worker is asked for, or ``fork`` is unavailable.
+    Falls back to inline execution (identical results) when only one
+    worker is asked for or ``fork`` is unavailable.
     """
     tasks = list(tasks)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if (
-        inline
-        or workers == 1
+        workers == 1
         or len(tasks) <= 1
         or "fork" not in multiprocessing.get_all_start_methods()
     ):

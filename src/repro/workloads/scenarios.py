@@ -36,8 +36,7 @@ from repro.kv.common import PlaceholderValue
 from repro.obs.attach import Observability
 from repro.obs.metrics import Histogram
 from repro.sim import Simulator
-from repro.sim.process import run_inline
-from repro.sim.shard import SealedHorizonMerger, run_sharded
+from repro.sim.shard import run_sharded
 from repro.sim.units import MS, S
 from repro.workloads.arrivals import OpenLoopArrivals
 from repro.workloads.tenants import TenantSpec
@@ -359,24 +358,6 @@ class ScenarioRunner:
         the report is read from."""
         self.obs.metrics.counter(f"tenant.{tenant}.{outcome}").add(1)
 
-    def _scan(self, server, tenant: TenantSpec, key: int, deadline: int):
-        """One scan: plan the range, read at most one backing patch."""
-        hi = min(key + tenant.scan_span, self.scenario.key_span)
-        if hi <= key:
-            hi = key + 1
-        plan = server.scan_plan(key, hi)
-        for slice_, _memory_items, runs in plan:
-            if runs:
-                yield from server.handle_patch_read(
-                    runs[0].handle,
-                    slice_=slice_,
-                    deadline_ns=deadline,
-                    tenant=tenant.name,
-                )
-                return
-        # Entirely memory-resident: charge one dispatch quantum.
-        yield self.sim.timeout(server.per_request_cpu_ns)
-
     def _rebalancer(self):
         """Periodic load-driven rebalance passes for the whole run."""
         scenario = self.scenario
@@ -507,9 +488,8 @@ class _Request:
     """One open-loop request with bounded shed/retry.
 
     Each attempt is a get, a put (``StorageServer.handle_*_call``) or a
-    scan (``ScenarioRunner._scan``, driven in place); its outcome comes
-    back to :meth:`served` or :meth:`failed`, and a retry's backoff is
-    one timer.
+    scan (:meth:`scan`); its outcome comes back to :meth:`served` or
+    :meth:`failed`, and a retry's backoff is one timer.
     """
 
     __slots__ = (
@@ -582,13 +562,26 @@ class _Request:
                     entry.epoch, tenant.name, self.served, self.failed,
                 )
             else:
-                run_inline(
-                    runner._scan(server, tenant, self.key, self.deadline),
-                    self.served,
-                    self.failed,
-                )
+                self.scan(server)
         except (TransientFault, KeyError):
             self.failed_attempt()
+
+    def scan(self, server) -> None:
+        """One scan: plan the range, read at most one backing patch."""
+        key = self.key
+        tenant = self.tenant
+        hi = min(key + tenant.scan_span, self.runner.scenario.key_span)
+        if hi <= key:
+            hi = key + 1
+        for slice_, _memory_items, runs in server.scan_plan(key, hi):
+            if runs:
+                server.handle_patch_read_call(
+                    runs[0].handle, slice_, self.deadline, tenant.name,
+                    self.served, self.failed,
+                )
+                return
+        # Entirely memory-resident: charge one dispatch quantum.
+        self.runner.sim._schedule_call(self.served, server.per_request_cpu_ns)
 
     def shed(self) -> None:
         self.runner._count(self.tenant.name, "shed")
@@ -661,19 +654,9 @@ def run_scenario(
     qos=None,
     obs: Optional[Observability] = None,
     policy=None,
-    shard_workers: Optional[int] = None,
 ) -> ScenarioResult:
-    """Build, wire and run one scenario; returns its result.
-
-    ``shard_workers`` switches to sharded execution: one sub-simulation
-    per node across that many worker processes, with a byte-identical
-    ``to_json`` regardless of worker count (see
-    :func:`run_scenario_sharded` for the eligibility rules).
-    """
-    if shard_workers is not None:
-        return run_scenario_sharded(
-            scenario, shard_workers, qos=qos, policy=policy
-        )
+    """Build, wire and run one scenario; returns its result
+    (:func:`run_scenario_sharded` runs it as per-node shards)."""
     return ScenarioRunner(scenario, qos=qos, obs=obs, policy=policy).run()
 
 
@@ -733,15 +716,15 @@ def _merge_payloads(scenario: Scenario, payloads: list) -> ScenarioResult:
     Tenant counts are order-free sums; latency percentiles are computed
     by pooling every shard's samples into one fresh histogram and going
     through the same ``summary()`` path as the in-process report; the
-    fault logs merge chronologically through the sealed-horizon merger.
+    fault logs merge chronologically, ties by node, then by log order.
     """
-    merger = SealedHorizonMerger(len(payloads))
-    for stream, payload in enumerate(payloads):
-        for signature in payload["fault_log"]:
-            # signature[2] is the event's at_ns (see FaultEvent).
-            merger.push(stream, signature[2], tuple(signature))
-        merger.advance(stream, payload["sim_end_ns"])
-    fault_log = merger.drain()
+    # signature[2] is the event's at_ns (see FaultEvent).
+    merged = sorted(
+        (signature[2], stream, arrival, tuple(signature))
+        for stream, payload in enumerate(payloads)
+        for arrival, signature in enumerate(payload["fault_log"])
+    )
+    fault_log = [signature for _, _, _, signature in merged]
 
     duration_s = scenario.duration_ns / 1e9
     result = ScenarioResult(
@@ -780,7 +763,6 @@ def run_scenario_sharded(
     workers: int,
     qos=None,
     policy=None,
-    inline: bool = False,
 ) -> ScenarioResult:
     """Run one scenario as per-node shards in worker processes.
 
@@ -814,5 +796,5 @@ def run_scenario_sharded(
         (lambda index=index: _shard_node_payload(scenario, index, qos))
         for index in range(scenario.n_nodes)
     ]
-    payloads = run_sharded(tasks, workers, inline=inline)
+    payloads = run_sharded(tasks, workers)
     return _merge_payloads(scenario, payloads)

@@ -288,12 +288,19 @@ def test_unequal_channels_tied_on_the_link():
     compare(Cast(2, tuple(procs), 1))
 
 
-@pytest.mark.xfail(strict=True, reason="gated programs around an erase")
+@pytest.mark.xfail(strict=True, reason="DESIGN.md section 7, the tie rule")
 def test_gated_writes_around_an_erase():
     """Found searching seeds past the suite's: one channel behind three
-    admission slots, two writers and an erase on a third block.  Ahead,
-    a page of the second write ends 629.4 us before it does per phase,
-    and the run ends that much sooner: not a tie."""
+    admission slots, two writers and an erase on a third block.  It
+    starts at a tie: a PROGRAM of each write ends at 47,295,052 ns, on
+    planes (1, 0) and (1, 1), the first having waited for its plane,
+    the second finding it idle at its bus end.  Per phase the page that
+    waited completes first, ahead the other
+    (``test_differential::test_two_programs_ending_together_complete_in_another_order``);
+    the two windows then ask the link for their next pages in the
+    opposite order, from 63.18 ms on their pages land on different
+    planes, and a page of the second write ends 629.4 us before it does
+    per phase."""
     compare(
         Cast(
             1,

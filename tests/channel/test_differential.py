@@ -23,6 +23,7 @@ from tests.channel.differential import (
     PAGE,
     REGION_EXAMPLES,
     SENSE_NS,
+    TIMING,
     Case,
     addr,
     against_reference,
@@ -30,6 +31,7 @@ from tests.channel.differential import (
     batch,
     cases,
     check,
+    play,
     read,
     search,
     stream,
@@ -161,3 +163,32 @@ def test_reads_tied_behind_erase_batches_queued_behind_others():
             observed=False,
         )
     )
+
+
+@pytest.mark.xfail(strict=True, reason="DESIGN.md section 7, the tie rule")
+def test_two_programs_ending_together_complete_in_another_order():
+    """Two streamed pages end their programs on one nanosecond: the
+    first waited for its plane (1, 0), busy with an earlier program
+    until the instant the second's bus phase ends on an idle (1, 1).
+    Per phase the page that waited completes first: its end event is
+    scheduled from its plane predecessor's end, which comes before the
+    other's bus end.  Ahead, the other page's end event is pushed when
+    that page is reserved, so it runs first.  Every instant agrees, so
+    ``check``, which compares instants, cannot see this; the gated
+    device-level divergence (``test_ahead_differential::
+    test_gated_writes_around_an_erase``) starts at such a tie."""
+    tied = BUS_NS + TIMING.t_prog_ns  # the earlier program's end
+    waited, idle = tied - 2 * BUS_NS, tied - BUS_NS
+    case = Case(
+        (
+            stream(0, 0, chip=1, plane=0),
+            stream(waited, waited, chip=1, plane=0),
+            stream(idle, idle, chip=1, plane=1),
+        ),
+        observed=False,
+    )
+    ahead, hops = play(case), play(case, pinned=True)
+    assert ahead.finished == hops.finished
+    assert hops.finished[1] == hops.finished[2]
+    # ``finished`` is filled as the ``then`` callbacks run.
+    assert list(ahead.finished) == list(hops.finished)

@@ -1,15 +1,16 @@
-"""A get and a put are continuations (``handle_get_call`` /
-``handle_put_call``); ``handle_get``/``handle_put`` are their generator
-form through ``repro.sim.process.bridged``.  Driven from processes or
-called directly, the same script must settle every request at the same
-instant with the same value or exception type -- on a flash read, a
-memtable hit, a shed, a crash while queued, an epoch move and a
-dropped link DMA.
+"""A get, a put and a patch read are continuations (``handle_get_call``,
+``handle_put_call``, ``handle_patch_read_call``); ``handle_get``/
+``handle_put``/``handle_patch_read`` are their generator form through
+``repro.sim.process.bridged``.  Driven from processes or called
+directly, the same script must settle every request at the same instant
+with the same value or exception type -- on a flash read, a memtable
+hit, a shed, a crash while queued, an epoch move and a dropped link
+DMA.
 """
 
 from repro.cluster import build_sdf_server
 from repro.faults import FaultPlan
-from repro.kv import PlaceholderValue
+from repro.kv import Patch, PlaceholderValue
 from repro.kv.slice import KeyRange, Slice
 from repro.qos import AdmissionConfig, QosPlan
 from repro.sim import US, Simulator
@@ -20,11 +21,18 @@ def _server(sim):
         sim, [Slice(0, KeyRange(0, 10_000))], capacity_scale=0.01, n_channels=4
     )
     server.preload(server.slices[0], range(64), 16 * 1024)
-    QosPlan(admission=AdmissionConfig(max_reads=2)).attach(server, "n0")
+    QosPlan(admission=AdmissionConfig(max_reads=2, max_scans=2)).attach(
+        server, "n0"
+    )
     plan = FaultPlan(seed=3)
     # The 9th read DMA: the last page of the third value read (a 16 KiB
     # value spans three pages).
     plan.add("n0.link", "drop", at_op=9, where={"direction": "read"})
+    # The 4th from 3 ms on: a page of the first patch read.
+    plan.add(
+        "n0.link", "drop", at_op=4, after_ns=3_000 * US,
+        where={"direction": "read"},
+    )
     plan.attach(server, "n0")
     return server
 
@@ -39,9 +47,14 @@ SCRIPT = [
     (2_001, "get", 8, None),  # flash read, its last page dropped
     (4_000, "get", 10, "epoch"),  # epoch moves while it queues
     (4_001, "epoch", None, None),
+    (3_000, "get", 12, None),  # flash read
+    (3_001, "patch", None, None),  # queued behind it, a page dropped
+    (3_002, "patch", None, None),  # queued behind both
+    (3_003, "patch", None, None),  # two scans admitted already: shed
     (6_000, "get", 11, None),  # flash read
     (8_000, "get", 13, None),
     (8_001, "put", 14, 1024),
+    (8_001, "patch", None, None),  # a crash while queued: read all the same
     (8_002, "crash", None, None),  # both queued: NodeDownError
     (8_010, "get", 15, None),  # down at submission
 ]
@@ -60,21 +73,33 @@ def play(via_process):
                 value = type(value).__name__
             elif isinstance(value, PlaceholderValue):
                 value = value.size
+            elif isinstance(value, Patch):
+                value = ("patch", value.nbytes)
             seen.append((tag, sim.now, value))
 
         return settle
 
+    slice_ = server.slices[0]
+    ((_, _, runs),) = server.scan_plan(0, 10_000)
+    handlers = {
+        "get": (server.handle_get, server.handle_get_call),
+        "put": (server.handle_put, server.handle_put_call),
+        "patch": (server.handle_patch_read, server.handle_patch_read_call),
+    }
+
     def issue(index, what, key, extra):
         settle = record(index)
-        epoch = server.slices[0].epoch if extra == "epoch" else None
+        epoch = slice_.epoch if extra == "epoch" else None
         if what == "get":
             args = (key, None, epoch, "t")
-        else:
+        elif what == "put":
             args = (key, PlaceholderValue(extra), None, None, "t")
+        else:
+            args = (runs[0].handle, slice_, None, "t")
+        handler, call = handlers[what]
         if via_process:
 
             def client():
-                handler = server.handle_get if what == "get" else server.handle_put
                 try:
                     value = yield from handler(*args)
                 except Exception as exc:
@@ -84,7 +109,6 @@ def play(via_process):
 
             sim.process(client())
             return
-        call = server.handle_get_call if what == "get" else server.handle_put_call
         try:
             call(*args, settle, settle)
         except Exception as exc:
@@ -94,7 +118,7 @@ def play(via_process):
         if what == "crash":
             server.crash()
         elif what == "epoch":
-            server.slices[0].epoch += 1
+            slice_.epoch += 1
         else:
             issue(index, what, key, extra)
 
@@ -116,6 +140,7 @@ def test_generator_form_and_continuation_settle_alike():
     # outcomes, in the same order.
     assert bridged == called
     outcomes = {tag: value for tag, _, value in called}
+    patch = ("patch", runs_bytes())
     assert outcomes == {
         0: 16 * 1024,
         1: None,
@@ -125,7 +150,19 @@ def test_generator_form_and_continuation_settle_alike():
         5: "LinkDropError",
         6: "WrongEpochError",
         8: 16 * 1024,
-        9: "NodeDownError",
-        10: "NodeDownError",
-        12: "NodeDownError",
+        9: "LinkDropError",
+        10: patch,
+        11: "RequestSheddedError",
+        12: 16 * 1024,
+        13: "NodeDownError",
+        14: "NodeDownError",
+        15: patch,
+        17: "NodeDownError",
     }
+
+
+def runs_bytes():
+    """The bytes of the one patch the preload leaves."""
+    server = _server(Simulator())
+    ((_, _, runs),) = server.scan_plan(0, 10_000)
+    return server.storage.functional_load(runs[0].handle).nbytes

@@ -87,14 +87,23 @@ class FakeSlice:
 
 
 def run_gate(sim, ctl, slice_, deadline_ns=None):
+    """One put at the gate, as ``cluster.node._Put`` asks it: after a
+    stall it waits ``stall_delay_ns`` and goes on, after a stop it
+    waits and looks again."""
     outcome = {}
+    delay = ctl.stall.stall_delay_ns
 
     def proc():
         try:
-            yield from ctl.write_stall_gate(slice_, deadline_ns)
+            pressure = ctl.write_stall(slice_, deadline_ns)
+            while pressure == "stop":
+                yield sim.timeout(delay)
+                pressure = ctl.write_stall(slice_, deadline_ns)
         except DeadlineExceededError:
             outcome["shed"] = True
             return
+        if pressure == "stall":
+            yield sim.timeout(delay)
         outcome["done_at"] = sim.now
 
     sim.run(until=sim.process(proc()))

@@ -189,12 +189,13 @@ def test_lsm_flush_and_compaction_leave_nothing_to_collect(found):
 def test_gets_dropped_or_abandoned_by_a_crash_leave_nothing_to_collect(
     via_process, found
 ):
-    """A get whose page DMA is dropped mid-flight, gets and a put a
-    crash abandons while they queue, a shed, an epoch move: every one
-    settles and leaves nothing behind, continuation or generator."""
+    """A get and a patch read whose page DMA is dropped mid-flight, gets
+    and a put a crash abandons while they queue, sheds, an epoch move:
+    every one settles and leaves nothing behind, continuation or
+    generator."""
     seen, server = play(via_process)  # server kept whole
     outcomes = [value for _, _, value in seen]
-    assert outcomes.count("LinkDropError") == 1
+    assert outcomes.count("LinkDropError") == 2
     assert outcomes.count("NodeDownError") == 3
     assert found() == {}
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigError
 from repro.obs.attach import Observability
 from repro.qos import AdmissionConfig, BreakerConfig, ChannelQosConfig, QosPlan
-from repro.sim.shard import SealedHorizonMerger, ShardError, run_sharded
+from repro.sim.shard import ShardError, run_sharded
 from repro.sim.units import MS
 from repro.workloads import FaultBurst, run_scenario, run_scenario_sharded
 from repro.workloads.scenarios import ScenarioRunner
@@ -46,7 +46,7 @@ def test_sharded_byte_identical_to_in_process(workers):
         ),
     )
     base = run_scenario(scenario, qos=_qos())
-    sharded = run_scenario(scenario, qos=_qos(), shard_workers=workers)
+    sharded = run_scenario_sharded(scenario, workers, qos=_qos())
     assert sharded.to_json() == base.to_json()
 
 
@@ -165,24 +165,10 @@ def test_worker_count_never_changes_observables(config, workers):
 def test_run_sharded_orders_results_and_surfaces_failures():
     tasks = [lambda value=value: value * value for value in range(7)]
     assert run_sharded(tasks, 3) == [v * v for v in range(7)]
-    assert run_sharded(tasks, 3, inline=True) == [v * v for v in range(7)]
+    assert run_sharded(tasks, 1) == [v * v for v in range(7)]
 
     def boom():
         raise RuntimeError("shard exploded")
 
     with pytest.raises(ShardError, match="shard exploded"):
         run_sharded([lambda: 1, boom, lambda: 3], 2)
-
-
-def test_sealed_horizon_merger_releases_only_sealed_prefix():
-    merger = SealedHorizonMerger(2)
-    merger.push(0, 5, "a")
-    merger.push(1, 3, "b")
-    merger.advance(0, 10)
-    assert merger.release() == []  # stream 1 could still push at 0
-    merger.advance(1, 6)
-    assert merger.release() == ["b", "a"]
-    merger.push(1, 6, "c")
-    with pytest.raises(ValueError):
-        merger.push(0, 4, "late")  # behind stream 0's watermark
-    assert merger.drain() == ["c"]
