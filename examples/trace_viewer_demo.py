@@ -10,7 +10,10 @@ Demonstrates the observability layer end to end:
 * export a Chrome-trace JSON timeline (open it at
   https://ui.perfetto.dev or in ``chrome://tracing``);
 * print the metrics report: per-channel utilisation, queue depth,
-  wait vs busy time, FTL/wear state and block-layer counters.
+  wait vs busy time, FTL/wear state and block-layer counters;
+* run the same workload untraced and check that it ends at the same
+  simulated instant after the same number of events: spans are read
+  off the reservations, so a trace never changes the run it traces.
 
 Run:  python examples/trace_viewer_demo.py [output.trace.json]
 """
@@ -23,13 +26,11 @@ from repro.obs import Observability
 from repro.sim.units import MS
 
 
-def main() -> None:
-    out_path = sys.argv[1] if len(sys.argv) > 1 else "sdf.trace.json"
-
+def run(traced: bool):
+    """The demo's system after a small mixed workload, traced or not;
+    returns it and its ``Observability`` (None untraced)."""
     system = build_sdf_system(capacity_scale=0.004, n_channels=4)
-    obs = Observability(trace=True).attach(system)
-
-    # --- a small mixed workload -------------------------------------------
+    obs = Observability(trace=True).attach(system) if traced else None
     payload = b"<html>software-defined flash</html>" * 100
     ids = [system.put(payload) for _ in range(6)]
     for block_id in ids[:3]:
@@ -37,6 +38,12 @@ def main() -> None:
     system.put(b"rewritten", block_id=ids[0])     # frees + rewrites
     system.delete(ids[1])                          # background erase
     system.sim.run(until=system.sim.now + 50 * MS)  # let the eraser drain
+    return system, obs
+
+
+def main() -> None:
+    out_path = sys.argv[1] if len(sys.argv) > 1 else "sdf.trace.json"
+    system, obs = run(traced=True)
 
     # --- export ------------------------------------------------------------
     obs.trace.write(out_path)
@@ -63,6 +70,13 @@ def main() -> None:
         for c in range(system.device.n_channels)
     ]
     assert all(0.0 <= u <= 1.0 for u in utils), utils
+
+    # --- the trace picked no path -------------------------------------------
+    plain, _ = run(traced=False)
+    traced_run = (system.sim.now, system.sim._seq)
+    assert (plain.sim.now, plain.sim._seq) == traced_run, traced_run
+    print(f"\nuntraced run: same end instant ({plain.sim.now} ns) and "
+          f"events ({plain.sim._seq})")
     print("\ntrace_viewer_demo OK")
 
 

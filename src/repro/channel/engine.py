@@ -30,11 +30,12 @@ Ops come in through four doors -- :meth:`ChannelEngine.execute_fast`
 (one op), :meth:`ChannelEngine.execute_batch_call` (a batch, one
 completion), :meth:`ChannelEngine.read_ahead` (a request's READs) and
 :meth:`ChannelEngine.program_page_ahead` (a streamed PROGRAM) -- and
-the engine alone picks each op's path: a trace or a STALL rule
+the engine alone picks each op's path: a STALL rule
 (:meth:`ChannelEngine.can_reserve_ahead`) and its admission gate
 (``qos``) are read in here, never by a caller, which asks at most
 :meth:`ChannelEngine.can_program_ahead` before it books a page's DMA.
-Metrics pick no path: they are read off the reservations.
+Observation picks no path: metrics and spans are read off the
+reservations.
 """
 
 from __future__ import annotations
@@ -45,14 +46,7 @@ from operator import attrgetter
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.injector import NULL_INJECTOR, STALL
-from repro.ftl.ops import (
-    FlashOp,
-    OpKind,
-    OpParts,
-    OpRuns,
-    Relocation,
-    StripePage,
-)
+from repro.ftl.ops import FlashOp, OpKind, OpParts, OpRuns, Relocation, StripePage
 from repro.nand.geometry import FlashGeometry
 from repro.nand.timing import NandTiming
 from repro.sim import Simulator
@@ -86,15 +80,16 @@ class _Ahead:
     reservation can be revoked (``ChannelEngine._revoke``) and
     everything below ``bus_ns`` rewritten by
     ``ChannelEngine._reserve_ahead``.  ``plane`` is None for a READ.
+    ``ops[index]`` is the op, built only for a span.
     """
 
     __slots__ = (
         "engine", "then", "plane", "order", "bus_req", "bus_ns", "wait",
-        "bus_grant", "bus_end", "plane_grant", "due",
+        "ops", "index", "bus_grant", "bus_end", "plane_grant", "due",
         "bus_undo", "plane_undo", "event", "below",
     )
 
-    def __init__(self, engine, then, plane, order, bus_ns, wait):
+    def __init__(self, engine, then, plane, order, bus_ns, wait, ops, index):
         self.engine = engine
         self.then = then
         self.plane = plane
@@ -107,24 +102,55 @@ class _Ahead:
         self.bus_ns = bus_ns
         #: Queue wait already behind the op (a READ's sense).
         self.wait = wait
+        self.ops, self.index = ops, index
         # self.below (a PROGRAM): the program entered before it on its
         # plane, set when it is chained onto ``plane.tentative``.
 
     def done(self) -> None:
         """The op's end instant: what ``read_done``/``program_done`` do
-        on the per-phase path."""
+        on the per-phase path, and, nothing being able to revoke the
+        reservation any more, the spans its phases would have left."""
         engine = self.engine
         engine.ops_executed.value += 1
         wait = self.wait + self.bus_grant - self.bus_req
         if self.plane is not None:
             wait += self.plane_grant - self.bus_end
         engine.wait_ns.value += wait
+        obs, sim_obs = engine.obs, engine.sim.obs
+        if (obs is not None and obs.trace.enabled) or (
+            sim_obs is not None and sim_obs.trace.enabled
+        ):
+            self.spans(wait)
         then = self.then
         if then is not None:
             # This entry may sit in ``_ahead`` until the engine is next
             # used; it must not keep the finished request alive.
             self.then = None
             then()
+
+    def spans(self, wait: int) -> None:
+        """The spans the per-phase hops leave, at the op's end: each
+        phase's hold to the trace ``sim.obs`` has enabled, the op's span
+        to the engine's (``ChannelEngine._op_span``)."""
+        engine = self.engine
+        sim = engine.sim
+        op = self.ops[self.index]
+        plane = engine._track_planes[_plane_key(op)]
+        bus_grant = self.bus_grant
+        bus = (engine._track_bus, bus_grant, self.bus_end, bus_grant - self.bus_req)
+        if self.plane is None:  # a READ: the sense its entry is ordered by
+            sense = self.order[1]
+            start = sense - self.wait
+            holds = ((plane, sense, self.bus_req, self.wait), bus)
+        else:
+            start = self.bus_req
+            grant = self.plane_grant
+            holds = (bus, (plane, grant, sim._now, grant - self.bus_end))
+        obs = sim.obs
+        if obs is not None and obs.trace.enabled:
+            for track, begin, end, hold_wait in holds:
+                obs.trace.span(track, "hold", begin, end, wait_ns=hold_wait)
+        engine._op_span(op, start, wait)
 
 
 class _PhasedOp:
@@ -164,8 +190,7 @@ class _PhasedOp:
             timeline = engine._tl_bus
             duration = engine._bus_ns(op.nbytes)
         else:
-            address = op.address
-            timeline = engine._tl_planes[(address.chip, address.plane)]
+            timeline = engine._tl_planes[_plane_key(op)]
         self.request = sim._now
         self.record_wait = sim.obs is not None
         self.grant = engine._phase_fast(timeline, duration, self.ended)
@@ -183,36 +208,18 @@ class _PhasedOp:
         self.wait = total = self.wait + wait
         obs = sim.obs
         if obs is not None and obs.trace.enabled:
-            if self.chain[self.step] is None:
-                track = engine._track_bus
-            else:
-                address = self.op.address
-                track = engine._track_planes[(address.chip, address.plane)]
-            if self.record_wait:
-                obs.trace.span(track, "hold", grant, sim._now, wait_ns=wait)
-            else:
-                obs.trace.span(track, "hold", grant, sim._now)
+            track = engine._track_bus
+            if self.chain[self.step] is not None:
+                track = engine._track_planes[_plane_key(self.op)]
+            args = {"wait_ns": wait} if self.record_wait else {}
+            obs.trace.span(track, "hold", grant, sim._now, **args)
         step = self.step = self.step + 1
         if step < len(self.chain):
             self.request_phase()
             return
         engine.ops_executed.value += 1
         engine.wait_ns.value += total
-        obs = engine.obs
-        if obs is not None and obs.trace.enabled:
-            op = self.op
-            address = op.address
-            obs.trace.span(
-                engine._ops_track,
-                op.kind.name.lower(),
-                self.start,
-                sim._now,
-                chip=address.chip,
-                plane=address.plane,
-                block=address.block,
-                nbytes=op.nbytes,
-                wait_ns=total,
-            )
+        engine._op_span(self.op, self.start, total)
         then = self.then
         if then is not None:
             then()
@@ -355,6 +362,18 @@ class ChannelEngine:
         self._depth.shift_at(request_ns, 1)
         self._depth.shift_at(grant_ns, -1)
 
+    def _op_span(self, op: FlashOp, start_ns: int, wait_ns: int) -> None:
+        """At ``op``'s end instant, its span from ``start_ns`` (past
+        admission, before any stall) on the trace ``obs`` has enabled."""
+        obs = self.obs
+        if obs is not None and obs.trace.enabled:
+            address = op.address
+            obs.trace.span(
+                self._ops_track, op.kind.name.lower(), start_ns, self.sim._now,
+                chip=address.chip, plane=address.plane, block=address.block,
+                nbytes=op.nbytes, wait_ns=wait_ns,
+            )
+
     # -- one phase, at its request instant -----------------------------------------
     def _phase_fast(self, timeline: ResourceTimeline, duration_ns: int, fn):
         """Reserve one FIFO phase at sim-now, running ``fn`` at its end.
@@ -418,22 +437,16 @@ class ChannelEngine:
     def can_reserve_ahead(self) -> bool:
         """True when nothing attached needs an op's per-phase hops
         (:meth:`_phased`).  Read afresh at every call -- once a read
-        request, once a streamed page -- so whatever is attached or
-        enabled meanwhile holds from the next op.  Metrics do not decide
-        it, nor does an admission gate (``qos``): what the gate admits
-        is reserved ahead from its grant hop."""
+        request, once a streamed page -- so whatever is attached
+        meanwhile holds from the next op.  Observation does not decide
+        it -- metrics and spans are read off the reservations -- nor
+        does an admission gate (``qos``): what the gate admits is
+        reserved ahead from its grant hop."""
         return not self._phased()
 
     def _phased(self) -> bool:
-        """Spans to emit -- a trace enabled on this engine's ``obs`` or
-        the simulator's -- or a STALL rule at this site (drawn at the
-        op's start; a wired injector holding none is, then,
-        :data:`NULL_INJECTOR`)."""
-        obs, sim_obs = self.obs, self.sim.obs
-        if obs is not None and obs.trace.enabled:
-            return True
-        if sim_obs is not None and sim_obs.trace.enabled:
-            return True
+        """A STALL rule at this site (drawn at the op's start; a wired
+        injector holding none is, then, :data:`NULL_INJECTOR`)."""
         faults = self.faults
         return faults is not NULL_INJECTOR and not faults.quiet(STALL)
 
@@ -445,15 +458,16 @@ class ChannelEngine:
         return bus_ns
 
     def program_page_ahead(
-        self, plane: Tuple[int, int], nbytes: int, request_ns: int, then=None
+        self, plane: Tuple[int, int], nbytes: int, request_ns: int, then, ops, index
     ) -> None:
-        """Reserve now a PROGRAM of ``nbytes`` on plane ``(chip,
-        plane)`` that reaches the channel at ``request_ns`` -- the
-        already-known end of its link DMA, or now, from an admission
-        hop -- with one event, the program's end; ``then()`` runs
-        there.  Plane and size are all of an op this path reads: the
-        write window names them off its :class:`~repro.ftl.ops.OpRuns`
-        and no :class:`FlashOp` is built.
+        """Reserve now ``ops[index]``, a PROGRAM of ``nbytes`` on plane
+        ``(chip, plane)`` that reaches the channel at ``request_ns`` --
+        the already-known end of its link DMA, or now, from an
+        admission hop -- with one event, the program's end; ``then()``
+        runs there.  Plane and size are all of an op this path reads:
+        the write window names them off its
+        :class:`~repro.ftl.ops.OpRuns`, and the :class:`FlashOp` is
+        built only for a trace's span.
 
         Equivalent to ``execute_fast(op, then)`` called at
         ``request_ns``: the bus is reserved with that request instant
@@ -498,6 +512,8 @@ class ChannelEngine:
             (request_ns, now, 0, self._rank),
             bus_ns,
             0,
+            ops,
+            index,
         )
         if ahead and ahead[-1].order > entry.order:
             self._enter([entry])
@@ -610,10 +626,11 @@ class ChannelEngine:
                 end = grant + t_read
                 raw.append(grant)
                 raw.append(end)
+                # Op order so far: the page is ``ops[len(entries)]``.
                 entries.append(
                     _Ahead(
                         self, then, None, (end, grant, start, rank),
-                        bus_ns, grant - now,
+                        bus_ns, grant - now, ops, len(entries),
                     )
                 )
                 grant = end
@@ -922,11 +939,10 @@ class ChannelEngine:
             self._admitted_reads((op,), then)
         elif kind is OpKind.PROGRAM and self.can_reserve_ahead():
             if type(op) is StripePage:
-                plane = op.plane
+                plane, ops, index = op.plane, op.runs, op.index
             else:
-                address = op.address
-                plane = (address.chip, address.plane)
-            self.program_page_ahead(plane, op.nbytes, self.sim._now, then)
+                plane, ops, index = _plane_key(op), (op,), 0
+            self.program_page_ahead(plane, op.nbytes, self.sim._now, then, ops, index)
         else:
             self._submit(op, then)
 
@@ -943,9 +959,8 @@ class ChannelEngine:
         if type(op) is StripePage:
             op = op.runs[op.index]
         phased = _PhasedOp(self, op, then, self.sim._now)
-        faults = self.faults
-        if faults is not NULL_INJECTOR and not faults.quiet(STALL):
-            stall_ns = faults.delay_ns(
+        if self._phased():
+            stall_ns = self.faults.delay_ns(
                 STALL, op=op.kind.name.lower(), chip=op.address.chip
             )
             if stall_ns > 0:
@@ -998,9 +1013,8 @@ class ChannelEngine:
             # One op: what the batch path would do with it, directly.
             op = parts[0]
             if op.kind is OpKind.PROGRAM and self.can_program_ahead():
-                address = op.address
                 self.program_page_ahead(
-                    (address.chip, address.plane), op.nbytes, self.sim._now, then
+                    _plane_key(op), op.nbytes, self.sim._now, then, parts, 0
                 )
             else:
                 self.execute_fast(op, then)
@@ -1070,28 +1084,29 @@ class ChannelEngine:
         if len(self._busy_raw) > self.BUSY_RAW_LIMIT:
             self.busy_value()
         bus_ns_of = self._bus_ns
-        programs: List[Tuple[Tuple[int, int], int]] = []
+        #: ``(plane, bus_ns, ops, index)``: each PROGRAM is ``ops[index]``.
+        programs: List[Tuple[Tuple[int, int], int, Sequence, int]] = []
         reads: List[FlashOp] = []  # the READ run being gathered
-        for part in parts:
+        for position, part in enumerate(parts):
             if isinstance(part, FlashOp):
                 ops = (part,)
             elif isinstance(part, Relocation):
                 bus_ns = bus_ns_of(part.nbytes)
-                programs.extend([(key, bus_ns) for key in part.program_planes()])
+                planes = enumerate(part.program_planes())
+                programs += [(key, bus_ns, part, 2 * k + 1) for k, key in planes]
                 ops = part.reads()
             elif part.kind is OpKind.PROGRAM:
                 bus_ns = bus_ns_of(part.nbytes)
-                programs.extend([(key, bus_ns) for key in part.planes()])
+                planes = enumerate(part.planes())
+                programs += [(key, bus_ns, part, k) for k, key in planes]
                 continue
             else:
                 ops = part
             for op in ops:
                 kind = op.kind
-                if kind is OpKind.PROGRAM:
-                    address = op.address
-                    programs.append(
-                        ((address.chip, address.plane), bus_ns_of(op.nbytes))
-                    )
+                if kind is OpKind.PROGRAM:  # an op part: ``parts[position]``
+                    bus_ns = bus_ns_of(op.nbytes)
+                    programs.append((_plane_key(op), bus_ns, parts, position))
                     continue
                 if reads and (
                     kind is not OpKind.READ or _plane_key(op) != _plane_key(reads[0])
@@ -1109,8 +1124,8 @@ class ChannelEngine:
             planes = self._tl_planes
             self._enter(
                 [
-                    _Ahead(self, then, planes[key], order, bus_ns, 0)
-                    for key, bus_ns in programs
+                    _Ahead(self, then, planes[key], order, bus_ns, 0, ops, index)
+                    for key, bus_ns, ops, index in programs
                 ]
             )
 

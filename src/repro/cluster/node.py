@@ -858,7 +858,6 @@ def build_storage_server(
     capacity_scale: float = 0.05,
     n_channels: Optional[int] = 44,
     spec=None,
-    device_params: Optional[dict] = None,
     **server_kwargs,
 ):
     """A storage server over any device kind.
@@ -866,8 +865,7 @@ def build_storage_server(
     ``device_kind`` selects the device (see
     ``repro.devices.device_kinds()``) and the extent backend its
     :class:`~repro.cluster.storage.PatchStore` runs on; ``spec`` (the
-    conventional family's) and ``device_params`` (``cmt_pages``,
-    ``log_blocks_per_channel``, ...) go with ``capacity_scale`` and
+    conventional family's) goes with ``capacity_scale`` and
     ``n_channels`` straight to ``build_device``, whose builder knows the
     kind's defaults.  ``n_channels=None`` keeps a conventional spec's own.
 
@@ -876,9 +874,7 @@ def build_storage_server(
     """
     from repro.devices.catalog import build_device
 
-    params = dict(
-        device_params or {}, capacity_scale=capacity_scale, n_channels=n_channels
-    )
+    params = dict(capacity_scale=capacity_scale, n_channels=n_channels)
     system = None
     if device_kind == "sdf":
         from repro.core.api import build_sdf_system

@@ -34,9 +34,10 @@ reserves bus and program from the DMA end
 (``ChannelEngine.program_page_ahead``).  On that path no ``FlashOp`` is
 built: the block FTL returns plane runs (``repro.ftl.ops.OpRuns``), the
 read hands them over whole and the write window steps through the
-stripe naming each page's plane.  With tracing or a fault rule at the
-site, every phase is its own hop (DESIGN.md section 7) and takes the op
-it is about, built then; metrics alone change nothing.
+stripe naming each page's plane (and the page's index, from which a
+trace alone builds the op for its span).  Only a STALL rule at the
+site makes every phase its own hop (DESIGN.md section 7), taking the
+op it is about, built then; metrics and traces change nothing.
 
 Channel QoS is a gate in front of all this, not a reason to leave it:
 each admission is one grant hop, the op's start instant, and what the
@@ -105,7 +106,8 @@ class _WriteWindow:
 
     ``ops`` is whatever ``ChannelBlockFTL.write`` returned: the stripe's
     plane runs, or a list under a chip fault plan.  A page reserved
-    ahead from its DMA end needs only its plane; one that reaches the
+    ahead from its DMA end needs only its plane (and ``ops`` and its
+    index, for a trace to build its op from); one that reaches the
     channel at its DMA end goes to ``execute_fast`` as ``ops[index]``
     -- of plane runs, as a ``StripePage`` carrying the plane already
     drawn, which the engine builds into an op only if the page runs
@@ -157,7 +159,7 @@ class _WriteWindow:
             if dma_end is not None:
                 link.write_meter.record(dma_end, page_size)
                 engine.program_page_ahead(
-                    plane, page_size, dma_end, self.programmed
+                    plane, page_size, dma_end, self.programmed, self.ops, index
                 )
                 return
         try:

@@ -111,11 +111,11 @@ class _RuleState:
 
     __slots__ = ("rule", "opportunities", "fired", "_rng", "_seed")
 
-    def __init__(self, rule: FaultRule, seed: int, rng=None):
+    def __init__(self, rule: FaultRule, seed: int):
         self.rule = rule
         self.opportunities = 0
         self.fired = 0
-        self._rng = rng
+        self._rng = None
         self._seed = seed
 
     @property

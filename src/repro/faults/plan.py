@@ -120,15 +120,9 @@ class FaultPlan:
         before_ns: Optional[int] = None,
         delay_ns: int = 0,
         where: Optional[dict] = None,
-        rng=None,
     ) -> "FaultPlan":
         """Add one probabilistic (``rate``) or deterministic (``at_op``)
-        fault rule.  Returns ``self`` so rules chain fluently.
-
-        ``rng`` overrides the rule's derived RNG stream with a caller
-        generator -- only for compatibility shims that must preserve a
-        historical draw sequence; normal plans should leave it unset.
-        """
+        fault rule.  Returns ``self`` so rules chain fluently."""
         if rate < 0.0 or rate > 1.0:
             raise FaultInjectionError(f"rate must be in [0, 1], got {rate}")
         if at_op is not None and at_op < 1:
@@ -156,7 +150,7 @@ class FaultPlan:
         )
         self._n_rules += 1
         self._states.setdefault((site, kind), []).append(
-            _RuleState(rule, self.seed, rng=rng)
+            _RuleState(rule, self.seed)
         )
         return self
 

@@ -31,12 +31,11 @@ def drive_sdf_reads(
     request_bytes: int,
     duration_ns: int,
     channels: Optional[Sequence[int]] = None,
-    threads_per_channel: int = 1,
     rng: Optional[np.random.Generator] = None,
     sequential: bool = False,
     warmup_ns: int = 0,
 ) -> float:
-    """Synchronous reads, one (or more) thread per exposed channel.
+    """Synchronous reads, one thread per exposed channel.
 
     Channels must already hold data (use ``sdf.prefill``).  Random mode
     picks a random mapped block and a random aligned offset; sequential
@@ -76,9 +75,8 @@ def drive_sdf_reads(
             meter.record(sim.now, n_pages * page)
 
     procs = [
-        sim.process(reader(sdf.channels[channel], 1000 + channel * 7 + t))
+        sim.process(reader(sdf.channels[channel], 1000 + channel * 7))
         for channel in targets
-        for t in range(threads_per_channel)
     ]
     sim.run(until=AllOf(sim, procs))
     return meter.mb_per_s(measure_from, deadline)
@@ -90,7 +88,6 @@ def drive_sdf_writes(
     duration_ns: int,
     channels: Optional[Sequence[int]] = None,
     warmup_ns: int = 0,
-    include_erase: bool = True,
 ) -> float:
     """Synchronous 8 MB writes, one thread per channel, cycling over
     each channel's logical blocks (erasing before rewrite)."""
@@ -103,13 +100,7 @@ def drive_sdf_writes(
         block = 0
         n_blocks = channel_device.n_logical_blocks
         while sim.now < deadline:
-            target = block % n_blocks
-            if include_erase:
-                yield from channel_device.write_fresh(target)
-            else:
-                if channel_device.ftl.is_mapped(target):
-                    yield from channel_device.erase(target)
-                yield from channel_device.write(target)
+            yield from channel_device.write_fresh(block % n_blocks)
             meter.record(sim.now, channel_device.logical_block_bytes)
             block += 1
 

@@ -4,11 +4,12 @@ A :class:`Case` is work for one channel-0
 :class:`~repro.channel.engine.ChannelEngine`, as items submitted
 through its four doors, and the engine it runs on: the drive whose
 flash and callers it has (``caller_lead_ns``), an admission bound, a
-STALL rule at its site and a metrics-only probe.  :func:`play` runs a
-case and records each item's completion instants and the engine's
-accounting at checkpoints.  :func:`check` plays it twice, as is and
-pinned to the per-phase hops (``reference_engine.per_phase``), and the
-two must agree.  It then submits the case's ops one process each to
+STALL rule at its site, a metrics-only probe and a trace.  :func:`play`
+runs a case and records each item's completion instants, the engine's
+accounting at checkpoints and the spans traced.  :func:`check` plays it
+twice, as is and pinned to the per-phase hops
+(``reference_engine.per_phase``), and the two must agree.  It then
+submits the case's ops one process each to
 the engine and to :class:`~tests.channel.reference_engine.ReferenceEngine`,
 and those must agree as well.
 
@@ -106,8 +107,10 @@ DRIVES = {
 class Case(NamedTuple):
     """``items`` for a channel-0 engine of a ``drive``, behind
     ``bound`` admission slots (None: none), with a STALL rule of
-    ``stall``'s ``FaultPlan.add`` keywords at its site (None: none) and
-    a metrics-only ``Observability`` when ``observed``.
+    ``stall``'s ``FaultPlan.add`` keywords at its site (None: none), a
+    metrics-only ``Observability`` when ``observed`` and, when
+    ``traced``, one with a trace on the engine and on the simulator
+    instead.
 
     An item is ``(kind, at, arg, payload)``:
 
@@ -129,6 +132,7 @@ class Case(NamedTuple):
     bound: Optional[int] = None
     stall: Optional[dict] = None
     observed: bool = True
+    traced: bool = False
 
     def __repr__(self):
         page = self.drive.geometry.page_size
@@ -138,7 +142,8 @@ class Case(NamedTuple):
         )
         return (
             f"Case(drive={self.drive.name!r}, bound={self.bound}, "
-            f"stall={self.stall}, observed={self.observed}, items:{items})"
+            f"stall={self.stall}, observed={self.observed}, "
+            f"traced={self.traced}, items:{items})"
         )
 
 
@@ -193,6 +198,9 @@ class Played(NamedTuple):
     #: What each ``read_ahead`` returned, in submission order.
     flags: list
     engine: ChannelEngine
+    #: The spans traced, as a sorted multiset: an op reserved ahead
+    #: emits its phases' spans at its end, so their order means nothing.
+    spans: tuple
 
 
 def _engine(case, sim):
@@ -218,7 +226,9 @@ def play(case, pinned=False) -> Played:
     not: each door then takes every op phase by phase."""
     sim = Simulator()
     engine = _engine(case, sim)
-    if case.observed:
+    if case.traced:
+        sim.obs = engine.obs = Observability(trace=True)
+    elif case.observed:
         engine.obs = Observability()
     if pinned:
         per_phase(engine)
@@ -244,7 +254,9 @@ def play(case, pinned=False) -> Played:
         elif kind == "read":
             flags.append(engine.read_ahead(payload, then))
         elif engine.can_program_ahead():
-            engine.program_page_ahead(payload.plane, payload.nbytes, arg, then)
+            engine.program_page_ahead(
+                payload.plane, payload.nbytes, arg, then, payload.runs, payload.index
+            )
         else:
             sim._schedule_call(
                 lambda: engine.execute_fast(payload, then), arg - sim.now
@@ -277,7 +289,11 @@ def play(case, pinned=False) -> Played:
     sim.run()
     assert len(finished) == len(case.items)
     assert not engine._ahead or engine._ahead[0].due <= sim.now
-    return Played(finished, samples, sim._seq, flags, engine)
+    spans = engine.obs.trace.spans if case.traced else ()
+    spans = sorted(
+        (s.track, s.name, s.start_ns, s.end_ns, sorted(s.args.items())) for s in spans
+    )
+    return Played(finished, samples, sim._seq, flags, engine, tuple(spans))
 
 
 def arrivals(case):
@@ -382,6 +398,7 @@ def check(case):
     ahead, hops = play(case), play(case, pinned=True)
     assert ahead.finished == hops.finished
     assert ahead.samples == hops.samples
+    assert ahead.spans == hops.spans
     got, expected = against_reference(case)
     assert got == expected
     return ahead, hops
@@ -507,7 +524,10 @@ def cases(
     through queues that differ further back than the tie rule looks
     (``test_differential`` pins one).  A drive, a bound, a STALL rule
     and the probe are drawn from ``drive``, ``bound``, ``stall`` and
-    ``observed``, which a region of the search may pin.
+    ``observed``, which a region of the search may pin.  An observed
+    case is traced too: a trace is the probe's metrics plus spans, and
+    drawing it with the probe leaves the search's regions drawing the
+    cases they drew before spans came off the reservations.
     """
     spec = draw(drive)
     page = spec.geometry.page_size
@@ -593,7 +613,8 @@ def cases(
         if not items or item is sdf_item or not draw(bursts):
             at = draw(instants)
         items.extend(item(at))
-    return Case(tuple(items), spec, draw(bound), draw(stall), draw(observed))
+    bound, stall, observed = draw(bound), draw(stall), draw(observed)
+    return Case(tuple(items), spec, bound, stall, observed, observed)
 
 
 #: Cases a seeded region of the tier-1 search checks.  Hypothesis

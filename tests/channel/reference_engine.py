@@ -32,7 +32,7 @@ def per_phase(*engines):
     """Pin each :class:`~repro.channel.engine.ChannelEngine` to its
     per-phase path: ``can_reserve_ahead`` and ``can_program_ahead``
     (which a device asks) answer False on the instance, so every door
-    sends each op phase by phase, as a trace or a STALL rule would."""
+    sends each op phase by phase, as a STALL rule would."""
     for engine in engines:
         engine.can_reserve_ahead = engine.can_program_ahead = _never
 

@@ -1,6 +1,6 @@
 """Bus phases reserved ahead of their request instants.
 
-``ChannelEngine.program_page_ahead(plane, nbytes, request_ns)`` must be
+``ChannelEngine.program_page_ahead(plane, nbytes, request_ns, ...)`` must be
 indistinguishable from ``execute_fast`` of that PROGRAM called at
 ``request_ns``,
 and ``ChannelEngine.read_ahead(ops)`` from ``execute_fast`` for each op
@@ -175,14 +175,15 @@ def test_request_instants_must_lie_ahead_and_rise():
     takes its place by request instant."""
     sim = Simulator()
     engine = ChannelEngine(sim, 0, SDF_CHIP_GEOMETRY, TIMING, 2)
+    runs = OpRuns(OpKind.PROGRAM, 0, PAGE, [(0, 0, 1, 0, 1), (0, 1, 1, 0, 1)], False)
     with pytest.raises(ValueError, match="behind now"):
-        engine.program_page_ahead((0, 0), PAGE, -1)
+        engine.program_page_ahead((0, 0), PAGE, -1, None, runs, 0)
     finished = {}
     engine.program_page_ahead(
-        (0, 0), PAGE, 20, lambda: finished.setdefault("first", sim.now)
+        (0, 0), PAGE, 20, lambda: finished.setdefault("first", sim.now), runs, 0
     )
     engine.program_page_ahead(
-        (0, 1), PAGE, 19, lambda: finished.setdefault("second", sim.now)
+        (0, 1), PAGE, 19, lambda: finished.setdefault("second", sim.now), runs, 1
     )
     assert [entry.bus_req for entry in engine._ahead] == [19, 20]
     sim.run()

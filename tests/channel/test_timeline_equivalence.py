@@ -273,14 +273,17 @@ def span_signature(obs):
 
 def test_tracing_stays_fast_and_matches():
     """Spans are emitted from reservation intervals and must match the
-    recorded ones -- same tracks, same instants, same wait args, same
-    order."""
+    recorded ones -- same tracks, same instants, same wait args.  An op
+    reserved ahead emits its phases' spans at its end, so emission
+    order carries no meaning: the spans are compared as a sorted
+    multiset (recorded from the per-phase hops, which a trace no longer
+    forces)."""
     sim = Simulator()
     sdf = small_sdf(sim)
     obs = Observability(trace=True)
     attach_device(obs, sdf)
     sequential_reads(sim, sdf)
-    spans = span_signature(obs)
+    spans = tuple(sorted(span_signature(obs)))
     assert spans  # tracing actually recorded something
     check_golden(
         "tracing",

@@ -8,6 +8,8 @@ hit, a shed, a crash while queued, an epoch move and a dropped link
 DMA.
 """
 
+import pytest
+
 from repro.cluster import build_sdf_server
 from repro.faults import FaultPlan
 from repro.kv import Patch, PlaceholderValue
@@ -159,6 +161,23 @@ def test_generator_form_and_continuation_settle_alike():
         15: patch,
         17: "NodeDownError",
     }
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a patch read does not look at its node again after its "
+    "handler-thread turn",
+)
+def test_a_patch_read_queued_across_a_crash_fails_like_a_get_and_a_put():
+    """The patch read issued at 8,001 us queues beside a get and a put;
+    the node crashes at 8,002 us.  The get and the put fail with
+    ``NodeDownError`` and the patch read should too, but it still reads
+    its patch and answers from the crashed node.  Kept so for now:
+    ``fleet_day``'s scan and migration schedule depends on it."""
+    called, _ = play(via_process=False)
+    outcomes = {tag: value for tag, _, value in called}
+    assert outcomes[13] == outcomes[14] == "NodeDownError"
+    assert outcomes[15] == "NodeDownError"
 
 
 def runs_bytes():

@@ -158,9 +158,9 @@ def test_metrics_only_observation_leaves_the_schedule_alone(
 @pytest.mark.parametrize("ran_before", [False, True])
 def test_tracing_enabled_through_another_device_reaches_every_engine(ran_before):
     """Two devices on one simulator, tracing attached through ``a``:
-    ``b``'s engine has no ``obs`` of its own, but its hold spans go to
-    ``sim.obs`` -- from its next op, whether or not it ran ops (and
-    reserved them ahead) while nothing was tracing."""
+    ``b``'s engine has no ``obs`` of its own and keeps reserving ahead,
+    but its hold spans go to ``sim.obs`` -- from its next op, whether or
+    not it ran ops while nothing was tracing."""
     sim = Simulator()
     geometry = SDF_CHIP_GEOMETRY.scaled(0.004)
     a, b = (SDFDevice(sim, n_channels=1, geometry=geometry) for _ in "ab")
@@ -170,9 +170,10 @@ def test_tracing_enabled_through_another_device_reaches_every_engine(ran_before)
         sim.run(until=sim.process(channel.read(0, 0, 2)))
     obs = Observability(trace=True)
     attach_device(obs, a)
-    assert not channel.engine.can_reserve_ahead()
+    assert channel.engine.can_reserve_ahead()
     sim.run(until=sim.process(channel.read(0, 2, 2)))
-    # Per phase: a sense and a bus hold for each of the two pages.
+    # Off the reservations: a sense and a bus hold for each of the two
+    # pages.
     holds = [span.track for span in obs.trace.spans if span.name == "hold"]
     assert sorted(holds) == ["ch0/bus"] * 2 + ["ch0/chip0.plane0"] * 2
 

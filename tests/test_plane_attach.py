@@ -9,8 +9,8 @@ time run themselves once attached (``start``).  A channel engine alone
 picks an op's path: a device neither reads the engine's QoS gate nor
 asks whether it can reserve ahead, and takes the engine's four doors
 only (``execute_fast``, ``execute_batch_call``, ``read_ahead``,
-``program_page_ahead``).  Metrics pick no path: the engine's path
-choice reads no ``obs``.
+``program_page_ahead``).  Observation picks no path: the engine's
+path choice reads no ``obs`` and no trace; only a STALL rule does.
 """
 
 import ast
@@ -20,7 +20,7 @@ import pytest
 
 from repro.channel.engine import ChannelEngine
 from repro.cluster import Network, build_sdf_server
-from repro.faults import CRASH, PARTITION, FaultPlan
+from repro.faults import CRASH, PARTITION, STALL, FaultPlan
 from repro.nand.catalog import MICRON_25NM_MLC, SDF_CHIP_GEOMETRY
 from repro.obs import Observability
 from repro.policy import Hysteresis, PolicyPlan, Rule
@@ -101,9 +101,10 @@ def test_nothing_calls_an_engine_door_that_is_gone():
 
 
 def test_metrics_pick_no_channel_path():
-    """``can_reserve_ahead`` and ``can_program_ahead`` read no ``obs``
-    (a trace is asked for through ``_phased``): an engine and a
-    simulator carrying a metrics-only probe reserve ahead."""
+    """``_phased``, ``can_reserve_ahead`` and ``can_program_ahead`` read
+    no ``obs`` and no trace: an engine and a simulator carrying a
+    metrics-only probe, or a trace, reserve ahead; a STALL rule at the
+    site still does not."""
     tree = ast.parse((SRC / "channel" / "engine.py").read_text())
     (engine_class,) = [
         node
@@ -114,14 +115,15 @@ def test_metrics_pick_no_channel_path():
         node
         for node in engine_class.body
         if isinstance(node, ast.FunctionDef)
-        and node.name in ("can_reserve_ahead", "can_program_ahead")
+        and node.name in ("_phased", "can_reserve_ahead", "can_program_ahead")
     ]
-    assert len(choosers) == 2
+    assert len(choosers) == 3
     found = [
         f"{chooser.name}:{node.lineno} reads .{node.attr}"
         for chooser in choosers
         for node in ast.walk(chooser)
-        if isinstance(node, ast.Attribute) and node.attr in ("obs", "_obs")
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("obs", "_obs", "trace")
     ]
     assert found == []
     sim = Simulator()
@@ -129,7 +131,11 @@ def test_metrics_pick_no_channel_path():
     sim.obs = engine.obs = Observability()
     assert engine.can_reserve_ahead() and engine.can_program_ahead()
     engine.obs = Observability(trace=True)
-    assert not engine.can_reserve_ahead()
+    assert engine.can_reserve_ahead()
+    plan = FaultPlan().add("ch0", STALL, rate=0.5, delay_ns=1 * MS)
+    plan.bind_clock(sim)
+    engine.faults = plan.injector("ch0")
+    assert not engine.can_reserve_ahead() and not engine.can_program_ahead()
 
 
 PLANES = pytest.mark.parametrize(
