@@ -52,7 +52,14 @@ from repro.nand.timing import NandTiming
 from repro.sim import Simulator
 from repro.sim.engine import _PhaseEnd
 from repro.sim.stats import Counter, TimeWeighted
-from repro.sim.timeline import BusyUnion, ResourceTimeline
+from repro.sim.timeline import (
+    ARRIVING,
+    CONTINUING,
+    ENDING,
+    BusyUnion,
+    ResourceTimeline,
+    same_instant_key,
+)
 
 
 def _revoked():
@@ -63,9 +70,12 @@ def _revoked():
 _order = attrgetter("order")
 _plane_key = attrgetter("address.chip", "address.plane")
 
-#: Orders an intruder -- a reservation made at its own instant -- behind
-#: every tentative entry that requests the bus at that nanosecond.
-_LAST = float("inf")
+
+def _at(sim, when: int, key: int, event) -> None:
+    """Schedule ``event`` for ``when`` with ``key``
+    (:func:`~repro.sim.timeline.same_instant_key`) as its heap tie."""
+    sim._seq += 1
+    heappush(sim._heap, (when, key + sim._seq, event))
 
 
 class _Ahead:
@@ -84,18 +94,20 @@ class _Ahead:
     """
 
     __slots__ = (
-        "engine", "then", "plane", "order", "bus_req", "bus_ns", "wait",
+        "engine", "then", "plane", "order", "key", "bus_req", "bus_ns", "wait",
         "ops", "index", "bus_grant", "bus_end", "plane_grant", "due",
         "bus_undo", "plane_undo", "event", "below",
     )
 
-    def __init__(self, engine, then, plane, order, bus_ns, wait, ops, index):
+    def __init__(self, engine, then, plane, order, key, bus_ns, wait, ops, index):
         self.engine = engine
         self.then = then
         self.plane = plane
-        #: Place in ``ChannelEngine._ahead``: the bus request instant,
-        #: then what orders equal ones (``ChannelEngine.read_ahead``).
+        #: Place in ``ChannelEngine._ahead``: the bus request's instant
+        #: and ``same_instant_key``.
         self.order = order
+        #: The end event's heap tie (``same_instant_key``, ``ENDING``).
+        self.key = key
         #: The last instant the reservation can be revoked before: the
         #: bus request (a PROGRAM moves it to each bus end it is given).
         self.bus_req = self.due = order[0]
@@ -138,8 +150,8 @@ class _Ahead:
         plane = engine._track_planes[_plane_key(op)]
         bus_grant = self.bus_grant
         bus = (engine._track_bus, bus_grant, self.bus_end, bus_grant - self.bus_req)
-        if self.plane is None:  # a READ: the sense its entry is ordered by
-            sense = self.order[1]
+        if self.plane is None:  # a READ: the sense before its bus phase
+            sense = self.bus_req - engine.timing.t_read_ns
             start = sense - self.wait
             holds = ((plane, sense, self.bus_req, self.wait), bus)
         else:
@@ -165,11 +177,11 @@ class _PhasedOp:
     """
 
     __slots__ = (
-        "engine", "op", "then", "start", "chain", "step",
+        "engine", "op", "then", "start", "chain", "step", "offset",
         "request", "grant", "wait", "record_wait",
     )
 
-    def __init__(self, engine, op, then, start):
+    def __init__(self, engine, op, then, start, offset):
         self.engine = engine
         self.op = op
         self.then = then
@@ -177,6 +189,9 @@ class _PhasedOp:
         self.start = start
         self.chain = engine._chains[op.kind]
         self.step = 0
+        #: The op's submission id, as its offset in a key
+        #: (``ChannelEngine._start``).
+        self.offset = offset
         #: Queue wait summed over the phases that have ended.
         self.wait = 0
 
@@ -185,7 +200,9 @@ class _PhasedOp:
         engine = self.engine
         sim = engine.sim
         op = self.op
-        duration = self.chain[self.step]
+        step = self.step
+        chain = self.chain
+        duration = chain[step]
         if duration is None:
             timeline = engine._tl_bus
             duration = engine._bus_ns(op.nbytes)
@@ -193,7 +210,12 @@ class _PhasedOp:
             timeline = engine._tl_planes[_plane_key(op)]
         self.request = sim._now
         self.record_wait = sim.obs is not None
-        self.grant = engine._phase_fast(timeline, duration, self.ended)
+        keys, offset = engine._keys, self.offset
+        self.grant = engine._phase_fast(
+            timeline, duration, self.ended,
+            keys[ARRIVING if step == 0 else CONTINUING] + offset,
+            keys[ENDING if step + 1 == len(chain) else CONTINUING] + offset,
+        )
 
     def ended(self) -> None:
         """A phase's end instant, where its resource is released: the
@@ -240,20 +262,11 @@ class ChannelEngine:
         geometry: FlashGeometry,
         timing: NandTiming,
         chips_per_channel: int = 2,
-        caller_lead_ns: int = 0,
     ):
         self.sim = sim
         self.channel = channel
         self.geometry = geometry
         self.timing = timing
-        #: Whether :meth:`execute_batch_call` may reserve PROGRAMs
-        #: ahead: only while its callers -- events scheduled at most
-        #: ``caller_lead_ns`` before they run (0: at that very instant,
-        #: as a grant hop is) -- run less than a page's bus phase after
-        #: they were scheduled.
-        self._programs_ahead = caller_lead_ns < timing.bus_transfer_ns(
-            geometry.page_size
-        )
         #: Optional :class:`repro.obs.Observability` (``attach_device``): op spans go
         #: to its trace, phases into :meth:`queue_depth`.  None: no-op hooks.
         self.obs = None
@@ -298,9 +311,16 @@ class ChannelEngine:
         #: How many entries at the head of ``_ahead`` have their bus phase
         #: counted (``_count_ahead``): a prefix, bus requests rise along it.
         self._counted = 0
-        #: Count of reservations that found their timeline idle, the
-        #: source of ``ResourceTimeline.rank``.
-        self._rank = 0
+        #: ``same_instant_key`` of this channel at submission id 0, by
+        #: phase class, and what one id adds (the key is linear in it):
+        #: an op's key is ``_keys[phase_class]`` plus its id's offset.
+        self._keys = tuple(
+            same_instant_key(phase_class, channel, 0)
+            for phase_class in (CONTINUING, ARRIVING, ENDING)
+        )
+        self._sub_step = same_instant_key(CONTINUING, channel, 1) - self._keys[0]
+        #: The offset of the next op's submission id (ops started so far).
+        self._started = 0
         self.ops_executed = Counter(f"channel{channel}.ops")
         #: Total queue wait summed over ops; can exceed wall-clock time
         #: when many ops wait concurrently.
@@ -374,21 +394,30 @@ class ChannelEngine:
                 nbytes=op.nbytes, wait_ns=wait_ns,
             )
 
+    # -- the declared order ----------------------------------------------------------
+    def _start(self, n: int = 1) -> int:
+        """Take the submission ids of ``n`` ops starting now; returns
+        the first's offset, the next ones' following ``_sub_step``
+        apart."""
+        offset = self._started
+        self._started = offset + n * self._sub_step
+        return offset
+
     # -- one phase, at its request instant -----------------------------------------
-    def _phase_fast(self, timeline: ResourceTimeline, duration_ns: int, fn):
-        """Reserve one FIFO phase at sim-now, running ``fn`` at its end.
+    def _phase_fast(self, timeline, duration_ns: int, fn, key: int, end_key: int):
+        """Reserve one FIFO phase at sim-now, placed by ``key``
+        (``same_instant_key``), running ``fn`` at its end.
 
         The busy union records the service interval, the queue depth
         (with ``obs`` set) the wait from now to the (possibly future)
-        grant, and ``fn`` fires at the end instant with the tie
-        ordering of ``repro.sim.timeline``.  Returns the grant
-        instant.
+        grant, and ``fn`` fires at the end instant with ``end_key`` as
+        its heap tie.  Returns the grant instant.
         """
         # ResourceTimeline.reserve_and_call inlined: this is the hottest
         # call site and the extra frames are measurable.
         sim = self.sim
         now = sim._now
-        revoked = self._ahead and self._revoke(timeline)
+        revoked = self._ahead and self._revoke(timeline, (now, key))
         free = timeline.free_at
         grant = free if free > now else now
         end = grant + duration_ns
@@ -404,18 +433,16 @@ class ChannelEngine:
             else:
                 event = _PhaseEnd(sim, fn, hooks)
             sim._seq += 1
-            heappush(sim._heap, (end, sim._seq, event))
-            self._rank = timeline.rank = self._rank + 1
+            heappush(sim._heap, (end, end_key + sim._seq, event))
         else:
             tail = timeline._tail_hooks
             if tail is None:
-                delay = end - grant
                 sim._schedule_call(
-                    lambda: sim._schedule(sim._phase_event(fn, hooks), delay),
+                    lambda: _at(sim, end, end_key, sim._phase_event(fn, hooks)),
                     grant - now,
                 )
             else:
-                tail.append((fn, hooks, end - grant))
+                tail.append((fn, hooks, end - grant, end_key))
         timeline._tail_hooks = hooks
         # Phase durations are always positive.
         raw = self._busy_raw
@@ -474,22 +501,18 @@ class ChannelEngine:
         and the plane with the bus end as its request instant, and any
         reservation that reaches either before those instants revokes
         this one, goes first, and has it made again (:meth:`_revoke`).
-        One made *at* such an instant goes after.  A caller checks
+        One made on such an instant goes first or after by the declared
+        order (:func:`~repro.sim.timeline.same_instant_key`; the page
+        starts now).  A caller checks
         :meth:`can_program_ahead` first (:meth:`execute_fast` at the
         instant the page reaches the channel otherwise); the engine's
-        own grant hop, an event at its own instant, needs only
-        :meth:`can_reserve_ahead`.  The page takes
-        its place among the reservations already ahead by request
-        instant (:meth:`_enter`); at ``request_ns == now`` only the
-        plane phase is tentative, and the page stands behind everything
-        that asks for the bus this nanosecond -- right for a caller
-        that is an event scheduled at this very instant, as a grant hop
-        is: every sense end and DMA end it ties with was scheduled
-        earlier.
+        own grant hop needs only :meth:`can_reserve_ahead`.  The page
+        takes its place among the reservations already ahead
+        (:meth:`_enter`).
         """
         now = self.sim._now
         ahead = self._ahead
-        if ahead and ahead[0].due <= now:
+        if ahead and ahead[0].due < now:
             self._retire()
         if len(self._busy_raw) > self.BUSY_RAW_LIMIT:
             self.busy_value()
@@ -503,13 +526,16 @@ class ChannelEngine:
         if bus_ns is None:
             bus_ns = cache[nbytes] = self.timing.bus_transfer_ns(nbytes)
         timeline = self._tl_planes[plane]
+        # ``_start`` inlined: once a streamed page.
+        offset = self._started
+        self._started = offset + self._sub_step
+        _, arriving, ending = self._keys
         entry = _Ahead(
             self,
             then,
             timeline,
-            # Among equal request instants a page stands where the
-            # instant it asked the link for its DMA puts it.
-            (request_ns, now, 0, self._rank),
+            (request_ns, arriving + offset),
+            ending + offset,
             bus_ns,
             0,
             ops,
@@ -568,60 +594,35 @@ class ChannelEngine:
             self._reserve_reads(ops, then)
         else:
             for op in ops:
-                self._submit(op, then)
+                self._submit(op, then, self._start())
 
     def _reserve_reads(self, ops, then) -> None:
         """:meth:`read_ahead` past the gate: senses now, bus phases
-        ahead.
-
-        Pages whose senses end on one nanosecond take the bus in the
-        order their sense-end events would have run in.  Events at one
-        instant run in the order they were scheduled, a queued sense's
-        from the end event before it on its plane, so the question
-        steps back down both planes' queues to where they differ.  In
-        turn: the earlier sense grant (all equal between READs; a
-        streamed page stands by the instant it asked the link); a run
-        of back-to-back senses that *queued* behind something before
-        one whose first sense found its plane idle (that one was
-        scheduled by a submission, itself scheduled a moment before;
-        the other by an end event scheduled a phase ago); of two
-        queued runs the one that started *later* (where it stops, the
-        longer run still has a sense and the shorter the longer phase
-        it queued behind, scheduled earlier), of two that found their
-        planes idle the earlier; then the plane whose queue started
-        earlier (``rank``, handed down a plane's queue from the
-        reservation that found it idle); then the earlier submission.
-        Queues that differ only further back are beyond it (DESIGN.md
-        section 7).
-        """
+        ahead, each page a continuing op at its sense end
+        (:func:`~repro.sim.timeline.same_instant_key`)."""
         runs = self._read_runs(ops)
         now = self.sim._now
         ahead = self._ahead
-        if ahead and ahead[0].due <= now:
+        if ahead and ahead[0].due < now:
             self._retire()
         if len(self._busy_raw) > self.BUSY_RAW_LIMIT:
             self.busy_value()
         t_read = self.timing.t_read_ns
         raw = self._busy_raw
         observed = self.obs is not None
+        step = self._sub_step
+        offset = self._start(len(ops))
+        continuing, _, ending = self._keys
         entries: List[_Ahead] = []
         for key, count, bus_ns in runs:
             plane = self._tl_planes[key]
             revoked = ahead and self._revoke(plane)
             grant = plane.free_at
-            if grant <= now:
-                grant = start = now
-                self._rank = plane.rank = self._rank + 1
-            else:
-                # Behind senses reserved here the run goes on; behind
-                # anything else a new one starts, queued: negative, so
-                # the later start sorts first and all before idle ones.
-                run = plane.run
-                start = run[0] if run is not None and run[1] == grant else -grant
+            if grant < now:
+                grant = now
             if observed:
                 for sense in range(grant, grant + count * t_read, t_read):
                     self._waited(now, sense)
-            rank = plane.rank
             for _ in range(count):
                 end = grant + t_read
                 raw.append(grant)
@@ -629,13 +630,13 @@ class ChannelEngine:
                 # Op order so far: the page is ``ops[len(entries)]``.
                 entries.append(
                     _Ahead(
-                        self, then, None, (end, grant, start, rank),
-                        bus_ns, grant - now, ops, len(entries),
+                        self, then, None, (end, continuing + offset),
+                        ending + offset, bus_ns, grant - now, ops, len(entries),
                     )
                 )
+                offset += step
                 grant = end
             plane.free_at = grant
-            plane.run = (start, grant)
             # No sense end event: a phase queuing behind the run relays
             # at its grant.
             plane._tail_hooks = None
@@ -685,7 +686,7 @@ class ChannelEngine:
             sim = self.sim
             sim._schedule_call(
                 lambda: self._enter_reads(entries, stop),
-                entries[stop].order[1] - sim._now,
+                entries[stop].bus_req - self.timing.t_read_ns - sim._now,
             )
 
     def _enter(self, entries: List[_Ahead]) -> None:
@@ -733,7 +734,7 @@ class ChannelEngine:
             timeline = plane
             free = plane.free_at
             tail = plane._tail_hooks
-            entry.plane_undo = (free, tail, plane.rank)
+            entry.plane_undo = (free, tail)
             request = entry.bus_end
             duration = self.timing.t_prog_ns
         # The phase the op ends with, on ``timeline``: the one that has
@@ -743,18 +744,14 @@ class ChannelEngine:
             # Queued behind a reservation with an end event: chain off
             # it, as ``_phase_fast`` does at the request instant.
             grant = free
-            tail.append((entry.done, hooks, duration))
+            tail.append((entry.done, hooks, duration, entry.key))
             entry.event = None
         else:
             sim = self.sim
             event = entry.event = sim._phase_event(entry.done, hooks)
-            sim._seq += 1
-            if free > request:
-                grant = free
-            else:
-                grant = request
-                self._rank = timeline.rank = self._rank + 1
-            heappush(sim._heap, (grant + duration, sim._seq, event))
+            grant = free if free > request else request
+            sim._seq += 1  # ``_at`` inlined: once a page
+            heappush(sim._heap, (grant + duration, entry.key + sim._seq, event))
         timeline.free_at = grant + duration
         timeline._tail_hooks = hooks
         if plane is None:
@@ -765,7 +762,7 @@ class ChannelEngine:
 
     def _retire(self) -> None:
         """Drop the reservations nothing can precede any more (last
-        request instant reached) into the busy union and, observed, the
+        request instant past) into the busy union and, observed, the
         depth, folded through the first request still to count (<= now)."""
         now = self.sim._now
         ahead = self._ahead
@@ -773,7 +770,7 @@ class ChannelEngine:
         duration = self.timing.t_prog_ns
         observed = self.obs is not None
         counted = self._counted
-        while ahead and ahead[0].due <= now:
+        while ahead and ahead[0].due < now:
             entry = ahead.popleft()
             if counted:
                 counted -= 1
@@ -803,7 +800,9 @@ class ChannelEngine:
     def _count_ahead(self) -> None:
         """Before a read of busy time or queue depth: every phase requested
         by now -- what the per-phase path would have recorded -- goes into
-        the busy union and, observed, the queue depth."""
+        the busy union and, observed, the queue depth.  (Nothing reads
+        them before every request of the instant that could precede one
+        is placed: those come from the engine's events that run first.)"""
         now = self.sim._now
         raw = self._busy_raw
         observed = self.obs is not None
@@ -823,27 +822,22 @@ class ChannelEngine:
 
     def _revoke(self, timeline: ResourceTimeline, order=None) -> List[_Ahead]:
         """Undo, newest first, the ahead reservations that a reservation
-        made on ``timeline`` must precede; returns them oldest first
-        for :meth:`_reserve_again`.
+        made now on ``timeline`` must precede; returns them oldest
+        first for :meth:`_reserve_again`.
 
         On a plane those are its own programs still short of their
         plane request instant (a READ's sense is never tentative),
         chained from ``timeline.tentative``.  On the bus they are the
-        entries placed after ``order`` -- for an intruder, which
-        reserves at its own instant, those still short of their bus
-        request instant -- with the plane phases of the programs among
-        them: the bus end they request the plane at is about to move.
-        (No other program on those planes is newer and left standing --
-        bus ends rise along ``_ahead``.)
+        entries placed after ``order`` (the newcomer's), with the plane
+        phases of the programs among them: the bus end they request the
+        plane at is about to move.  (No other program on those planes
+        is newer and left standing -- bus ends rise along ``_ahead``.)
         """
         ahead = self._ahead
-        now = self.sim._now
-        if ahead and ahead[0].due <= now:
+        if ahead and ahead[0].due < self.sim._now:
             self._retire()
         if timeline is not self._tl_bus:
             return self._revoke_plane(timeline)
-        if order is None:
-            order = (now, _LAST)
         revoked = []
         for entry in reversed(ahead):
             if entry.order <= order:
@@ -853,7 +847,7 @@ class ChannelEngine:
             if plane is None:
                 tail = entry.bus_undo[1]
             else:
-                plane.free_at, tail, plane.rank = entry.plane_undo
+                plane.free_at, tail = entry.plane_undo
                 plane._tail_hooks = tail
             event = entry.event
             if event is None:
@@ -872,17 +866,18 @@ class ChannelEngine:
         the reservation made now must precede, newest first down its
         chain (``timeline.tentative``, ``_Ahead.below``) and taken off
         it until :meth:`_reserve_again` remakes them (a revoke meanwhile
-        finds none).  The chain stops at the first retired program: one
-        whose bus ends now asked for the plane first (``_retire``), and
-        bus ends rise along ``_ahead``, so the older ones did too."""
+        finds none).  The chain stops at the first program whose bus
+        ends by now (one ending now continues onto the plane, before
+        any arrival); bus ends rise along ``_ahead``."""
+        now = self.sim._now
         entry = timeline.tentative
         revoked = []
-        while entry is not None and entry.plane_undo is not None:
+        while entry is not None and entry.bus_end > now:
             revoked.append(entry)
             entry = entry.below
         timeline.tentative = entry
         for entry in revoked:
-            timeline.free_at, tail, timeline.rank = entry.plane_undo
+            timeline.free_at, tail = entry.plane_undo
             timeline._tail_hooks = tail
             event = entry.event
             if event is None:
@@ -929,7 +924,7 @@ class ChannelEngine:
         if qos is not None:
             qos.admit_fast(lambda: self._admitted(op, qos.releasing(then)))
         else:
-            self._submit(op, then)
+            self._submit(op, then, self._start())
 
     def _admitted(self, op, then) -> None:
         """A grant hop, the start instant of the op it admitted;
@@ -944,10 +939,11 @@ class ChannelEngine:
                 plane, ops, index = _plane_key(op), (op,), 0
             self.program_page_ahead(plane, op.nbytes, self.sim._now, then, ops, index)
         else:
-            self._submit(op, then)
+            self._submit(op, then, self._start())
 
-    def _submit(self, op, then) -> None:
-        """Per-phase submission at the op's start instant.
+    def _submit(self, op, then, offset: int) -> None:
+        """Per-phase submission at the op's start instant, ``offset``
+        its submission id's (:meth:`_start`).
 
         Runs post-admission (the QoS grant hop already happened) and
         pre-stall: the ops span's start and the stall RNG draw both
@@ -958,15 +954,20 @@ class ChannelEngine:
         """
         if type(op) is StripePage:
             op = op.runs[op.index]
-        phased = _PhasedOp(self, op, then, self.sim._now)
+        sim = self.sim
+        phased = _PhasedOp(self, op, then, sim._now, offset)
         if self._phased():
             stall_ns = self.faults.delay_ns(
                 STALL, op=op.kind.name.lower(), chip=op.address.chip
             )
             if stall_ns > 0:
                 # A controller hiccup: the op sits on the channel doing
-                # nothing before contending for resources.
-                self.sim._schedule_call(phased.request_phase, stall_ns)
+                # nothing before contending for resources; then it
+                # arrives, in the declared order of its instant.
+                _at(
+                    sim, sim._now + stall_ns, self._keys[ARRIVING] + offset,
+                    sim._phase_event(phased.request_phase, None),
+                )
                 return
         phased.request_phase()
 
@@ -981,32 +982,22 @@ class ChannelEngine:
         whole batch is checked before anything is reserved.
 
         On a plain engine (no admission gate, :meth:`can_reserve_ahead`)
-        whose callers run less than a page's bus phase after their
-        event was scheduled (``caller_lead_ns``), a PROGRAM costs one
-        event, its end: its bus phase is reserved now and its plane
-        phase ahead, as :meth:`program_page_ahead` does at
-        ``request_ns == now`` (a batch of one PROGRAM is handed to it
-        as it is, one of any other op to :meth:`execute_fast`).  The
-        plane phase asks for the plane at the bus end, from an end
-        event the per-phase path schedules at the bus grant; a caller
-        that takes that plane at that nanosecond was scheduled less
-        than a bus phase before it, after the grant, so it goes behind
-        the program, as the retired entry puts it.  (A caller that can
-        be scheduled longer before would go first when scheduled while
-        the program waited for the bus; the engine cannot tell, so
-        there every op runs per phase -- DESIGN.md section 7, "The tie
-        rule for batches".)  READs and ERASEs run per phase, and the
-        senses of consecutive READs on one plane are requested as one
-        run, the plane's tentative programs revoked once around it.
-        (Reserved ahead, a READ's end event would be scheduled when the
-        page is entered rather than at its bus grant; a conventional
-        read's end asks the shared link for its DMA, so that order
-        shows -- DESIGN.md section 7, "Conventional batches".)  This
-        is the per-phase schedule of the ops in list order: senses and
-        erases are the only ops that take a plane now, programs the
-        only ones that take the bus now, and every other phase is asked
-        for later.  Otherwise each op goes through
-        :meth:`execute_fast`, phase by phase.
+        a PROGRAM costs one event, its end: its bus phase is reserved
+        now and its plane phase ahead, as :meth:`program_page_ahead`
+        does at ``request_ns == now`` (a batch of one PROGRAM is handed
+        to it as it is, one of any other op to :meth:`execute_fast`).
+        Its plane request at the bus end is a continuing op's, which
+        goes before anything that arrives at the plane on that
+        nanosecond, however long before its caller was scheduled.
+        READs and ERASEs run per phase (DESIGN.md section 7,
+        "Conventional batches"), and the senses of consecutive READs on
+        one plane are requested as one run, the plane's tentative
+        programs revoked once around it.  This is the per-phase
+        schedule of the ops in list order, each op's submission id its
+        place in the list: senses and erases are the only ops that take
+        a plane now, programs the only ones that take the bus now, and
+        every other phase is asked for later.  Otherwise each op goes
+        through :meth:`execute_fast`, phase by phase.
         """
         parts = self._batch_parts(ops)
         if len(parts) == 1 and type(parts[0]) is FlashOp:
@@ -1030,7 +1021,7 @@ class ChannelEngine:
                     then()
 
         if plain:
-            self._reserve_batch(parts, done)
+            self._reserve_batch(parts, done, self._start(len(ops)))
         else:
             for op in ops:
                 self.execute_fast(op, done)
@@ -1040,13 +1031,12 @@ class ChannelEngine:
         reserved ahead (:meth:`program_page_ahead`, and
         :meth:`execute_batch_call`'s PROGRAMs): no admission gate -- a
         slot is taken at the instant the page reaches the channel,
-        which then has to be an event -- nothing needing it per phase
-        (:meth:`can_reserve_ahead`), and callers that run less than a
-        page's bus phase after being scheduled (``caller_lead_ns``).
-        Otherwise the page goes through :meth:`execute_fast` at that
-        instant, behind a gate reserved ahead from its grant hop -- an
-        event run at its own instant -- when nothing needs it per phase."""
-        return self._programs_ahead and self.qos is None and not self._phased()
+        which then has to be an event -- and nothing needing it per
+        phase (:meth:`can_reserve_ahead`).  Otherwise the page goes
+        through :meth:`execute_fast` at that instant, behind a gate
+        reserved ahead from its grant hop when nothing needs it per
+        phase."""
+        return self.qos is None and not self._phased()
 
     def _batch_parts(self, ops) -> Sequence:
         """The parts of a batch, each an op or a batch of ops on this
@@ -1071,74 +1061,87 @@ class ChannelEngine:
                 )
         return parts
 
-    def _reserve_batch(self, parts, then) -> None:
-        """:meth:`execute_batch_call` past the gate: in list order, each
-        run of READs on one plane (PROGRAMs between them take no plane
-        now) as one run of per-phase senses and each ERASE per phase;
-        then the PROGRAMs, bus now and plane ahead, entered at one
-        place."""
+    def _reserve_batch(self, parts, then, offset: int) -> None:
+        """:meth:`execute_batch_call` past the gate, ``offset`` the first
+        op's submission id's (:meth:`_start`): in list order, each run of
+        READs on one plane (PROGRAMs between them take no plane now) as
+        one run of per-phase senses and each ERASE per phase; then the
+        PROGRAMs, bus now and plane ahead, entered at one place."""
         now = self.sim._now
         ahead = self._ahead
-        if ahead and ahead[0].due <= now:
+        if ahead and ahead[0].due < now:
             self._retire()
         if len(self._busy_raw) > self.BUSY_RAW_LIMIT:
             self.busy_value()
         bus_ns_of = self._bus_ns
-        #: ``(plane, bus_ns, ops, index)``: each PROGRAM is ``ops[index]``.
-        programs: List[Tuple[Tuple[int, int], int, Sequence, int]] = []
-        reads: List[FlashOp] = []  # the READ run being gathered
+        step = self._sub_step
+        #: ``(plane, bus_ns, ops, index, offset)``: each PROGRAM is
+        #: ``ops[index]``.
+        programs: List[Tuple[Tuple[int, int], int, Sequence, int, int]] = []
+        reads: List[Tuple[FlashOp, int]] = []  # the READ run being gathered
         for position, part in enumerate(parts):
+            first = offset
+            offset += step * (1 if isinstance(part, FlashOp) else len(part))
             if isinstance(part, FlashOp):
-                ops = (part,)
+                ops = ((part, first),)
             elif isinstance(part, Relocation):
                 bus_ns = bus_ns_of(part.nbytes)
                 planes = enumerate(part.program_planes())
-                programs += [(key, bus_ns, part, 2 * k + 1) for k, key in planes]
-                ops = part.reads()
+                programs += [
+                    (key, bus_ns, part, 2 * k + 1, first + (2 * k + 1) * step)
+                    for k, key in planes
+                ]
+                ops = zip(part.reads(), range(first, offset, 2 * step))
             elif part.kind is OpKind.PROGRAM:
                 bus_ns = bus_ns_of(part.nbytes)
                 planes = enumerate(part.planes())
-                programs += [(key, bus_ns, part, k) for k, key in planes]
+                programs += [
+                    (key, bus_ns, part, k, first + k * step) for k, key in planes
+                ]
                 continue
             else:
-                ops = part
-            for op in ops:
+                ops = zip(part, range(first, offset, step))
+            for op, op_offset in ops:
                 kind = op.kind
                 if kind is OpKind.PROGRAM:  # an op part: ``parts[position]``
                     bus_ns = bus_ns_of(op.nbytes)
-                    programs.append((_plane_key(op), bus_ns, parts, position))
+                    programs.append((_plane_key(op), bus_ns, parts, position, op_offset))
                     continue
                 if reads and (
-                    kind is not OpKind.READ or _plane_key(op) != _plane_key(reads[0])
+                    kind is not OpKind.READ or _plane_key(op) != _plane_key(reads[0][0])
                 ):
                     self._read_run(reads, then)
                     reads = []
                 if kind is OpKind.READ:
-                    reads.append(op)
+                    reads.append((op, op_offset))
                 else:
-                    self._submit(op, then)
+                    self._submit(op, then, op_offset)
         if reads:
             self._read_run(reads, then)
         if programs:
-            order = (now, now, 0, self._rank)
             planes = self._tl_planes
+            _, arriving, ending = self._keys
             self._enter(
                 [
-                    _Ahead(self, then, planes[key], order, bus_ns, 0, ops, index)
-                    for key, bus_ns, ops, index in programs
+                    _Ahead(
+                        self, then, planes[plane], (now, arriving + offset),
+                        ending + offset, bus_ns, 0, ops, index,
+                    )
+                    for plane, bus_ns, ops, index, offset in programs
                 ]
             )
 
-    def _read_run(self, ops: Sequence[FlashOp], then) -> None:
-        """Per-phase READs on one plane whose senses are all requested
-        now: the plane's tentative programs are revoked once before the
-        senses and remade once behind them (each sense's own revoke
-        then finds none), not once a page."""
-        plane = self._tl_planes[_plane_key(ops[0])]
+    def _read_run(self, reads: Sequence[Tuple[FlashOp, int]], then) -> None:
+        """Per-phase READs on one plane, ``(op, offset)`` pairs,
+        whose senses are all requested now: the plane's tentative
+        programs are revoked once before the senses and remade once
+        behind them (each sense's own revoke then finds none), not once
+        a page."""
+        plane = self._tl_planes[_plane_key(reads[0][0])]
         revoked = self._ahead and self._revoke(plane)
         now = self.sim._now
-        for op in ops:
-            _PhasedOp(self, op, then, now).request_phase()
+        for op, offset in reads:
+            _PhasedOp(self, op, then, now, offset).request_phase()
         if revoked:
             self._reserve_again(revoked, plane)
 
@@ -1149,14 +1152,9 @@ def build_engines(
     geometry: FlashGeometry,
     timing: NandTiming,
     chips_per_channel: int = 2,
-    caller_lead_ns: int = 0,
 ) -> List[ChannelEngine]:
-    """One engine per channel, sharing nothing; ``caller_lead_ns`` is
-    how long before it runs a caller of a batch can have been scheduled
-    (:class:`ChannelEngine`)."""
+    """One engine per channel, sharing nothing."""
     return [
-        ChannelEngine(
-            sim, channel, geometry, timing, chips_per_channel, caller_lead_ns
-        )
+        ChannelEngine(sim, channel, geometry, timing, chips_per_channel)
         for channel in range(n_channels)
     ]

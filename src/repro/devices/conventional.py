@@ -73,17 +73,6 @@ class ConventionalSSDSpec:
         tests/benches to shrink simulated capacity, not behaviour."""
         return replace(self, geometry=self.geometry.scaled(capacity_factor))
 
-    @property
-    def longest_page_phase_ns(self) -> int:
-        """The longest controller phase of one page (a write's, or a
-        read's at full congestion): its end is the event that hands a
-        page's flash ops to the channel engines, scheduled this long
-        before at most."""
-        return max(
-            self.controller_write_ns_per_page,
-            int(self.controller_read_ns_per_page * self.congestion_max_factor),
-        )
-
 
 class _HostRequest:
     """One read or write: I/O-stack submit, controller admission, the
@@ -294,7 +283,6 @@ class ConventionalSSD:
             spec.geometry,
             spec.timing,
             spec.chips_per_channel,
-            spec.longest_page_phase_ns,
         )
         self.link = HostLink(sim, spec.link)
         self.controller = ResourceTimeline()

@@ -1,8 +1,10 @@
 """The simulation event loop.
 
 :class:`Simulator` owns the clock (integer nanoseconds) and a binary heap
-of scheduled events.  Ties at the same instant are broken by schedule
-order, making every run deterministic.
+of ``(instant, tie, event)`` entries.  An event's tie is its schedule
+order, making every run deterministic; a channel engine's phase ends
+and stall timers carry a declared key below every schedule order
+instead (:func:`repro.sim.timeline.same_instant_key`).
 
 The loop also paces CPython's cyclic collector (:data:`GC_PACE`): the
 simulator's request paths are kept free of reference cycles, so what a
@@ -51,7 +53,9 @@ class _PhaseEnd(Event):
     Runs ``fn`` at the reservation's end instant, then schedules every
     chained successor reservation's own ``_PhaseEnd`` (the ``hooks``
     list, appended to by :meth:`ResourceTimeline.reserve_and_call` when
-    a later reservation queues behind this one).  Folding the chain
+    a later reservation queues behind this one), each with the key its
+    heap tie adds to the sequence number (0, or a channel engine's
+    :func:`~repro.sim.timeline.same_instant_key`).  Folding the chain
     drain into ``_process`` saves one closure and one ``_Call`` per
     phase relative to wrapping the same logic in a plain callback.
 
@@ -85,7 +89,7 @@ class _PhaseEnd(Event):
             # events exist at once and the pool almost always hits.
             now = sim._now
             heap = sim._heap
-            for h_fn, h_hooks, h_delay in hooks:
+            for h_fn, h_hooks, h_delay, h_key in hooks:
                 if pool:
                     event = pool.pop()
                     event._processed = False
@@ -94,7 +98,7 @@ class _PhaseEnd(Event):
                 else:
                     event = _PhaseEnd(sim, h_fn, h_hooks)
                 sim._seq += 1
-                heapq.heappush(heap, (now + h_delay, sim._seq, event))
+                heapq.heappush(heap, (now + h_delay, h_key + sim._seq, event))
 
 
 #: Net container allocations between automatic collections of the

@@ -16,26 +16,18 @@ accounting.
 Equivalence rules (the contract the no-drift suite enforces):
 
 * requests must be reserved at the simulated instant they would have
-  been issued on the slow path -- so a multi-phase op reserves each
-  phase from the end callback of the one before instead of reserving
-  the whole chain up front -- or *ahead* of that instant when it is
-  already known and the reservation can still be revoked: whoever
-  reaches the resource first undoes the ahead reservations whose
-  request instant has not come (restoring ``free_at`` and
-  ``_tail_hooks``), reserves, and has them made again behind it
+  been issued on the slow path -- a multi-phase op reserves each phase
+  from the end callback of the one before -- or *ahead* of that instant
+  when it is already known and the reservation can still be revoked:
+  whoever must precede it undoes it (restoring ``free_at`` and
+  ``_tail_hooks``), reserves, and has it made again behind
   (``ChannelEngine.program_page_ahead``, ``ChannelEngine.read_ahead``);
-* same-instant requests must be reserved in the same order the slow
-  path's processes would issue them (creation order) -- and where the
-  requests come from end events that a reservation made ahead no
-  longer schedules, in the order those events would have run in:
-  :attr:`ResourceTimeline.rank` and :attr:`ResourceTimeline.run` keep
-  what that takes;
+* same-instant requests to one resource are served in one declared
+  order, :func:`same_instant_key`;
 * anything ordering-sensitive that happens at a phase's *end* must be
-  scheduled from its *grant* instant.  The slow path grants a queued
-  waiter inside the previous holder's release (its service-timeout
-  event), so :meth:`ResourceTimeline.reserve_and_call` chains a queued
-  phase's end event off its predecessor's end event -- same instant,
-  same intra-instant position, and no extra relay event.
+  scheduled from its *grant* instant: :meth:`ResourceTimeline.reserve_and_call`
+  chains a queued phase's end event off its predecessor's end event --
+  same instant, and no extra relay event.
 """
 
 from __future__ import annotations
@@ -44,35 +36,47 @@ from array import array
 
 import numpy as np
 
+#: The phase classes of :func:`same_instant_key`, in the order one
+#: instant takes them: an op's next phase, an op's first, an op's end.
+CONTINUING, ARRIVING, ENDING = 0, 1, 2
+#: Bits of the sequence number, submission id and channel in a key; the
+#: offset puts every key, plus any sequence number, below zero.
+_SEQ, _SUB, _CHANNEL = 40, 44, 16
+_KEYED = 1 << (2 + _CHANNEL + _SUB + _SEQ)
+
+
+def same_instant_key(phase_class: int, channel: int, sub: int) -> int:
+    """The declared order of what a channel engine does on one
+    nanosecond.
+
+    Which of two requests made on one nanosecond a FIFO serves first has
+    no physical meaning (the paper's channel engine queues each channel
+    FIFO), so it is declared, not left to the kernel's event order: a
+    continuing op's next phase before an op's first, then the channel,
+    then the submission id (ops the engine has started, past its
+    admission gate).  A resource serves by ``(request instant, key)``.
+    The key, plus the sequence number, is also the heap tie of the
+    engine's own events, below every ordinary tie: phase ends and stall
+    timers run first on their instant -- continuing ops, stalled
+    arrivals, then op ends, so that a completion's caller finds the
+    instant's requests placed and link transfers started by ends on
+    one nanosecond queue in (channel, submission) order.
+    """
+    return (((phase_class << _CHANNEL | channel) << _SUB | sub) << _SEQ) - _KEYED
+
 
 class ResourceTimeline:
     """Next-free timestamp of one capacity-1 FIFO resource."""
 
-    __slots__ = ("free_at", "_tail_hooks", "rank", "run", "tentative")
+    __slots__ = ("free_at", "_tail_hooks", "tentative")
 
     def __init__(self, free_at: int = 0):
         self.free_at = free_at
-        #: ``(fn, hooks, delay)`` triples chained off the *most recent*
+        #: ``(fn, hooks, delay, key)`` hooks chained off the *most recent*
         #: reservation made through :meth:`reserve_and_call` -- drained
         #: by its ``_PhaseEnd`` at the end instant; ``None`` after a
         #: plain :meth:`reserve` (no end event exists to chain from).
         self._tail_hooks = None
-        #: Which of its owner's timelines last went from idle to busy
-        #: before which: a count the reservation that finds this one
-        #: idle takes, handed down the queue behind it.  Each queued
-        #: reservation's end event is scheduled from the end event
-        #: before it, so where two queues end a service on one
-        #: nanosecond and have looked alike since they started, their
-        #: end events run in the order of these ranks -- which orders
-        #: what follows a service reserved *without* an end event
-        #: (``ChannelEngine.read_ahead``).  Kept by the owner that needs
-        #: it, the channel engine, for its planes.
-        self.rank = 0
-        #: ``(start, end)`` of the latest run of back-to-back services
-        #: reserved without end events (same owner), or None: a
-        #: reservation that finds ``free_at`` at its end continues it.
-        #: ``start`` is negated when the run queued behind something.
-        self.run = None
         #: The newest of the owner's reservations on this timeline that
         #: may still be tentative, or None: the channel engine chains
         #: its programs waiting to reach a plane through them, so a
@@ -122,7 +126,7 @@ class ResourceTimeline:
                     grant - now,
                 )
             else:
-                tail.append((fn, hooks, end - grant))
+                tail.append((fn, hooks, end - grant, 0))
         self._tail_hooks = hooks
         return grant, end
 

@@ -3,8 +3,8 @@
 A :class:`Case` is work for one channel-0
 :class:`~repro.channel.engine.ChannelEngine`, as items submitted
 through its four doors, and the engine it runs on: the drive whose
-flash and callers it has (``caller_lead_ns``), an admission bound, a
-STALL rule at its site, a metrics-only probe and a trace.  :func:`play`
+flash and callers it has, an admission bound, a STALL rule at its
+site, a metrics-only probe and a trace.  :func:`play`
 runs a case and records each item's completion instants, the engine's
 accounting at checkpoints and the spans traced.  :func:`check` plays it
 twice, as is and pinned to the per-phase hops
@@ -57,9 +57,8 @@ CHECKPOINTS = tuple(range(50 * US, 20 * MS, 200 * US))
 
 class Drive(NamedTuple):
     """The flash a case's engine has, and its callers: how long before
-    it runs an event that submits work may have been scheduled -- the
-    engine's ``caller_lead_ns`` (the longest) and each kind of caller's
-    (``leads``)."""
+    it runs an event that submits work may have been scheduled, for
+    each kind of caller (``leads``)."""
 
     name: str
     geometry: object
@@ -87,7 +86,6 @@ def conventional(spec) -> Drive:
         int(read_ns * spec.congestion_max_factor),
         0,
     )
-    assert max(leads) == spec.longest_page_phase_ns
     return Drive(
         spec.name, spec.geometry, spec.timing, spec.chips_per_channel, leads
     )
@@ -205,9 +203,7 @@ class Played(NamedTuple):
 
 def _engine(case, sim):
     drive = case.drive
-    engine = ChannelEngine(
-        sim, 0, drive.geometry, drive.timing, drive.chips, max(drive.leads)
-    )
+    engine = ChannelEngine(sim, 0, drive.geometry, drive.timing, drive.chips)
     if case.bound is not None:
         engine.qos = ChannelQosState(sim, 0, case.bound)
     if case.stall is not None:
@@ -337,39 +333,20 @@ def run_ops(sim, engine, ops, accounting):
     return finished, samples
 
 
-def against_reference(case, ops=None):
-    """``ops`` -- by default ``case``'s (:func:`arrivals`) -- one process
-    each on ``case``'s engine and on :class:`ReferenceEngine`; returns
-    what each gives.
-
-    Under a STALL rule the ops arrive by default at scattered instants,
-    each a hash of its place up to 1.5 ms after its own: a stalled op
-    asks for its first phase from a timer set the stall before, a caller
-    the engine's tie rule does not see (DESIGN.md section 7), so where
-    it meets another op on one nanosecond the two models may order them
-    differently (``test_differential`` pins one)."""
-    if ops is None:
-        ops = arrivals(case)
-        if case.stall is not None:
-            ops = [
-                (at + 1 + k * 2_654_435_761 % (3 * MS // 2), op)
-                for k, (at, op) in enumerate(ops)
-            ]
+def against_reference(case):
+    """``case``'s ops (:func:`arrivals`), one process each, on its
+    engine and on :class:`ReferenceEngine`; returns what each gives."""
+    ops = arrivals(case)
     sim = Simulator()
     engine = _engine(case, sim)
     qos = engine.qos
-    got = run_ops(
-        sim,
-        engine,
-        ops,
-        lambda: (
-            engine.ops_executed.value,
-            engine.wait_ns.value,
-            engine.busy_value(),
-            engine.utilization(),
-            qos and (qos.throttled.value, qos.throttle_wait_ns.value),
-        ),
-    )
+    got = run_ops(sim, engine, ops, lambda: (
+        engine.ops_executed.value,
+        engine.wait_ns.value,
+        engine.busy_value(),
+        engine.utilization(),
+        qos and (qos.throttled.value, qos.throttle_wait_ns.value),
+    ))
     drive = case.drive
     sim = Simulator()
     reference = ReferenceEngine(
@@ -377,18 +354,13 @@ def against_reference(case, ops=None):
     )
     if case.stall is not None:
         reference.faults = _stall_injector(case.stall, sim)
-    expected = run_ops(
-        sim,
-        reference,
-        ops,
-        lambda: (
-            reference.ops_executed,
-            reference.wait_ns,
-            reference.busy_value(),
-            reference.utilization(),
-            case.bound and (reference.throttled, reference.throttle_wait_ns),
-        ),
-    )
+    expected = run_ops(sim, reference, ops, lambda: (
+        reference.ops_executed,
+        reference.wait_ns,
+        reference.busy_value(),
+        reference.utilization(),
+        case.bound and (reference.throttled, reference.throttle_wait_ns),
+    ))
     return got, expected
 
 
@@ -497,37 +469,31 @@ def cases(
 ):
     """A :class:`Case`: a mixed schedule for one engine.
 
-    The SDF's engine gets the SDF's work: streamed PROGRAMs whose DMAs
-    land a bus phase, or two or three senses, after they are asked for,
-    ``read_ahead`` requests (a list or an ``OpRuns``; some longer than
-    ``READ_AHEAD_PAGES``), batches of PROGRAMs (single, a GC move's, a
-    write window's interleaved ``OpRuns``) and of ERASEs (one to every
-    plane, with reads queued behind some of them, in any order),
-    and single PROGRAMs and ERASEs through ``execute_fast``, each from
-    a hop at its instant.  A conventional drive's gets its controller's:
-    GC batches (a
-    ``Relocation`` part with the victim's erase, or the ops it stands
-    for), single programs and erases, and reads a page a batch or a
-    request a batch, each from an event scheduled one of the drive's
-    controller phases before.  No engine gets both ``read_ahead`` and a
-    per-phase READ: they ask for the bus on one nanosecond ordered by
-    an approximation (DESIGN.md section 7, "The tie rule"), and no
-    device mixes them.  Nor does a DMA land one sense after it is asked
-    for (``test_differential`` pins why).  Instants fall where senses,
-    bus phases, programs and erases end, on a multiple of a sense, or
-    anywhere in the first 3 ms.  On a conventional drive a third of
-    the items come on the nanosecond of the one before, and a transfer
-    moves a whole page or half of one (a GC move: a whole page).  The
-    SDF moves whole pages, as its device does, and its items meet on
-    one nanosecond where drawn so (an erase's queued reads always do):
-    with bursts or half pages, reads queued behind erase batches tie
-    through queues that differ further back than the tie rule looks
-    (``test_differential`` pins one).  A drive, a bound, a STALL rule
-    and the probe are drawn from ``drive``, ``bound``, ``stall`` and
-    ``observed``, which a region of the search may pin.  An observed
-    case is traced too: a trace is the probe's metrics plus spans, and
-    drawing it with the probe leaves the search's regions drawing the
-    cases they drew before spans came off the reservations.
+    The SDF's engine gets the SDF's work, each item from a hop at its
+    instant: streamed PROGRAMs whose DMAs land a bus phase, or two or
+    three senses, after they are asked for, ``read_ahead`` requests (a
+    list or an ``OpRuns``; some longer than ``READ_AHEAD_PAGES``),
+    batches of PROGRAMs (single, a GC move's, a write window's
+    interleaved ``OpRuns``) and of ERASEs (one to every plane, with
+    reads queued behind some of them, in any order), and single PROGRAMs
+    and ERASEs through ``execute_fast``.  A conventional drive's gets
+    its controller's, each from an event scheduled one of the drive's
+    controller phases before: GC batches (a ``Relocation`` part with
+    the victim's erase, or the ops it stands for), single programs and
+    erases, and reads a page a batch or a request a batch.  Instants
+    fall where senses, bus phases, programs and erases end, on a
+    multiple of a sense, or anywhere in the first 3 ms; on a
+    conventional drive a third of the items come on the nanosecond of
+    the one before, and a transfer moves a whole page or half of one (a
+    GC move: a whole page).  No engine gets both ``read_ahead`` and a
+    per-phase READ, no DMA lands one sense after it is asked for, and
+    the SDF moves whole pages with items on one nanosecond only where
+    drawn so (an erase's queued reads): restrictions that once avoided
+    ties, kept so that the seeded regions draw what they drew.  A drive,
+    a bound, a STALL rule and the probe are drawn from ``drive``,
+    ``bound``, ``stall`` and ``observed``, which a region may pin; an
+    observed case is traced too (drawn with the probe, so the regions
+    draw the cases they drew before spans came off the reservations).
     """
     spec = draw(drive)
     page = spec.geometry.page_size
@@ -663,14 +629,7 @@ def cast_of(seed, read_heavy=False) -> Cast:
     in five) and, staggered (three in five), readers of 1 or 32 pages
     and an eraser, every process with its own start.  In lock-step
     every channel runs the same writers from instant 0 and nothing
-    else, so that every tie between channels is between equal writes
-    and falls in channel order either way.  That restriction and the
-    uniform instants keep the casts clear of the documented limit
-    (DESIGN.md section 7; ``test_ahead_differential`` pins it as an
-    expected failure): channels that read or erase and meet on the
-    shared link on one nanosecond are ordered there, per phase, by the
-    sequence numbers of bus-end events the ahead path does not
-    schedule.
+    else, so that every tie between channels is between equal writes.
 
     ``read_heavy``: per channel a writer (two in three), one to three
     readers of 1 to 96 pages -- the longer ones refill their tentative

@@ -1,13 +1,13 @@
 """Process-per-op reference model of one flash channel.
 
-This is the scheduler ``repro.channel.engine`` used to carry as its
-"generator" twin, kept outside the product as the oracle the
-differential test compares :class:`~repro.channel.engine.ChannelEngine`
-against: the bus and every (chip, plane) are capacity-1 FIFO
-:class:`~repro.sim.Resource` objects, an op is a process that
-acquires and holds them phase by phase, admission is a
-:class:`~repro.sim.Resource` of ``max_inflight`` slots, and busy time is
-an in-service counter.  Slow and obviously right; never optimise it.
+The oracle the differential test compares
+:class:`~repro.channel.engine.ChannelEngine` against: the bus and every
+(chip, plane) are capacity-1 FIFOs granting the requests of an instant
+once all are made, in the declared order
+(:func:`~repro.sim.timeline.same_instant_key`); an op is a process that
+holds them phase by phase, admission a :class:`~repro.sim.Resource` of
+``max_inflight`` slots, busy time an in-service counter.  Slow and
+obviously right; never optimise it.
 
 :func:`execute_all` and :func:`execute_sequential` are the old
 process-per-op batch drivers and :func:`execute` the one-op generator
@@ -17,11 +17,13 @@ an engine to its per-phase path, the oracle the reserve-ahead
 differentials compare against.
 """
 
+from heapq import heappop, heappush
 from typing import Optional
 
 from repro.faults.injector import NULL_INJECTOR, STALL
 from repro.ftl.ops import FlashOp, OpKind
 from repro.sim import AllOf, Event, Resource
+from repro.sim.timeline import ARRIVING, CONTINUING, same_instant_key
 
 
 def _never() -> bool:
@@ -75,6 +77,41 @@ def execute_sequential(engine, ops):
         yield from execute(engine, op)
 
 
+class _Ordered:
+    """A capacity-1 FIFO granting by ``(request instant,
+    same_instant_key)`` once nothing else of the instant is left to run
+    (``woken``: the engine's resources with a grant to settle)."""
+
+    def __init__(self, sim, woken):
+        self.sim, self.woken, self.held, self.pending = sim, woken, False, []
+
+    def request(self, order) -> Event:
+        event = Event(self.sim)
+        heappush(self.pending, (order, event))
+        self.wake()
+        return event
+
+    def release(self) -> None:
+        self.held = False
+        self.wake()
+
+    def wake(self) -> None:
+        if not self.woken:
+            self.sim._schedule_call(self.settle)
+        self.woken[self] = None
+
+    def settle(self) -> None:
+        sim, woken = self.sim, self.woken
+        if sim._heap and sim._heap[0][0] == sim._now:
+            sim._schedule_call(self.settle)  # behind the rest of the instant
+            return
+        for resource in list(woken):
+            del woken[resource]
+            if resource.pending and not resource.held:
+                resource.held = True
+                heappop(resource.pending)[1].succeed()
+
+
 class ReferenceEngine:
     """Charges simulated time for FlashOps on one channel, one process
     per op."""
@@ -89,9 +126,10 @@ class ReferenceEngine:
     ):
         self.sim = sim
         self.timing = timing
-        self.bus = Resource(sim, capacity=1)
+        woken = {}
+        self.bus = _Ordered(sim, woken)
         self.planes = {
-            (chip, plane): Resource(sim, capacity=1)
+            (chip, plane): _Ordered(sim, woken)
             for chip in range(chips_per_channel)
             for plane in range(geometry.planes_per_chip)
         }
@@ -99,6 +137,8 @@ class ReferenceEngine:
             None if max_inflight is None else Resource(sim, capacity=max_inflight)
         )
         self.faults = NULL_INJECTOR
+        #: Ops started so far: the next op's submission id.
+        self.started = 0
         self.ops_executed = 0
         self.wait_ns = 0
         self.throttled = 0
@@ -123,26 +163,26 @@ class ReferenceEngine:
         return busy / now
 
     # -- execution -----------------------------------------------------------------
-    def _phase(self, resource, duration_ns: int):
-        """Acquire ``resource``, hold it for the service time; returns
-        the queue wait (grant minus request)."""
+    def _phase(self, resource, duration_ns: int, phase_class: int, sub: int):
+        """Acquire ``resource`` as op ``sub``'s ``phase_class`` and hold
+        it for the service time; returns the queue wait."""
         sim = self.sim
         queued = sim.now
-        with resource.request() as hold:
-            yield hold
-            granted = sim.now
-            if self._in_service == 0:
-                self._busy_since = granted
-            self._in_service += 1
-            try:
-                yield sim.timeout(duration_ns)
-            finally:
-                self._in_service -= 1
-                if self._in_service == 0:
-                    self._busy_ns += sim.now - self._busy_since
+        yield resource.request((queued, same_instant_key(phase_class, 0, sub)))
+        granted = sim.now
+        if self._in_service == 0:
+            self._busy_since = granted
+        self._in_service += 1
+        yield sim.timeout(duration_ns)
+        self._in_service -= 1
+        if self._in_service == 0:
+            self._busy_ns += sim.now - self._busy_since
+        resource.release()
         return granted - queued
 
     def _execute(self, op: FlashOp):
+        sub = self.started
+        self.started += 1
         stall_ns = self.faults.delay_ns(
             STALL, op=op.kind.name.lower(), chip=op.address.chip
         )
@@ -155,14 +195,14 @@ class ReferenceEngine:
         bus_ns = timing.bus_transfer_ns(op.nbytes)
         if op.kind is OpKind.READ:
             # Sense into the plane register, then stream over the bus.
-            wait = yield from self._phase(plane, timing.t_read_ns)
-            wait += yield from self._phase(self.bus, bus_ns)
+            wait = yield from self._phase(plane, timing.t_read_ns, ARRIVING, sub)
+            wait += yield from self._phase(self.bus, bus_ns, CONTINUING, sub)
         elif op.kind is OpKind.PROGRAM:
             # Stream into the chip register, then program the cells.
-            wait = yield from self._phase(self.bus, bus_ns)
-            wait += yield from self._phase(plane, timing.t_prog_ns)
+            wait = yield from self._phase(self.bus, bus_ns, ARRIVING, sub)
+            wait += yield from self._phase(plane, timing.t_prog_ns, CONTINUING, sub)
         else:
-            wait = yield from self._phase(plane, timing.t_erase_ns)
+            wait = yield from self._phase(plane, timing.t_erase_ns, ARRIVING, sub)
         self.ops_executed += 1
         self.wait_ns += wait
 

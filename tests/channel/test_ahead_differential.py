@@ -21,15 +21,21 @@ rule on engines and link.  Admission stands in front of the ahead path
 and a quiet injector is no injector, so the unpinned run still
 reserves ahead -- from the grant hops -- and must equal the pinned one
 in the signature, the throttle counters and the admission-depth
-timelines.  The limits the casts stay clear of are pinned, shrunk, as
-expected failures at the end.
+timelines.  At the end: ties an engine that reconstructed the kernel's
+event order got wrong, shrunk, and an LSM server of ``kv_mix``'s shape.
 """
 
+import struct
+
+import numpy as np
 import pytest
 
 from repro.channel.engine import ChannelEngine
+from repro.cluster import build_storage_server
 from repro.devices.sdf import SDFDevice
 from repro.faults import FaultPlan
+from repro.kv.lsm import LSMTree
+from repro.kv.slice import Slice, partition_key_space
 from repro.nand.geometry import FlashGeometry
 from repro.obs import Observability, attach_device
 from repro.qos.limits import ChannelQosState
@@ -44,9 +50,9 @@ GEOMETRY = FlashGeometry(pages_per_block=24, blocks_per_plane=13)
 N_SEEDS = 240
 #: Scenarios per test: the suite's unit of failure is a batch.
 BATCH = 20
-#: The read casts' seeds.  Seed 349's cast is beyond the tie rule; it is
-#: played, shrunk, by ``test_reads_tied_through_queues_that_differ_past_the_rule``.
-READ_SEEDS = [seed for seed in range(N_SEEDS, N_SEEDS + 120) if seed != 349]
+#: The read casts' seeds (seed 349's, shrunk, is also played by
+#: ``test_reads_tied_through_queues_that_differ_past_the_rule``).
+READ_SEEDS = range(N_SEEDS, N_SEEDS + 120)
 #: Where the observability snapshots are taken: every millisecond
 #: while the casts start and read, then every ten until the longest
 #: ends.
@@ -245,16 +251,14 @@ def test_gated_read_stream_matches_per_phase_hops(first):
     assert waits >= BATCH
 
 
-# -- the limits, shrunk ---------------------------------------------------------------
+# -- ties an order reconstructed from the kernel's events got wrong, shrunk -------------
 
 
-@pytest.mark.xfail(strict=True, reason="DESIGN.md section 7, the tie rule")
 def test_reads_tied_through_queues_that_differ_past_the_rule():
     """Read seed 349's cast, shrunk: two reads whose senses end on one
     nanosecond stand in queues that differ only three phases back -- a
     program behind a sense run on one plane, a program behind a program
-    on the other, all ending together -- and the rule looks back one
-    run.  The bus schedule is the same; two pages swap slots."""
+    on the other, all ending together."""
     compare(
         Cast(
             1,
@@ -270,14 +274,11 @@ def test_reads_tied_through_queues_that_differ_past_the_rule():
     )
 
 
-@pytest.mark.xfail(strict=True, reason="DESIGN.md section 7, the shared link")
 def test_unequal_channels_tied_on_the_link():
     """Two channels from instant 0, each writing a block, reading one
     page twice 1 ns apart and erasing a block 1 ns in -- one reading
-    block 1, the other block 0.  Their events meet on the shared link
-    on one nanosecond; per phase the order there hangs on the sequence
-    numbers of bus-end events the ahead path does not schedule.  (Equal
-    channels -- both reading block 1 -- swap two lane slots as well.)"""
+    block 1, the other block 0 -- meet on the shared link on one
+    nanosecond: their ends go in (channel, submission) order."""
     procs = []
     for channel, block in ((0, 1), (1, 0)):
         procs += [
@@ -288,19 +289,13 @@ def test_unequal_channels_tied_on_the_link():
     compare(Cast(2, tuple(procs), 1))
 
 
-@pytest.mark.xfail(strict=True, reason="DESIGN.md section 7, the tie rule")
 def test_gated_writes_around_an_erase():
     """Found searching seeds past the suite's: one channel behind three
     admission slots, two writers and an erase on a third block.  It
     starts at a tie: a PROGRAM of each write ends at 47,295,052 ns, on
     planes (1, 0) and (1, 1), the first having waited for its plane,
-    the second finding it idle at its bus end.  Per phase the page that
-    waited completes first, ahead the other
-    (``test_differential::test_two_programs_ending_together_complete_in_another_order``);
-    the two windows then ask the link for their next pages in the
-    opposite order, from 63.18 ms on their pages land on different
-    planes, and a page of the second write ends 629.4 us before it does
-    per phase."""
+    the second finding it idle at its bus end; the two windows then ask
+    the link for their next pages in the order of those ends."""
     compare(
         Cast(
             1,
@@ -315,13 +310,11 @@ def test_gated_writes_around_an_erase():
     )
 
 
-@pytest.mark.xfail(strict=True, reason="queue wait booked to another op")
 def test_wait_read_mid_run_behind_a_sense_run():
     """Found searching casts shaped as these: one channel writing two
-    blocks, a 32-page reader and an erase.  Every instant and the final
-    counters agree, but at 50.003 ms the ahead path has booked 5,951 ns
-    less queue wait (``channel0.wait_ns``) than per phase -- one op's
-    wait is counted on another that completes later."""
+    blocks, a 32-page reader and an erase: at 50.003 ms the ahead path
+    once booked 5,951 ns less queue wait (``channel0.wait_ns``) than
+    per phase, one op's wait counted on another completing later."""
     compare(
         Cast(
             1,
@@ -334,3 +327,42 @@ def test_wait_read_mid_run_behind_a_sense_run():
             1,
         )
     )
+
+
+def kv_mix_waits(pinned):
+    """``kv_mix`` (benchmarks/e2e) at a sixth of its length, seed 2; each
+    engine's ops and queue wait, and the end instant."""
+    sim = Simulator()
+    slices = [
+        Slice(index, keys, lsm=LSMTree(memtable_bytes=64 * 1024))
+        for index, keys in enumerate(partition_key_space(4, 0, 1_000_000))
+    ]
+    server = build_storage_server(
+        sim, slices, device_kind="sdf", capacity_scale=0.01, n_channels=8
+    )
+    engines = server.system.device.engines
+    if pinned:
+        per_phase(*engines)
+    put = {}
+
+    def client(slice_):
+        rng = np.random.default_rng([2, slice_.slice_id])
+        for version in range(200):
+            key = slice_.key_range.lo + int(rng.integers(100))
+            if rng.random() < 0.7:
+                put[key] = struct.pack(">QQ", key, version).ljust(4096, b"\0")
+                yield from server.handle_put(key, put[key])
+            else:
+                yield from server.handle_get(key)
+
+    sim.run(until=sim.all_of([sim.process(client(slice_)) for slice_ in slices]))
+    sim.run(until=sim.now + 200 * MS)
+    for key in list(put):  # read back
+        sim.run(until=sim.process(server.handle_get(key)))
+    return [(e.ops_executed.value, e.wait_ns.value) for e in engines], sim.now
+
+
+def test_a_kv_mix_shaped_server_waits_alike_ahead_and_per_phase():
+    """Its channels meet on the shared link on one nanosecond (a
+    reconstructed order booked ``kv_mix`` 20 us less wait ahead)."""
+    assert kv_mix_waits(False) == kv_mix_waits(True)

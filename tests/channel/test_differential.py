@@ -5,10 +5,9 @@ of ``REGION_EXAMPLES`` cases: ``test_batch_ahead``'s plain engines of
 every drive and ``test_reference_differential``'s gated and stalled
 ones.  Every case runs as is, pinned to the per-phase hops and op by op
 on the reference model, and all three must agree.  The chaos tier
-searches ten times as far from ``CHAOS_SEED``.  The counterexamples
-pinned below are what the search found, shrunk, in mutated engines;
-the expected failures are the ties the strategy and the comparison
-stay clear of.
+searches ten times as far from ``CHAOS_SEED``.  Pinned below, shrunk:
+what the search found in mutated engines, and ties an engine that
+reconstructed the kernel's event order got wrong.
 """
 
 import os
@@ -27,7 +26,6 @@ from tests.channel.differential import (
     Case,
     addr,
     against_reference,
-    arrivals,
     batch,
     cases,
     check,
@@ -48,7 +46,7 @@ def erases(at, *planes):
 
 def out_of_plane_order():
     """Reads queued behind one erase batch, submitted out of its plane
-    order: found with the tie rule cut to submission order."""
+    order: found with a reconstructed tie order cut short."""
     return Case(
         (
             read(0, (0, 0)),
@@ -63,8 +61,7 @@ def out_of_plane_order():
 
 
 def later_run_first():
-    """Two queued runs meeting, the later-started first: found with the
-    rule's run field dropped (rank kept)."""
+    """Two queued runs meeting, the later-started first: found likewise."""
     return Case(
         (erases(0, (0, 0)),)
         + (read(0, (0, 0)),) * 6
@@ -104,28 +101,19 @@ def test_the_engine_agrees_with_its_hops_and_the_reference_at_length():
     search(cases(), CHAOS_SEED, 10 * TIER1_EXAMPLES)
 
 
-@pytest.mark.xfail(strict=True, reason="DESIGN.md section 7, the tie rule")
 def test_a_page_whose_dma_lands_as_a_read_submitted_with_it_senses():
     """A page asks the link for its DMA the instant a read is submitted
-    on an idle plane, and the DMA lands as the read's sense ends.  Per
-    phase the two bus requests run in submission order; ahead, the
-    page stands before every read that found its plane idle (a stream's
-    run is 0, the read's its submission instant).  Hence no stream in
-    the strategy lands one sense after it asked."""
+    on an idle plane and lands as the read's sense ends: the read
+    continues, the page arrives, so the read's data goes first."""
     check(Case((read(SENSE_NS, (0, 0)), stream(SENSE_NS, 2 * SENSE_NS))))
 
 
-@pytest.mark.xfail(strict=True, reason="DESIGN.md section 7, the tie rule")
 def test_a_stalled_read_that_finds_its_plane_idle_as_a_queued_one_is_granted():
     """Gen3's engine, five reads on plane (0, 0) and one on (0, 1) at
-    once, a STALL rule holding the fifth and sixth back 300 us, four
-    senses: both come back as the fourth sense ends.  The fifth queues
-    behind it, the sixth finds its plane idle, and both senses end
-    together.  The stalled reads asked from timers set 300 us before,
-    which the tie rule cannot see: the engine puts the queued read on
-    the bus first, the reference the one that found its plane idle.
-    Hence a stalled case's ops reach the reference at scattered
-    instants."""
+    once, a STALL rule holding the fifth and sixth back 300 us: the
+    fifth queues behind the fourth sense, the sixth finds its plane
+    idle, both senses end together, and both models put them on the
+    bus by submission id."""
     page = DRIVES["huawei-gen3"].geometry.page_size
     lead = DRIVES["huawei-gen3"].leads[1]
     reads = [read_op(addr(0, 0), page)] * 5 + [read_op(addr(0, 1), page)]
@@ -135,18 +123,16 @@ def test_a_stalled_read_that_finds_its_plane_idle_as_a_queued_one_is_granted():
         stall={"rate": 0.3, "delay_ns": 300 * US},
         observed=False,
     )
-    got, expected = against_reference(case, arrivals(case))
+    got, expected = against_reference(case)
     assert got == expected
 
 
-@pytest.mark.xfail(strict=True, reason="DESIGN.md section 7, the tie rule")
 def test_reads_tied_behind_erase_batches_queued_behind_others():
     """Found by the search, shrunk: an erase batch at 0 on three planes,
     programs and a read queued behind it, and at 450 us a second erase
     batch on two of those planes with a read queued behind each, one
-    more read following at 675 us.  The reads on (0, 1) and (1, 0) end
-    their senses on one nanosecond behind queues that differ further
-    back than the rule looks, and swap bus slots."""
+    more read following at 675 us: reads on (0, 1) and (1, 0) tie behind
+    queues that differ far back."""
     erase = [erase_op(addr(*key)) for key in ((1, 0), (0, 0), (0, 1))]
     check(
         Case(
@@ -165,18 +151,12 @@ def test_reads_tied_behind_erase_batches_queued_behind_others():
     )
 
 
-@pytest.mark.xfail(strict=True, reason="DESIGN.md section 7, the tie rule")
 def test_two_programs_ending_together_complete_in_another_order():
     """Two streamed pages end their programs on one nanosecond: the
     first waited for its plane (1, 0), busy with an earlier program
     until the instant the second's bus phase ends on an idle (1, 1).
-    Per phase the page that waited completes first: its end event is
-    scheduled from its plane predecessor's end, which comes before the
-    other's bus end.  Ahead, the other page's end event is pushed when
-    that page is reserved, so it runs first.  Every instant agrees, so
-    ``check``, which compares instants, cannot see this; the gated
-    device-level divergence (``test_ahead_differential::
-    test_gated_writes_around_an_erase``) starts at such a tie."""
+    Both ways report them by submission id; ``check`` compares instants
+    only, so this compares the order of the ``then`` callbacks."""
     tied = BUS_NS + TIMING.t_prog_ns  # the earlier program's end
     waited, idle = tied - 2 * BUS_NS, tied - BUS_NS
     case = Case(

@@ -155,18 +155,18 @@ def test_erase_batch_goes_ahead_of_programs_not_yet_at_their_planes():
     assert finished[2] == at + TIMING.t_erase_ns + TIMING.t_prog_ns
 
 
-def test_intruder_at_the_request_instant_goes_after_the_stream():
-    """The one place the two ways may differ: a reservation made at the
-    very nanosecond a page requests the bus.  Per phase the order hangs
-    on event sequence numbers; ahead, the page is first."""
+def test_a_read_continuing_on_the_page_s_request_instant_goes_first():
+    """A page reaches the bus on the nanosecond a read's sense ends: the
+    read continues and the page arrives, so the read goes first."""
     sense_end = 100 * US
-    script = [
-        stream(0, sense_end),
-        batch(sense_end - TIMING.t_read_ns, read_op(addr(plane=1), PAGE)),
-    ]
-    finished = play(Case(script)).finished
-    assert finished[0] == sense_end + BUS_NS + TIMING.t_prog_ns
-    assert finished[1] == sense_end + 2 * BUS_NS
+    finished, _, _ = both(
+        [
+            stream(0, sense_end),
+            batch(sense_end - TIMING.t_read_ns, read_op(addr(plane=1), PAGE)),
+        ]
+    )
+    assert finished[1] == sense_end + BUS_NS
+    assert finished[0] == sense_end + 2 * BUS_NS + TIMING.t_prog_ns
 
 
 def test_request_instants_must_lie_ahead_and_rise():
@@ -205,39 +205,32 @@ def test_program_at_now_keeps_only_its_plane_phase_tentative():
 def intruders_of_a_program_at_now(page):
     """A page handed over at its request instant ``at``, an erase on
     its plane while it is on the bus, and a read on another plane whose
-    sense ends at ``at``."""
+    sense ends at ``at``: the program goes behind the erase, and the
+    read continues while the page arrives, so its data goes first."""
     at = 100 * US
-    return at, [
-        page(at),
-        batch(150 * US, erase_op(addr())),
-        batch(at - SENSE_NS, read_op(addr(plane=1), PAGE)),
-    ]
-
-
-def test_plane_intruder_before_the_bus_end_of_a_program_at_now():
-    """The page is on the bus when an erase takes its plane: the
-    program goes behind it; a read's data that asks for the bus the
-    nanosecond the page took it goes behind the page.  The page is
-    handed over by an event scheduled before the read's sense end was,
-    as an admission grant calls the engine."""
-    at, items = intruders_of_a_program_at_now(
-        lambda at: batch(at, program_op(addr(), PAGE), lead=at)
+    finished, _, _ = both(
+        [
+            page(at),
+            batch(150 * US, erase_op(addr())),
+            batch(at - SENSE_NS, read_op(addr(plane=1), PAGE)),
+        ]
     )
-    finished, _, _ = both(items)
-    assert finished[1] == 150 * US + TIMING.t_erase_ns
-    assert finished[0] == finished[1] + TIMING.t_prog_ns
-    assert finished[2] == at + 2 * BUS_NS
-
-
-def test_a_page_handed_over_by_a_hop_goes_behind_a_sense_ending_there():
-    """The same, the page handed over by a hop at its instant: the
-    read's sense end was scheduled before the hop was, so its data
-    takes the bus first and the page goes behind it."""
-    at, items = intruders_of_a_program_at_now(lambda at: stream(at, at))
-    finished, _, _ = both(items)
     assert finished[1] == 150 * US + TIMING.t_erase_ns
     assert finished[0] == finished[1] + TIMING.t_prog_ns
     assert finished[2] == at + BUS_NS
+
+
+def test_plane_intruder_before_the_bus_end_of_a_program_at_now():
+    """The page handed over by an event scheduled before the read's
+    sense end was, as an admission grant calls the engine."""
+    intruders_of_a_program_at_now(
+        lambda at: batch(at, program_op(addr(), PAGE), lead=at)
+    )
+
+
+def test_a_page_handed_over_by_a_hop_goes_behind_a_sense_ending_there():
+    """The same, the page handed over by a hop at its instant."""
+    intruders_of_a_program_at_now(lambda at: stream(at, at))
 
 
 # -- behind an admission gate ------------------------------------------------------------
@@ -302,7 +295,7 @@ def test_undisturbed_read_costs_one_event_a_page():
 
 def test_read_spanning_planes_interleaves_its_pages_by_sense_end():
     """Four pages on each of two planes: the senses run in parallel, and
-    each step's two pages tie for the bus in plane order."""
+    each step's two pages tie for the bus in submission (op) order."""
     finished, _, _ = both([read(0, (0, 1), (1, 0), n=4)])
     assert finished[0] == [SENSE_NS + (page + 1) * BUS_NS for page in range(8)]
 
@@ -319,11 +312,10 @@ def test_later_read_on_an_idle_plane_overtakes_one_queued_behind_an_erase():
     assert finished[1] == [TIMING.t_erase_ns + SENSE_NS + BUS_NS]
 
 
-def test_reads_tied_behind_one_erase_batch_go_in_plane_order():
-    """Both senses start the nanosecond the four-plane batch ends.  Per
-    phase their sense-end events are scheduled from the erases' end
-    events, which run in the batch's plane order -- not in the order
-    the reads were submitted."""
+def test_reads_tied_behind_one_erase_batch_go_in_submission_order():
+    """Both senses start the nanosecond the four-plane batch ends and
+    end together: the read submitted first takes the bus first,
+    whatever the batch's plane order."""
     erases = [erase_op(addr(chip, plane)) for chip, plane in ALL_PLANES]
     finished, _, _ = both(
         [
@@ -333,22 +325,23 @@ def test_reads_tied_behind_one_erase_batch_go_in_plane_order():
         ]
     )
     sense_end = TIMING.t_erase_ns + SENSE_NS
-    assert finished[2] == [sense_end + BUS_NS]
-    assert finished[1] == [sense_end + 2 * BUS_NS]
+    assert finished[1] == [sense_end + BUS_NS]
+    assert finished[2] == [sense_end + 2 * BUS_NS]
 
 
 def test_read_queued_behind_another_requests_run_ties_with_that_requests_other_plane():
     """A one-page read behind the first request's two pages on plane
     (0, 0) ends its sense when that request's third page on (0, 1)
-    does; (0, 0) found idle first, so its queue goes first."""
+    does: the first request's page was submitted first, so it goes
+    first."""
     finished, _, _ = both(
         [
             read(0, (0, 0), (0, 0), (0, 1), (0, 1), (0, 1), (0, 1)),
             read(10 * US, (0, 0)),
         ]
     )
-    assert finished[1] == [SENSE_NS + 5 * BUS_NS]
-    assert finished[0][4:] == [SENSE_NS + 6 * BUS_NS, SENSE_NS + 7 * BUS_NS]
+    assert finished[1] == [SENSE_NS + 6 * BUS_NS]
+    assert finished[0][4:] == [SENSE_NS + 5 * BUS_NS, SENSE_NS + 7 * BUS_NS]
 
 
 def test_program_page_lands_ahead_of_tentative_reads():
@@ -397,13 +390,11 @@ def test_per_phase_bus_intruder_before_a_sense_end():
 
 
 def test_per_phase_bus_intruder_at_a_sense_end_goes_after_the_page():
-    """As for a streamed page: per phase the order at the tied
-    nanosecond hangs on sequence numbers; ahead, the page is first."""
-    script = [
-        read(0, (0, 0), n=2),
-        batch(SENSE_NS, read_op(addr(plane=1), PAGE)),
-    ]
-    finished = play(Case(script)).finished
+    """A per-phase read's sense ends with a page reserved ahead: the
+    page was submitted first, so it takes the bus first, both ways."""
+    finished, _, _ = both(
+        [read(0, (0, 0), n=2), batch(SENSE_NS, read_op(addr(plane=1), PAGE))]
+    )
     assert finished[0] == [SENSE_NS + BUS_NS, SENSE_NS + 2 * BUS_NS]
     assert finished[1] == SENSE_NS + 3 * BUS_NS
 
@@ -525,10 +516,8 @@ def test_reads_on_an_idle_channel_cost_one_event_a_page():
 
 def test_read_that_finds_its_plane_idle_goes_behind_the_queued_run_it_ties_with():
     """A one-page read submitted the nanosecond another request's first
-    sense ends: its own sense ends with that request's second.  Per
-    phase the second sense's end event was scheduled from the first's,
-    itself a sense time old; the newcomer's by a submission scheduled
-    one stack crossing ago -- so the queued run's page goes first."""
+    sense ends: its own sense ends with that request's second, which was
+    submitted first and takes the bus first, on the device as well."""
 
     def play(pinned):
         sim = Simulator()

@@ -5,7 +5,41 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Simulator
-from repro.sim.timeline import BusyUnion, ResourceTimeline
+from repro.sim.timeline import (
+    ARRIVING,
+    CONTINUING,
+    ENDING,
+    BusyUnion,
+    ResourceTimeline,
+    same_instant_key,
+)
+
+
+def test_the_same_instant_key_is_one_total_order():
+    """Distinct ``(class, channel, submission)`` triples get distinct
+    keys that sort as the triples do: a continuing op before any new
+    arrival, arrivals before ends, and on one class channel before
+    submission -- ends on one nanosecond, and so the link transfers
+    they start, go in channel order.  The key is linear in the
+    submission id (the engine steps it by adding), and it stays below
+    every ordinary heap tie however many events have been scheduled."""
+    triples = [
+        (phase_class, channel, sub)
+        for phase_class in (CONTINUING, ARRIVING, ENDING)
+        for channel in (0, 1, 43)
+        for sub in (0, 1, 7, 2**40)
+    ]
+    keys = [same_instant_key(*triple) for triple in triples]
+    assert len(set(keys)) == len(keys)
+    assert sorted(triples, key=lambda t: same_instant_key(*t)) == sorted(triples)
+    assert same_instant_key(CONTINUING, 43, 2**40) < same_instant_key(ARRIVING, 0, 0)
+    assert same_instant_key(ENDING, 0, 2**40) < same_instant_key(ENDING, 1, 0)
+    step = same_instant_key(ARRIVING, 5, 1) - same_instant_key(ARRIVING, 5, 0)
+    assert same_instant_key(ARRIVING, 5, 9) == same_instant_key(ARRIVING, 5, 0) + 9 * step
+    # Plus a sequence number it stays below an ordinary tie and apart
+    # from the next submission's key.
+    assert same_instant_key(ENDING, 2**16 - 1, 2**44 - 1) + 2**40 - 1 < 1
+    assert same_instant_key(ENDING, 3, 4) + 2**40 - 1 < same_instant_key(ENDING, 3, 5)
 
 
 class TestResourceTimeline:
